@@ -7,10 +7,11 @@ which serialized roughly a sixth of the total work.  This module distributes
 all of it:
 
 * Every transaction gets a deterministic **home partition**
-  (:func:`home_shard` — its first participating shard) that runs the full
-  coordinator state machine (:class:`HomeCoordinator`, a faithful port of
-  the legacy ``ShardedBlockchain`` coordination methods) inside the
-  partition's own sub-simulation.
+  (:func:`home_shard` — its first participating shard) whose
+  :class:`HomeCoordinator` hosts the same
+  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` the single-loop
+  engine and the live gateway host, inside the partition's own
+  sub-simulation.
 * Lock admission becomes **participant-side**: each partition keeps a local
   :class:`~repro.txn.locks.LockManager` mirror of its own lock table and
   votes PrepareNotOK on deadlocks/timeouts itself.  Wounds travel to the
@@ -47,23 +48,25 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import ShardedSystemConfig
 from repro.core.driver import DriverStats, abort_bucket
-from repro.core.splitters import splitter_for
+from repro.core.splitters import shards_for, splitter_for
 from repro.core.system import REFERENCE_SHARD_ID
 from repro.errors import SimulationError
 from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction, TxStatus
+from repro.runtime.base import Runtime
 from repro.txn.coordinator import (
+    Cohort,
     DistributedTxOutcome,
-    DistributedTxPhase,
     DistributedTxRecord,
     TwoPhaseCommitCoordinator,
+    TwoPhaseCommitDriver,
 )
 from repro.txn.locks import DeadlockDetected, LockManager
-from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeChaincode
 from repro.workloads.generator import WorkloadGenerator, shard_of_key
 
 #: ``src``/``origin``/``dest`` value naming the parent barrier orchestrator.
@@ -287,19 +290,13 @@ def assign_partitions(shard_ids: List[int], workers: int,
                       config: ShardedSystemConfig) -> List[List[int]]:
     """Group partitions onto ``workers`` processes (some groups may be empty).
 
-    ``worker_assignment="modulo"`` keeps the legacy ``position % workers``
-    rule; ``"load"`` (the default) runs longest-processing-time greedy over
-    :func:`partition_weights`.  Both are pure functions of ``(shard_ids,
-    workers, config)``; grouping only decides which OS process drains a
-    partition, never the partition's event sequence, so both yield
-    bit-identical outcomes.
+    Longest-processing-time greedy over :func:`partition_weights` — a pure
+    function of ``(shard_ids, workers, config)``.  Grouping only decides
+    which OS process drains a partition, never the partition's event
+    sequence, so any grouping yields bit-identical outcomes.
     """
     workers = max(1, workers)
     groups: List[List[int]] = [[] for _ in range(workers)]
-    if config.worker_assignment == "modulo":
-        for position, shard_id in enumerate(shard_ids):
-            groups[position % workers].append(shard_id)
-        return groups
     weights = partition_weights(config)
     loads = [0.0] * workers
     for shard_id in sorted(shard_ids,
@@ -357,7 +354,7 @@ class PartitionDriver:
     def start(self) -> None:
         if not self._started:
             self._started = True
-            self.partition.sim.schedule(0.0, self._tick)
+            self.partition.runtime.schedule(0.0, self._tick)
 
     def _tick(self) -> None:
         stats = self.stats
@@ -367,7 +364,7 @@ class PartitionDriver:
             return
         count = (self.batch_size if remaining is None
                  else min(self.batch_size, remaining))
-        now = self.partition.sim.now
+        now = self.partition.runtime.now
         for _ in range(count):
             if (self.max_in_flight is not None
                     and stats.in_flight >= self.max_in_flight):
@@ -380,7 +377,7 @@ class PartitionDriver:
             if stats.in_flight > stats.max_in_flight:
                 stats.max_in_flight = stats.in_flight
             self.partition.submit_from_driver(tx, self)
-        self.partition.sim.schedule(self.batch_size / self.rate_tps, self._tick)
+        self.partition.runtime.schedule(self.batch_size / self.rate_tps, self._tick)
 
     # ------------------------------------------------------------ completion
     def on_local_complete(self, record: DistributedTxRecord) -> None:
@@ -429,20 +426,21 @@ class _Parked:
 class HomeCoordinator:
     """Both coordination roles of one shard partition.
 
-    **Home role** — the full 2PC coordinator state machine for every
-    transaction homed here: a faithful port of the legacy
-    ``ShardedBlockchain`` coordination methods with each parent<->shard
-    relay replaced by a routed :class:`Command` (and the reference committee
-    reached through ``ref_submit``/``ref_receipt`` instead of a same-
-    simulation cluster).  Fault scenarios are per-home deep copies, so their
-    counters depend only on this partition's own history.
+    **Home role** — hosts the :class:`~repro.txn.coordinator.TwoPhaseCommitDriver`
+    for every transaction homed here.  This class is only the transport:
+    each cohort the driver relays becomes routed :class:`Command` records
+    (``prepare2pc`` / ``decision``), the ``vote`` / ``ack`` commands coming
+    back become driver inputs, and the reference committee is reached
+    through ``ref_submit`` / ``ref_receipt`` instead of a same-simulation
+    cluster.  Fault scenarios are per-home deep copies, so their counters
+    depend only on this partition's own history.
 
     **Participant role** — this shard's half of other homes' transactions:
     local lock admission (the legacy ``_LockAdmission`` mirror, un-namespaced
     because it only ever sees this shard's keys), prepare execution and
     voting, decision execution and acking.
 
-    The ``partition`` object supplies the runtime surface: ``sim``,
+    The ``partition`` object supplies the rest of the surface: ``runtime``,
     ``config``, ``shard_id``, ``cluster``, ``adversary``, ``current_epoch``,
     ``route(command)``, ``watch(tx_id, callback)`` and
     ``emit_tx_done(record)``.
@@ -451,7 +449,7 @@ class HomeCoordinator:
     def __init__(self, partition: Any) -> None:
         self.partition = partition
         self.config: ShardedSystemConfig = partition.config
-        self.sim = partition.sim
+        self.runtime: Runtime = partition.runtime
         self.shard_id: int = partition.shard_id
         self.coordinator = TwoPhaseCommitCoordinator(
             self.config.use_reference_committee,
@@ -463,11 +461,12 @@ class HomeCoordinator:
         self.fault = copy.deepcopy(self.config.fault_scenario)
         if self.fault is not None:
             self.fault.bind(partition)
-        #: tx_id -> local completion callback, or the origin partition id
-        #: (PARENT for parent-submitted transactions).
-        self._completion: Dict[str, Any] = {}
-        self._decisions_sent: Dict[str, Set[int]] = {}
-        self._ref_watchers: Dict[str, Callable] = {}
+        #: Admission is participant-side here, so prepares always leave the
+        #: home immediately; under an armed adversary a decision's
+        #: first-contact member may swallow it, so decisions get deadlines.
+        self.driver = TwoPhaseCommitDriver(
+            self, self.runtime, self.splitter, self.shard_of, fault=self.fault,
+            redrive_decisions=partition.adversary is not None)
         # Participant-side admission mirror (queueing policies only).
         self.manager: Optional[LockManager] = (
             LockManager(StateStore(), policy=self.config.conflict_policy,
@@ -486,373 +485,87 @@ class HomeCoordinator:
         return shard_of_key(key, self.config.num_shards)
 
     def shards_for_transaction(self, tx: Transaction) -> List[int]:
-        try:
-            return self.splitter.shards_touched(tx, self.shard_of)
-        except Exception:
-            shards = {self.shard_of(key) for key in tx.keys}
-            return sorted(shards) if shards else [0]
+        return shards_for(self.splitter, tx, self.shard_of)
 
     def _route(self, **kwargs: Any) -> None:
         self.partition.route(Command(**kwargs))
 
-    def _submit_cluster_later(self, tx: Transaction, attempt: int = 0) -> None:
-        """Submit to this partition's own cluster after the uniform relay delay.
-
-        Even self-targeted hops pay ``relay_delay`` so message latency never
-        depends on whether a participant happens to be its own home.
-        """
-        self.sim.schedule(self.config.relay_delay,
-                          lambda: self.partition.cluster.submit([tx], attempt=attempt))
-
-    # ------------------------------------------------------------ home: submit
+    # ------------------------------------------------------------ home: inputs
     def submit_transaction(self, tx: Transaction,
                            on_complete: Optional[Callable[[DistributedTxRecord], None]] = None,
                            origin: Optional[int] = None) -> DistributedTxRecord:
-        """Coordinate a benchmark transaction homed at this partition."""
+        """Coordinate a benchmark transaction homed at this partition.
+
+        Completion goes to ``on_complete`` if given, else to the ``origin``
+        partition (``PARENT`` for parent-submitted transactions).
+        """
         shards = self.shards_for_transaction(tx)
         if home_shard(shards) != self.shard_id:  # pragma: no cover - protocol bug guard
             raise SimulationError(
                 f"transaction {tx.tx_id!r} homed at {home_shard(shards)} "
                 f"submitted to partition {self.shard_id}")
-        record = self.coordinator.begin(tx, shards, now=self.sim.now)
-        if on_complete is not None:
-            self._completion[tx.tx_id] = on_complete
-        elif origin is not None:
-            self._completion[tx.tx_id] = origin
-        if not record.is_cross_shard:
-            self._submit_single_shard(record)
-            return record
-        if (self.fault is not None and not self.coordinator.crashed
-                and self.fault.crash_coordinator(record, "prepare")):
-            self._crash_coordinator()
-        if self.config.use_reference_committee:
-            self._submit_begin_tx(record)
-        else:
-            self.coordinator.mark_begin_executed(tx.tx_id, now=self.sim.now)
-            self._send_prepares(record)
-        return record
+        return self.driver.submit(
+            tx, shards, completion=on_complete if on_complete is not None else origin)
 
     def handle_client(self, command: Command) -> None:
         """A transaction homed here arrived from its owner (or the parent)."""
         self.submit_transaction(command.txs[0], origin=command.origin)
 
-    # ----------------------------------------------------- home: single shard
-    def _submit_single_shard(self, record: DistributedTxRecord) -> None:
-        tx = record.transaction
-        self.coordinator.mark_begin_executed(tx.tx_id, now=self.sim.now)
-
-        def on_receipt(receipt: Any) -> None:
-            ok = receipt.status is TxStatus.COMMITTED
-            self.coordinator.record_prepare_vote(tx.tx_id, self.shard_id, ok,
-                                                 now=self.sim.now,
-                                                 reason=receipt.error)
-            self.coordinator.record_commit_ack(tx.tx_id, self.shard_id,
-                                               now=self.sim.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
-
-        self.partition.watch(tx.tx_id, on_receipt)
-        self._submit_cluster_later(tx)
-        if self.config.prepare_timeout is not None:
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_single_shard_deadline, tx.tx_id)
-
-    def _check_single_shard_deadline(self, tx_id: str) -> None:
-        """Re-submit a single-shard transaction whose receipt never came."""
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE or record.prepare_votes):
-            return
-        if record.prepare_deadline is None or record.prepare_deadline > self.sim.now:
-            delay = (record.prepare_deadline - self.sim.now
-                     if record.prepare_deadline is not None
-                     else self.config.prepare_timeout)
-            self.sim.schedule(max(delay, 1e-9),
-                              self._check_single_shard_deadline, tx_id)
-            return
-        self.coordinator.mark_redriven(record)
-        record.prepare_deadline = self.sim.now + self.config.prepare_timeout
-        self._submit_cluster_later(record.transaction, attempt=record.redrives)
-        self.sim.schedule(self.config.prepare_timeout,
-                          self._check_single_shard_deadline, tx_id)
-
-    # ------------------------------------------------------ home: cross shard
-    def _route_ref(self, ref_tx: Transaction, attempt: int) -> None:
-        self._route(due=self.sim.now + self.config.relay_delay,
-                    dest=REFERENCE_SHARD_ID, op="ref_submit", txs=(ref_tx,),
-                    reply_to=self.shard_id, attempt=attempt)
-
-    def handle_ref_receipt(self, command: Command) -> None:
-        watcher = self._ref_watchers.pop(command.tx_id, None)
-        if watcher is not None:
-            watcher(command.receipt)
-
-    def _submit_begin_tx(self, record: DistributedTxRecord) -> None:
-        if self.coordinator.crashed:
-            return  # recovery restarts records still in BEGINNING
-        chaincode = ReferenceCommitteeChaincode()
-        begin = chaincode.new_transaction(
-            "beginTx", {"tx_id": record.tx_id, "num_committees": len(record.shards)},
-            client_id=record.transaction.client_id,
-        )
-
-        def on_receipt(receipt: Any) -> None:
-            self.coordinator.mark_begin_executed(record.tx_id, now=self.sim.now)
-            self._send_prepares(record)
-
-        self._ref_watchers[begin.tx_id] = on_receipt
-        self._route_ref(begin, attempt=record.redrives)
-
-    def _send_prepares(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        """Route the per-shard PrepareTx cohort (fault-aware; admission is
-        participant-side, so prepares always leave the home immediately)."""
-        if self.coordinator.crashed:
-            return  # recovery re-drives undecided transactions
-        prepares = self.splitter.prepare_transactions(record.transaction,
-                                                      self.shard_of)
-        if only_shards is not None:
-            prepares = {shard: tx for shard, tx in prepares.items()
-                        if shard in only_shards}
-        for shard_id in sorted(prepares):
-            extra_delay = 0.0
-            if self.fault is not None:
-                if self.fault.drop_prepare(record, shard_id):
-                    continue  # the prepare-deadline re-drive recovers this
-                extra_delay = self.fault.prepare_delay(record, shard_id)
-            self._route(due=self.sim.now + self.config.relay_delay + extra_delay,
-                        dest=shard_id, op="prepare2pc", txs=(prepares[shard_id],),
-                        tx_id=record.tx_id, home=self.shard_id,
-                        attempt=record.redrives,
-                        priority=(record.started_at, record.begin_seq,
-                                  self.shard_id))
-        if self.config.prepare_timeout is not None:
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, record.tx_id)
-
-    # ------------------------------------------------------------- home: votes
     def handle_vote(self, command: Command) -> None:
         """A participant's prepare vote arrived (step 1b)."""
-        tx_id, shard_id, ok = command.tx_id, command.origin, command.ok
-        record = self.coordinator.records.get(tx_id)
-        if record is None:
-            # Pruned (stale vote) or unknown while crashed: bookkeeping only.
-            # The fault hooks and the reference submission need a live record
-            # — documented deviation from the legacy engine, which never saw
-            # votes for pruned records because its watchers died with them.
-            if not self.coordinator.retain_records or self.coordinator.crashed:
-                self.coordinator.record_prepare_vote(tx_id, shard_id, ok,
-                                                     now=self.sim.now,
-                                                     reason=command.reason)
-            return
-        if self.fault is not None and self.fault.drop_vote(record, shard_id, ok):
-            return  # vote lost; the prepare-deadline re-drive recovers
-        self._handle_prepare_outcome(record, shard_id, ok, command.reason)
-
-    def _handle_prepare_outcome(self, record: DistributedTxRecord, shard_id: int,
-                                ok: bool, reason: Optional[str]) -> None:
-        if self.config.use_reference_committee:
-            self._submit_vote(record, shard_id, ok, reason)
-        else:
-            before = record.outcome
-            self._record_vote(record, shard_id, ok, reason)
-            if (record.outcome is not DistributedTxOutcome.PENDING
-                    and before is DistributedTxOutcome.PENDING):
-                self._send_decision(record)
-
-    def _record_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        self.coordinator.record_prepare_vote(record.tx_id, shard_id, ok,
-                                             now=self.sim.now, reason=reason)
-        if self.fault is not None:
-            duplicates = self.fault.duplicate_votes(record, shard_id, ok)
-            for index in range(duplicates):
-                self.sim.schedule(
-                    self.fault.stale_delay() * (index + 1),
-                    self._replay_vote, record.tx_id, shard_id, ok, reason)
-
-    def _replay_vote(self, tx_id: str, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        """A stale duplicate vote arrives (idempotent-or-rejected)."""
-        if self.coordinator.retain_records and tx_id not in self.coordinator.records:
-            return
-        self.coordinator.record_prepare_vote(tx_id, shard_id, ok,
-                                             now=self.sim.now, reason=reason)
-
-    def _submit_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        chaincode = ReferenceCommitteeChaincode()
-        vote = chaincode.new_transaction(
-            "prepareOK" if ok else "prepareNotOK",
-            {"tx_id": record.tx_id, "shard_id": shard_id},
-            client_id=record.transaction.client_id,
-        )
-
-        def on_receipt(receipt: Any) -> None:
-            before = record.outcome
-            self._record_vote(record, shard_id, ok, reason)
-            decided_state = None
-            if receipt.result and isinstance(receipt.result, dict):
-                decided_state = receipt.result.get("state")
-            decided = record.outcome is not DistributedTxOutcome.PENDING
-            if decided and before is DistributedTxOutcome.PENDING:
-                # Sanity: the replicated state machine must agree with the
-                # local bookkeeping (both implement Figure 6).
-                if decided_state == CoordinatorState.ABORTED.value:
-                    assert record.outcome is DistributedTxOutcome.ABORTED
-                self._send_decision(record)
-
-        self._ref_watchers[vote.tx_id] = on_receipt
-        self._route_ref(vote, attempt=record.redrives)
-
-    # --------------------------------------------------------- home: decision
-    def _send_decision(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        if self.coordinator.crashed:
-            return  # recovery re-drives decided-but-unsent decisions
-        if (self.fault is not None
-                and self.fault.crash_coordinator(record, "decide")):
-            self._crash_coordinator()
-            return  # decided but unsent: re-driven at recovery
-        committed = record.outcome is DistributedTxOutcome.COMMITTED
-        if committed:
-            per_shard = self.splitter.commit_transactions(record.transaction,
-                                                          self.shard_of)
-        else:
-            per_shard = self.splitter.abort_transactions(record.transaction,
-                                                         self.shard_of)
-        if only_shards is not None:
-            per_shard = {shard: tx for shard, tx in per_shard.items()
-                         if shard in only_shards}
-        sent = self._decisions_sent.setdefault(record.tx_id, set())
-        for shard_id in sorted(per_shard):
-            sent.add(shard_id)
-            extra_delay = (self.fault.decision_delay(record, shard_id)
-                           if self.fault is not None else 0.0)
-            self._route(due=self.sim.now + self.config.relay_delay + extra_delay,
-                        dest=shard_id, op="decision", txs=(per_shard[shard_id],),
-                        tx_id=record.tx_id, home=self.shard_id,
-                        attempt=record.redrives)
-        if self.partition.adversary is not None and self.config.prepare_timeout is not None:
-            # Under an armed adversary a decision's first-contact member may
-            # swallow it; the deadline re-drives it through a rotated member.
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_decision_deadline, record.tx_id)
+        self.driver.vote(command.tx_id, command.origin, command.ok, command.reason)
 
     def handle_ack(self, command: Command) -> None:
         """A participant executed its CommitTx/AbortTx and acked (step 2)."""
-        tx_id, shard_id = command.tx_id, command.origin
-        record = self.coordinator.records.get(tx_id)
-        self.coordinator.record_commit_ack(tx_id, shard_id, now=self.sim.now)
-        if record is None:
-            return  # pruned (stale ack) — counted by the coordinator
-        if self.fault is not None:
-            duplicates = self.fault.duplicate_acks(record, shard_id)
-            for index in range(duplicates):
-                self.sim.schedule(self.fault.stale_delay() * (index + 1),
-                                  self._replay_ack, tx_id, shard_id)
-        if record.all_acks_in:
-            self._finish(record)
+        self.driver.ack(command.tx_id, command.origin)
 
-    def _replay_ack(self, tx_id: str, shard_id: int) -> None:
-        """A stale duplicate commit ack arrives (a counted no-op)."""
-        if self.coordinator.retain_records and tx_id not in self.coordinator.records:
-            return
-        self.coordinator.record_commit_ack(tx_id, shard_id, now=self.sim.now)
+    def handle_ref_receipt(self, command: Command) -> None:
+        self.driver.reference_receipt(command.receipt)
 
-    # ------------------------------------------- home: re-drives and recovery
-    def _check_decision_deadline(self, tx_id: str) -> None:
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.phase is DistributedTxPhase.DONE
-                or record.outcome is DistributedTxOutcome.PENDING):
-            return
-        if self.coordinator.crashed:
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_decision_deadline, tx_id)
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.commit_acks]
-        if missing:
-            self.coordinator.mark_redriven(record)
-            self._send_decision(record, only_shards=missing)
+    # ------------------------------------------- home: the driver's host surface
+    def relay(self, kind: str, record: DistributedTxRecord, cohort: Cohort,
+              extra_delay: float, attempt: int) -> None:
+        """Route a cohort to its participants; every hop pays ``relay_delay``.
 
-    def _check_prepare_deadline(self, tx_id: str) -> None:
-        """The prepare deadline passed: re-drive the shards with missing votes.
-
-        Unlike the legacy engine, the home cannot see which participants are
-        merely parked in their local admission queues, so it re-drives every
-        missing-vote shard; participants ignore re-driven prepares for
-        transactions they are still waiting or already admitted on, which
-        makes the re-drive a no-op exactly where the legacy skip applied.
+        Even self-targeted hops pay it, so message latency never depends on
+        whether a participant happens to be its own home.
         """
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE):
+        if kind == "single":
+            (_, tx), = cohort
+            self.partition.watch(tx.tx_id, partial(
+                self.driver.receipt, kind, record, self.shard_id))
+            self.runtime.schedule(
+                self.config.relay_delay,
+                lambda: self.partition.cluster.submit([tx], attempt=attempt))
             return
-        if self.coordinator.crashed:
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, tx_id)
-            return
-        if record.prepare_deadline is None or record.prepare_deadline > self.sim.now:
-            delay = (record.prepare_deadline - self.sim.now
-                     if record.prepare_deadline is not None
-                     else self.config.prepare_timeout)
-            self.sim.schedule(max(delay, 1e-9), self._check_prepare_deadline, tx_id)
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.prepare_votes]
-        if missing:
-            self.coordinator.mark_redriven(record)
-            record.prepare_deadline = self.sim.now + self.config.prepare_timeout
-            self._send_prepares(record, only_shards=missing)
+        due = self.runtime.now + self.config.relay_delay + extra_delay
+        if kind == "prepare":
+            op = "prepare2pc"
+            priority: Tuple = (record.started_at, record.begin_seq, self.shard_id)
         else:
-            record.prepare_deadline = self.sim.now + self.config.prepare_timeout
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, tx_id)
+            op, priority = "decision", ()
+        for shard_id, tx in cohort:
+            self._route(due=due, dest=shard_id, op=op, txs=(tx,),
+                        tx_id=record.tx_id, home=self.shard_id,
+                        attempt=attempt, priority=priority)
 
-    def _crash_coordinator(self) -> None:
-        if self.coordinator.crashed:
-            return  # one recovery is already scheduled
-        self.coordinator.crash()
-        delay = self.fault.recovery_delay() if self.fault is not None else 1.0
-        self.sim.schedule(delay, self._recover_coordinator)
+    def submit_reference(self, tx: Transaction, attempt: int) -> None:
+        self._route(due=self.runtime.now + self.config.relay_delay,
+                    dest=REFERENCE_SHARD_ID, op="ref_submit", txs=(tx,),
+                    reply_to=self.shard_id, attempt=attempt)
 
-    def _recover_coordinator(self) -> None:
-        """Replay buffered votes/acks, then re-drive unfinished transactions."""
-        if not self.coordinator.crashed:
-            return
-        report = self.coordinator.recover(now=self.sim.now)
-        for record in report.completed:
-            self._finish(record)
-        for record in report.restart:
-            self.coordinator.mark_redriven(record)
-            if (record.phase is DistributedTxPhase.BEGINNING
-                    and self.config.use_reference_committee):
-                self._submit_begin_tx(record)
-                continue
-            missing = [shard for shard in record.shards
-                       if shard not in record.prepare_votes]
-            self._send_prepares(record, only_shards=missing or list(record.shards))
-        for record in report.redrive:
-            sent = self._decisions_sent.get(record.tx_id, set())
-            unsent = [shard for shard in record.shards
-                      if shard not in record.commit_acks and shard not in sent]
-            if unsent:
-                self.coordinator.mark_redriven(record)
-                self._send_decision(record, only_shards=unsent)
+    def shard_unreachable(self, shard_id: int) -> bool:
+        return False  # simulated shards stall or lose messages, never vanish
 
-    # ------------------------------------------------------- home: completion
-    def _finish(self, record: DistributedTxRecord) -> None:
-        self._decisions_sent.pop(record.tx_id, None)
-        target = self._completion.pop(record.tx_id, None)
+    def finished(self, record: DistributedTxRecord, target: Any) -> None:
         if target is None:
-            return  # already reported, or fire-and-forget
+            return  # fire-and-forget
         if callable(target):
             target(record)
         elif target == PARENT:
             self.partition.emit_tx_done(record)
         else:
-            self._route(due=self.sim.now + self.config.relay_delay,
+            self._route(due=self.runtime.now + self.config.relay_delay,
                         dest=target, op="client_done", tx_id=record.tx_id,
                         committed=record.outcome is DistributedTxOutcome.COMMITTED,
                         reason=record.abort_reason, latency=record.latency,
@@ -879,7 +592,7 @@ class HomeCoordinator:
             return
         keys = tuple(prepare_tx.keys)
         self._tx_keys[tx_id] = keys
-        now = self.sim.now
+        now = self.runtime.now
         outstanding: Set[str] = set()
         wounded: List[str] = []
         try:
@@ -904,7 +617,7 @@ class HomeCoordinator:
         self._parked[tx_id] = _Parked(tx_id=tx_id, prepare_tx=prepare_tx,
                                       home=command.home, attempt=command.attempt,
                                       keys_outstanding=outstanding)
-        self.sim.schedule(self.config.wait_timeout, self._check_wait_timeout, tx_id)
+        self.runtime.schedule(self.config.wait_timeout, self._check_wait_timeout, tx_id)
 
     def _launch_prepare(self, prepare_tx: Transaction, tx_id: str, home: int,
                         attempt: int) -> None:
@@ -924,7 +637,7 @@ class HomeCoordinator:
             # The grant notification pays the relay hop (mirroring the legacy
             # dispatch relay); the launch re-checks _parked so a decision
             # arriving in between cancels it.
-            self.sim.schedule(self.config.relay_delay, self._launch_parked, tx_id)
+            self.runtime.schedule(self.config.relay_delay, self._launch_parked, tx_id)
 
     def _launch_parked(self, tx_id: str) -> None:
         parked = self._parked.pop(tx_id, None)
@@ -963,7 +676,7 @@ class HomeCoordinator:
 
     def _send_vote(self, tx_id: str, home: int, ok: bool,
                    reason: Optional[str]) -> None:
-        self._route(due=self.sim.now + self.config.relay_delay, dest=home,
+        self._route(due=self.runtime.now + self.config.relay_delay, dest=home,
                     op="vote", tx_id=tx_id, origin=self.shard_id, ok=ok,
                     reason=reason)
 
@@ -981,7 +694,7 @@ class HomeCoordinator:
                 self.manager.finish(tx_id)
             self._tx_keys.pop(tx_id, None)
             self._tx_home.pop(tx_id, None)
-            self._route(due=self.sim.now + self.config.relay_delay, dest=home,
+            self._route(due=self.runtime.now + self.config.relay_delay, dest=home,
                         op="ack", tx_id=tx_id, origin=self.shard_id)
 
         self.partition.watch(decision_tx.tx_id, on_receipt)

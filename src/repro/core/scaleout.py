@@ -56,13 +56,12 @@ the :class:`~repro.audit.auditor.SafetyAuditor` can attach to — it needs
 the replicas in its own address space).  ``workers=N`` forks N persistent
 worker processes, each owning a fixed partition subset chosen by
 :func:`~repro.core.homecoord.assign_partitions` (deterministic load-aware
-LPT by default, ``position % N`` under ``worker_assignment="modulo"``).
-Because partitions are self-contained and all cross-partition effects are
-window-batched, the grouping cannot affect outcomes: ``workers=N`` executes
-exactly the same per-partition event sequences as ``workers=1``.  Each
-partition additionally owns a disjoint transaction-id stream swapped into
-the process-global counter around its windows, so even transaction *ids*
-are grouping-invariant.
+LPT).  Because partitions are self-contained and all cross-partition effects
+are window-batched, the grouping cannot affect outcomes: ``workers=N``
+executes exactly the same per-partition event sequences as ``workers=1``.
+Each partition additionally owns a disjoint transaction-id stream swapped
+into the process-global counter around its windows, so even transaction
+*ids* are grouping-invariant.
 
 Epoch transitions and the adversary cross partition boundaries, so they are
 decomposed into partition-local control operations exactly as before:
@@ -115,6 +114,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.ledger.chaincode import ChaincodeRegistry
 from repro.ledger.transaction import Transaction, swap_tx_counter
 from repro.sharding.assignment import assign_committees
+from repro.runtime.base import as_runtime
 from repro.sharding.reconfiguration import state_transfer_seconds
 from repro.sim.latency import LanLatencyModel
 from repro.sim.network import Network
@@ -174,6 +174,9 @@ class ShardPartition:
         self.shard_id = shard_id
         self.is_reference = shard_id == REFERENCE_SHARD_ID
         self.sim = Simulator(seed=_partition_seed(config.seed, shard_id))
+        #: What the in-partition protocol code (home coordinator, drivers)
+        #: schedules through; ``sim`` stays the harness handle that drains it.
+        self.runtime = as_runtime(self.sim)
         self.network = Network(self.sim, config.latency_model or LanLatencyModel())
         self.current_epoch = 0
         self._tx_counter = partition_tx_counter(shard_id)
@@ -847,6 +850,9 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
         coordination state lives in the home partition.
         """
         shards = self.shards_for_transaction(tx)
+        if len(shards) > 1:
+            # Refuse here what the home's driver would refuse inside a worker.
+            self.splitter.validate(tx, self.shard_of_key)
         record = DistributedTxRecord(tx_id=tx.tx_id, transaction=tx,
                                      shards=sorted(shards),
                                      phase=DistributedTxPhase.BEGINNING,
@@ -935,17 +941,10 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
                 raise SimulationError(f"unknown partition output {item!r}")
 
     # ------------------------------------------------------------ relays
-    def _relay_shard_single(self, shard_id: int, tx: Transaction,
-                            attempt: int = 0) -> None:  # pragma: no cover
+    def relay(self, kind: str, record: DistributedTxRecord, cohort: Any,
+              extra_delay: float, attempt: int) -> None:  # pragma: no cover
         raise SimulationError(
             "parent-side shard relay on the scale-out engine: coordination "
-            "traffic must originate in the home partitions")
-
-    def _relay_cohort(self, group: List[Tuple[int, Transaction]],
-                      extra_delay: float = 0.0,
-                      attempt: int = 0) -> None:  # pragma: no cover
-        raise SimulationError(
-            "parent-side cohort relay on the scale-out engine: coordination "
             "traffic must originate in the home partitions")
 
     # ------------------------------------------------------------ run/results

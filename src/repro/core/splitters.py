@@ -40,6 +40,23 @@ class TransactionSplitter(ABC):
                            shard_of_key: Callable[[str], int]) -> Dict[int, Transaction]:
         """Per-shard AbortTx invocations."""
 
+    @abstractmethod
+    def _read_arguments(self, tx: Transaction, shard_of_key: Callable[[str], int]) -> None:
+        """Read every argument the three builders above read (and no more)."""
+
+    def validate(self, tx: Transaction, shard_of_key: Callable[[str], int]) -> None:
+        """Raise :class:`WorkloadError` unless ``tx`` can be split.
+
+        Builds nothing (so it draws no transaction ids): the 2PC driver calls
+        it before registering a transaction anywhere.
+        """
+        try:
+            self._read_arguments(tx, shard_of_key)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WorkloadError(
+                f"cannot split {tx.chaincode} {tx.function!r}: bad argument {exc}"
+            ) from exc
+
 
 class SmallbankSplitter(TransactionSplitter):
     """Splits Smallbank ``sendPayment`` transactions (Figure 4's account model)."""
@@ -58,6 +75,10 @@ class SmallbankSplitter(TransactionSplitter):
             shard = shard_of_key(account_key(account))
             by_shard.setdefault(shard, []).append(account)
         return by_shard
+
+    def _read_arguments(self, tx: Transaction, shard_of_key: Callable[[str], int]) -> None:
+        self._accounts_by_shard(tx, shard_of_key)
+        int(tx.args["amount"])
 
     def shards_touched(self, tx: Transaction, shard_of_key: Callable[[str], int]) -> List[int]:
         return sorted(self._accounts_by_shard(tx, shard_of_key))
@@ -123,6 +144,9 @@ class KVStoreSplitter(TransactionSplitter):
             by_shard.setdefault(shard_of_key(key), []).append((key, value))
         return by_shard
 
+    def _read_arguments(self, tx: Transaction, shard_of_key: Callable[[str], int]) -> None:
+        self._writes_by_shard(tx, shard_of_key)
+
     def shards_touched(self, tx: Transaction, shard_of_key: Callable[[str], int]) -> List[int]:
         return sorted(self._writes_by_shard(tx, shard_of_key))
 
@@ -161,3 +185,18 @@ def splitter_for(benchmark: str) -> TransactionSplitter:
     if benchmark == "kvstore":
         return KVStoreSplitter()
     raise WorkloadError(f"no transaction splitter for benchmark {benchmark!r}")
+
+
+def shards_for(splitter: TransactionSplitter, tx: Transaction,
+               shard_of_key: Callable[[str], int]) -> List[int]:
+    """The shards whose state ``tx`` touches.
+
+    Functions the splitter cannot split (``WorkloadError("cannot split …")``:
+    single-key invocations such as ``deposit`` or ``query``) route by the
+    keys they declare.
+    """
+    try:
+        return splitter.shards_touched(tx, shard_of_key)
+    except WorkloadError:
+        shards = {shard_of_key(key) for key in tx.keys}
+        return sorted(shards) if shards else [0]

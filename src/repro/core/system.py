@@ -7,9 +7,12 @@
   chaincode;
 * optionally a **reference committee** running the 2PC state-machine
   chaincode of Section 6.2;
-* a coordination layer that drives every transaction through the Figure-5
+* a coordination layer that takes every transaction through the Figure-5
   flow: BeginTx at the reference committee, PrepareTx at the involved
   committees (acquiring 2PL locks), vote relay, then CommitTx / AbortTx.
+  The flow itself is :class:`repro.txn.coordinator.TwoPhaseCommitDriver`;
+  ``ShardedBlockchain`` hosts it — it relays the driver's cohorts to the
+  committees and turns their commit receipts back into votes and acks.
 
 Clients interact through :meth:`submit_transaction`, which accepts ordinary
 benchmark transactions (e.g. Smallbank ``sendPayment``) and hides the
@@ -78,8 +81,8 @@ parallel discrete-event simulation:
   coordination layer (2PC coordinator, reference committee, admission, fault
   injection, epoch control) stays on the parent simulation.
 * The only parent->shard traffic is a handful of call sites that all pay at
-  least ``relay_delay`` before the shard acts (``_relay_shard_single``,
-  ``_relay_cohort``, and the epoch/adversary control operations); the only
+  least ``relay_delay`` before the shard acts (``relay``,
+  ``submit_reference``, and the epoch/adversary control operations); the only
   shard->parent traffic is commit receipts and migration reports, which
   carry their exact occurrence times.  ``relay_delay`` is therefore a
   *lookahead*: during any window of length ``barrier_interval <=
@@ -107,18 +110,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.consensus.base import CommitEvent
 from repro.consensus.cluster import ConsensusCluster
 from repro.core.adversary import AdversaryState
 from repro.core.config import ShardedSystemConfig
-from repro.core.splitters import splitter_for
+from repro.core.splitters import shards_for, splitter_for
 from repro.errors import ConfigurationError
 from repro.ledger.chaincode import ChaincodeRegistry
 from repro.ledger.index import LedgerIndex
 from repro.ledger.state import StateStore
-from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
+from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.sharding.assignment import assign_committees
 from repro.sharding.beacon_protocol import derive_epoch_randomness
 from repro.sharding.committee import CommitteeAssignment
@@ -135,13 +139,14 @@ from repro.sim.network import Network
 from repro.runtime.base import as_runtime
 from repro.sim.simulator import Simulator
 from repro.txn.coordinator import (
+    Cohort,
     DistributedTxOutcome,
-    DistributedTxPhase,
     DistributedTxRecord,
     TwoPhaseCommitCoordinator,
+    TwoPhaseCommitDriver,
 )
 from repro.txn.locks import DeadlockDetected, LockManager
-from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeChaincode
+from repro.txn.reference_committee import ReferenceCommitteeChaincode
 from repro.workloads.generator import shard_of_key
 from repro.workloads.kvstore import KVStoreWorkload
 from repro.workloads.smallbank import SmallbankWorkload
@@ -294,9 +299,21 @@ class _LockAdmission:
         return "waiting"
 
     def _wound_victims(self, wounded: List[str]) -> None:
+        """Wound-wait: an older transaction aborts the younger lock holders."""
         for victim in wounded:
             self.wounded_transactions += 1
-            self.system._wound(victim)
+            record = self.system.coordinator.records.get(victim)
+            if record is None or record.outcome is not DistributedTxOutcome.PENDING:
+                continue
+            # Abort through the normal vote path.  Prefer a participant shard
+            # that has not voted yet (an undecided record always has one) so
+            # the wound is a first vote, not a conflicting revote; the shard's
+            # own later OK vote is then rejected as stale.
+            shard_id = next((shard for shard in record.shards
+                             if shard not in record.prepare_votes),
+                            record.shards[0])
+            self.system.driver.prepare_outcome(
+                record, shard_id, False, "wounded by an older transaction")
 
     def _on_grant(self, tx_id: str, key: str) -> None:
         for pending_key, pending in list(self._pending.items()):
@@ -305,7 +322,13 @@ class _LockAdmission:
             pending.keys_outstanding.discard(key)
             if not pending.keys_outstanding:
                 del self._pending[pending_key]
-                self.system._dispatch_admitted_prepare(pending)
+                record = pending.record
+                if record.outcome is DistributedTxOutcome.PENDING:
+                    # Not decided (wounded, timed out elsewhere) meanwhile:
+                    # the parked PrepareTx got its last lock, relay it now.
+                    self.system.relay(
+                        "prepare", record, [(pending.shard_id, pending.prepare_tx)],
+                        pending.extra_delay, record.redrives)
 
     def _check_timeout(self, tx_id: str, shard_id: int) -> None:
         pending = self._pending.pop((tx_id, shard_id), None)
@@ -314,10 +337,14 @@ class _LockAdmission:
         self.wait_timeouts += 1
         for key in pending.keys_outstanding:
             self.manager.cancel_wait(tx_id, key)
-        self.system._handle_prepare_outcome(
+        self.system.driver.prepare_outcome(
             pending.record, shard_id, False,
-            reason=f"lock wait timed out after {self.system.config.wait_timeout}s",
-        )
+            f"lock wait timed out after {self.system.config.wait_timeout}s")
+
+    def waiting_shards(self, tx_id: str) -> Set[int]:
+        """Shards whose PrepareTx for ``tx_id`` is still parked here."""
+        return {pending_key[1] for pending_key in self._pending
+                if pending_key[0] == tx_id}
 
     # ----------------------------------------------------------------- release
     def release_shard(self, tx_id: str, shard_id: int) -> None:
@@ -357,18 +384,10 @@ class ShardedBlockchain:
             config.use_reference_committee, retain_records=config.retain_tx_records,
             prepare_timeout=config.prepare_timeout)
         self.splitter = splitter_for(config.benchmark)
-        self._completion_callbacks: Dict[str, Callable[[DistributedTxRecord], None]] = {}
         self._receipt_watchers: Dict[str, Callable[[TransactionReceipt], None]] = {}
-        self._single_shard_started: Dict[str, float] = {}
         self.single_shard_committed = 0
         self.single_shard_aborted = 0
-        self._fault = self._bind_fault_scenario()
         self.admission: Optional[_LockAdmission] = self._build_admission()
-        self._decisions_sent: Dict[str, Set[int]] = {}
-        #: Relay per-shard prepare/decision submissions as one cohort event
-        #: (order-identical to the seed's one-event-per-shard scheduling; the
-        #: differential test flips this off to prove it).
-        self._cohort_relay = True
 
         self.assignment = self._form_committees()
         #: Armed Byzantine adversary (see ``ShardedSystemConfig.adversary``):
@@ -381,6 +400,15 @@ class ShardedBlockchain:
         for shard_id in range(config.num_shards):
             self.shards[shard_id] = self._build_shard_cluster(shard_id)
         self.reference: Optional[ConsensusCluster] = self._maybe_build_reference()
+        #: The one 2PC driver (:mod:`repro.txn.coordinator`); this class is
+        #: its host.  Under an armed adversary a decision's first-contact
+        #: member may swallow it (a silent Byzantine replica), so decisions
+        #: get a deadline and are re-driven through a rotated member; honest
+        #: runs never lose decisions and arm no such timer.
+        self.driver = TwoPhaseCommitDriver(
+            self, self.runtime, self.splitter, self.shard_of_key,
+            fault=self._bind_fault_scenario(), admission=self.admission,
+            redrive_decisions=self.adversary is not None)
         self._arm_adversary()
         self._populate_states()
         self._attach_observers()
@@ -562,422 +590,51 @@ class ShardedBlockchain:
 
     def shards_for_transaction(self, tx: Transaction) -> List[int]:
         """The shards whose state a benchmark transaction touches."""
-        try:
-            return self.splitter.shards_touched(tx, self.shard_of_key)
-        except Exception:
-            shards = {self.shard_of_key(key) for key in tx.keys}
-            return sorted(shards) if shards else [0]
+        return shards_for(self.splitter, tx, self.shard_of_key)
 
     # ------------------------------------------------------------ submission
     def submit_transaction(self, tx: Transaction,
                            on_complete: Optional[Callable[[DistributedTxRecord], None]] = None) -> DistributedTxRecord:
-        """Submit a benchmark transaction; the system routes and coordinates it."""
-        shards = self.shards_for_transaction(tx)
-        record = self.coordinator.begin(tx, shards, now=self.runtime.now)
+        """Submit a benchmark transaction; the system routes and coordinates it.
+
+        Raises :class:`~repro.errors.WorkloadError` (nothing registered) for a
+        cross-shard transaction that cannot be split.
+        """
+        return self.driver.submit(tx, self.shards_for_transaction(tx),
+                                  completion=on_complete)
+
+    # ---------------------------------------------- the 2PC driver's host surface
+    def relay(self, kind: str, record: DistributedTxRecord, cohort: Cohort,
+              extra_delay: float, attempt: int) -> None:
+        """Watch for each receipt, then submit the cohort after the relay delay.
+
+        One scheduler event per cohort (same-time events fire back to back
+        anyway).  ``attempt`` rotates the receiving replica on retries so a
+        lost submission is not re-pinned to the member that swallowed it.
+        This and :meth:`submit_reference` are the *complete* set of
+        parent-to-shard submission sites.
+        """
+        for shard_id, tx in cohort:
+            self._receipt_watchers[tx.tx_id] = partial(
+                self.driver.receipt, kind, record, shard_id)
+
+        def submit_cohort(batch=tuple(cohort)) -> None:
+            for shard_id, tx in batch:
+                self.shards[shard_id].submit([tx], attempt=attempt)
+        self.runtime.schedule(self.config.relay_delay + extra_delay, submit_cohort)
+
+    def submit_reference(self, tx: Transaction, attempt: int) -> None:
+        self._receipt_watchers[tx.tx_id] = self.driver.reference_receipt
+        self.runtime.schedule(self.config.relay_delay,
+                              lambda: self.reference.submit([tx], attempt=attempt))
+
+    def shard_unreachable(self, shard_id: int) -> bool:
+        return False  # simulated shards stall or lose messages, never vanish
+
+    def finished(self, record: DistributedTxRecord,
+                 on_complete: Optional[Callable[[DistributedTxRecord], None]]) -> None:
         if on_complete is not None:
-            self._completion_callbacks[tx.tx_id] = on_complete
-        if not record.is_cross_shard:
-            self._submit_single_shard(record)
-            return record
-        if (self._fault is not None and not self.coordinator.crashed
-                and self._fault.crash_coordinator(record, "prepare")):
-            self._crash_coordinator()
-        if self.config.use_reference_committee:
-            self._submit_begin_tx(record)
-        else:
-            self.coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
-            self._send_prepares(record)
-        return record
-
-    # -------------------------------------------------------- single shard tx
-    def _submit_single_shard(self, record: DistributedTxRecord) -> None:
-        shard_id = record.shards[0]
-        tx = record.transaction
-        self.coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
-
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            ok = receipt.status is TxStatus.COMMITTED
-            self.coordinator.record_prepare_vote(tx.tx_id, shard_id, ok, now=self.runtime.now,
-                                                 reason=receipt.error)
-            self.coordinator.record_commit_ack(tx.tx_id, shard_id, now=self.runtime.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
-
-        self._watch(tx, on_receipt)
-        self._relay_shard_single(shard_id, tx)
-        if self.config.prepare_timeout is not None:
-            self.runtime.schedule(self.config.prepare_timeout,
-                              self._check_single_shard_deadline, tx.tx_id)
-
-    def _check_single_shard_deadline(self, tx_id: str) -> None:
-        """Re-submit a single-shard transaction whose receipt never came.
-
-        The single-shard mirror of the cross-shard prepare re-drive: under
-        ``prepare_timeout`` a transaction lost in transit (e.g. submitted to
-        a shard in the middle of a swap-all outage) is retried instead of
-        hanging forever.  The receipt watcher is still registered, and the
-        shards dedup re-submissions on their seen/committed id sets, so a
-        retry that races the original is a no-op.
-        """
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE or record.prepare_votes):
-            return
-        if record.prepare_deadline is None or record.prepare_deadline > self.runtime.now:
-            delay = (record.prepare_deadline - self.runtime.now
-                     if record.prepare_deadline is not None
-                     else self.config.prepare_timeout)
-            self.runtime.schedule(max(delay, 1e-9), self._check_single_shard_deadline, tx_id)
-            return
-        shard_id = record.shards[0]
-        self.coordinator.mark_redriven(record)
-        record.prepare_deadline = self.runtime.now + self.config.prepare_timeout
-        self._relay_shard_single(shard_id, record.transaction,
-                                 attempt=record.redrives)
-        self.runtime.schedule(self.config.prepare_timeout,
-                          self._check_single_shard_deadline, tx_id)
-
-    # --------------------------------------------------------- cross shard tx
-    def _submit_begin_tx(self, record: DistributedTxRecord) -> None:
-        assert self.reference is not None
-        if self.coordinator.crashed:
-            return  # recovery restarts records still in BEGINNING
-        chaincode = ReferenceCommitteeChaincode()
-        begin = chaincode.new_transaction(
-            "beginTx", {"tx_id": record.tx_id, "num_committees": len(record.shards)},
-            client_id=record.transaction.client_id,
-        )
-
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            self.coordinator.mark_begin_executed(record.tx_id, now=self.runtime.now)
-            self._send_prepares(record)
-
-        self._watch(begin, on_receipt)
-        attempt = record.redrives
-        self._relay(lambda: self.reference.submit([begin], attempt=attempt))
-
-    def _send_prepares(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        """Relay the per-shard PrepareTx cohort (admission- and fault-aware)."""
-        if self.coordinator.crashed:
-            return  # recovery re-drives undecided transactions
-        prepares = self.splitter.prepare_transactions(record.transaction, self.shard_of_key)
-        if only_shards is not None:
-            prepares = {shard: tx for shard, tx in prepares.items()
-                        if shard in only_shards}
-        cohorts: Dict[float, List[Tuple[int, Transaction]]] = {}
-        for shard_id, prepare_tx in prepares.items():
-            extra_delay = 0.0
-            if self._fault is not None:
-                if self._fault.drop_prepare(record, shard_id):
-                    continue  # the prepare-deadline re-drive recovers this
-                extra_delay = self._fault.prepare_delay(record, shard_id)
-            if self.admission is not None:
-                status = self.admission.request(record, shard_id, prepare_tx,
-                                                extra_delay)
-                if status == "waiting":
-                    continue
-                if status == "deadlock":
-                    self._handle_prepare_outcome(
-                        record, shard_id, False,
-                        reason="deadlock detected in the waits-for graph")
-                    continue
-            cohorts.setdefault(extra_delay, []).append((shard_id, prepare_tx))
-        for extra_delay in sorted(cohorts):
-            self._relay_prepare_group(record, cohorts[extra_delay], extra_delay)
-        if self.config.prepare_timeout is not None:
-            self.runtime.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, record.tx_id)
-
-    def _relay_shard_single(self, shard_id: int, tx: Transaction,
-                            attempt: int = 0) -> None:
-        """Relay one transaction to one shard after the client-relay delay.
-
-        Together with :meth:`_relay_cohort` this is the *complete* set of
-        parent-to-shard submission sites, which is what lets the scale-out
-        engine override the pair to route submissions across partition
-        boundaries instead.
-        """
-        self._relay(lambda: self.shards[shard_id].submit([tx], attempt=attempt))
-
-    def _relay_cohort(self, group: List[Tuple[int, Transaction]],
-                      extra_delay: float = 0.0, attempt: int = 0) -> None:
-        """Relay per-shard submissions after the client-relay delay.
-
-        As one scheduler event for the whole cohort by default — consecutive
-        same-time events fire back to back anyway, so this is order-identical
-        to the seed's one-event-per-shard scheduling (the differential test
-        flips ``_cohort_relay`` off to prove it).  ``attempt`` (the record's
-        re-drive count) rotates the receiving replica on retries so a lost
-        submission is not re-pinned to the member that swallowed it."""
-        if self._cohort_relay:
-            def submit_group(batch=tuple(group)) -> None:
-                for shard_id, tx in batch:
-                    self.shards[shard_id].submit([tx], attempt=attempt)
-            self.runtime.schedule(self.config.relay_delay + extra_delay, submit_group)
-        else:
-            for shard_id, tx in group:
-                self.runtime.schedule(self.config.relay_delay + extra_delay,
-                                  lambda sid=shard_id, stx=tx:
-                                  self.shards[sid].submit([stx], attempt=attempt))
-
-    def _relay_prepare_group(self, record: DistributedTxRecord,
-                             group: List[Tuple[int, Transaction]],
-                             extra_delay: float = 0.0) -> None:
-        for shard_id, prepare_tx in group:
-            self._watch(prepare_tx, self._make_prepare_watcher(record, shard_id))
-        self._relay_cohort(group, extra_delay, attempt=record.redrives)
-
-    def _dispatch_admitted_prepare(self, pending: _PendingPrepare) -> None:
-        """A parked PrepareTx got its last lock: relay it now."""
-        record = pending.record
-        if record.outcome is not DistributedTxOutcome.PENDING:
-            return  # decided (e.g. wounded or timed out elsewhere) meanwhile
-        self._relay_prepare_group(record, [(pending.shard_id, pending.prepare_tx)],
-                                  pending.extra_delay)
-
-    def _make_prepare_watcher(self, record: DistributedTxRecord, shard_id: int):
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            ok = receipt.status is TxStatus.COMMITTED
-            if self._fault is not None and self._fault.drop_vote(record, shard_id, ok):
-                return  # vote lost; the prepare-deadline re-drive recovers
-            self._handle_prepare_outcome(record, shard_id, ok, receipt.error)
-        return on_receipt
-
-    def _handle_prepare_outcome(self, record: DistributedTxRecord, shard_id: int,
-                                ok: bool, reason: Optional[str]) -> None:
-        """A shard's prepare outcome is known: relay the vote (step 1b)."""
-        if self.config.use_reference_committee:
-            self._submit_vote(record, shard_id, ok, reason)
-        else:
-            before = record.outcome
-            self._record_vote(record, shard_id, ok, reason)
-            if record.outcome is not DistributedTxOutcome.PENDING and before is DistributedTxOutcome.PENDING:
-                self._send_decision(record)
-
-    def _record_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        self.coordinator.record_prepare_vote(record.tx_id, shard_id, ok,
-                                             now=self.runtime.now, reason=reason)
-        if self._fault is not None:
-            duplicates = self._fault.duplicate_votes(record, shard_id, ok)
-            for index in range(duplicates):
-                self.runtime.schedule(
-                    self._fault.stale_delay() * (index + 1),
-                    self._replay_vote, record.tx_id, shard_id, ok, reason)
-
-    def _replay_vote(self, tx_id: str, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        """A stale duplicate vote arrives (idempotent-or-rejected at the coordinator)."""
-        if self.coordinator.retain_records and tx_id not in self.coordinator.records:
-            return
-        self.coordinator.record_prepare_vote(tx_id, shard_id, ok,
-                                             now=self.runtime.now, reason=reason)
-
-    def _submit_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        assert self.reference is not None
-        chaincode = ReferenceCommitteeChaincode()
-        vote = chaincode.new_transaction(
-            "prepareOK" if ok else "prepareNotOK",
-            {"tx_id": record.tx_id, "shard_id": shard_id},
-            client_id=record.transaction.client_id,
-        )
-
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            before = record.outcome
-            self._record_vote(record, shard_id, ok, reason)
-            decided_state = None
-            if receipt.result and isinstance(receipt.result, dict):
-                decided_state = receipt.result.get("state")
-            decided = record.outcome is not DistributedTxOutcome.PENDING
-            if decided and before is DistributedTxOutcome.PENDING:
-                # Sanity: the replicated state machine must agree with the
-                # local bookkeeping (both implement Figure 6).
-                if decided_state == CoordinatorState.ABORTED.value:
-                    assert record.outcome is DistributedTxOutcome.ABORTED
-                self._send_decision(record)
-
-        self._watch(vote, on_receipt)
-        attempt = record.redrives
-        self._relay(lambda: self.reference.submit([vote], attempt=attempt))
-
-    def _send_decision(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        if self.coordinator.crashed:
-            return  # recovery re-drives decided-but-unsent decisions
-        if (self._fault is not None
-                and self._fault.crash_coordinator(record, "decide")):
-            self._crash_coordinator()
-            return  # decided but unsent: re-driven at recovery
-        committed = record.outcome is DistributedTxOutcome.COMMITTED
-        if committed:
-            per_shard = self.splitter.commit_transactions(record.transaction, self.shard_of_key)
-        else:
-            per_shard = self.splitter.abort_transactions(record.transaction, self.shard_of_key)
-        if only_shards is not None:
-            per_shard = {shard: tx for shard, tx in per_shard.items()
-                         if shard in only_shards}
-        cohorts: Dict[float, List[Tuple[int, Transaction]]] = {}
-        sent = self._decisions_sent.setdefault(record.tx_id, set())
-        for shard_id, decision_tx in per_shard.items():
-            self._watch(decision_tx, self._make_decision_watcher(record, shard_id))
-            sent.add(shard_id)
-            extra_delay = (self._fault.decision_delay(record, shard_id)
-                           if self._fault is not None else 0.0)
-            cohorts.setdefault(extra_delay, []).append((shard_id, decision_tx))
-        for extra_delay in sorted(cohorts):
-            self._relay_cohort(cohorts[extra_delay], extra_delay,
-                               attempt=record.redrives)
-        if self.adversary is not None and self.config.prepare_timeout is not None:
-            # Under an armed adversary a decision's first-contact member may
-            # swallow it (a silent Byzantine replica), leaving the record
-            # decided-but-unacked forever; the deadline re-drives it through
-            # a rotated member.  Honest runs never lose decisions, so the
-            # timer is not armed there and the default event flow is
-            # untouched.
-            self.runtime.schedule(self.config.prepare_timeout,
-                              self._check_decision_deadline, record.tx_id)
-
-    def _make_decision_watcher(self, record: DistributedTxRecord, shard_id: int):
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            self.coordinator.record_commit_ack(record.tx_id, shard_id, now=self.runtime.now)
-            if self.admission is not None:
-                self.admission.release_shard(record.tx_id, shard_id)
-            if self._fault is not None:
-                duplicates = self._fault.duplicate_acks(record, shard_id)
-                for index in range(duplicates):
-                    self.runtime.schedule(self._fault.stale_delay() * (index + 1),
-                                      self._replay_ack, record.tx_id, shard_id)
-            if record.all_acks_in:
-                self._finish(record)
-        return on_receipt
-
-    def _replay_ack(self, tx_id: str, shard_id: int) -> None:
-        """A stale duplicate commit ack arrives (a counted no-op)."""
-        if self.coordinator.retain_records and tx_id not in self.coordinator.records:
-            return
-        self.coordinator.record_commit_ack(tx_id, shard_id, now=self.runtime.now)
-
-    # ------------------------------------------------- re-drives and recovery
-    def _check_decision_deadline(self, tx_id: str) -> None:
-        """Re-drive a decided transaction whose commit/abort acks never came.
-
-        Only armed on adversarial runs (see :meth:`_send_decision`).  Shards
-        whose ack is still missing get the decision again via a rotated
-        member; re-delivery is safe because the decision chaincodes are
-        idempotent (Smallbank applies deltas only while the prepare lock is
-        held, KVStore writes are absolute).
-        """
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.phase is DistributedTxPhase.DONE
-                or record.outcome is DistributedTxOutcome.PENDING):
-            return
-        if self.coordinator.crashed:
-            # Recovery re-drives unsent decisions; check again afterwards.
-            self.runtime.schedule(self.config.prepare_timeout,
-                              self._check_decision_deadline, tx_id)
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.commit_acks]
-        if missing:
-            self.coordinator.mark_redriven(record)
-            self._send_decision(record, only_shards=missing)
-
-    def _check_prepare_deadline(self, tx_id: str) -> None:
-        """The prepare deadline passed: re-drive the shards with missing votes."""
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE):
-            return
-        if self.coordinator.crashed:
-            # Recovery will re-drive; check again afterwards.
-            self.runtime.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, tx_id)
-            return
-        if record.prepare_deadline is None or record.prepare_deadline > self.runtime.now:
-            delay = (record.prepare_deadline - self.runtime.now
-                     if record.prepare_deadline is not None
-                     else self.config.prepare_timeout)
-            self.runtime.schedule(max(delay, 1e-9), self._check_prepare_deadline, tx_id)
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.prepare_votes]
-        waiting = {pending_key[1] for pending_key in
-                   (self.admission._pending if self.admission is not None else {})
-                   if pending_key[0] == tx_id}
-        to_redrive = [shard for shard in missing if shard not in waiting]
-        if to_redrive:
-            self.coordinator.mark_redriven(record)
-            record.prepare_deadline = self.runtime.now + self.config.prepare_timeout
-            self._send_prepares(record, only_shards=to_redrive)
-        else:
-            record.prepare_deadline = self.runtime.now + self.config.prepare_timeout
-            self.runtime.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, tx_id)
-
-    def _wound(self, victim_tx_id: str) -> None:
-        """Wound-wait: an older transaction aborts the younger lock holder."""
-        record = self.coordinator.records.get(victim_tx_id)
-        if record is None or record.outcome is not DistributedTxOutcome.PENDING:
-            return
-        # Abort through the normal vote path.  Prefer a participant shard
-        # that has not voted yet (an undecided record always has one) so the
-        # wound is a first vote, not a conflicting revote; the shard's own
-        # later OK vote is then rejected as stale.
-        shard_id = next((shard for shard in record.shards
-                         if shard not in record.prepare_votes),
-                        record.shards[0])
-        self._handle_prepare_outcome(record, shard_id, False,
-                                     reason="wounded by an older transaction")
-
-    def _crash_coordinator(self) -> None:
-        """The coordinator fails; recovery is scheduled per the fault scenario."""
-        if self.coordinator.crashed:
-            return  # one recovery is already scheduled
-        self.coordinator.crash()
-        delay = self._fault.recovery_delay() if self._fault is not None else 1.0
-        self.runtime.schedule(delay, self._recover_coordinator)
-
-    def _recover_coordinator(self) -> None:
-        """Replay buffered votes/acks, then re-drive unfinished transactions."""
-        if not self.coordinator.crashed:
-            return
-        report = self.coordinator.recover(now=self.runtime.now)
-        for record in report.completed:
-            self._finish(record)
-        for record in report.restart:
-            self.coordinator.mark_redriven(record)
-            if (record.phase is DistributedTxPhase.BEGINNING
-                    and self.config.use_reference_committee):
-                self._submit_begin_tx(record)
-                continue
-            missing = [shard for shard in record.shards
-                       if shard not in record.prepare_votes]
-            self._send_prepares(record, only_shards=missing or list(record.shards))
-        for record in report.redrive:
-            sent = self._decisions_sent.get(record.tx_id, set())
-            unsent = [shard for shard in record.shards
-                      if shard not in record.commit_acks and shard not in sent]
-            if unsent:
-                self.coordinator.mark_redriven(record)
-                self._send_decision(record, only_shards=unsent)
-
-    # ------------------------------------------------------------- completion
-    def _finish(self, record: DistributedTxRecord) -> None:
-        if self.admission is not None:
-            self.admission.finish(record.tx_id)
-        self._decisions_sent.pop(record.tx_id, None)
-        callback = self._completion_callbacks.pop(record.tx_id, None)
-        if callback is not None:
-            callback(record)
-
-    def _watch(self, tx: Transaction, callback: Callable[[TransactionReceipt], None]) -> None:
-        self._receipt_watchers[tx.tx_id] = callback
-
-    def _relay(self, action: Callable[[], None]) -> None:
-        """Submit after the configured client-relay delay."""
-        self.runtime.schedule(self.config.relay_delay, action)
+            on_complete(record)
 
     # ------------------------------------------------------------------- run
     def advance(self, until: float, max_events: Optional[int] = None) -> None:

@@ -2,17 +2,18 @@
 
 Two halves:
 
-* :class:`GatewayService` — the coordination plane.  It drives the *same*
-  :class:`~repro.txn.coordinator.TwoPhaseCommitCoordinator` and
-  :class:`~repro.core.splitters.TransactionSplitter` machinery that
-  ``ShardedBlockchain`` drives in sim mode (the trusted
-  ``use_reference_committee=False`` configuration of Figure 13): begin →
-  per-shard prepares → votes → commit/abort decisions → acks.  The only
-  difference is the transport — receipts arrive as ``svc-receipts`` frames
-  from shard processes instead of ``CommitEvent`` callbacks — and the
-  clock, which is the :class:`~repro.runtime.wallclock.AsyncioRuntime`.
-  The coordinator itself never notices: deadlines are data and ``now`` is a
-  parameter (see the runtime-neutrality note in ``txn/coordinator.py``).
+* :class:`GatewayService` — the coordination plane.  It hosts the *same*
+  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` that
+  ``ShardedBlockchain`` and the scale-out home coordinators host in sim
+  mode, in the trusted ``use_reference_committee=False`` configuration of
+  Figure 13: begin → per-shard prepares → votes → commit/abort decisions →
+  acks.  The service itself is only the transport — a relayed cohort becomes
+  ``svc-submit`` frames, the ``svc-receipts`` frames coming back from the
+  shard processes become ``vote`` / ``ack`` inputs, a lost frame link
+  becomes ``shard_lost`` — and the clock is the
+  :class:`~repro.runtime.wallclock.AsyncioRuntime`.  Unlike the simulator it
+  gives the driver a re-drive budget (:data:`MAX_REDRIVES`), after which a
+  silent shard is answered for instead of waited on.
 
 * :class:`GatewayHttp` — a deliberately small HTTP/1.1 front end (stdlib
   only; the container has no aiohttp) exposing::
@@ -34,10 +35,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.splitters import splitter_for
-from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
+from repro.core.splitters import shards_for, splitter_for
+from repro.errors import WorkloadError
+from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.shardnode import (
     GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_PING,
@@ -46,8 +49,7 @@ from repro.service.shardnode import (
 from repro.service.socketnet import SocketNetwork
 from repro.sim.network import Message, REQUEST_CHANNEL
 from repro.txn.coordinator import (
-    DistributedTxOutcome, DistributedTxPhase, DistributedTxRecord,
-    TwoPhaseCommitCoordinator,
+    Cohort, DistributedTxRecord, TwoPhaseCommitCoordinator, TwoPhaseCommitDriver,
 )
 from repro.workloads.generator import shard_of_key
 from repro.workloads.kvstore import KVStoreWorkload
@@ -132,17 +134,19 @@ class GatewayService:
             self.chaincode = KVStoreWorkload(num_keys=num_keys).chaincode
         self._agent = _GatewayAgent(self)
         self.network.register(self._agent)
+        #: The one 2PC driver; this class is its host.  Completion is the
+        #: submitter's future (None for fire-and-forget), and the driver's
+        #: unfinished set is the in-flight window.
+        self.driver = TwoPhaseCommitDriver(
+            self, runtime, self.splitter, self.shard_of,
+            redrive_decisions=True, max_redrives=MAX_REDRIVES)
         self.draining = False
-        #: tx_id -> future resolved with the record at completion (None for
-        #: fire-and-forget submissions; the key set is the in-flight window).
-        self._inflight: Dict[str, Optional[asyncio.Future]] = {}
         #: receipt watchers, keyed by the *wire* transaction's id (prepare /
         #: decision / single-shard tx), plus the parent tx owning each watch
         #: so a finished record's stale watchers can be reclaimed.
         self._watchers: Dict[str, Callable[[TransactionReceipt], None]] = {}
         self._watch_owner: Dict[str, str] = {}
         self._record_watches: Dict[str, Set[str]] = {}
-        self._decisions_sent: Dict[str, Set[int]] = {}
         self._down: Dict[int, str] = {}
         self._pongs: Dict[int, Dict[str, Any]] = {}
         self._balance_waiters: Dict[int, asyncio.Future] = {}
@@ -171,7 +175,7 @@ class GatewayService:
     async def drain(self, timeout: float = 10.0) -> Dict[str, Any]:
         """Stop admitting, wait for in-flight work, report what happened."""
         self.draining = True
-        if self._inflight:
+        if self.driver.in_flight:
             try:
                 await asyncio.wait_for(self._drained.wait(), timeout)
             except asyncio.TimeoutError:
@@ -181,7 +185,7 @@ class GatewayService:
             "submitted": stats.started,
             "committed": stats.committed,
             "aborted": stats.aborted,
-            "abandoned_in_flight": len(self._inflight),
+            "abandoned_in_flight": self.driver.in_flight,
         }
 
     async def close(self) -> None:
@@ -213,7 +217,7 @@ class GatewayService:
         return {
             "status": status,
             "shards": shards,
-            "in_flight": len(self._inflight),
+            "in_flight": self.driver.in_flight,
             "max_inflight": self.max_inflight,
             "submitted": stats.started,
             "committed": stats.committed,
@@ -234,11 +238,7 @@ class GatewayService:
             raise BadTransaction(f"invalid invocation: {exc}") from exc
 
     def shards_for(self, tx: Transaction) -> List[int]:
-        try:
-            return self.splitter.shards_touched(tx, self.shard_of)
-        except Exception:
-            shards = {self.shard_of(key) for key in tx.keys}
-            return sorted(shards) if shards else [0]
+        return shards_for(self.splitter, tx, self.shard_of)
 
     def submit_transaction(self, tx: Transaction,
                            wait: bool = False) -> Tuple[DistributedTxRecord,
@@ -246,182 +246,42 @@ class GatewayService:
         """Admit and coordinate one transaction; mirrors sim trusted mode."""
         if self.draining:
             raise Draining("gateway is draining")
-        if len(self._inflight) >= self.max_inflight:
-            raise Overloaded(f"{len(self._inflight)} transactions in flight")
+        if self.driver.in_flight >= self.max_inflight:
+            raise Overloaded(f"{self.driver.in_flight} transactions in flight")
         shards = self.shards_for(tx)
         dead = [shard for shard in shards if shard in self._down]
         if dead:
             raise ShardDown(f"shard {dead[0]} is down: {self._down[dead[0]]}")
-        record = self.coordinator.begin(tx, shards, now=self.runtime.now)
         future = self.runtime.loop.create_future() if wait else None
-        self._inflight[tx.tx_id] = future
-        if record.is_cross_shard:
-            self.coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
-            self._send_prepares(record)
-        else:
-            self._submit_single_shard(record)
+        try:
+            record = self.driver.submit(tx, shards, completion=future)
+        except WorkloadError as exc:
+            raise BadTransaction(str(exc)) from exc
         return record, future
 
-    # ------------------------------------------------------- single shard tx
-    def _submit_single_shard(self, record: DistributedTxRecord) -> None:
-        shard_id = record.shards[0]
-        tx = record.transaction
-        self.coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
+    # ------------------------------------------- the driver's host surface
+    def relay(self, kind: str, record: DistributedTxRecord, cohort: Cohort,
+              extra_delay: float, attempt: int) -> None:
+        """Watch for each receipt, then frame the transaction to its shard."""
+        for shard_id, tx in cohort:
+            self._watchers[tx.tx_id] = partial(
+                self.driver.receipt, kind, record, shard_id)
+            self._watch_owner[tx.tx_id] = record.tx_id
+            self._record_watches.setdefault(record.tx_id, set()).add(tx.tx_id)
+            self._send_frame(shard_id, KIND_SUBMIT, (tx,), size_bytes=512)
 
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            ok = receipt.status is TxStatus.COMMITTED
-            self.coordinator.record_prepare_vote(
-                tx.tx_id, shard_id, ok, now=self.runtime.now, reason=receipt.error)
-            self.coordinator.record_commit_ack(tx.tx_id, shard_id, now=self.runtime.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
+    def shard_unreachable(self, shard_id: int) -> bool:
+        return shard_id in self._down
 
-        self._watch(record, tx.tx_id, on_receipt)
-        self._send_transactions(shard_id, [tx])
-        self.runtime.schedule(self.prepare_timeout,
-                              self._check_single_deadline, tx.tx_id)
-
-    def _check_single_deadline(self, tx_id: str) -> None:
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE or record.prepare_votes):
-            return
-        shard_id = record.shards[0]
-        if shard_id in self._down:
-            return  # _on_peer_down already aborted it
-        if record.redrives >= MAX_REDRIVES:
-            self.coordinator.record_prepare_vote(
-                tx_id, shard_id, False, now=self.runtime.now,
-                reason="prepare timeout")
-            self.coordinator.record_commit_ack(tx_id, shard_id, now=self.runtime.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
-            return
-        self.coordinator.mark_redriven(record)
-        record.prepare_deadline = self.runtime.now + self.prepare_timeout
-        self._send_transactions(shard_id, [record.transaction])
-        self.runtime.schedule(self.prepare_timeout, self._check_single_deadline, tx_id)
-
-    # -------------------------------------------------------- cross shard tx
-    def _send_prepares(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        prepares = self.splitter.prepare_transactions(record.transaction, self.shard_of)
-        if only_shards is not None:
-            prepares = {shard: tx for shard, tx in prepares.items()
-                        if shard in only_shards}
-        for prep_shard, prepare_tx in prepares.items():
-            self._watch(record, prepare_tx.tx_id,
-                        self._make_prepare_watcher(record, prep_shard))
-            self._send_transactions(prep_shard, [prepare_tx])
-        self.runtime.schedule(self.prepare_timeout,
-                              self._check_prepare_deadline, record.tx_id)
-
-    def _make_prepare_watcher(self, record: DistributedTxRecord, shard_id: int):
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            ok = receipt.status is TxStatus.COMMITTED
-            self._handle_prepare_outcome(record, shard_id, ok, receipt.error)
-        return on_receipt
-
-    def _handle_prepare_outcome(self, record: DistributedTxRecord, shard_id: int,
-                                ok: bool, reason: Optional[str]) -> None:
-        before = record.outcome
-        self.coordinator.record_prepare_vote(
-            record.tx_id, shard_id, ok, now=self.runtime.now, reason=reason)
-        if (record.outcome is not DistributedTxOutcome.PENDING
-                and before is DistributedTxOutcome.PENDING):
-            self._send_decision(record)
-
-    def _check_prepare_deadline(self, tx_id: str) -> None:
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE):
-            return
-        if record.prepare_deadline is None or record.prepare_deadline > self.runtime.now:
-            delay = (record.prepare_deadline - self.runtime.now
-                     if record.prepare_deadline is not None else self.prepare_timeout)
-            self.runtime.schedule(max(delay, 1e-3),
-                                  self._check_prepare_deadline, tx_id)
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.prepare_votes and shard not in self._down]
-        if not missing:
-            return  # peer-down handling owns the down shards' votes
-        if record.redrives >= MAX_REDRIVES:
-            before = record.outcome
-            for shard in missing:
-                self.coordinator.record_prepare_vote(
-                    tx_id, shard, False, now=self.runtime.now,
-                    reason="prepare timeout")
-            if (record.outcome is not DistributedTxOutcome.PENDING
-                    and before is DistributedTxOutcome.PENDING):
-                self._send_decision(record)
-            return
-        self.coordinator.mark_redriven(record)
-        record.prepare_deadline = self.runtime.now + self.prepare_timeout
-        self._send_prepares(record, only_shards=missing)
-
-    def _send_decision(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        committed = record.outcome is DistributedTxOutcome.COMMITTED
-        if committed:
-            per_shard = self.splitter.commit_transactions(record.transaction, self.shard_of)
-        else:
-            per_shard = self.splitter.abort_transactions(record.transaction, self.shard_of)
-        if only_shards is not None:
-            per_shard = {shard: tx for shard, tx in per_shard.items()
-                         if shard in only_shards}
-        sent = self._decisions_sent.setdefault(record.tx_id, set())
-        for dec_shard, decision_tx in per_shard.items():
-            if dec_shard in self._down:
-                # Unreachable: count the ack as forced, exactly what
-                # _on_peer_down does for decisions already in flight.
-                self.coordinator.record_commit_ack(record.tx_id, dec_shard,
-                                                   now=self.runtime.now)
-                continue
-            sent.add(dec_shard)
-            self._watch(record, decision_tx.tx_id,
-                        self._make_decision_watcher(record, dec_shard))
-            self._send_transactions(dec_shard, [decision_tx])
-        if record.all_acks_in and record.phase is DistributedTxPhase.DONE:
-            self._finish(record)
-            return
-        self.runtime.schedule(self.prepare_timeout,
-                              self._check_decision_deadline, record.tx_id)
-
-    def _make_decision_watcher(self, record: DistributedTxRecord, shard_id: int):
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            self.coordinator.record_commit_ack(record.tx_id, shard_id,
-                                               now=self.runtime.now)
-            if record.all_acks_in:
-                self._finish(record)
-        return on_receipt
-
-    def _check_decision_deadline(self, tx_id: str) -> None:
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.phase is DistributedTxPhase.DONE
-                or record.outcome is DistributedTxOutcome.PENDING):
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.commit_acks]
-        live = [shard for shard in missing if shard not in self._down]
-        if not live or record.redrives >= MAX_REDRIVES:
-            # Decision delivery is idempotent shard-side; past the re-drive
-            # budget (or with only dead shards missing) the acks are forced
-            # so the client's future resolves rather than hangs.
-            for shard in missing:
-                self.coordinator.record_commit_ack(tx_id, shard, now=self.runtime.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
-            return
-        self.coordinator.mark_redriven(record)
-        self._send_decision(record, only_shards=live)
-
-    # ----------------------------------------------------------- completion
-    def _watch(self, record: DistributedTxRecord, wire_tx_id: str,
-               callback: Callable[[TransactionReceipt], None]) -> None:
-        self._watchers[wire_tx_id] = callback
-        self._watch_owner[wire_tx_id] = record.tx_id
-        self._record_watches.setdefault(record.tx_id, set()).add(wire_tx_id)
+    def finished(self, record: DistributedTxRecord,
+                 future: Optional[asyncio.Future]) -> None:
+        for wire_tx_id in self._record_watches.pop(record.tx_id, ()):
+            self._watchers.pop(wire_tx_id, None)
+            self._watch_owner.pop(wire_tx_id, None)
+        if future is not None and not future.done():
+            future.set_result(record)
+        if self.draining and not self.driver.in_flight:
+            self._drained.set()
 
     def _on_receipt(self, receipt: TransactionReceipt) -> None:
         watcher = self._watchers.pop(receipt.tx_id, None)
@@ -434,22 +294,7 @@ class GatewayService:
                 watches.discard(receipt.tx_id)
         watcher(receipt)
 
-    def _finish(self, record: DistributedTxRecord) -> None:
-        for wire_tx_id in self._record_watches.pop(record.tx_id, ()):
-            self._watchers.pop(wire_tx_id, None)
-            self._watch_owner.pop(wire_tx_id, None)
-        self._decisions_sent.pop(record.tx_id, None)
-        future = self._inflight.pop(record.tx_id, None)
-        if future is not None and not future.done():
-            future.set_result(record)
-        if self.draining and not self._inflight:
-            self._drained.set()
-
     # ------------------------------------------------------------ transport
-    def _send_transactions(self, shard_id: int, transactions: List[Transaction]) -> None:
-        self._send_frame(shard_id, KIND_SUBMIT, tuple(transactions),
-                         size_bytes=512 * len(transactions))
-
     def _send_frame(self, shard_id: int, kind: str, payload: Any,
                     size_bytes: int = 512) -> None:
         message = Message(sender=GATEWAY_NODE_ID, kind=kind, payload=payload,
@@ -462,28 +307,8 @@ class GatewayService:
                         if shard_agent_id(0) <= node_id < GATEWAY_NODE_ID)
         for shard in shards:
             self._down.setdefault(shard, str(exc) or type(exc).__name__)
-        for record in list(self.coordinator.records.values()):
-            if record.phase is DistributedTxPhase.DONE:
-                continue
-            if not any(shard in record.shards for shard in shards):
-                continue
-            if record.outcome is DistributedTxOutcome.PENDING:
-                before = record.outcome
-                for shard in shards:
-                    if shard in record.shards and shard not in record.prepare_votes:
-                        self.coordinator.record_prepare_vote(
-                            record.tx_id, shard, False, now=self.runtime.now,
-                            reason=f"shard {shard} down")
-                if (record.outcome is not DistributedTxOutcome.PENDING
-                        and before is DistributedTxOutcome.PENDING):
-                    self._send_decision(record)
-            else:
-                for shard in shards:
-                    if shard in record.shards and shard not in record.commit_acks:
-                        self.coordinator.record_commit_ack(
-                            record.tx_id, shard, now=self.runtime.now)
-                if record.phase is DistributedTxPhase.DONE:
-                    self._finish(record)
+        for shard in shards:
+            self.driver.shard_lost(shard)
 
     # -------------------------------------------------------------- queries
     def status(self, tx_id: str) -> Optional[DistributedTxRecord]:

@@ -10,24 +10,30 @@ A distributed transaction proceeds through three steps:
 2)  **Commit** — once the reference committee reaches Committed (or Aborted),
     CommitTx (or AbortTx) requests are executed at the involved committees.
 
-:class:`DistributedTxRecord` tracks one transaction through those steps and
-:class:`TwoPhaseCommitCoordinator` manages a set of records.  The class is
-pure bookkeeping — the actual message flow is driven by
-:class:`repro.core.system.ShardedBlockchain` (full simulation) or directly by
-unit tests.  It also supports the *trusted coordinator* mode (no reference
+:class:`DistributedTxRecord` tracks one transaction through those steps,
+:class:`TwoPhaseCommitCoordinator` is the bookkeeping over a set of records
+(Figure 6's state machine, idempotent votes, crash buffering) and
+:class:`TwoPhaseCommitDriver` drives the message flow around it.  The driver
+is sans-IO — it is fed votes, acks, reference-committee receipts and timer
+fires, and asks its :class:`DriverHost` to relay cohorts — so the one
+implementation is hosted three times: by
+:class:`repro.core.system.ShardedBlockchain` (one simulation),
+:class:`repro.core.homecoord.HomeCoordinator` (one per scale-out partition)
+and :class:`repro.service.gateway.GatewayService` (live shard processes).
+Both classes also support the *trusted coordinator* mode (no reference
 committee), which is what the paper's "w/o R" configurations measure.
 
 Runtime neutrality
 ------------------
 The coordinator sits *below* the runtime seam on purpose: it never schedules
 anything and never reads a clock.  Every transition takes an explicit
-``now=`` timestamp and deadlines are plain data (``prepare_deadline``)
-checked by whoever drives the flow — the simulated system passes
-``runtime.now`` from a :class:`~repro.runtime.sim.SimRuntime`, and the
-wall-clock service gateway (:mod:`repro.service.gateway`) passes the same
-from an :class:`~repro.runtime.wallclock.AsyncioRuntime`.  That is what lets
-the identical 2PC state machine back both the simulation and the live HTTP
-service.
+``now=`` timestamp and deadlines are plain data (``prepare_deadline``).
+The driver sits *on* the seam: it is handed a
+:class:`~repro.runtime.base.Runtime` and reads ``now`` / arms its deadline
+timers through it — a :class:`~repro.runtime.sim.SimRuntime` in both
+simulated engines, an :class:`~repro.runtime.wallclock.AsyncioRuntime` in
+the gateway.  That is what lets the identical protocol code back the
+simulation and the live HTTP service.
 
 Fault behaviour
 ---------------
@@ -51,11 +57,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
+                    Set, Tuple)
 
 from repro.errors import CoordinatorFailureError, TransactionAbortedError
-from repro.ledger.transaction import Transaction
-from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeStateMachine
+from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
+from repro.runtime.base import Runtime
+from repro.txn.reference_committee import (
+    CoordinatorState,
+    ReferenceCommitteeChaincode,
+    ReferenceCommitteeStateMachine,
+)
 
 
 class DistributedTxPhase(str, Enum):
@@ -443,3 +455,552 @@ class TwoPhaseCommitCoordinator:
         return [record for record in self.records.values()
                 if record.outcome is not DistributedTxOutcome.PENDING
                 and record.phase is not DistributedTxPhase.DONE]
+
+
+# --------------------------------------------------------------------------
+# The transport-agnostic 2PC driver.
+# --------------------------------------------------------------------------
+
+#: Re-check floor when a deadline timer fires before its (re-armed) deadline.
+_MIN_RECHECK = 1e-9
+
+#: One relayed cohort: ``(shard_id, wire transaction)`` pairs.
+Cohort = Sequence[Tuple[int, Transaction]]
+
+
+class DriverHost(Protocol):
+    """What a :class:`TwoPhaseCommitDriver` needs from whoever hosts it.
+
+    The host owns the transport and nothing else: it moves wire transactions
+    to shards, turns what comes back into driver inputs, and is told when a
+    transaction is finished.
+    """
+
+    #: The bookkeeping the driver drives.  Looked up on every use, never
+    #: captured, so a host (or a test) may swap it.
+    coordinator: TwoPhaseCommitCoordinator
+
+    def relay(self, kind: str, record: DistributedTxRecord, cohort: Cohort,
+              extra_delay: float, attempt: int) -> None:
+        """Deliver ``cohort`` to its shards ``extra_delay`` after the host's
+        usual hop, first contact rotated by ``attempt``.
+
+        Each entry's receipt comes back as
+        :meth:`~TwoPhaseCommitDriver.receipt` ``(kind, record, shard_id,
+        receipt)`` — or, from a host that carries votes and acks as messages
+        of its own, as :meth:`~TwoPhaseCommitDriver.vote` /
+        :meth:`~TwoPhaseCommitDriver.ack`.  ``kind`` is ``"single"``,
+        ``"prepare"`` or ``"decision"``.
+        """
+
+    def submit_reference(self, tx: Transaction, attempt: int) -> None:
+        """Submit ``tx`` to the reference committee; its receipt comes back
+        through :meth:`~TwoPhaseCommitDriver.reference_receipt`.  Only called
+        when the coordinator uses the reference committee."""
+
+    def shard_unreachable(self, shard_id: int) -> bool:
+        """Whether nothing relayed to ``shard_id`` can currently arrive."""
+
+    def finished(self, record: DistributedTxRecord, completion: Any) -> None:
+        """``record`` is DONE; ``completion`` is what ``submit`` was given."""
+
+
+class TwoPhaseCommitDriver:
+    """Drives the Figure-5 message flow around a :class:`TwoPhaseCommitCoordinator`.
+
+    Sans-IO: inputs are method calls (:meth:`submit`, :meth:`receipt`,
+    :meth:`vote`, :meth:`ack`, :meth:`reference_receipt`, :meth:`shard_lost`
+    and the timers it arms on ``runtime``), outputs go through the
+    :class:`DriverHost`.  Between the two it owns the whole protocol: begin
+    with or without the reference committee, the fault-scenario hooks,
+    duplicate vote/ack replays, prepare/decision deadlines and re-drives,
+    coordinator crash/recovery and completion.
+
+    Parameters
+    ----------
+    splitter / shard_of:
+        The benchmark's :class:`~repro.core.splitters.TransactionSplitter`
+        and the key → shard routing function it is applied with.
+    fault:
+        Optional bound :class:`~repro.txn.faults.FaultScenario`.
+    admission:
+        Optional coordinator-side lock admission consulted before each
+        prepare is relayed (``request`` / ``waiting_shards`` /
+        ``release_shard`` / ``finish``).
+    redrive_decisions:
+        Arm a deadline on every decision sent (lost decisions are re-driven).
+    max_redrives:
+        Give-up budget: past it a missing vote becomes a "prepare timeout"
+        NotOK and missing acks are forced.  ``None`` re-drives forever.
+    """
+
+    def __init__(self, host: DriverHost, runtime: Runtime, splitter: Any,
+                 shard_of: Callable[[str], int], fault: Any = None,
+                 admission: Any = None, redrive_decisions: bool = False,
+                 max_redrives: Optional[int] = None) -> None:
+        self.host = host
+        self.runtime = runtime
+        self.splitter = splitter
+        self.shard_of = shard_of
+        self.fault = fault
+        self.admission = admission
+        self.redrive_decisions = redrive_decisions
+        self.max_redrives = max_redrives
+        self._reference_chaincode = ReferenceCommitteeChaincode()
+        #: tx_id -> (record, completion) of every transaction not yet DONE.
+        self._unfinished: Dict[str, Tuple[DistributedTxRecord, Any]] = {}
+        self._decisions_sent: Dict[str, Set[int]] = {}
+        #: reference-committee tx id -> what to do with its receipt.
+        self._reference_waiters: Dict[str, Callable[[TransactionReceipt], None]] = {}
+
+    @property
+    def coordinator(self) -> TwoPhaseCommitCoordinator:
+        return self.host.coordinator
+
+    @property
+    def in_flight(self) -> int:
+        """Transactions submitted and not yet finished."""
+        return len(self._unfinished)
+
+    # ------------------------------------------------------------ submission
+    def submit(self, tx: Transaction, shards: Sequence[int],
+               completion: Any = None) -> DistributedTxRecord:
+        """Begin coordinating ``tx`` over ``shards``.
+
+        A cross-shard transaction the splitter cannot split raises
+        :class:`~repro.errors.WorkloadError` here, before anything is
+        registered anywhere.
+        """
+        if len(set(shards)) > 1:
+            self.splitter.validate(tx, self.shard_of)
+        coordinator = self.coordinator
+        record = coordinator.begin(tx, shards, now=self.runtime.now)
+        self._unfinished[tx.tx_id] = (record, completion)
+        if not record.is_cross_shard:
+            coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
+            self.host.relay("single", record,
+                            [(record.shards[0], tx)], 0.0, 0)
+            self._arm(self._check_single_shard_deadline, tx.tx_id)
+            return record
+        if (self.fault is not None and not coordinator.crashed
+                and self.fault.crash_coordinator(record, "prepare")):
+            self._crash_coordinator()
+        if coordinator.use_reference_committee:
+            self._submit_begin_tx(record)
+        else:
+            coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
+            self._send_prepares(record)
+        return record
+
+    def _arm(self, check: Callable[[str], None], tx_id: str) -> None:
+        timeout = self.coordinator.prepare_timeout
+        if timeout is not None:
+            self.runtime.schedule(timeout, check, tx_id)
+
+    def receipt(self, kind: str, record: DistributedTxRecord, shard_id: int,
+                receipt: TransactionReceipt) -> None:
+        """``shard_id`` executed the transaction it was relayed as ``kind``.
+
+        A prepare or decision receipt is that shard's vote or ack; a
+        single-shard transaction's receipt is vote, ack and completion in one.
+        """
+        ok = receipt.status is TxStatus.COMMITTED
+        if kind == "single":
+            self._complete_single_shard(record, ok, receipt.error)
+        elif kind == "prepare":
+            self.vote(record.tx_id, shard_id, ok, receipt.error, record=record)
+        else:
+            self.ack(record.tx_id, shard_id, record=record)
+
+    # ------------------------------------------------------- single shard tx
+    def _complete_single_shard(self, record: DistributedTxRecord, ok: bool,
+                               reason: Optional[str]) -> None:
+        coordinator, now = self.coordinator, self.runtime.now
+        shard_id = record.shards[0]
+        coordinator.record_prepare_vote(record.tx_id, shard_id, ok, now=now,
+                                        reason=reason)
+        coordinator.record_commit_ack(record.tx_id, shard_id, now=now)
+        if record.phase is DistributedTxPhase.DONE:
+            self._finish(record)
+
+    def _check_single_shard_deadline(self, tx_id: str) -> None:
+        """Re-submit a single-shard transaction whose receipt never came.
+
+        The single-shard mirror of the cross-shard prepare re-drive: a
+        transaction lost in transit (e.g. submitted to a shard in the middle
+        of a swap-all outage) is retried instead of hanging forever.  Shards
+        dedup re-submissions on their seen/committed id sets, so a retry that
+        races the original is a no-op.
+        """
+        record = self.coordinator.records.get(tx_id)
+        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
+                or record.phase is DistributedTxPhase.DONE or record.prepare_votes):
+            return
+        if self._deadline_not_reached(record, self._check_single_shard_deadline):
+            return
+        shard_id = record.shards[0]
+        if self.host.shard_unreachable(shard_id):
+            return  # shard_lost() already aborted it
+        if self._budget_exhausted(record):
+            self._complete_single_shard(record, False, "prepare timeout")
+            return
+        self._mark_redriven(record)
+        self.host.relay("single", record, [(shard_id, record.transaction)],
+                        0.0, record.redrives)
+        self._arm(self._check_single_shard_deadline, tx_id)
+
+    # -------------------------------------------------------- cross shard tx
+    def _submit_begin_tx(self, record: DistributedTxRecord) -> None:
+        if self.coordinator.crashed:
+            return  # recovery restarts records still in BEGINNING
+        begin = self._reference_chaincode.new_transaction(
+            "beginTx", {"tx_id": record.tx_id, "num_committees": len(record.shards)},
+            client_id=record.transaction.client_id,
+        )
+
+        def on_receipt(receipt: TransactionReceipt) -> None:
+            self.coordinator.mark_begin_executed(record.tx_id, now=self.runtime.now)
+            self._send_prepares(record)
+
+        self._reference_waiters[begin.tx_id] = on_receipt
+        self.host.submit_reference(begin, record.redrives)
+
+    def reference_receipt(self, receipt: TransactionReceipt) -> None:
+        """The reference committee executed a BeginTx or a vote we submitted."""
+        waiter = self._reference_waiters.pop(receipt.tx_id, None)
+        if waiter is not None:
+            waiter(receipt)
+
+    def _send_prepares(self, record: DistributedTxRecord,
+                       only_shards: Optional[List[int]] = None) -> None:
+        """Relay the per-shard PrepareTx cohorts (admission- and fault-aware)."""
+        if self.coordinator.crashed:
+            return  # recovery re-drives undecided transactions
+        prepares = self.splitter.prepare_transactions(record.transaction,
+                                                      self.shard_of)
+        fault, admission = self.fault, self.admission
+        cohorts: Dict[float, List[Tuple[int, Transaction]]] = {}
+        for shard_id, prepare_tx in prepares.items():
+            if only_shards is not None and shard_id not in only_shards:
+                continue
+            extra_delay = 0.0
+            if fault is not None:
+                if fault.drop_prepare(record, shard_id):
+                    continue  # the prepare-deadline re-drive recovers this
+                extra_delay = fault.prepare_delay(record, shard_id)
+            if admission is not None:
+                status = admission.request(record, shard_id, prepare_tx,
+                                           extra_delay)
+                if status == "waiting":
+                    continue
+                if status == "deadlock":
+                    self.prepare_outcome(
+                        record, shard_id, False,
+                        "deadlock detected in the waits-for graph")
+                    continue
+            cohorts.setdefault(extra_delay, []).append((shard_id, prepare_tx))
+        for extra_delay in sorted(cohorts):
+            self.host.relay("prepare", record, cohorts[extra_delay],
+                            extra_delay, record.redrives)
+        self._arm(self._check_prepare_deadline, record.tx_id)
+
+    # ----------------------------------------------------------------- votes
+    def vote(self, tx_id: str, shard_id: int, ok: bool,
+             reason: Optional[str] = None,
+             record: Optional[DistributedTxRecord] = None) -> None:
+        """A participant's prepare vote arrived (step 1b).
+
+        :meth:`receipt` still holds the ``record`` and passes it, so a vote
+        that outlives its pruned record is processed in full; given only the
+        id, a vote for a pruned record is bookkeeping (the fault hooks and
+        the reference submission need a live record).
+        """
+        coordinator = self.coordinator
+        if record is None:
+            record = coordinator.records.get(tx_id)
+            if record is None:
+                if not coordinator.retain_records or coordinator.crashed:
+                    coordinator.record_prepare_vote(tx_id, shard_id, ok,
+                                                    now=self.runtime.now,
+                                                    reason=reason)
+                return
+        if self.fault is not None and self.fault.drop_vote(record, shard_id, ok):
+            return  # vote lost; the prepare-deadline re-drive recovers
+        self.prepare_outcome(record, shard_id, ok, reason)
+
+    def prepare_outcome(self, record: DistributedTxRecord, shard_id: int,
+                        ok: bool, reason: Optional[str]) -> None:
+        """A shard's prepare outcome is known: relay the vote to whoever
+        decides (also the entry point for locally produced NotOK votes:
+        admission timeouts, deadlocks and wounds)."""
+        if self.coordinator.use_reference_committee:
+            self._submit_vote(record, shard_id, ok, reason)
+        else:
+            before = record.outcome
+            self._record_vote(record, shard_id, ok, reason)
+            if (record.outcome is not DistributedTxOutcome.PENDING
+                    and before is DistributedTxOutcome.PENDING):
+                self._send_decision(record)
+
+    def _record_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
+                     reason: Optional[str]) -> None:
+        self.coordinator.record_prepare_vote(record.tx_id, shard_id, ok,
+                                             now=self.runtime.now, reason=reason)
+        if self.fault is not None:
+            duplicates = self.fault.duplicate_votes(record, shard_id, ok)
+            for index in range(duplicates):
+                self.runtime.schedule(
+                    self.fault.stale_delay() * (index + 1),
+                    self._replay_vote, record.tx_id, shard_id, ok, reason)
+
+    def _replay_vote(self, tx_id: str, shard_id: int, ok: bool,
+                     reason: Optional[str]) -> None:
+        """A stale duplicate vote arrives (idempotent-or-rejected)."""
+        coordinator = self.coordinator
+        if coordinator.retain_records and tx_id not in coordinator.records:
+            return
+        coordinator.record_prepare_vote(tx_id, shard_id, ok,
+                                        now=self.runtime.now, reason=reason)
+
+    def _submit_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
+                     reason: Optional[str]) -> None:
+        vote = self._reference_chaincode.new_transaction(
+            "prepareOK" if ok else "prepareNotOK",
+            {"tx_id": record.tx_id, "shard_id": shard_id},
+            client_id=record.transaction.client_id,
+        )
+
+        def on_receipt(receipt: TransactionReceipt) -> None:
+            before = record.outcome
+            self._record_vote(record, shard_id, ok, reason)
+            decided_state = None
+            if receipt.result and isinstance(receipt.result, dict):
+                decided_state = receipt.result.get("state")
+            decided = record.outcome is not DistributedTxOutcome.PENDING
+            if decided and before is DistributedTxOutcome.PENDING:
+                # Sanity: the replicated state machine must agree with the
+                # local bookkeeping (both implement Figure 6).
+                if decided_state == CoordinatorState.ABORTED.value:
+                    assert record.outcome is DistributedTxOutcome.ABORTED
+                self._send_decision(record)
+
+        self._reference_waiters[vote.tx_id] = on_receipt
+        self.host.submit_reference(vote, record.redrives)
+
+    # -------------------------------------------------------------- decision
+    def _send_decision(self, record: DistributedTxRecord,
+                       only_shards: Optional[List[int]] = None) -> None:
+        coordinator, fault = self.coordinator, self.fault
+        if coordinator.crashed:
+            return  # recovery re-drives decided-but-unsent decisions
+        if fault is not None and fault.crash_coordinator(record, "decide"):
+            self._crash_coordinator()
+            return  # decided but unsent: re-driven at recovery
+        if record.outcome is DistributedTxOutcome.COMMITTED:
+            per_shard = self.splitter.commit_transactions(record.transaction,
+                                                          self.shard_of)
+        else:
+            per_shard = self.splitter.abort_transactions(record.transaction,
+                                                         self.shard_of)
+        cohorts: Dict[float, List[Tuple[int, Transaction]]] = {}
+        sent = self._decisions_sent.setdefault(record.tx_id, set())
+        for shard_id, decision_tx in per_shard.items():
+            if only_shards is not None and shard_id not in only_shards:
+                continue
+            if self.host.shard_unreachable(shard_id):
+                # Nothing can arrive there: count the ack as forced, exactly
+                # what shard_lost() does for decisions already in flight.
+                coordinator.record_commit_ack(record.tx_id, shard_id,
+                                              now=self.runtime.now)
+                continue
+            sent.add(shard_id)
+            extra_delay = (fault.decision_delay(record, shard_id)
+                           if fault is not None else 0.0)
+            cohorts.setdefault(extra_delay, []).append((shard_id, decision_tx))
+        for extra_delay in sorted(cohorts):
+            self.host.relay("decision", record, cohorts[extra_delay],
+                            extra_delay, record.redrives)
+        if record.phase is DistributedTxPhase.DONE:
+            self._finish(record)  # every participant was unreachable
+        elif self.redrive_decisions:
+            self._arm(self._check_decision_deadline, record.tx_id)
+
+    def ack(self, tx_id: str, shard_id: int,
+            record: Optional[DistributedTxRecord] = None) -> None:
+        """A participant executed its CommitTx/AbortTx and acked (step 2).
+
+        ``record`` as for :meth:`vote`: given only the id, an ack for a
+        pruned record is counted by the coordinator and otherwise ignored.
+        """
+        coordinator = self.coordinator
+        if record is None:
+            record = coordinator.records.get(tx_id)
+        coordinator.record_commit_ack(tx_id, shard_id, now=self.runtime.now)
+        if record is None:
+            return
+        if self.admission is not None:
+            self.admission.release_shard(tx_id, shard_id)
+        if self.fault is not None:
+            duplicates = self.fault.duplicate_acks(record, shard_id)
+            for index in range(duplicates):
+                self.runtime.schedule(self.fault.stale_delay() * (index + 1),
+                                      self._replay_ack, tx_id, shard_id)
+        if record.all_acks_in:
+            self._finish(record)
+
+    def _replay_ack(self, tx_id: str, shard_id: int) -> None:
+        """A stale duplicate commit ack arrives (a counted no-op)."""
+        coordinator = self.coordinator
+        if coordinator.retain_records and tx_id not in coordinator.records:
+            return
+        coordinator.record_commit_ack(tx_id, shard_id, now=self.runtime.now)
+
+    # ------------------------------------------------ re-drives and recovery
+    def _deadline_not_reached(self, record: DistributedTxRecord,
+                              check: Callable[[str], None]) -> bool:
+        """Re-arm ``check`` if the record's prepare deadline moved past now."""
+        now = self.runtime.now
+        deadline = record.prepare_deadline
+        if deadline is not None and deadline <= now:
+            return False
+        delay = (deadline - now if deadline is not None
+                 else self.coordinator.prepare_timeout)
+        self.runtime.schedule(max(delay, _MIN_RECHECK), check, record.tx_id)
+        return True
+
+    def _budget_exhausted(self, record: DistributedTxRecord) -> bool:
+        return self.max_redrives is not None and record.redrives >= self.max_redrives
+
+    def _mark_redriven(self, record: DistributedTxRecord) -> None:
+        """Count a prepare re-drive and push the record's deadline out."""
+        coordinator = self.coordinator
+        coordinator.mark_redriven(record)
+        record.prepare_deadline = self.runtime.now + coordinator.prepare_timeout
+
+    def _check_prepare_deadline(self, tx_id: str) -> None:
+        """The prepare deadline passed: re-drive the shards with missing votes.
+
+        Shards whose prepare is still parked in the admission queue are not
+        re-driven (their vote is not lost, just not due yet), and neither are
+        unreachable ones (:meth:`shard_lost` owns their votes).
+        """
+        coordinator = self.coordinator
+        record = coordinator.records.get(tx_id)
+        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
+                or record.phase is DistributedTxPhase.DONE):
+            return
+        if coordinator.crashed:
+            # Recovery will re-drive; check again afterwards.
+            self._arm(self._check_prepare_deadline, tx_id)
+            return
+        if self._deadline_not_reached(record, self._check_prepare_deadline):
+            return
+        waiting = (self.admission.waiting_shards(tx_id)
+                   if self.admission is not None else ())
+        to_redrive = [shard for shard in record.shards
+                      if shard not in record.prepare_votes
+                      and shard not in waiting
+                      and not self.host.shard_unreachable(shard)]
+        if not to_redrive:
+            record.prepare_deadline = self.runtime.now + coordinator.prepare_timeout
+            self._arm(self._check_prepare_deadline, tx_id)
+        elif self._budget_exhausted(record):
+            for shard in to_redrive:
+                self.prepare_outcome(record, shard, False, "prepare timeout")
+        else:
+            self._mark_redriven(record)
+            self._send_prepares(record, only_shards=to_redrive)
+
+    def _check_decision_deadline(self, tx_id: str) -> None:
+        """Re-drive a decided transaction whose commit/abort acks never came.
+
+        Shards whose ack is still missing get the decision again via a
+        rotated member; re-delivery is safe because the decision chaincodes
+        are idempotent (Smallbank applies deltas only while the prepare lock
+        is held, KVStore writes are absolute).  Past the re-drive budget, or
+        with only unreachable shards missing, the acks are forced so the
+        client gets an answer rather than a hang.
+        """
+        coordinator = self.coordinator
+        record = coordinator.records.get(tx_id)
+        if (record is None or record.phase is DistributedTxPhase.DONE
+                or record.outcome is DistributedTxOutcome.PENDING):
+            return
+        if coordinator.crashed:
+            # Recovery re-drives unsent decisions; check again afterwards.
+            self._arm(self._check_decision_deadline, tx_id)
+            return
+        missing = [shard for shard in record.shards
+                   if shard not in record.commit_acks]
+        live = [shard for shard in missing
+                if not self.host.shard_unreachable(shard)]
+        if missing and (not live or self._budget_exhausted(record)):
+            for shard in missing:
+                coordinator.record_commit_ack(tx_id, shard, now=self.runtime.now)
+            if record.phase is DistributedTxPhase.DONE:
+                self._finish(record)
+        elif live:
+            coordinator.mark_redriven(record)
+            self._send_decision(record, only_shards=live)
+
+    def shard_lost(self, shard_id: int) -> None:
+        """``shard_id`` became unreachable: answer for it on every unfinished
+        transaction it takes part in — a NotOK vote where it has not voted,
+        a forced ack where the decision is already out."""
+        reason = f"shard {shard_id} down"
+        for record, _ in list(self._unfinished.values()):
+            if shard_id not in record.shards:
+                continue
+            if not record.is_cross_shard:
+                self._complete_single_shard(record, False, reason)
+            elif record.outcome is DistributedTxOutcome.PENDING:
+                if shard_id not in record.prepare_votes:
+                    self.prepare_outcome(record, shard_id, False, reason)
+            elif shard_id not in record.commit_acks:
+                self.coordinator.record_commit_ack(record.tx_id, shard_id,
+                                                   now=self.runtime.now)
+                if record.phase is DistributedTxPhase.DONE:
+                    self._finish(record)
+
+    def _crash_coordinator(self) -> None:
+        """The coordinator fails; recovery is scheduled per the fault scenario."""
+        coordinator = self.coordinator
+        if coordinator.crashed:
+            return  # one recovery is already scheduled
+        coordinator.crash()
+        delay = self.fault.recovery_delay() if self.fault is not None else 1.0
+        self.runtime.schedule(delay, self._recover_coordinator)
+
+    def _recover_coordinator(self) -> None:
+        """Replay buffered votes/acks, then re-drive unfinished transactions."""
+        coordinator = self.coordinator
+        if not coordinator.crashed:
+            return
+        report = coordinator.recover(now=self.runtime.now)
+        for record in report.completed:
+            self._finish(record)
+        for record in report.restart:
+            coordinator.mark_redriven(record)
+            if (record.phase is DistributedTxPhase.BEGINNING
+                    and coordinator.use_reference_committee):
+                self._submit_begin_tx(record)
+                continue
+            missing = [shard for shard in record.shards
+                       if shard not in record.prepare_votes]
+            self._send_prepares(record, only_shards=missing or list(record.shards))
+        for record in report.redrive:
+            sent = self._decisions_sent.get(record.tx_id, set())
+            unsent = [shard for shard in record.shards
+                      if shard not in record.commit_acks and shard not in sent]
+            if unsent:
+                coordinator.mark_redriven(record)
+                self._send_decision(record, only_shards=unsent)
+
+    # ------------------------------------------------------------ completion
+    def _finish(self, record: DistributedTxRecord) -> None:
+        if self.admission is not None:
+            self.admission.finish(record.tx_id)
+        self._decisions_sent.pop(record.tx_id, None)
+        entry = self._unfinished.pop(record.tx_id, None)
+        if entry is not None:
+            self.host.finished(record, entry[1])

@@ -9,6 +9,7 @@ from repro.baselines.randhound import RandHoundConfig, randhound_running_time, s
 from repro.core.client_api import attach_clients
 from repro.core.config import ShardedSystemConfig
 from repro.core.splitters import KVStoreSplitter, SmallbankSplitter, splitter_for
+from repro.core.scaleout import build_system
 from repro.core.system import ShardedBlockchain
 from repro.errors import ConfigurationError, WorkloadError
 from repro.perfmodel.throughput import committee_latency, committee_throughput, sharded_throughput
@@ -120,6 +121,29 @@ class TestShardedBlockchain:
         assert shard_b.state.get(account_key(pair[1])) == 10_000 + 7
         # Locks are released after commit.
         assert shard_a.state.get(f"L_{account_key(pair[0])}") is None
+
+    @pytest.mark.parametrize("use_reference,workers",
+                             [(True, None), (False, None), (False, 1)])
+    def test_unsplittable_cross_shard_transaction_registers_nothing(
+            self, use_reference, workers):
+        """The sim-side twin of the gateway's malformed-request regression:
+        a payment with no amount is refused before BeginTx, so no coordinator
+        ever starts it and no event is scheduled for it — on either engine."""
+        system = build_system(ShardedSystemConfig(
+            num_shards=2, committee_size=3, num_keys=200, workers=workers,
+            use_reference_committee=use_reference,
+            consensus_overrides=dict(FAST_OVERRIDES)))
+        pair = next((a, b) for a in map(str, range(50)) for b in map(str, range(50))
+                    if system.shard_of_key(account_key(a)) != system.shard_of_key(account_key(b)))
+        tx = SmallbankChaincode().new_transaction(
+            "sendPayment", {"from": pair[0], "to": pair[1]})
+        with pytest.raises(WorkloadError, match="cannot split"):
+            system.submit_transaction(tx, on_complete=lambda record: None)
+        assert system.coordination_stats().started == 0
+        assert not system.coordinator.records
+        assert system.driver.in_flight == 0
+        assert not system.pending_activity()
+        system.close()
 
     def test_closed_loop_clients_drive_throughput(self):
         system = small_system(num_shards=2, use_reference=False)

@@ -81,6 +81,36 @@ def test_dead_shard_yields_503_not_hang():
         assert excinfo.value.status == 503
 
 
+def test_malformed_cross_shard_request_is_a_400_and_holds_no_slot():
+    """A cross-shard payment that cannot be split (no / non-numeric amount)
+    is rejected before the 2PC driver registers anything: the client gets a
+    400 (not a dropped connection), the in-flight window stays empty however
+    many such requests arrive, and a SIGTERM drain still completes."""
+    window = 3
+    with ServeProcess(shards=2, committee=4, protocol="AHL", seed=5,
+                      num_keys=NUM_KEYS, max_inflight=window) as serve:
+        client = serve.client
+        src, dst = _accounts_on_shard(0)[0], _accounts_on_shard(1)[0]
+        for bad in ({"from": src, "to": dst},
+                    {"from": src, "to": dst, "amount": "x"}):
+            for _ in range(window + 1):
+                with pytest.raises(ServiceHTTPError) as excinfo:
+                    client.submit("sendPayment", bad)
+                assert excinfo.value.status == 400
+                assert "cannot split" in str(excinfo.value)
+        assert client.health()["in_flight"] == 0
+        result = client.submit("sendPayment",
+                               {"from": src, "to": dst, "amount": 1},
+                               wait=True, timeout=30)
+        assert result["outcome"] == "committed"
+        serve.sigterm()
+        drained = serve._read_event(timeout=30)
+        code, _out, err = serve.wait_exit(timeout=30)
+        assert drained["submitted"] == 1
+        assert drained["abandoned_in_flight"] == 0
+        assert code == 0, err[-2000:]
+
+
 def test_sigterm_drains_and_exits_cleanly():
     with ServeProcess(shards=2, committee=4, protocol="AHL", seed=5,
                       num_keys=NUM_KEYS) as serve:
