@@ -39,10 +39,16 @@ an audited run commits the same blocks as an unaudited one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.consensus.base import CommitEvent, ConsensusReplica
-from repro.core.system import REFERENCE_SHARD_ID, ShardedBlockchain
+from repro.core.splitters import (
+    REFERENCE_SHARD_ID,
+    chaincode_registry,
+    initial_state,
+)
+from repro.core.system import ShardedBlockchain
 from repro.ledger.index import (
     ABORT_FUNCTIONS as _ABORT_FUNCTIONS,
     COMMIT_FUNCTIONS as _COMMIT_FUNCTIONS,
@@ -347,16 +353,6 @@ class SafetyAuditor:
                     f"{chain.height}, pending heights {pending}): the "
                     "incremental index cannot equal a rebuild of this chain")
 
-        def registry_for(shard_id: int):
-            if shard_id == REFERENCE_SHARD_ID:
-                from repro.ledger.chaincode import ChaincodeRegistry
-                from repro.txn.reference_committee import ReferenceCommitteeChaincode
-
-                registry = ChaincodeRegistry()
-                registry.register(ReferenceCommitteeChaincode())
-                return registry
-            return system._benchmark_registry()
-
         def populate(shard_id: int, state) -> None:
             observer = observers[shard_id]
             if observer._join_state_snapshot is not None:
@@ -364,10 +360,14 @@ class SafetyAuditor:
                 # state snapshot it installed, not in the genesis state, so
                 # a faithful replay must start from that snapshot.
                 state.restore(observer._join_state_snapshot)
-            elif shard_id != REFERENCE_SHARD_ID:  # the reference starts empty
-                system.populate_initial_state(shard_id, state)
+            else:
+                # The same slice every replica got at construction, so
+                # re-derived receipts match the live execution exactly.
+                for key, value in initial_state(system.config, shard_id):
+                    state.put(key, value)
 
-        rebuilt = rebuild_index(chains, registry_for, populate=populate,
+        rebuilt = rebuild_index(chains, partial(chaincode_registry, system.config),
+                                populate=populate,
                                 epoch_of=system.epochs.epoch_of,
                                 account_history=self.index.history_enabled)
         diff = snapshot_diff(self.index.snapshot(), rebuilt.snapshot())

@@ -44,10 +44,6 @@ class ShardedSystemConfig:
     #: votes PrepareNotOK ("wait timeout").  Only used by the queueing
     #: policies.
     wait_timeout: float = 5.0
-    #: Detect waits-for cycles under the "wait" policy and abort the
-    #: requester that would close the cycle (instead of waiting for the
-    #: timeout to break it).
-    deadlock_detection: bool = True
     #: When set, transactions whose prepare votes are still missing after
     #: this many seconds get their prepares re-driven (recovering from
     #: dropped votes / lost prepares).  None — the seed default — disables
@@ -119,8 +115,11 @@ class ShardedSystemConfig:
             raise ConfigurationError("num_shards must be at least 1")
         if self.committee_size < 1:
             raise ConfigurationError("committee_size must be at least 1")
-        if self.benchmark not in ("smallbank", "kvstore"):
-            raise ConfigurationError("benchmark must be 'smallbank' or 'kvstore'")
+        from repro.core.splitters import BENCHMARKS
+
+        if self.benchmark not in BENCHMARKS:
+            raise ConfigurationError(
+                f"benchmark must be one of {sorted(BENCHMARKS)}")
         if self.conflict_policy not in ("abort", "wait", "wound-wait"):
             raise ConfigurationError(
                 "conflict_policy must be 'abort', 'wait' or 'wound-wait'")

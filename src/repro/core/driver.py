@@ -8,6 +8,8 @@ that with a BLOCKBENCH-style **open-loop** arrival process: transactions are
 generated *lazily, one batch per arrival tick*, submitted at a fixed rate
 regardless of completion, and forgotten as soon as they complete — so memory
 is bounded by the number of in-flight transactions, not the run length.
+The arrival tick and the completion accounting are :class:`ArrivalLoop`,
+which the scale-out engine's partitions run per shard.
 
 Determinism: the driver's entire arrival process is derived from the
 simulator clock and the workload generator's seeded RNG, so a given
@@ -18,10 +20,13 @@ transaction stream and identical commit/abort counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro.core.config import ShardedSystemConfig
 from repro.core.system import ShardedBlockchain
 from repro.errors import ConfigurationError
+from repro.ledger.transaction import Transaction
+from repro.runtime.base import Runtime
 from repro.txn.coordinator import DistributedTxOutcome, DistributedTxRecord
 from repro.workloads.generator import WorkloadGenerator
 
@@ -85,12 +90,7 @@ class DriverStats:
 
 
 def abort_bucket(reason: Optional[str]) -> str:
-    """Classify an abort reason into a small fixed set of buckets.
-
-    Module-level so both driver implementations — the legacy in-process one
-    below and the scale-out engine's in-partition
-    :class:`repro.core.homecoord.PartitionDriver` — bucket identically.
-    """
+    """Classify an abort reason into a small fixed set of buckets."""
     if reason is None:
         return "other"
     if "locked by" in reason:
@@ -104,6 +104,93 @@ def abort_bucket(reason: Optional[str]) -> str:
     if "insufficient funds" in reason:
         return "insufficient-funds"
     return "other"
+
+
+def split_evenly(total: Optional[int], index: int, parts: int) -> Optional[int]:
+    """Share ``index`` of a cap split over ``parts`` (None = uncapped); the
+    remainder goes to the first shares, so they sum exactly to ``total``."""
+    if total is None:
+        return None
+    return total // parts + (1 if index < total % parts else 0)
+
+
+class ArrivalLoop:
+    """The open-loop arrival tick and its completion accounting.
+
+    Every ``batch_size / rate_tps`` seconds the loop draws up to
+    ``batch_size`` transactions with ``draw(now)`` and hands each to
+    ``submit(tx)`` — never more than ``max_transactions`` in total, and
+    dropping (not queueing) arrivals while ``max_in_flight`` are
+    outstanding.  Whoever learns a transaction's outcome reports it through
+    :meth:`complete`.  :class:`OpenLoopDriver` runs one loop over the whole
+    system; on the scale-out engine every partition runs its split of it
+    (:class:`repro.core.homecoord.PartitionDriver`).
+    """
+
+    def __init__(self, runtime: Runtime, rate_tps: float, batch_size: int,
+                 max_transactions: Optional[int], max_in_flight: Optional[int],
+                 draw: Callable[[float], Transaction],
+                 submit: Callable[[Transaction], None]) -> None:
+        self.runtime = runtime
+        self.rate_tps = rate_tps
+        self.batch_size = batch_size
+        self.max_transactions = max_transactions
+        self.max_in_flight = max_in_flight
+        self._draw = draw
+        self._submit = submit
+        self.stats = DriverStats()
+
+    def tick(self) -> None:
+        stats = self.stats
+        remaining = (None if self.max_transactions is None
+                     else self.max_transactions - stats.submitted)
+        if remaining is not None and remaining <= 0:
+            return
+        count = self.batch_size if remaining is None else min(self.batch_size, remaining)
+        now = self.runtime.now
+        for _ in range(count):
+            if (self.max_in_flight is not None
+                    and stats.in_flight >= self.max_in_flight):
+                stats.dropped_arrivals += 1
+                continue
+            tx = self._draw(now)
+            stats.submitted += 1
+            stats.in_flight += 1
+            if stats.in_flight > stats.max_in_flight:
+                stats.max_in_flight = stats.in_flight
+            self._submit(tx)
+        self.runtime.schedule(self.batch_size / self.rate_tps, self.tick)
+
+    def complete(self, committed: bool, abort_reason: Optional[str],
+                 latency: Optional[float], epoch: int) -> None:
+        """Account one finished transaction, bucketed by ``epoch``."""
+        stats = self.stats
+        stats.in_flight -= 1
+        if committed:
+            stats.committed += 1
+            stats.epoch_committed[epoch] = stats.epoch_committed.get(epoch, 0) + 1
+        else:
+            stats.aborted += 1
+            stats.epoch_aborted[epoch] = stats.epoch_aborted.get(epoch, 0) + 1
+            bucket = abort_bucket(abort_reason)
+            stats.abort_reasons[bucket] = stats.abort_reasons.get(bucket, 0) + 1
+        if latency is not None:
+            stats.latency_sum += latency
+            stats.latency_count += 1
+
+
+def config_workload(config: ShardedSystemConfig, seed: int,
+                    vectorized: bool = False,
+                    vector_batch: int = 256) -> WorkloadGenerator:
+    """The configured benchmark's transaction stream for ``seed``.
+
+    ``vectorized``/``vector_batch`` select block-sampled generation (a
+    different deterministic stream, see the generator).
+    """
+    return WorkloadGenerator(
+        benchmark=config.benchmark, num_shards=config.num_shards,
+        zipf_coefficient=config.zipf_coefficient, num_keys=config.num_keys,
+        seed=seed, vectorized=vectorized, vector_batch=vector_batch)
 
 
 class OpenLoopDriver:
@@ -156,117 +243,66 @@ class OpenLoopDriver:
         self.batch_size = batch_size
         self.max_in_flight = max_in_flight
         self.client_id = client_id
-        #: On the scale-out engine the arrival process itself moves into the
-        #: partitions: each partition draws its own per-shard split of this
-        #: driver's stream (see ``repro.core.homecoord.PartitionDriver``), so
-        #: the parent holds no generator at all — only a plain spec the
-        #: partitions rebuild their generators from.
-        self._delegated = bool(getattr(system, "IN_PARTITION_DRIVERS", False))
-        #: ``vectorized``/``vector_batch`` select block-sampled workload
-        #: generation (a different deterministic stream, see the generator);
-        #: in delegated mode they travel in the spec so every partition's
-        #: split uses the same sampling layout.
-        self._vectorized = vectorized
-        self._vector_batch = vector_batch
-        if self._delegated:
+        seed = system.config.seed * 7919 + 1 + stream_index
+        self._index: Optional[int] = None
+        self._loop: Optional[ArrivalLoop] = None
+        self._started = False
+        # On the scale-out engine the arrival process itself moves into the
+        # partitions: each partition draws its own per-shard split of this
+        # driver's stream (see ``repro.core.homecoord.PartitionDriver``), so
+        # the parent holds no generator (and no loop) at all — only the
+        # plain picklable spec the partitions build their splits from.
+        if getattr(system, "IN_PARTITION_DRIVERS", False):
             if workload is not None:
                 raise ConfigurationError(
                     "the scale-out engine generates workloads in-partition "
                     "from a config-derived spec; a custom WorkloadGenerator "
                     "instance requires the legacy engine (workers=None)")
             self.workload = None
-            self._workload_seed = system.config.seed * 7919 + 1 + stream_index
+            self._spec = dict(
+                rate_tps=rate_tps, max_transactions=max_transactions,
+                batch_size=batch_size, max_in_flight=max_in_flight,
+                client_id=client_id, workload_seed=seed,
+                vectorized=vectorized, vector_batch=vector_batch)
         else:
-            self.workload = workload or WorkloadGenerator(
-                benchmark=system.config.benchmark,
-                num_shards=system.config.num_shards,
-                zipf_coefficient=system.config.zipf_coefficient,
-                num_keys=system.config.num_keys,
-                seed=system.config.seed * 7919 + 1 + stream_index,
-                vectorized=vectorized, vector_batch=vector_batch,
-            )
-        self._stats = DriverStats()
-        self._index: Optional[int] = None
-        self._started = False
+            self.workload = workload or config_workload(
+                system.config, seed, vectorized, vector_batch)
+            self._loop = ArrivalLoop(
+                system.runtime, rate_tps, batch_size, max_transactions,
+                max_in_flight,
+                draw=lambda now: self.workload.next_transaction(
+                    client_id=self.client_id, now=now),
+                submit=lambda tx: system.submit_transaction(
+                    tx, on_complete=self._on_complete))
 
     @property
     def stats(self) -> DriverStats:
         """This driver's aggregate statistics (merged across partitions)."""
-        if self._delegated and self._index is not None:
+        if self._loop is not None:
+            return self._loop.stats
+        if self._index is not None:
             return self.system.driver_stats(self._index)
-        return self._stats
+        return DriverStats()
 
     @property
     def dropped_arrivals(self) -> int:
         return self.stats.dropped_arrivals
-
-    def _spec(self) -> Dict[str, object]:
-        """The picklable description partitions rebuild this driver from."""
-        return {
-            "rate_tps": self.rate_tps,
-            "max_transactions": self.max_transactions,
-            "batch_size": self.batch_size,
-            "max_in_flight": self.max_in_flight,
-            "client_id": self.client_id,
-            "workload": {
-                "benchmark": self.system.config.benchmark,
-                "num_shards": self.system.config.num_shards,
-                "zipf_coefficient": self.system.config.zipf_coefficient,
-                "num_keys": self.system.config.num_keys,
-                "seed": self._workload_seed,
-                "vectorized": self._vectorized,
-                "vector_batch": self._vector_batch,
-            },
-        }
 
     # ---------------------------------------------------------------- driving
     def start(self) -> "OpenLoopDriver":
         """Begin the arrival process at the current simulated time."""
         if not self._started:
             self._started = True
-            if self._delegated:
-                self._index = self.system.register_partition_driver(self._spec())
+            if self._loop is None:
+                self._index = self.system.register_partition_driver(self._spec)
             else:
-                self.system.runtime.spawn(self._tick)
+                self.system.runtime.spawn(self._loop.tick)
         return self
 
-    def _tick(self) -> None:
-        stats = self._stats
-        remaining = (None if self.max_transactions is None
-                     else self.max_transactions - stats.submitted)
-        if remaining is not None and remaining <= 0:
-            return
-        count = self.batch_size if remaining is None else min(self.batch_size, remaining)
-        now = self.system.runtime.now
-        for _ in range(count):
-            if (self.max_in_flight is not None
-                    and stats.in_flight >= self.max_in_flight):
-                stats.dropped_arrivals += 1
-                continue
-            tx = self.workload.next_transaction(client_id=self.client_id, now=now)
-            stats.submitted += 1
-            stats.in_flight += 1
-            if stats.in_flight > stats.max_in_flight:
-                stats.max_in_flight = stats.in_flight
-            self.system.submit_transaction(tx, on_complete=self._on_complete)
-        self.system.runtime.schedule(self.batch_size / self.rate_tps, self._tick)
-
     def _on_complete(self, record: DistributedTxRecord) -> None:
-        stats = self._stats
-        stats.in_flight -= 1
-        epoch = self.system.current_epoch
-        if record.outcome is DistributedTxOutcome.COMMITTED:
-            stats.committed += 1
-            stats.epoch_committed[epoch] = stats.epoch_committed.get(epoch, 0) + 1
-        else:
-            stats.aborted += 1
-            stats.epoch_aborted[epoch] = stats.epoch_aborted.get(epoch, 0) + 1
-            bucket = abort_bucket(record.abort_reason)
-            stats.abort_reasons[bucket] = stats.abort_reasons.get(bucket, 0) + 1
-        latency = record.latency
-        if latency is not None:
-            stats.latency_sum += latency
-            stats.latency_count += 1
+        self._loop.complete(record.outcome is DistributedTxOutcome.COMMITTED,
+                            record.abort_reason, record.latency,
+                            self.system.current_epoch)
 
     # ------------------------------------------------------------------- runs
     def run_to_completion(self, drain_timeout: float = 120.0,
@@ -305,12 +341,7 @@ def attach_open_loop_drivers(system: ShardedBlockchain, count: int, rate_tps: fl
         raise ConfigurationError("count must be at least 1")
     drivers = []
     for index in range(count):
-        if max_transactions is None:
-            per_driver = None
-        else:
-            # Distribute the remainder over the first drivers so the totals
-            # sum exactly to max_transactions.
-            per_driver = max_transactions // count + (1 if index < max_transactions % count else 0)
+        per_driver = split_evenly(max_transactions, index, count)
         driver = OpenLoopDriver(
             system, rate_tps=rate_tps / count, max_transactions=per_driver,
             batch_size=batch_size, max_in_flight=max_in_flight,

@@ -1,7 +1,7 @@
 """Distributed 2PC coordination for the scale-out engine (home partitions).
 
 PR 6's scale-out engine moved shard consensus into partitions but left the
-whole coordination layer — the 2PC coordinator, the lock-admission mirror,
+whole coordination layer — the 2PC coordinator, lock admission,
 the reference committee and the open-loop drivers — on the parent process,
 which serialized roughly a sixth of the total work.  This module distributes
 all of it:
@@ -12,13 +12,16 @@ all of it:
   :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` the single-loop
   engine and the live gateway host, inside the partition's own
   sub-simulation.
-* Lock admission becomes **participant-side**: each partition keeps a local
-  :class:`~repro.txn.locks.LockManager` mirror of its own lock table and
-  votes PrepareNotOK on deadlocks/timeouts itself.  Wounds travel to the
-  victim's home as ordinary NotOK votes.  (Waits-for cycles that span
-  shards are no longer visible to any single detector — they resolve
-  through the wait timeout instead; per-shard cycles are still detected.)
-* Workload generation moves **in-partition** (:class:`PartitionDriver`):
+* Lock admission becomes **participant-side**: each partition hosts its
+  own :class:`~repro.txn.locks.LockAdmissionTable` (the same table the
+  single-loop engine keeps in front of all shards) for the prepares that
+  arrive at its shard, and votes PrepareNotOK on deadlocks/timeouts itself.
+  Wounds travel to the victim's home as ordinary NotOK votes.  (Waits-for
+  cycles that span shards are no longer visible to any single detector —
+  they resolve through the wait timeout instead; per-shard cycles are still
+  detected.)
+* Workload generation moves **in-partition** (:class:`PartitionDriver`, a
+  per-shard split of the one :class:`~repro.core.driver.ArrivalLoop`):
   each partition draws an independent stream seeded by a ``(seed,
   shard_id)`` split and keeps exactly the draws whose first key it owns
   (:meth:`~repro.workloads.generator.WorkloadGenerator.next_transaction_for_shard`),
@@ -47,16 +50,19 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import ShardedSystemConfig
-from repro.core.driver import DriverStats, abort_bucket
-from repro.core.splitters import shards_for, splitter_for
-from repro.core.system import REFERENCE_SHARD_ID
+from repro.core.driver import ArrivalLoop, config_workload, split_evenly
+from repro.core.splitters import (
+    REFERENCE_SHARD_ID,
+    benchmark_for,
+    shards_for,
+    splitter_for,
+)
 from repro.errors import SimulationError
-from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction, TxStatus
 from repro.runtime.base import Runtime
 from repro.txn.coordinator import (
@@ -66,8 +72,8 @@ from repro.txn.coordinator import (
     TwoPhaseCommitCoordinator,
     TwoPhaseCommitDriver,
 )
-from repro.txn.locks import DeadlockDetected, LockManager
-from repro.workloads.generator import WorkloadGenerator, shard_of_key
+from repro.txn.locks import DEADLOCK_REASON, LockAdmissionTable
+from repro.workloads.generator import shard_of_key
 
 #: ``src``/``origin``/``dest`` value naming the parent barrier orchestrator.
 PARENT = -1
@@ -96,7 +102,8 @@ def partition_tx_counter(shard_id: int) -> "itertools.count":
 
 
 def partition_stream_seed(seed: int, shard_id: int) -> int:
-    """Per-partition split of a driver workload seed (distinct per shard)."""
+    """Per-partition split of a seed (distinct per shard): the partition's
+    simulator from the system seed, its workload streams from the drivers'."""
     return seed * 1_000_003 + 7_919 * shard_id + 17
 
 
@@ -261,20 +268,10 @@ def partition_weights(config: ShardedSystemConfig) -> Dict[int, float]:
     shards = config.num_shards
     counts = {shard: 0 for shard in range(shards)}
     stride = max(1, config.num_keys // 20_000)
-    if config.benchmark == "smallbank":
-        from repro.workloads.smallbank import account_key
-
-        sampled = (account_key(str(index))
-                   for index in range(0, config.num_keys, stride))
-    else:
-        from repro.workloads.kvstore import KVStoreWorkload
-
-        workload = KVStoreWorkload(num_keys=config.num_keys)
-        sampled = (workload.key_name(index)
-                   for index in range(0, config.num_keys, stride))
+    key_of = benchmark_for(config.benchmark).key
     total = 0
-    for key in sampled:
-        counts[shard_of_key(key, shards)] += 1
+    for index in range(0, config.num_keys, stride):
+        counts[shard_of_key(key_of(index), shards)] += 1
         total += 1
     weights: Dict[int, float] = {}
     for shard, count in counts.items():
@@ -311,12 +308,13 @@ def assign_partitions(shard_ids: List[int], workers: int,
 # In-partition open-loop driving.
 # --------------------------------------------------------------------------
 
-class PartitionDriver:
-    """One open-loop driver's arrival process, as partition ``shard_id`` runs it.
+class PartitionDriver(ArrivalLoop):
+    """Partition ``shard_id``'s split of one open-loop driver's arrival loop.
 
     The parent-facing :class:`~repro.core.driver.OpenLoopDriver` splits into
-    ``num_shards`` of these (one per partition, each with ``rate / S`` and a
-    remainder-rule share of the caps).  Each draws from an independent
+    ``num_shards`` of these — the same
+    :class:`~repro.core.driver.ArrivalLoop`, each with ``rate / S`` and a
+    remainder-rule share of the caps.  Each draws from an independent
     per-partition stream and submits only the transactions whose first key
     the partition owns; transactions homed elsewhere are handed off with a
     ``client`` command and complete through ``client_done``.
@@ -327,101 +325,36 @@ class PartitionDriver:
         self.index = index
         shard_id = partition.shard_id
         shards = partition.config.num_shards
-        total = spec.get("max_transactions")
-        self.max_transactions = (
-            None if total is None
-            else total // shards + (1 if shard_id < total % shards else 0))
-        self.rate_tps = spec["rate_tps"] / shards
-        self.batch_size = spec.get("batch_size", 1)
-        cap = spec.get("max_in_flight")
-        self.max_in_flight = (
-            None if cap is None
-            else max(1, cap // shards + (1 if shard_id < cap % shards else 0)))
-        self.client_id = f"{spec.get('client_id', 'open-loop')}@s{shard_id}"
-        wspec = spec["workload"]
-        self.workload = WorkloadGenerator(
-            benchmark=wspec["benchmark"],
-            num_shards=wspec["num_shards"],
-            zipf_coefficient=wspec["zipf_coefficient"],
-            num_keys=wspec["num_keys"],
-            seed=partition_stream_seed(wspec["seed"], shard_id),
-            vectorized=wspec.get("vectorized", False),
-            vector_batch=wspec.get("vector_batch", 256),
-        )
-        self.stats = DriverStats()
-        self._started = False
-
-    def start(self) -> None:
-        if not self._started:
-            self._started = True
-            self.partition.runtime.schedule(0.0, self._tick)
-
-    def _tick(self) -> None:
-        stats = self.stats
-        remaining = (None if self.max_transactions is None
-                     else self.max_transactions - stats.submitted)
-        if remaining is not None and remaining <= 0:
-            return
-        count = (self.batch_size if remaining is None
-                 else min(self.batch_size, remaining))
-        now = self.partition.runtime.now
-        for _ in range(count):
-            if (self.max_in_flight is not None
-                    and stats.in_flight >= self.max_in_flight):
-                stats.dropped_arrivals += 1
-                continue
-            tx = self.workload.next_transaction_for_shard(
-                self.partition.shard_id, client_id=self.client_id, now=now)
-            stats.submitted += 1
-            stats.in_flight += 1
-            if stats.in_flight > stats.max_in_flight:
-                stats.max_in_flight = stats.in_flight
-            self.partition.submit_from_driver(tx, self)
-        self.partition.runtime.schedule(self.batch_size / self.rate_tps, self._tick)
+        cap = split_evenly(spec["max_in_flight"], shard_id, shards)
+        client_id = f"{spec['client_id']}@s{shard_id}"
+        self.workload = config_workload(
+            partition.config,
+            partition_stream_seed(spec["workload_seed"], shard_id),
+            spec["vectorized"], spec["vector_batch"])
+        super().__init__(
+            partition.runtime, spec["rate_tps"] / shards, spec["batch_size"],
+            split_evenly(spec["max_transactions"], shard_id, shards),
+            None if cap is None else max(1, cap),
+            draw=lambda now: self.workload.next_transaction_for_shard(
+                shard_id, client_id=client_id, now=now),
+            submit=lambda tx: partition.submit_from_driver(tx, self))
 
     # ------------------------------------------------------------ completion
     def on_local_complete(self, record: DistributedTxRecord) -> None:
         """The transaction's home was this partition: completion is direct."""
-        self._account(record.outcome is DistributedTxOutcome.COMMITTED,
+        self.complete(record.outcome is DistributedTxOutcome.COMMITTED,
                       record.abort_reason, record.latency,
                       self.partition.current_epoch)
 
     def on_remote_done(self, command: Command) -> None:
         """A ``client_done`` arrived from the remote home partition."""
-        self._account(command.committed, command.reason, command.latency,
+        self.complete(command.committed, command.reason, command.latency,
                       command.epoch)
-
-    def _account(self, committed: bool, reason: Optional[str],
-                 latency: Optional[float], epoch: int) -> None:
-        stats = self.stats
-        stats.in_flight -= 1
-        if committed:
-            stats.committed += 1
-            stats.epoch_committed[epoch] = stats.epoch_committed.get(epoch, 0) + 1
-        else:
-            stats.aborted += 1
-            stats.epoch_aborted[epoch] = stats.epoch_aborted.get(epoch, 0) + 1
-            bucket = abort_bucket(reason)
-            stats.abort_reasons[bucket] = stats.abort_reasons.get(bucket, 0) + 1
-        if latency is not None:
-            stats.latency_sum += latency
-            stats.latency_count += 1
 
 
 # --------------------------------------------------------------------------
 # The distributed coordinator.
 # --------------------------------------------------------------------------
-
-@dataclass
-class _Parked:
-    """A PrepareTx parked in this partition's admission mirror, waiting."""
-
-    tx_id: str
-    prepare_tx: Transaction
-    home: int
-    attempt: int
-    keys_outstanding: Set[str]
-
 
 class HomeCoordinator:
     """Both coordination roles of one shard partition.
@@ -436,9 +369,13 @@ class HomeCoordinator:
     depend only on this partition's own history.
 
     **Participant role** — this shard's half of other homes' transactions:
-    local lock admission (the legacy ``_LockAdmission`` mirror, un-namespaced
-    because it only ever sees this shard's keys), prepare execution and
-    voting, decision execution and acking.
+    lock admission, prepare execution and voting, decision execution and
+    acking.  Under the queueing policies it hosts a
+    :class:`~repro.txn.locks.LockAdmissionTable` for its own shard's
+    prepares (one slot per transaction, plain keys): an admitted prepare is
+    launched after the ``relay_delay`` grant hop unless a decision arrived
+    meanwhile; a refused one, and every wound, is a ``vote`` command to the
+    transaction's home.
 
     The ``partition`` object supplies the rest of the surface: ``runtime``,
     ``config``, ``shard_id``, ``cluster``, ``adversary``, ``current_epoch``,
@@ -467,18 +404,27 @@ class HomeCoordinator:
         self.driver = TwoPhaseCommitDriver(
             self, self.runtime, self.splitter, self.shard_of, fault=self.fault,
             redrive_decisions=partition.adversary is not None)
-        # Participant-side admission mirror (queueing policies only).
-        self.manager: Optional[LockManager] = (
-            LockManager(StateStore(), policy=self.config.conflict_policy,
-                        on_grant=self._on_lock_grant,
-                        detect_deadlocks=self.config.deadlock_detection)
+        #: This shard's lock-admission table (queueing policies only).
+        self.admission: Optional[LockAdmissionTable] = (
+            LockAdmissionTable(self.runtime, self.config.conflict_policy,
+                               self.config.wait_timeout,
+                               on_admitted=self._on_admitted,
+                               on_refused=self._on_refused,
+                               on_wound=self._wound)
             if self.config.conflict_policy != "abort" else None)
         self._tx_home: Dict[str, int] = {}
-        self._tx_keys: Dict[str, Tuple[str, ...]] = {}
-        self._parked: Dict[str, _Parked] = {}
-        self.wounded_transactions = 0
-        self.deadlocks_detected = 0
-        self.wait_timeouts = 0
+
+    @property
+    def wounded_transactions(self) -> int:
+        return self.admission.wounded_transactions if self.admission else 0
+
+    @property
+    def deadlocks_detected(self) -> int:
+        return self.admission.deadlocks_detected if self.admission else 0
+
+    @property
+    def wait_timeouts(self) -> int:
+        return self.admission.wait_timeouts if self.admission else 0
 
     # ----------------------------------------------------------------- routing
     def shard_of(self, key: str) -> int:
@@ -573,100 +519,57 @@ class HomeCoordinator:
 
     # --------------------------------------------------------- participant role
     def handle_prepare(self, command: Command) -> None:
-        """A home's PrepareTx arrived: admit it against the local lock mirror."""
+        """A home's PrepareTx arrived: admit it against this shard's lock table."""
         tx_id = command.tx_id
-        prepare_tx = command.txs[0]
         self._tx_home[tx_id] = command.home
-        if self.manager is None:
-            # First-conflict-aborts policy: the on-chain lock check is the
-            # admission, exactly as in the legacy engine.
-            self._launch_prepare(prepare_tx, tx_id, command.home, command.attempt)
-            return
-        if tx_id in self._parked:
-            return  # still waiting for locks; the original will vote
-        if tx_id in self._tx_keys:
-            # Re-driven prepare for an already-admitted transaction (its vote
-            # went missing): lock re-acquisition is re-entrant, so simply
-            # re-execute through a rotated member and re-vote.
-            self._launch_prepare(prepare_tx, tx_id, command.home, command.attempt)
-            return
-        keys = tuple(prepare_tx.keys)
-        self._tx_keys[tx_id] = keys
-        now = self.runtime.now
-        outstanding: Set[str] = set()
-        wounded: List[str] = []
-        try:
-            for key in keys:
-                result = self.manager.acquire(key, tx_id, now=now,
-                                              timestamp=tuple(command.priority))
-                wounded.extend(result.wounded)
-                if not result.granted:
-                    outstanding.add(key)
-        except DeadlockDetected:
-            self.deadlocks_detected += 1
-            self.manager.cancel_wait(tx_id)
-            self._wound_victims(wounded)
+        # Without a table (first-conflict-aborts policy) the on-chain lock
+        # check is the admission, exactly as in the single-loop engine.
+        status = "granted"
+        if self.admission is not None:
+            # "waiting" also answers a re-driven prepare that is still
+            # parked (the original will vote); one that was admitted before
+            # (its vote went missing) re-acquires re-entrantly, so it is
+            # re-executed through a rotated member and re-votes.
+            status = self.admission.admit(
+                tx_id, self.shard_id, command.txs[0].keys,
+                tuple(command.priority), command)
+        if status == "granted":
+            self._launch_prepare(command)
+        elif status == "deadlock":
             # Partial grants stay held until the abort decision executes.
-            self._send_vote(tx_id, command.home, False,
-                            "deadlock detected in the waits-for graph")
-            return
-        self._wound_victims(wounded)
-        if not outstanding:
-            self._launch_prepare(prepare_tx, tx_id, command.home, command.attempt)
-            return
-        self._parked[tx_id] = _Parked(tx_id=tx_id, prepare_tx=prepare_tx,
-                                      home=command.home, attempt=command.attempt,
-                                      keys_outstanding=outstanding)
-        self.runtime.schedule(self.config.wait_timeout, self._check_wait_timeout, tx_id)
+            self._send_vote(tx_id, command.home, False, DEADLOCK_REASON)
 
-    def _launch_prepare(self, prepare_tx: Transaction, tx_id: str, home: int,
-                        attempt: int) -> None:
+    def _launch_prepare(self, command: Command) -> None:
         def on_receipt(receipt: Any) -> None:
             ok = receipt.status is TxStatus.COMMITTED
-            self._send_vote(tx_id, home, ok, receipt.error)
+            self._send_vote(command.tx_id, command.home, ok, receipt.error)
 
+        prepare_tx = command.txs[0]
         self.partition.watch(prepare_tx.tx_id, on_receipt)
-        self.partition.cluster.submit([prepare_tx], attempt=attempt)
+        self.partition.cluster.submit([prepare_tx], attempt=command.attempt)
 
-    def _on_lock_grant(self, tx_id: str, key: str) -> None:
-        parked = self._parked.get(tx_id)
-        if parked is None:
-            return
-        parked.keys_outstanding.discard(key)
-        if not parked.keys_outstanding:
-            # The grant notification pays the relay hop (mirroring the legacy
-            # dispatch relay); the launch re-checks _parked so a decision
-            # arriving in between cancels it.
-            self.runtime.schedule(self.config.relay_delay, self._launch_parked, tx_id)
+    def _on_admitted(self, tx_id: str, shard_id: int) -> None:
+        # The grant notification pays the relay hop (like the single-loop
+        # engine's dispatch relay); the slot stays parked until the launch
+        # claims it, so a decision arriving in between cancels it.
+        self.runtime.schedule(self.config.relay_delay, self._launch_admitted, tx_id)
 
-    def _launch_parked(self, tx_id: str) -> None:
-        parked = self._parked.pop(tx_id, None)
-        if parked is None:
-            return  # decided (or timed out) while the grant was in flight
-        self._launch_prepare(parked.prepare_tx, tx_id, parked.home, parked.attempt)
+    def _launch_admitted(self, tx_id: str) -> None:
+        command = self.admission.claim(tx_id, self.shard_id)
+        if command is not None:  # else decided while the grant was in flight
+            self._launch_prepare(command)
 
-    def _check_wait_timeout(self, tx_id: str) -> None:
-        parked = self._parked.get(tx_id)
-        if parked is None or not parked.keys_outstanding:
-            return  # admitted (or a launch is already scheduled)
-        del self._parked[tx_id]
-        self.wait_timeouts += 1
-        for key in parked.keys_outstanding:
-            self.manager.cancel_wait(tx_id, key)
-        self._send_vote(tx_id, parked.home, False,
-                        f"lock wait timed out after {self.config.wait_timeout}s")
-
-    def _wound_victims(self, wounded: List[str]) -> None:
-        for victim in wounded:
-            self.wounded_transactions += 1
-            self._wound(victim)
+    def _on_refused(self, tx_id: str, shard_id: int, command: Command,
+                    reason: str) -> None:
+        self._send_vote(tx_id, command.home, False, reason)
 
     def _wound(self, victim_tx_id: str) -> None:
         """Wound-wait: abort the younger holder through its home's vote path.
 
         The wounding shard votes NotOK itself; if it already voted OK the
         home records an equivocation and aborts the undecided transaction —
-        same terminal state as the legacy unvoted-shard preference.
+        same terminal state as the single-loop engine's unvoted-shard
+        preference.
         """
         home = self._tx_home.get(victim_tx_id)
         if home is None:
@@ -685,22 +588,15 @@ class HomeCoordinator:
         tx_id = command.tx_id
         decision_tx = command.txs[0]
         home = command.home
-        parked = self._parked.pop(tx_id, None)
-        if parked is not None and self.manager is not None:
-            self.manager.cancel_wait(tx_id)
+        if self.admission is not None:
+            self.admission.cancel(tx_id, self.shard_id)
 
         def on_receipt(receipt: Any) -> None:
-            if self.manager is not None:
-                self.manager.finish(tx_id)
-            self._tx_keys.pop(tx_id, None)
+            if self.admission is not None:
+                self.admission.finish(tx_id)
             self._tx_home.pop(tx_id, None)
             self._route(due=self.runtime.now + self.config.relay_delay, dest=home,
                         op="ack", tx_id=tx_id, origin=self.shard_id)
 
         self.partition.watch(decision_tx.tx_id, on_receipt)
         self.partition.cluster.submit([decision_tx], attempt=command.attempt)
-
-    # ------------------------------------------------------------------- stats
-    @property
-    def stats(self):
-        return self.coordinator.stats

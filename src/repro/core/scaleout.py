@@ -107,11 +107,12 @@ from repro.core.homecoord import (
     group_by_dest,
     home_shard,
     inbound_sort_key,
+    partition_stream_seed,
     partition_tx_counter,
 )
-from repro.core.system import REFERENCE_SHARD_ID, ShardedBlockchain, ShardedRunResult
+from repro.core.splitters import REFERENCE_SHARD_ID, build_committee
+from repro.core.system import ShardedBlockchain
 from repro.errors import ConfigurationError, SimulationError
-from repro.ledger.chaincode import ChaincodeRegistry
 from repro.ledger.transaction import Transaction, swap_tx_counter
 from repro.sharding.assignment import assign_committees
 from repro.runtime.base import as_runtime
@@ -125,9 +126,6 @@ from repro.txn.coordinator import (
     DistributedTxPhase,
     DistributedTxRecord,
 )
-from repro.txn.reference_committee import ReferenceCommitteeChaincode
-from repro.workloads.kvstore import KVStoreWorkload
-from repro.workloads.smallbank import SmallbankWorkload
 
 
 def build_system(config: ShardedSystemConfig) -> ShardedBlockchain:
@@ -140,11 +138,6 @@ def build_system(config: ShardedSystemConfig) -> ShardedBlockchain:
     if config.workers is None:
         return ShardedBlockchain(config)
     return ScaleOutShardedBlockchain(config)
-
-
-def _partition_seed(seed: int, shard_id: int) -> int:
-    """Seed of a shard partition's own simulator (distinct per shard)."""
-    return seed * 1_000_003 + 7_919 * shard_id + 17
 
 
 @dataclass
@@ -173,7 +166,7 @@ class ShardPartition:
         self.config = config
         self.shard_id = shard_id
         self.is_reference = shard_id == REFERENCE_SHARD_ID
-        self.sim = Simulator(seed=_partition_seed(config.seed, shard_id))
+        self.sim = Simulator(seed=partition_stream_seed(config.seed, shard_id))
         #: What the in-partition protocol code (home coordinator, drivers)
         #: schedules through; ``sim`` stays the harness handle that drains it.
         self.runtime = as_runtime(self.sim)
@@ -188,23 +181,8 @@ class ShardPartition:
         self.adversary: Optional[AdversaryState] = (
             AdversaryState.place(config, assignment)
             if config.adversary is not None else None)
-        byzantine = None
-        if self.adversary is not None:
-            byzantine = (self.adversary.reference_strategy if self.is_reference
-                         else self.adversary.strategy_for(shard_id))
-        self.cluster = ConsensusCluster(
-            protocol=config.protocol,
-            n=config.committee_size,
-            config_overrides=dict(config.consensus_overrides),
-            registry_factory=self._registry_factory,
-            regions=config.regions,
-            byzantine=byzantine,
-            seed=config.seed + shard_id,
-            shard_id=shard_id,
-            sim=self.sim,
-            network=self.network,
-            max_series_samples=config.max_series_samples,
-        )
+        self.cluster = build_committee(config, shard_id, self.runtime,
+                                       self.network, self.adversary)
         self._outbox: List[Any] = []
         self._routed: List[Command] = []
         self._outseq = itertools.count()
@@ -214,7 +192,6 @@ class ShardPartition:
             self.home: Optional[HomeCoordinator] = None
             self._reply_to: Dict[str, int] = {}
         else:
-            self._populate()
             self.home = HomeCoordinator(self)
             self.drivers: Dict[int, PartitionDriver] = {}
             self._remote_inflight: Dict[str, PartitionDriver] = {}
@@ -222,41 +199,11 @@ class ShardPartition:
                     and self.adversary.config.tee_rollback_shard == shard_id):
                 self.adversary.arm_cluster(self.sim, self.cluster)
 
-    # ------------------------------------------------------------ construction
-    def _registry_factory(self) -> ChaincodeRegistry:
-        registry = ChaincodeRegistry()
-        if self.is_reference:
-            registry.register(ReferenceCommitteeChaincode())
-        elif self.config.benchmark == "smallbank":
-            registry.register(
-                SmallbankWorkload(num_accounts=self.config.num_keys).chaincode)
-        else:
-            registry.register(
-                KVStoreWorkload(num_keys=self.config.num_keys).chaincode)
-        return registry
-
-    def _populate(self) -> None:
-        """Load this shard's slice of the initial key space."""
-        from repro.workloads.generator import shard_of_key
-        from repro.workloads.smallbank import initial_balances
-
-        if self.config.benchmark == "smallbank":
-            items = list(initial_balances(self.config.num_keys).items())
-        else:
-            workload = KVStoreWorkload(num_keys=self.config.num_keys)
-            items = [(workload.key_name(i), "0" * 8)
-                     for i in range(min(self.config.num_keys, 5000))]
-        for key, value in items:
-            if shard_of_key(key, self.config.num_shards) != self.shard_id:
-                continue
-            for replica in self.cluster.replicas:
-                replica.state.put(key, value)
-
     def add_driver(self, index: int, spec: Dict[str, Any]) -> None:
         """Attach (and start) this partition's split of driver ``index``."""
         driver = PartitionDriver(self, index, spec)
         self.drivers[index] = driver
-        driver.start()
+        self.runtime.schedule(0.0, driver.tick)
 
     # ------------------------------------------- surface used by HomeCoordinator
     def route(self, command: Command) -> None:
@@ -440,7 +387,9 @@ class ShardPartition:
 # --------------------------------------------------------------------------
 
 class _PartitionGroup:
-    """A fixed set of partitions drained together (one per worker process).
+    """A fixed set of partitions drained together, serially in shard order:
+    all of them in this process (``workers=1``, where the group is the
+    executor itself) or one group per worker process.
 
     Commands routed between two partitions of the same group are *held*
     locally instead of travelling through the parent — but they are still
@@ -509,38 +458,8 @@ class _PartitionGroup:
         return (sum(p.sim.pending_events for p in self.partitions.values())
                 + len(self._held))
 
-
-class _InlineExecutor:
-    """All partitions in this process, drained serially in shard order."""
-
-    def __init__(self, config: ShardedSystemConfig, shard_ids: List[int],
-                 driver_specs: List[Dict[str, Any]]) -> None:
-        self.group = _PartitionGroup(config, shard_ids, driver_specs)
-
-    @property
-    def partitions(self) -> Dict[int, ShardPartition]:
-        return self.group.partitions
-
-    def run_window(self, block: WindowBlock) -> WindowResult:
-        return self.group.run_window(block)
-
-    def add_driver(self, index: int, spec: Dict[str, Any]) -> None:
-        self.group.add_driver(index, spec)
-
-    def summaries(self) -> Dict[int, Dict[str, int]]:
-        return self.group.summaries()
-
-    def coordination_stats(self) -> Dict[int, CoordinatorStats]:
-        return self.group.coordination_stats()
-
-    def driver_stats(self) -> Dict[int, Dict[int, Any]]:
-        return self.group.driver_stats()
-
-    def pending_events(self) -> int:
-        return self.group.pending_events()
-
     def close(self) -> None:
-        pass
+        """Nothing to release: the partitions live in this process."""
 
 
 def _worker_main(conn: Any, config: ShardedSystemConfig, shard_ids: List[int],
@@ -766,7 +685,7 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
             if self.config.use_reference_committee:
                 shard_ids.append(REFERENCE_SHARD_ID)
             if self.config.workers <= 1:
-                self._executor = _InlineExecutor(spec, shard_ids,
+                self._executor = _PartitionGroup(spec, shard_ids,
                                                  self._driver_specs)
             else:
                 self._executor = _ProcessExecutor(spec, shard_ids,
@@ -790,9 +709,6 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
 
     def _maybe_build_reference(self):
         return None  # the reference committee is partition REFERENCE_SHARD_ID
-
-    def _populate_states(self) -> None:
-        pass  # each partition loads its own slice of the key space
 
     def _attach_observers(self) -> None:
         pass  # receipts are watched inside the partitions
@@ -958,44 +874,14 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
         merged = CoordinatorStats()
         per_partition = self.executor.coordination_stats()
         for shard_id in sorted(per_partition):
-            stats = per_partition[shard_id]
-            merged.started += stats.started
-            merged.committed += stats.committed
-            merged.aborted += stats.aborted
-            merged.cross_shard += stats.cross_shard
-            merged.latency_sum += stats.latency_sum
-            merged.latency_count += stats.latency_count
-            merged.latencies.extend(stats.latencies)
-            merged.duplicate_votes += stats.duplicate_votes
-            merged.duplicate_acks += stats.duplicate_acks
-            merged.equivocations += stats.equivocations
-            merged.stale_messages += stats.stale_messages
-            merged.coordinator_crashes += stats.coordinator_crashes
-            merged.redriven_transactions += stats.redriven_transactions
+            for field in dataclasses.fields(CoordinatorStats):  # counters, sums, lists
+                setattr(merged, field.name, getattr(merged, field.name)
+                        + getattr(per_partition[shard_id], field.name))
         return merged
 
-    def result(self, duration: float) -> ShardedRunResult:
-        stats = self.coordination_stats()
-        summaries = self.executor.summaries()
-        per_shard = {shard_id: summaries[shard_id]["committed"]
-                     for shard_id in sorted(summaries)
-                     if shard_id != REFERENCE_SHARD_ID}
-        reference = summaries.get(REFERENCE_SHARD_ID)
-        return ShardedRunResult(
-            duration=duration,
-            committed_transactions=stats.committed,
-            aborted_transactions=stats.aborted,
-            throughput_tps=stats.committed / duration if duration > 0 else 0.0,
-            abort_rate=stats.abort_rate,
-            mean_latency=stats.mean_latency,
-            cross_shard_fraction=(stats.cross_shard / stats.started
-                                  if stats.started else 0.0),
-            per_shard_committed=per_shard,
-            reference_committee_transactions=(reference["committed"]
-                                              if reference is not None else 0),
-            current_epoch=self.epochs.current_epoch,
-            reconfigurations_completed=self.reconfigurations_completed,
-        )
+    def _reference_committed(self) -> int:
+        reference = self.executor.summaries().get(REFERENCE_SHARD_ID)
+        return reference["committed"] if reference is not None else 0
 
     def shard_summaries(self) -> Dict[int, Dict[str, int]]:
         return {shard_id: summary

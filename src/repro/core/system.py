@@ -26,11 +26,10 @@ The coordination layer is policy- and fault-pluggable:
   lock acquisitions are scheduled.  ``"abort"`` (the default) reproduces the
   seed behaviour bit-for-bit: prepares are sent immediately and a conflicting
   prepare fails at the shard, aborting the transaction.  ``"wait"`` and
-  ``"wound-wait"`` route prepares through a coordinator-side admission mirror
-  of the shards' lock tables (:class:`repro.txn.locks.LockManager`), so
-  conflicting prepares queue (FIFO + timeout + deadlock detection) or are
-  scheduled by transaction age (wound-wait) instead of aborting on first
-  conflict.
+  ``"wound-wait"`` route prepares through the lock-admission table
+  (:class:`repro.txn.locks.LockAdmissionTable`), so conflicting prepares
+  queue (FIFO + timeout + deadlock detection) or are scheduled by
+  transaction age (wound-wait) instead of aborting on first conflict.
 * ``ShardedSystemConfig.fault_scenario`` attaches a
   :class:`repro.txn.faults.FaultScenario` that is consulted at each protocol
   step (prepare relay, vote relay, decision, ack) to inject shard stalls,
@@ -69,41 +68,17 @@ reconfiguration) none of this schedules events or draws randomness: the
 no-epoch run is event-for-event identical to the seed implementation, which
 ``tests/test_epoch_lifecycle.py`` verifies differentially.
 
-Scale-out and the barrier-exchange model
-----------------------------------------
+Scale-out
+---------
 ``ShardedSystemConfig.workers`` switches the deployment to the partitioned
-engine in :mod:`repro.core.scaleout` (build via
-:func:`repro.core.build_system`).  The model is conservative synchronous
-parallel discrete-event simulation:
-
-* Every shard committee becomes a :class:`~repro.core.scaleout.ShardPartition`
-  — its own :class:`Simulator`, :class:`Network` and RNG streams — while the
-  coordination layer (2PC coordinator, reference committee, admission, fault
-  injection, epoch control) stays on the parent simulation.
-* The only parent->shard traffic is a handful of call sites that all pay at
-  least ``relay_delay`` before the shard acts (``relay``,
-  ``submit_reference``, and the epoch/adversary control operations); the only
-  shard->parent traffic is commit receipts and migration reports, which
-  carry their exact occurrence times.  ``relay_delay`` is therefore a
-  *lookahead*: during any window of length ``barrier_interval <=
-  relay_delay``, no side can affect the other's present.
-* Execution alternates in windows ``(T, T + barrier]``: partitions drain
-  their windows first (buffered commands injected at their exact due
-  times), their outputs are injected into the parent at their exact
-  occurrence times in a fixed (time, shard, sequence) order, then the
-  parent drains its window and the commands it emitted are shipped at the
-  next barrier.
-
-Because commands and receipts carry exact times — never barrier-aligned
-ones — the fingerprint is invariant under the barrier length and under the
-worker count: ``workers=1`` (all partitions drained inline, the
-seed-faithful scale-out path) and ``workers=N`` (partitions spread over N
-processes) produce bit-identical commit/abort/view-change outcomes, which
-``tests/test_scaleout_differential.py`` verifies across the fault, epoch
-and adversary matrix.  The legacy ``workers=None`` engine shares one global
-simulation (and one network jitter RNG) across all clusters, so its event
-interleaving — and thus its fingerprints — are its own; committed baselines
-pin that path, and it stays bit-identical to the seed.
+engine (build via :func:`repro.core.build_system`; the model is described in
+:mod:`repro.core.scaleout`).  It assembles the same parts — the committee
+factory of :mod:`repro.core.splitters`, the 2PC driver, the lock-admission
+table and the arrival loop — per partition instead of once.  This engine
+(``workers=None``) shares one global simulation, and one network jitter RNG,
+across all clusters, so its event interleaving — and thus its fingerprints —
+are its own; committed baselines pin that path, and it stays bit-identical to
+the seed.
 """
 
 from __future__ import annotations
@@ -111,17 +86,20 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.consensus.base import CommitEvent
 from repro.consensus.cluster import ConsensusCluster
 from repro.core.adversary import AdversaryState
 from repro.core.config import ShardedSystemConfig
-from repro.core.splitters import shards_for, splitter_for
+from repro.core.splitters import (
+    REFERENCE_SHARD_ID,
+    build_committee,
+    shards_for,
+    splitter_for,
+)
 from repro.errors import ConfigurationError
-from repro.ledger.chaincode import ChaincodeRegistry
 from repro.ledger.index import LedgerIndex
-from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.sharding.assignment import assign_committees
 from repro.sharding.beacon_protocol import derive_epoch_randomness
@@ -145,14 +123,8 @@ from repro.txn.coordinator import (
     TwoPhaseCommitCoordinator,
     TwoPhaseCommitDriver,
 )
-from repro.txn.locks import DeadlockDetected, LockManager
-from repro.txn.reference_committee import ReferenceCommitteeChaincode
+from repro.txn.locks import LockAdmissionTable
 from repro.workloads.generator import shard_of_key
-from repro.workloads.kvstore import KVStoreWorkload
-from repro.workloads.smallbank import SmallbankWorkload
-
-#: Shard id used for the reference committee's cluster.
-REFERENCE_SHARD_ID = 900
 
 
 @dataclass
@@ -206,158 +178,64 @@ class _ActiveTransition:
     new_map: Dict[int, int]
 
 
-@dataclass
-class _PendingPrepare:
-    """A PrepareTx parked in the admission layer waiting for its locks."""
+class _LockAdmission(LockAdmissionTable):
+    """The lock-admission table as the single-loop engine hosts it.
 
-    record: DistributedTxRecord
-    shard_id: int
-    prepare_tx: Transaction
-    keys_outstanding: Set[str]
-    extra_delay: float = 0.0
-
-
-class _LockAdmission:
-    """Coordinator-side admission mirror of the shards' lock tables.
-
-    Under the ``wait`` / ``wound-wait`` policies, a cross-shard PrepareTx is
-    only relayed to its shard once the admission :class:`LockManager` grants
-    all the locks the prepare will take there.  The mirror uses namespaced
-    keys (``s<shard>/<key>``) in one shared manager so waits-for cycles that
-    span shards are visible to the deadlock detector.  Locks are released as
-    each shard acknowledges the transaction's commit/abort decision (the
-    moment the on-chain locks are gone).
+    One table fronts all shards, as the 2PC driver's ``admission`` hook: a
+    shard's PrepareTx has its keys namespaced (``s<shard>/<key>``), so
+    waits-for cycles that span shards are visible to the one deadlock
+    detector.  An admitted prepare is relayed at once; a refused or wounded
+    one becomes a NotOK vote at the driver.  Locks are released as each
+    shard acknowledges the transaction's commit/abort decision (the moment
+    the on-chain locks are gone).
     """
 
     def __init__(self, system: "ShardedBlockchain") -> None:
+        super().__init__(system.runtime, system.config.conflict_policy,
+                         system.config.wait_timeout, on_admitted=self._dispatch,
+                         on_refused=self._refuse, on_wound=self._wound_victim)
         self.system = system
-        self.manager = LockManager(StateStore(),
-                                   policy=system.config.conflict_policy,
-                                   on_grant=self._on_grant,
-                                   detect_deadlocks=system.config.deadlock_detection)
-        self._pending: Dict[Tuple[str, int], _PendingPrepare] = {}
-        self._keys: Dict[str, Dict[int, List[str]]] = {}   # tx -> shard -> ns keys
-        self.wounded_transactions = 0
-        self.deadlocks_detected = 0
-        self.wait_timeouts = 0
 
-    @staticmethod
-    def _nskey(shard_id: int, key: str) -> str:
-        return f"s{shard_id}/{key}"
-
-    @staticmethod
-    def _priority(record: DistributedTxRecord) -> Tuple[float, int]:
-        """Wound-wait age priority: submission time, begin order as tie-break.
-
-        Using *submission* age (rather than admission-request order) is what
-        makes wound-wait meaningful here: the coordination layer can reorder
-        transactions across consensus blocks, so an older transaction can
-        find its key held by a younger one — and wounds it.
-        """
-        return (record.started_at, record.begin_seq)
-
-    # ----------------------------------------------------------------- request
     def request(self, record: DistributedTxRecord, shard_id: int,
                 prepare_tx: Transaction, extra_delay: float = 0.0) -> str:
         """Try to admit a shard's PrepareTx: "granted", "waiting" or "deadlock".
 
-        When waiting, the prepare is parked and dispatched by the grant
-        callback once the last lock is handed over; a timeout abort is
-        scheduled under the configured ``wait_timeout``.
+        The wound-wait age is the *submission* time (begin order as
+        tie-break), not the admission-request order: the coordination layer
+        can reorder transactions across consensus blocks, so an older
+        transaction can find its key held by a younger one — and wounds it.
         """
-        tx_id = record.tx_id
-        pending_key = (tx_id, shard_id)
-        if pending_key in self._pending:
-            return "waiting"
-        ns_keys = [self._nskey(shard_id, key) for key in prepare_tx.keys]
-        self._keys.setdefault(tx_id, {})[shard_id] = ns_keys
-        now = self.system.runtime.now
-        priority = self._priority(record)
-        outstanding: Set[str] = set()
-        wounded: List[str] = []
-        try:
-            for key in ns_keys:
-                result = self.manager.acquire(key, tx_id, now=now,
-                                              timestamp=priority)
-                wounded.extend(result.wounded)
-                if not result.granted:
-                    outstanding.add(key)
-        except DeadlockDetected:
-            self.deadlocks_detected += 1
-            self.manager.cancel_wait(tx_id)
-            self._wound_victims(wounded)
-            return "deadlock"
-        self._wound_victims(wounded)
-        if not outstanding:
-            return "granted"
-        self._pending[pending_key] = _PendingPrepare(
-            record=record, shard_id=shard_id, prepare_tx=prepare_tx,
-            keys_outstanding=outstanding, extra_delay=extra_delay,
-        )
-        self.system.runtime.schedule(self.system.config.wait_timeout,
-                                 self._check_timeout, tx_id, shard_id)
-        return "waiting"
+        return self.admit(record.tx_id, shard_id,
+                          [f"s{shard_id}/{key}" for key in prepare_tx.keys],
+                          (record.started_at, record.begin_seq),
+                          (record, prepare_tx, extra_delay))
 
-    def _wound_victims(self, wounded: List[str]) -> None:
-        """Wound-wait: an older transaction aborts the younger lock holders."""
-        for victim in wounded:
-            self.wounded_transactions += 1
-            record = self.system.coordinator.records.get(victim)
-            if record is None or record.outcome is not DistributedTxOutcome.PENDING:
-                continue
-            # Abort through the normal vote path.  Prefer a participant shard
-            # that has not voted yet (an undecided record always has one) so
-            # the wound is a first vote, not a conflicting revote; the shard's
-            # own later OK vote is then rejected as stale.
-            shard_id = next((shard for shard in record.shards
-                             if shard not in record.prepare_votes),
-                            record.shards[0])
-            self.system.driver.prepare_outcome(
-                record, shard_id, False, "wounded by an older transaction")
+    def _dispatch(self, tx_id: str, shard_id: int) -> None:
+        record, prepare_tx, extra_delay = self.claim(tx_id, shard_id)
+        if record.outcome is DistributedTxOutcome.PENDING:
+            # Not decided (wounded, timed out elsewhere) meanwhile: the
+            # parked PrepareTx got its last lock, relay it now.
+            self.system.relay("prepare", record, [(shard_id, prepare_tx)],
+                              extra_delay, record.redrives)
 
-    def _on_grant(self, tx_id: str, key: str) -> None:
-        for pending_key, pending in list(self._pending.items()):
-            if pending_key[0] != tx_id:
-                continue
-            pending.keys_outstanding.discard(key)
-            if not pending.keys_outstanding:
-                del self._pending[pending_key]
-                record = pending.record
-                if record.outcome is DistributedTxOutcome.PENDING:
-                    # Not decided (wounded, timed out elsewhere) meanwhile:
-                    # the parked PrepareTx got its last lock, relay it now.
-                    self.system.relay(
-                        "prepare", record, [(pending.shard_id, pending.prepare_tx)],
-                        pending.extra_delay, record.redrives)
+    def _refuse(self, tx_id: str, shard_id: int, payload: Tuple,
+                reason: str) -> None:
+        self.system.driver.prepare_outcome(payload[0], shard_id, False, reason)
 
-    def _check_timeout(self, tx_id: str, shard_id: int) -> None:
-        pending = self._pending.pop((tx_id, shard_id), None)
-        if pending is None:
+    def _wound_victim(self, victim: str) -> None:
+        """Wound-wait: an older transaction aborts the younger lock holder."""
+        record = self.system.coordinator.records.get(victim)
+        if record is None or record.outcome is not DistributedTxOutcome.PENDING:
             return
-        self.wait_timeouts += 1
-        for key in pending.keys_outstanding:
-            self.manager.cancel_wait(tx_id, key)
+        # Abort through the normal vote path.  Prefer a participant shard
+        # that has not voted yet (an undecided record always has one) so
+        # the wound is a first vote, not a conflicting revote; the shard's
+        # own later OK vote is then rejected as stale.
+        shard_id = next((shard for shard in record.shards
+                         if shard not in record.prepare_votes),
+                        record.shards[0])
         self.system.driver.prepare_outcome(
-            pending.record, shard_id, False,
-            f"lock wait timed out after {self.system.config.wait_timeout}s")
-
-    def waiting_shards(self, tx_id: str) -> Set[int]:
-        """Shards whose PrepareTx for ``tx_id`` is still parked here."""
-        return {pending_key[1] for pending_key in self._pending
-                if pending_key[0] == tx_id}
-
-    # ----------------------------------------------------------------- release
-    def release_shard(self, tx_id: str, shard_id: int) -> None:
-        """The shard executed the decision: hand its locks to the next waiters."""
-        for key in self._keys.get(tx_id, {}).get(shard_id, ()):
-            self.manager.release(key, tx_id)
-
-    def finish(self, tx_id: str) -> None:
-        """The transaction is done everywhere: drop every trace of it."""
-        for pending_key in [pk for pk in self._pending if pk[0] == tx_id]:
-            del self._pending[pending_key]
-        self.manager.finish(tx_id)
-        self._keys.pop(tx_id, None)
+            record, shard_id, False, "wounded by an older transaction")
 
 
 class ShardedBlockchain:
@@ -410,7 +288,6 @@ class ShardedBlockchain:
             fault=self._bind_fault_scenario(), admission=self.admission,
             redrive_decisions=self.adversary is not None)
         self._arm_adversary()
-        self._populate_states()
         self._attach_observers()
 
         #: The live epoch schedule; epoch 0 is the construction assignment.
@@ -453,10 +330,10 @@ class ShardedBlockchain:
         return fault
 
     def _build_admission(self) -> Optional["_LockAdmission"]:
-        """Build the coordinator-side lock-admission mirror (queueing policies).
+        """Host the lock-admission table (queueing policies only).
 
-        The scale-out engine overrides this to return None: admission lives
-        inside each partition's home coordinator instead of on the parent.
+        The scale-out engine overrides this to return None: there every
+        partition's home coordinator hosts its own shard's table.
         """
         if self.config.conflict_policy != "abort":
             return _LockAdmission(self)
@@ -470,7 +347,7 @@ class ShardedBlockchain:
         like any shard partition.
         """
         if self.config.use_reference_committee:
-            return self._build_reference_cluster()
+            return self._build_shard_cluster(REFERENCE_SHARD_ID)
         return None
 
     def _form_committees(self) -> CommitteeAssignment:
@@ -491,78 +368,9 @@ class ShardedBlockchain:
                 mapping[logical] = replica.node_id
         return mapping
 
-    def _benchmark_registry(self) -> ChaincodeRegistry:
-        registry = ChaincodeRegistry()
-        if self.config.benchmark == "smallbank":
-            registry.register(SmallbankWorkload(num_accounts=self.config.num_keys).chaincode)
-        else:
-            registry.register(KVStoreWorkload(num_keys=self.config.num_keys).chaincode)
-        return registry
-
     def _build_shard_cluster(self, shard_id: int) -> ConsensusCluster:
-        return ConsensusCluster(
-            protocol=self.config.protocol,
-            n=self.config.committee_size,
-            config_overrides=dict(self.config.consensus_overrides),
-            registry_factory=self._benchmark_registry,
-            regions=self.config.regions,
-            byzantine=(self.adversary.strategy_for(shard_id)
-                       if self.adversary is not None else None),
-            seed=self.config.seed + shard_id,
-            shard_id=shard_id,
-            sim=self.sim,
-            network=self.network,
-            max_series_samples=self.config.max_series_samples,
-        )
-
-    def _build_reference_cluster(self) -> ConsensusCluster:
-        def registry_factory() -> ChaincodeRegistry:
-            registry = ChaincodeRegistry()
-            registry.register(ReferenceCommitteeChaincode())
-            return registry
-
-        return ConsensusCluster(
-            protocol=self.config.protocol,
-            n=self.config.committee_size,
-            config_overrides=dict(self.config.consensus_overrides),
-            registry_factory=registry_factory,
-            regions=self.config.regions,
-            byzantine=(self.adversary.reference_strategy
-                       if self.adversary is not None else None),
-            seed=self.config.seed + REFERENCE_SHARD_ID,
-            shard_id=REFERENCE_SHARD_ID,
-            sim=self.sim,
-            network=self.network,
-            max_series_samples=self.config.max_series_samples,
-        )
-
-    def _initial_items(self) -> List[Tuple[str, object]]:
-        """The benchmark's initial (key, value) table, before shard routing."""
-        if self.config.benchmark == "smallbank":
-            from repro.workloads.smallbank import initial_balances
-
-            return list(initial_balances(self.config.num_keys).items())
-        workload = KVStoreWorkload(num_keys=self.config.num_keys)
-        return [(workload.key_name(i), "0" * 8)
-                for i in range(min(self.config.num_keys, 5000))]
-
-    def populate_initial_state(self, shard_id: int, state: StateStore) -> None:
-        """Load one shard's slice of the initial table into ``state``.
-
-        The same population every shard replica got at construction — the
-        rebuild oracle uses this to seed its replay engines so re-derived
-        receipts match the live execution exactly.
-        """
-        for key, value in self._initial_items():
-            if self.shard_of_key(key) == shard_id:
-                state.put(key, value)
-
-    def _populate_states(self) -> None:
-        """Load every shard's replicas with the keys that hash to that shard."""
-        for key, value in self._initial_items():
-            shard_id = self.shard_of_key(key)
-            for replica in self.shards[shard_id].replicas:
-                replica.state.put(key, value)
+        return build_committee(self.config, shard_id, self.runtime,
+                               self.network, self.adversary)
 
     def _attach_observers(self) -> None:
         for shard_id, cluster in self.shards.items():
@@ -673,27 +481,27 @@ class ShardedBlockchain:
 
     def result(self, duration: float) -> ShardedRunResult:
         stats = self.coordination_stats()
-        committed = stats.committed
-        aborted = stats.aborted
-        per_shard = {
-            shard_id: cluster.honest_observer().committed_transactions()
-            for shard_id, cluster in self.shards.items()
-        }
-        reference_txs = (self.reference.honest_observer().committed_transactions()
-                         if self.reference is not None else 0)
+        summaries = self.shard_summaries()
         return ShardedRunResult(
             duration=duration,
-            committed_transactions=committed,
-            aborted_transactions=aborted,
-            throughput_tps=committed / duration if duration > 0 else 0.0,
+            committed_transactions=stats.committed,
+            aborted_transactions=stats.aborted,
+            throughput_tps=stats.committed / duration if duration > 0 else 0.0,
             abort_rate=stats.abort_rate,
             mean_latency=stats.mean_latency,
             cross_shard_fraction=(stats.cross_shard / stats.started if stats.started else 0.0),
-            per_shard_committed=per_shard,
-            reference_committee_transactions=reference_txs,
+            per_shard_committed={shard_id: summaries[shard_id]["committed"]
+                                 for shard_id in sorted(summaries)},
+            reference_committee_transactions=self._reference_committed(),
             current_epoch=self.epochs.current_epoch,
             reconfigurations_completed=self.reconfigurations_completed,
         )
+
+    def _reference_committed(self) -> int:
+        """Transactions the reference committee has committed (engine-neutral)."""
+        if self.reference is None:
+            return 0
+        return self.reference.honest_observer().committed_transactions()
 
     def shard_summaries(self) -> Dict[int, Dict[str, int]]:
         """Per-shard observable outcomes (engine-neutral)."""

@@ -26,7 +26,7 @@ _LEN = struct.Struct(">I")
 
 
 class FrameError(Exception):
-    """A malformed or oversized frame."""
+    """A malformed, undecodable or oversized frame."""
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
@@ -44,7 +44,13 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
-    return pickle.loads(body)
+    try:
+        return pickle.loads(body)
+    except Exception as exc:
+        # Unpickling garbage raises whatever the byte stream happens to spell
+        # (UnpicklingError, EOFError, AttributeError, ValueError, ...): to the
+        # reader they are all one thing — a frame that is not a payload.
+        raise FrameError(f"frame body is not a valid pickle: {exc!r}") from exc
 
 
 async def write_frame(writer: asyncio.StreamWriter, payload: Any) -> None:

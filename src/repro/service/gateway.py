@@ -38,7 +38,7 @@ import json
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.splitters import shards_for, splitter_for
+from repro.core.splitters import benchmark_for, shards_for, splitter_for
 from repro.errors import WorkloadError
 from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.runtime.wallclock import AsyncioRuntime
@@ -52,8 +52,6 @@ from repro.txn.coordinator import (
     Cohort, DistributedTxRecord, TwoPhaseCommitCoordinator, TwoPhaseCommitDriver,
 )
 from repro.workloads.generator import shard_of_key
-from repro.workloads.kvstore import KVStoreWorkload
-from repro.workloads.smallbank import SmallbankWorkload
 
 #: How many times a lost prepare or decision is re-driven before the
 #: gateway gives up (aborts the prepare, force-acks the decision).
@@ -113,13 +111,12 @@ class GatewayService:
     """Trusted 2PC coordination over live shards, behind the runtime seam."""
 
     def __init__(self, runtime: AsyncioRuntime, num_shards: int,
-                 benchmark: str = "smallbank", num_keys: int = 10_000,
-                 max_inflight: int = 256, prepare_timeout: float = 5.0,
+                 benchmark: str = "smallbank", max_inflight: int = 256,
+                 prepare_timeout: float = 5.0,
                  listen_host: str = "127.0.0.1") -> None:
         self.runtime = runtime
         self.num_shards = num_shards
         self.benchmark = benchmark
-        self.num_keys = num_keys
         self.max_inflight = max_inflight
         self.prepare_timeout = prepare_timeout
         self.network = SocketNetwork(runtime, listen_host=listen_host)
@@ -128,10 +125,7 @@ class GatewayService:
             use_reference_committee=False, retain_records=True,
             prepare_timeout=prepare_timeout)
         self.splitter = splitter_for(benchmark)
-        if benchmark == "smallbank":
-            self.chaincode = SmallbankWorkload(num_accounts=num_keys).chaincode
-        else:
-            self.chaincode = KVStoreWorkload(num_keys=num_keys).chaincode
+        self.chaincode = benchmark_for(benchmark).chaincode()
         self._agent = _GatewayAgent(self)
         self.network.register(self._agent)
         #: The one 2PC driver; this class is its host.  Completion is the

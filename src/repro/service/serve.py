@@ -71,24 +71,27 @@ class ServiceCluster:
         self.runtime = AsyncioRuntime(loop=loop, seed=self.seed)
         self.service = GatewayService(
             self.runtime, self.num_shards, benchmark=self.benchmark,
-            num_keys=self.num_keys, max_inflight=self.max_inflight,
+            max_inflight=self.max_inflight,
             prepare_timeout=self.prepare_timeout)
         gateway_port = await self.service.start(0)
         self.shard_ports = [_free_port() for _ in range(self.num_shards)]
         ctx = multiprocessing.get_context("spawn")
+        config = {
+            "num_shards": self.num_shards,
+            "committee_size": self.committee_size,
+            "protocol": self.protocol,
+            "seed": self.seed,
+            "benchmark": self.benchmark,
+            "num_keys": self.num_keys,
+            "consensus_overrides": self.consensus_overrides,
+        }
         for shard_id, port in enumerate(self.shard_ports):
             spec = {
                 "shard_id": shard_id,
-                "num_shards": self.num_shards,
-                "committee_size": self.committee_size,
-                "protocol": self.protocol,
-                "seed": self.seed,
-                "benchmark": self.benchmark,
-                "num_keys": self.num_keys,
+                "config": config,
                 "port": port,
                 "gateway_host": "127.0.0.1",
                 "gateway_port": gateway_port,
-                "consensus_overrides": self.consensus_overrides,
             }
             process = ctx.Process(target=run_shard_node, args=(spec,), daemon=True)
             process.start()

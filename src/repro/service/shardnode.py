@@ -20,25 +20,26 @@ frame — the gateway's 2PC coordinator consumes them exactly where the sim's
 
 ``run_shard_node(spec)`` is the picklable ``multiprocessing`` (spawn
 context) entry point; ``spec`` is a plain dict so the parent never has to
-pickle live objects across the fork boundary.
+pickle live objects across the fork boundary.  Its ``"config"`` entry holds
+the :class:`~repro.core.config.ShardedSystemConfig` fields of the
+deployment, from which :func:`repro.core.splitters.build_committee` builds
+the committee — the same definition the simulated engines use.
 """
 
 from __future__ import annotations
 
 import asyncio
 import signal
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.consensus.base import CommitEvent
 from repro.consensus.cluster import ConsensusCluster
-from repro.ledger.chaincode import ChaincodeRegistry
+from repro.core.config import ShardedSystemConfig
+from repro.core.splitters import build_committee
 from repro.ledger.transaction import TransactionReceipt
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.socketnet import SocketNetwork
 from repro.sim.network import Message, REQUEST_CHANNEL
-from repro.workloads.generator import shard_of_key
-from repro.workloads.kvstore import KVStoreWorkload
-from repro.workloads.smallbank import SmallbankWorkload, initial_balances
 
 #: Node id of the gateway's control-plane agent in every SocketNetwork.
 GATEWAY_NODE_ID = 990_000
@@ -58,37 +59,6 @@ KIND_SHUTDOWN = "svc-shutdown"
 def shard_agent_id(shard_id: int) -> int:
     """Node id of shard ``shard_id``'s control-plane agent."""
     return SHARD_AGENT_BASE + shard_id
-
-
-def benchmark_registry(benchmark: str, num_keys: int) -> ChaincodeRegistry:
-    """The same per-committee chaincode registry sim mode builds.
-
-    Mirrors :meth:`ShardedBlockchain._benchmark_registry` — the differential
-    oracle needs byte-identical chaincode behaviour on both sides.
-    """
-    registry = ChaincodeRegistry()
-    if benchmark == "smallbank":
-        registry.register(SmallbankWorkload(num_accounts=num_keys).chaincode)
-    else:
-        registry.register(KVStoreWorkload(num_keys=num_keys).chaincode)
-    return registry
-
-
-def initial_items(benchmark: str, num_keys: int) -> List[Tuple[str, object]]:
-    """The benchmark's initial table (mirrors ``ShardedBlockchain._initial_items``)."""
-    if benchmark == "smallbank":
-        return list(initial_balances(num_keys).items())
-    workload = KVStoreWorkload(num_keys=num_keys)
-    return [(workload.key_name(i), "0" * 8) for i in range(min(num_keys, 5000))]
-
-
-def populate_shard_state(cluster: ConsensusCluster, shard_id: int,
-                         num_shards: int, benchmark: str, num_keys: int) -> None:
-    """Load this shard's slice of the initial table into every replica."""
-    for key, value in initial_items(benchmark, num_keys):
-        if shard_of_key(key, num_shards) == shard_id:
-            for replica in cluster.replicas:
-                replica.state.put(key, value)
 
 
 class ShardAgent:
@@ -161,26 +131,17 @@ async def _shard_main(spec: Dict[str, Any]) -> None:
         loop.add_signal_handler(sig, stop.set)
 
     shard_id = int(spec["shard_id"])
+    config = ShardedSystemConfig(**spec["config"])
     # Seeded exactly like the sim's shard cluster (config.seed + shard_id)
     # so both runtimes fork the same per-label rng streams.
-    runtime = AsyncioRuntime(loop=loop, seed=int(spec["seed"]) + shard_id)
+    runtime = AsyncioRuntime(loop=loop, seed=config.seed + shard_id)
     network = SocketNetwork(runtime, listen_host=spec.get("host", "127.0.0.1"))
     await network.start(int(spec["port"]))
     network.add_peer(GATEWAY_NODE_ID, spec["gateway_host"], int(spec["gateway_port"]))
 
-    benchmark = spec.get("benchmark", "smallbank")
-    num_keys = int(spec.get("num_keys", 10_000))
-    num_shards = int(spec["num_shards"])
-    cluster = ConsensusCluster(
-        protocol=spec.get("protocol", "AHL"),
-        n=int(spec.get("committee_size", 4)),
-        config_overrides=dict(spec.get("consensus_overrides") or {}),
-        registry_factory=lambda: benchmark_registry(benchmark, num_keys),
-        shard_id=shard_id,
-        runtime=runtime,
-        network=network,
-    )
-    populate_shard_state(cluster, shard_id, num_shards, benchmark, num_keys)
+    # The same committee (chaincode, initial slice) sim mode builds — the
+    # differential oracle needs byte-identical behaviour on both sides.
+    cluster = build_committee(config, shard_id, runtime, network)
     agent = ShardAgent(shard_id, cluster, network, stop)
     # Announce readiness: the gateway's wait_ready polls with pings, but an
     # unprompted pong cuts one round-trip from the boot barrier.

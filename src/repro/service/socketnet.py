@@ -207,6 +207,9 @@ class SocketNetwork(Network):
                 message = await read_frame(reader)
                 if message is None:
                     break
+                if not isinstance(message, Message):
+                    raise FrameError(
+                        f"frame payload is a {type(message).__name__}, not a Message")
                 # Re-stamp with this process's counter so remote ids can
                 # never collide with locally-stamped ones.
                 message.msg_id = next(self._msg_counter)

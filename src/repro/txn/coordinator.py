@@ -63,6 +63,7 @@ from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
 from repro.errors import CoordinatorFailureError, TransactionAbortedError
 from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
 from repro.runtime.base import Runtime
+from repro.txn.locks import DEADLOCK_REASON
 from repro.txn.reference_committee import (
     CoordinatorState,
     ReferenceCommitteeChaincode,
@@ -694,9 +695,8 @@ class TwoPhaseCommitDriver:
                 if status == "waiting":
                     continue
                 if status == "deadlock":
-                    self.prepare_outcome(
-                        record, shard_id, False,
-                        "deadlock detected in the waits-for graph")
+                    self.prepare_outcome(record, shard_id, False,
+                                         DEADLOCK_REASON)
                     continue
             cohorts.setdefault(extra_delay, []).append((shard_id, prepare_tx))
         for extra_delay in sorted(cohorts):

@@ -25,9 +25,10 @@ What a conflict *means* is a pluggable :class:`ConflictPolicy`:
   deadlock.
 
 The manager itself never aborts a transaction — it reports wounded victims
-and deadlocks to the caller (a scheduler such as
-:class:`repro.core.system.ShardedBlockchain`'s admission layer), which owns
-the transaction lifecycle.
+and deadlocks to the caller, which owns the transaction lifecycle.  That
+caller is :class:`LockAdmissionTable`: the one admission schedule (request a
+PrepareTx's key set, park it, grant it, expire it) that every engine puts in
+front of its shards under the queueing policies.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.errors import ReproError
 from repro.ledger.state import StateStore
+from repro.runtime.base import Runtime
 
 #: Prefix under which lock tuples are stored in the blockchain state.
 LOCK_PREFIX = "L_"
@@ -408,3 +411,153 @@ class LockManager:
         self._wounded.discard(tx_id)
         self._timestamps.pop(tx_id, None)
         return released
+
+
+#: Why a PrepareTx whose admission found a waits-for cycle votes NotOK.
+DEADLOCK_REASON = "deadlock detected in the waits-for graph"
+
+
+@dataclass
+class _ParkedRequest:
+    """One slot's request waiting for locks: its host payload and missing keys."""
+
+    payload: Any
+    outstanding: Set[str]
+
+
+class LockAdmissionTable:
+    """Admission schedule in front of the shards' on-chain lock tables.
+
+    Under the ``wait`` / ``wound-wait`` policies a PrepareTx only reaches its
+    committee once an admission :class:`LockManager` holds every lock the
+    prepare will take there.  A *slot* is one such request — transaction
+    ``tx_id``'s prepare at shard ``shard_id`` — and :meth:`admit` either
+    grants it at once, parks it until ``on_admitted(tx_id, shard_id)`` fires
+    (the host then takes it with :meth:`claim`), or refuses it: on a
+    waits-for cycle by returning ``"deadlock"`` (partial grants stay held
+    until :meth:`finish`), after ``wait_timeout`` parked through
+    ``on_refused(tx_id, shard_id, payload, reason)``.  Wound-wait victims
+    are reported through ``on_wound(victim_tx_id)``.  The host owns what
+    those outcomes mean (relay, vote, abort); the table owns the schedule
+    and its three counters.
+
+    Hosts: ``ShardedBlockchain`` keeps one table for all shards (keys
+    namespaced per shard, so cycles that span shards are visible) behind the
+    2PC driver's admission hook; every scale-out ``HomeCoordinator`` keeps
+    one for the prepares arriving at its own shard.
+    """
+
+    def __init__(self, runtime: Runtime, policy: ConflictPolicy | str,
+                 wait_timeout: float,
+                 on_admitted: Callable[[str, int], None],
+                 on_refused: Callable[[str, int, Any, str], None],
+                 on_wound: Callable[[str], None]) -> None:
+        self.runtime = runtime
+        self.wait_timeout = wait_timeout
+        self.manager = LockManager(StateStore(), policy=policy,
+                                   on_grant=self._on_grant)
+        self._on_admitted = on_admitted
+        self._on_refused = on_refused
+        self._on_wound = on_wound
+        #: tx -> shard -> keys requested (held or queued) until :meth:`finish`.
+        self._keys: Dict[str, Dict[int, List[str]]] = {}
+        #: tx -> shard -> parked request, in park order: a grant touches only
+        #: its own transaction's slots and dispatches them in that order.
+        self._parked: Dict[str, Dict[int, _ParkedRequest]] = {}
+        self.wounded_transactions = 0
+        self.deadlocks_detected = 0
+        self.wait_timeouts = 0
+
+    def admit(self, tx_id: str, shard_id: int, keys: Sequence[str],
+              priority: Tuple, payload: Any) -> str:
+        """Try to admit a slot: ``"granted"``, ``"waiting"`` or ``"deadlock"``.
+
+        ``priority`` is the wound-wait age (smaller = older).  Re-admitting
+        a parked slot is a no-op (``"waiting"``); otherwise the keys are
+        (re-)acquired re-entrantly.
+        """
+        if shard_id in self._parked.get(tx_id, ()):
+            return "waiting"
+        keys = list(keys)
+        self._keys.setdefault(tx_id, {})[shard_id] = keys
+        now = self.runtime.now
+        outstanding: Set[str] = set()
+        wounded: List[str] = []
+        try:
+            for key in keys:
+                result = self.manager.acquire(key, tx_id, now=now,
+                                              timestamp=priority)
+                wounded.extend(result.wounded)
+                if not result.granted:
+                    outstanding.add(key)
+        except DeadlockDetected:
+            self.deadlocks_detected += 1
+            self.manager.cancel_wait(tx_id)
+            self._wound(wounded)
+            return "deadlock"
+        self._wound(wounded)
+        if not outstanding:
+            return "granted"
+        self._parked.setdefault(tx_id, {})[shard_id] = _ParkedRequest(
+            payload, outstanding)
+        self.runtime.schedule(self.wait_timeout, self._expire, tx_id, shard_id)
+        return "waiting"
+
+    def _wound(self, victims: List[str]) -> None:
+        for victim in victims:
+            self.wounded_transactions += 1
+            self._on_wound(victim)
+
+    def _on_grant(self, tx_id: str, key: str) -> None:
+        for shard_id, parked in list(self._parked.get(tx_id, {}).items()):
+            if key in parked.outstanding:
+                parked.outstanding.discard(key)
+                if not parked.outstanding:
+                    self._on_admitted(tx_id, shard_id)
+
+    def _expire(self, tx_id: str, shard_id: int) -> None:
+        parked = self._parked.get(tx_id, {}).get(shard_id)
+        if parked is None or not parked.outstanding:
+            return  # admitted, claimed or cancelled meanwhile
+        self.cancel(tx_id, shard_id)
+        self.wait_timeouts += 1
+        self._on_refused(tx_id, shard_id, parked.payload,
+                         f"lock wait timed out after {self.wait_timeout}s")
+
+    def waiting_shards(self, tx_id: str) -> List[int]:
+        """Shards whose PrepareTx for ``tx_id`` is parked: waiting for locks,
+        or admitted and not yet claimed."""
+        return list(self._parked.get(tx_id, ()))
+
+    def _unpark(self, tx_id: str, shard_id: int) -> Optional[_ParkedRequest]:
+        slots = self._parked.get(tx_id)
+        if not slots or shard_id not in slots:
+            return None
+        parked = slots.pop(shard_id)
+        if not slots:
+            del self._parked[tx_id]
+        return parked
+
+    def claim(self, tx_id: str, shard_id: int) -> Any:
+        """Take an admitted slot out of the table: its payload, or None when
+        it was cancelled (or the transaction finished) since the grant."""
+        parked = self._unpark(tx_id, shard_id)
+        return parked.payload if parked is not None else None
+
+    def cancel(self, tx_id: str, shard_id: int) -> None:
+        """Unpark a slot, withdrawing the waits it still has queued."""
+        parked = self._unpark(tx_id, shard_id)
+        if parked is not None:
+            for key in parked.outstanding:
+                self.manager.cancel_wait(tx_id, key)
+
+    def release_shard(self, tx_id: str, shard_id: int) -> None:
+        """The shard executed the decision: hand its locks to the next waiters."""
+        for key in self._keys.get(tx_id, {}).get(shard_id, ()):
+            self.manager.release(key, tx_id)
+
+    def finish(self, tx_id: str) -> None:
+        """The transaction is done everywhere: drop every trace of it."""
+        self._parked.pop(tx_id, None)
+        self.manager.finish(tx_id)
+        self._keys.pop(tx_id, None)

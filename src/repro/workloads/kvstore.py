@@ -17,6 +17,11 @@ from repro.ledger.transaction import Transaction
 from repro.workloads.zipf import ZipfGenerator
 
 
+def key_name(index: int) -> str:
+    """State key of the ``index``-th entry of the KVStore key space."""
+    return f"kv_{index}"
+
+
 class KVStoreChaincode(Chaincode):
     """Key-value chaincode: ``put``, ``get``, ``update`` and multi-key ``multi_put``.
 
@@ -148,7 +153,7 @@ class KVStoreWorkload:
         self._zipf = ZipfGenerator(num_keys, zipf_coefficient, rng=self._rng)
 
     def key_name(self, index: int) -> str:
-        return f"kv_{index}"
+        return key_name(index)
 
     def next_transaction(self, client_id: str = "client", now: float = 0.0) -> Transaction:
         """A single transaction updating ``updates_per_transaction`` distinct keys."""

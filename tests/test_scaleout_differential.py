@@ -96,6 +96,12 @@ def _run(workers, overrides, reconfigure, barrier=None, extra_horizon=10.0):
     fingerprint["nodes_moved"] = sum(stats.nodes_moved
                                      for stats in system.epoch_transitions)
     fingerprint["driver"] = (driver.stats.committed, driver.stats.aborted)
+    fingerprint["abort_reasons"] = dict(sorted(driver.stats.abort_reasons.items()))
+    # Participant-side lock admission, per shard: (wounded, deadlocks, wait_timeouts).
+    fingerprint["locks"] = {
+        shard_id: (summary.get("wounded", 0), summary.get("deadlocks", 0),
+                   summary.get("wait_timeouts", 0))
+        for shard_id, summary in sorted(system.shard_summaries().items())}
     system.close()
     return fingerprint
 
@@ -107,6 +113,45 @@ def test_workers_do_not_change_outcomes(name):
     inline = _run(1, factory(), reconfigure)
     processes = _run(2, factory(), reconfigure)
     assert inline == processes, f"scenario {name} diverged across worker counts"
+
+
+def _golden(committed, aborted, per_shard, abort_reasons, locks):
+    return {
+        "committed": committed, "aborted": aborted, "started": TXS,
+        "per_shard_committed": dict(enumerate(per_shard)),
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (committed, aborted),
+        "abort_reasons": abort_reasons,
+        "locks": dict(enumerate(locks)),
+    }
+
+
+#: workers=1 fingerprints captured at the commit before the participant-side
+#: admission tables and the per-engine shard builders were merged into their
+#: single copies.  workers=1 == workers=N alone cannot catch a drift there —
+#: both sides would move together — so these pin the absolute values.
+#: name -> (scenario, extra config overrides, expected fingerprint).
+PARTITIONED_GOLDENS = {
+    "wound-wait": ("wound-wait", {}, _golden(
+        150, 0, (153, 166, 140), {}, [(0, 0, 0)] * 3)),
+    "wound-wait-contended": (
+        "wound-wait", dict(num_keys=40, zipf_coefficient=0.9), _golden(
+            95, 55, (136, 150, 129), {"wait-timeout": 53, "wounded": 2},
+            [(0, 0, 25), (0, 0, 35), (2, 0, 22)])),
+    "wait-policy": ("wait-policy", {}, _golden(
+        118, 32, (139, 153, 131), {"wait-timeout": 32},
+        [(0, 0, 14), (0, 0, 13), (0, 0, 9)])),
+    "kvstore": ("kvstore", {}, _golden(
+        70, 80, (167, 213, 194), {"lock-conflict": 80}, [(0, 0, 0)] * 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITIONED_GOLDENS))
+def test_partitioned_engine_goldens(name):
+    scenario, extra, expected = PARTITIONED_GOLDENS[name]
+    factory, reconfigure = SCENARIOS[scenario]
+    assert _run(1, {**factory(), **extra}, reconfigure) == expected
 
 
 def test_worker_count_sweep_plain():
