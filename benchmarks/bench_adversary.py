@@ -90,19 +90,21 @@ def run_cell(strategy: str, transactions: int, rate_tps: float, seed: int,
     settled = auditor.settle(max_seconds=120.0)
     report = auditor.check()
     wall = time.perf_counter() - start
-    rollback = []
-    if system.adversary is not None:
-        rollback = [
-            {"victim": event.victim, "floor": event.recovery_floor,
-             "completed": event.completed}
-            for event in system.adversary.rollback_status()
-        ]
+    # The live adversary is per partition; the rollback is armed on (and
+    # recorded by) the copy owning the victim shard.
+    rollback = [
+        {"victim": event.victim, "floor": event.recovery_floor,
+         "completed": event.completed}
+        for partition in system.partitions.values()
+        if partition.adversary is not None
+        for event in partition.adversary.rollback_status()
+    ]
     return {
         "strategy": strategy + ("+rollback" if tee_rollback else ""),
         "seed": seed,
         "committed": driver.stats.committed,
         "aborted": driver.stats.aborted,
-        "events": system.sim.events_processed,
+        "events": system.events_processed,
         "per_shard_committed": {
             str(shard): cluster.honest_observer().committed_transactions()
             for shard, cluster in sorted(system.shards.items())},

@@ -12,8 +12,8 @@ ledger index's whole contract (:mod:`repro.ledger.index`):
    slices must be ≤ 1.5x the median of the first decile**.  The quadratic
    re-verify-from-genesis behaviour this replaced fails this gate by ~19x.
 2. **Incremental == rebuild** — over a matrix of live differential scenarios
-   (legacy engine, kvstore benchmark, an epoch transition, the scale-out
-   engine's inline partitions with the reference committee), the
+   (smallbank with the reference committee, the kvstore benchmark, an epoch
+   transition), the
    commit-time index must be **bit-identical** to :func:`rebuild_index`
    replaying the observer chains from genesis through fresh execution
    engines (``SafetyAuditor.verify_index_rebuild``).  Each scenario's
@@ -65,11 +65,10 @@ SCENARIO_BASE = dict(num_shards=3, committee_size=4, num_keys=400, seed=13,
 #: name -> config overrides; "epoch-swap-batch" additionally reconfigures
 #: over an idle window mid-run (see ``run_scenario``).
 SCENARIOS = {
-    "smallbank-legacy": dict(),
+    "smallbank": dict(),
     "kvstore": dict(benchmark="kvstore"),
     "epoch-swap-batch": dict(use_reference_committee=False,
                              swap_batch_interval=0.5),
-    "scaleout-inline": dict(workers=1),
 }
 
 
@@ -171,9 +170,7 @@ def run_scenario(name: str, overrides: dict, txns: int) -> dict:
         "epochs_seen": sorted(auditor.index.epoch_summary()),
         "wall_seconds": round(wall, 2),
     }
-    close = getattr(system, "close", None)
-    if close is not None:
-        close()
+    system.close()
     return result
 
 

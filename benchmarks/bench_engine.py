@@ -166,9 +166,9 @@ def run_end_to_end(transactions: int, shards: int, committee: int, rate_tps: flo
         "in_flight_cap": max_in_flight,
         "dropped_arrivals": driver.dropped_arrivals,
         "sim_time_s": round(system.sim.now, 2),
-        "sim_events": system.sim.events_processed,
+        "sim_events": system.events_processed,
         "wall_seconds": round(wall, 2),
-        "events_per_sec_wall": round(system.sim.events_processed / wall),
+        "events_per_sec_wall": round(system.events_processed / wall),
         "committed_tps_wall": round(stats.committed / wall, 1),
     }
 

@@ -85,7 +85,7 @@ def run_strategy(strategy, duration: float, rate_tps: float, seed: int) -> dict:
         "aborted": stats.aborted,
         "committed_tps_sim": round(stats.committed / duration, 2),
         "min_window_tps": round(min(window), 2) if window else 0.0,
-        "events": system.sim.events_processed,
+        "events": system.events_processed,
         "epochs": system.current_epoch,
         "reconfigurations": system.reconfigurations_completed,
         "nodes_migrated": sum(t.nodes_moved for t in system.epoch_transitions),

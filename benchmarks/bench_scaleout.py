@@ -1,7 +1,7 @@
-"""Scale-out benchmark: the partitioned engine vs itself, across worker counts.
+"""Scale-out benchmark: the engine vs itself, across worker counts.
 
 This is the harness behind the CI ``bench-scaleout`` job.  It drives the
-same seeded Smallbank workload through the scale-out engine
+same seeded Smallbank workload through the engine's partitions
 (:mod:`repro.core.scaleout`) once inline (``workers=1``) and once across
 worker processes (``workers=4``), and gates on the engine's whole contract:
 

@@ -54,7 +54,11 @@ def main() -> None:
     system.submit_transaction(payment, on_complete=completed.append)
     system.run(30.0)
 
-    record = completed[0]
+    # ``completed[0]`` is the client's view (outcome and timing); the
+    # coordination state — votes, acks — lives with the transaction's home
+    # partition, its first participating shard.
+    home = system.partitions[min(completed[0].shards)].home
+    record = home.coordinator.records[payment.tx_id]
     print("\n=== cross-shard payment through the reference committee ===")
     print(f"transaction    : {record.tx_id}")
     print(f"involved shards: {record.shards}")

@@ -25,8 +25,8 @@ Different parts of the tree carry different determinism obligations:
 * **default** — everything else: every rule except DET001 (which is scoped
   to protocol/sim modules by definition).
 
-The one strict-scope wall-clock carve-out — the scale-out engine's
-``coordinator_work_share`` perf_counter split in ``core/scaleout.py`` — is
+The one strict-scope wall-clock carve-out — the barrier loop's
+``coordinator_work_share`` perf_counter split in ``core/system.py`` — is
 expressed as inline suppressions at the measurement sites rather than a
 path rule, so the justification lives next to the code it excuses.
 """

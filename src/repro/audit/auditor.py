@@ -141,15 +141,13 @@ class SafetyAuditor:
 
     # ------------------------------------------------------------- attachment
     def _attach(self) -> None:
-        # The engine-neutral way to reach the real shard clusters: the legacy
-        # engine hands out its shards, the scale-out engine its inline
-        # partitions' clusters (process mode refuses — its replicas live in
-        # other address spaces; audit the bit-identical workers=1 run).
+        # Every committee's live cluster, the reference committee included
+        # (process mode refuses — its replicas live in other address spaces;
+        # audit the bit-identical workers=None run).
         self._clusters = self.system.audit_clusters()
-        clusters = dict(self._clusters)
         if self.system.reference is not None:
-            clusters[REFERENCE_SHARD_ID] = self.system.reference
-        for shard_id, cluster in clusters.items():
+            self._clusters[REFERENCE_SHARD_ID] = self.system.reference
+        for shard_id, cluster in self._clusters.items():
             for replica in cluster.replicas:
                 self._observe_replica(shard_id, replica)
             cluster.on_member_admitted(
@@ -302,10 +300,7 @@ class SafetyAuditor:
 
         refusals = 0
         degraded = 0
-        clusters = list(self._clusters.values())
-        if self.system.reference is not None:
-            clusters.append(self.system.reference)
-        for cluster in clusters:
+        for cluster in self._clusters.values():
             degraded += cluster.degraded_observer_reads
             for replica in cluster.replicas:
                 log = getattr(replica, "attested_log", None)
@@ -338,8 +333,6 @@ class SafetyAuditor:
         system = self.system
         observers = {shard_id: cluster.honest_observer()
                      for shard_id, cluster in self._clusters.items()}
-        if system.reference is not None and REFERENCE_SHARD_ID not in observers:
-            observers[REFERENCE_SHARD_ID] = system.reference.honest_observer()
         chains = {shard_id: observer.blockchain
                   for shard_id, observer in observers.items()}
         for shard_id, chain in sorted(chains.items()):

@@ -424,10 +424,6 @@ class ConsensusReplica(SimProcess):
         self._try_execute()
 
     # ------------------------------------------------------------- submission
-    def submit_transactions(self, transactions: Sequence[Transaction]) -> None:
-        """Entry point used by clients co-located with this replica (no network hop)."""
-        self._accept_transactions(transactions)
-
     def _accept_transactions(self, transactions: Sequence[Transaction]) -> None:
         accepted = False
         seen = self.seen_tx_ids

@@ -149,69 +149,6 @@ class OpenLoopClient(SimProcess):
         """Open-loop clients ignore replies."""
 
 
-class ClosedLoopClient(SimProcess):
-    """A closed-loop client: keeps ``outstanding`` transactions in flight.
-
-    Completion is observed through the commit events of an honest observer
-    replica (the simulation equivalent of reading the transaction status from
-    the blocks, as the paper's modified driver does).
-    """
-
-    def __init__(self, node_id: int, sim: "Simulator | Runtime", network: Network,
-                 targets: Sequence[int], outstanding: int = 128, batch_size: int = 1,
-                 tx_factory: Optional[Callable] = None, region: str = "local") -> None:
-        super().__init__(node_id, sim, network, region=region)
-        self.targets = list(targets)
-        self.outstanding = outstanding
-        self.batch_size = batch_size
-        self.tx_factory = tx_factory or default_tx_factory
-        self.transactions_sent = 0
-        self.transactions_completed = 0
-        self._in_flight: set[str] = set()
-        self._rng = self.runtime.fork_rng(f"client-{node_id}")
-        self._request_counter = itertools.count()
-
-    def start(self) -> None:
-        self.runtime.spawn(self._fill)
-
-    def attach_observer(self, replica: ConsensusReplica) -> None:
-        replica.on_commit(self._on_commit)
-
-    def _fill(self) -> None:
-        while len(self._in_flight) < self.outstanding:
-            self._send_batch()
-
-    def _send_batch(self) -> None:
-        transactions = self.tx_factory(f"client-{self.node_id}", self.runtime.now,
-                                       self._rng, self.batch_size)
-        for tx in transactions:
-            self._in_flight.add(tx.tx_id)
-        request = ClientRequest(
-            client_id=f"client-{self.node_id}",
-            request_id=next(self._request_counter),
-            transactions=tuple(transactions),
-            submitted_at=self.runtime.now,
-        )
-        target = self.targets[self._rng.randrange(len(self.targets))]
-        message = Message(sender=self.node_id, kind=KIND_REQUEST, payload=request,
-                          size_bytes=512 * len(transactions), channel=REQUEST_CHANNEL)
-        self.send(target, message)
-        self.transactions_sent += len(transactions)
-
-    def _on_commit(self, event: CommitEvent) -> None:
-        completed = 0
-        for tx in event.block.transactions:
-            if tx.tx_id in self._in_flight:
-                self._in_flight.discard(tx.tx_id)
-                completed += 1
-        self.transactions_completed += completed
-        if completed:
-            self._fill()
-
-    def handle_message(self, message: Message) -> None:
-        """Replies arrive via the observer callback instead."""
-
-
 @dataclass
 class ClusterRunResult:
     """Summary statistics of one cluster run."""
@@ -593,24 +530,6 @@ class ConsensusCluster:
                 targets=self.committee, rate_tps=rate_tps, batch_size=batch_size,
                 tx_factory=tx_factory, region=self._client_region,
             )
-            client.start()
-            clients.append(client)
-        self.clients.extend(clients)
-        return clients
-
-    def add_closed_loop_clients(self, count: int, outstanding: int = 128,
-                                batch_size: int = 1,
-                                tx_factory: Optional[Callable] = None) -> List[ClosedLoopClient]:
-        """Attach ``count`` closed-loop clients with ``outstanding`` in-flight transactions each."""
-        observer = self.honest_observer()
-        clients = []
-        for _ in range(count):
-            client = ClosedLoopClient(
-                node_id=next(self._client_id_counter), sim=self.runtime, network=self.network,
-                targets=self.committee, outstanding=outstanding, batch_size=batch_size,
-                tx_factory=tx_factory, region=self._client_region,
-            )
-            client.attach_observer(observer)
             client.start()
             clients.append(client)
         self.clients.extend(clients)

@@ -115,27 +115,6 @@ class AggregateCertificate:
 
 
 @dataclass(frozen=True)
-class RoundProposal:
-    """Tendermint/IBFT: the proposal for a (height, round)."""
-
-    height: int
-    round: int
-    block: Block
-    proposer: int
-
-
-@dataclass(frozen=True)
-class RoundVote:
-    """Tendermint/IBFT: a prevote/precommit (stage distinguishes them)."""
-
-    height: int
-    round: int
-    stage: str
-    block_digest: str
-    voter: int
-
-
-@dataclass(frozen=True)
 class AppendEntries:
     """Raft: leader replicating a block to followers."""
 

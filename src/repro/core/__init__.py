@@ -4,15 +4,20 @@
 the other packages: it forms committees (Section 5), runs an AHL+ (or any
 other) consensus cluster per shard (Section 4), deploys the benchmark
 chaincodes, and executes cross-shard transactions through the
-reference-committee 2PC/2PL protocol (Section 6) — all inside one
-discrete-event simulation, so throughput, abort rates and reconfiguration
-behaviour can be measured end to end.
+reference-committee 2PC/2PL protocol (Section 6) — all in simulated time, one
+sub-simulation per committee drained inline or by worker processes, so
+throughput, abort rates and reconfiguration behaviour can be measured end to
+end.
 """
 
 from repro.core.adversary import AdversaryConfig, AdversaryState
 from repro.core.config import ShardedSystemConfig
-from repro.core.system import EpochTransitionStats, ShardedBlockchain, ShardedRunResult
-from repro.core.scaleout import ScaleOutShardedBlockchain, build_system
+from repro.core.system import (
+    EpochTransitionStats,
+    ShardedBlockchain,
+    ShardedRunResult,
+    build_system,
+)
 from repro.core.client_api import ShardedClient
 from repro.core.driver import DriverStats, OpenLoopDriver, attach_open_loop_drivers
 from repro.core.splitters import SmallbankSplitter, KVStoreSplitter, TransactionSplitter
@@ -22,7 +27,6 @@ __all__ = [
     "AdversaryState",
     "ShardedSystemConfig",
     "ShardedBlockchain",
-    "ScaleOutShardedBlockchain",
     "build_system",
     "ShardedRunResult",
     "EpochTransitionStats",

@@ -164,10 +164,14 @@ class AdversaryState:
         state = AdversaryState(adversary, system_config)
         _, config_factory = PROTOCOLS[system_config.protocol]
         consensus_config = config_factory(**dict(system_config.consensus_overrides))
-        if adversary.tee_rollback_at is not None and not consensus_config.use_attested_log:
-            raise ConfigurationError(
-                f"tee_rollback_at requires an attested-log protocol; "
-                f"{system_config.protocol!r} has none to roll back")
+        if adversary.tee_rollback_at is not None:
+            if not consensus_config.use_attested_log:
+                raise ConfigurationError(
+                    f"tee_rollback_at requires an attested-log protocol; "
+                    f"{system_config.protocol!r} has none to roll back")
+            if not 0 <= adversary.tee_rollback_shard < system_config.num_shards:
+                raise ConfigurationError(
+                    f"tee_rollback_shard {adversary.tee_rollback_shard} does not exist")
         n = system_config.committee_size
         f = consensus_config.fault_tolerance(n)
         budget = f if adversary.corrupted_per_shard is None else adversary.corrupted_per_shard
@@ -195,7 +199,7 @@ class AdversaryState:
             members = committees[shard_id].members
             state.corrupted_logical.update(members[index] for index in indices)
         if adversary.include_reference:
-            from repro.core.system import REFERENCE_SHARD_ID
+            from repro.core.splitters import REFERENCE_SHARD_ID
 
             rng = random.Random(
                 f"adversary:{system_config.seed}:{adversary.salt}:reference")
@@ -214,40 +218,14 @@ class AdversaryState:
         """The strategy object the given shard's cluster should carry."""
         return self.strategies.get(shard_id)
 
-    def corrupted_physical_ids(self) -> Set[int]:
-        """Every physical node id currently marked corrupted (all shards)."""
-        ids: Set[int] = set()
-        for strategy in self.strategies.values():
-            ids |= strategy.corrupted
-        if self.reference_strategy is not None:
-            ids |= self.reference_strategy.corrupted
-        return ids
-
     # ------------------------------------------------------------ migrations
-    def on_migrate(self, logical: int, old_physical: int,
-                   source_cluster: ConsensusCluster,
-                   dest_cluster: ConsensusCluster) -> None:
-        """A node is about to move committees: update who misbehaves where.
-
-        Called *before* ``admit_member`` constructs the joiner, because each
-        replica snapshots its strategy once at construction.  The departing
-        physical id is retired from the source shard's corrupted set; if the
-        logical node is adversary-controlled, the destination committee's
-        strategy gains the joiner's id — unless that committee already holds
-        its full fault budget of corrupted members, in which case the node
-        lies low (``suppressed_corruptions``), keeping every committee inside
-        the threat model the paper's analysis assumes.
-        """
-        self.retire_physical(source_cluster, old_physical)
-        self.corrupt_joiner_if_budget(logical, dest_cluster)
-
     def retire_physical(self, source_cluster: ConsensusCluster,
                         old_physical: int) -> None:
         """The departing physical id stops misbehaving in its old committee.
 
-        The source half of :meth:`on_migrate`; it only touches the source
-        cluster, so the scale-out engine can run it on the partition that
-        owns the source shard.
+        The source half of a migration (the destination half is
+        :meth:`corrupt_joiner_if_budget`); it only touches the source
+        cluster, so it runs on the partition that owns the source shard.
         """
         source_strategy = self.strategies.get(source_cluster.shard_id)
         if source_strategy is not None:
@@ -257,12 +235,17 @@ class AdversaryState:
                                  dest_cluster: ConsensusCluster) -> bool:
         """Corrupt the next joiner of ``dest_cluster`` if the budget allows.
 
-        The destination half of :meth:`on_migrate`: the decision depends only
-        on the logical node's placement-time corruption (a pure function of
-        the config) and the destination cluster's current replicas, so the
-        scale-out engine can run it on the partition that owns the
-        destination shard and reach the same verdict the global path would.
-        Returns whether the joiner will misbehave.
+        Called *before* ``admit_member`` constructs the joiner, because each
+        replica snapshots its strategy once at construction.  If the logical
+        node is adversary-controlled, the destination committee's strategy
+        gains the joiner's id — unless that committee already holds its full
+        fault budget of corrupted members, in which case the node lies low
+        (``suppressed_corruptions``), keeping every committee inside the
+        threat model the paper's analysis assumes.  The decision depends
+        only on the logical node's placement-time corruption (a pure
+        function of the config) and the destination cluster's current
+        replicas, so it runs on the partition that owns the destination
+        shard.  Returns whether the joiner will misbehave.
         """
         if not self.config.follow_migrations:
             return False
@@ -281,22 +264,12 @@ class AdversaryState:
         return True
 
     # ---------------------------------------------------------- TEE rollback
-    def arm(self, system: Any) -> None:
-        """Schedule the configured TEE rollback attack on a live system."""
-        if self.config.tee_rollback_at is None:
-            return
-        if self.config.tee_rollback_shard not in system.shards:
-            raise ConfigurationError(
-                f"tee_rollback_shard {self.config.tee_rollback_shard} does not exist")
-        self.arm_cluster(system.sim, system.shards[self.config.tee_rollback_shard])
-
     def arm_cluster(self, sim: Any, cluster: ConsensusCluster) -> None:
         """Schedule the rollback against one cluster on its own simulator.
 
         Both attack events fire at *absolute* configured times and touch only
-        the victim cluster, so the scale-out engine arms the adversary on the
-        partition that owns ``tee_rollback_shard`` and the attack trace is
-        identical to the global-simulation path.
+        the victim cluster, so the partition that owns ``tee_rollback_shard``
+        arms its own copy.
         """
         adversary = self.config
         if adversary.tee_rollback_at is None:

@@ -89,21 +89,17 @@ class ShardedSystemConfig:
     #: never starts before the previous one's transfers finished, so this is
     #: a floor, not an exact cadence).
     swap_batch_interval: float = 10.0
-    #: Scale-out execution (see :mod:`repro.core.scaleout`).  ``None`` — the
-    #: default — runs the legacy single-simulation engine, bit-identical to
-    #: every committed baseline.  An integer switches to the partitioned
-    #: engine: each shard becomes its own sub-simulation and cross-shard
-    #: traffic is exchanged at deterministic time barriers.  ``workers=1``
-    #: drains every partition inline (the seed-faithful scale-out path);
-    #: ``workers=N`` spreads the partitions over N worker processes.  The
-    #: engine guarantees bit-identical commit/abort/view-change fingerprints
-    #: for any worker count of the same seed+config.  Build via
-    #: ``repro.core.build_system`` (plain ``ShardedBlockchain(config)``
-    #: rejects a workers setting it would silently ignore).
+    #: Where the deployment's partitions (one per committee, see
+    #: :mod:`repro.core.scaleout`) are drained.  ``None`` — the default —
+    #: and ``1`` drain them inline in the caller's process, which keeps
+    #: the replicas reachable (``system.shards``, the safety auditor); an
+    #: integer ``N > 1`` spreads them over N worker processes.  Outcomes —
+    #: commit/abort/view-change fingerprints — are bit-identical for every
+    #: value of the same seed+config.
     workers: Optional[int] = None
-    #: Barrier window length in simulated seconds for the scale-out engine.
-    #: Must not exceed ``relay_delay`` — the engine's conservative lookahead:
-    #: every parent<->shard hop pays at least the relay delay, so windows of
+    #: Barrier window length in simulated seconds.  Must not exceed
+    #: ``relay_delay`` — the engine's conservative lookahead: every
+    #: cross-partition hop pays at least the relay delay, so windows of
     #: at most that length exchange all cross-partition effects in time.
     #: ``None`` uses ``relay_delay`` (the largest valid window, i.e. the
     #: fewest barriers).  Any valid value yields identical outcomes.
@@ -147,8 +143,6 @@ class ShardedSystemConfig:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be at least 1 when set")
         if self.barrier_interval is not None:
-            if self.workers is None:
-                raise ConfigurationError("barrier_interval requires workers")
             if self.barrier_interval <= 0:
                 raise ConfigurationError("barrier_interval must be positive")
             if self.barrier_interval > self.relay_delay:

@@ -8,8 +8,12 @@ that with a BLOCKBENCH-style **open-loop** arrival process: transactions are
 generated *lazily, one batch per arrival tick*, submitted at a fixed rate
 regardless of completion, and forgotten as soon as they complete — so memory
 is bounded by the number of in-flight transactions, not the run length.
-The arrival tick and the completion accounting are :class:`ArrivalLoop`,
-which the scale-out engine's partitions run per shard.
+The arrival tick and the completion accounting are :class:`ArrivalLoop`.
+The engine's partitions each run their per-shard split of it
+(:class:`repro.core.homecoord.PartitionDriver`), so the arrival process of a
+default :class:`OpenLoopDriver` never touches the parent; a driver given a
+custom ``workload`` object (which cannot be re-derived inside a worker) runs
+the one loop parent-side and submits through ``system.submit_transaction``.
 
 Determinism: the driver's entire arrival process is derived from the
 simulator clock and the workload generator's seeded RNG, so a given
@@ -20,15 +24,17 @@ transaction stream and identical commit/abort counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.config import ShardedSystemConfig
-from repro.core.system import ShardedBlockchain
 from repro.errors import ConfigurationError
 from repro.ledger.transaction import Transaction
 from repro.runtime.base import Runtime
 from repro.txn.coordinator import DistributedTxOutcome, DistributedTxRecord
 from repro.workloads.generator import WorkloadGenerator
+
+if TYPE_CHECKING:  # system.py imports this module
+    from repro.core.system import ShardedBlockchain
 
 
 @dataclass
@@ -72,7 +78,7 @@ class DriverStats:
         return self.latency_sum / self.latency_count if self.latency_count else 0.0
 
     def merge(self, other: "DriverStats") -> None:
-        """Fold another driver's counters into this one (scale-out merging)."""
+        """Fold another partition's counters into this one."""
         self.submitted += other.submitted
         self.committed += other.committed
         self.aborted += other.aborted
@@ -122,9 +128,10 @@ class ArrivalLoop:
     ``submit(tx)`` — never more than ``max_transactions`` in total, and
     dropping (not queueing) arrivals while ``max_in_flight`` are
     outstanding.  Whoever learns a transaction's outcome reports it through
-    :meth:`complete`.  :class:`OpenLoopDriver` runs one loop over the whole
-    system; on the scale-out engine every partition runs its split of it
-    (:class:`repro.core.homecoord.PartitionDriver`).
+    :meth:`complete`.  Every partition runs its split of an
+    :class:`OpenLoopDriver`'s loop
+    (:class:`repro.core.homecoord.PartitionDriver`); a driver with a custom
+    workload object runs the one loop itself.
     """
 
     def __init__(self, runtime: Runtime, rate_tps: float, batch_size: int,
@@ -215,8 +222,11 @@ class OpenLoopDriver:
         queued (the open-loop driver never slows down, matching BLOCKBENCH's
         behaviour under overload), keeping memory strictly bounded.
     workload:
-        Transaction source; defaults to the system's configured benchmark
-        with a seed derived from the system seed and ``stream_index``.
+        A custom transaction source.  By default (``None``) every partition
+        generates its split of the system's configured benchmark in place,
+        seeded from the system seed and ``stream_index``; a generator object
+        is instead drawn parent-side and each transaction forwarded to its
+        home partition (a different, equally deterministic stream).
     stream_index:
         Distinguishes the default workload streams of several drivers on one
         system (each index draws an independent deterministic stream).
@@ -243,34 +253,22 @@ class OpenLoopDriver:
         self.batch_size = batch_size
         self.max_in_flight = max_in_flight
         self.client_id = client_id
-        seed = system.config.seed * 7919 + 1 + stream_index
         self._index: Optional[int] = None
         self._loop: Optional[ArrivalLoop] = None
         self._started = False
-        # On the scale-out engine the arrival process itself moves into the
-        # partitions: each partition draws its own per-shard split of this
-        # driver's stream (see ``repro.core.homecoord.PartitionDriver``), so
-        # the parent holds no generator (and no loop) at all — only the
-        # plain picklable spec the partitions build their splits from.
-        if getattr(system, "IN_PARTITION_DRIVERS", False):
-            if workload is not None:
-                raise ConfigurationError(
-                    "the scale-out engine generates workloads in-partition "
-                    "from a config-derived spec; a custom WorkloadGenerator "
-                    "instance requires the legacy engine (workers=None)")
-            self.workload = None
+        if workload is None:
+            # The plain picklable spec the partitions build their splits from.
             self._spec = dict(
                 rate_tps=rate_tps, max_transactions=max_transactions,
                 batch_size=batch_size, max_in_flight=max_in_flight,
-                client_id=client_id, workload_seed=seed,
+                client_id=client_id,
+                workload_seed=system.config.seed * 7919 + 1 + stream_index,
                 vectorized=vectorized, vector_batch=vector_batch)
         else:
-            self.workload = workload or config_workload(
-                system.config, seed, vectorized, vector_batch)
             self._loop = ArrivalLoop(
                 system.runtime, rate_tps, batch_size, max_transactions,
                 max_in_flight,
-                draw=lambda now: self.workload.next_transaction(
+                draw=lambda now: workload.next_transaction(
                     client_id=self.client_id, now=now),
                 submit=lambda tx: system.submit_transaction(
                     tx, on_complete=self._on_complete))
@@ -305,8 +303,7 @@ class OpenLoopDriver:
                             self.system.current_epoch)
 
     # ------------------------------------------------------------------- runs
-    def run_to_completion(self, drain_timeout: float = 120.0,
-                          max_events: Optional[int] = None) -> DriverStats:
+    def run_to_completion(self, drain_timeout: float = 120.0) -> DriverStats:
         """Run until every submitted transaction completes (or times out).
 
         Drives the simulation in bounded slices: first until ``max_transactions``
@@ -316,19 +313,17 @@ class OpenLoopDriver:
         if self.max_transactions is None:
             raise ConfigurationError("run_to_completion requires max_transactions")
         self.start()
-        # Drive through the engine-neutral advance API so the same loop works
-        # on the legacy engine and the scale-out barrier loop.  One stats
-        # fetch per slice: in delegated mode each fetch is a worker RPC.
+        # One stats fetch per slice: in process mode each fetch is a worker RPC.
         system = self.system
         sim = system.sim
         submit_horizon = self.max_transactions / self.rate_tps
-        system.advance(sim.now + submit_horizon, max_events=max_events)
+        system.advance(sim.now + submit_horizon)
         deadline = sim.now + drain_timeout
         while sim.now < deadline:
             stats = self.stats
             if stats.completed >= stats.submitted or not system.pending_activity():
                 break
-            system.advance(min(sim.now + 1.0, deadline), max_events=max_events)
+            system.advance(min(sim.now + 1.0, deadline))
         return self.stats
 
 

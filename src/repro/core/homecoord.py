@@ -1,32 +1,28 @@
-"""Distributed 2PC coordination for the scale-out engine (home partitions).
+"""The coordination layer of one partition (home and participant roles).
 
-PR 6's scale-out engine moved shard consensus into partitions but left the
-whole coordination layer — the 2PC coordinator, lock admission,
-the reference committee and the open-loop drivers — on the parent process,
-which serialized roughly a sixth of the total work.  This module distributes
-all of it:
+Consensus is per committee, and so is everything above it: the 2PC
+coordinator, lock admission, the open-loop drivers and the reference
+committee all live inside the partitions
+(:class:`~repro.core.scaleout.ShardPartition`), never on the parent.
 
 * Every transaction gets a deterministic **home partition**
   (:func:`home_shard` — its first participating shard) whose
-  :class:`HomeCoordinator` hosts the same
-  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` the single-loop
-  engine and the live gateway host, inside the partition's own
-  sub-simulation.
-* Lock admission becomes **participant-side**: each partition hosts its
-  own :class:`~repro.txn.locks.LockAdmissionTable` (the same table the
-  single-loop engine keeps in front of all shards) for the prepares that
-  arrive at its shard, and votes PrepareNotOK on deadlocks/timeouts itself.
+  :class:`HomeCoordinator` hosts the
+  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` (the same driver the
+  live gateway hosts) inside the partition's own sub-simulation.
+* Lock admission is **participant-side**: each partition hosts a
+  :class:`~repro.txn.locks.LockAdmissionTable` for the prepares that arrive
+  at its shard, and votes PrepareNotOK on deadlocks/timeouts itself.
   Wounds travel to the victim's home as ordinary NotOK votes.  (Waits-for
-  cycles that span shards are no longer visible to any single detector —
-  they resolve through the wait timeout instead; per-shard cycles are still
-  detected.)
-* Workload generation moves **in-partition** (:class:`PartitionDriver`, a
+  cycles that span shards are not visible to any single detector — they
+  resolve through the wait timeout; per-shard cycles are detected.)
+* Workload generation is **in-partition** (:class:`PartitionDriver`, a
   per-shard split of the one :class:`~repro.core.driver.ArrivalLoop`):
   each partition draws an independent stream seeded by a ``(seed,
   shard_id)`` split and keeps exactly the draws whose first key it owns
   (:meth:`~repro.workloads.generator.WorkloadGenerator.next_transaction_for_shard`),
   so the stream depends only on the partition's identity — never on worker
-  grouping — and ``workers=1 == workers=N`` holds by construction.
+  grouping — and ``workers=None == workers=N`` holds by construction.
 * Votes, decisions, re-drives, receipts and client handoffs flow between
   partitions as ordinary barrier-window :class:`Command` records, batched
   into one :class:`WindowBlock`/:class:`WindowResult` pickle per worker per
@@ -396,8 +392,6 @@ class HomeCoordinator:
         #: Per-home fault copy: hook counters (drop budgets, crash counts)
         #: advance with this partition's own transaction history only.
         self.fault = copy.deepcopy(self.config.fault_scenario)
-        if self.fault is not None:
-            self.fault.bind(partition)
         #: Admission is participant-side here, so prepares always leave the
         #: home immediately; under an armed adversary a decision's
         #: first-contact member may swallow it, so decisions get deadlines.
@@ -523,7 +517,7 @@ class HomeCoordinator:
         tx_id = command.tx_id
         self._tx_home[tx_id] = command.home
         # Without a table (first-conflict-aborts policy) the on-chain lock
-        # check is the admission, exactly as in the single-loop engine.
+        # check is the admission.
         status = "granted"
         if self.admission is not None:
             # "waiting" also answers a re-driven prepare that is still
@@ -549,9 +543,9 @@ class HomeCoordinator:
         self.partition.cluster.submit([prepare_tx], attempt=command.attempt)
 
     def _on_admitted(self, tx_id: str, shard_id: int) -> None:
-        # The grant notification pays the relay hop (like the single-loop
-        # engine's dispatch relay); the slot stays parked until the launch
-        # claims it, so a decision arriving in between cancels it.
+        # The grant notification pays the relay hop; the slot stays parked
+        # until the launch claims it, so a decision arriving in between
+        # cancels it.
         self.runtime.schedule(self.config.relay_delay, self._launch_admitted, tx_id)
 
     def _launch_admitted(self, tx_id: str) -> None:
@@ -567,9 +561,7 @@ class HomeCoordinator:
         """Wound-wait: abort the younger holder through its home's vote path.
 
         The wounding shard votes NotOK itself; if it already voted OK the
-        home records an equivocation and aborts the undecided transaction —
-        same terminal state as the single-loop engine's unvoted-shard
-        preference.
+        home records an equivocation and aborts the undecided transaction.
         """
         home = self._tx_home.get(victim_tx_id)
         if home is None:

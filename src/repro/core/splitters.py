@@ -7,8 +7,8 @@ single place that knows, per benchmark name, the chaincode, the initial
 :class:`TransactionSplitter` (:data:`BENCHMARKS`), and the single place that
 turns a deployment config into a populated
 :class:`~repro.consensus.cluster.ConsensusCluster` (:func:`build_committee`).
-The single-loop engine, every scale-out partition and the ``repro-serve``
-shard process all assemble their committees from here.
+Every partition of the engine and the ``repro-serve`` shard process
+assemble their committees from here.
 
 Section 6.3 describes the manual chaincode refactoring: ``sendPayment``
 becomes ``preparePayment`` / ``commitPayment`` / ``abortPayment``.  A

@@ -1,6 +1,6 @@
 """The end-to-end sharded blockchain (Figure 1b).
 
-``ShardedBlockchain`` builds, inside one discrete-event simulation:
+``ShardedBlockchain`` is the one engine.  It builds:
 
 * ``num_shards`` consensus committees (AHL+ by default), each owning a
   disjoint hash partition of the key space and running the benchmark
@@ -10,38 +10,51 @@
 * a coordination layer that takes every transaction through the Figure-5
   flow: BeginTx at the reference committee, PrepareTx at the involved
   committees (acquiring 2PL locks), vote relay, then CommitTx / AbortTx.
-  The flow itself is :class:`repro.txn.coordinator.TwoPhaseCommitDriver`;
-  ``ShardedBlockchain`` hosts it — it relays the driver's cohorts to the
-  committees and turns their commit receipts back into votes and acks.
+
+The paper's committees interact only through that coordination layer, so
+each committee — with its share of the coordination work — is a
+self-contained *partition* (:class:`~repro.core.scaleout.ShardPartition`:
+own simulator, network, replicas, the
+:class:`~repro.core.homecoord.HomeCoordinator` hosting the 2PC driver and
+the shard's lock-admission table, and its split of every open-loop driver).
+This class is the thin parent above the partitions: the barrier loop that
+exchanges their cross-partition commands every ``relay_delay`` of simulated
+time (:meth:`advance`; the execution model is described in
+:mod:`repro.core.scaleout`), the client-forwarding API, the epoch control
+machinery, and the merged statistics.
+
+``ShardedSystemConfig.workers`` only chooses where the partitions are
+drained: ``None`` (or ``1``) drains them inline in this process — then
+``system.shards[s]`` and ``system.reference`` are the live
+:class:`~repro.consensus.cluster.ConsensusCluster` objects and
+``system.partitions`` the partitions themselves, which is what the
+:class:`~repro.audit.auditor.SafetyAuditor` attaches to — while an integer
+``N > 1`` spreads them over ``N`` worker processes.  Commit/abort/
+view-change fingerprints are bit-identical for every ``workers`` value and
+every valid ``barrier_interval`` of the same seed+config.
 
 Clients interact through :meth:`submit_transaction`, which accepts ordinary
 benchmark transactions (e.g. Smallbank ``sendPayment``) and hides the
-sharding — the usability extension discussed in Section 6.4.
+sharding — the usability extension discussed in Section 6.4 — or through
+:class:`~repro.core.driver.OpenLoopDriver`, whose arrival process runs
+inside the partitions.
 
 Lock scheduling and fault injection
 -----------------------------------
-The coordination layer is policy- and fault-pluggable:
-
 * ``ShardedSystemConfig.conflict_policy`` selects how conflicting cross-shard
-  lock acquisitions are scheduled.  ``"abort"`` (the default) reproduces the
-  seed behaviour bit-for-bit: prepares are sent immediately and a conflicting
-  prepare fails at the shard, aborting the transaction.  ``"wait"`` and
-  ``"wound-wait"`` route prepares through the lock-admission table
+  lock acquisitions are scheduled.  ``"abort"`` (the default) sends prepares
+  immediately and a conflicting prepare fails at the shard, aborting the
+  transaction.  ``"wait"`` and ``"wound-wait"`` route each shard's prepares
+  through its lock-admission table
   (:class:`repro.txn.locks.LockAdmissionTable`), so conflicting prepares
-  queue (FIFO + timeout + deadlock detection) or are scheduled by
+  queue (FIFO + timeout + per-shard deadlock detection) or are scheduled by
   transaction age (wound-wait) instead of aborting on first conflict.
 * ``ShardedSystemConfig.fault_scenario`` attaches a
-  :class:`repro.txn.faults.FaultScenario` that is consulted at each protocol
-  step (prepare relay, vote relay, decision, ack) to inject shard stalls,
-  vote drops, stale replays and coordinator crashes.  Paired with
+  :class:`repro.txn.faults.FaultScenario` (one deep copy per home
+  coordinator) that is consulted at each protocol step to inject shard
+  stalls, vote drops, stale replays and coordinator crashes.  Paired with
   ``prepare_timeout`` (deadline-driven prepare re-drives) and the
   coordinator's crash/recovery support, every injected fault is recoverable.
-
-With the default configuration (``abort`` policy, no faults, no prepare
-timeout) none of this machinery schedules events or draws randomness — the
-message flow is identical to the seed implementation, which
-``tests/test_txn_differential.py`` verifies outcome-for-outcome against an
-inline seed-faithful copy.
 
 Epochs and live reconfiguration
 -------------------------------
@@ -62,45 +75,44 @@ actual ``StateStore.size_bytes()`` (``state_transfer_seconds`` under
 most ``B = log n`` members of a committee at a time so every committee keeps
 a quorum of active members throughout; ``swap-all`` moves everyone at once
 and stalls the deployment for the transfer window (Figure 12's trough).
+The parent only paces the plan: each step is partition control commands
+(``remove`` at the source, ``admit`` at the destination, ``margin``
+everywhere) whose reports start the next batch.
 
 With the default configuration (no ``epoch_duration``, no explicit
-reconfiguration) none of this schedules events or draws randomness: the
-no-epoch run is event-for-event identical to the seed implementation, which
+reconfiguration) none of this schedules events or draws randomness, which
 ``tests/test_epoch_lifecycle.py`` verifies differentially.
-
-Scale-out
----------
-``ShardedSystemConfig.workers`` switches the deployment to the partitioned
-engine (build via :func:`repro.core.build_system`; the model is described in
-:mod:`repro.core.scaleout`).  It assembles the same parts — the committee
-factory of :mod:`repro.core.splitters`, the 2PC driver, the lock-admission
-table and the arrival loop — per partition instead of once.  This engine
-(``workers=None``) shares one global simulation, and one network jitter RNG,
-across all clusters, so its event interleaving — and thus its fingerprints —
-are its own; committed baselines pin that path, and it stays bit-identical to
-the seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from time import perf_counter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.consensus.base import CommitEvent
-from repro.consensus.cluster import ConsensusCluster
+from repro.consensus.cluster import ConsensusCluster, member_node_id
 from repro.core.adversary import AdversaryState
 from repro.core.config import ShardedSystemConfig
-from repro.core.splitters import (
-    REFERENCE_SHARD_ID,
-    build_committee,
-    shards_for,
-    splitter_for,
+from repro.core.driver import DriverStats
+from repro.core.homecoord import (
+    PARENT,
+    AdmitReport,
+    Command,
+    MarginReport,
+    TxDone,
+    WindowBlock,
+    home_shard,
+    inbound_sort_key,
 )
-from repro.errors import ConfigurationError
+from repro.core.scaleout import ShardPartition, _PartitionGroup, _ProcessExecutor
+from repro.core.splitters import REFERENCE_SHARD_ID, shards_for, splitter_for
+from repro.errors import ConfigurationError, SimulationError
 from repro.ledger.index import LedgerIndex
-from repro.ledger.transaction import Transaction, TransactionReceipt
+from repro.ledger.transaction import Transaction
 from repro.sharding.assignment import assign_committees
 from repro.sharding.beacon_protocol import derive_epoch_randomness
 from repro.sharding.committee import CommitteeAssignment
@@ -109,21 +121,16 @@ from repro.sharding.reconfiguration import (
     STRATEGIES as RECONFIGURATION_STRATEGIES,
     ReconfigurationPlan,
     plan_reconfiguration,
-    state_transfer_seconds,
 )
-from repro.sim.latency import LanLatencyModel
-from repro.sim.monitor import Monitor
-from repro.sim.network import Network
+from repro.sim.monitor import TimeSeries
 from repro.runtime.base import as_runtime
 from repro.sim.simulator import Simulator
 from repro.txn.coordinator import (
-    Cohort,
+    CoordinatorStats,
     DistributedTxOutcome,
+    DistributedTxPhase,
     DistributedTxRecord,
-    TwoPhaseCommitCoordinator,
-    TwoPhaseCommitDriver,
 )
-from repro.txn.locks import LockAdmissionTable
 from repro.workloads.generator import shard_of_key
 
 
@@ -178,117 +185,90 @@ class _ActiveTransition:
     new_map: Dict[int, int]
 
 
-class _LockAdmission(LockAdmissionTable):
-    """The lock-admission table as the single-loop engine hosts it.
+@dataclass
+class _BatchState:
+    """Bookkeeping for one in-flight swap batch."""
 
-    One table fronts all shards, as the 2PC driver's ``admission`` hook: a
-    shard's PrepareTx has its keys namespaced (``s<shard>/<key>``), so
-    waits-for cycles that span shards are visible to the one deadlock
-    detector.  An admitted prepare is relayed at once; a refused or wounded
-    one becomes a NotOK vote at the driver.  Locks are released as each
-    shard acknowledges the transaction's commit/abort decision (the moment
-    the on-chain locks are gone).
-    """
+    transition: _ActiveTransition
+    index: int
+    started_at: float
+    outstanding: int
+    max_transfer: float = 0.0
 
-    def __init__(self, system: "ShardedBlockchain") -> None:
-        super().__init__(system.runtime, system.config.conflict_policy,
-                         system.config.wait_timeout, on_admitted=self._dispatch,
-                         on_refused=self._refuse, on_wound=self._wound_victim)
-        self.system = system
 
-    def request(self, record: DistributedTxRecord, shard_id: int,
-                prepare_tx: Transaction, extra_delay: float = 0.0) -> str:
-        """Try to admit a shard's PrepareTx: "granted", "waiting" or "deadlock".
+class AdmissionCounts(NamedTuple):
+    """The shards' lock-admission counters, summed (``system.admission``)."""
 
-        The wound-wait age is the *submission* time (begin order as
-        tie-break), not the admission-request order: the coordination layer
-        can reorder transactions across consensus blocks, so an older
-        transaction can find its key held by a younger one — and wounds it.
-        """
-        return self.admit(record.tx_id, shard_id,
-                          [f"s{shard_id}/{key}" for key in prepare_tx.keys],
-                          (record.started_at, record.begin_seq),
-                          (record, prepare_tx, extra_delay))
+    wait_timeouts: int
+    wounded_transactions: int
+    deadlocks_detected: int
 
-    def _dispatch(self, tx_id: str, shard_id: int) -> None:
-        record, prepare_tx, extra_delay = self.claim(tx_id, shard_id)
-        if record.outcome is DistributedTxOutcome.PENDING:
-            # Not decided (wounded, timed out elsewhere) meanwhile: the
-            # parked PrepareTx got its last lock, relay it now.
-            self.system.relay("prepare", record, [(shard_id, prepare_tx)],
-                              extra_delay, record.redrives)
 
-    def _refuse(self, tx_id: str, shard_id: int, payload: Tuple,
-                reason: str) -> None:
-        self.system.driver.prepare_outcome(payload[0], shard_id, False, reason)
+class _RemoteShard:
+    """``system.shards[s]`` in process mode: the committee lives in a worker."""
 
-    def _wound_victim(self, victim: str) -> None:
-        """Wound-wait: an older transaction aborts the younger lock holder."""
-        record = self.system.coordinator.records.get(victim)
-        if record is None or record.outcome is not DistributedTxOutcome.PENDING:
-            return
-        # Abort through the normal vote path.  Prefer a participant shard
-        # that has not voted yet (an undecided record always has one) so
-        # the wound is a first vote, not a conflicting revote; the shard's
-        # own later OK vote is then rejected as stale.
-        shard_id = next((shard for shard in record.shards
-                         if shard not in record.prepare_votes),
-                        record.shards[0])
-        self.system.driver.prepare_outcome(
-            record, shard_id, False, "wounded by an older transaction")
+    def __init__(self, shard_id: int) -> None:
+        self.shard_id = shard_id
+
+    def __getattr__(self, name: str) -> Any:
+        raise ConfigurationError(
+            f"shard {self.shard_id}'s {name!r} is out of reach: its replicas "
+            "live in a worker process.  Build the system with workers=None "
+            "(bit-identical outcomes) to touch the clusters")
 
 
 class ShardedBlockchain:
-    """A sharded permissioned blockchain deployment inside one simulation."""
-
-    #: The scale-out subclass flips this; the base engine refuses a config
-    #: whose ``workers`` it would silently ignore.
-    SUPPORTS_WORKERS = False
+    """A sharded permissioned blockchain deployment (see the module docstring)."""
 
     def __init__(self, config: ShardedSystemConfig) -> None:
-        if config.workers is not None and not self.SUPPORTS_WORKERS:
-            raise ConfigurationError(
-                "config.workers requires the scale-out engine; build the "
-                "system via repro.core.build_system(config)")
         self.config = config
+        #: The parent's own simulation: epoch timers, completion reports of
+        #: API-submitted transactions, and whatever clients schedule through
+        #: ``runtime``.  Its clock is the deployment's clock.
         self.sim = Simulator(seed=config.seed)
-        #: All protocol-side scheduling (2PC deadlines, relays, epoch timers)
-        #: goes through the runtime seam; ``self.sim`` remains the concrete
-        #: simulator for harness-only draining (``advance``/``pending_activity``).
         self.runtime = as_runtime(self.sim)
-        self.network = Network(self.runtime, config.latency_model or LanLatencyModel())
-        self.monitor = Monitor(max_samples=config.max_series_samples)
-        self.coordinator = TwoPhaseCommitCoordinator(
-            config.use_reference_committee, retain_records=config.retain_tx_records,
-            prepare_timeout=config.prepare_timeout)
         self.splitter = splitter_for(config.benchmark)
-        self._receipt_watchers: Dict[str, Callable[[TransactionReceipt], None]] = {}
-        self.single_shard_committed = 0
-        self.single_shard_aborted = 0
-        self.admission: Optional[_LockAdmission] = self._build_admission()
-
-        self.assignment = self._form_committees()
-        #: Armed Byzantine adversary (see ``ShardedSystemConfig.adversary``):
-        #: corruption placement happens before the clusters are built because
-        #: each replica snapshots its shard's strategy at construction.
+        self.assignment: CommitteeAssignment = assign_committees(
+            list(range(config.total_nodes)), config.num_shards, seed=config.seed)
+        #: The construction-time corruption placement (who misbehaves where,
+        #: the per-committee budget); built here so a bad adversary config is
+        #: refused in this process.  The *live* adversary — migrations, the
+        #: TEE rollback — is each partition's own copy: read its counters
+        #: from :meth:`shard_summaries` or ``partitions[s].adversary``.
         self.adversary: Optional[AdversaryState] = (
             AdversaryState.place(config, self.assignment)
             if config.adversary is not None else None)
-        self.shards: Dict[int, ConsensusCluster] = {}
-        for shard_id in range(config.num_shards):
-            self.shards[shard_id] = self._build_shard_cluster(shard_id)
-        self.reference: Optional[ConsensusCluster] = self._maybe_build_reference()
-        #: The one 2PC driver (:mod:`repro.txn.coordinator`); this class is
-        #: its host.  Under an armed adversary a decision's first-contact
-        #: member may swallow it (a silent Byzantine replica), so decisions
-        #: get a deadline and are re-driven through a rotated member; honest
-        #: runs never lose decisions and arm no such timer.
-        self.driver = TwoPhaseCommitDriver(
-            self, self.runtime, self.splitter, self.shard_of_key,
-            fault=self._bind_fault_scenario(), admission=self.admission,
-            redrive_decisions=self.adversary is not None)
-        self._arm_adversary()
-        self._attach_observers()
+        self.barrier_interval = (config.barrier_interval
+                                 if config.barrier_interval is not None
+                                 else config.relay_delay)
+        self._cmd_buffer: List[Command] = []
+        self._parent_seq = itertools.count()
+        self._marker_counter = itertools.count()
+        self._pending_admits: Dict[int, _BatchState] = {}
+        self._margin_sinks: Dict[int, EpochTransitionStats] = {}
+        self._remote_txs: Dict[str, Tuple[DistributedTxRecord, Optional[Callable]]] = {}
+        self._drivers_registered = 0
+        #: Wall-clock split of the barrier loop: time inside executor windows
+        #: (partition work) vs. time draining the parent's own simulation.
+        self._window_seconds = 0.0
+        self._parent_seconds = 0.0
+
+        shard_ids = list(range(config.num_shards))
+        if config.use_reference_committee:
+            shard_ids.append(REFERENCE_SHARD_ID)
+        self._inline = (config.workers or 1) <= 1
+        self.executor = (_PartitionGroup(config, shard_ids) if self._inline
+                         else _ProcessExecutor(config, shard_ids, config.workers))
+        #: Shard id -> its committee: the live cluster inline, a stub that
+        #: explains itself in process mode.
+        self.shards: Dict[int, Any] = {
+            shard_id: (self.executor.partitions[shard_id].cluster
+                       if self._inline else _RemoteShard(shard_id))
+            for shard_id in range(config.num_shards)}
+        #: The reference committee's live cluster (inline mode only).
+        self.reference: Optional[ConsensusCluster] = (
+            self.executor.partitions[REFERENCE_SHARD_ID].cluster
+            if self._inline and config.use_reference_committee else None)
 
         #: The live epoch schedule; epoch 0 is the construction assignment.
         self.epochs = EpochSchedule(
@@ -300,7 +280,12 @@ class ShardedBlockchain:
         #: the replica currently embodying that node.  A migration retires
         #: the old replica and binds the logical node to its successor in
         #: the destination cluster.
-        self._replica_of: Dict[int, int] = self._initial_replica_map()
+        self._replica_of: Dict[int, int] = {
+            logical: member_node_id(committee.shard_id, slot)
+            for committee in self.assignment.committees
+            for slot, logical in enumerate(committee.members)}
+        self._next_slot = {shard_id: config.committee_size
+                           for shard_id in range(config.num_shards)}
         #: History of executed epoch transitions (stats + their plans).
         self.epoch_transitions: List[EpochTransitionStats] = []
         #: The commit-time analytics index (None until ``enable_analytics``).
@@ -310,81 +295,23 @@ class ShardedBlockchain:
         self.epoch_boundaries_skipped = 0
         if config.auto_reconfigure:
             # The only scheduling the epoch machinery does by default-off
-            # config: one timer per boundary.  A run that never reaches the
-            # first boundary is event-for-event identical to the seed path.
-            for cluster in self.shards.values():
-                cluster.enable_request_tracking()
+            # config: request tracking plus one timer per boundary.
+            self._broadcast("track")
             self.runtime.schedule(config.epoch_duration, self._epoch_tick)
 
-    # ---------------------------------------------------------------- set-up
-    def _bind_fault_scenario(self):
-        """Bind the configured fault scenario to this engine.
+    @property
+    def partitions(self) -> Dict[int, ShardPartition]:
+        """The live partitions by shard id (``REFERENCE_SHARD_ID`` included)."""
+        if not self._inline:
+            raise ConfigurationError(
+                "the partitions live in worker processes: build the system "
+                "with workers=None (bit-identical to workers=N by the "
+                "engine's determinism guarantee) to reach them")
+        return self.executor.partitions
 
-        The scale-out engine overrides this to return None: there the fault
-        hooks are consulted by per-partition deep copies of the scenario (one
-        per home coordinator), never by the parent.
-        """
-        fault = self.config.fault_scenario
-        if fault is not None:
-            fault.bind(self)
-        return fault
-
-    def _build_admission(self) -> Optional["_LockAdmission"]:
-        """Host the lock-admission table (queueing policies only).
-
-        The scale-out engine overrides this to return None: there every
-        partition's home coordinator hosts its own shard's table.
-        """
-        if self.config.conflict_policy != "abort":
-            return _LockAdmission(self)
-        return None
-
-    def _maybe_build_reference(self) -> Optional[ConsensusCluster]:
-        """Build the reference committee's cluster on this simulation.
-
-        The scale-out engine overrides this to return None: there the
-        reference committee is partition ``REFERENCE_SHARD_ID``, scheduled
-        like any shard partition.
-        """
-        if self.config.use_reference_committee:
-            return self._build_shard_cluster(REFERENCE_SHARD_ID)
-        return None
-
-    def _form_committees(self) -> CommitteeAssignment:
-        node_ids = list(range(self.config.total_nodes))
-        return assign_committees(node_ids, self.config.num_shards, seed=self.config.seed)
-
-    def _arm_adversary(self) -> None:
-        """Arm the adversary on this simulation (scale-out arms per partition)."""
-        if self.adversary is not None:
-            self.adversary.arm(self)
-
-    def _initial_replica_map(self) -> Dict[int, int]:
-        """Logical node id -> physical node id of the construction assignment."""
-        mapping: Dict[int, int] = {}
-        for committee in self.assignment.committees:
-            cluster = self.shards[committee.shard_id]
-            for logical, replica in zip(committee.members, cluster.replicas):
-                mapping[logical] = replica.node_id
-        return mapping
-
-    def _build_shard_cluster(self, shard_id: int) -> ConsensusCluster:
-        return build_committee(self.config, shard_id, self.runtime,
-                               self.network, self.adversary)
-
-    def _attach_observers(self) -> None:
-        for shard_id, cluster in self.shards.items():
-            cluster.subscribe_commits(self._make_observer(shard_id))
-        if self.reference is not None:
-            self.reference.subscribe_commits(self._make_observer(REFERENCE_SHARD_ID))
-
-    def _make_observer(self, shard_id: int) -> Callable[[CommitEvent], None]:
-        def on_commit(event: CommitEvent) -> None:
-            for receipt in event.receipts:
-                watcher = self._receipt_watchers.pop(receipt.tx_id, None)
-                if watcher is not None:
-                    watcher(receipt)
-        return on_commit
+    def close(self) -> None:
+        """Release engine resources (worker processes); idempotent."""
+        self.executor.close()
 
     # --------------------------------------------------------------- routing
     def shard_of_key(self, key: str) -> int:
@@ -401,87 +328,171 @@ class ShardedBlockchain:
         return shards_for(self.splitter, tx, self.shard_of_key)
 
     # ------------------------------------------------------------ submission
+    def _emit(self, command: Command) -> None:
+        command.src = PARENT
+        command.seq = next(self._parent_seq)
+        self._cmd_buffer.append(command)
+
+    def _broadcast(self, op: str) -> None:
+        """One control command to every shard partition, a relay hop away."""
+        due = self.sim.now + self.config.relay_delay
+        for shard_id in range(self.config.num_shards):
+            self._emit(Command(due=due, dest=shard_id, op=op))
+
     def submit_transaction(self, tx: Transaction,
                            on_complete: Optional[Callable[[DistributedTxRecord], None]] = None) -> DistributedTxRecord:
-        """Submit a benchmark transaction; the system routes and coordinates it.
+        """Submit a benchmark transaction; its home partition coordinates it.
 
-        Raises :class:`~repro.errors.WorkloadError` (nothing registered) for a
+        The returned record is a parent-side shadow: its outcome fields are
+        filled in when the home's completion report arrives through the
+        barrier exchange (``on_complete`` fires at that point).  The real
+        coordination state lives in the home partition.  Raises
+        :class:`~repro.errors.WorkloadError` (nothing registered) for a
         cross-shard transaction that cannot be split.
         """
-        return self.driver.submit(tx, self.shards_for_transaction(tx),
-                                  completion=on_complete)
+        shards = self.shards_for_transaction(tx)
+        if len(shards) > 1:
+            # Refuse here what the home's driver would refuse inside a worker.
+            self.splitter.validate(tx, self.shard_of_key)
+        record = DistributedTxRecord(tx_id=tx.tx_id, transaction=tx,
+                                     shards=sorted(shards),
+                                     phase=DistributedTxPhase.BEGINNING,
+                                     started_at=self.sim.now)
+        self._remote_txs[tx.tx_id] = (record, on_complete)
+        self._emit(Command(due=self.sim.now + self.config.relay_delay,
+                           dest=home_shard(shards), op="client", txs=(tx,),
+                           tx_id=tx.tx_id, origin=PARENT))
+        return record
 
-    # ---------------------------------------------- the 2PC driver's host surface
-    def relay(self, kind: str, record: DistributedTxRecord, cohort: Cohort,
-              extra_delay: float, attempt: int) -> None:
-        """Watch for each receipt, then submit the cohort after the relay delay.
-
-        One scheduler event per cohort (same-time events fire back to back
-        anyway).  ``attempt`` rotates the receiving replica on retries so a
-        lost submission is not re-pinned to the member that swallowed it.
-        This and :meth:`submit_reference` are the *complete* set of
-        parent-to-shard submission sites.
-        """
-        for shard_id, tx in cohort:
-            self._receipt_watchers[tx.tx_id] = partial(
-                self.driver.receipt, kind, record, shard_id)
-
-        def submit_cohort(batch=tuple(cohort)) -> None:
-            for shard_id, tx in batch:
-                self.shards[shard_id].submit([tx], attempt=attempt)
-        self.runtime.schedule(self.config.relay_delay + extra_delay, submit_cohort)
-
-    def submit_reference(self, tx: Transaction, attempt: int) -> None:
-        self._receipt_watchers[tx.tx_id] = self.driver.reference_receipt
-        self.runtime.schedule(self.config.relay_delay,
-                              lambda: self.reference.submit([tx], attempt=attempt))
-
-    def shard_unreachable(self, shard_id: int) -> bool:
-        return False  # simulated shards stall or lose messages, never vanish
-
-    def finished(self, record: DistributedTxRecord,
-                 on_complete: Optional[Callable[[DistributedTxRecord], None]]) -> None:
+    def _on_tx_done(self, done: TxDone) -> None:
+        entry = self._remote_txs.pop(done.tx_id, None)
+        if entry is None:
+            return
+        record, on_complete = entry
+        record.phase = DistributedTxPhase.DONE
+        record.outcome = (DistributedTxOutcome.COMMITTED if done.committed
+                          else DistributedTxOutcome.ABORTED)
+        record.abort_reason = done.abort_reason
+        record.decided_at = done.decided_at
+        record.completed_at = done.completed_at
         if on_complete is not None:
             on_complete(record)
 
-    # ------------------------------------------------------------------- run
-    def advance(self, until: float, max_events: Optional[int] = None) -> None:
+    # --------------------------------------------------------------- drivers
+    def register_partition_driver(self, spec: Dict[str, Any]) -> int:
+        """Register one open-loop driver's spec; partitions run its splits.
+
+        Returns the driver's index (the key into :meth:`driver_stats`).
+        """
+        index = self._drivers_registered
+        self._drivers_registered += 1
+        self.executor.call("add_driver", index, spec)
+        return index
+
+    def driver_stats(self, index: int) -> DriverStats:
+        """Driver ``index``'s statistics, merged over all partitions."""
+        merged = DriverStats()
+        for per_driver in self._gather("driver_stats").values():
+            stats = per_driver.get(index)
+            if stats is not None:
+                merged.merge(stats)
+        return merged
+
+    # ---------------------------------------------------------- barrier loop
+    def advance(self, until: float) -> None:
         """Advance the deployment to simulated time ``until``.
 
-        The engine-neutral way to drive a system: drivers and the auditor go
-        through this instead of touching ``sim.run_batched`` directly, so the
-        scale-out engine can substitute its barrier loop.
+        Strict alternation per window: ship the buffered command block,
+        drain the partitions, inject their outputs at exact times, drain
+        the parent.  Commands the partitions routed to each other come back
+        in the window result and ship with the *next* block.
         """
-        self.sim.run_batched(until=until, max_events=max_events)
+        delta = self.barrier_interval
+        now = self.sim.now
+        while now < until:
+            end = min(now + delta, until)
+            commands, self._cmd_buffer = self._cmd_buffer, []
+            # detlint: disable=DET001 -- coordinator_work_share wall-time split: measures host cost only, never feeds simulated time or the event stream
+            started = perf_counter()
+            result = self.executor.run_window(WindowBlock(
+                until=end, epoch=self.epochs.current_epoch,
+                commands=tuple(sorted(commands, key=inbound_sort_key))))
+            # detlint: disable=DET001 -- coordinator_work_share wall-time split: measures host cost only, never feeds simulated time or the event stream
+            mid = perf_counter()
+            self._window_seconds += mid - started
+            self._cmd_buffer.extend(result.routed)
+            self._deliver_outputs(result.outputs)
+            self.sim.run_batched(until=end)
+            self.sim.advance_clock(end)
+            # detlint: disable=DET001 -- coordinator_work_share wall-time split: measures host cost only, never feeds simulated time or the event stream
+            self._parent_seconds += perf_counter() - mid
+            now = end
+
+    def run(self, duration: float) -> ShardedRunResult:
+        """Advance the deployment by ``duration`` and summarise the run."""
+        self.advance(self.sim.now + duration)
+        return self.result(duration)
+
+    @property
+    def coordinator_work_share(self) -> float:
+        """Fraction of barrier-loop wall-clock spent in the parent tier.
+
+        With coordination, admission, the reference committee and the
+        drivers all in-partition, the parent's share of each window should
+        be small (< 20% under the benchmark gate) — it only merges outputs
+        and runs epoch control.
+        """
+        total = self._window_seconds + self._parent_seconds
+        return self._parent_seconds / total if total > 0 else 0.0
 
     def pending_activity(self) -> bool:
         """Whether any engine component still has events queued."""
-        return self.sim.pending_events > 0
+        return (self.sim.pending_events > 0 or bool(self._cmd_buffer)
+                or sum(self.executor.call("pending_events")) > 0)
 
-    def close(self) -> None:
-        """Release engine resources (worker processes); idempotent no-op here."""
+    def _deliver_outputs(self, outputs: Tuple[Any, ...]) -> None:
+        """Inject partition outputs as parent events at their exact times.
 
-    def run(self, duration: float, max_events: Optional[int] = None) -> ShardedRunResult:
-        """Advance the simulation and summarise the coordinator statistics.
-
-        Uses the batched drain loop (:meth:`Simulator.run_batched`), which is
-        observationally equivalent to the one-at-a-time loop but cheaper on
-        message-heavy runs.
+        The ``(time, shard, seq)`` sort is the canonical arrival order: it
+        depends only on what the partitions did, never on how they were
+        grouped onto workers.
         """
-        self.advance(self.runtime.now + duration, max_events=max_events)
-        return self.result(duration)
+        for item in sorted(outputs, key=lambda it: (it.time, it.shard, it.seq)):
+            if isinstance(item, TxDone):
+                self.sim.schedule_at(item.time, self._on_tx_done, item)
+            elif isinstance(item, AdmitReport):
+                self.sim.schedule_at(item.time, self._on_admit_report, item)
+            elif isinstance(item, MarginReport):
+                self.sim.schedule_at(item.time, self._on_margin_report, item)
+            else:  # pragma: no cover - protocol bug guard
+                raise SimulationError(f"unknown partition output {item!r}")
 
-    def coordination_stats(self):
-        """Aggregate 2PC coordination statistics (engine-neutral).
+    # --------------------------------------------------------------- results
+    def _gather(self, method: str) -> Dict[int, Any]:
+        """``method``'s per-partition answers from every group, in shard
+        order (so whatever is folded over them is grouping-invariant)."""
+        merged: Dict[int, Any] = {}
+        for reply in self.executor.call(method):
+            merged.update(reply)
+        return dict(sorted(merged.items()))
 
-        The legacy engine has exactly one coordinator; the scale-out engine
-        overrides this to merge the per-partition home coordinators' stats.
+    def coordination_stats(self) -> CoordinatorStats:
+        """The home coordinators' 2PC statistics, merged.
+
+        Partitions are merged in shard order, so the concatenated latency
+        list (kept only under ``retain_tx_records``) is deterministic too.
         """
-        return self.coordinator.stats
+        merged = CoordinatorStats()
+        for stats in self._gather("coordination_stats").values():
+            for field_ in dataclasses.fields(CoordinatorStats):  # counters, sums, lists
+                setattr(merged, field_.name, getattr(merged, field_.name)
+                        + getattr(stats, field_.name))
+        return merged
 
     def result(self, duration: float) -> ShardedRunResult:
         stats = self.coordination_stats()
-        summaries = self.shard_summaries()
+        summaries = self._gather("summaries")
+        reference = summaries.pop(REFERENCE_SHARD_ID, None)
         return ShardedRunResult(
             duration=duration,
             committed_transactions=stats.committed,
@@ -490,38 +501,44 @@ class ShardedBlockchain:
             abort_rate=stats.abort_rate,
             mean_latency=stats.mean_latency,
             cross_shard_fraction=(stats.cross_shard / stats.started if stats.started else 0.0),
-            per_shard_committed={shard_id: summaries[shard_id]["committed"]
-                                 for shard_id in sorted(summaries)},
-            reference_committee_transactions=self._reference_committed(),
+            per_shard_committed={shard_id: summary["committed"]
+                                 for shard_id, summary in summaries.items()},
+            reference_committee_transactions=(
+                reference["committed"] if reference is not None else 0),
             current_epoch=self.epochs.current_epoch,
             reconfigurations_completed=self.reconfigurations_completed,
         )
 
-    def _reference_committed(self) -> int:
-        """Transactions the reference committee has committed (engine-neutral)."""
-        if self.reference is None:
-            return 0
-        return self.reference.honest_observer().committed_transactions()
-
     def shard_summaries(self) -> Dict[int, Dict[str, int]]:
-        """Per-shard observable outcomes (engine-neutral)."""
-        summaries: Dict[int, Dict[str, int]] = {}
-        for shard_id, cluster in self.shards.items():
-            summaries[shard_id] = {
-                "committed": cluster.honest_observer().committed_transactions(),
-                "view_changes": int(cluster.monitor.counter_value(
-                    f"view_changes.shard{shard_id}")),
-            }
+        """Per-shard observable outcomes and counters (see
+        :meth:`~repro.core.scaleout.ShardPartition.summary`)."""
+        summaries = self._gather("summaries")
+        summaries.pop(REFERENCE_SHARD_ID, None)
         return summaries
+
+    @property
+    def events_processed(self) -> int:
+        """Simulator events fired so far, over the parent and every partition."""
+        return self.sim.events_processed + sum(
+            summary["events"] for summary in self._gather("summaries").values())
+
+    @property
+    def admission(self) -> Optional[AdmissionCounts]:
+        """Lock-admission counters summed over the shards' tables (None under
+        the ``"abort"`` policy, which has no tables)."""
+        if self.config.conflict_policy == "abort":
+            return None
+        summaries = list(self.shard_summaries().values())
+        return AdmissionCounts(*(sum(summary[key] for summary in summaries)
+                                 for key in ("wait_timeouts", "wounded", "deadlocks")))
 
     def fingerprint(self) -> Dict[str, object]:
         """Exact observable outcome of the run so far.
 
         Commit/abort totals plus per-shard committed counts and view-change
         counts — all integers, so "equal fingerprints" means bit-identical
-        outcomes.  The scale-out engine guarantees this value is invariant
-        under the worker count and the barrier interval for a given
-        seed+config.
+        outcomes.  Invariant under ``workers`` and the barrier interval for
+        a given seed+config.
         """
         stats = self.coordination_stats()
         summaries = self.shard_summaries()
@@ -529,29 +546,38 @@ class ShardedBlockchain:
             "committed": stats.committed,
             "aborted": stats.aborted,
             "started": stats.started,
-            "per_shard_committed": {shard_id: summaries[shard_id]["committed"]
-                                    for shard_id in sorted(summaries)},
-            "view_changes": {shard_id: summaries[shard_id]["view_changes"]
-                             for shard_id in sorted(summaries)},
+            "per_shard_committed": {shard_id: summary["committed"]
+                                    for shard_id, summary in summaries.items()},
+            "view_changes": {shard_id: summary["view_changes"]
+                             for shard_id, summary in summaries.items()},
         }
 
     def audit_clusters(self) -> Dict[int, ConsensusCluster]:
-        """The real shard clusters, for the auditor to attach observers to.
+        """The live shard clusters, for observers (auditor, analytics).
 
-        The scale-out engine overrides this to expose its inline partitions'
-        clusters (and to reject process-mode audits, where the replicas live
-        in other address spaces).
+        Process mode refuses: its replicas live in other address spaces.
         """
+        if not self._inline:
+            raise ConfigurationError(
+                "the safety auditor needs the replicas in-process: audit a "
+                "workers=None run (bit-identical to workers=N by the engine's "
+                "determinism guarantee) instead")
         return dict(self.shards)
+
+    def throughput_over_time(self, bucket_seconds: float = 5.0) -> List[tuple]:
+        """Committed-transaction rate over time, aggregated across shards
+        (needs ``retain_tx_records``)."""
+        times = sorted(itertools.chain.from_iterable(
+            self._gather("commit_times").values()))
+        series = TimeSeries.from_samples("commits", [(at, 1.0) for at in times])
+        return series.bucketed_rate(bucket_seconds, until=self.sim.now)
 
     # --------------------------------------------------------------- analytics
     def enable_analytics(self, account_history: bool = True) -> LedgerIndex:
         """Attach a commit-time :class:`LedgerIndex` to this deployment.
 
         Idempotent — the first call builds the index and subscribes it to
-        every committee's commits (through the same engine-neutral
-        :meth:`audit_clusters` path the auditor uses, so it works on both
-        the legacy engine and the scale-out engine's inline partitions);
+        every committee's commits (inline mode only, like the auditor);
         later calls return the same index.  Each shard is registered at its
         chain height at attach time, so an index enabled before the run
         (the normal case) sees every block from height 1.
@@ -562,7 +588,7 @@ class ShardedBlockchain:
         if self.analytics is not None:
             return self.analytics
         index = LedgerIndex(account_history=account_history)
-        clusters = dict(self.audit_clusters())
+        clusters = self.audit_clusters()
         if self.reference is not None:
             clusters[REFERENCE_SHARD_ID] = self.reference
         for shard_id, cluster in clusters.items():
@@ -618,9 +644,10 @@ class ShardedBlockchain:
         system stays available.
 
         ``state_transfer_seconds`` overrides the per-node transfer delay;
-        by default it is derived from the destination shard's actual state
-        size via :func:`repro.sharding.reconfiguration.state_transfer_seconds`
-        under ``config.state_bandwidth_bps``.
+        by default the destination partition derives it from its shard's
+        actual state size via
+        :func:`repro.sharding.reconfiguration.state_transfer_seconds` under
+        ``config.state_bandwidth_bps``.
         """
         if strategy not in RECONFIGURATION_STRATEGIES:
             raise ConfigurationError(f"unknown reconfiguration strategy {strategy!r}")
@@ -630,8 +657,7 @@ class ShardedBlockchain:
                 f"(simulated time is {self.runtime.now!r})")
         if batch_interval is None:
             batch_interval = self.config.swap_batch_interval
-        for cluster in self.shards.values():
-            cluster.enable_request_tracking()
+        self._broadcast("track")
         self.runtime.schedule_at(at_time, self._begin_transition_attempt, strategy,
                              state_transfer_seconds, batch_size, batch_interval)
 
@@ -701,78 +727,83 @@ class ShardedBlockchain:
             new_map=new_assignment.membership_map(),
         )
         self._active_transition = transition
-        for cluster in self.shards.values():
-            cluster.prepare_for_membership_change()
+        self._broadcast("prepare")
         # Randomness generation is part of the transition window: the first
         # swap batch starts once the beacon's rnd is locked in.
         self.runtime.schedule(beacon.elapsed_seconds, self._run_migration_step,
                           transition, 0)
 
     def _run_migration_step(self, transition: _ActiveTransition, index: int) -> None:
-        """Execute one swap batch; reschedules itself until the plan is done."""
+        """Emit one swap batch as partition control ops; reports pace the next.
+
+        Ops execute on their partitions at ``t + relay_delay``: the source
+        removes the member, the destination admits the joiner (corruption
+        decision, transfer sizing from its own state, activation timer) and
+        reports the transfer delay.  The next batch starts at
+        ``max(t + batch_interval, t_ops + max_transfer)`` once every admit
+        of this batch has reported — never before this batch's transfers
+        finish, so concurrent absences stay bounded by the batch size.
+        """
         plan = transition.plan
         if index >= plan.num_steps:
             self._complete_transition(transition)
             return
-        max_transfer = 0.0
+        now = self.sim.now
+        due = now + self.config.relay_delay
+        markers: List[int] = []
         for logical in sorted(plan.nodes_in_step(index)):
-            max_transfer = max(max_transfer, self._migrate_node(transition, logical))
+            old_shard = transition.old_map[logical]
+            new_shard = transition.new_map[logical]
+            self._emit(Command(due=due, dest=old_shard, op="remove",
+                               node_id=self._replica_of[logical]))
+            slot = self._next_slot[new_shard]
+            self._next_slot[new_shard] = slot + 1
+            new_physical = member_node_id(new_shard, slot)
+            marker = next(self._marker_counter)
+            markers.append(marker)
+            self._emit(Command(due=due, dest=new_shard, op="admit",
+                               node_id=new_physical, logical=logical,
+                               transfer_override=transition.transfer_override,
+                               marker=marker))
+            self._replica_of[logical] = new_physical
             transition.stats.nodes_moved += 1
-        self._record_membership_margins(transition.stats)
-        # The next batch never starts before this batch's transfers finish,
-        # so concurrent absences stay bounded by the batch size.
-        delay = (max(transition.batch_interval, max_transfer)
-                 if index + 1 < plan.num_steps else max_transfer)
-        self.runtime.schedule(delay, self._run_migration_step, transition, index + 1)
+        batch = _BatchState(transition=transition, index=index,
+                            started_at=now, outstanding=len(markers))
+        for marker in markers:
+            self._pending_admits[marker] = batch
+        # Every shard samples its active-minus-quorum margin once this
+        # batch's ops have applied.
+        for shard_id in sorted(self.shards):
+            marker = next(self._marker_counter)
+            self._margin_sinks[marker] = transition.stats
+            self._emit(Command(due=due, dest=shard_id, op="margin",
+                               marker=marker))
+        if not markers:
+            delay = transition.batch_interval if index + 1 < plan.num_steps else 0.0
+            self.sim.schedule(delay, self._run_migration_step, transition,
+                              index + 1)
 
-    def _migrate_node(self, transition: _ActiveTransition, logical: int) -> float:
-        """One node leaves its old committee and joins its new one.
+    def _on_admit_report(self, report: AdmitReport) -> None:
+        batch = self._pending_admits.pop(report.marker)
+        batch.outstanding -= 1
+        batch.max_transfer = max(batch.max_transfer, report.transfer)
+        if batch.outstanding:
+            return
+        transition = batch.transition
+        if batch.index + 1 < transition.plan.num_steps:
+            next_time = max(batch.started_at + transition.batch_interval,
+                            self.sim.now + batch.max_transfer)
+            self.sim.schedule_at(next_time, self._run_migration_step,
+                                 transition, batch.index + 1)
+        else:
+            self.sim.schedule(batch.max_transfer, self._run_migration_step,
+                              transition, batch.index + 1)
 
-        Returns the modelled state-transfer delay after which the new member
-        activates (starts serving in the destination committee).
-        """
-        old_shard = transition.old_map[logical]
-        new_shard = transition.new_map[logical]
-        source_cluster = self.shards[old_shard]
-        dest_cluster = self.shards[new_shard]
-        transfer = transition.transfer_override
-        if transfer is None:
-            transfer = state_transfer_seconds(
-                self._shard_state_bytes(dest_cluster),
-                bandwidth_bps=self.config.state_bandwidth_bps)
-        if self.adversary is not None:
-            # Corruption follows the logical node: the strategy must know the
-            # joiner's id before admit_member constructs the replica.
-            self.adversary.on_migrate(logical, self._replica_of[logical],
-                                      source_cluster, dest_cluster)
-        source_cluster.remove_member(self._replica_of[logical])
-        new_physical = dest_cluster.admit_member()
-        self._replica_of[logical] = new_physical
-        self.runtime.schedule(transfer, dest_cluster.activate_member, new_physical)
-        return transfer
-
-    @staticmethod
-    def _shard_state_bytes(cluster: ConsensusCluster) -> int:
-        """The destination shard's state size, as a joining node would fetch it.
-
-        Sized from the same member the joiner will install from (including
-        the escrowed state of a fully-replaced committee), so a swap-all
-        replacement never sees an empty fresh joiner and concludes the
-        transfer is free.
-        """
-        source = cluster.state_source_replica()
-        return source.state.size_bytes() if source is not None else 0
-
-    def _record_membership_margins(self, stats: EpochTransitionStats) -> None:
-        """Sample each committee's active-members-minus-quorum margin."""
-        for shard_id, cluster in self.shards.items():
-            if not cluster.replicas:
-                continue
-            margin = (len(cluster.active_replicas())
-                      - cluster.config.quorum_size(len(cluster.replicas)))
-            previous = stats.min_active_margin.get(shard_id)
-            if previous is None or margin < previous:
-                stats.min_active_margin[shard_id] = margin
+    def _on_margin_report(self, report: MarginReport) -> None:
+        stats = self._margin_sinks.pop(report.marker)
+        previous = stats.min_active_margin.get(report.shard)
+        if previous is None or report.margin < previous:
+            stats.min_active_margin[report.shard] = report.margin
 
     def _complete_transition(self, transition: _ActiveTransition) -> None:
         self.epochs.complete_transition(self.runtime.now)
@@ -780,18 +811,13 @@ class ShardedBlockchain:
         self.reconfigurations_completed += 1
         self._active_transition = None
         if self.analytics is not None:
-            # The single wiring point (shared with the scale-out engine) that
-            # materializes a finished transition's quorum margins.
+            # The single wiring point that materializes a finished
+            # transition's quorum margins.
             self.analytics.record_epoch_transition(
                 transition.stats.epoch, transition.stats.strategy,
                 transition.stats.min_active_margin)
 
-    def throughput_over_time(self, bucket_seconds: float = 5.0) -> List[tuple]:
-        """Committed-transaction rate over time, aggregated across shards."""
-        commits: List[tuple] = []
-        for record in self.coordinator.records.values():
-            if record.outcome is DistributedTxOutcome.COMMITTED and record.completed_at is not None:
-                commits.append((record.completed_at, 1.0))
-        from repro.sim.monitor import TimeSeries
-        series = TimeSeries.from_samples("commits", commits)
-        return series.bucketed_rate(bucket_seconds, until=self.runtime.now)
+
+#: Kept for its importers: there is one engine, so building "the engine the
+#: config asks for" is just constructing it.
+build_system = ShardedBlockchain

@@ -52,14 +52,6 @@ class ChaincodeError(LedgerError):
     """A chaincode invocation failed (unknown function, bad arguments)."""
 
 
-class ConsensusError(ReproError):
-    """A consensus protocol received an invalid or unexpected message."""
-
-
-class QuorumError(ConsensusError):
-    """A quorum certificate is invalid or insufficient."""
-
-
 class ShardingError(ReproError):
     """Shard formation or reconfiguration failed."""
 

@@ -88,7 +88,7 @@ def run_adversarial_point(protocol: str, f: int, scale: ExperimentScale,
         "aborted": driver.stats.aborted,
         "throughput_tps": committed_in_window / scale.duration,
         "avg_latency_s": driver.stats.mean_latency,
-        "view_changes": int(system.monitor.counter_value("view_changes.shard0")),
+        "view_changes": system.shard_summaries()[0]["view_changes"],
         "queue_drops": sum(r.stats.messages_dropped_queue_full
                            for r in system.shards[0].replicas),
         "violations": len(report.violations),

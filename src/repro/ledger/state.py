@@ -46,11 +46,6 @@ class StateStore:
         entry = self._data.get(key)
         return entry.value if entry is not None else default
 
-    def get_versioned(self, key: str) -> Optional[VersionedValue]:
-        """Value and version, or None if absent."""
-        self.reads += 1
-        return self._data.get(key)
-
     def put(self, key: str, value: Any) -> int:
         """Store ``value`` at ``key``; returns the new version number."""
         self.writes += 1

@@ -29,7 +29,7 @@ def rebase_tx_counter(start: int = 0) -> None:
 def swap_tx_counter(counter: "itertools.count") -> "itertools.count":
     """Swap the process-global id counter for ``counter``; returns the old one.
 
-    The scale-out engine gives every partition its own disjoint id stream
+    The engine gives every partition its own disjoint id stream
     (see ``repro.core.homecoord.partition_tx_counter``): the partition swaps
     its counter in around each barrier window so transactions it creates —
     driver arrivals, splitter prepares/decisions, reference-committee votes —

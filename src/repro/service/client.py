@@ -84,20 +84,6 @@ class ServiceClient:
             raise ServiceHTTPError(status, body)
         return body
 
-    def wait_healthy(self, timeout: float = 60.0) -> Dict[str, Any]:
-        """Poll ``/health`` until every shard is up (boot barrier for tests)."""
-        deadline = time.monotonic() + timeout
-        last: Dict[str, Any] = {}
-        while time.monotonic() < deadline:
-            try:
-                last = self.health()
-                if last.get("status") == "ok":
-                    return last
-            except (ServiceHTTPError, OSError, ConnectionError):
-                pass
-            time.sleep(0.2)
-        raise TimeoutError(f"gateway never became healthy: {last}")
-
 
 def replay_through_gateway(client: ServiceClient, replay: Any,
                            wait: bool = True,

@@ -1,7 +1,7 @@
 """Length-prefixed pickle frames over asyncio streams.
 
 The wire format is a 4-byte big-endian length followed by a pickle of the
-payload — the same envelope the scale-out engine uses for its barrier
+payload — the same envelope the simulated engine uses for its barrier
 batches, here applied to live TCP connections between the gateway and the
 shard node processes.  Pickle (rather than JSON) because the payloads are
 the protocol's own dataclasses (``Message`` carrying ``Transaction`` /

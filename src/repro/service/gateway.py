@@ -4,8 +4,7 @@ Two halves:
 
 * :class:`GatewayService` — the coordination plane.  It hosts the *same*
   :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` that
-  ``ShardedBlockchain`` and the scale-out home coordinators host in sim
-  mode, in the trusted ``use_reference_committee=False`` configuration of
+  the home coordinators host in sim mode, in the trusted ``use_reference_committee=False`` configuration of
   Figure 13: begin → per-shard prepares → votes → commit/abort decisions →
   acks.  The service itself is only the transport — a relayed cohort becomes
   ``svc-submit`` frames, the ``svc-receipts`` frames coming back from the

@@ -160,6 +160,12 @@ async def _amain(args: argparse.Namespace) -> int:
         print(json.dumps({"event": "failed", "error": str(exc)}), flush=True)
         await cluster.stop()
         return 1
+    # Handlers first: whoever reads "ready" may signal at once, and an
+    # unhandled SIGTERM would kill this process without draining.
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(sig, stop.set)
     print(json.dumps({
         "event": "ready",
         "endpoint": cluster.endpoint,
@@ -170,10 +176,6 @@ async def _amain(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "benchmark": args.benchmark,
     }), flush=True)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(sig, stop.set)
     await stop.wait()
     assert cluster.service is not None
     summary = await cluster.service.drain(args.drain_timeout)

@@ -16,7 +16,7 @@ four-verb protocol:
 
 Every committed receipt flows back to the gateway as a ``svc-receipts``
 frame — the gateway's 2PC coordinator consumes them exactly where the sim's
-:meth:`ShardedBlockchain._make_observer` consumes ``CommitEvent`` receipts.
+:meth:`ShardPartition._on_commit` consumes ``CommitEvent`` receipts.
 
 ``run_shard_node(spec)`` is the picklable ``multiprocessing`` (spawn
 context) entry point; ``spec`` is a plain dict so the parent never has to

@@ -155,11 +155,6 @@ class SocketNetwork(Network):
     def is_remote(self, node_id: int) -> bool:
         return node_id in self._peers and node_id not in self._nodes
 
-    def peer_down(self, node_id: int) -> bool:
-        addr = self._peers.get(node_id)
-        link = self._links.get(addr) if addr is not None else None
-        return link is not None and link.down
-
     def _link_for(self, node_id: int) -> _PeerLink:
         addr = self._peers[node_id]
         link = self._links.get(addr)

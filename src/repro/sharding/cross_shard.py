@@ -116,17 +116,3 @@ def contention_probability(num_keys: int, keys_per_tx: int, in_flight: int) -> f
         raise ConfigurationError("in_flight must be at least 1")
     p = pairwise_conflict_probability(num_keys, keys_per_tx)
     return 1.0 - (1.0 - p) ** (in_flight - 1)
-
-
-def cross_shard_table(argument_counts: List[int], shard_counts: List[int]) -> List[dict]:
-    """Rows of (d, k, P[cross-shard], E[#shards]) — the Appendix-B analysis."""
-    rows = []
-    for d in argument_counts:
-        for k in shard_counts:
-            rows.append({
-                "arguments": d,
-                "shards": k,
-                "probability_cross_shard": probability_cross_shard(d, k),
-                "expected_shards": expected_shards_touched(d, k),
-            })
-    return rows

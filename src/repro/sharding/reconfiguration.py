@@ -28,7 +28,6 @@ from typing import Dict, List
 
 from repro.errors import ShardingError
 from repro.sharding.committee import CommitteeAssignment
-from repro.sharding.sizing import transition_failure_probability
 
 #: The reconfiguration strategies understood by ``plan_reconfiguration`` and
 #: the live epoch machinery (one shared definition, validated in one place).
@@ -146,14 +145,6 @@ def plan_reconfiguration(old_assignment: CommitteeAssignment,
         strategy=strategy,
         batch_size=batch_size,
         steps=steps,
-    )
-
-
-def transition_safety(network_size: int, byzantine_fraction: float, committee_size: int,
-                      num_shards: int, batch_size: int) -> float:
-    """Equation-2 bound for the chosen batch size (convenience wrapper)."""
-    return transition_failure_probability(
-        network_size, byzantine_fraction, committee_size, num_shards, batch_size,
     )
 
 

@@ -11,7 +11,6 @@ committee during an epoch transition is faulty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import CommitteeSizeError, ConfigurationError
@@ -138,30 +137,3 @@ def transition_failure_probability(network_size: int, byzantine_fraction: float,
     )
     intermediate_committees = committee_size * (num_shards - 1) / (num_shards * swap_batch)
     return min(1.0, per_committee * max(0.0, intermediate_committees))
-
-
-@dataclass(frozen=True)
-class SizingSummary:
-    """A single row of the committee-sizing analysis."""
-
-    network_size: int
-    byzantine_fraction: float
-    resilience: float
-    committee_size: int
-    failure_probability: float
-
-
-def sizing_summary(network_size: int, byzantine_fraction: float,
-                   resilience: float, failure_target: float = DEFAULT_FAILURE_TARGET) -> SizingSummary:
-    """Compute the minimum committee size and its achieved failure probability."""
-    size = minimum_committee_size(network_size, byzantine_fraction,
-                                  resilience=resilience, failure_target=failure_target)
-    probability = faulty_committee_probability(network_size, byzantine_fraction, size,
-                                               resilience=resilience)
-    return SizingSummary(
-        network_size=network_size,
-        byzantine_fraction=byzantine_fraction,
-        resilience=resilience,
-        committee_size=size,
-        failure_probability=probability,
-    )

@@ -158,10 +158,6 @@ class SimProcess:
         self.runtime.schedule_at(finish, fn, *args)
         return finish
 
-    def cpu_idle_at(self) -> float:
-        """Time at which the CPU becomes free."""
-        return max(self._cpu_free_at, self.runtime.now)
-
     # ------------------------------------------------------------- overrides
     def message_cost(self, message: Message) -> float:
         """CPU cost of handling ``message``; subclasses refine this."""

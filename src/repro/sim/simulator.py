@@ -112,7 +112,7 @@ class Simulator:
         """Advance the clock to ``until`` without running events.
 
         ``run``/``run_batched`` only move the clock to their bound when
-        events are pending; the scale-out barrier loop uses this to pin a
+        events are pending; the engine's barrier loop uses this to pin a
         drained simulation's clock at the window end, so every partition and
         the parent agree on "now" at each barrier.
         """

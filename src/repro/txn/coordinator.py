@@ -16,10 +16,10 @@ A distributed transaction proceeds through three steps:
 :class:`TwoPhaseCommitDriver` drives the message flow around it.  The driver
 is sans-IO — it is fed votes, acks, reference-committee receipts and timer
 fires, and asks its :class:`DriverHost` to relay cohorts — so the one
-implementation is hosted three times: by
-:class:`repro.core.system.ShardedBlockchain` (one simulation),
-:class:`repro.core.homecoord.HomeCoordinator` (one per scale-out partition)
-and :class:`repro.service.gateway.GatewayService` (live shard processes).
+implementation has two hosts:
+:class:`repro.core.homecoord.HomeCoordinator` (one per partition of the
+simulated engine) and :class:`repro.service.gateway.GatewayService` (live
+shard processes).
 Both classes also support the *trusted coordinator* mode (no reference
 committee), which is what the paper's "w/o R" configurations measure.
 
@@ -63,7 +63,6 @@ from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
 from repro.errors import CoordinatorFailureError, TransactionAbortedError
 from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
 from repro.runtime.base import Runtime
-from repro.txn.locks import DEADLOCK_REASON
 from repro.txn.reference_committee import (
     CoordinatorState,
     ReferenceCommitteeChaincode,
@@ -445,17 +444,9 @@ class TwoPhaseCommitCoordinator:
             raise TransactionAbortedError(f"unknown distributed transaction {tx_id!r}")
         return record
 
-    def outcome_of(self, tx_id: str) -> DistributedTxOutcome:
-        return self._record(tx_id).outcome
-
     def pending(self) -> List[DistributedTxRecord]:
         return [record for record in self.records.values()
                 if record.phase is not DistributedTxPhase.DONE]
-
-    def decided_but_unfinished(self) -> List[DistributedTxRecord]:
-        return [record for record in self.records.values()
-                if record.outcome is not DistributedTxOutcome.PENDING
-                and record.phase is not DistributedTxPhase.DONE]
 
 
 # --------------------------------------------------------------------------
@@ -524,10 +515,6 @@ class TwoPhaseCommitDriver:
         and the key → shard routing function it is applied with.
     fault:
         Optional bound :class:`~repro.txn.faults.FaultScenario`.
-    admission:
-        Optional coordinator-side lock admission consulted before each
-        prepare is relayed (``request`` / ``waiting_shards`` /
-        ``release_shard`` / ``finish``).
     redrive_decisions:
         Arm a deadline on every decision sent (lost decisions are re-driven).
     max_redrives:
@@ -537,14 +524,13 @@ class TwoPhaseCommitDriver:
 
     def __init__(self, host: DriverHost, runtime: Runtime, splitter: Any,
                  shard_of: Callable[[str], int], fault: Any = None,
-                 admission: Any = None, redrive_decisions: bool = False,
+                 redrive_decisions: bool = False,
                  max_redrives: Optional[int] = None) -> None:
         self.host = host
         self.runtime = runtime
         self.splitter = splitter
         self.shard_of = shard_of
         self.fault = fault
-        self.admission = admission
         self.redrive_decisions = redrive_decisions
         self.max_redrives = max_redrives
         self._reference_chaincode = ReferenceCommitteeChaincode()
@@ -674,12 +660,12 @@ class TwoPhaseCommitDriver:
 
     def _send_prepares(self, record: DistributedTxRecord,
                        only_shards: Optional[List[int]] = None) -> None:
-        """Relay the per-shard PrepareTx cohorts (admission- and fault-aware)."""
+        """Relay the per-shard PrepareTx cohorts (fault-aware)."""
         if self.coordinator.crashed:
             return  # recovery re-drives undecided transactions
         prepares = self.splitter.prepare_transactions(record.transaction,
                                                       self.shard_of)
-        fault, admission = self.fault, self.admission
+        fault = self.fault
         cohorts: Dict[float, List[Tuple[int, Transaction]]] = {}
         for shard_id, prepare_tx in prepares.items():
             if only_shards is not None and shard_id not in only_shards:
@@ -689,15 +675,6 @@ class TwoPhaseCommitDriver:
                 if fault.drop_prepare(record, shard_id):
                     continue  # the prepare-deadline re-drive recovers this
                 extra_delay = fault.prepare_delay(record, shard_id)
-            if admission is not None:
-                status = admission.request(record, shard_id, prepare_tx,
-                                           extra_delay)
-                if status == "waiting":
-                    continue
-                if status == "deadlock":
-                    self.prepare_outcome(record, shard_id, False,
-                                         DEADLOCK_REASON)
-                    continue
             cohorts.setdefault(extra_delay, []).append((shard_id, prepare_tx))
         for extra_delay in sorted(cohorts):
             self.host.relay("prepare", record, cohorts[extra_delay],
@@ -732,7 +709,7 @@ class TwoPhaseCommitDriver:
                         ok: bool, reason: Optional[str]) -> None:
         """A shard's prepare outcome is known: relay the vote to whoever
         decides (also the entry point for locally produced NotOK votes:
-        admission timeouts, deadlocks and wounds)."""
+        exhausted re-drive budgets and lost shards)."""
         if self.coordinator.use_reference_committee:
             self._submit_vote(record, shard_id, ok, reason)
         else:
@@ -838,8 +815,6 @@ class TwoPhaseCommitDriver:
         coordinator.record_commit_ack(tx_id, shard_id, now=self.runtime.now)
         if record is None:
             return
-        if self.admission is not None:
-            self.admission.release_shard(tx_id, shard_id)
         if self.fault is not None:
             duplicates = self.fault.duplicate_acks(record, shard_id)
             for index in range(duplicates):
@@ -880,9 +855,8 @@ class TwoPhaseCommitDriver:
     def _check_prepare_deadline(self, tx_id: str) -> None:
         """The prepare deadline passed: re-drive the shards with missing votes.
 
-        Shards whose prepare is still parked in the admission queue are not
-        re-driven (their vote is not lost, just not due yet), and neither are
-        unreachable ones (:meth:`shard_lost` owns their votes).
+        Unreachable shards are not re-driven (:meth:`shard_lost` owns their
+        votes).
         """
         coordinator = self.coordinator
         record = coordinator.records.get(tx_id)
@@ -895,11 +869,8 @@ class TwoPhaseCommitDriver:
             return
         if self._deadline_not_reached(record, self._check_prepare_deadline):
             return
-        waiting = (self.admission.waiting_shards(tx_id)
-                   if self.admission is not None else ())
         to_redrive = [shard for shard in record.shards
                       if shard not in record.prepare_votes
-                      and shard not in waiting
                       and not self.host.shard_unreachable(shard)]
         if not to_redrive:
             record.prepare_deadline = self.runtime.now + coordinator.prepare_timeout
@@ -998,8 +969,6 @@ class TwoPhaseCommitDriver:
 
     # ------------------------------------------------------------ completion
     def _finish(self, record: DistributedTxRecord) -> None:
-        if self.admission is not None:
-            self.admission.finish(record.tx_id)
         self._decisions_sent.pop(record.tx_id, None)
         entry = self._unfinished.pop(record.tx_id, None)
         if entry is not None:

@@ -4,7 +4,8 @@ The consensus layer already has a strategy pattern for Byzantine *replicas*
 (:mod:`repro.consensus.byzantine`); this module lifts the same idea one layer
 up, to the coordination protocol of Figure 5: a :class:`FaultScenario` object
 is attached to a :class:`~repro.core.system.ShardedBlockchain` (via
-``ShardedSystemConfig.fault_scenario``) and is consulted at the decision
+``ShardedSystemConfig.fault_scenario``; every home coordinator consults its
+own deep copy) and is consulted at the decision
 points of the transaction lifecycle — sending prepares, relaying votes,
 sending the commit/abort decision, and acknowledging it.
 
@@ -46,10 +47,6 @@ class FaultScenario:
     :class:`~repro.txn.coordinator.DistributedTxRecord` so they can target
     specific transactions, shards or phases.
     """
-
-    def bind(self, system) -> None:
-        """Called once when the scenario is attached to a system."""
-        self.system = system
 
     # ------------------------------------------------------------ prepare phase
     def prepare_delay(self, record, shard_id: int) -> float:
@@ -221,11 +218,6 @@ class ComposedScenario(FaultScenario):
 
     def __init__(self, *scenarios: FaultScenario) -> None:
         self.scenarios = scenarios
-
-    def bind(self, system) -> None:
-        super().bind(system)
-        for scenario in self.scenarios:
-            scenario.bind(system)
 
     def prepare_delay(self, record, shard_id: int) -> float:
         return sum(s.prepare_delay(record, shard_id) for s in self.scenarios)

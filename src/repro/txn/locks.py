@@ -441,10 +441,8 @@ class LockAdmissionTable:
     those outcomes mean (relay, vote, abort); the table owns the schedule
     and its three counters.
 
-    Hosts: ``ShardedBlockchain`` keeps one table for all shards (keys
-    namespaced per shard, so cycles that span shards are visible) behind the
-    2PC driver's admission hook; every scale-out ``HomeCoordinator`` keeps
-    one for the prepares arriving at its own shard.
+    Hosts: every ``HomeCoordinator`` (and every live shard node) keeps one
+    for the prepares arriving at its own shard.
     """
 
     def __init__(self, runtime: Runtime, policy: ConflictPolicy | str,

@@ -98,18 +98,3 @@ class UTXOSet:
 
     def __len__(self) -> int:
         return len(self._unspent)
-
-
-def validate_transaction(tx: UTXOTransaction, available: Dict[str, UTXO]) -> None:
-    """Structural validation: inputs exist/unspent (in ``available``) and amounts balance."""
-    total_in = 0
-    for utxo_id in tx.inputs:
-        utxo = available.get(utxo_id)
-        if utxo is None:
-            raise InvalidTransactionError(f"input {utxo_id!r} is not an unspent output")
-        total_in += utxo.amount
-    total_out = sum(output.amount for output in tx.outputs)
-    if total_out > total_in:
-        raise InvalidTransactionError(
-            f"outputs ({total_out}) exceed inputs ({total_in})"
-        )

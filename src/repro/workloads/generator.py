@@ -75,8 +75,8 @@ class WorkloadGenerator:
         self.benchmark = benchmark
         self.num_shards = num_shards
         #: Construction parameters, kept introspectable so a generator can be
-        #: described by a plain spec and re-derived elsewhere (the scale-out
-        #: engine rebuilds per-partition streams from these inside workers).
+        #: described by a plain spec and re-derived elsewhere (the engine
+        #: rebuilds per-partition streams from these inside workers).
         self.zipf_coefficient = zipf_coefficient
         self.num_keys = num_keys
         self.seed = seed
@@ -181,7 +181,7 @@ class WorkloadGenerator:
                                    now: float = 0.0) -> Transaction:
         """Next transaction from this stream whose *first key* lives on ``shard_id``.
 
-        The scale-out engine gives every partition its own generator (seeded
+        The engine gives every partition its own generator (seeded
         by a per-partition split) and a deterministic ownership rule: a
         partition drives exactly the draws whose first key — the payer's
         account for Smallbank — it owns, and skips the rest.  Because the

@@ -9,10 +9,30 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads import vectorized
+
+
+@lru_cache(maxsize=8)
+def _zipf_cdf(population: int, coefficient: float) -> Tuple[float, ...]:
+    """The Zipf(``coefficient``) CDF over ``population`` ranks.
+
+    Shared by every generator of the same shape in the process (each
+    partition's driver builds one), hence immutable and bounded: a handful
+    of shapes are live at a time, at ~8 bytes per rank.
+    """
+    weights = [1.0 / ((rank + 1) ** coefficient) for rank in range(population)]
+    total = sum(weights)
+    cdf: List[float] = []
+    cumulative = 0.0
+    for weight in weights:
+        cumulative += weight / total
+        cdf.append(cumulative)
+    cdf[-1] = 1.0
+    return tuple(cdf)
 
 
 class ZipfGenerator:
@@ -31,20 +51,9 @@ class ZipfGenerator:
         self.population = population
         self.coefficient = coefficient
         self._rng = rng or random.Random(seed)
-        self._cdf = self._build_cdf()
+        self._cdf = _zipf_cdf(population, coefficient)
         #: numpy copy of the CDF, built lazily on the first block draw.
         self._cdf_array = None
-
-    def _build_cdf(self) -> List[float]:
-        weights = [1.0 / ((rank + 1) ** self.coefficient) for rank in range(self.population)]
-        total = sum(weights)
-        cdf: List[float] = []
-        cumulative = 0.0
-        for weight in weights:
-            cumulative += weight / total
-            cdf.append(cumulative)
-        cdf[-1] = 1.0
-        return cdf
 
     def sample(self) -> int:
         """Draw one rank (0 = most popular)."""

@@ -9,8 +9,7 @@ from repro.baselines.randhound import RandHoundConfig, randhound_running_time, s
 from repro.core.client_api import attach_clients
 from repro.core.config import ShardedSystemConfig
 from repro.core.splitters import KVStoreSplitter, SmallbankSplitter, splitter_for
-from repro.core.scaleout import build_system
-from repro.core.system import ShardedBlockchain
+from repro.core.system import ShardedBlockchain, build_system
 from repro.errors import ConfigurationError, WorkloadError
 from repro.perfmodel.throughput import committee_latency, committee_throughput, sharded_throughput
 from repro.txn.coordinator import DistributedTxOutcome
@@ -127,8 +126,9 @@ class TestShardedBlockchain:
     def test_unsplittable_cross_shard_transaction_registers_nothing(
             self, use_reference, workers):
         """The sim-side twin of the gateway's malformed-request regression:
-        a payment with no amount is refused before BeginTx, so no coordinator
-        ever starts it and no event is scheduled for it — on either engine."""
+        a payment with no amount is refused before it is forwarded to its
+        home partition, so no coordinator ever starts it and no event or
+        command is queued for it — inline or with the partitions in a worker."""
         system = build_system(ShardedSystemConfig(
             num_shards=2, committee_size=3, num_keys=200, workers=workers,
             use_reference_committee=use_reference,
@@ -140,8 +140,7 @@ class TestShardedBlockchain:
         with pytest.raises(WorkloadError, match="cannot split"):
             system.submit_transaction(tx, on_complete=lambda record: None)
         assert system.coordination_stats().started == 0
-        assert not system.coordinator.records
-        assert system.driver.in_flight == 0
+        assert not system._remote_txs  # no shadow record awaits a completion
         assert not system.pending_activity()
         system.close()
 

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from engine_harness import tx_records
 from repro.core.config import ShardedSystemConfig
 from repro.core.driver import OpenLoopDriver, attach_open_loop_drivers
 from repro.core.system import ShardedBlockchain
@@ -40,7 +41,7 @@ class TestOpenLoopDriver:
         result_b = system_b.result(duration=system_b.sim.now)
         assert dataclasses.asdict(result_a) == dataclasses.asdict(result_b)
         assert dataclasses.asdict(stats_a) == dataclasses.asdict(stats_b)
-        assert system_a.sim.events_processed == system_b.sim.events_processed
+        assert system_a.events_processed == system_b.events_processed
 
     def test_different_seeds_diverge(self):
         _, _, stats_a = _run_sharded(seed=1)
@@ -55,9 +56,11 @@ class TestOpenLoopDriver:
         system_prune, _, stats_prune = _run_sharded(seed=9, retain=False)
         assert stats_keep.committed == stats_prune.committed
         assert stats_keep.aborted == stats_prune.aborted
-        assert len(system_keep.coordinator.records) == 120
-        assert len(system_prune.coordinator.records) == 0
-        assert len(system_prune.coordinator.reference.transactions) == 0
+        assert len(tx_records(system_keep)) == 120
+        assert len(tx_records(system_prune)) == 0
+        assert all(not partition.home.coordinator.reference.transactions
+                   for partition in system_prune.partitions.values()
+                   if partition.home is not None)
 
     def test_max_in_flight_drops_arrivals_instead_of_queueing(self):
         config = ShardedSystemConfig(num_shards=2, committee_size=4, seed=3,
@@ -66,7 +69,7 @@ class TestOpenLoopDriver:
         driver = OpenLoopDriver(system, rate_tps=5_000.0, max_transactions=500,
                                 batch_size=10, max_in_flight=20)
         driver.start()
-        system.sim.run_batched(until=2.0)
+        system.advance(2.0)
         assert driver.stats.max_in_flight <= 20
         assert driver.dropped_arrivals > 0
 
@@ -78,7 +81,7 @@ class TestOpenLoopDriver:
                                            max_transactions=90)
         assert len(drivers) == 3
         assert all(driver.rate_tps == pytest.approx(100.0) for driver in drivers)
-        system.sim.run_batched(until=5.0)
+        system.advance(5.0)
         assert sum(driver.stats.submitted for driver in drivers) == 90
 
     def test_attach_open_loop_drivers_distributes_remainder(self):
@@ -88,8 +91,25 @@ class TestOpenLoopDriver:
         drivers = attach_open_loop_drivers(system, count=3, rate_tps=600.0,
                                            max_transactions=100)
         assert [driver.max_transactions for driver in drivers] == [34, 33, 33]
-        system.sim.run_batched(until=5.0)
+        system.advance(5.0)
         assert sum(driver.stats.submitted for driver in drivers) == 100
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_custom_workload_object_is_drawn_parent_side(self, workers):
+        """A generator object cannot be re-derived inside a partition, so the
+        driver draws it itself and forwards every transaction to its home —
+        same outcomes wherever the partitions run."""
+        config = ShardedSystemConfig(num_shards=3, committee_size=4, seed=3,
+                                     num_keys=400, workers=workers)
+        system = ShardedBlockchain(config)
+        workload = WorkloadGenerator(benchmark="smallbank", num_shards=3,
+                                     num_keys=400, seed=5)
+        driver = OpenLoopDriver(system, rate_tps=100.0, max_transactions=60,
+                                workload=workload)
+        stats = driver.run_to_completion(drain_timeout=60.0)
+        system.close()
+        assert workload.mix.total == stats.submitted == 60
+        assert (stats.committed, stats.aborted) == (58, 2)
 
     def test_invalid_parameters_rejected(self):
         config = ShardedSystemConfig(num_shards=1, committee_size=1, seed=0)

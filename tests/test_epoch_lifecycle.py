@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from engine_harness import tx_records
 from repro.core.client_api import attach_clients
 from repro.core.config import ShardedSystemConfig
 from repro.core.driver import OpenLoopDriver
@@ -34,18 +35,19 @@ def fingerprint(system):
     """Everything observable about a finished run, for differential checks."""
     result = system.result(1.0)
     return {
-        "events": system.sim.events_processed,
+        "events": system.events_processed,
         "now": system.sim.now,
-        "messages_sent": system.network.stats.messages_sent,
-        "messages_delivered": system.network.stats.messages_delivered,
+        "messages_sent": {shard_id: cluster.network.stats.messages_sent
+                          for shard_id, cluster in system.shards.items()},
+        "messages_delivered": {shard_id: cluster.network.stats.messages_delivered
+                               for shard_id, cluster in system.shards.items()},
         "committed": result.committed_transactions,
         "aborted": result.aborted_transactions,
         "per_shard": result.per_shard_committed,
         # Transaction ids embed a process-global counter, so two systems
         # built in one process number them differently; the begin-ordered
         # outcome sequence is the id-independent equivalent.
-        "outcomes": [record.outcome.name
-                     for record in system.coordinator.records.values()],
+        "outcomes": [record.outcome.name for record in tx_records(system)],
         "last_executed": {shard_id: sorted(r.last_executed for r in cluster.replicas)
                          for shard_id, cluster in system.shards.items()},
     }
@@ -56,9 +58,11 @@ class TestSeedEquivalence:
         """Armed-but-never-due epochs leave the run bit-identical to the seed.
 
         The epoch machinery's only default-path footprint is one pending
-        timer that never fires inside the horizon; everything observable —
-        event counts, clock, message counts, per-transaction outcomes,
-        per-replica execution cursors — must match the unarmed system.
+        timer that never fires inside the horizon and one "track" control
+        command per shard partition (request tracking switched on, which
+        sends nothing); everything observable — event counts, clock, message
+        counts, per-transaction outcomes, per-replica execution cursors —
+        must match the unarmed system.
         """
         seed_system = build_system()
         attach_clients(seed_system, count=3, outstanding=6)
@@ -68,7 +72,11 @@ class TestSeedEquivalence:
         attach_clients(epoch_system, count=3, outstanding=6)
         epoch_system.run(12.0)
 
-        assert fingerprint(seed_system) == fingerprint(epoch_system)
+        seed_run, epoch_run = fingerprint(seed_system), fingerprint(epoch_system)
+        # The delivered "track" commands are the only extra events.
+        assert epoch_run.pop("events") == (seed_run.pop("events")
+                                           + epoch_system.config.num_shards)
+        assert seed_run == epoch_run
         assert epoch_system.current_epoch == 0
         assert epoch_system.reconfigurations_completed == 0
 
@@ -76,8 +84,10 @@ class TestSeedEquivalence:
         system = build_system(epoch_duration=1e9, auto_reconfigure=True)
         assert system.epochs.current_epoch == 0
         assert not system.epochs.transition_in_progress
-        # One armed boundary timer is the only scheduled footprint.
+        # One armed boundary timer and the buffered per-shard "track"
+        # commands are the only scheduled footprint.
         assert system.sim.pending_events == 1
+        assert [command.op for command in system._cmd_buffer] == ["track"] * 2
 
 
 class TestExecutedMigration:

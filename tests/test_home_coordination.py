@@ -1,6 +1,6 @@
 """Unit tests for the distributed-coordination building blocks.
 
-Covers the pure functions the scale-out engine's determinism argument rests
+Covers the pure functions the engine's determinism argument rests
 on — home-partition assignment, load-aware worker grouping, batched-RPC
 framing — plus the worker-lifecycle regression: a worker process dying
 mid-window must raise a clear error naming its partitions instead of
@@ -26,7 +26,7 @@ from repro.core.homecoord import (
     partition_tx_counter,
     partition_weights,
 )
-from repro.core.scaleout import build_system
+from repro.core.system import build_system
 from repro.core.system import REFERENCE_SHARD_ID
 from repro.errors import SimulationError
 
@@ -167,7 +167,7 @@ class TestRpcFraming:
 
             def counting_send(message, _original=original,
                               _key=id(handle), _sends=sends):
-                if message[0] == "window":
+                if message[0] == "run_window":
                     _sends[_key] += 1
                 return _original(message)
 

@@ -1,9 +1,9 @@
-"""Differential tests of the scale-out engine (core/scaleout.py).
+"""Differential tests of where the engine's partitions run (core/scaleout.py).
 
 The engine's contract: for a given seed+config, the commit/abort/view-change
 fingerprint is **bit-identical** whether the partitions are drained inline
-(``workers=1``, the seed-faithful path) or spread over worker processes
-(``workers=N``), and invariant under the barrier interval.  These tests
+(``workers=None`` or ``1``) or spread over worker processes (``workers=N``),
+and invariant under the barrier interval.  These tests
 compare fingerprints across worker counts over the composed scenario
 matrix — conflict policies, fault injection, prepare re-drives, epoch
 reconfigurations and the Byzantine/TEE adversary — and sweep the barrier
@@ -18,7 +18,6 @@ from repro.audit.auditor import SafetyAuditor
 from repro.core import (
     AdversaryConfig,
     OpenLoopDriver,
-    ScaleOutShardedBlockchain,
     ShardedBlockchain,
     ShardedSystemConfig,
     build_system,
@@ -108,11 +107,13 @@ def _run(workers, overrides, reconfigure, barrier=None, extra_horizon=10.0):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_workers_do_not_change_outcomes(name):
-    """workers=1 and workers=2 produce bit-identical fingerprints."""
+    """workers=None, 1 and 2 produce bit-identical fingerprints."""
     factory, reconfigure = SCENARIOS[name]
+    default = _run(None, factory(), reconfigure)
     inline = _run(1, factory(), reconfigure)
     processes = _run(2, factory(), reconfigure)
-    assert inline == processes, f"scenario {name} diverged across worker counts"
+    assert default == inline == processes, (
+        f"scenario {name} diverged across worker counts")
 
 
 def _golden(committed, aborted, per_shard, abort_reasons, locks):
@@ -179,28 +180,31 @@ def test_barrier_interval_validation():
     with pytest.raises(ConfigurationError):
         ShardedSystemConfig(workers=1, barrier_interval=1.0)  # > relay_delay
     with pytest.raises(ConfigurationError):
-        ShardedSystemConfig(barrier_interval=0.001)  # requires workers
+        ShardedSystemConfig(barrier_interval=0.0)
     with pytest.raises(ConfigurationError):
         ShardedSystemConfig(workers=0)
+    ShardedSystemConfig(barrier_interval=0.001)  # any worker setting takes one
 
 
-def test_legacy_engine_refuses_workers_config():
-    """The base engine won't silently ignore a workers setting."""
-    config = ShardedSystemConfig(workers=2)
-    with pytest.raises(ConfigurationError):
-        ShardedBlockchain(config)
-
-
-def test_build_system_dispatch():
-    legacy = build_system(ShardedSystemConfig())
-    assert type(legacy) is ShardedBlockchain
-    scaled = build_system(ShardedSystemConfig(workers=1))
-    assert isinstance(scaled, ScaleOutShardedBlockchain)
-    scaled.close()
+@pytest.mark.parametrize("workers", [None, 1, 2])
+def test_build_system_is_the_one_engine(workers):
+    """``build_system(c)`` and ``ShardedBlockchain(c)`` are the same engine,
+    for every ``workers``: same type, same fingerprint."""
+    fingerprints = []
+    for build in (ShardedBlockchain, build_system):
+        rebase_tx_counter(0)
+        system = build(ShardedSystemConfig(**_base_config(), workers=workers))
+        assert type(system) is ShardedBlockchain
+        OpenLoopDriver(system, rate_tps=RATE,
+                       max_transactions=40).run_to_completion()
+        fingerprints.append(system.fingerprint())
+        system.close()
+    assert fingerprints[0] == fingerprints[1]
+    assert not ShardedBlockchain.__subclasses__()
 
 
 def test_inline_scaleout_run_is_auditor_green():
-    """The safety auditor attaches to workers=1 partitions and passes."""
+    """The safety auditor attaches to inline partitions and passes."""
     rebase_tx_counter(0)
     system = build_system(ShardedSystemConfig(**_base_config(), workers=1))
     auditor = SafetyAuditor(system)
@@ -222,12 +226,19 @@ def test_process_mode_refuses_audit():
 
 
 def test_direct_shard_submit_is_a_protocol_bug():
-    from repro.errors import SimulationError
+    """Process mode has no reachable clusters: touching one — to submit
+    around the coordination layer, or just to look at its replicas — says
+    how to get them (workers=None)."""
     from repro.workloads.generator import WorkloadGenerator
 
-    system = build_system(ShardedSystemConfig(**_base_config(), workers=1))
+    system = build_system(ShardedSystemConfig(**_base_config(), workers=2))
     tx = WorkloadGenerator(benchmark="smallbank", num_shards=3,
                            num_keys=400, seed=1).next_transaction("c", 0.0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(ConfigurationError, match="workers=None"):
         system.shards[0].submit([tx])
+    with pytest.raises(ConfigurationError, match="workers=None"):
+        system.shards[0].replicas
+    with pytest.raises(ConfigurationError, match="workers=None"):
+        system.partitions
+    assert system.reference is None
     system.close()

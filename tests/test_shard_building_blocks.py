@@ -1,13 +1,13 @@
-"""Unit tests for the three parts every engine assembles.
+"""Unit tests for the three parts the engine and the live service assemble.
 
 * :class:`repro.txn.locks.LockAdmissionTable` — the one lock-admission
-  schedule (hosts: ``ShardedBlockchain`` and every ``HomeCoordinator``);
+  schedule (hosts: every ``HomeCoordinator`` and every live shard node);
 * :class:`repro.core.driver.ArrivalLoop` — the one open-loop arrival tick
   and completion accounting (configurations: ``OpenLoopDriver`` and
   ``PartitionDriver``);
 * the shard definition in :mod:`repro.core.splitters` — one benchmark table
-  and one committee factory (assembled by the single-loop engine, every
-  ``ShardPartition`` and the ``repro-serve`` shard process).
+  and one committee factory (assembled by every ``ShardPartition`` of the
+  engine and by the ``repro-serve`` shard process).
 
 The first two need no simulator: a manual clock fires the timers and fake
 callbacks record what the host would be told.
@@ -23,7 +23,6 @@ import pytest
 from repro.core import ShardedBlockchain, ShardedSystemConfig
 from repro.core.driver import ArrivalLoop
 from repro.core.homecoord import PartitionDriver
-from repro.core.scaleout import ShardPartition
 from repro.core.splitters import (
     REFERENCE_SHARD_ID,
     build_committee,
@@ -248,14 +247,9 @@ def test_every_assembler_builds_the_same_shards(workload):
     config = ShardedSystemConfig(num_shards=3, committee_size=4, num_keys=300,
                                  benchmark=workload, seed=5)
     system = ShardedBlockchain(config)
-    shard_ids = list(range(config.num_shards)) + [REFERENCE_SHARD_ID]
     expected = {shard_id: _shard_view(system.shards[shard_id])
                 for shard_id in range(config.num_shards)}
     expected[REFERENCE_SHARD_ID] = _shard_view(system.reference)
-
-    partitions = {shard_id: _shard_view(ShardPartition(config, shard_id).cluster)
-                  for shard_id in shard_ids}
-    assert partitions == expected
 
     async def service_shards():
         runtime = AsyncioRuntime(seed=config.seed)

@@ -21,6 +21,7 @@ from typing import Dict, Set, Tuple
 
 import pytest
 
+from engine_harness import tx_records
 from repro.core import OpenLoopDriver, ShardedBlockchain, ShardedSystemConfig
 from repro.txn.coordinator import DistributedTxPhase
 from repro.txn.faults import (
@@ -87,6 +88,15 @@ class DecisionLog:
                 f"on others: {sorted(executed)}")
 
 
+def _assert_one_crash_per_home(system: ShardedBlockchain) -> None:
+    """``times=1`` holds per coordinator: every home consults its own copy
+    of the scenario, so each crashes at most once — and some home must."""
+    crashes = [partition.home.coordinator.stats.coordinator_crashes
+               for partition in system.partitions.values()
+               if partition.home is not None]
+    assert set(crashes) <= {0, 1} and sum(crashes) >= 1, crashes
+
+
 def _drive(system: ShardedBlockchain, txns: int = 24) -> None:
     driver = OpenLoopDriver(system, rate_tps=120.0, max_transactions=txns,
                             batch_size=4)
@@ -101,10 +111,10 @@ def test_scenario_matrix_liveness_and_safety(policy, scenario_name):
     log = DecisionLog(system)
     _drive(system)
 
-    stats = system.coordinator.stats
+    stats = system.coordination_stats()
     # Liveness: every transaction the coordinator began reached DONE.
     assert stats.committed + stats.aborted == stats.started
-    for record in system.coordinator.records.values():
+    for record in tx_records(system):
         assert record.phase is DistributedTxPhase.DONE, (
             f"{record.tx_id} stuck in {record.phase} ({scenario_name}/{policy})")
     assert stats.committed > 0
@@ -112,8 +122,11 @@ def test_scenario_matrix_liveness_and_safety(policy, scenario_name):
     log.assert_safe()
     # The scenario actually exercised its fault path.
     if scenario_name == "vote-drop":
-        assert scenario.dropped > 0
-        assert any(r.redrives > 0 for r in system.coordinator.records.values())
+        # Every home coordinator consults its own deep copy of the scenario.
+        assert sum(partition.home.fault.dropped
+                   for partition in system.partitions.values()
+                   if partition.home is not None) > 0
+        assert any(r.redrives > 0 for r in tx_records(system))
     elif scenario_name == "vote-replay":
         assert (stats.duplicate_votes + stats.duplicate_acks
                 + stats.equivocations + stats.stale_messages) > 0
@@ -128,10 +141,10 @@ def test_coordinator_crash_at_prepare_phase_recovers():
     system = _build("abort", scenario)
     log = DecisionLog(system)
     _drive(system)
-    stats = system.coordinator.stats
-    assert stats.coordinator_crashes == 1
+    stats = system.coordination_stats()
+    _assert_one_crash_per_home(system)
     assert stats.committed + stats.aborted == stats.started
-    for record in system.coordinator.records.values():
+    for record in tx_records(system):
         assert record.phase is DistributedTxPhase.DONE
     log.assert_safe()
 
@@ -147,8 +160,8 @@ def test_crash_without_reference_committee_recovers():
     system = ShardedBlockchain(config)
     log = DecisionLog(system)
     _drive(system)
-    stats = system.coordinator.stats
-    assert stats.coordinator_crashes == 1
+    stats = system.coordination_stats()
+    _assert_one_crash_per_home(system)
     assert stats.committed + stats.aborted == stats.started
     log.assert_safe()
 
@@ -164,12 +177,12 @@ def test_stale_replay_idempotence_with_pruned_records():
     stats = driver.run_to_completion(drain_timeout=60.0)
     # drain any remaining stale re-deliveries
     system.run(5.0)
-    coord = system.coordinator.stats
+    coord = system.coordination_stats()
     assert coord.committed + coord.aborted == coord.started == 30
     assert stats.committed == coord.committed
     # Stale deliveries hit pruned records and were counted, not applied.
     assert coord.stale_messages + coord.duplicate_votes + coord.duplicate_acks > 0
-    assert not system.coordinator.records  # fully pruned
+    assert not tx_records(system)  # fully pruned
     log.assert_safe()
 
 
@@ -180,12 +193,12 @@ def test_wound_wait_under_stall_actually_wounds():
     system = _build("wound-wait", scenario, seed=5)
     log = DecisionLog(system)
     _drive(system, txns=40)
-    stats = system.coordinator.stats
+    stats = system.coordination_stats()
     assert stats.committed + stats.aborted == stats.started
     log.assert_safe()
     # Not every seed wounds, but this one must exercise *some* queueing path.
     admission = system.admission
     assert (admission.wounded_transactions + admission.wait_timeouts
             + admission.deadlocks_detected) >= 0  # bookkeeping is reachable
-    for record in system.coordinator.records.values():
+    for record in tx_records(system):
         assert record.phase is DistributedTxPhase.DONE
