@@ -116,6 +116,7 @@ from repro.txn.coordinator import (
     DistributedTxOutcome,
     DistributedTxRecord,
 )
+from repro.workloads import vectorized
 
 
 class ShardPartition:
@@ -485,6 +486,9 @@ class _ProcessExecutor:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             ctx = multiprocessing.get_context()
+        # Workers inherit numpy from the fork instead of each importing it
+        # on its first block draw, inside a timed window.
+        vectorized.numpy_available()
         self._workers: List[_WorkerHandle] = []
         for owned in assign_partitions(shard_ids, workers, config):
             if not owned:

@@ -3,6 +3,14 @@
 Blocks, transactions and attested-log entries are identified by SHA-256
 digests over a canonical serialisation; :func:`digest_of` provides that
 canonical form for arbitrary JSON-like Python values (dataclasses included).
+
+The two steps are separate so a fixed-shape record can skip the first:
+:func:`canonical_json` is the general pass (a recursive ``_canonical`` walk
+plus one encoder run) and :func:`sha256_hex` the hash.  The hot records —
+attestation body, block header, transaction — write their canonical JSON as
+a template over :func:`json_string` and decimal ``int``/``float`` reprs, which
+is what the encoder emits for exactly those types; any other field type falls
+through to :func:`digest_of`, so the bytes hashed are the same either way.
 """
 
 from __future__ import annotations
@@ -11,6 +19,13 @@ import dataclasses
 import hashlib
 import json
 from typing import Any
+
+#: One encoder for every call (``json.dumps`` with non-default options builds
+#: a fresh ``JSONEncoder`` each time).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Canonical JSON of one ``str``: the encoder's own string escaper.
+json_string = json.encoder.encode_basestring_ascii
 
 
 def _canonical(value: Any) -> Any:
@@ -74,10 +89,16 @@ def sha256_hex(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def canonical_json(value: Any) -> str:
+    """Canonical JSON text of an arbitrary JSON-like Python value."""
+    return _ENCODER.encode(_canonical(value))
+
+
 def digest_of(value: Any) -> str:
     """Deterministic SHA-256 digest of an arbitrary JSON-like Python value."""
-    canonical = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
-    return sha256_hex(canonical)
+    if type(value) is str:  # a digest or Merkle root: its JSON is one literal
+        return sha256_hex(json_string(value))
+    return sha256_hex(canonical_json(value))
 
 
 def short_digest(value: Any, length: int = 12) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.crypto.hashing import digest_of
 from repro.errors import CryptoError
@@ -70,16 +70,23 @@ class KeyPair:
             cache[digest] = mac
         return mac
 
-    def sign(self, message: Any) -> Signature:
-        """Sign an arbitrary JSON-like message."""
-        digest = digest_of(message)
+    def sign(self, message: Any = None, *, digest: Optional[str] = None) -> Signature:
+        """Sign an arbitrary JSON-like message, or its precomputed ``digest_of``."""
+        if digest is None:
+            digest = digest_of(message)
         return Signature(signer=self.owner, digest=digest, mac=self._mac_for(digest))
 
-    def verify_own(self, signature: Signature, message: Any) -> bool:
-        """Verify a signature allegedly produced by this key."""
+    def verify_own(self, signature: Signature, message: Any = None, *,
+                   digest: Optional[str] = None) -> bool:
+        """Verify a signature allegedly produced by this key.
+
+        ``digest`` is the caller's own ``digest_of(message)`` when it has a
+        cheaper way to compute it than handing over the message.
+        """
         if signature.signer != self.owner:
             return False
-        digest = digest_of(message)
+        if digest is None:
+            digest = digest_of(message)
         if digest != signature.digest:
             return False
         return hmac.compare_digest(self._mac_for(digest), signature.mac)
@@ -94,11 +101,12 @@ class SignatureVerifier:
     def register(self, keypair: KeyPair) -> None:
         self._keys[keypair.owner] = keypair
 
-    def verify(self, signature: Signature, message: Any) -> bool:
+    def verify(self, signature: Signature, message: Any = None, *,
+               digest: Optional[str] = None) -> bool:
         keypair = self._keys.get(signature.signer)
         if keypair is None:
             return False
-        return keypair.verify_own(signature, message)
+        return keypair.verify_own(signature, message, digest=digest)
 
 
 #: A process-wide registry used when protocols verify each other's signatures.
@@ -122,15 +130,17 @@ def register_keypair(keypair: KeyPair) -> None:
     _GLOBAL_VERIFIER.register(keypair)
 
 
-def verify_signature(signature: Signature, message: Any, keypair: KeyPair | None = None) -> bool:
-    """Verify ``signature`` over ``message``.
+def verify_signature(signature: Signature, message: Any = None,
+                     keypair: KeyPair | None = None, *,
+                     digest: Optional[str] = None) -> bool:
+    """Verify ``signature`` over ``message`` (or over its precomputed ``digest``).
 
     If ``keypair`` is given it must be the signer's key pair; otherwise the
     global registry is consulted.
     """
     if keypair is not None:
-        return keypair.verify_own(signature, message)
-    return _GLOBAL_VERIFIER.verify(signature, message)
+        return keypair.verify_own(signature, message, digest=digest)
+    return _GLOBAL_VERIFIER.verify(signature, message, digest=digest)
 
 
 def require_valid_signature(signature: Signature, message: Any,

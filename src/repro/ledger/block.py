@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Optional, Tuple
 
-from repro.crypto.hashing import digest_of
+from repro.crypto.hashing import digest_of, json_string, sha256_hex
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.transaction import Transaction
 
@@ -37,17 +38,36 @@ class BlockHeader:
         """
         cached = self.__dict__.get("_block_hash")
         if cached is None:
-            cached = digest_of({
-                "height": self.height,
-                "prev_hash": self.prev_hash,
-                "merkle_root": self.merkle_root,
-                "proposer": self.proposer,
-                "view": self.view,
-                "timestamp": self.timestamp,
-                "shard_id": self.shard_id,
-            })
-            self.__dict__["_block_hash"] = cached
+            cached = self.__dict__["_block_hash"] = self._header_digest()
         return cached
+
+    def _header_digest(self) -> str:
+        """``digest_of`` the seven-field record, written as its template.
+
+        Every replica re-chains an agreed block onto its own tip and so
+        hashes an equal header of its own.  (Interning the hash by field
+        tuple would make that one hash per distinct header, but ``0.0 ==
+        -0.0`` and ``1 == 1.0 == True`` while their JSON differs, so the key
+        would have to be the template itself — a lookup as dear as the hash.)
+        """
+        timestamp = self.timestamp
+        if (type(self.height) is int and type(self.prev_hash) is str
+                and type(self.merkle_root) is str and type(self.proposer) is int
+                and type(self.view) is int and type(self.shard_id) is int
+                and type(timestamp) is float and isfinite(timestamp)):
+            return sha256_hex(
+                f'{{"height":{self.height},"merkle_root":{json_string(self.merkle_root)},'
+                f'"prev_hash":{json_string(self.prev_hash)},"proposer":{self.proposer},'
+                f'"shard_id":{self.shard_id},"timestamp":{timestamp!r},"view":{self.view}}}')
+        return digest_of({
+            "height": self.height,
+            "prev_hash": self.prev_hash,
+            "merkle_root": self.merkle_root,
+            "proposer": self.proposer,
+            "view": self.view,
+            "timestamp": self.timestamp,
+            "shard_id": self.shard_id,
+        })
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional, Tuple
 
-from repro.crypto.hashing import digest_of
+from repro.crypto.hashing import canonical_json, digest_of, json_string, sha256_hex
 
 _TX_COUNTER = itertools.count()
 
@@ -41,6 +41,15 @@ def swap_tx_counter(counter: "itertools.count") -> "itertools.count":
     previous = _TX_COUNTER
     _TX_COUNTER = counter
     return previous
+
+
+def burn_tx_id() -> None:
+    """Consume the id :func:`Transaction.create` would have used next.
+
+    For a drawn invocation that is discarded before materialisation, so the
+    stream's later ids do not depend on whether discards are materialised.
+    """
+    next(_TX_COUNTER)
 
 
 class TxStatus(str, Enum):
@@ -84,8 +93,21 @@ class Transaction:
         """Create a transaction with a fresh unique identifier."""
         args = args or {}
         seq = next(_TX_COUNTER)
-        tx_id = f"tx-{seq}-{digest_of((chaincode, function, args, client_id, seq))[:8]}"
-        return Transaction(
+        digest = None
+        if (type(chaincode) is str and type(function) is str and type(args) is dict
+                and type(client_id) is str and type(seq) is int):
+            # ``args`` is the only free-form field: canonicalise it once and
+            # write both records — the id's (chaincode, function, args,
+            # client_id, seq) tuple and the content dict — around that text.
+            args_json = canonical_json(args)
+            code, func = json_string(chaincode), json_string(function)
+            head = sha256_hex(f"[{code},{func},{args_json},{json_string(client_id)},{seq}]")
+            tx_id = f"tx-{seq}-{head[:8]}"
+            digest = sha256_hex(f'{{"args":{args_json},"chaincode":{code},'
+                                f'"function":{func},"tx_id":"{tx_id}"}}')
+        else:
+            tx_id = f"tx-{seq}-{digest_of((chaincode, function, args, client_id, seq))[:8]}"
+        tx = Transaction(
             tx_id=tx_id,
             chaincode=chaincode,
             function=function,
@@ -94,6 +116,15 @@ class Transaction:
             keys=tuple(keys),
             submitted_at=submitted_at,
         )
+        if digest is not None:
+            tx.__dict__["_digest"] = digest
+        return tx
+
+    def __reduce__(self):
+        # Fields only: the cached digest stays behind, so a receiver hashes
+        # what it was sent instead of trusting the sender's cache.
+        return (Transaction, (self.tx_id, self.chaincode, self.function, self.args,
+                              self.client_id, self.keys, self.submitted_at))
 
     @property
     def digest(self) -> str:

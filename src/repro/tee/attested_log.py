@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.crypto.hashing import digest_of
+from repro.crypto.hashing import digest_of, json_string, sha256_hex
 from repro.crypto.signatures import Signature, registry_generation, verify_signature
 from repro.errors import EnclaveError
 from repro.sim.simulator import register_run_reset
@@ -53,6 +53,14 @@ def clear_verify_memo() -> None:
     _VERIFY_MEMO.clear()
 
 
+def _body_digest(log_name: str, position: int, digest: str) -> str:
+    """``digest_of`` the attestation body the enclave signs, written as its template."""
+    if type(log_name) is str and type(position) is int and type(digest) is str:
+        return sha256_hex(f'{{"digest":{json_string(digest)},"log":{json_string(log_name)},'
+                          f'"position":{position}}}')
+    return digest_of({"log": log_name, "position": position, "digest": digest})
+
+
 @dataclass(frozen=True)
 class LogAttestation:
     """Proof that a digest was appended to a named log at a given position."""
@@ -74,8 +82,8 @@ class LogAttestation:
         cached = _VERIFY_MEMO.get(self)
         if cached is not None:
             return cached
-        body = {"log": self.log_name, "position": self.position, "digest": self.digest}
-        result = verify_signature(self.signature, body)
+        result = verify_signature(self.signature, digest=_body_digest(
+            self.log_name, self.position, self.digest))
         if len(_VERIFY_MEMO) >= _VERIFY_MEMO_MAX:
             _VERIFY_MEMO.clear()
         _VERIFY_MEMO[self] = result
@@ -148,13 +156,12 @@ class AttestedAppendOnlyLog(Enclave):
         self.appends += 1
         if self.append_listener is not None:
             self.append_listener(self.enclave_id, log_name, position, digest)
-        body = {"log": log_name, "position": position, "digest": digest}
         return LogAttestation(
             enclave_id=self.enclave_id,
             log_name=log_name,
             position=position,
             digest=digest,
-            signature=self.sign(body),
+            signature=self.sign(digest=_body_digest(log_name, position, digest)),
         )
 
     def lookup(self, log_name: str, position: int) -> Optional[str]:

@@ -87,9 +87,9 @@ class Enclave:
         """Identity that appears as the signer of this enclave's signatures."""
         return self._key.owner
 
-    def sign(self, message: Any) -> Signature:
-        """Sign a message with the enclave-held key (never leaves the enclave)."""
-        return self._key.sign(message)
+    def sign(self, message: Any = None, *, digest: Optional[str] = None) -> Signature:
+        """Sign a message (or its digest) with the enclave-held key (never leaves the enclave)."""
+        return self._key.sign(message, digest=digest)
 
     def quote(self, report_data: Any = "") -> EnclaveQuote:
         """Produce an attestation quote binding ``report_data`` to the measurement."""

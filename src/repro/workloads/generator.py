@@ -16,9 +16,9 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO
 
 from repro.errors import WorkloadError
-from repro.ledger.transaction import Transaction
+from repro.ledger.transaction import Transaction, burn_tx_id
 from repro.workloads.kvstore import KVStoreWorkload
-from repro.workloads.smallbank import SmallbankWorkload
+from repro.workloads.smallbank import SmallbankWorkload, account_key
 
 
 @lru_cache(maxsize=262144)
@@ -188,12 +188,14 @@ class WorkloadGenerator:
         rule is a pure function of the draw and the partition id, the union
         of all partitions' accepted streams is independent of worker count.
 
-        On the vectorized path ownership is tested on the pre-sampled
-        ``(source, destination, amount)`` tuple *before* materialising a
-        Transaction, so skipped draws burn no transaction ids; the scalar
-        path materialises first (ids come from the partition's own disjoint
-        counter, so the burn is deterministic per partition too).
+        Ownership is tested on the drawn invocation *before* materialising a
+        Transaction, so a foreign draw costs no hashing.  On the vectorized
+        path skipped draws use no transaction id; on the scalar path each
+        skipped draw burns the id it would have been given (ids come from
+        the partition's own disjoint counter), which keeps the scalar id
+        stream what it was when foreign draws were materialised and dropped.
         """
+        chaincode = self._workload.chaincode
         for _ in range(10_000_000):
             if self.vectorized:
                 if self._buffer_pos >= len(self._payment_buffer):
@@ -201,17 +203,18 @@ class WorkloadGenerator:
                     self._buffer_pos = 0
                 source, destination, amount = self._payment_buffer[self._buffer_pos]
                 self._buffer_pos += 1
-                from repro.workloads.smallbank import account_key
-
                 if shard_of_key(account_key(str(source)), self.num_shards) != shard_id:
                     continue
+                function = "sendPayment"
                 args = {"from": source, "to": destination, "amount": amount}
-                tx = self._workload.chaincode.new_transaction(
-                    "sendPayment", args, client_id=client_id, submitted_at=now)
             else:
-                tx = self._workload.next_transaction(client_id=client_id, now=now)
-                if shard_of_key(tx.keys[0], self.num_shards) != shard_id:
+                function, args = self._workload.draw_invocation()
+                first_key = chaincode.keys_touched(function, args)[0]
+                if shard_of_key(first_key, self.num_shards) != shard_id:
+                    burn_tx_id()
                     continue
+            tx = chaincode.new_transaction(function, args, client_id=client_id,
+                                           submitted_at=now)
             self.mix.record([shard_of_key(key, self.num_shards) for key in tx.keys])
             return tx
         raise WorkloadError(

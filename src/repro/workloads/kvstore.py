@@ -155,16 +155,17 @@ class KVStoreWorkload:
     def key_name(self, index: int) -> str:
         return key_name(index)
 
-    def next_transaction(self, client_id: str = "client", now: float = 0.0) -> Transaction:
-        """A single transaction updating ``updates_per_transaction`` distinct keys."""
+    def draw_invocation(self) -> Tuple[str, Dict[str, Any]]:
+        """Draw ``(function, args)`` updating ``updates_per_transaction`` distinct keys."""
         indices = self._zipf.sample_many(self.updates_per_transaction, distinct=True)
         value = "x" * self.value_bytes
         if self.updates_per_transaction == 1:
-            args: Dict[str, Any] = {"key": self.key_name(indices[0]), "value": value}
-            function = "put"
-        else:
-            args = {"writes": [(self.key_name(i), value) for i in indices]}
-            function = "multi_put"
+            return "put", {"key": self.key_name(indices[0]), "value": value}
+        return "multi_put", {"writes": [(self.key_name(i), value) for i in indices]}
+
+    def next_transaction(self, client_id: str = "client", now: float = 0.0) -> Transaction:
+        """The next drawn invocation, materialised as a transaction."""
+        function, args = self.draw_invocation()
         return self.chaincode.new_transaction(function, args, client_id=client_id,
                                               submitted_at=now)
 

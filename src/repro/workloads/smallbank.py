@@ -108,16 +108,7 @@ class SmallbankChaincode(Chaincode):
     name = "smallbank"
 
     def invoke(self, state: StateStore, function: str, args: Dict[str, Any]) -> Any:
-        handlers = {
-            "createAccount": self._create_account,
-            "query": self._query,
-            "deposit": self._deposit,
-            "sendPayment": self._send_payment,
-            "preparePayment": self._prepare_payment,
-            "commitPayment": self._commit_payment,
-            "abortPayment": self._abort_payment,
-        }
-        handler = handlers.get(function)
+        handler = self._HANDLERS.get(function)
         if handler is None:
             raise ChaincodeError(f"smallbank has no function {function!r}")
         return handler(state, args)
@@ -223,6 +214,18 @@ class SmallbankChaincode(Chaincode):
                 state.delete(lock_key(account))
         return {"aborted": accounts, "tx_id": tx_id}
 
+    #: Function name -> handler, built once for the class rather than on every
+    #: ``invoke`` (the ``staticmethod`` objects themselves are callable).
+    _HANDLERS = {
+        "createAccount": _create_account,
+        "query": _query,
+        "deposit": _deposit,
+        "sendPayment": _send_payment,
+        "preparePayment": _prepare_payment,
+        "commitPayment": _commit_payment,
+        "abortPayment": _abort_payment,
+    }
+
     def keys_touched(self, function: str, args: Dict[str, Any]) -> Tuple[str, ...]:
         if function in ("createAccount", "query", "deposit"):
             return (account_key(str(args["account"])),)
@@ -287,15 +290,19 @@ class SmallbankWorkload:
         return [(str(source), str(destination), self._rng.randint(1, self.max_amount))
                 for source, destination in pairs]
 
-    def next_transaction(self, client_id: str = "client", now: float = 0.0) -> Transaction:
-        """A sendPayment transaction between two distinct accounts."""
+    def draw_invocation(self) -> Tuple[str, Dict[str, Any]]:
+        """Draw ``(function, args)`` of a sendPayment between two distinct accounts."""
         source, destination = self.pick_accounts()
-        args = {
+        return "sendPayment", {
             "from": source,
             "to": destination,
             "amount": self._rng.randint(1, self.max_amount),
         }
-        return self.chaincode.new_transaction("sendPayment", args, client_id=client_id,
+
+    def next_transaction(self, client_id: str = "client", now: float = 0.0) -> Transaction:
+        """The next drawn invocation, materialised as a transaction."""
+        function, args = self.draw_invocation()
+        return self.chaincode.new_transaction(function, args, client_id=client_id,
                                               submitted_at=now)
 
     def batch(self, count: int, client_id: str = "client", now: float = 0.0) -> List[Transaction]:

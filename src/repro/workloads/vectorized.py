@@ -27,12 +27,14 @@ never need to know which path executed.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Union
+from typing import Any, List, Sequence, Union
 
-try:  # numpy is optional: everything here has an exact scalar fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by forcing np to None in tests
-    np = None  # type: ignore[assignment]
+#: numpy once :func:`numpy_available` has looked for it (``...`` until then);
+#: ``None`` when it is not installed — everything here has an exact scalar
+#: fallback — or when a test forces it off.  Imported on first use because
+#: only block sampling calls it, and every process that imports ``repro``
+#: would otherwise pay its import time and memory.
+np: Any = ...
 
 #: Blocks smaller than this run the scalar loop: two state conversions cost
 #: more than a few dozen vectorized draws save.
@@ -40,7 +42,13 @@ MIN_VECTOR_DRAWS = 32
 
 
 def numpy_available() -> bool:
-    """Whether the numpy fast path is active (tests force it off)."""
+    """Whether the numpy fast path is active (tests force it off); imports numpy."""
+    global np
+    if np is ...:
+        try:
+            import numpy as np
+        except ImportError:  # pragma: no cover - exercised by forcing np to None in tests
+            np = None
     return np is not None
 
 
@@ -51,7 +59,7 @@ def bulk_uniforms(rng: random.Random, count: int) -> Union[List[float], "np.ndar
     (scalar or bulk) continue the same stream.  Returns a numpy array on the
     fast path and a plain list on the scalar fallback.
     """
-    if np is None or count < MIN_VECTOR_DRAWS:
+    if count < MIN_VECTOR_DRAWS or not numpy_available():
         return [rng.random() for _ in range(count)]
     version, internal, gauss_next = rng.getstate()
     key, pos = internal[:624], internal[624]
@@ -74,7 +82,7 @@ def bulk_bisect_left(cdf: Sequence[float], values: Union[List[float], "np.ndarra
     ``bisect.bisect_left(cdf, v)``, so the two paths agree element-for-element.
     ``cdf_array`` lets callers pass a pre-converted array for reuse.
     """
-    if np is None or isinstance(values, list):
+    if isinstance(values, list) or not numpy_available():
         import bisect
 
         return [bisect.bisect_left(cdf, value) for value in values]

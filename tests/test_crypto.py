@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.costs import DEFAULT_COSTS, OperationCosts, TABLE2_PAPER_VALUES_US, TABLE2_ROWS
-from repro.crypto.hashing import digest_of, sha256_hex, short_digest
+from repro.crypto.hashing import canonical_json, digest_of, json_string, sha256_hex, short_digest
 from repro.crypto.merkle import EMPTY_ROOT, MerkleTree, verify_membership
 from repro.crypto.signatures import KeyPair, verify_signature, require_valid_signature
 from repro.errors import CryptoError
+
+from digest_oracle import json_args, loose, seed_canonical, seed_digest_of
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=20),
@@ -42,6 +47,15 @@ class TestHashing:
         else:
             assert digest_of(left) == digest_of(right)
 
+    @given(loose | json_args | st.lists(loose, max_size=3) | st.binary(max_size=4))
+    def test_digest_of_is_the_seed_definition(self, value):
+        """The reused encoder and the one-literal ``str`` path change no byte."""
+        assert digest_of(value) == seed_digest_of(value)
+        assert canonical_json(value) == json.dumps(
+            seed_canonical(value), sort_keys=True, separators=(",", ":"))
+        if type(value) is str:
+            assert json_string(value) == json.dumps(value)
+
 
 class TestSignatures:
     def test_sign_and_verify_roundtrip(self):
@@ -72,6 +86,20 @@ class TestSignatures:
         signature = key.sign("a")
         with pytest.raises(CryptoError):
             require_valid_signature(signature, "b", key)
+
+    @given(json_args)
+    def test_precomputed_digest_signs_and_verifies_like_the_message(self, message):
+        """``digest=`` is the same signature, and no shortcut past the checks."""
+        key = KeyPair("node-4")
+        signature = key.sign(digest=digest_of(message))
+        assert signature == key.sign(message)
+        assert verify_signature(signature, message, key)
+        assert verify_signature(signature, keypair=key, digest=digest_of(message))
+        assert not verify_signature(signature, keypair=key, digest=digest_of([message]))
+        assert not verify_signature(signature, keypair=KeyPair("node-5"),
+                                    digest=digest_of(message))
+        forged = dataclasses.replace(signature, mac="0" * 64)
+        assert not verify_signature(forged, keypair=key, digest=digest_of(message))
 
     def test_signature_covers_helper(self):
         key = KeyPair("node-3")

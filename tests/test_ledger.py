@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import hashing
 from repro.errors import ChaincodeError, InvalidBlockError
-from repro.ledger.block import GENESIS_PREV_HASH, build_block, make_genesis_block
+from repro.ledger.block import GENESIS_PREV_HASH, BlockHeader, build_block, make_genesis_block
 from repro.ledger.blockchain import Blockchain, ForkableChain
 from repro.ledger.chaincode import Chaincode, ChaincodeRegistry, ExecutionEngine
 from repro.ledger.state import StateStore
-from repro.ledger.transaction import Transaction, TxStatus
+from repro.ledger.transaction import Transaction, TxStatus, swap_tx_counter
+
+from digest_oracle import count_calls, json_args, loose, numbers, seed_digest_of, texts
 
 
 def make_txs(count, prefix="k"):
@@ -56,6 +63,77 @@ class TestBlocks:
     def test_transaction_ids_are_unique(self):
         txs = make_txs(100)
         assert len({tx.tx_id for tx in txs}) == 100
+
+    @given(st.integers() | numbers, texts | loose, texts | loose, st.integers() | numbers,
+           st.integers() | numbers, numbers, st.integers() | numbers)
+    def test_header_template_is_digest_of_the_header_dict(
+            self, height, prev_hash, merkle_root, proposer, view, timestamp, shard_id):
+        """Exact field types take the template; bool/int timestamps, non-finite
+        floats and every other type fall through — same hash either way."""
+        header = BlockHeader(height, prev_hash, merkle_root, proposer, view, timestamp, shard_id)
+        assert header.block_hash == seed_digest_of({
+            "height": height, "prev_hash": prev_hash, "merkle_root": merkle_root,
+            "proposer": proposer, "view": view, "timestamp": timestamp,
+            "shard_id": shard_id})
+
+
+@contextlib.contextmanager
+def tx_counter_at(seq):
+    """Mint ids from ``seq`` inside the block, then put the process's stream back."""
+    previous = swap_tx_counter(itertools.count(seq))
+    try:
+        yield
+    finally:
+        swap_tx_counter(previous)
+
+
+class TestTransactionDigests:
+    @given(texts, texts, st.none() | json_args, texts | loose, st.integers(0, 2**70))
+    def test_create_is_the_seed_id_and_content_digest(
+            self, chaincode, function, args, client_id, seq):
+        with tx_counter_at(seq):
+            tx = Transaction.create(chaincode, function, args, client_id=client_id)
+        args = args or {}
+        assert tx.tx_id == "tx-%d-%s" % (
+            seq, seed_digest_of((chaincode, function, args, client_id, seq))[:8])
+        assert tx.digest == seed_digest_of({
+            "tx_id": tx.tx_id, "chaincode": chaincode, "function": function, "args": args})
+        # Nothing but the fields and the 64-char digest is kept per transaction.
+        assert set(tx.__dict__) <= {"tx_id", "chaincode", "function", "args", "client_id",
+                                    "keys", "submitted_at", "_digest"}
+
+    def test_create_falls_through_for_mapping_args_and_non_str_names(self):
+        for chaincode, args in (("cc", collections.OrderedDict(b=1, a=(2, "x"))),
+                                (7, {"a": 1}), (None, {})):
+            with tx_counter_at(5):
+                tx = Transaction.create(chaincode, "f", args)
+            assert "_digest" not in tx.__dict__
+            assert tx.tx_id == "tx-5-" + seed_digest_of((chaincode, "f", args, "client", 5))[:8]
+            assert tx.digest == seed_digest_of({
+                "tx_id": tx.tx_id, "chaincode": chaincode, "function": "f", "args": dict(args)})
+
+    def test_create_canonicalises_args_once(self, monkeypatch):
+        counts = collections.Counter()
+        count_calls(monkeypatch, hashing, "canonical_json", counts)
+        tx = Transaction.create("smallbank", "sendPayment",
+                                {"from": "1", "to": "2", "amount": 3})
+        assert tx.digest and counts["canonical_json"] == 1
+
+    def test_direct_construction_hashes_lazily_through_the_general_path(self):
+        tx = Transaction("tx-1-abc", "cc", "f", {"k": [1, 2.5]})
+        assert "_digest" not in tx.__dict__
+        assert tx.digest == seed_digest_of({
+            "tx_id": "tx-1-abc", "chaincode": "cc", "function": "f", "args": {"k": [1, 2.5]}})
+
+    def test_pickling_carries_fields_only(self):
+        """The digest cache does not cross a pipe or a socket: the receiver
+        re-derives it from the fields it was actually sent."""
+        tx = Transaction.create("cc", "f", {"k": "v"}, client_id="c", keys=("k",),
+                                submitted_at=1.5)
+        assert "_digest" in tx.__dict__
+        received = pickle.loads(pickle.dumps(tx))
+        assert received == tx and "_digest" not in received.__dict__
+        assert received.digest == tx.digest
 
 
 class TestBlockchain:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import AttestationError, EnclaveError
 from repro.tee.attestation import AttestationService
-from repro.tee.attested_log import AttestedAppendOnlyLog
+from repro.tee.attested_log import AttestedAppendOnlyLog, _body_digest
 from repro.tee.counters import MonotonicCounter, SealedStateStore
 from repro.tee.enclave import Enclave
 from repro.tee.poet_enclave import PoETEnclave
 from repro.tee.randomness_beacon import RandomnessBeaconEnclave
+
+from digest_oracle import json_args, loose, numbers, seed_digest_of, texts
 
 
 class TestEnclaveBasics:
@@ -69,6 +73,36 @@ class TestAttestedLog:
         first = log.append("prepare", 5, "value-A")
         second = log.append("prepare", 5, "value-A")
         assert first.digest == second.digest
+
+    @given(texts | loose, st.integers() | numbers, texts | loose)
+    def test_body_template_is_digest_of_the_body_dict(self, log_name, position, digest):
+        """Exact ``(str, int, str)`` takes the template, anything else falls through."""
+        assert _body_digest(log_name, position, digest) == seed_digest_of(
+            {"log": log_name, "position": position, "digest": digest})
+
+    @given(texts, st.integers(0, 2**70), texts | json_args, texts | json_args)
+    def test_attestation_binds_slot_and_digest(self, log_name, position, message, other):
+        log = AttestedAppendOnlyLog("a2m-7")
+        attestation = log.append(log_name, position, message)
+        assert attestation.digest == seed_digest_of(message)
+        assert attestation.signature.digest == seed_digest_of(
+            {"log": log_name, "position": position, "digest": attestation.digest})
+        assert attestation.verify()
+        # Forged, re-positioned or re-labelled: the body no longer matches
+        # what the enclave signed.
+        for field, value in (("digest", seed_digest_of([message])),
+                             ("position", position + 1), ("log_name", log_name + "x")):
+            assert not dataclasses.replace(attestation, **{field: value}).verify()
+        # Right body, wrong MAC or unknown signer: the signature check still runs.
+        for field, value in (("mac", "0" * 64), ("signer", "enclave:nobody")):
+            signature = dataclasses.replace(attestation.signature, **{field: value})
+            assert not dataclasses.replace(attestation, signature=signature).verify()
+        if seed_digest_of(other) == attestation.digest:
+            assert log.append(log_name, position, other) == attestation
+        else:
+            with pytest.raises(EnclaveError):
+                log.append(log_name, position, other)
+            assert log.lookup(log_name, position) == attestation.digest
 
     def test_different_logs_are_independent(self):
         log = AttestedAppendOnlyLog("a2m-1")

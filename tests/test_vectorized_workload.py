@@ -14,7 +14,10 @@ The contract has two halves:
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -128,3 +131,25 @@ def test_vectorized_rejects_kvstore():
         WorkloadGenerator(benchmark="kvstore", vectorized=True)
     with pytest.raises(WorkloadError):
         WorkloadGenerator(benchmark="smallbank", vectorized=True, vector_batch=0)
+
+
+def test_numpy_is_imported_on_first_block_draw_only():
+    """Importing the engine or the service must not pull the accelerator in.
+
+    A ``repro-serve`` process and a scalar simulation never call it; the
+    first block draw (or the process-mode executor, before it forks) does.
+    """
+    code = ("import repro.core, repro.service.serve, sys\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported at import time'\n"
+            "from repro.workloads import vectorized\n"
+            "from repro.workloads.generator import WorkloadGenerator\n"
+            "WorkloadGenerator(num_keys=100, seed=1).batch(40)\n"
+            "assert 'numpy' not in sys.modules, 'scalar stream imported numpy'\n"
+            "WorkloadGenerator(num_keys=100, seed=1, vectorized=True).batch(40)\n"
+            "assert ('numpy' in sys.modules) == vectorized.numpy_available()\n")
+    src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(vectorized.__file__))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

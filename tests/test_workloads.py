@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import collections
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.homecoord import partition_stream_seed, partition_tx_counter
 from repro.errors import ChaincodeError, WorkloadError
 from repro.ledger.state import StateStore
+from repro.ledger.transaction import swap_tx_counter
 from repro.workloads.generator import WorkloadGenerator, shard_of_key
 from repro.workloads.kvstore import KVStoreChaincode, KVStoreWorkload
 from repro.workloads.smallbank import (
@@ -17,6 +22,8 @@ from repro.workloads.smallbank import (
     lock_key,
 )
 from repro.workloads.zipf import ZipfGenerator
+
+from digest_oracle import count_creates
 
 
 class TestZipf:
@@ -191,6 +198,55 @@ class TestWorkloadGenerator:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(WorkloadError):
             WorkloadGenerator(benchmark="tpcc")
+
+
+#: (benchmark, shard) -> first id, 50th id, digest of the 50 ``id:content
+#: digest`` pairs, ids consumed, digest of the RNG state afterwards — captured
+#: at the parent of the commit that put the ownership test before
+#: materialisation, when every foreign draw was still built, hashed and dropped.
+SCALAR_SHARD_STREAMS = {
+    ("smallbank", 0): ("tx-10000000000-356ea582", "tx-10000000192-0e9e418e",
+                       "b5cab4ca7ad66f21", 193, "15971c3d18406ba5"),
+    ("smallbank", 1): ("tx-20000000000-4f2ea185", "tx-20000000215-af87fd0a",
+                       "4a42a40637052320", 216, "64332ebbaff76912"),
+    ("smallbank", 2): ("tx-30000000008-d026314a", "tx-30000000207-6816150c",
+                       "2731f1004f8fbaec", 208, "8ecb34bc7ac81d0c"),
+    ("smallbank", 3): ("tx-40000000000-e2265fa5", "tx-40000000195-dfaaef4c",
+                       "8c20e5ad1871ca8d", 196, "56111bfb532c8e74"),
+    ("kvstore", 0): ("tx-10000000013-91e5bc05", "tx-10000000187-87d4747f",
+                     "8b389ec4c0320662", 188, "a7409ab809d9bb21"),
+    ("kvstore", 1): ("tx-20000000021-5fad8d5e", "tx-20000000195-380cb706",
+                     "96b1d67e0c1e352e", 196, "308b1a2caa9f9aa8"),
+    ("kvstore", 2): ("tx-30000000005-9e5d133b", "tx-30000000230-d54f22fa",
+                     "2b7ceb33f2182a1c", 231, "e21ad3b8f3fd46ca"),
+    ("kvstore", 3): ("tx-40000000002-4596f21d", "tx-40000000214-1ec313b6",
+                     "77c7a28bc41ee83d", 215, "9943fa1fd15f3099"),
+}
+
+
+@pytest.mark.parametrize("workload,shard", sorted(SCALAR_SHARD_STREAMS))
+def test_scalar_shard_stream_burns_ids_instead_of_materialising(workload, shard, monkeypatch):
+    """Same ids, same counter position, same RNG state — one create per accepted draw."""
+    created = collections.Counter()
+    count_creates(monkeypatch, created)
+    generator = WorkloadGenerator(benchmark=workload, num_shards=4, num_keys=20_000,
+                                  seed=partition_stream_seed(7 * 7919 + 1, shard))
+    counter = partition_tx_counter(shard)
+    previous = swap_tx_counter(counter)
+    try:
+        txs = [generator.next_transaction_for_shard(
+                   shard, client_id=f"open-loop@s{shard}", now=0.02 * index)
+               for index in range(50)]
+    finally:
+        swap_tx_counter(previous)
+    consumed = next(counter) - (shard + 1) * 10**10
+    pairs = ",".join(f"{tx.tx_id}:{tx.digest}" for tx in txs)
+    state = repr(generator._workload._rng.getstate())
+    assert (txs[0].tx_id, txs[-1].tx_id, hashlib.sha256(pairs.encode()).hexdigest()[:16],
+            consumed, hashlib.sha256(state.encode()).hexdigest()[:16]
+            ) == SCALAR_SHARD_STREAMS[workload, shard]
+    assert created["create"] == 50 < consumed
+    assert all(shard_of_key(tx.keys[0], 4) == shard for tx in txs)
 
 
 class TestRecordReplay:
