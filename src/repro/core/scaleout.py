@@ -240,15 +240,19 @@ class ShardPartition:
         The partition's disjoint transaction-id stream is swapped into the
         process-global counter for the duration, so every id created here —
         driver arrivals, splitter prepares/decisions, reference votes —
-        depends only on this partition's own history.
+        depends only on this partition's own history.  A partition with
+        nothing due inside the window (most windows, for most partitions)
+        only moves its clock.
         """
         self.current_epoch = epoch
-        previous = swap_tx_counter(self._tx_counter)
-        try:
-            self.sim.run_batched(until=until)
-            self.sim.advance_clock(until)
-        finally:
-            self._tx_counter = swap_tx_counter(previous)
+        next_time = self.sim.next_event_time()
+        if next_time is not None and next_time <= until:
+            previous = swap_tx_counter(self._tx_counter)
+            try:
+                self.sim.run_batched(until=until)
+            finally:
+                self._tx_counter = swap_tx_counter(previous)
+        self.sim.advance_clock(until)
         out, self._outbox = self._outbox, []
         routed, self._routed = self._routed, []
         return out, routed

@@ -9,18 +9,14 @@ during reconfiguration) and simple usage statistics.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
-
-class VersionedValue(NamedTuple):
-    """A state value together with its version number.
-
-    A ``NamedTuple`` rather than a dataclass: one is constructed per write
-    and the chaincode write path is the hottest loop in block execution.
-    """
-
-    value: Any
-    version: int
+#: A state value together with its version number: a plain ``(value,
+#: version)`` tuple.  Plain on purpose — one exists per key, and CPython's
+#: collector untracks a tuple of atoms after its first pass but never an
+#: instance of a tuple *subclass* (a ``NamedTuple``), so a subclass here made
+#: every full collection re-traverse the whole world state.
+VersionedValue = Tuple[Any, int]
 
 
 class StateStore:
@@ -44,14 +40,14 @@ class StateStore:
         """Value stored at ``key``, or ``default``."""
         self.reads += 1
         entry = self._data.get(key)
-        return entry.value if entry is not None else default
+        return entry[0] if entry is not None else default
 
     def put(self, key: str, value: Any) -> int:
         """Store ``value`` at ``key``; returns the new version number."""
         self.writes += 1
         current = self._data.get(key)
-        version = (current.version + 1) if current is not None else 1
-        self._data[key] = VersionedValue(value=value, version=version)
+        version = (current[1] + 1) if current is not None else 1
+        self._data[key] = (value, version)
         self._size_dirty = True
         return version
 
@@ -69,7 +65,7 @@ class StateStore:
     def version(self, key: str) -> int:
         """Version of ``key`` (0 if absent)."""
         entry = self._data.get(key)
-        return entry.version if entry is not None else 0
+        return entry[1] if entry is not None else 0
 
     # ------------------------------------------------------------------ bulk
     def __len__(self) -> int:
@@ -79,7 +75,7 @@ class StateStore:
         return iter(self._data.keys())
 
     def items(self) -> Iterator[Tuple[str, Any]]:
-        return ((key, entry.value) for key, entry in self._data.items())
+        return ((key, entry[0]) for key, entry in self._data.items())
 
     def snapshot(self) -> Dict[str, VersionedValue]:
         """A copy of the full state, used for shard state transfer."""
@@ -99,7 +95,7 @@ class StateStore:
         """
         if self._size_dirty:
             self._raw_size = sum(
-                len(key) + len(str(entry.value)) for key, entry in self._data.items()
+                len(key) + len(str(entry[0])) for key, entry in self._data.items()
             )
             self._size_dirty = False
         return self._raw_size + len(self._data) * per_entry_overhead

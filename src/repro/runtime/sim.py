@@ -9,7 +9,11 @@ simulator directly (pre-seam) or through this adapter (post-seam).
 
 Do not add logic here.  Anything beyond delegation (even a conditional)
 risks perturbing event ordering and breaking the bit-identical contract the
-benchmark gates pin.
+benchmark gates pin.  What *is* allowed is removing a forwarding hop that
+computes nothing: the scheduling calls are the simulator's own bound methods
+and ``now`` reads the simulator's clock field directly, because protocol code
+reads the clock more often than it fires events
+(``tests/test_transport_budget.py`` counts the frames).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class SimRuntime:
 
     @property
     def now(self) -> float:
-        return self.simulator.now
+        return self.simulator._now
 
     @property
     def rng(self) -> random.Random:

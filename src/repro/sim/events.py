@@ -1,28 +1,28 @@
 """Event and event-queue primitives for the discrete-event simulator.
 
-The queue is a **slab/heap hybrid**: the binary heap holds only primitive
-``(time, seq)`` pairs — which CPython's ``heapq`` compares in C without ever
-calling back into Python — while the :class:`Event` objects themselves live
-in a slab (a dict keyed by ``seq``).  This layout buys three things:
+The queue is **one binary heap** of ``(time, seq, event)`` triples.  ``seq``
+is unique, so CPython's ``heapq`` orders entries by comparing the two leading
+primitives in C and never reaches the :class:`Event` — no ``__lt__`` dispatch,
+no second structure to keep in step with the heap.
 
-* **fast ordering** — tuple comparisons instead of dataclass ``__lt__``
-  dispatch, which more than doubles push/pop throughput;
-* **O(1) cancellation with immediate reclamation** — cancelling an event
-  removes it from the slab right away (the stale heap pair is discarded
-  lazily when it surfaces), so long-running simulations that cancel many
-  timers do not accumulate dead ``Event`` objects;
-* **same-timestamp FIFO batching** — :meth:`EventQueue.pop_batch` drains an
-  entire cohort of events sharing the earliest timestamp in one call, in
-  scheduling (``seq``) order, letting the simulator fire them without
-  re-entering the scheduler loop between events.
+Cancellation is a flag: :meth:`Event.cancel` marks the event, drops its
+callback and arguments at once (a cancelled timer must not pin its closure
+until its due time) and leaves the dead entry on the heap, where it is
+discarded when it surfaces.  The queue counts dead entries, so ``len(queue)``
+stays exact, and **compacts** — filter plus ``heapify`` — as soon as they
+outnumber the live ones: dead weight is bounded by the live size however many
+timers a long run arms and cancels.  Compaction cannot move an event, because
+keys are unique and pop order is therefore a function of the key set alone.
 
 Ordering is exactly ``(time, seq)``: two events scheduled for the same
-instant fire in scheduling order, which keeps simulations deterministic.
+instant fire in scheduling order, which keeps simulations deterministic.  An
+event scheduled for the current instant while its cohort fires gets a larger
+``seq`` and so fires after the cohort.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
@@ -32,7 +32,9 @@ class Event:
     """A scheduled callback, ordered by ``(time, seq)``.
 
     Events are created by :meth:`EventQueue.push`; user code only ever holds
-    them to :meth:`cancel` them (or to inspect ``time``).
+    them to :meth:`cancel` them (or to inspect ``time``).  ``_queue`` is the
+    owning queue while the event sits on its heap and ``None`` once it was
+    popped or cancelled.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_queue")
@@ -47,14 +49,19 @@ class Event:
         self._queue = queue
 
     def cancel(self) -> None:
-        """Cancel the event in O(1); it will never fire."""
+        """Cancel the event in O(1) amortised; it will never fire.
+
+        Cancelling an event that already fired or was already cancelled is a
+        no-op.
+        """
         if self.cancelled:
             return
         self.cancelled = True
-        if self._queue is not None:
-            # Reclaim the slab slot immediately; the (time, seq) pair left in
-            # the heap is discarded lazily when it reaches the head.
-            self._queue._slab.pop(self.seq, None)
+        queue = self._queue
+        if queue is not None:
+            self._queue = None
+            self.callback = self.args = None
+            queue._entry_died()
 
     def fire(self) -> Any:
         """Invoke the callback with its stored arguments."""
@@ -66,25 +73,27 @@ class Event:
 
 
 class EventQueue:
-    """A slab/heap hybrid priority queue of :class:`Event` objects.
+    """A priority queue of :class:`Event` objects on a single heap.
 
-    The heap orders primitive ``(time, seq)`` pairs; the slab maps ``seq`` to
-    the live :class:`Event`.  An event is *live* iff its ``seq`` is in the
-    slab, so ``len(queue)`` is exact even after cancellations.
+    ``_dead`` counts the cancelled entries still on the heap, so
+    ``len(queue)`` is exact even after cancellations.  The
+    :class:`~repro.sim.simulator.Simulator` drain loop pops ``_heap``
+    directly (one heap operation per event, no method call); every other
+    client goes through the methods below.
     """
 
-    __slots__ = ("_heap", "_slab", "_next_seq")
+    __slots__ = ("_heap", "_dead", "_next_seq")
 
     def __init__(self) -> None:
         self._heap: List[tuple] = []
-        self._slab: dict = {}
+        self._dead = 0
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._slab)
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:
-        return bool(self._slab)
+        return len(self._heap) > self._dead
 
     def push(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> Event:
         """Schedule ``callback(*args)`` at simulated ``time`` and return the event."""
@@ -93,20 +102,37 @@ class EventQueue:
         seq = self._next_seq
         self._next_seq = seq + 1
         event = Event(time, seq, callback, args, self)
-        self._slab[seq] = event
-        heappush(self._heap, (time, seq))
+        heappush(self._heap, (time, seq, event))
         return event
+
+    def _entry_died(self) -> None:
+        """An entry on the heap was cancelled; compact once the dead outnumber the live."""
+        self._dead += 1
+        heap = self._heap
+        if self._dead * 2 > len(heap):
+            # In place: the simulator's drain loop holds a reference to the list.
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapify(heap)
+            self._dead = 0
+
+    def peek_time(self) -> Optional[float]:
+        """Return the time of the next live event without removing it."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if not head[2].cancelled:
+                return head[0]
+            heappop(heap)
+            self._dead -= 1
+        return None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None if empty."""
-        heap = self._heap
-        slab = self._slab
-        while heap:
-            _, seq = heappop(heap)
-            event = slab.pop(seq, None)
-            if event is not None:
-                return event
-        return None
+        if self.peek_time() is None:
+            return None
+        event = heappop(self._heap)[2]
+        event._queue = None
+        return event
 
     def pop_batch(self, limit: Optional[int] = None) -> List[Event]:
         """Drain the cohort of events sharing the earliest timestamp.
@@ -116,39 +142,19 @@ class EventQueue:
         the cohort size (the remainder stays queued).  Events scheduled *for
         the same timestamp while the batch executes* are not part of the
         returned cohort; they surface on the next call, preserving the
-        one-at-a-time execution order.
+        one-at-a-time execution order.  A caller firing the batch must skip
+        members an earlier member cancelled (``event.cancelled``).
         """
-        if limit is not None and limit <= 0:
-            return []
-        first = self.pop()
-        if first is None:
-            return []
-        batch = [first]
-        time = first.time
-        heap = self._heap
-        slab = self._slab
-        while heap and heap[0][0] == time:
-            if limit is not None and len(batch) >= limit:
-                break
-            _, seq = heappop(heap)
-            event = slab.pop(seq, None)
-            if event is not None:
-                batch.append(event)
+        batch: List[Event] = []
+        time = self.peek_time()
+        while (time is not None and (limit is None or len(batch) < limit)
+               and self.peek_time() == time):
+            batch.append(self.pop())
         return batch
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next live event without removing it."""
-        heap = self._heap
-        slab = self._slab
-        while heap and heap[0][1] not in slab:
-            heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
 
     def is_pending(self, event: Event) -> bool:
         """True while ``event`` is still queued (not popped, not cancelled)."""
-        return self._slab.get(event.seq) is event
+        return event._queue is self
 
     @property
     def last_seq(self) -> int:
@@ -157,5 +163,7 @@ class EventQueue:
 
     def clear(self) -> None:
         """Drop every pending event."""
+        for entry in self._heap:
+            entry[2]._queue = None
         self._heap.clear()
-        self._slab.clear()
+        self._dead = 0

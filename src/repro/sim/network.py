@@ -6,29 +6,33 @@ and schedules ``node.deliver(message)`` on the simulator.  The network keeps
 aggregate statistics (messages, bytes, drops) and supports fault injection:
 random message loss, per-link blocking, and network partitions.
 
-Batched delivery model
-----------------------
-Scheduling one simulator event per message dominates the cost of
-message-heavy runs (a BFT committee of N exchanges O(N^2) messages per
-block), so the network coalesces deliveries into **cohorts** that share one
-scheduled event, in two order-preserving ways:
+Delivery events
+---------------
+A BFT committee of N exchanges O(N^2) messages per block and each message is
+two simulator events (its arrival here, then its CPU completion on the
+node), so this module is written for the cost of one message, not for
+folding messages together.  A census of a whole run found nothing to fold:
+the LAN model jitters every delay, so no two copies of a broadcast ever
+share a delivery time.  What the code does instead:
 
-* :meth:`Network.broadcast` computes every recipient's delay first, groups
-  recipients whose delivery time is identical, and schedules a single event
-  per distinct delivery time.  Within a broadcast the per-message events
-  would have carried consecutive sequence numbers, so firing a time-cohort
-  in recipient order is exactly the order the per-message schedule would
-  have produced.
-* :meth:`Network.send` merges a message into the *most recently scheduled*
-  delivery cohort when it targets the same recipient at the same delivery
-  time and nothing else has been scheduled in between — the only situation
-  in which appending to an existing event is indistinguishable from
-  scheduling a fresh one.
+* :meth:`Network.broadcast` reads what is constant per broadcast once — the
+  clock, the source region, whether any fault is installed at all, the
+  latency callable — stamps each copy at construction and updates the
+  statistics once, while drop and jitter randomness is still drawn per
+  recipient in visit order.  It is observably one :meth:`Network.send` of a
+  fresh copy per recipient (``tests/test_sim_network.py`` holds it to that
+  under every fault shape).
+* :meth:`Network._deliver_batch`, the arrival event, checks the recipient
+  (crashed, departed) and hands the message to the node in place.
 
-Both paths draw randomness (drop decisions, jitter) in the same per-message
-order as unbatched delivery, so a run's RNG trace, event order and results
-are unchanged: same seed ⇒ same deliveries ⇒ same commit counts, whether or
-not cohorts happen to form.
+Delivery *cohorts* remain as an order-preserving detail for jitter-free
+latency models: recipients of one broadcast whose delay is identical share
+one event, fired in recipient order — exactly the order their consecutive
+sequence numbers would have produced — and :meth:`Network.send` appends to
+the most recently scheduled cohort when it targets the same recipient at
+the same delivery time and nothing was scheduled in between, the one
+situation in which appending is indistinguishable from a fresh event.
+Neither changes a run's RNG trace, event order or results.
 """
 
 from __future__ import annotations
@@ -248,10 +252,14 @@ class Network:
     def broadcast(self, src: int, dst_ids: Iterable[int], message: Message) -> None:
         """Send a copy of ``message`` to every node in ``dst_ids``.
 
-        Recipients whose modelled delivery time is identical share a single
-        scheduled event (fired in recipient order), which collapses an
-        O(committee) broadcast into a handful of scheduler operations on
-        jitter-free latency models.
+        Equivalent to one :meth:`send` of a fresh copy per recipient, in
+        order — same ``msg_id``s, same statistics, same rng draws — except
+        that recipients whose modelled delay is identical share one scheduled
+        event (fired in recipient order) and a departed recipient's copy
+        travels and is dropped on arrival.  What is constant per broadcast
+        (clock, source region, whether any fault is installed, the latency
+        callable) is read once; drop and jitter randomness is drawn per
+        recipient.
 
         Set-typed ``dst_ids`` are canonicalized to sorted order first: the
         per-recipient rng draws (drop, latency jitter) consume the stream in
@@ -260,46 +268,56 @@ class Network:
         """
         if isinstance(dst_ids, (set, frozenset)):
             dst_ids = sorted(dst_ids)
+        nodes, departed, regions = self._nodes, self._departed, self._regions
+        kind, payload, channel = message.kind, message.payload, message.channel
+        size = message.size_bytes
+        now = self.runtime.now
+        src_region = regions.get(src, "local")
+        fault_free = not (self._crashed or self._blocked_links) and self._partition is None
+        drop_rate, rng, delay_of = self.drop_rate, self._rng, self.latency_model.delay
+        next_id = self._msg_counter.__next__
         cohorts: Dict[float, list] = {}
+        sent = dropped = 0
         unknown: Optional[int] = None
         for dst in dst_ids:
-            if dst not in self._nodes and dst not in self._departed:
+            if dst not in nodes and dst not in departed:
                 # Messages to earlier recipients must still be delivered (the
                 # per-send path had already scheduled them before raising).
                 unknown = dst
                 break
-            copy = Message(
-                sender=src,
-                kind=message.kind,
-                payload=message.payload,
-                size_bytes=message.size_bytes,
-                channel=message.channel,
-            )
-            delay = self._admit(src, dst, copy)
-            if delay is None:
+            copy = Message(src, kind, payload, size, channel, dst, now, next_id())
+            sent += 1
+            if not (fault_free or self._link_ok(src, dst)) or (
+                    drop_rate > 0 and rng.random() < drop_rate):
+                dropped += 1
                 continue
+            delay = delay_of(src_region, regions.get(dst, "local"), size, rng)
             cohorts.setdefault(delay, []).append(copy)
+        if sent:
+            stats = self.stats
+            stats.messages_sent += sent
+            stats.messages_dropped += dropped
+            stats.bytes_sent += sent * size
+            stats.per_kind_sent[kind] = stats.per_kind_sent.get(kind, 0) + sent
         for delay, messages in cohorts.items():
             event = self.runtime.schedule(delay, self._deliver_batch, messages)
-            self._last_cohort = (messages[-1].recipient, self.runtime.now + delay,
-                                 event, messages)
+            self._last_cohort = (messages[-1].recipient, now + delay, event, messages)
         if unknown is not None:
             raise NetworkError(f"cannot send to unknown node {unknown}")
 
-    def _deliver_batch(self, messages: list) -> None:
+    def _deliver_batch(self, messages: Iterable[Message]) -> None:
+        crashed, nodes, stats = self._crashed, self._nodes, self.stats
         for message in messages:
-            self._deliver(message)
+            recipient = message.recipient
+            node = None if recipient in crashed else nodes.get(recipient)
+            if node is None:
+                stats.messages_dropped += 1
+            else:
+                stats.messages_delivered += 1
+                node.deliver(message)
 
     def _deliver(self, message: Message) -> None:
-        if message.recipient in self._crashed:
-            self.stats.messages_dropped += 1
-            return
-        node = self._nodes.get(message.recipient)
-        if node is None:
-            self.stats.messages_dropped += 1
-            return
-        self.stats.messages_delivered += 1
-        node.deliver(message)
+        self._deliver_batch((message,))
 
     # ----------------------------------------------------------------- misc
     def delay_bound(self, size_bytes: int = 1024) -> float:

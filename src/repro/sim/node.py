@@ -95,33 +95,32 @@ class SimProcess:
         """
         return self.runtime.simulator
 
-    # ----------------------------------------------------------------- queues
-    def _channel_key(self, message: Message) -> str:
-        if not self.separate_queues:
-            return "shared"
-        return message.channel if message.channel == REQUEST_CHANNEL else CONSENSUS_CHANNEL
-
-    def _queue_full(self, key: str) -> bool:
-        if self.queue_capacity is None:
-            return False
-        return self._queue_depth.get(key, 0) >= self.queue_capacity
-
     # --------------------------------------------------------------- delivery
     def deliver(self, message: Message) -> None:
-        """Called by the network when a message arrives at this node."""
+        """Called by the network when a message arrives at this node.
+
+        Straight-line on purpose — a committee of N handles O(N^2) arrivals
+        per block: queue admission, request tracking, the Table-2 charge and
+        the serial-CPU arithmetic of :meth:`cpu_execute` in one frame.
+        """
         if self.crashed:
             return
-        self.stats.messages_received += 1
-        key = self._channel_key(message)
-        if self._queue_full(key):
-            self.stats.messages_dropped_queue_full += 1
-            self.stats.dropped_by_channel[message.channel] = (
-                self.stats.dropped_by_channel.get(message.channel, 0) + 1
-            )
+        stats = self.stats
+        stats.messages_received += 1
+        channel = message.channel
+        if not self.separate_queues:
+            key = "shared"
+        else:
+            key = REQUEST_CHANNEL if channel == REQUEST_CHANNEL else CONSENSUS_CHANNEL
+        depths = self._queue_depth
+        depth = depths.get(key, 0)
+        if self.queue_capacity is not None and depth >= self.queue_capacity:
+            stats.messages_dropped_queue_full += 1
+            stats.dropped_by_channel[channel] = stats.dropped_by_channel.get(channel, 0) + 1
             return
-        self._queue_depth[key] = self._queue_depth.get(key, 0) + 1
+        depths[key] = depth + 1
         req_key: Optional[int] = None
-        if self.track_requests and message.channel == REQUEST_CHANNEL:
+        if self.track_requests and channel == REQUEST_CHANNEL:
             # Key by the deterministic network msg_id, not id(message): heap
             # addresses differ between runs and processes.  The key is
             # captured here and threaded through to the pop, so a message
@@ -133,7 +132,16 @@ class SimProcess:
             req_key = message.msg_id
             self._inbound_requests[req_key] = message.payload
         cost = self.message_cost(message)
-        self.cpu_execute(cost, self._process_message, message, key, req_key)
+        if cost < 0.0:
+            cost = 0.0
+        runtime = self.runtime
+        finish = runtime.now
+        if self._cpu_free_at > finish:
+            finish = self._cpu_free_at
+        finish += cost
+        self._cpu_free_at = finish
+        stats.cpu_busy_seconds += cost
+        runtime.schedule_at(finish, self._process_message, message, key, req_key)
 
     def _process_message(self, message: Message, key: str,
                          req_key: Optional[int] = None) -> None:

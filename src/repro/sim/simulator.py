@@ -5,35 +5,33 @@ components (network, nodes, clients) schedule work on the simulator; calling
 :meth:`Simulator.run` advances virtual time until the queue drains, a time
 bound is reached, or an event budget is exhausted.
 
-Batched execution model
------------------------
-The scheduler offers two equivalent drain strategies:
-
-* :meth:`Simulator.step` / :meth:`Simulator.run` — the classic loop: peek,
-  pop, fire, one event at a time.
-* :meth:`Simulator.run_batched` — drains whole *cohorts* of events sharing
-  the earliest timestamp (via :meth:`EventQueue.pop_batch`) and fires them
-  back to back without re-entering the scheduler between events.  Because
-  cohorts are returned in scheduling (``seq``) order, and events scheduled
-  mid-cohort for the same instant join the *next* cohort (exactly where the
-  one-at-a-time loop would have placed them), batched execution produces the
-  **same event order, clock trajectory and results** as :meth:`run` — it is
-  purely a constant-factor optimisation of the drain loop.  Events cancelled
-  by an earlier member of their own cohort are skipped at fire time, which
-  mirrors the lazy-cancellation behaviour of the one-at-a-time loop.
+Drain loop
+----------
+There is one loop, :meth:`Simulator.run`: look at the head of the queue's
+heap, discard it if it was cancelled, stop at the ``max_events`` budget or
+the ``until`` bound, otherwise pop it, move the clock and call
+:meth:`Event.fire` — one heap operation and one dispatch call per event,
+straight on the queue's heap.  :meth:`Simulator.step` is the loop with a
+budget of one and :meth:`Simulator.run_batched` is the same function under
+a second name.  Same-timestamp cohorts need no handling of their own:
+``(time, seq)`` is unique, an event scheduled for the current instant by a
+firing callback has a larger ``seq`` than everything already queued and so
+fires after its cohort, and an event cancelled by an earlier member of its
+cohort is still on the heap, flagged, when its turn comes.
 
 Determinism guarantees
 ----------------------
 Runs are fully reproducible from the seed: every source of randomness must
-derive from :attr:`Simulator.rng` or from :meth:`Simulator.fork_rng`, events
-with equal timestamps fire in scheduling order, and ``run``/``run_batched``
-are observationally equivalent, so *same seed ⇒ same event trace ⇒ same
-results* regardless of which drain strategy (or batch size) is used.
+derive from :attr:`Simulator.rng` or from :meth:`Simulator.fork_rng` and
+events with equal timestamps fire in scheduling order, so *same seed ⇒ same
+event trace ⇒ same results* however the run is sliced into ``until`` /
+``max_events`` calls.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappop
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
@@ -143,24 +141,16 @@ class Simulator:
         return random.Random(f"{self.seed}:{label}#{count}")
 
     # --------------------------------------------------------------- running
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("event queue returned an event from the past")
-        self._now = event.time
-        self._events_processed += 1
-        event.fire()
-        return True
+    def next_event_time(self) -> Optional[float]:
+        """Time of the earliest pending event, or None when nothing is queued."""
+        return self._queue.peek_time()
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Run the simulation.
+        """Run the simulation: one heap pop and one :meth:`Event.fire` per event.
 
         Parameters
         ----------
@@ -178,65 +168,39 @@ class Simulator:
         """
         executed = 0
         queue = self._queue
-        while True:
+        heap = queue._heap
+        while heap:
+            entry = heap[0]
+            event = entry[2]
+            if event.cancelled:
+                # Dead heads go before either bound is tested, so neither the
+                # event budget nor the clock ever sees them.
+                heappop(heap)
+                queue._dead -= 1
+                continue
             if max_events is not None and executed >= max_events:
                 break
-            next_time = queue.peek_time()
-            if next_time is None:
+            if until is not None and entry[0] > until:
+                if until > self._now:
+                    self._now = until
                 break
-            if until is not None and next_time > until:
-                self._now = max(self._now, until)
-                break
-            event = queue.pop()
-            # The heap guarantees monotone pop times, so the past-event guard
-            # in step() is redundant here; the counter is updated per event
-            # so callbacks reading events_processed mid-run stay accurate.
-            self._now = event.time
+            heappop(heap)
+            event._queue = None
+            # Pop times are monotone (nothing can be scheduled in the past);
+            # the counter is updated per event so callbacks reading
+            # events_processed mid-run stay accurate.
+            self._now = entry[0]
             self._events_processed += 1
             event.fire()
             executed += 1
         return executed
 
-    def run_batched(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Run the simulation, draining same-timestamp cohorts in batches.
+    #: The same loop, under the name the engine and the benches drain by.
+    run_batched = run
 
-        Observationally equivalent to :meth:`run` (same event order, same
-        clock, same results — see the module docstring), but pops whole
-        cohorts of equal-time events at once and fires them without touching
-        the heap in between, which measurably reduces scheduler overhead on
-        message-heavy workloads.
-        """
-        executed = 0
-        queue = self._queue
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            next_time = queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self._now = max(self._now, until)
-                break
-            budget = None if max_events is None else max_events - executed
-            batch = queue.pop_batch(limit=budget)
-            if not batch:
-                break
-            self._now = next_time
-            for event in batch:
-                # An earlier member of this cohort may have cancelled a later
-                # one after it was popped; honour that, as the one-at-a-time
-                # loop would — including not counting the skipped event
-                # toward the budget (run()'s pop discards cancelled events
-                # without counting them).
-                if not event.cancelled:
-                    self._events_processed += 1
-                    event.fire()
-                    executed += 1
-        return executed
+    def step(self) -> bool:
+        """Execute the next event.  Returns False when the queue is empty."""
+        return self.run(max_events=1) == 1
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until the event queue drains, with an event budget as a guard."""

@@ -197,6 +197,10 @@ class LockManager:
         self._waiting: Dict[str, Set[str]] = {}        # tx_id -> keys waited on
         self._wait_since: Dict[str, float] = {}        # tx_id -> earliest wait
         self._wounded: Set[str] = set()
+        #: tx_id -> keys it holds, in grant order — the order in which the
+        #: store's dict yields its lock tuples (a tuple exists exactly while
+        #: held, and this manager is the only writer of its ``L_`` tuples).
+        self._held: Dict[str, Dict[str, None]] = {}
         self._timestamps: Dict[str, object] = {}
         self._ts_counter = itertools.count()
 
@@ -234,12 +238,8 @@ class LockManager:
         return self._timestamps.get(tx_id)
 
     def held_by(self, tx_id: str) -> List[str]:
-        """All keys currently locked by ``tx_id`` (linear scan; used in tests)."""
-        held = []
-        for key, value in self.state.items():
-            if key.startswith(LOCK_PREFIX) and value == tx_id:
-                held.append(key[len(LOCK_PREFIX):])
-        return held
+        """All keys currently locked by ``tx_id``, in grant order."""
+        return list(self._held.get(tx_id, ()))
 
     # ----------------------------------------------------------------- acquire
     def register(self, tx_id: str, timestamp=None):
@@ -283,6 +283,7 @@ class LockManager:
 
     def _grant(self, key: str, tx_id: str) -> None:
         self.state.put(self.lock_key(key), tx_id)
+        self._held.setdefault(tx_id, {})[key] = None
 
     def _enqueue(self, key: str, tx_id: str, now: float, timestamp,
                  by_priority: bool) -> None:
@@ -372,6 +373,10 @@ class LockManager:
         """
         if self.holder(key) == tx_id:
             self.state.delete(self.lock_key(key))
+            held = self._held[tx_id]
+            del held[key]
+            if not held:
+                del self._held[tx_id]
             self._grant_next(key)
             return True
         return False

@@ -170,3 +170,159 @@ class TestNodeCpuModel:
         nodes[1].crash()
         sim.run()
         assert nodes[1].handled == []
+
+    def test_node_crashing_between_arrival_and_completion_handles_nothing(self):
+        sim, network, nodes = build(cost=0.5)
+        network.send(0, 1, Message(sender=0, kind="a"))
+        sim.run(until=0.1)  # arrived (0.01), CPU busy until 0.51
+        assert nodes[1].stats.messages_received == 1
+        nodes[1].crash()
+        sim.run()
+        assert nodes[1].handled == [] and nodes[1].stats.messages_processed == 1
+
+    def test_nth_arrival_at_a_full_queue_is_dropped_per_channel(self):
+        sim = Simulator(seed=1)
+        network = Network(sim, UniformLatencyModel(0.001, jitter_fraction=0.0))
+        node = Recorder(0, sim, network, cost=1.0, queue_capacity=3, separate_queues=True)
+        Recorder(1, sim, network)
+        # Arrivals 1 ms apart; the CPU frees one slot per second, so the
+        # queue is full from the 4th arrival of each channel on ...
+        for index in range(6):
+            channel = REQUEST_CHANNEL if index % 2 else CONSENSUS_CHANNEL
+            sim.schedule(0.001 * index, network.send, 1, 0,
+                         Message(sender=1, kind=f"m{index}", channel=channel))
+        for index in range(6, 10):
+            sim.schedule(0.001 * index, network.send, 1, 0,
+                         Message(sender=1, kind=f"m{index}", channel=REQUEST_CHANNEL))
+        sim.run(until=0.5)
+        # ... request arrivals are m1 m3 m5 | m6 m7 m8 m9: the 4th-7th drop.
+        assert node.stats.messages_received == 10
+        assert node.stats.messages_dropped_queue_full == 4
+        assert node.stats.dropped_by_channel == {REQUEST_CHANNEL: 4}
+        sim.run()
+        assert [kind for _, kind, _ in node.handled] == ["m0", "m1", "m2", "m3", "m4", "m5"]
+        # A slot freed by processing admits the next arrival again.
+        network.send(1, 0, Message(sender=1, kind="late", channel=REQUEST_CHANNEL))
+        sim.run()
+        assert node.handled[-1][1] == "late"
+        assert node.stats.messages_dropped_queue_full == 4
+
+
+# ---------------------------------------------------------------------------
+# broadcast ≡ one send of a fresh copy per recipient, under every fault shape
+# ---------------------------------------------------------------------------
+class Inbox(SimProcess):
+    """Records what arrives, with the stamps the network put on it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.arrived = []
+
+    def handle_message(self, message: Message) -> None:
+        self.arrived.append((self.sim.now, message.msg_id, message.sender, message.recipient,
+                             message.sent_at, message.kind, message.payload,
+                             message.size_bytes, message.channel))
+
+
+def _fault_crashed_source(network, nodes):
+    nodes[0].crash()
+
+
+def _fault_crashed_destination(network, nodes):
+    nodes[2].crash()
+
+
+def _fault_blocked_link(network, nodes):
+    network.block_link(0, 3)
+    network.block_link(1, 0)  # the other direction of another pair: irrelevant
+
+
+def _fault_partition(network, nodes):
+    network.set_partition([[0, 1, 2], [3, 4]])
+
+
+def _fault_departed(network, nodes):
+    network.unregister(2)
+
+
+def _fault_everything(network, nodes):
+    nodes[4].crash()
+    network.block_link(0, 1)
+    network.unregister(3)
+
+
+FAULTS = {
+    "none": lambda network, nodes: None,
+    "crashed-source": _fault_crashed_source,
+    "crashed-destination": _fault_crashed_destination,
+    "blocked-link": _fault_blocked_link,
+    "partition": _fault_partition,
+    "departed": _fault_departed,
+    "everything": _fault_everything,
+}
+
+
+def _fan_out(use_broadcast, fault, drop_rate, latency, dst_ids):
+    """Three fan-outs from node 0 (the last at a later instant); returns
+    everything observable about them.  The final clock is left out: a
+    departed recipient's copy is dropped at once by ``send`` and on arrival
+    by ``broadcast`` — counted as a drop either way."""
+    sim = Simulator(seed=11)
+    network = Network(sim, latency(), drop_rate=drop_rate)
+    nodes = [Inbox(i, sim, network) for i in range(5)]
+    FAULTS[fault](network, nodes)
+    errors = []
+
+    def fan_out(kind, size):
+        template = Message(sender=0, kind=kind, payload={"k": kind}, size_bytes=size,
+                           channel=REQUEST_CHANNEL)
+        try:
+            if use_broadcast:
+                network.broadcast(0, dst_ids, template)
+            else:
+                ordered = sorted(dst_ids) if isinstance(dst_ids, (set, frozenset)) else dst_ids
+                for dst in ordered:
+                    network.send(0, dst, Message(sender=0, kind=kind, payload={"k": kind},
+                                                 size_bytes=size, channel=REQUEST_CHANNEL))
+        except NetworkError as exc:
+            errors.append(str(exc))
+
+    fan_out("first", 100)
+    fan_out("second", 700)
+    sim.schedule(0.5, fan_out, "third", 300)
+    sim.run()
+    return {
+        "stats": network.stats,
+        "rng": network._rng.getstate(),
+        "next_msg_id": next(network._msg_counter),
+        "arrived": [node.arrived for node in nodes],
+        "received": [node.stats.messages_received for node in nodes],
+        "errors": errors,
+    }
+
+
+@pytest.mark.parametrize("latency", [
+    pytest.param(lambda: UniformLatencyModel(0.01, jitter_fraction=0.0), id="equal-delays"),
+    pytest.param(lambda: UniformLatencyModel(0.01, jitter_fraction=0.2), id="jittered"),
+])
+@pytest.mark.parametrize("drop_rate", [0.0, 0.4])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("dst_ids", [
+    pytest.param([1, 2, 3, 4], id="list"),
+    pytest.param([4, 2, 1, 3, 2], id="unsorted-with-repeat"),
+    pytest.param({4, 3, 2, 1}, id="set"),
+    pytest.param([1, 2, 99, 3], id="unknown-mid-list"),
+])
+def test_broadcast_equals_per_recipient_sends(latency, drop_rate, fault, dst_ids):
+    """Same ``NetworkStats``, ``msg_id``s, rng state and delivery schedule
+    whether a fan-out goes through ``broadcast`` or through one ``send`` per
+    recipient — so hoisting the per-broadcast constants moved nothing."""
+    sends = _fan_out(False, fault, drop_rate, latency, dst_ids)
+    broadcast = _fan_out(True, fault, drop_rate, latency, dst_ids)
+    assert broadcast == sends
+    expected_errors = 3 if 99 in dst_ids else 0
+    assert len(broadcast["errors"]) == expected_errors
+    if fault == "none" and drop_rate == 0.0 and 99 not in dst_ids:
+        assert broadcast["stats"].messages_delivered == broadcast["stats"].messages_sent
+    if fault == "crashed-source":
+        assert broadcast["stats"].messages_delivered == 0

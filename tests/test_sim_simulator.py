@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue
@@ -266,3 +266,190 @@ class TestSimulator:
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
+
+
+# ---------------------------------------------------------------------------
+# Model-based: the heap + flag queue against a sort-the-list scheduler
+# ---------------------------------------------------------------------------
+class _ModelScheduler:
+    """The documented semantics, written the slow obvious way."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self.pending = []  # (time, seq, label)
+        self._seq = 0
+
+    def schedule_at(self, time, label):
+        self.pending.append((time, self._seq, label))
+        self._seq += 1
+
+    def cancel(self, label):
+        self.pending = [entry for entry in self.pending if entry[2] != label]
+
+    def run(self, on_fire, until=None, max_events=None):
+        executed = 0
+        while self.pending and (max_events is None or executed < max_events):
+            entry = min(self.pending)
+            if until is not None and entry[0] > until:
+                self.now = max(self.now, until)
+                break
+            self.pending.remove(entry)
+            self.now = entry[0]
+            self.events_processed += 1
+            on_fire(entry[2])
+            executed += 1
+        return executed
+
+
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.0])
+_ACTIONS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("schedule_at"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
+), max_size=4)
+_SLICES = st.lists(st.one_of(
+    st.tuples(st.just("until"), st.sampled_from([0.0, 0.25, 0.5, 0.6, 1.0, 1.5, 3.0])),
+    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("both"), st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("step"), st.integers(min_value=1, max_value=3)),
+), max_size=8)
+_MAX_LABELS = 80
+
+
+def _run_program(initial, scripts, slices, drain):
+    """Run one random program on a Simulator and on the model; return both traces.
+
+    Events are labelled by creation order (= ``seq``).  Firing label ``k``
+    performs ``scripts[k % len(scripts)]``: schedules relative to the firing
+    instant (delay 0.0 = same timestamp, mid-cohort) and cancels of any label
+    created so far — pending, already fired, already cancelled or itself.
+    """
+    sim, model = Simulator(), _ModelScheduler()
+    handles, sim_trace, model_trace = [], [], []
+
+    def sim_api(kind, value, now):
+        if kind == "cancel":
+            if handles:
+                handles[value % len(handles)].cancel()
+        elif len(handles) < _MAX_LABELS:
+            label = len(handles)
+            if kind == "schedule":
+                handles.append(sim.schedule(value, sim_fire, label))
+            else:
+                handles.append(sim.schedule_at(now + value, sim_fire, label))
+
+    labels = [0]  # the model's own creation counter
+
+    def model_api(kind, value, now):
+        if kind == "cancel":
+            if labels[0]:
+                model.cancel(value % labels[0])
+        elif labels[0] < _MAX_LABELS:
+            model.schedule_at(now + value, labels[0])
+            labels[0] += 1
+
+    def sim_fire(label):
+        sim_trace.append((label, sim.now, sim.events_processed))
+        for kind, value in scripts[label % len(scripts)]:
+            sim_api(kind, value, sim.now)
+
+    def model_fire(label):
+        model_trace.append((label, model.now, model.events_processed))
+        for kind, value in scripts[label % len(scripts)]:
+            model_api(kind, value, model.now)
+
+    for kind, value in initial:
+        sim_api(kind, value, 0.0)
+        model_api(kind, value, 0.0)
+
+    def check():
+        assert sim_trace == model_trace
+        assert (sim.now, sim.events_processed, sim.pending_events) == (
+            model.now, model.events_processed, len(model.pending))
+        live = {label for _, _, label in model.pending}
+        assert [sim._queue.is_pending(handle) for handle in handles] == [
+            label in live for label in range(len(handles))]
+        assert sim.next_event_time() == (min(model.pending)[0] if model.pending else None)
+
+    for kind, value in slices:
+        if kind == "until":
+            bounds = dict(until=sim.now + value)
+        elif kind == "max_events":
+            bounds = dict(max_events=value)
+        elif kind == "both":
+            bounds = dict(until=sim.now + 0.5 * value, max_events=value)
+        else:
+            for _ in range(value):
+                assert sim.step() == (model.run(model_fire, max_events=1) == 1)
+            check()
+            continue
+        assert drain(sim, **bounds) == model.run(model_fire, **bounds)
+        check()
+    if drain is Simulator.step:
+        while sim.step():
+            pass
+    else:
+        drain(sim)
+    model.run(model_fire)
+    check()
+    assert sim.pending_events == 0
+    return sim_trace
+
+
+@given(initial=st.lists(st.one_of(st.tuples(st.just("schedule"), _DELAYS),
+                                  st.tuples(st.just("schedule_at"), _DELAYS),
+                                  st.tuples(st.just("cancel"), st.integers(0, 20))),
+                        min_size=1, max_size=12),
+       scripts=st.lists(_ACTIONS, min_size=1, max_size=6),
+       slices=_SLICES)
+@settings(max_examples=150, deadline=None)
+def test_random_programs_fire_in_time_seq_order_on_every_drain(initial, scripts, slices):
+    """``run``, ``run_batched``, ``step`` and any slicing by ``until`` /
+    ``max_events`` fire the same events in sorted ``(time, seq)`` order, with
+    equal clocks and counters after every slice — cancels of fired, pending
+    and cancelled events and same-timestamp schedules from inside a firing
+    callback included."""
+    traces = [_run_program(initial, scripts, slices, drain)
+              for drain in (Simulator.run, Simulator.run_batched)]
+    traces.append(_run_program(initial, scripts, [], Simulator.step))
+    assert traces[0] == traces[1]
+    # Slicing moves the clock between events but never the order.
+    assert [label for label, _, _ in traces[0]] == [label for label, _, _ in traces[2]]
+    fired = [(time, label) for label, time, _ in traces[0]]
+    assert fired == sorted(fired)  # labels are seqs: exactly (time, seq) order
+
+
+def test_cancelled_timers_leave_no_dead_weight():
+    """100 000 schedule-then-cancel pairs: the heap stays O(live) and the
+    cancelled events' arguments are collectable at once, not at their due
+    time (lazy cancellation alone would keep every one of them)."""
+    import gc
+    import weakref
+
+    class Payload:
+        pass
+
+    sim = Simulator()
+    live = [sim.schedule(1e6 + index, lambda: None) for index in range(50)]
+    refs = []
+    peak = 0
+    for index in range(100_000):
+        payload = Payload()
+        if index % 10_000 == 0:
+            refs.append(weakref.ref(payload))
+        event = sim.schedule(10.0 + index, lambda _payload: None, payload)
+        del payload
+        event.cancel()
+        event.cancel()  # idempotent
+        peak = max(peak, len(sim._queue._heap))
+        assert sim.pending_events == len(live)
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert peak <= 2 * len(live) + 2
+    assert len(sim._queue._heap) <= 2 * len(live) + 1
+    assert event.callback is None and event.args is None
+    assert sim.run() == len(live) and sim.pending_events == 0
+    # A fired event can still be "cancelled": a no-op that touches nothing.
+    live[0].cancel()
+    assert sim.pending_events == 0 and len(sim._queue) == 0

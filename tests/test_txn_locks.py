@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ledger.state import StateStore
 from repro.txn.locks import (
+    LOCK_PREFIX,
     AcquireStatus,
     ConflictPolicy,
     DeadlockDetected,
@@ -258,3 +259,52 @@ def test_reentrant_acquire_is_granted_under_every_policy():
         manager = _manager(policy)
         assert manager.acquire("k", "tx1").granted
         assert manager.acquire("k", "tx1").granted
+
+
+# ---------------------------------------------------------------------------
+# Invariant: the per-transaction held-key index is the store scan it replaced.
+# ---------------------------------------------------------------------------
+def _held_by_scan(manager: LockManager, tx_id: str) -> list:
+    """``held_by`` as it was: every lock tuple of the store, in dict order."""
+    return [key[len(LOCK_PREFIX):] for key, value in manager.state.items()
+            if key.startswith(LOCK_PREFIX) and value == tx_id]
+
+
+_LOCK_OPS = st.lists(
+    st.tuples(st.sampled_from(["acquire", "acquire_all", "release", "timeout",
+                               "abort_wounded", "finish"]),
+              st.integers(min_value=0, max_value=4),
+              st.lists(st.sampled_from(KEYS), min_size=1, max_size=4, unique=True)),
+    max_size=60)
+
+
+@given(st.sampled_from(POLICIES), _LOCK_OPS)
+@settings(max_examples=200, deadline=None)
+def test_held_key_index_equals_store_scan(policy, ops):
+    """``finish`` releases in ``held_by`` order, and a release grants the next
+    waiter — so the index must list exactly the scan's keys in the scan's
+    order after any mix of acquires, releases, wounds, timeouts and finishes."""
+    manager = _manager(policy)
+    txs = [f"tx{i}" for i in range(5)]
+    for step, (op, tx_index, keys) in enumerate(ops):
+        tx = txs[tx_index]
+        try:
+            if op == "acquire":
+                manager.acquire(keys[0], tx, now=float(step), timestamp=float(tx_index))
+            elif op == "acquire_all":
+                manager.acquire_all(keys, tx, now=float(step), timestamp=float(tx_index))
+            elif op == "release":
+                manager.release_all(keys, tx)
+            elif op == "timeout":
+                manager.cancel_wait(tx, keys[0])
+            elif op == "abort_wounded":
+                for victim in [victim for victim in txs if manager.is_wounded(victim)]:
+                    expected = _held_by_scan(manager, victim)
+                    assert manager.finish(victim) == expected
+            else:
+                expected = _held_by_scan(manager, tx)
+                assert manager.finish(tx) == expected
+        except LockConflict:
+            pass
+        for candidate in txs:
+            assert manager.held_by(candidate) == _held_by_scan(manager, candidate)
