@@ -536,12 +536,13 @@ class ConsensusCluster:
         return clients
 
     def submit(self, transactions: Sequence[Transaction], to: Optional[int] = None,
-               attempt: int = 0) -> None:
+               attempt: int = 0) -> Optional[ConsensusReplica]:
         """Submit transactions as a client request delivered to one replica.
 
         The request goes through the replica's normal request path (so it is
         forwarded/broadcast according to the protocol), without requiring a
-        separate client process.
+        separate client process.  Returns the replica the request was
+        delivered to, or ``None`` when it was parked.
 
         ``attempt`` is the caller's retry counter: a re-drive of lost work
         (``attempt > 0``) rotates deterministically through the *active*
@@ -559,7 +560,7 @@ class ConsensusCluster:
                       if not replica.crashed]
             if not active:
                 self._parked_requests.append(tuple(transactions))
-                return
+                return None
             target = active[attempt % len(active)]
         request = ClientRequest(
             client_id="direct", request_id=next(self._client_id_counter),
@@ -569,7 +570,9 @@ class ConsensusCluster:
                           size_bytes=512 * max(1, len(transactions)),
                           channel=REQUEST_CHANNEL)
         message.recipient = target
-        self.replica_by_id(target).deliver(message)
+        replica = self.replica_by_id(target)
+        replica.deliver(message)
+        return replica
 
     # -------------------------------------------------------------------- run
     def run(self, duration: float, max_events: Optional[int] = None) -> ClusterRunResult:

@@ -254,6 +254,12 @@ def _routed_table(benchmark: str, num_keys: int,
     return tuple(tuple(items) for items in slices)
 
 
+def release_routed_table() -> None:
+    """Forget the remembered deployment's routed table (a process that has
+    built its last committee hands the other shards' slices back)."""
+    _routed_table.cache_clear()
+
+
 def initial_state(config: Any, shard_id: int) -> Tuple[Tuple[str, object], ...]:
     """Shard ``shard_id``'s slice of the initial table (the reference
     committee starts empty)."""

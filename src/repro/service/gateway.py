@@ -20,7 +20,7 @@ Two halves:
       POST /tx            submit {"function", "args", "client_id"?}; ?wait=1 blocks
       GET  /tx/{id}       coordinator record for a transaction
       GET  /balance/{key} world-state read from the key's home shard
-      GET  /health        shard liveness, in-flight window, totals
+      GET  /health        shard liveness, in-flight window, totals, block filling
 
   Admission control is a bounded in-flight window: past ``max_inflight``
   the gateway answers ``429`` with ``Retry-After`` instead of queueing
@@ -42,8 +42,8 @@ from repro.errors import WorkloadError
 from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.shardnode import (
-    GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_PING,
-    KIND_PONG, KIND_RECEIPTS, KIND_SUBMIT, shard_agent_id,
+    GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_PONG,
+    KIND_RECEIPTS, KIND_SUBMIT, shard_agent_id,
 )
 from repro.service.socketnet import SocketNetwork
 from repro.sim.network import Message, REQUEST_CHANNEL
@@ -98,8 +98,7 @@ class _GatewayAgent:
 
     def deliver(self, message: Message) -> None:
         if message.kind == KIND_RECEIPTS:
-            for receipt in message.payload["receipts"]:
-                self.service._on_receipt(receipt)
+            self.service._on_receipts(message.payload)
         elif message.kind == KIND_BALANCE_REPLY:
             self.service._on_balance_reply(message.payload)
         elif message.kind == KIND_PONG:
@@ -142,6 +141,11 @@ class GatewayService:
         self._record_watches: Dict[str, Set[str]] = {}
         self._down: Dict[int, str] = {}
         self._pongs: Dict[int, Dict[str, Any]] = {}
+        self._ready = asyncio.Event()
+        #: Per shard: height of the newest block whose receipts arrived and
+        #: receipts received — ``/health`` answers "are blocks filling?".
+        self.blocks = [0] * num_shards
+        self.receipts = [0] * num_shards
         self._balance_waiters: Dict[int, asyncio.Future] = {}
         self._query_counter = itertools.count()
         self._drained = asyncio.Event()
@@ -155,15 +159,12 @@ class GatewayService:
         self.network.add_peer(shard_agent_id(shard_id), host, port)
 
     async def wait_ready(self, timeout: float = 30.0) -> None:
-        """Block until every shard has answered a ping (boot barrier)."""
-        deadline = self.runtime.now + timeout
-        while self.runtime.now < deadline:
-            self.ping_shards()
-            await asyncio.sleep(0.2)
-            if len(self._pongs) >= self.num_shards:
-                return
-        missing = [s for s in range(self.num_shards) if s not in self._pongs]
-        raise TimeoutError(f"shards {missing} never answered a ping")
+        """Block until every shard has announced itself (boot barrier)."""
+        try:
+            await asyncio.wait_for(self._ready.wait(), timeout)
+        except asyncio.TimeoutError:
+            missing = [s for s in range(self.num_shards) if s not in self._pongs]
+            raise TimeoutError(f"shards {missing} never announced themselves") from None
 
     async def drain(self, timeout: float = 10.0) -> Dict[str, Any]:
         """Stop admitting, wait for in-flight work, report what happened."""
@@ -185,13 +186,13 @@ class GatewayService:
         await self.network.close()
 
     # ------------------------------------------------------------- health
-    def ping_shards(self) -> None:
-        for shard_id in range(self.num_shards):
-            if shard_id not in self._down:
-                self._send_frame(shard_id, KIND_PING, {"ping_id": shard_id})
-
     def _on_pong(self, payload: Dict[str, Any]) -> None:
-        self._pongs[payload["shard_id"]] = payload
+        """A shard's boot announcement: it bound a port of its own."""
+        shard_id = payload["shard_id"]
+        self.add_shard(shard_id, payload["host"], payload["port"])
+        self._pongs[shard_id] = payload
+        if len(self._pongs) >= self.num_shards:
+            self._ready.set()
 
     def shard_state(self, shard_id: int) -> str:
         if shard_id in self._down:
@@ -215,6 +216,10 @@ class GatewayService:
             "submitted": stats.started,
             "committed": stats.committed,
             "aborted": stats.aborted,
+            "blocks": {str(s): blocks for s, blocks in enumerate(self.blocks)},
+            "txs_per_block": {
+                str(s): round(self.receipts[s] / blocks, 2) if blocks else 0.0
+                for s, blocks in enumerate(self.blocks)},
         }
 
     # ---------------------------------------------------------- submission
@@ -275,6 +280,14 @@ class GatewayService:
             future.set_result(record)
         if self.draining and not self.driver.in_flight:
             self._drained.set()
+
+    def _on_receipts(self, payload: Dict[str, Any]) -> None:
+        """One block's receipts from one shard."""
+        shard_id, receipts = payload["shard_id"], payload["receipts"]
+        self.blocks[shard_id] = max(self.blocks[shard_id], payload["height"])
+        self.receipts[shard_id] += len(receipts)
+        for receipt in receipts:
+            self._on_receipt(receipt)
 
     def _on_receipt(self, receipt: TransactionReceipt) -> None:
         watcher = self._watchers.pop(receipt.tx_id, None)

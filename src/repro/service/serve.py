@@ -24,19 +24,11 @@ import asyncio
 import json
 import multiprocessing
 import signal
-import socket
 from typing import Any, Dict, List, Optional
 
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.gateway import GatewayHttp, GatewayService
 from repro.service.shardnode import KIND_SHUTDOWN, run_shard_node
-
-
-def _free_port(host: str = "127.0.0.1") -> int:
-    """Ask the kernel for a currently-free port (good enough for localhost)."""
-    with socket.socket() as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
 
 
 class ServiceCluster:
@@ -63,7 +55,6 @@ class ServiceCluster:
         self.service: Optional[GatewayService] = None
         self.http: Optional[GatewayHttp] = None
         self.processes: List[multiprocessing.process.BaseProcess] = []
-        self.shard_ports: List[int] = []
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
@@ -74,7 +65,6 @@ class ServiceCluster:
             max_inflight=self.max_inflight,
             prepare_timeout=self.prepare_timeout)
         gateway_port = await self.service.start(0)
-        self.shard_ports = [_free_port() for _ in range(self.num_shards)]
         ctx = multiprocessing.get_context("spawn")
         config = {
             "num_shards": self.num_shards,
@@ -85,18 +75,18 @@ class ServiceCluster:
             "num_keys": self.num_keys,
             "consensus_overrides": self.consensus_overrides,
         }
-        for shard_id, port in enumerate(self.shard_ports):
+        # Each shard binds a port of its own and announces it with its first
+        # pong; the gateway registers the peer then (GatewayService._on_pong).
+        for shard_id in range(self.num_shards):
             spec = {
                 "shard_id": shard_id,
                 "config": config,
-                "port": port,
                 "gateway_host": "127.0.0.1",
                 "gateway_port": gateway_port,
             }
             process = ctx.Process(target=run_shard_node, args=(spec,), daemon=True)
             process.start()
             self.processes.append(process)
-            self.service.add_shard(shard_id, "127.0.0.1", port)
         self.http = GatewayHttp(self.service, self.http_host, self.http_port)
         self.http_port = await self.http.start()
 
@@ -113,7 +103,7 @@ class ServiceCluster:
             await self.http.close()
         if self.service is not None:
             for shard_id in range(self.num_shards):
-                if shard_id not in self.service._down:
+                if self.service.shard_state(shard_id) == "up":
                     self.service._send_frame(shard_id, KIND_SHUTDOWN, None)
             deadline = asyncio.get_running_loop().time() + timeout
             while (any(p.is_alive() for p in self.processes)
