@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from repro.analysis.findings import AnalysisReport, Finding
+from repro.analysis.findings import AnalysisReport
 from repro.analysis.registry import all_rules
 
 
@@ -74,7 +74,3 @@ def list_rules_text() -> str:
         for text in rule.description.strip().splitlines():
             lines.append(f"    {text.strip()}")
     return "\n".join(lines)
-
-
-def finding_summary(finding: Finding) -> str:
-    return f"{finding.rule_id} {finding.location()} {finding.message}"

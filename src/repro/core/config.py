@@ -30,7 +30,9 @@ class ShardedSystemConfig:
     regions: Optional[Sequence[str]] = None
     latency_model: Any = None
     #: One-way delay charged when the client/coordinator relays a message
-    #: between the reference committee and a transaction committee.
+    #: between the reference committee and a transaction committee.  Every
+    #: cross-partition hop pays it, so it is also the engine's lookahead and
+    #: barrier window length (:mod:`repro.core.scaleout`).
     relay_delay: float = 0.002
     #: When False, completed transactions' coordinator records are discarded
     #: immediately, bounding memory on long (100k+ transaction) runs.
@@ -97,13 +99,6 @@ class ShardedSystemConfig:
     #: commit/abort/view-change fingerprints — are bit-identical for every
     #: value of the same seed+config.
     workers: Optional[int] = None
-    #: Barrier window length in simulated seconds.  Must not exceed
-    #: ``relay_delay`` — the engine's conservative lookahead: every
-    #: cross-partition hop pays at least the relay delay, so windows of
-    #: at most that length exchange all cross-partition effects in time.
-    #: ``None`` uses ``relay_delay`` (the largest valid window, i.e. the
-    #: fewest barriers).  Any valid value yields identical outcomes.
-    barrier_interval: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -142,13 +137,6 @@ class ShardedSystemConfig:
                     "adversary must be an AdversaryConfig (or None)")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be at least 1 when set")
-        if self.barrier_interval is not None:
-            if self.barrier_interval <= 0:
-                raise ConfigurationError("barrier_interval must be positive")
-            if self.barrier_interval > self.relay_delay:
-                raise ConfigurationError(
-                    "barrier_interval must not exceed relay_delay: the relay "
-                    "delay is the engine's cross-partition lookahead")
 
     @property
     def total_nodes(self) -> int:

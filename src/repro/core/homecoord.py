@@ -368,7 +368,7 @@ class HomeCoordinator:
     lock admission, prepare execution and voting, decision execution and
     acking.  Under the queueing policies it hosts a
     :class:`~repro.txn.locks.LockAdmissionTable` for its own shard's
-    prepares (one slot per transaction, plain keys): an admitted prepare is
+    prepares (one request per transaction): an admitted prepare is
     launched after the ``relay_delay`` grant hop unless a decision arrived
     meanwhile; a refused one, and every wound, is a ``vote`` command to the
     transaction's home.
@@ -525,8 +525,7 @@ class HomeCoordinator:
             # (its vote went missing) re-acquires re-entrantly, so it is
             # re-executed through a rotated member and re-votes.
             status = self.admission.admit(
-                tx_id, self.shard_id, command.txs[0].keys,
-                tuple(command.priority), command)
+                tx_id, command.txs[0].keys, tuple(command.priority), command)
         if status == "granted":
             self._launch_prepare(command)
         elif status == "deadlock":
@@ -542,19 +541,18 @@ class HomeCoordinator:
         self.partition.watch(prepare_tx.tx_id, on_receipt)
         self.partition.cluster.submit([prepare_tx], attempt=command.attempt)
 
-    def _on_admitted(self, tx_id: str, shard_id: int) -> None:
-        # The grant notification pays the relay hop; the slot stays parked
+    def _on_admitted(self, tx_id: str) -> None:
+        # The grant notification pays the relay hop; the request stays parked
         # until the launch claims it, so a decision arriving in between
         # cancels it.
         self.runtime.schedule(self.config.relay_delay, self._launch_admitted, tx_id)
 
     def _launch_admitted(self, tx_id: str) -> None:
-        command = self.admission.claim(tx_id, self.shard_id)
+        command = self.admission.claim(tx_id)
         if command is not None:  # else decided while the grant was in flight
             self._launch_prepare(command)
 
-    def _on_refused(self, tx_id: str, shard_id: int, command: Command,
-                    reason: str) -> None:
+    def _on_refused(self, tx_id: str, command: Command, reason: str) -> None:
         self._send_vote(tx_id, command.home, False, reason)
 
     def _wound(self, victim_tx_id: str) -> None:
@@ -581,7 +579,7 @@ class HomeCoordinator:
         decision_tx = command.txs[0]
         home = command.home
         if self.admission is not None:
-            self.admission.cancel(tx_id, self.shard_id)
+            self.admission.cancel(tx_id)
 
         def on_receipt(receipt: Any) -> None:
             if self.admission is not None:

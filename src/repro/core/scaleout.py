@@ -32,10 +32,10 @@ Execution model (conservative synchronous PDES)
 Every cross-partition interaction — votes, decisions, re-drives, client
 handoffs, reference receipts, parent control — pays at least
 ``config.relay_delay`` before the destination acts.  ``relay_delay`` is
-therefore a *lookahead*: within any window of length ``barrier_interval <=
-relay_delay``, no partition can affect another's present, so windows can be
-executed independently.  The barrier loop alternates strictly: partitions
-drain window ``(T, T+d]`` first (all inbound cross-partition commands
+therefore a *lookahead*: within a window of that length no partition can
+affect another's present, so windows can be executed independently.  The
+barrier loop alternates strictly: partitions drain window
+``(T, T+relay_delay]`` first (all inbound cross-partition commands
 injected at the window start, sorted by the canonical ``(due, src, seq)``
 order), then their parent-facing outputs are injected into the parent
 sorted by ``(time, shard, seq)``, then the parent drains the same window.

@@ -30,8 +30,8 @@ drained: ``None`` (or ``1``) drains them inline in this process — then
 ``system.partitions`` the partitions themselves, which is what the
 :class:`~repro.audit.auditor.SafetyAuditor` attaches to — while an integer
 ``N > 1`` spreads them over ``N`` worker processes.  Commit/abort/
-view-change fingerprints are bit-identical for every ``workers`` value and
-every valid ``barrier_interval`` of the same seed+config.
+view-change fingerprints are bit-identical for every ``workers`` value of
+the same seed+config.
 
 Clients interact through :meth:`submit_transaction`, which accepts ordinary
 benchmark transactions (e.g. Smallbank ``sendPayment``) and hides the
@@ -238,9 +238,6 @@ class ShardedBlockchain:
         self.adversary: Optional[AdversaryState] = (
             AdversaryState.place(config, self.assignment)
             if config.adversary is not None else None)
-        self.barrier_interval = (config.barrier_interval
-                                 if config.barrier_interval is not None
-                                 else config.relay_delay)
         self._cmd_buffer: List[Command] = []
         self._parent_seq = itertools.count()
         self._marker_counter = itertools.count()
@@ -407,7 +404,7 @@ class ShardedBlockchain:
         the parent.  Commands the partitions routed to each other come back
         in the window result and ship with the *next* block.
         """
-        delta = self.barrier_interval
+        delta = self.config.relay_delay
         now = self.sim.now
         while now < until:
             end = min(now + delta, until)

@@ -55,11 +55,6 @@ class KeyPair:
         self._secret = hashlib.sha256(f"key:{owner}:{seed}".encode("utf-8")).digest()
         self._mac_cache: dict[str, str] = {}
 
-    @property
-    def public_key(self) -> str:
-        """The public identity bound to signatures from this key."""
-        return self.owner
-
     def _mac_for(self, digest: str) -> str:
         cache = self._mac_cache
         mac = cache.get(digest)

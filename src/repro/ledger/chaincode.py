@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ChaincodeError
 from repro.ledger.block import Block
@@ -120,7 +120,3 @@ class ExecutionEngine:
                 )
             )
         return receipts
-
-    def execute_sequence(self, transactions: Sequence[Transaction]) -> List[TransactionReceipt]:
-        """Execute a plain list of transactions (used by tests and baselines)."""
-        return [self.execute_transaction(tx) for tx in transactions]

@@ -51,11 +51,6 @@ def expected_certificates(network_size: int, q_bits: int) -> float:
     return network_size * 2.0 ** -q_bits
 
 
-def expected_messages(network_size: int, q_bits: int) -> float:
-    """Expected communication: each certificate holder broadcasts to all N nodes."""
-    return expected_certificates(network_size, q_bits) * network_size
-
-
 @dataclass
 class BeaconProtocolResult:
     """Outcome of one epoch's distributed randomness generation."""

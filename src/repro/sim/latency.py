@@ -87,10 +87,6 @@ class LatencyModel(ABC):
               rng: Optional[random.Random] = None) -> float:
         """Return the one-way delivery delay in seconds."""
 
-    def max_delay(self, size_bytes: int = 1024) -> float:
-        """An upper bound on delay for the given size; used to derive the bound Delta."""
-        return self.delay_bound(size_bytes)
-
     def delay_bound(self, size_bytes: int = 1024) -> float:
         """Conservative upper bound on the one-way delay (no jitter)."""
         raise NotImplementedError

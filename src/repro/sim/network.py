@@ -174,9 +174,6 @@ class Network:
         """Recover a crashed node."""
         self._crashed.discard(node_id)
 
-    def is_crashed(self, node_id: int) -> bool:
-        return node_id in self._crashed
-
     def block_link(self, src: int, dst: int) -> None:
         """Drop every message from ``src`` to ``dst``."""
         self._blocked_links.add((src, dst))

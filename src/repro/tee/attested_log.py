@@ -48,11 +48,6 @@ _VERIFY_MEMO_GENERATION = -1
 register_run_reset(_VERIFY_MEMO.clear)
 
 
-def clear_verify_memo() -> None:
-    """Drop every cached attestation verdict (exposed for tests/tools)."""
-    _VERIFY_MEMO.clear()
-
-
 def _body_digest(log_name: str, position: int, digest: str) -> str:
     """``digest_of`` the attestation body the enclave signs, written as its template."""
     if type(log_name) is str and type(position) is int and type(digest) is str:

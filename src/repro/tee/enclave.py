@@ -82,11 +82,6 @@ class Enclave:
         return self._rng.getrandbits(bits)
 
     # ------------------------------------------------------------- signatures
-    @property
-    def signer_id(self) -> str:
-        """Identity that appears as the signer of this enclave's signatures."""
-        return self._key.owner
-
     def sign(self, message: Any = None, *, digest: Optional[str] = None) -> Signature:
         """Sign a message (or its digest) with the enclave-held key (never leaves the enclave)."""
         return self._key.sign(message, digest=digest)

@@ -93,8 +93,3 @@ class PoETEnclave(Enclave):
             q=q,
             signature=self.sign(body),
         )
-
-    def pending_wait(self, height: int) -> Optional[float]:
-        """The wait time drawn for ``height``, if any."""
-        entry = self._pending.get(height)
-        return entry[1] if entry else None

@@ -1,9 +1,9 @@
 """Distributed (cross-shard) transactions (Section 6).
 
-* :mod:`repro.txn.locks` — a 2PL lock manager over blockchain state (locks
-  are ordinary state tuples under ``"L_"`` keys, Section 6.3) with pluggable
-  conflict policies (abort / wait / wound-wait) and a waits-for-graph
-  deadlock detector.
+* :mod:`repro.txn.locks` — the in-memory lock-admission table a shard puts
+  in front of its committee under the ``wait`` / ``wound-wait`` policies.
+  (The paper's on-chain ``"L_"`` lock tuples, Section 6.3, are written by
+  the chaincodes in :mod:`repro.workloads` themselves.)
 * :mod:`repro.txn.faults` — deterministic fault-injection scenarios for the
   coordination protocol (shard stalls, vote drops, stale replays,
   coordinator crash/recovery).
@@ -20,15 +20,7 @@
 * :mod:`repro.txn.utxo` — the UTXO data model those baselines operate on.
 """
 
-from repro.txn.locks import (
-    AcquireResult,
-    AcquireStatus,
-    ConflictPolicy,
-    DeadlockDetected,
-    LockConflict,
-    LockManager,
-    WaitsForGraph,
-)
+from repro.txn.locks import LockAdmissionTable, LockManager
 from repro.txn.faults import (
     ComposedScenario,
     CoordinatorCrashScenario,
@@ -53,19 +45,14 @@ from repro.txn.omniledger import OmniLedgerClientProtocol, OmniLedgerShard
 from repro.txn.rapidchain import RapidChainProtocol, RapidChainShard
 
 __all__ = [
-    "AcquireResult",
-    "AcquireStatus",
     "ComposedScenario",
-    "ConflictPolicy",
     "CoordinatorCrashScenario",
-    "DeadlockDetected",
     "FaultScenario",
+    "LockAdmissionTable",
     "LockManager",
-    "LockConflict",
     "ShardStallScenario",
     "VoteDropScenario",
     "VoteReplayScenario",
-    "WaitsForGraph",
     "CoordinatorState",
     "ReferenceCommitteeStateMachine",
     "ReferenceCommitteeChaincode",

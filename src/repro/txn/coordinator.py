@@ -206,10 +206,10 @@ class TwoPhaseCommitCoordinator:
         run length.
     prepare_timeout:
         When set, :meth:`mark_begin_executed` stamps each record with a
-        prepare deadline (``now + prepare_timeout``); the scheduler polls
-        :meth:`expired_prepares` to re-drive transactions whose votes went
-        missing.  ``None`` (the default) disables deadlines entirely — the
-        seed behaviour.
+        prepare deadline (``now + prepare_timeout``); the
+        :class:`TwoPhaseCommitDriver` arms a timer for it and re-drives the
+        shards whose votes went missing.  ``None`` (the default) disables
+        deadlines entirely — the seed behaviour.
     """
 
     def __init__(self, use_reference_committee: bool = True,
@@ -426,27 +426,12 @@ class TwoPhaseCommitCoordinator:
         record.redrives += 1
         self.stats.redriven_transactions += 1
 
-    def expired_prepares(self, now: float) -> List[DistributedTxRecord]:
-        """Undecided transactions whose prepare deadline has passed."""
-        if self.prepare_timeout is None:
-            return []
-        return [
-            record for record in self.records.values()
-            if record.outcome is DistributedTxOutcome.PENDING
-            and record.prepare_deadline is not None
-            and record.prepare_deadline <= now
-        ]
-
     # ------------------------------------------------------------------ misc
     def _record(self, tx_id: str) -> DistributedTxRecord:
         record = self.records.get(tx_id)
         if record is None:
             raise TransactionAbortedError(f"unknown distributed transaction {tx_id!r}")
         return record
-
-    def pending(self) -> List[DistributedTxRecord]:
-        return [record for record in self.records.values()
-                if record.phase is not DistributedTxPhase.DONE]
 
 
 # --------------------------------------------------------------------------

@@ -173,7 +173,7 @@ class TestRpcFraming:
 
             handle.conn.send = counting_send
         windows = 5
-        system.advance(system.sim.now + windows * system.barrier_interval)
+        system.advance(system.sim.now + windows * system.config.relay_delay)
         assert all(count == windows for count in sends.values())
         system.close()
 
@@ -185,12 +185,12 @@ class TestWorkerLifecycle:
         config = ShardedSystemConfig(num_shards=3, committee_size=4,
                                      num_keys=400, seed=13, workers=2)
         system = build_system(config)
-        system.advance(system.sim.now + 2 * system.barrier_interval)
+        system.advance(system.sim.now + 2 * system.config.relay_delay)
         victim = system.executor._workers[0]
         victim.process.kill()
         victim.process.join(timeout=10.0)
         with pytest.raises(SimulationError) as excinfo:
-            system.advance(system.sim.now + 10 * system.barrier_interval)
+            system.advance(system.sim.now + 10 * system.config.relay_delay)
         message = str(excinfo.value)
         assert str(victim.owned) in message or "closed its pipe" in message
         system.close()
@@ -201,7 +201,7 @@ class TestWorkerLifecycle:
         config = ShardedSystemConfig(num_shards=2, committee_size=4,
                                      num_keys=400, seed=7, workers=2)
         system = build_system(config)
-        system.advance(system.sim.now + system.barrier_interval)
+        system.advance(system.sim.now + system.config.relay_delay)
         processes = [handle.process for handle in system.executor._workers]
         assert all(process.is_alive() for process in processes)
         system.close()

@@ -75,13 +75,12 @@ SCENARIOS = {
 }
 
 
-def _run(workers, overrides, reconfigure, barrier=None, extra_horizon=10.0):
+def _run(workers, overrides, reconfigure, extra_horizon=10.0):
     """One full run; returns the system fingerprint (plus transition stats)."""
     # Pin the process-global transaction id counter so the two runs of a
     # comparison generate identical transaction ids (ids feed state sizes).
     rebase_tx_counter(0)
-    config = ShardedSystemConfig(workers=workers, barrier_interval=barrier,
-                                 **overrides)
+    config = ShardedSystemConfig(workers=workers, **overrides)
     system = build_system(config)
     if reconfigure is not None:
         system.perform_reconfiguration(reconfigure, at_time=0.3)
@@ -163,27 +162,9 @@ def test_worker_count_sweep_plain():
         assert _run(workers, factory(), reconfigure) == reference
 
 
-def test_barrier_interval_sweep_is_invariant():
-    """Property: any valid barrier interval yields the same fingerprint.
-
-    ``relay_delay`` is the engine's lookahead; every window length in
-    ``(0, relay_delay]`` must produce identical outcomes.
-    """
-    factory, reconfigure = SCENARIOS["epoch-swap-batch"]
-    relay = ShardedSystemConfig().relay_delay
-    reference = _run(1, factory(), reconfigure, barrier=relay)
-    for barrier in (relay / 2, relay / 5, relay / 3.7):
-        assert _run(1, factory(), reconfigure, barrier=barrier) == reference
-
-
-def test_barrier_interval_validation():
-    with pytest.raises(ConfigurationError):
-        ShardedSystemConfig(workers=1, barrier_interval=1.0)  # > relay_delay
-    with pytest.raises(ConfigurationError):
-        ShardedSystemConfig(barrier_interval=0.0)
+def test_workers_validation():
     with pytest.raises(ConfigurationError):
         ShardedSystemConfig(workers=0)
-    ShardedSystemConfig(barrier_interval=0.001)  # any worker setting takes one
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2])

@@ -1,7 +1,7 @@
 """Unit tests for the three parts the engine and the live service assemble.
 
 * :class:`repro.txn.locks.LockAdmissionTable` — the one lock-admission
-  schedule (hosts: every ``HomeCoordinator`` and every live shard node);
+  schedule (host: every ``HomeCoordinator`` under ``wait`` / ``wound-wait``);
 * :class:`repro.core.driver.ArrivalLoop` — the one open-loop arrival tick
   and completion accounting (configurations: ``OpenLoopDriver`` and
   ``PartitionDriver``);
@@ -52,20 +52,19 @@ class Host:
         self.wounded = []
         self.table = LockAdmissionTable(
             self.clock, policy, WAIT,
-            on_admitted=lambda tx_id, slot: self.admitted.append((tx_id, slot)),
+            on_admitted=self.admitted.append,
             on_refused=lambda *args: self.refused.append(args),
             on_wound=self.wounded.append)
 
-    def request(self, tx_id, keys, priority=None, slot=0):
-        priority = (float(len(self.table._keys)), 0) if priority is None else priority
-        return self.table.admit(tx_id, slot, keys, priority, f"payload-{tx_id}")
+    def request(self, tx_id, keys, priority=(0.0, 0)):
+        return self.table.admit(tx_id, keys, priority, f"payload-{tx_id}")
 
 
 class TestLockAdmissionTable:
     def test_all_granted(self):
         host = Host("wait")
         assert host.request("a", ["k1", "k2"]) == "granted"
-        assert host.table.waiting_shards("a") == []
+        assert host.table.claim("a") is None  # nothing parked
         assert host.table.manager.holder("k1") == host.table.manager.holder("k2") == "a"
         host.clock.advance(2 * WAIT)  # no timer was armed
         assert (host.admitted, host.refused, host.wounded) == ([], [], [])
@@ -74,13 +73,12 @@ class TestLockAdmissionTable:
         host = Host("wait")
         host.request("a", ["k1", "k2"])
         assert host.request("b", ["k1", "k2"]) == "waiting"
-        assert host.table.waiting_shards("b") == [0]
         host.table.manager.release("k1", "a")
         assert host.admitted == []  # one key still missing
         host.table.manager.release("k2", "a")
-        assert host.admitted == [("b", 0)]
-        assert host.table.claim("b", 0) == "payload-b"
-        assert host.table.claim("b", 0) is None
+        assert host.admitted == ["b"]
+        assert host.table.claim("b") == "payload-b"
+        assert host.table.claim("b") is None
         host.clock.advance(2 * WAIT)  # the stale timeout finds nothing parked
         assert host.refused == [] and host.table.wait_timeouts == 0
 
@@ -90,25 +88,26 @@ class TestLockAdmissionTable:
         assert host.request("b", ["k1", "k2"]) == "waiting"
         host.clock.advance(WAIT)
         assert host.refused == [
-            ("b", 0, "payload-b", f"lock wait timed out after {WAIT}s")]
+            ("b", "payload-b", f"lock wait timed out after {WAIT}s")]
         assert host.table.wait_timeouts == 1
         manager = host.table.manager
         assert manager.waiters("k1") == [] and manager.holder("k2") == "b"
-        assert host.table.waiting_shards("b") == []
+        assert host.table.claim("b") is None
 
     def test_deadlock_keeps_partial_grants(self):
         host = Host("wait")
         host.request("a", ["k1"])
         host.request("b", ["k2"])
-        assert host.request("a", ["k2"], slot=1) == "waiting"
-        assert host.request("b", ["k3", "k1"], slot=1) == "deadlock"
+        # Re-requests after a grant (a re-driven prepare) acquire re-entrantly.
+        assert host.request("a", ["k2"]) == "waiting"
+        assert host.request("b", ["k3", "k1"]) == "deadlock"
         assert host.table.deadlocks_detected == 1
         manager = host.table.manager
         assert manager.holder("k3") == "b"          # kept until b finishes
-        assert manager.waiting_keys("b") == set()   # no queued wait survives
-        assert host.table.waiting_shards("b") == []
+        assert manager.waiters("k1") == []          # no queued wait survives
+        assert host.table.claim("b") is None
         host.table.finish("b")                       # the abort executes
-        assert host.admitted == [("a", 1)] and manager.holder("k3") is None
+        assert host.admitted == ["a"] and manager.holder("k3") is None
 
     def test_wound_wait_orders_by_priority_and_reports_wounds(self):
         host = Host("wound-wait")
@@ -121,19 +120,20 @@ class TestLockAdmissionTable:
         assert host.wounded == ["young"]  # a holder is wounded once
         assert host.table.manager.waiters("k") == ["oldest", "old", "middle", "youngest"]
         host.table.finish("young")        # the host aborted the victim
-        assert host.admitted == [("oldest", 0)]
+        assert host.admitted == ["oldest"]
 
     def test_cancel_between_full_grant_and_the_launch_hop(self):
         host = Host("wait")
         host.request("a", ["k"])
         host.request("b", ["k"])
-        host.table.release_shard("a", 0)
-        assert host.admitted == [("b", 0)]
-        # A participant claims only after its relay hop; until then the slot
-        # still counts as parked, and a decision arriving first cancels it.
-        assert host.table.waiting_shards("b") == [0]
-        host.table.cancel("b", 0)
-        assert host.table.claim("b", 0) is None
+        host.table.finish("a")
+        assert host.admitted == ["b"]
+        # A participant claims only after its relay hop; until then the
+        # request is still parked (a re-request is a no-op), and a decision
+        # arriving first cancels it.
+        assert host.request("b", ["k"]) == "waiting"
+        host.table.cancel("b")
+        assert host.table.claim("b") is None
         host.clock.advance(2 * WAIT)
         assert host.refused == []
 
@@ -147,16 +147,28 @@ class TestLockAdmissionTable:
         host.clock.advance(WAIT)
         assert len(host.refused) == 1  # the re-request armed no second timer
 
-    def test_grants_dispatch_a_transactions_slots_in_park_order(self):
+    def test_finish_of_a_parked_request_withdraws_it(self):
         host = Host("wait")
-        host.request("a", ["s2/k", "s1/k"])
-        assert host.request("b", ["s2/k"], slot=2) == "waiting"
-        assert host.request("b", ["s1/k"], slot=1) == "waiting"
-        assert host.request("c", ["s1/k"], slot=1) == "waiting"
-        assert host.table.waiting_shards("b") == [2, 1]
+        host.request("a", ["k1"])
+        assert host.request("b", ["k2", "k1"]) == "waiting"
+        host.request("c", ["k2"])
+        host.table.finish("b")          # e.g. the decision aborted it
+        manager = host.table.manager
+        assert manager.waiters("k1") == [] and manager.holder("k2") == "c"
+        assert host.admitted == ["c"]
+        assert host.table.claim("b") is None
+        host.clock.advance(2 * WAIT)    # neither stale timeout refuses anything
+        assert host.refused == [] and host.table.wait_timeouts == 0
+
+    def test_finish_grants_in_its_lock_order(self):
+        host = Host("wait")
+        host.request("a", ["k2", "k1"])
+        assert host.request("b", ["k2"]) == "waiting"
+        assert host.request("b2", ["k1"]) == "waiting"
+        assert host.request("c", ["k1"]) == "waiting"
         host.table.finish("a")
-        assert host.admitted == [("b", 2), ("b", 1)]
-        assert host.table.waiting_shards("c") == [1]  # other transactions untouched
+        assert host.admitted == ["b", "b2"]
+        assert host.table.manager.waiters("k1") == ["c"]  # still parked
 
 
 # --------------------------------------------------------------------------

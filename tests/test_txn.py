@@ -13,7 +13,6 @@ from repro.txn.coordinator import (
     DistributedTxPhase,
     TwoPhaseCommitCoordinator,
 )
-from repro.txn.locks import LockConflict, LockManager
 from repro.txn.omniledger import OmniLedgerClientProtocol, OmniLedgerShard, OmniLedgerTxState
 from repro.txn.rapidchain import RapidChainProtocol, RapidChainShard
 from repro.txn.reference_committee import (
@@ -28,45 +27,6 @@ from repro.errors import InvalidTransactionError, CoordinatorFailureError
 def make_tx(keys=("a", "b")):
     return Transaction.create("smallbank", "sendPayment",
                               {"from": "a", "to": "b", "amount": 1}, keys=keys)
-
-
-class TestLockManager:
-    def test_acquire_release_cycle(self):
-        locks = LockManager(StateStore())
-        locks.acquire("acc_1", "tx1")
-        assert locks.holder("acc_1") == "tx1"
-        assert locks.is_locked("acc_1")
-        assert locks.release("acc_1", "tx1")
-        assert not locks.is_locked("acc_1")
-
-    def test_conflicting_acquire_raises(self):
-        locks = LockManager(StateStore())
-        locks.acquire("k", "tx1")
-        with pytest.raises(LockConflict):
-            locks.acquire("k", "tx2")
-
-    def test_reentrant_acquire_allowed(self):
-        locks = LockManager(StateStore())
-        locks.acquire("k", "tx1")
-        locks.acquire("k", "tx1")
-
-    def test_acquire_all_is_atomic(self):
-        locks = LockManager(StateStore())
-        locks.acquire("b", "other")
-        with pytest.raises(LockConflict):
-            locks.acquire_all(["a", "b"], "tx1")
-        assert not locks.is_locked("a")  # nothing kept on failure
-
-    def test_release_by_non_holder_is_noop(self):
-        locks = LockManager(StateStore())
-        locks.acquire("k", "tx1")
-        assert not locks.release("k", "tx2")
-        assert locks.holder("k") == "tx1"
-
-    def test_held_by_lists_keys(self):
-        locks = LockManager(StateStore())
-        locks.acquire_all(["x", "y"], "tx1")
-        assert sorted(locks.held_by("tx1")) == ["x", "y"]
 
 
 class TestReferenceCommitteeStateMachine:
@@ -348,10 +308,6 @@ class TestCoordinatorCrashRecovery:
         record = coordinator.begin(make_tx(), shards=[0, 1], now=0.0)
         coordinator.mark_begin_executed(record.tx_id, now=1.0)
         assert record.prepare_deadline == 3.0
-        assert coordinator.expired_prepares(now=2.0) == []
-        assert coordinator.expired_prepares(now=3.5) == [record]
-        coordinator.record_prepare_vote(record.tx_id, 0, False, now=3.6)
-        assert coordinator.expired_prepares(now=4.0) == []  # decided
 
 
 class TestUTXO:

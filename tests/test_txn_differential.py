@@ -6,7 +6,7 @@ configuration** — ``abort`` policy, no faults, no prepare timeout —
 bit-identical to the seed implementation.  This module locks that down two
 ways:
 
-1. An inline, seed-faithful copy of the original ``LockManager`` and
+1. An inline, seed-faithful copy of the original
    ``TwoPhaseCommitCoordinator`` (taken verbatim from the seed revision) is
    driven with the same operation sequences as the current implementation
    and must agree on every observable (property-based).
@@ -19,15 +19,13 @@ ways:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import OpenLoopDriver, ShardedBlockchain, ShardedSystemConfig
 from repro.errors import TransactionAbortedError
-from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction
 from repro.txn.coordinator import (
     CoordinatorStats,
@@ -36,63 +34,12 @@ from repro.txn.coordinator import (
     DistributedTxRecord,
     TwoPhaseCommitCoordinator,
 )
-from repro.txn.locks import LOCK_PREFIX, LockConflict, LockManager
 from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeStateMachine
 
 
 # ---------------------------------------------------------------------------
-# Inline seed-faithful reference implementations (verbatim seed logic).
+# Inline seed-faithful reference implementation (verbatim seed logic).
 # ---------------------------------------------------------------------------
-@dataclass
-class SeedLockManager:
-    """The seed repository's 2PL lock table, kept verbatim as the reference."""
-
-    state: StateStore
-
-    def lock_key(self, key: str) -> str:
-        return f"{LOCK_PREFIX}{key}"
-
-    def holder(self, key: str) -> Optional[str]:
-        return self.state.get(self.lock_key(key))
-
-    def is_locked(self, key: str) -> bool:
-        return self.holder(key) is not None
-
-    def acquire(self, key: str, tx_id: str) -> None:
-        current = self.holder(key)
-        if current is not None and current != tx_id:
-            raise LockConflict(f"key {key!r} is locked by {current!r}")
-        self.state.put(self.lock_key(key), tx_id)
-
-    def acquire_all(self, keys: Iterable[str], tx_id: str) -> List[str]:
-        acquired: List[str] = []
-        try:
-            for key in keys:
-                self.acquire(key, tx_id)
-                acquired.append(key)
-        except LockConflict:
-            for key in acquired:
-                self.release(key, tx_id)
-            raise
-        return acquired
-
-    def release(self, key: str, tx_id: str) -> bool:
-        if self.holder(key) == tx_id:
-            self.state.delete(self.lock_key(key))
-            return True
-        return False
-
-    def release_all(self, keys: Iterable[str], tx_id: str) -> int:
-        return sum(1 for key in keys if self.release(key, tx_id))
-
-    def held_by(self, tx_id: str) -> List[str]:
-        held = []
-        for key, value in self.state.items():
-            if key.startswith(LOCK_PREFIX) and value == tx_id:
-                held.append(key[len(LOCK_PREFIX):])
-        return held
-
-
 class SeedCoordinator:
     """The seed repository's 2PC coordinator bookkeeping, kept verbatim.
 
@@ -279,53 +226,7 @@ def _mirrored_system(config: ShardedSystemConfig):
 
 
 # ---------------------------------------------------------------------------
-# 1. Property-based differential on the pure lock manager (abort policy).
-# ---------------------------------------------------------------------------
-@st.composite
-def lock_ops(draw):
-    """A random sequence of lock-table operations over small key/tx spaces."""
-    n = draw(st.integers(min_value=1, max_value=40))
-    ops = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["acquire", "acquire_all", "release",
-                                     "release_all", "held_by"]))
-        tx = f"tx{draw(st.integers(min_value=0, max_value=4))}"
-        keys = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
-                             min_size=1, max_size=4))
-        ops.append((kind, tx, keys))
-    return ops
-
-
-@given(lock_ops())
-@settings(max_examples=120, deadline=None)
-def test_lock_manager_abort_policy_matches_seed(ops):
-    """Under the default abort policy every observable matches the seed copy."""
-    current = LockManager(StateStore())
-    seed = SeedLockManager(StateStore())
-    for kind, tx, keys in ops:
-        outcomes = []
-        for manager in (current, seed):
-            try:
-                if kind == "acquire":
-                    manager.acquire(keys[0], tx)
-                    outcomes.append(("ok", None))
-                elif kind == "acquire_all":
-                    manager.acquire_all(keys, tx)
-                    outcomes.append(("ok", None))
-                elif kind == "release":
-                    outcomes.append(("ok", manager.release(keys[0], tx)))
-                elif kind == "release_all":
-                    outcomes.append(("ok", manager.release_all(keys, tx)))
-                else:
-                    outcomes.append(("ok", sorted(manager.held_by(tx))))
-            except LockConflict as exc:
-                outcomes.append(("conflict", str(exc)))
-        assert outcomes[0] == outcomes[1]
-        assert dict(current.state.items()) == dict(seed.state.items())
-
-
-# ---------------------------------------------------------------------------
-# 2. Property-based differential on the coordinator bookkeeping.
+# 1. Property-based differential on the coordinator bookkeeping.
 # ---------------------------------------------------------------------------
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.booleans(), st.booleans())
@@ -360,7 +261,7 @@ def test_coordinator_bookkeeping_matches_seed(seed_value, use_reference, retain)
 
 
 # ---------------------------------------------------------------------------
-# 3. Full-system differential sweep (the acceptance criterion).
+# 2. Full-system differential sweep (the acceptance criterion).
 # ---------------------------------------------------------------------------
 SWEEP = [
     # (seed, shards, zipf, workload benchmark, use_reference, retain, txns)
