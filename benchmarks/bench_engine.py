@@ -1,16 +1,10 @@
-"""Simulation-engine benchmark: event throughput + end-to-end sharded runs.
+"""Simulation-engine benchmark: end-to-end sharded runs.
 
-This is the harness behind the CI ``benchmark-smoke`` job.  It measures:
-
-1. **Event-queue microbenchmark** — push/pop throughput of the current
-   slab/heap :class:`~repro.sim.events.EventQueue` against an inline copy of
-   the seed repository's dataclass/heap queue (``LegacyEventQueue``), plus
-   scheduler drain throughput (``run`` vs ``run_batched``).  The engine
-   overhaul is gated on ``new >= 2x legacy``.
-2. **End-to-end sharded run** — an open-loop driver streaming transactions
-   into a :class:`~repro.core.system.ShardedBlockchain` at a fixed arrival
-   rate.  The run is executed twice with the same seed and the harness
-   asserts identical commit/abort counts (seed-for-seed determinism).
+This is the harness behind the CI ``benchmark-smoke`` job.  An open-loop
+driver streams transactions into a :class:`~repro.core.system.ShardedBlockchain`
+at a fixed arrival rate.  The run is executed twice with the same seed and
+the harness asserts identical commit/abort counts (seed-for-seed
+determinism); events/sec and committed tx/sec of wall clock are reported.
 
 Results are written as JSON (``BENCH_ci.json`` in CI) so the performance
 trajectory accumulates run over run.
@@ -27,112 +21,14 @@ through an 8-shard deployment (a few minutes of wall clock).
 from __future__ import annotations
 
 import argparse
-import heapq
-import itertools
 import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
 
 from repro.core.config import ShardedSystemConfig
 from repro.core.driver import OpenLoopDriver
 from repro.core.system import ShardedBlockchain
-from repro.sim.events import EventQueue
-from repro.sim.simulator import Simulator
-
-
-# --------------------------------------------------------------------------
-# Reference implementation: the seed repository's event queue, kept verbatim
-# so the microbenchmark always compares against the pre-overhaul baseline.
-# --------------------------------------------------------------------------
-@dataclass(order=True)
-class _LegacyEvent:
-    time: float
-    seq: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-
-    def fire(self) -> Any:
-        return self.callback(*self.args)
-
-
-class LegacyEventQueue:
-    """The seed's dataclass-on-heap queue (baseline for the microbenchmark)."""
-
-    def __init__(self) -> None:
-        self._heap: list = []
-        self._counter = itertools.count()
-        self._live = 0
-
-    def push(self, time: float, callback, args: tuple = ()) -> _LegacyEvent:
-        event = _LegacyEvent(time=time, seq=next(self._counter),
-                             callback=callback, args=args)
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
-
-    def pop(self) -> Optional[_LegacyEvent]:
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._live -= 1
-            return event
-        self._live = 0
-        return None
-
-
-def _noop() -> None:
-    return None
-
-
-def bench_queue(queue_factory, n_events: int, rounds: int = 3) -> float:
-    """Best-of-``rounds`` push+pop throughput (events/second) for a queue."""
-    best = 0.0
-    for _ in range(rounds):
-        queue = queue_factory()
-        start = time.perf_counter()
-        for i in range(n_events):
-            queue.push(float(i % 1000), _noop)
-        while queue.pop() is not None:
-            pass
-        elapsed = time.perf_counter() - start
-        best = max(best, n_events / elapsed)
-    return best
-
-
-def bench_scheduler(n_events: int, batched: bool, rounds: int = 3) -> float:
-    """Best-of-``rounds`` schedule+drain throughput of the Simulator loop."""
-    best = 0.0
-    for _ in range(rounds):
-        sim = Simulator()
-        start = time.perf_counter()
-        for i in range(n_events):
-            sim.schedule(float(i % 1000), _noop)
-        if batched:
-            sim.run_batched()
-        else:
-            sim.run()
-        elapsed = time.perf_counter() - start
-        best = max(best, n_events / elapsed)
-    return best
-
-
-def run_micro(n_events: int) -> dict:
-    legacy = bench_queue(LegacyEventQueue, n_events)
-    current = bench_queue(EventQueue, n_events)
-    result = {
-        "n_events": n_events,
-        "legacy_queue_events_per_sec": round(legacy),
-        "queue_events_per_sec": round(current),
-        "queue_speedup_vs_legacy": round(current / legacy, 2),
-        "scheduler_run_events_per_sec": round(bench_scheduler(n_events, batched=False)),
-        "scheduler_run_batched_events_per_sec": round(bench_scheduler(n_events, batched=True)),
-    }
-    return result
 
 
 def run_end_to_end(transactions: int, shards: int, committee: int, rate_tps: float,
@@ -174,13 +70,13 @@ def run_end_to_end(transactions: int, shards: int, committee: int, rate_tps: flo
 
 
 MODES = {
-    # mode: (micro events, e2e txns, shards, committee, rate, keys, in-flight cap)
+    # mode: (txns, shards, committee, rate, keys, in-flight cap)
     # Rates sit near the deployment's measured capacity (~70 committed tps per
     # shard for committee-4 AHL+ on LAN); the in-flight cap keeps 2PL lock
     # contention (and therefore the abort rate) bounded when the arrival
     # process transiently outruns the committees.
-    "quick": (200_000, 5_000, 4, 4, 280.0, 20_000, 1_500),
-    "full": (1_000_000, 100_000, 8, 4, 550.0, 100_000, 2_000),
+    "quick": (5_000, 4, 4, 280.0, 20_000, 1_500),
+    "full": (100_000, 8, 4, 550.0, 100_000, 2_000),
 }
 
 
@@ -194,15 +90,9 @@ def main(argv=None) -> int:
                         help="run the end-to-end benchmark once instead of twice")
     args = parser.parse_args(argv)
 
-    micro_events, txns, shards, committee, rate, keys, cap = MODES[args.mode]
+    txns, shards, committee, rate, keys, cap = MODES[args.mode]
 
     print(f"[bench] mode={args.mode} python={platform.python_version()}")
-    micro = run_micro(micro_events)
-    print(f"[bench] queue: {micro['queue_events_per_sec']:,} ev/s "
-          f"(legacy {micro['legacy_queue_events_per_sec']:,} ev/s, "
-          f"{micro['queue_speedup_vs_legacy']}x)")
-    print(f"[bench] scheduler: run {micro['scheduler_run_events_per_sec']:,} ev/s, "
-          f"run_batched {micro['scheduler_run_batched_events_per_sec']:,} ev/s")
 
     first = run_end_to_end(txns, shards, committee, rate, args.seed, keys, cap)
     print(f"[bench] e2e: {first['committed']}/{first['submitted']} committed, "
@@ -221,7 +111,6 @@ def main(argv=None) -> int:
         "benchmark": "engine",
         "mode": args.mode,
         "python": platform.python_version(),
-        "micro": micro,
         "end_to_end": first,
         "deterministic": deterministic,
     }
@@ -230,12 +119,6 @@ def main(argv=None) -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
         print(f"[bench] wrote {args.output}")
 
-    # The measured speedup is ~2.1-2.3x on an idle machine; the hard gate
-    # sits at 1.5x so neighbour noise on shared CI runners cannot flake the
-    # job while a genuine regression (losing the slab/heap win) still fails.
-    if micro["queue_speedup_vs_legacy"] < 1.5:
-        print("[bench] FAIL: event-queue speedup below 1.5x", file=sys.stderr)
-        return 1
     if deterministic is False:
         print("[bench] FAIL: end-to-end run is not seed-deterministic", file=sys.stderr)
         return 1

@@ -68,23 +68,6 @@ class ConsensusConfig:
     #: Blocks between PBFT checkpoint broadcasts; a quorum of checkpoints lets
     #: replicas that missed commit messages catch up (stable checkpoints).
     checkpoint_interval: int = 10
-    #: Prune executed instances and vote sets below the stable checkpoint so
-    #: per-replica consensus state is proportional to the in-flight window
-    #: (pipeline_depth + checkpoint_interval), not the run length.  Off
-    #: reproduces the seed's keep-everything behaviour (the benchmark's
-    #: baseline path); on/off runs are message-for-message identical.
-    gc_enabled: bool = True
-    #: Capacity of the committed transaction-id dedup set (oldest ids evicted
-    #: first; they belong to long-committed transactions no live client will
-    #: resubmit).  ``None`` keeps it unbounded, as the seed did.  The seen-id
-    #: set is never capacity-evicted — under GC it self-bounds to the
-    #: pending + in-flight window because ids are discarded on commit.
-    dedup_window: Optional[int] = 200_000
-    #: Append executed blocks without re-verifying the Merkle root: the root
-    #: was computed by the proposer, carried through the pre-prepare, and a
-    #: quorum voted on its digest, so the append is trusted.  Off restores
-    #: the seed's third per-block Merkle build (untrusted ingestion).
-    trusted_append: bool = True
     #: Ledger retention mode for each replica's chain: "full" keeps every
     #: block body, "headers" keeps every header but only the most recent
     #: ``ledger_retain_recent`` bodies (bounded memory for 1M-transaction runs).
@@ -204,6 +187,10 @@ class ConsensusReplica(SimProcess):
     """
 
     PROTOCOL_NAME = "base"
+    #: Capacity of the committed transaction-id dedup set (oldest ids evicted
+    #: first; they belong to long-committed transactions no live client will
+    #: resubmit).
+    COMMITTED_ID_WINDOW = 200_000
 
     def __init__(self, node_id: int, sim: "Simulator | Runtime", network: Network,
                  committee: Sequence[int], config: ConsensusConfig,
@@ -244,14 +231,14 @@ class ConsensusReplica(SimProcess):
         #: activate.  Empty outside transitions (the seed fast path).
         self.syncing_members: Set[int] = set()
         self.pending_txs: Deque[Transaction] = deque()
-        # seen_tx_ids is never capacity-evicted: under GC it is self-bounding
-        # (ids are discarded on commit, so it tracks pending + in-flight), and
+        # seen_tx_ids is never capacity-evicted: it is self-bounding (ids are
+        # discarded on commit, so it tracks pending + in-flight), and
         # FIFO eviction could drop the id of a still-pending transaction —
         # letting the stalled-progress rebroadcast path re-accept a duplicate.
         # Only committed_tx_ids is windowed; its old ids belong to
         # long-committed transactions no live client will resubmit.
         self.seen_tx_ids = BoundedIdSet(None)
-        self.committed_tx_ids = BoundedIdSet(config.dedup_window)
+        self.committed_tx_ids = BoundedIdSet(self.COMMITTED_ID_WINDOW)
         self.in_flight_tx_ids: Set[str] = set()
         self.instances: Dict[int, _Instance] = {}
         self.view_change_votes: Dict[int, Set[int]] = {}
@@ -265,7 +252,7 @@ class ConsensusReplica(SimProcess):
         self._outstanding = 0
         #: Highest sequence number garbage-collected below a stable
         #: checkpoint; messages at or below it are dropped on arrival (their
-        #: instances were executed and pruned).  Stays 0 when GC is off.
+        #: instances were executed and pruned).
         self._gc_horizon = 0
         self._progress_check_pending = False
         self._last_block_time = 0.0
@@ -390,7 +377,7 @@ class ConsensusReplica(SimProcess):
         self.stable_checkpoint = source.stable_checkpoint
         self._gc_horizon = source.last_executed
         self._last_block_time = self.runtime.now
-        committed = BoundedIdSet(self.config.dedup_window)
+        committed = BoundedIdSet(self.COMMITTED_ID_WINDOW)
         committed.update(source.committed_tx_ids)
         committed.trim()
         self.committed_tx_ids = committed
@@ -509,8 +496,6 @@ class ConsensusReplica(SimProcess):
         seq = getattr(payload, "seq", -1)
         if 0 < seq <= self._gc_horizon:
             # The instance was executed and pruned; both phases completed.
-            # (Mirrors the un-GC'd path, where the retained instance would
-            # report committed=True, so the modelled cost is identical.)
             return True
         instance = self.instances.get(seq)
         if instance is None:
@@ -798,11 +783,9 @@ class ConsensusReplica(SimProcess):
         if self.byzantine is not None and self.byzantine.equivocates():
             self._send_vote_per_recipient("prepare", instance)
             return
-        digest = self.byzantine.mutate_digest(self, instance.block_digest) \
-            if self.byzantine is not None else instance.block_digest
-        attestation = self._attest("prepare", instance.seq, digest)
+        attestation = self._attest("prepare", instance.seq, instance.block_digest)
         payload = m.Prepare(
-            view=self.view, seq=instance.seq, block_digest=digest,
+            view=self.view, seq=instance.seq, block_digest=instance.block_digest,
             replica=self.node_id, attestation=attestation,
         )
         self.cpu_execute(self._signing_cost(), self._dispatch_vote, m.KIND_PREPARE, payload)
@@ -947,7 +930,6 @@ class ConsensusReplica(SimProcess):
     def _apply_block(self, instance: _Instance) -> None:
         block = instance.block
         assert block is not None
-        gc_enabled = self.config.gc_enabled
         committed = self.committed_tx_ids
         seen = self.seen_tx_ids
         in_flight = self.in_flight_tx_ids
@@ -958,44 +940,32 @@ class ConsensusReplica(SimProcess):
                 fresh.append(tx)
             committed[tx_id] = None
             in_flight.discard(tx_id)
-            if gc_enabled:
-                # Once committed, dedup is served by committed_tx_ids; keeping
-                # the id in seen_tx_ids too would grow it with run length.
-                seen.pop(tx_id, None)
+            # Once committed, dedup is served by committed_tx_ids; keeping the
+            # id in seen_tx_ids too would grow it with run length.
+            seen.pop(tx_id, None)
         committed.trim()
         # Re-chain the agreed block onto this replica's tip.  The Merkle root
         # was computed once by the proposer and its digest is what the quorum
-        # voted on, so it is reused verbatim (no rebuild) and — under
-        # trusted_append — the ledger skips the redundant re-verification.
+        # voted on, so it is reused verbatim (no rebuild) and the ledger skips
+        # re-verifying it.
         #
         # Exactly-once execution: a transaction already executed here (only
         # possible when a leader hand-off during an epoch transition raced a
         # still-in-flight proposal) is filtered out of the local chained
-        # block instead of being applied twice; the common case appends the
-        # agreed block verbatim.
-        if len(fresh) == len(block.transactions):
-            chained = build_block(
-                height=self.blockchain.height + 1,
-                prev_hash=self.blockchain.tip.block_hash,
-                transactions=block.transactions,
-                proposer=block.header.proposer,
-                view=block.header.view,
-                timestamp=block.header.timestamp,
-                shard_id=self.shard_id,
-                merkle_root=block.header.merkle_root,
-            )
-            self.blockchain.append(chained, verify_merkle=not self.config.trusted_append)
-        else:
-            chained = build_block(
-                height=self.blockchain.height + 1,
-                prev_hash=self.blockchain.tip.block_hash,
-                transactions=tuple(fresh),
-                proposer=block.header.proposer,
-                view=block.header.view,
-                timestamp=block.header.timestamp,
-                shard_id=self.shard_id,
-            )
-            self.blockchain.append(chained, verify_merkle=False)
+        # block instead of being applied twice, and the filtered block's root
+        # is built afresh; the common case appends the agreed block verbatim.
+        verbatim = len(fresh) == len(block.transactions)
+        chained = build_block(
+            height=self.blockchain.height + 1,
+            prev_hash=self.blockchain.tip.block_hash,
+            transactions=block.transactions if verbatim else tuple(fresh),
+            proposer=block.header.proposer,
+            view=block.header.view,
+            timestamp=block.header.timestamp,
+            shard_id=self.shard_id,
+            merkle_root=block.header.merkle_root if verbatim else None,
+        )
+        self.blockchain.append(chained, verify_merkle=False)
         receipts = self.engine.execute_block(chained, now=self.runtime.now)
         now = self.runtime.now
         self._last_block_time = now
@@ -1049,10 +1019,10 @@ class ConsensusReplica(SimProcess):
         stale-view state catches up through the new view's re-proposals
         instead.
 
-        With ``gc_enabled`` the stable checkpoint additionally drives garbage
-        collection: instances this replica has executed at or below the
-        checkpoint — and the vote sets that produced it — are pruned, so the
-        instance table holds only the in-flight window.
+        The stable checkpoint also drives garbage collection: instances this
+        replica has executed at or below the checkpoint — and the vote sets
+        that produced it — are pruned, so the instance table holds only the
+        in-flight window.
         """
         self.stable_checkpoint = seq
         for instance in self.instances.values():
@@ -1061,8 +1031,7 @@ class ConsensusReplica(SimProcess):
                     and not instance.committed):
                 self._mark_committed(instance)
         self._try_execute()
-        if self.config.gc_enabled:
-            self._collect_garbage()
+        self._collect_garbage()
 
     def _collect_garbage(self) -> None:
         """Prune state made obsolete by the stable checkpoint.
@@ -1137,8 +1106,7 @@ class ConsensusReplica(SimProcess):
     def _enter_view(self, new_view: int) -> None:
         self.view = new_view
         self.view_changes += 1
-        if self.config.gc_enabled:
-            self._prune_view_change_votes()
+        self._prune_view_change_votes()
         self.monitor.counter(f"view_changes.shard{self.shard_id}").increment()
         # Reset progress on uncommitted instances; they will be re-proposed.
         for instance in self.instances.values():
@@ -1198,8 +1166,7 @@ class ConsensusReplica(SimProcess):
             for instance in list(self.instances.values()):
                 if not instance.committed:
                     self._drop_instance(instance.seq)
-            if self.config.gc_enabled:
-                self._prune_view_change_votes()
+            self._prune_view_change_votes()
 
     # ---------------------------------------------------------------- metrics
     def committed_transactions(self) -> int:

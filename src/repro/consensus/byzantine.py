@@ -59,24 +59,15 @@ class ByzantineStrategy:
         """Whether a corrupted replica withholds its prepare/commit vote."""
         return False
 
-    def mutate_digest(self, replica, digest: Optional[str]) -> Optional[str]:
-        """Uniform digest mutation (legacy hook; prefer ``vote_digest_for``).
-
-        Kept as the fallback consulted by the default ``vote_digest_for`` so
-        strategies written against the old broadcast-one-wrong-digest model
-        keep working unchanged.
-        """
-        return digest
-
     def vote_digest_for(self, replica, phase: str, recipient: int,
                         digest: Optional[str]) -> Optional[str]:
         """Digest this replica's ``phase`` vote claims to ``recipient``.
 
         Consulted once per (vote, recipient) pair on both the prepare and the
         commit path, so a strategy can equivocate per destination.  The
-        default delegates to :meth:`mutate_digest` (uniform behaviour).
+        default is honest: every recipient gets the true digest.
         """
-        return self.mutate_digest(replica, digest)
+        return digest
 
     def equivocates(self) -> bool:
         """Whether this strategy may claim different digests to different
@@ -139,11 +130,6 @@ class EquivocatingAttacker(ByzantineStrategy):
 
     def conflicting_digest(self, replica, digest: str) -> str:
         return sha256_hex(f"conflicting:{digest}:{replica.node_id}")
-
-    def mutate_digest(self, replica, digest: Optional[str]) -> Optional[str]:
-        if digest is None:
-            return None
-        return self.conflicting_digest(replica, digest)
 
     def vote_digest_for(self, replica, phase: str, recipient: int,
                         digest: Optional[str]) -> Optional[str]:

@@ -578,13 +578,12 @@ class ConsensusCluster:
     def run(self, duration: float, max_events: Optional[int] = None) -> ClusterRunResult:
         """Run the simulation for ``duration`` seconds and summarise the outcome.
 
-        Uses the batched drain loop, which executes the identical event order
-        as the one-at-a-time loop with less scheduler overhead.  Sim-only:
-        under a wall-clock runtime the asyncio loop drives time itself.
+        Sim-only: under a wall-clock runtime the asyncio loop drives time
+        itself.
         """
         if self.sim is None:
             raise ConfigurationError("run() needs the simulated runtime")
-        self.sim.run_batched(until=self.sim.now + duration, max_events=max_events)
+        self.sim.run(until=self.sim.now + duration, max_events=max_events)
         return self.result(duration)
 
     def result(self, duration: float) -> ClusterRunResult:

@@ -249,7 +249,7 @@ class ShardPartition:
         if next_time is not None and next_time <= until:
             previous = swap_tx_counter(self._tx_counter)
             try:
-                self.sim.run_batched(until=until)
+                self.sim.run(until=until)
             finally:
                 self._tx_counter = swap_tx_counter(previous)
         self.sim.advance_clock(until)

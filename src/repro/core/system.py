@@ -419,7 +419,7 @@ class ShardedBlockchain:
             self._window_seconds += mid - started
             self._cmd_buffer.extend(result.routed)
             self._deliver_outputs(result.outputs)
-            self.sim.run_batched(until=end)
+            self.sim.run(until=end)
             self.sim.advance_clock(end)
             # detlint: disable=DET001 -- coordinator_work_share wall-time split: measures host cost only, never feeds simulated time or the event stream
             self._parent_seconds += perf_counter() - mid

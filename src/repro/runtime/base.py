@@ -26,9 +26,9 @@ behind it.  The contract each implementation upholds:
   ``AsyncioRuntime`` always says ``False`` — which simply disables the
   cohort-merge fast path, never changes semantics.
 
-What deliberately does **not** cross the seam: ``run()`` / ``run_batched()``
-(driving time forward is a harness concern — the asyncio loop runs itself)
-and fault injection (``crash``/``partition`` live on the network layer).
+What deliberately does **not** cross the seam: ``run()`` (driving time forward
+is a harness concern — the asyncio loop runs itself) and fault injection
+(``crash``/``partition`` live on the network layer).
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class Runtime(Protocol):
     See the module docstring for the cross-implementation contract.
     """
 
-    #: True for the simulated runtime; lets harness-only code (``run()``,
-    #: batched draining) guard itself without importing the simulator.
+    #: True for the simulated runtime; lets harness-only code (``run()``)
+    #: guard itself without importing the simulator.
     is_simulated: bool
 
     #: The underlying :class:`Simulator` in sim mode, ``None`` on a real clock.

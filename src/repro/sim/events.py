@@ -134,24 +134,6 @@ class EventQueue:
         event._queue = None
         return event
 
-    def pop_batch(self, limit: Optional[int] = None) -> List[Event]:
-        """Drain the cohort of events sharing the earliest timestamp.
-
-        Returns the events in scheduling (``seq``) order — the exact order
-        :meth:`pop` would have returned them one at a time.  ``limit`` caps
-        the cohort size (the remainder stays queued).  Events scheduled *for
-        the same timestamp while the batch executes* are not part of the
-        returned cohort; they surface on the next call, preserving the
-        one-at-a-time execution order.  A caller firing the batch must skip
-        members an earlier member cancelled (``event.cancelled``).
-        """
-        batch: List[Event] = []
-        time = self.peek_time()
-        while (time is not None and (limit is None or len(batch) < limit)
-               and self.peek_time() == time):
-            batch.append(self.pop())
-        return batch
-
     def is_pending(self, event: Event) -> bool:
         """True while ``event`` is still queued (not popped, not cancelled)."""
         return event._queue is self

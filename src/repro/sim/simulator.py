@@ -12,8 +12,7 @@ heap, discard it if it was cancelled, stop at the ``max_events`` budget or
 the ``until`` bound, otherwise pop it, move the clock and call
 :meth:`Event.fire` — one heap operation and one dispatch call per event,
 straight on the queue's heap.  :meth:`Simulator.step` is the loop with a
-budget of one and :meth:`Simulator.run_batched` is the same function under
-a second name.  Same-timestamp cohorts need no handling of their own:
+budget of one.  Same-timestamp cohorts need no handling of their own:
 ``(time, seq)`` is unique, an event scheduled for the current instant by a
 firing callback has a larger ``seq`` than everything already queued and so
 fires after its cohort, and an event cancelled by an earlier member of its
@@ -109,10 +108,10 @@ class Simulator:
     def advance_clock(self, until: float) -> None:
         """Advance the clock to ``until`` without running events.
 
-        ``run``/``run_batched`` only move the clock to their bound when
-        events are pending; the engine's barrier loop uses this to pin a
-        drained simulation's clock at the window end, so every partition and
-        the parent agree on "now" at each barrier.
+        ``run`` only moves the clock to its bound when events are pending;
+        the engine's barrier loop uses this to pin a drained simulation's
+        clock at the window end, so every partition and the parent agree on
+        "now" at each barrier.
         """
         self._now = max(self._now, until)
 
@@ -195,16 +194,13 @@ class Simulator:
             executed += 1
         return executed
 
-    #: The same loop, under the name the engine and the benches drain by.
-    run_batched = run
-
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
         return self.run(max_events=1) == 1
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until the event queue drains, with an event budget as a guard."""
-        executed = self.run_batched(max_events=max_events)
+        executed = self.run(max_events=max_events)
         if self.pending_events:
             raise SimulationError(
                 f"simulation did not become idle within {max_events} events"

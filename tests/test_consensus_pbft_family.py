@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.base import ConsensusConfig
-from repro.consensus.byzantine import CrashAttacker, EquivocatingAttacker, SilentLeader
+from repro.consensus.byzantine import (
+    ByzantineStrategy, CrashAttacker, EquivocatingAttacker, SilentLeader,
+)
 from repro.consensus.cluster import ConsensusCluster, NoopChaincode
 
 FAST = {"batch_size": 20, "view_change_timeout": 3.0, "pipeline_depth": 4}
@@ -155,6 +157,27 @@ class TestByzantineBehaviour:
         assert byzantine_replica.attested_log.rejected_appends == 0 or \
             byzantine_replica.attested_log.rejected_appends > 0  # counted, never bypassed
         assert cluster.honest_observer().committed_transactions() == 10
+
+    def test_benign_strategy_votes_like_an_honest_replica(self):
+        """Replicas under a strategy that does not equivocate claim the true
+        digest to every recipient, so the run is message-for-message the
+        honest one."""
+        strategy = ByzantineStrategy([1, 2])
+        txs = make_txs(30)
+        outcomes = []
+        for byzantine in (None, strategy):
+            cluster = build("HL", n=4, byzantine=byzantine)
+            cluster.submit(txs)
+            result = cluster.run(10.0)
+            outcomes.append((result.committed_transactions, result.messages_sent,
+                             cluster.honest_observer().blockchain.tip.block_hash))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 30
+        replica = cluster.replica_by_id(1)
+        assert replica.byzantine is strategy
+        for phase in ("prepare", "commit"):
+            for recipient in cluster.committee:
+                assert strategy.vote_digest_for(replica, phase, recipient, "d") == "d"
 
 
 class TestAhlrSpecifics:

@@ -65,25 +65,6 @@ class TestEventQueue:
         queue.clear()
         assert len(queue) == 0 and not queue
 
-    def test_pop_batch_drains_same_time_cohort_in_fifo_order(self):
-        queue = EventQueue()
-        for label in "abc":
-            queue.push(1.0, lambda: None, (label,))
-        queue.push(2.0, lambda: None, ("later",))
-        batch = queue.pop_batch()
-        assert [event.args[0] for event in batch] == ["a", "b", "c"]
-        assert len(queue) == 1
-        assert [event.args[0] for event in queue.pop_batch()] == ["later"]
-        assert queue.pop_batch() == []
-
-    def test_pop_batch_respects_limit_and_skips_cancelled(self):
-        queue = EventQueue()
-        events = [queue.push(1.0, lambda: None, (i,)) for i in range(6)]
-        events[1].cancel()
-        batch = queue.pop_batch(limit=3)
-        assert [event.args[0] for event in batch] == [0, 2, 3]
-        assert [event.args[0] for event in queue.pop_batch()] == [4, 5]
-
     def test_is_pending_tracks_lifecycle(self):
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
@@ -185,66 +166,41 @@ class TestSimulator:
         sim.run()
         assert order == ["at-1", "delay-1", "at-1-again", "delay-2", "at-2"]
 
-    def test_run_batched_matches_run(self):
-        def build(drain):
-            sim = Simulator(seed=3)
-            trace = []
-
-            def tick(label, remaining):
-                trace.append((label, sim.now))
-                if remaining:
-                    sim.schedule(sim.rng.choice([0.0, 0.5, 1.0]), tick, label, remaining - 1)
-
-            for label in range(5):
-                sim.schedule(float(label % 2), tick, label, 4)
-            drain(sim)
-            return trace, sim.now, sim.events_processed
-
-        one_at_a_time = build(lambda sim: sim.run())
-        batched = build(lambda sim: sim.run_batched())
-        assert one_at_a_time == batched
-
-    def test_run_batched_honours_until_and_max_events(self):
+    def test_run_honours_until_and_max_events_within_a_cohort(self):
         sim = Simulator()
         fired = []
         for i in range(10):
             sim.schedule(1.0, fired.append, i)
         sim.schedule(5.0, fired.append, "late")
-        assert sim.run_batched(max_events=4) == 4
+        assert sim.run(max_events=4) == 4
         assert fired == [0, 1, 2, 3]
-        sim.run_batched(until=2.0)
+        sim.run(until=2.0)
         assert fired == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
         assert sim.now == 2.0
         assert sim.pending_events == 1
 
-    def test_run_batched_budget_ignores_cancelled_cohort_members(self):
-        # Regression: a cancelled cohort member must not consume the
-        # max_events budget — run() never counts cancelled events either.
-        def build():
-            sim = Simulator()
-            fired = []
-            holder = {}
-            sim.schedule(1.0, lambda: holder["victim"].cancel())
-            holder["victim"] = sim.schedule(1.0, fired.append, "victim")
-            sim.schedule(1.0, fired.append, "third")
-            return sim, fired
+    def test_run_budget_ignores_cancelled_cohort_members(self):
+        # Regression: a cohort member cancelled by an earlier member must not
+        # consume the max_events budget.
+        sim = Simulator()
+        fired = []
+        holder = {}
+        sim.schedule(1.0, lambda: holder["victim"].cancel())
+        holder["victim"] = sim.schedule(1.0, fired.append, "victim")
+        sim.schedule(1.0, fired.append, "third")
+        assert sim.run(max_events=2) == 2
+        assert fired == ["third"]
+        assert sim.events_processed == 2
 
-        sim_a, fired_a = build()
-        sim_a.run(max_events=2)
-        sim_b, fired_b = build()
-        sim_b.run_batched(max_events=2)
-        assert fired_a == fired_b == ["third"]
-        assert sim_a.events_processed == sim_b.events_processed == 2
-
-    def test_run_batched_skips_events_cancelled_within_cohort(self):
+    def test_run_skips_events_cancelled_within_cohort(self):
         # The canceller fires first (lower seq, same timestamp) and cancels a
-        # victim that was popped as part of the same cohort.
+        # victim scheduled for the same instant.
         sim = Simulator()
         fired = []
         victim_holder = {}
         sim.schedule(1.0, lambda: victim_holder["victim"].cancel())
         victim_holder["victim"] = sim.schedule(1.0, fired.append, "victim")
-        sim.run_batched()
+        sim.run()
         assert fired == []
 
     def test_run_until_idle_raises_on_budget_exhaustion(self):
@@ -405,17 +361,15 @@ def _run_program(initial, scripts, slices, drain):
        slices=_SLICES)
 @settings(max_examples=150, deadline=None)
 def test_random_programs_fire_in_time_seq_order_on_every_drain(initial, scripts, slices):
-    """``run``, ``run_batched``, ``step`` and any slicing by ``until`` /
-    ``max_events`` fire the same events in sorted ``(time, seq)`` order, with
-    equal clocks and counters after every slice — cancels of fired, pending
-    and cancelled events and same-timestamp schedules from inside a firing
-    callback included."""
-    traces = [_run_program(initial, scripts, slices, drain)
-              for drain in (Simulator.run, Simulator.run_batched)]
-    traces.append(_run_program(initial, scripts, [], Simulator.step))
-    assert traces[0] == traces[1]
+    """``run``, ``step`` and any slicing by ``until`` / ``max_events`` fire
+    the same events in sorted ``(time, seq)`` order, with equal clocks and
+    counters after every slice — cancels of fired, pending and cancelled
+    events and same-timestamp schedules from inside a firing callback
+    included."""
+    traces = [_run_program(initial, scripts, slices, Simulator.run),
+              _run_program(initial, scripts, [], Simulator.step)]
     # Slicing moves the clock between events but never the order.
-    assert [label for label, _, _ in traces[0]] == [label for label, _, _ in traces[2]]
+    assert [label for label, _, _ in traces[0]] == [label for label, _, _ in traces[1]]
     fired = [(time, label) for label, time, _ in traces[0]]
     assert fired == sorted(fired)  # labels are seqs: exactly (time, seq) order
 

@@ -9,7 +9,7 @@ the arrival's completion time is receiver state at arrival), so what the
 transport can save is the *scaffolding per event*: the Python frames entered
 in ``repro/sim/`` + ``repro/runtime/`` to schedule, pop, deliver and charge
 it.  Before the budget that was 16.4 frames per fired event on both configs
-below (queue ``peek_time`` → ``pop_batch`` → ``pop``, ``deliver`` →
+below (queue ``peek_time`` → cohort pop → ``pop``, ``deliver`` →
 ``_channel_key`` → ``_queue_full`` → ``cpu_execute``, ``_admit`` →
 ``_link_ok`` → ``region_of`` ×2 → ``record_send`` per recipient, a ``now``
 property hop per read).
