@@ -384,10 +384,6 @@ class HomeCoordinator:
         self.config: ShardedSystemConfig = partition.config
         self.runtime: Runtime = partition.runtime
         self.shard_id: int = partition.shard_id
-        self.coordinator = TwoPhaseCommitCoordinator(
-            self.config.use_reference_committee,
-            retain_records=self.config.retain_tx_records,
-            prepare_timeout=self.config.prepare_timeout)
         self.splitter = splitter_for(self.config.benchmark)
         #: Per-home fault copy: hook counters (drop budgets, crash counts)
         #: advance with this partition's own transaction history only.
@@ -396,8 +392,13 @@ class HomeCoordinator:
         #: home immediately; under an armed adversary a decision's
         #: first-contact member may swallow it, so decisions get deadlines.
         self.driver = TwoPhaseCommitDriver(
-            self, self.runtime, self.splitter, self.shard_of, fault=self.fault,
-            redrive_decisions=partition.adversary is not None)
+            self, self.runtime,
+            TwoPhaseCommitCoordinator(
+                retain_records=self.config.retain_tx_records,
+                prepare_timeout=self.config.prepare_timeout),
+            self.splitter, self.shard_of,
+            use_reference_committee=self.config.use_reference_committee,
+            fault=self.fault, redrive_decisions=partition.adversary is not None)
         #: This shard's lock-admission table (queueing policies only).
         self.admission: Optional[LockAdmissionTable] = (
             LockAdmissionTable(self.runtime, self.config.conflict_policy,
@@ -407,6 +408,12 @@ class HomeCoordinator:
                                on_wound=self._wound)
             if self.config.conflict_policy != "abort" else None)
         self._tx_home: Dict[str, int] = {}
+
+    @property
+    def coordinator(self) -> TwoPhaseCommitCoordinator:
+        """The driver's bookkeeping: records and statistics of the
+        transactions homed here."""
+        return self.driver.coordinator
 
     @property
     def wounded_transactions(self) -> int:

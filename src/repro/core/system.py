@@ -353,7 +353,6 @@ class ShardedBlockchain:
             self.splitter.validate(tx, self.shard_of_key)
         record = DistributedTxRecord(tx_id=tx.tx_id, transaction=tx,
                                      shards=sorted(shards),
-                                     phase=DistributedTxPhase.BEGINNING,
                                      started_at=self.sim.now)
         self._remote_txs[tx.tx_id] = (record, on_complete)
         self._emit(Command(due=self.sim.now + self.config.relay_delay,

@@ -3,16 +3,16 @@
 Two halves:
 
 * :class:`GatewayService` — the coordination plane.  It hosts the *same*
-  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` that
-  the home coordinators host in sim mode, in the trusted ``use_reference_committee=False`` configuration of
-  Figure 13: begin → per-shard prepares → votes → commit/abort decisions →
-  acks.  The service itself is only the transport — a relayed cohort becomes
-  ``svc-submit`` frames, the ``svc-receipts`` frames coming back from the
-  shard processes become ``vote`` / ``ack`` inputs, a lost frame link
-  becomes ``shard_lost`` — and the clock is the
-  :class:`~repro.runtime.wallclock.AsyncioRuntime`.  Unlike the simulator it
-  gives the driver a re-drive budget (:data:`MAX_REDRIVES`), after which a
-  silent shard is answered for instead of waited on.
+  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` that the home
+  coordinators host in sim mode, built with ``use_reference_committee=False``
+  (the trusted coordinator of Figure 13): begin → per-shard prepares →
+  votes → commit/abort decisions → acks.  The service itself is only the
+  transport — a relayed cohort becomes ``svc-submit`` frames, the
+  ``svc-receipts`` frames coming back from the shard processes become
+  ``vote`` / ``ack`` inputs, a lost frame link becomes ``shard_lost`` — and
+  the clock is the :class:`~repro.runtime.wallclock.AsyncioRuntime`.  Unlike
+  the simulator it gives the driver a re-drive budget (:data:`MAX_REDRIVES`),
+  after which a silent shard is answered for instead of waited on.
 
 * :class:`GatewayHttp` — a deliberately small HTTP/1.1 front end (stdlib
   only; the container has no aiohttp) exposing::
@@ -24,9 +24,11 @@ Two halves:
 
   Admission control is a bounded in-flight window: past ``max_inflight``
   the gateway answers ``429`` with ``Retry-After`` instead of queueing
-  unboundedly.  A dead shard (EOF on its frame link) turns requests that
-  touch it into ``503`` — and aborts the undecided in-flight transactions
-  that were waiting on it, so nothing hangs.
+  unboundedly.  A malformed request — a bad ``Content-Length``, body or
+  ``timeout`` — is a ``400`` before anything is admitted.  A dead shard (EOF
+  on its frame link) turns requests that touch it into ``503`` — and aborts
+  the undecided in-flight transactions that were waiting on it, so nothing
+  hangs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -83,8 +86,9 @@ class ShardDown(GatewayError):
     status = 503
 
 
-class BadTransaction(GatewayError):
-    """The request body does not describe a valid chaincode invocation."""
+class BadRequest(GatewayError):
+    """The request is malformed (headers, query or body), or its body does
+    not describe a valid chaincode invocation."""
 
     status = 400
 
@@ -119,9 +123,6 @@ class GatewayService:
         self.prepare_timeout = prepare_timeout
         self.network = SocketNetwork(runtime, listen_host=listen_host)
         self.network.on_peer_down = self._on_peer_down
-        self.coordinator = TwoPhaseCommitCoordinator(
-            use_reference_committee=False, retain_records=True,
-            prepare_timeout=prepare_timeout)
         self.splitter = splitter_for(benchmark)
         self.chaincode = benchmark_for(benchmark).chaincode()
         self._agent = _GatewayAgent(self)
@@ -130,7 +131,8 @@ class GatewayService:
         #: submitter's future (None for fire-and-forget), and the driver's
         #: unfinished set is the in-flight window.
         self.driver = TwoPhaseCommitDriver(
-            self, runtime, self.splitter, self.shard_of,
+            self, runtime, TwoPhaseCommitCoordinator(prepare_timeout=prepare_timeout),
+            self.splitter, self.shard_of, use_reference_committee=False,
             redrive_decisions=True, max_redrives=MAX_REDRIVES)
         self.draining = False
         #: receipt watchers, keyed by the *wire* transaction's id (prepare /
@@ -174,7 +176,7 @@ class GatewayService:
                 await asyncio.wait_for(self._drained.wait(), timeout)
             except asyncio.TimeoutError:
                 pass
-        stats = self.coordinator.stats
+        stats = self.driver.coordinator.stats
         return {
             "submitted": stats.started,
             "committed": stats.committed,
@@ -207,7 +209,7 @@ class GatewayService:
             status = "degraded"
         else:
             status = "ok"
-        stats = self.coordinator.stats
+        stats = self.driver.coordinator.stats
         return {
             "status": status,
             "shards": shards,
@@ -233,7 +235,7 @@ class GatewayService:
                 function, dict(args), client_id=client_id,
                 submitted_at=self.runtime.now)
         except Exception as exc:
-            raise BadTransaction(f"invalid invocation: {exc}") from exc
+            raise BadRequest(f"invalid invocation: {exc}") from exc
 
     def shards_for(self, tx: Transaction) -> List[int]:
         return shards_for(self.splitter, tx, self.shard_of)
@@ -254,7 +256,7 @@ class GatewayService:
         try:
             record = self.driver.submit(tx, shards, completion=future)
         except WorkloadError as exc:
-            raise BadTransaction(str(exc)) from exc
+            raise BadRequest(str(exc)) from exc
         return record, future
 
     # ------------------------------------------- the driver's host surface
@@ -318,7 +320,7 @@ class GatewayService:
 
     # -------------------------------------------------------------- queries
     def status(self, tx_id: str) -> Optional[DistributedTxRecord]:
-        return self.coordinator.records.get(tx_id)
+        return self.driver.coordinator.records.get(tx_id)
 
     async def balance(self, key: str, timeout: float = 5.0) -> Any:
         shard = self.shard_of(key)
@@ -377,7 +379,11 @@ class GatewayHttp:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except BadRequest as exc:
+                await self._respond(writer, exc.status, {"error": str(exc)})
+                return
             if request is not None:
                 method, path, query, body = request
                 status, payload, extra = await self._route(method, path, query, body)
@@ -402,10 +408,14 @@ class GatewayHttp:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", 0) or 0)
-        if length:
-            body = await reader.readexactly(length)
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise BadRequest(f"invalid Content-Length {raw_length!r}")
+        body = await reader.readexactly(length) if length else b""
         path, _, query_string = target.partition("?")
         query: Dict[str, str] = {}
         for pair in query_string.split("&"):
@@ -452,14 +462,15 @@ class GatewayHttp:
             return 504, {"error": "timed out waiting for the transaction"}, None
 
     async def _post_tx(self, query: Dict[str, str], body: bytes):
+        timeout = self._wait_timeout(query)
         try:
             request = json.loads(body.decode() or "{}")
             function = request["function"]
             args = request.get("args", {})
         except (ValueError, KeyError) as exc:
-            raise BadTransaction(f"malformed body: {exc}") from exc
+            raise BadRequest(f"malformed body: {exc}") from exc
         if not isinstance(args, dict):
-            raise BadTransaction("args must be an object")
+            raise BadRequest("args must be an object")
         tx = self.service.build_transaction(
             function, args, client_id=str(request.get("client_id", "http")))
         wait = query.get("wait") in ("1", "true")
@@ -467,9 +478,21 @@ class GatewayHttp:
         if not wait:
             return 202, {"tx_id": tx.tx_id, "outcome": record.outcome.value,
                          "shards": list(record.shards)}, None
-        timeout = float(query.get("timeout", self.wait_timeout))
         record = await asyncio.wait_for(future, timeout)
         return 200, record_json(record), None
+
+    def _wait_timeout(self, query: Dict[str, str]) -> float:
+        """``?timeout=`` in seconds (a positive number), else the default."""
+        raw = query.get("timeout")
+        if raw is None:
+            return self.wait_timeout
+        try:
+            timeout = float(raw)
+        except ValueError:
+            timeout = math.nan
+        if not 0 < timeout < math.inf:
+            raise BadRequest(f"timeout must be a positive number of seconds, got {raw!r}")
+        return timeout
 
     def _get_tx(self, tx_id: str):
         record = self.service.status(tx_id)

@@ -7,11 +7,13 @@
 * :mod:`repro.txn.faults` — deterministic fault-injection scenarios for the
   coordination protocol (shard stalls, vote drops, stale replays,
   coordinator crash/recovery).
-* :mod:`repro.txn.reference_committee` — the 2PC state machine run by the BFT
-  reference committee (Figure 6), as a deterministic chaincode-style object.
+* :mod:`repro.txn.reference_committee` — the 2PC state machine (Figure 6) as
+  the chaincode the BFT reference committee executes on its chain.
 * :mod:`repro.txn.coordinator` — the lifecycle of one distributed transaction
-  under our protocol (Figure 5), plus the trusted-coordinator variant used by
-  the "without reference committee" experiments.
+  under our protocol (Figure 5): the coordinator's vote tally and the 2PC
+  driver, run either through the reference committee (the tally checked
+  against R's chain) or as the trusted coordinator of the "without reference
+  committee" experiments (the tally alone decides).
 * :mod:`repro.txn.omniledger` — OmniLedger's client-driven lock/unlock
   protocol, including the malicious-client blocking behaviour (Figure 3b).
 * :mod:`repro.txn.rapidchain` — RapidChain's UTXO transaction splitting,
@@ -29,11 +31,7 @@ from repro.txn.faults import (
     VoteDropScenario,
     VoteReplayScenario,
 )
-from repro.txn.reference_committee import (
-    CoordinatorState,
-    ReferenceCommitteeStateMachine,
-    ReferenceCommitteeChaincode,
-)
+from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeChaincode
 from repro.txn.coordinator import (
     DistributedTxOutcome,
     DistributedTxPhase,
@@ -54,7 +52,6 @@ __all__ = [
     "VoteDropScenario",
     "VoteReplayScenario",
     "CoordinatorState",
-    "ReferenceCommitteeStateMachine",
     "ReferenceCommitteeChaincode",
     "DistributedTxOutcome",
     "DistributedTxPhase",

@@ -12,16 +12,27 @@ A distributed transaction proceeds through three steps:
 
 :class:`DistributedTxRecord` tracks one transaction through those steps,
 :class:`TwoPhaseCommitCoordinator` is the bookkeeping over a set of records
-(Figure 6's state machine, idempotent votes, crash buffering) and
-:class:`TwoPhaseCommitDriver` drives the message flow around it.  The driver
-is sans-IO — it is fed votes, acks, reference-committee receipts and timer
-fires, and asks its :class:`DriverHost` to relay cohorts — so the one
-implementation has two hosts:
+(the vote tally, idempotent votes, crash buffering) and
+:class:`TwoPhaseCommitDriver` owns one and drives the message flow around
+it.  The driver is sans-IO — it is fed votes, acks, reference-committee
+receipts and timer fires, and asks its :class:`DriverHost` to relay
+cohorts — so the one implementation has two hosts:
 :class:`repro.core.homecoord.HomeCoordinator` (one per partition of the
 simulated engine) and :class:`repro.service.gateway.GatewayService` (live
 shard processes).
-Both classes also support the *trusted coordinator* mode (no reference
-committee), which is what the paper's "w/o R" configurations measure.
+
+Who decides
+-----------
+Figure 6's rule is written twice: as
+:class:`~repro.txn.reference_committee.ReferenceCommitteeChaincode`, which R
+executes on its own chain, and as the coordinator's vote tally.  The driver
+is built for one of two modes.  With the reference committee, BeginTx and
+every vote are R transactions, a vote reaches the tally only once R has
+executed it, and the state R's receipt reports must equal the tally's
+decision — a mismatch raises
+:class:`~repro.errors.CoordinatorFailureError`.  Without it — the *trusted
+coordinator* the paper's "w/o R" configurations measure — the tally alone
+decides.
 
 Runtime neutrality
 ------------------
@@ -40,10 +51,9 @@ Fault behaviour
 Shard votes are **idempotent-or-rejected**: a repeated identical vote is a
 counted no-op, an ``ok`` revote after a ``not ok`` can never resurrect the
 transaction, and a ``not ok`` revote after an ``ok`` (an equivocating shard)
-aborts an undecided transaction — exactly what the replicated
-:class:`ReferenceCommitteeStateMachine` does, so the local bookkeeping and
-the on-chain state machine can never diverge.  The recorded first vote is
-never overwritten.
+aborts an undecided transaction — exactly what R's chaincode does with the
+same votes, so the tally and R's chain never diverge.  The recorded first
+vote is never overwritten.
 
 The coordinator also models **crash/recovery** (Section 6.3's observation
 that the coordinator state lives on the blockchain): while crashed, incoming
@@ -63,17 +73,12 @@ from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
 from repro.errors import CoordinatorFailureError, TransactionAbortedError
 from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
 from repro.runtime.base import Runtime
-from repro.txn.reference_committee import (
-    CoordinatorState,
-    ReferenceCommitteeChaincode,
-    ReferenceCommitteeStateMachine,
-)
+from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeChaincode
 
 
 class DistributedTxPhase(str, Enum):
     """Where a distributed transaction currently is in the Figure-5 flow."""
 
-    INIT = "init"
     BEGINNING = "beginning"          # BeginTx submitted to R, not yet executed
     PREPARING = "preparing"          # PrepareTx outstanding at tx-committees
     VOTING = "voting"                # votes being relayed to R
@@ -96,7 +101,7 @@ class DistributedTxRecord:
     tx_id: str
     transaction: Transaction
     shards: List[int]
-    phase: DistributedTxPhase = DistributedTxPhase.INIT
+    phase: DistributedTxPhase = DistributedTxPhase.BEGINNING
     outcome: DistributedTxOutcome = DistributedTxOutcome.PENDING
     prepare_votes: Dict[int, bool] = field(default_factory=dict)
     commit_acks: Dict[int, bool] = field(default_factory=dict)
@@ -191,19 +196,18 @@ class RecoveryReport:
 class TwoPhaseCommitCoordinator:
     """Tracks distributed transactions through the Figure-5 protocol.
 
+    Every decision is the vote tally's (:meth:`record_prepare_vote`): commit
+    once every participant voted OK, abort on the first NotOK.  It does not
+    know whether a reference committee exists — under R the driver feeds it
+    only votes R has executed and checks R's state against it.
+
     Parameters
     ----------
-    use_reference_committee:
-        When True, decisions are taken by the replicated
-        :class:`ReferenceCommitteeStateMachine`; when False the coordinator
-        itself decides (the classic, trusted 2PC coordinator), which is the
-        "w/o R" configuration of Figure 13.
     retain_records:
-        When False, a transaction's record (and its reference-committee
-        entry) is discarded the moment it completes; aggregate statistics
-        are unaffected.  Long open-loop runs use this to keep the
-        coordinator's memory bounded by the in-flight window instead of the
-        run length.
+        When False, a transaction's record is discarded the moment it
+        completes; aggregate statistics are unaffected.  Long open-loop runs
+        use this to keep the coordinator's memory bounded by the in-flight
+        window instead of the run length.
     prepare_timeout:
         When set, :meth:`mark_begin_executed` stamps each record with a
         prepare deadline (``now + prepare_timeout``); the
@@ -212,13 +216,10 @@ class TwoPhaseCommitCoordinator:
         deadlines entirely — the seed behaviour.
     """
 
-    def __init__(self, use_reference_committee: bool = True,
-                 retain_records: bool = True,
+    def __init__(self, retain_records: bool = True,
                  prepare_timeout: Optional[float] = None) -> None:
-        self.use_reference_committee = use_reference_committee
         self.retain_records = retain_records
         self.prepare_timeout = prepare_timeout
-        self.reference = ReferenceCommitteeStateMachine()
         self.records: Dict[str, DistributedTxRecord] = {}
         self.stats = CoordinatorStats()
         self.crashed = False
@@ -235,15 +236,12 @@ class TwoPhaseCommitCoordinator:
         record = DistributedTxRecord(
             tx_id=transaction.tx_id, transaction=transaction,
             shards=list(shards), started_at=now,
-            phase=DistributedTxPhase.BEGINNING,
             begin_seq=next(self._counter),
         )
         self.records[transaction.tx_id] = record
         self.stats.started += 1
         if record.is_cross_shard:
             self.stats.cross_shard += 1
-        if self.use_reference_committee:
-            self.reference.begin(transaction.tx_id, len(shards))
         return record
 
     def mark_begin_executed(self, tx_id: str, now: float = 0.0) -> DistributedTxRecord:
@@ -268,8 +266,8 @@ class TwoPhaseCommitCoordinator:
         an identical revote is a counted no-op, an OK after a NotOK is
         rejected (it can never resurrect the transaction), and a NotOK after
         an OK — an equivocating shard — aborts an undecided transaction,
-        mirroring the replicated state machine.  The first recorded vote is
-        never overwritten.
+        exactly as R's chaincode does.  The first recorded vote is never
+        overwritten.
         """
         if self.crashed:
             self._crash_buffer.append(("vote", tx_id, shard_id, ok, now, reason))
@@ -296,36 +294,21 @@ class TwoPhaseCommitCoordinator:
             if record.outcome is not DistributedTxOutcome.PENDING:
                 return record
             # NotOK after OK while undecided falls through as an abort vote
-            # (the replicated state machine treats it the same way); the
-            # recorded first vote is preserved.
+            # (R's chaincode treats it the same way); the recorded first vote
+            # is preserved.
         else:
             record.prepare_votes[shard_id] = ok
-        if record.outcome is DistributedTxOutcome.PENDING:
-            # A late vote on an already-decided transaction is recorded but
-            # must not regress the lifecycle phase (the seed reset DONE
-            # records back to VOTING here).
-            record.phase = DistributedTxPhase.VOTING
         if not ok and reason and record.abort_reason is None:
             record.abort_reason = reason
-        if self.use_reference_committee:
-            if ok:
-                state = self.reference.prepare_ok(tx_id, shard_id)
-            else:
-                state = self.reference.prepare_not_ok(tx_id, shard_id)
-            decided = state in (CoordinatorState.COMMITTED, CoordinatorState.ABORTED)
-            committed = state == CoordinatorState.COMMITTED
-        else:
-            if not ok:
-                decided, committed = True, False
-            elif record.all_votes_in and all(record.prepare_votes.values()):
-                decided, committed = True, True
-            else:
-                decided, committed = False, False
-        if decided and record.outcome is DistributedTxOutcome.PENDING:
-            record.outcome = (DistributedTxOutcome.COMMITTED if committed
-                              else DistributedTxOutcome.ABORTED)
-            record.decided_at = now
-            record.phase = DistributedTxPhase.COMMITTING
+        # A late vote on an already-decided transaction is recorded but
+        # decides nothing and leaves the lifecycle phase alone.
+        if record.outcome is DistributedTxOutcome.PENDING:
+            record.phase = DistributedTxPhase.VOTING
+            if not ok or (record.all_votes_in and all(record.prepare_votes.values())):
+                record.outcome = (DistributedTxOutcome.COMMITTED if ok
+                                  else DistributedTxOutcome.ABORTED)
+                record.decided_at = now
+                record.phase = DistributedTxPhase.COMMITTING
         return record
 
     # ----------------------------------------------------------------- commit
@@ -369,7 +352,6 @@ class TwoPhaseCommitCoordinator:
                 self.stats.latencies.append(record.latency)
         if not self.retain_records:
             self.records.pop(record.tx_id, None)
-            self.reference.transactions.pop(record.tx_id, None)
 
     # -------------------------------------------------------- crash / recovery
     def crash(self) -> None:
@@ -444,6 +426,12 @@ _MIN_RECHECK = 1e-9
 #: One relayed cohort: ``(shard_id, wire transaction)`` pairs.
 Cohort = Sequence[Tuple[int, Transaction]]
 
+#: The decided states of R's chaincode; its other states are undecided.
+_R_DECISIONS = {
+    CoordinatorState.COMMITTED.value: DistributedTxOutcome.COMMITTED,
+    CoordinatorState.ABORTED.value: DistributedTxOutcome.ABORTED,
+}
+
 
 class DriverHost(Protocol):
     """What a :class:`TwoPhaseCommitDriver` needs from whoever hosts it.
@@ -452,10 +440,6 @@ class DriverHost(Protocol):
     to shards, turns what comes back into driver inputs, and is told when a
     transaction is finished.
     """
-
-    #: The bookkeeping the driver drives.  Looked up on every use, never
-    #: captured, so a host (or a test) may swap it.
-    coordinator: TwoPhaseCommitCoordinator
 
     def relay(self, kind: str, record: DistributedTxRecord, cohort: Cohort,
               extra_delay: float, attempt: int) -> None:
@@ -473,7 +457,7 @@ class DriverHost(Protocol):
     def submit_reference(self, tx: Transaction, attempt: int) -> None:
         """Submit ``tx`` to the reference committee; its receipt comes back
         through :meth:`~TwoPhaseCommitDriver.reference_receipt`.  Only called
-        when the coordinator uses the reference committee."""
+        by a driver built with ``use_reference_committee=True``."""
 
     def shard_unreachable(self, shard_id: int) -> bool:
         """Whether nothing relayed to ``shard_id`` can currently arrive."""
@@ -495,9 +479,17 @@ class TwoPhaseCommitDriver:
 
     Parameters
     ----------
+    coordinator:
+        The bookkeeping this driver owns and drives (its hosts read records
+        and statistics through ``driver.coordinator``).
     splitter / shard_of:
         The benchmark's :class:`~repro.core.splitters.TransactionSplitter`
         and the key → shard routing function it is applied with.
+    use_reference_committee:
+        Run BeginTx and every vote through the reference committee R (paper
+        §6), checking R's reported state against the coordinator's tally;
+        when False the tally alone decides — the trusted coordinator of the
+        "w/o R" configuration of Figure 13.
     fault:
         Optional bound :class:`~repro.txn.faults.FaultScenario`.
     redrive_decisions:
@@ -507,14 +499,18 @@ class TwoPhaseCommitDriver:
         NotOK and missing acks are forced.  ``None`` re-drives forever.
     """
 
-    def __init__(self, host: DriverHost, runtime: Runtime, splitter: Any,
-                 shard_of: Callable[[str], int], fault: Any = None,
+    def __init__(self, host: DriverHost, runtime: Runtime,
+                 coordinator: TwoPhaseCommitCoordinator, splitter: Any,
+                 shard_of: Callable[[str], int], *,
+                 use_reference_committee: bool, fault: Any = None,
                  redrive_decisions: bool = False,
                  max_redrives: Optional[int] = None) -> None:
         self.host = host
         self.runtime = runtime
+        self.coordinator = coordinator
         self.splitter = splitter
         self.shard_of = shard_of
+        self.use_reference_committee = use_reference_committee
         self.fault = fault
         self.redrive_decisions = redrive_decisions
         self.max_redrives = max_redrives
@@ -524,10 +520,6 @@ class TwoPhaseCommitDriver:
         self._decisions_sent: Dict[str, Set[int]] = {}
         #: reference-committee tx id -> what to do with its receipt.
         self._reference_waiters: Dict[str, Callable[[TransactionReceipt], None]] = {}
-
-    @property
-    def coordinator(self) -> TwoPhaseCommitCoordinator:
-        return self.host.coordinator
 
     @property
     def in_flight(self) -> int:
@@ -557,7 +549,7 @@ class TwoPhaseCommitDriver:
         if (self.fault is not None and not coordinator.crashed
                 and self.fault.crash_coordinator(record, "prepare")):
             self._crash_coordinator()
-        if coordinator.use_reference_committee:
+        if self.use_reference_committee:
             self._submit_begin_tx(record)
         else:
             coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
@@ -695,7 +687,7 @@ class TwoPhaseCommitDriver:
         """A shard's prepare outcome is known: relay the vote to whoever
         decides (also the entry point for locally produced NotOK votes:
         exhausted re-drive budgets and lost shards)."""
-        if self.coordinator.use_reference_committee:
+        if self.use_reference_committee:
             self._submit_vote(record, shard_id, ok, reason)
         else:
             before = record.outcome
@@ -735,19 +727,27 @@ class TwoPhaseCommitDriver:
         def on_receipt(receipt: TransactionReceipt) -> None:
             before = record.outcome
             self._record_vote(record, shard_id, ok, reason)
-            decided_state = None
-            if receipt.result and isinstance(receipt.result, dict):
-                decided_state = receipt.result.get("state")
-            decided = record.outcome is not DistributedTxOutcome.PENDING
-            if decided and before is DistributedTxOutcome.PENDING:
-                # Sanity: the replicated state machine must agree with the
-                # local bookkeeping (both implement Figure 6).
-                if decided_state == CoordinatorState.ABORTED.value:
-                    assert record.outcome is DistributedTxOutcome.ABORTED
+            if (before is not DistributedTxOutcome.PENDING
+                    or self.coordinator.crashed):
+                return  # decided earlier, or buffered until recovery
+            self._check_reference_state(record, receipt)
+            if record.outcome is not DistributedTxOutcome.PENDING:
                 self._send_decision(record)
 
         self._reference_waiters[vote.tx_id] = on_receipt
         self.host.submit_reference(vote, record.redrives)
+
+    @staticmethod
+    def _check_reference_state(record: DistributedTxRecord,
+                               receipt: TransactionReceipt) -> None:
+        """R executed the same votes in the same order as the tally, so the
+        state its receipt reports must be the tally's decision."""
+        result = receipt.result if isinstance(receipt.result, dict) else {}
+        state = result.get("state")
+        if _R_DECISIONS.get(state, DistributedTxOutcome.PENDING) is not record.outcome:
+            raise CoordinatorFailureError(
+                f"reference committee reports {state!r} for {record.tx_id!r} "
+                f"but the vote tally says {record.outcome.value!r}")
 
     # -------------------------------------------------------------- decision
     def _send_decision(self, record: DistributedTxRecord,
@@ -938,7 +938,7 @@ class TwoPhaseCommitDriver:
         for record in report.restart:
             coordinator.mark_redriven(record)
             if (record.phase is DistributedTxPhase.BEGINNING
-                    and coordinator.use_reference_committee):
+                    and self.use_reference_committee):
                 self._submit_begin_tx(record)
                 continue
             missing = [shard for shard in record.shards

@@ -9,20 +9,21 @@ machine for each distributed transaction:
   **Preparing**) and the transaction moves to **Committed** once ``c = 0``;
 * a quorum of ``PrepareNotOK`` moves it to **Aborted** immediately.
 
-The object is deterministic and side-effect free, so it can be replicated by
-any BFT protocol; :class:`ReferenceCommitteeChaincode` exposes the same logic
-through the chaincode interface so it can be deployed on a
-:class:`~repro.consensus.cluster.ConsensusCluster` exactly as Section 6.3
-describes.
+:class:`ReferenceCommitteeChaincode` is that state machine as a chaincode,
+deployed on R's :class:`~repro.consensus.cluster.ConsensusCluster` exactly as
+Section 6.3 describes: the per-transaction state lives on R's chain.  The
+coordinator's vote tally
+(:meth:`~repro.txn.coordinator.TwoPhaseCommitCoordinator.record_prepare_vote`)
+is the only other copy of the rule; the 2PC driver checks R's receipts
+against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.errors import ChaincodeError, ReproError
+from repro.errors import ChaincodeError
 from repro.ledger.chaincode import Chaincode
 from repro.ledger.state import StateStore
 
@@ -36,79 +37,8 @@ class CoordinatorState(str, Enum):
     ABORTED = "aborted"
 
 
-class InvalidTransition(ReproError):
-    """An event was applied to a transaction in an incompatible state."""
-
-
-@dataclass
-class _TxEntry:
-    state: CoordinatorState
-    pending_committees: int
-    responded: Dict[int, bool] = field(default_factory=dict)
-
-
-@dataclass
-class ReferenceCommitteeStateMachine:
-    """The deterministic 2PC coordinator state machine."""
-
-    transactions: Dict[str, _TxEntry] = field(default_factory=dict)
-
-    def begin(self, tx_id: str, num_committees: int) -> CoordinatorState:
-        """``BeginTx``: register the transaction and enter Started."""
-        if num_committees < 1:
-            raise InvalidTransition("a distributed transaction involves at least one committee")
-        if tx_id in self.transactions:
-            return self.transactions[tx_id].state
-        self.transactions[tx_id] = _TxEntry(
-            state=CoordinatorState.STARTED, pending_committees=num_committees,
-        )
-        return CoordinatorState.STARTED
-
-    def state_of(self, tx_id: str) -> Optional[CoordinatorState]:
-        entry = self.transactions.get(tx_id)
-        return entry.state if entry else None
-
-    def prepare_ok(self, tx_id: str, shard_id: int) -> CoordinatorState:
-        """A quorum of PrepareOK arrived from ``shard_id``."""
-        entry = self._entry(tx_id)
-        if entry.state in (CoordinatorState.COMMITTED, CoordinatorState.ABORTED):
-            return entry.state
-        if shard_id in entry.responded:
-            return entry.state
-        entry.responded[shard_id] = True
-        entry.pending_committees -= 1
-        if entry.pending_committees <= 0:
-            entry.state = CoordinatorState.COMMITTED
-        else:
-            entry.state = CoordinatorState.PREPARING
-        return entry.state
-
-    def prepare_not_ok(self, tx_id: str, shard_id: int) -> CoordinatorState:
-        """A quorum of PrepareNotOK arrived from ``shard_id``: abort."""
-        entry = self._entry(tx_id)
-        if entry.state == CoordinatorState.COMMITTED:
-            # 2PC safety: a committed transaction can never abort.  A NotOK
-            # after commit means the shard's vote arrived late and is stale.
-            return entry.state
-        if shard_id in entry.responded and entry.state == CoordinatorState.ABORTED:
-            return entry.state
-        entry.responded[shard_id] = False
-        entry.state = CoordinatorState.ABORTED
-        return entry.state
-
-    def is_decided(self, tx_id: str) -> bool:
-        state = self.state_of(tx_id)
-        return state in (CoordinatorState.COMMITTED, CoordinatorState.ABORTED)
-
-    def _entry(self, tx_id: str) -> _TxEntry:
-        entry = self.transactions.get(tx_id)
-        if entry is None:
-            raise InvalidTransition(f"unknown transaction {tx_id!r} (BeginTx not executed)")
-        return entry
-
-
 class ReferenceCommitteeChaincode(Chaincode):
-    """The reference committee state machine exposed as a chaincode.
+    """The reference committee's state machine, executed on R's chain.
 
     The per-transaction state lives in the blockchain state of the reference
     committee's shard (keys ``2pc_state_<tx>`` and ``2pc_pending_<tx>``), so

@@ -58,7 +58,8 @@ class TestOpenLoopDriver:
         assert stats_keep.aborted == stats_prune.aborted
         assert len(tx_records(system_keep)) == 120
         assert len(tx_records(system_prune)) == 0
-        assert all(not partition.home.coordinator.reference.transactions
+        # Nothing else outlives a completed transaction either.
+        assert all(partition.home.driver.in_flight == 0
                    for partition in system_prune.partitions.values()
                    if partition.home is not None)
 

@@ -15,11 +15,7 @@ from repro.txn.coordinator import (
 )
 from repro.txn.omniledger import OmniLedgerClientProtocol, OmniLedgerShard, OmniLedgerTxState
 from repro.txn.rapidchain import RapidChainProtocol, RapidChainShard
-from repro.txn.reference_committee import (
-    CoordinatorState,
-    ReferenceCommitteeChaincode,
-    ReferenceCommitteeStateMachine,
-)
+from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeChaincode
 from repro.txn.utxo import UTXO, UTXOSet, UTXOTransaction
 from repro.errors import InvalidTransactionError, CoordinatorFailureError
 
@@ -29,79 +25,29 @@ def make_tx(keys=("a", "b")):
                               {"from": "a", "to": "b", "amount": 1}, keys=keys)
 
 
-class TestReferenceCommitteeStateMachine:
-    def test_figure6_happy_path(self):
-        machine = ReferenceCommitteeStateMachine()
-        assert machine.begin("tx", 2) is CoordinatorState.STARTED
-        assert machine.prepare_ok("tx", 0) is CoordinatorState.PREPARING
-        assert machine.prepare_ok("tx", 1) is CoordinatorState.COMMITTED
-        assert machine.is_decided("tx")
+def r_begin(committees):
+    """R's chaincode with transaction ``t`` begun over ``committees``."""
+    chaincode, state = ReferenceCommitteeChaincode(), StateStore()
+    chaincode.invoke(state, "beginTx", {"tx_id": "t", "num_committees": committees})
+    return chaincode, state
 
-    def test_single_committee_commits_immediately(self):
-        machine = ReferenceCommitteeStateMachine()
-        machine.begin("tx", 1)
-        assert machine.prepare_ok("tx", 0) is CoordinatorState.COMMITTED
 
-    def test_any_not_ok_aborts(self):
-        machine = ReferenceCommitteeStateMachine()
-        machine.begin("tx", 3)
-        machine.prepare_ok("tx", 0)
-        assert machine.prepare_not_ok("tx", 1) is CoordinatorState.ABORTED
-        # A late OK cannot resurrect an aborted transaction.
-        assert machine.prepare_ok("tx", 2) is CoordinatorState.ABORTED
-
-    def test_committed_is_final(self):
-        machine = ReferenceCommitteeStateMachine()
-        machine.begin("tx", 1)
-        machine.prepare_ok("tx", 0)
-        assert machine.prepare_not_ok("tx", 0) is CoordinatorState.COMMITTED
-
-    def test_duplicate_votes_do_not_double_count(self):
-        machine = ReferenceCommitteeStateMachine()
-        machine.begin("tx", 2)
-        machine.prepare_ok("tx", 0)
-        assert machine.prepare_ok("tx", 0) is CoordinatorState.PREPARING
-
-    def test_vote_before_begin_rejected(self):
-        machine = ReferenceCommitteeStateMachine()
-        with pytest.raises(Exception):
-            machine.prepare_ok("ghost", 0)
-
-    @given(st.integers(min_value=1, max_value=6), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_never_commits_unless_every_committee_voted_ok(self, committees, data):
-        """2PC safety: Committed requires an OK quorum from every participant."""
-        machine = ReferenceCommitteeStateMachine()
-        machine.begin("tx", committees)
-        votes = data.draw(st.lists(
-            st.tuples(st.integers(min_value=0, max_value=committees - 1), st.booleans()),
-            min_size=1, max_size=committees * 2))
-        ok_shards = set()
-        saw_not_ok_before_commit = False
-        for shard, ok in votes:
-            state = machine.prepare_ok("tx", shard) if ok else machine.prepare_not_ok("tx", shard)
-            if ok:
-                ok_shards.add(shard)
-        final = machine.state_of("tx")
-        if final is CoordinatorState.COMMITTED:
-            assert ok_shards == set(range(committees))
+def r_vote(chaincode, state, shard, ok):
+    """Execute one vote for ``t`` on R's chaincode; returns the state it reports."""
+    result = chaincode.invoke(state, "prepareOK" if ok else "prepareNotOK",
+                              {"tx_id": "t", "shard_id": shard})
+    return result["state"]
 
 
 class TestReferenceCommitteeChaincode:
-    def test_chaincode_mirrors_state_machine(self):
-        chaincode = ReferenceCommitteeChaincode()
-        state = StateStore()
-        chaincode.invoke(state, "beginTx", {"tx_id": "t", "num_committees": 2})
-        first = chaincode.invoke(state, "prepareOK", {"tx_id": "t", "shard_id": 0})
-        assert first["state"] == CoordinatorState.PREPARING.value
-        second = chaincode.invoke(state, "prepareOK", {"tx_id": "t", "shard_id": 1})
-        assert second["state"] == CoordinatorState.COMMITTED.value
+    def test_chaincode_figure6_happy_path(self):
+        chaincode, state = r_begin(2)
+        assert r_vote(chaincode, state, 0, True) == CoordinatorState.PREPARING.value
+        assert r_vote(chaincode, state, 1, True) == CoordinatorState.COMMITTED.value
 
     def test_chaincode_abort_path_and_status(self):
-        chaincode = ReferenceCommitteeChaincode()
-        state = StateStore()
-        chaincode.invoke(state, "beginTx", {"tx_id": "t", "num_committees": 2})
-        chaincode.invoke(state, "prepareNotOK", {"tx_id": "t", "shard_id": 1})
+        chaincode, state = r_begin(2)
+        r_vote(chaincode, state, 1, False)
         status = chaincode.invoke(state, "status", {"tx_id": "t"})
         assert status["state"] == CoordinatorState.ABORTED.value
 
@@ -110,10 +56,46 @@ class TestReferenceCommitteeChaincode:
         with pytest.raises(Exception):
             chaincode.invoke(StateStore(), "prepareOK", {"tx_id": "x", "shard_id": 0})
 
+    def test_single_committee_commits_immediately(self):
+        chaincode, state = r_begin(1)
+        assert r_vote(chaincode, state, 0, True) == CoordinatorState.COMMITTED.value
+
+    def test_late_ok_cannot_resurrect_an_abort(self):
+        chaincode, state = r_begin(3)
+        r_vote(chaincode, state, 0, True)
+        assert r_vote(chaincode, state, 1, False) == CoordinatorState.ABORTED.value
+        assert r_vote(chaincode, state, 2, True) == CoordinatorState.ABORTED.value
+
+    def test_committed_is_final(self):
+        chaincode, state = r_begin(1)
+        r_vote(chaincode, state, 0, True)
+        assert r_vote(chaincode, state, 0, False) == CoordinatorState.COMMITTED.value
+
+    def test_duplicate_ok_is_not_double_counted(self):
+        chaincode, state = r_begin(2)
+        r_vote(chaincode, state, 0, True)
+        assert r_vote(chaincode, state, 0, True) == CoordinatorState.PREPARING.value
+
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_never_commits_unless_every_committee_voted_ok(self, committees, data):
+        """2PC safety: Committed requires an OK quorum from every participant."""
+        chaincode, state = r_begin(committees)
+        votes = data.draw(st.lists(
+            st.tuples(st.integers(min_value=0, max_value=committees - 1), st.booleans()),
+            min_size=1, max_size=committees * 2))
+        ok_shards = set()
+        for shard, ok in votes:
+            final = r_vote(chaincode, state, shard, ok)
+            if ok:
+                ok_shards.add(shard)
+        if final == CoordinatorState.COMMITTED.value:
+            assert ok_shards == set(range(committees))
+
 
 class TestTwoPhaseCommitCoordinator:
     def test_cross_shard_commit_lifecycle(self):
-        coordinator = TwoPhaseCommitCoordinator(use_reference_committee=True)
+        coordinator = TwoPhaseCommitCoordinator()
         record = coordinator.begin(make_tx(), shards=[0, 1], now=0.0)
         assert record.is_cross_shard
         coordinator.mark_begin_executed(record.tx_id)
@@ -138,8 +120,8 @@ class TestTwoPhaseCommitCoordinator:
         assert coordinator.stats.abort_rate == 1.0
         assert record.abort_reason == "locked"
 
-    def test_trusted_coordinator_mode(self):
-        coordinator = TwoPhaseCommitCoordinator(use_reference_committee=False)
+    def test_commits_once_every_participant_voted_ok(self):
+        coordinator = TwoPhaseCommitCoordinator()
         record = coordinator.begin(make_tx(), shards=[0, 1])
         coordinator.mark_begin_executed(record.tx_id)
         coordinator.record_prepare_vote(record.tx_id, 0, True)
@@ -192,10 +174,10 @@ class TestCoordinatorRevotes:
         assert coordinator.stats.stale_messages == 1      # late OK = stale
         assert coordinator.stats.equivocations == 0
 
-    def test_equivocating_not_ok_after_ok_aborts_like_the_state_machine(self):
+    def test_equivocating_not_ok_after_ok_aborts_like_the_chaincode(self):
         """A NotOK revote from a shard that voted OK aborts an undecided
-        transaction — matching what the replicated reference-committee state
-        machine does — so local and on-chain bookkeeping cannot diverge."""
+        transaction — matching what R's chaincode does with the same votes —
+        so the tally and R's chain cannot diverge."""
         coordinator = TwoPhaseCommitCoordinator()
         record = self._begin(coordinator, shards=(0, 1, 2))
         coordinator.record_prepare_vote(record.tx_id, 0, True, now=1.0)
@@ -203,8 +185,9 @@ class TestCoordinatorRevotes:
         assert record.outcome is DistributedTxOutcome.ABORTED
         assert record.prepare_votes[0] is True            # first vote preserved
         assert coordinator.stats.equivocations == 1
-        # Mirror check against the replicated state machine.
-        assert coordinator.reference.state_of(record.tx_id) is CoordinatorState.ABORTED
+        chaincode, state = r_begin(3)
+        r_vote(chaincode, state, 0, True)
+        assert r_vote(chaincode, state, 0, False) == CoordinatorState.ABORTED.value
 
     def test_equivocation_after_commit_is_rejected(self):
         coordinator = TwoPhaseCommitCoordinator()
@@ -216,8 +199,8 @@ class TestCoordinatorRevotes:
         assert record.outcome is DistributedTxOutcome.COMMITTED  # 2PC safety
         assert coordinator.stats.equivocations == 1
 
-    def test_trusted_mode_ok_after_not_ok_rejected(self):
-        coordinator = TwoPhaseCommitCoordinator(use_reference_committee=False)
+    def test_ok_after_not_ok_rejected_once_every_shard_voted(self):
+        coordinator = TwoPhaseCommitCoordinator()
         record = self._begin(coordinator)
         coordinator.record_prepare_vote(record.tx_id, 0, False, now=1.0)
         coordinator.record_prepare_vote(record.tx_id, 0, True, now=2.0)

@@ -3,6 +3,7 @@
 The driver is sans-IO, so these tests need no simulator and no sockets: a
 fake host records what the driver asks to have relayed, a manual clock fires
 its timers, and each test scripts the votes / acks / receipts that come back.
+The reference committee is played by R's real chaincode on a state store.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Any, List, Tuple
 import pytest
 
 from repro.core.splitters import splitter_for
-from repro.errors import WorkloadError
+from repro.errors import CoordinatorFailureError, WorkloadError
+from repro.ledger.chaincode import ChaincodeRegistry, ExecutionEngine
+from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
 from repro.txn.coordinator import (
     DistributedTxOutcome,
@@ -23,6 +26,7 @@ from repro.txn.coordinator import (
     TwoPhaseCommitDriver,
 )
 from repro.txn.faults import CoordinatorCrashScenario, VoteReplayScenario
+from repro.txn.reference_committee import ReferenceCommitteeChaincode
 from repro.workloads.smallbank import SmallbankChaincode
 
 TIMEOUT = 2.0
@@ -51,12 +55,15 @@ class ManualClock:
 class FakeHost:
     """Records every output; the test plays the shards and the committee."""
 
-    def __init__(self, coordinator: TwoPhaseCommitCoordinator) -> None:
-        self.coordinator = coordinator
+    def __init__(self) -> None:
         self.relayed: List[Tuple[str, int, Transaction, float, int]] = []
         self.reference: List[Tuple[Transaction, int]] = []
         self.down: set = set()
         self.done: List[Tuple[Any, Any]] = []
+        #: The reference committee's execution: R's chaincode on its own state.
+        registry = ChaincodeRegistry()
+        registry.register(ReferenceCommitteeChaincode())
+        self.committee = ExecutionEngine(registry, StateStore())
 
     def relay(self, kind, record, cohort, extra_delay, attempt) -> None:
         for shard_id, tx in cohort:
@@ -91,21 +98,25 @@ def payment(source: int, destination: int, **overrides: Any) -> Transaction:
 
 def build(use_reference: bool = False, retain: bool = True, fault: Any = None,
           max_redrives: Any = None, redrive_decisions: bool = False):
-    clock = ManualClock()
-    host = FakeHost(TwoPhaseCommitCoordinator(
-        use_reference, retain_records=retain, prepare_timeout=TIMEOUT))
+    clock, host = ManualClock(), FakeHost()
     driver = TwoPhaseCommitDriver(
-        host, clock, splitter_for("smallbank"), shard_of, fault=fault,
-        redrive_decisions=redrive_decisions, max_redrives=max_redrives)
+        host, clock,
+        TwoPhaseCommitCoordinator(retain_records=retain, prepare_timeout=TIMEOUT),
+        splitter_for("smallbank"), shard_of, use_reference_committee=use_reference,
+        fault=fault, redrive_decisions=redrive_decisions, max_redrives=max_redrives)
     return clock, host, driver
 
 
-def execute_reference(host: FakeHost, driver: TwoPhaseCommitDriver) -> List[str]:
-    """Play the reference committee: execute everything submitted to it."""
+def execute_reference(host: FakeHost, driver: TwoPhaseCommitDriver,
+                      forge_state: Any = None) -> List[str]:
+    """Play the reference committee: execute everything submitted to it on
+    R's chaincode, optionally reporting ``forge_state`` instead of R's state."""
     submitted, host.reference = host.reference, []
     for tx, _ in submitted:
-        driver.reference_receipt(
-            TransactionReceipt(tx_id=tx.tx_id, status=TxStatus.COMMITTED))
+        receipt = host.committee.execute_transaction(tx)
+        if forge_state is not None:
+            receipt.result = dict(receipt.result, state=forge_state)
+        driver.reference_receipt(receipt)
     return [tx.function for tx, _ in submitted]
 
 
@@ -148,6 +159,34 @@ def test_reference_committee_begin_orders_every_step_through_it():
     assert host.take("decision") == [0, 1]
 
 
+def test_reference_committee_commit_agrees_with_the_tally():
+    clock, host, driver = build(use_reference=True)
+    tx = payment(0, 1)
+    record = driver.submit(tx, [0, 1])
+    execute_reference(host, driver)
+    for shard in (0, 1):
+        driver.vote(tx.tx_id, shard, True)
+    assert execute_reference(host, driver) == ["prepareOK", "prepareOK"]
+    assert record.outcome is DistributedTxOutcome.COMMITTED
+    assert host.take("decision") == [0, 1]
+
+
+@pytest.mark.parametrize("last_ok,forged", [(True, "aborted"), (False, "committed")])
+def test_forged_reference_state_raises(last_ok, forged):
+    """R's receipt must report the tally's decision, whichever it is; a
+    mismatch is a named error and no decision goes out."""
+    clock, host, driver = build(use_reference=True)
+    tx = payment(0, 1)
+    driver.submit(tx, [0, 1])
+    execute_reference(host, driver)
+    driver.vote(tx.tx_id, 0, True)
+    execute_reference(host, driver)
+    driver.vote(tx.tx_id, 1, last_ok)
+    with pytest.raises(CoordinatorFailureError, match=forged):
+        execute_reference(host, driver, forge_state=forged)
+    assert host.take("decision") == []
+
+
 def test_single_shard_transaction_bypasses_two_phase_commit():
     clock, host, driver = build(use_reference=True)
     tx = payment(2, 2)
@@ -165,8 +204,8 @@ def test_unsplittable_transaction_is_rejected_before_anything_registers(bad):
     clock, host, driver = build()
     with pytest.raises(WorkloadError, match="cannot split"):
         driver.submit(payment(0, 1, **bad), [0, 1])
-    assert host.coordinator.stats.started == 0
-    assert not host.coordinator.records
+    assert driver.coordinator.stats.started == 0
+    assert not driver.coordinator.records
     assert driver.in_flight == 0
     assert not host.relayed
     # Validation drew no transaction ids: the next prepare is numbered as if
@@ -188,7 +227,7 @@ def test_lost_prepare_is_redriven_to_the_silent_shard_only():
     clock.advance(TIMEOUT)
     assert [(e[1], e[4]) for e in host.relayed if e[0] == "prepare"] == [(1, 1)]
     assert record.redrives == 1
-    assert host.coordinator.stats.redriven_transactions == 1
+    assert driver.coordinator.stats.redriven_transactions == 1
 
 
 def test_exhausted_budget_aborts_with_prepare_timeout_then_forces_acks():
@@ -263,7 +302,7 @@ def test_lost_shard_walks_unfinished_transactions_only():
     for shard in (0, 1):
         driver.ack(finished.tx_id, shard)
     assert driver.in_flight == 0
-    host.coordinator.records[finished.tx_id] = None   # touching it would raise
+    driver.coordinator.records[finished.tx_id] = None   # touching it would raise
     host.down.add(1)
     driver.shard_lost(1)
 
@@ -287,11 +326,11 @@ def test_crash_at_prepare_recovery_sends_the_withheld_prepares():
     clock, host, driver = build(fault=fault)
     tx = payment(0, 1)
     record = driver.submit(tx, [0, 1])
-    assert host.coordinator.crashed
+    assert driver.coordinator.crashed
     assert host.take("prepare") == []
 
     clock.advance(1.0)
-    assert not host.coordinator.crashed
+    assert not driver.coordinator.crashed
     assert host.take("prepare") == [0, 1]
     assert record.redrives == 1
 
@@ -307,7 +346,7 @@ def test_crash_at_decide_recovery_redrives_only_unsent_decisions():
     assert host.take("decision") == [0, 1]     # first decision went out
     for shard in (2, 3):
         driver.vote(unsent.tx_id, shard, True)
-    assert host.coordinator.crashed            # second one crashed the coordinator
+    assert driver.coordinator.crashed            # second one crashed the coordinator
     assert host.take("decision") == []
     driver.ack(sent.tx_id, 0)                  # buffered while down
 
@@ -330,7 +369,7 @@ def test_duplicate_vote_and_ack_replays_are_counted_noops():
         driver.ack(tx.tx_id, shard)
     assert len(host.done) == 1
     clock.advance(0.5)
-    stats = host.coordinator.stats
+    stats = driver.coordinator.stats
     assert (stats.duplicate_votes, stats.duplicate_acks) == (2, 2)
     assert record.outcome is DistributedTxOutcome.COMMITTED
     assert len(host.done) == 1
@@ -345,11 +384,11 @@ def test_stale_vote_and_ack_for_a_pruned_record_are_bookkeeping_only():
     execute_reference(host, driver)
     for shard in (0, 1):
         driver.ack(tx.tx_id, shard)
-    assert tx.tx_id not in host.coordinator.records
+    assert tx.tx_id not in driver.coordinator.records
     assert len(host.done) == 1
 
     driver.vote(tx.tx_id, 1, True)             # the slow shard's late PrepareOK
     driver.ack(tx.tx_id, 1)
-    assert host.coordinator.stats.stale_messages == 2
+    assert driver.coordinator.stats.stale_messages == 2
     assert not host.reference                  # never forwarded to R
     assert len(host.done) == 1
