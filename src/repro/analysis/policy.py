@@ -4,8 +4,9 @@ Different parts of the tree carry different determinism obligations:
 
 * **strict** — the protocol/simulation packages whose event streams feed the
   bit-identical workers=1 ≡ workers=N contract.  Every rule applies.  The
-  runtime seam (``src/repro/runtime/``) is strict too: ``SimRuntime`` and the
-  ``Runtime`` protocol are part of the deterministic substrate.
+  runtime seam (``src/repro/runtime/``) is strict too: the ``Runtime``
+  protocol and the shared ``fork_rng`` derivation are part of the
+  deterministic substrate, like the ``Simulator`` that implements them.
 * **service** — the wall-clock side of the runtime seam:
   ``src/repro/service/`` (asyncio gateway, shard node processes, socket
   transport) and ``src/repro/runtime/wallclock.py``.  These modules exist to

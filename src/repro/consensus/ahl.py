@@ -14,8 +14,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.consensus.base import ConsensusConfig, ConsensusReplica
 from repro.ledger.chaincode import ChaincodeRegistry
 from repro.sim.monitor import Monitor
+from repro.runtime.base import Runtime
 from repro.sim.network import Network
-from repro.sim.simulator import Simulator
 from repro.tee.attested_log import AttestedAppendOnlyLog, LogAttestation
 from repro.tee.enclave import SealedBlob
 from repro.errors import EnclaveError, NetworkError
@@ -39,7 +39,7 @@ class AhlReplica(ConsensusReplica):
 
     PROTOCOL_NAME = "AHL"
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network,
+    def __init__(self, node_id: int, sim: Runtime, network: Network,
                  committee: Sequence[int], config: ConsensusConfig,
                  registry: Optional[ChaincodeRegistry] = None,
                  monitor: Optional[Monitor] = None,

@@ -23,7 +23,6 @@ from repro.sim.monitor import Monitor
 from repro.sim.network import CONSENSUS_CHANNEL, Message, Network, REQUEST_CHANNEL
 from repro.sim.node import SimProcess
 from repro.runtime.base import Runtime
-from repro.sim.simulator import Simulator
 from repro.consensus import messages as m
 
 
@@ -192,7 +191,7 @@ class ConsensusReplica(SimProcess):
     #: resubmit).
     COMMITTED_ID_WINDOW = 200_000
 
-    def __init__(self, node_id: int, sim: "Simulator | Runtime", network: Network,
+    def __init__(self, node_id: int, sim: Runtime, network: Network,
                  committee: Sequence[int], config: ConsensusConfig,
                  registry: Optional[ChaincodeRegistry] = None,
                  monitor: Optional[Monitor] = None,

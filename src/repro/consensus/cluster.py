@@ -44,7 +44,7 @@ from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction
 from repro.sim.latency import LanLatencyModel, LatencyModel, assign_regions_round_robin
 from repro.sim.monitor import Monitor, mean_or_zero
-from repro.runtime.base import Runtime, as_runtime
+from repro.runtime.base import Runtime
 from repro.sim.network import Message, Network, REQUEST_CHANNEL
 from repro.sim.node import SimProcess
 from repro.sim.simulator import Simulator
@@ -103,7 +103,7 @@ def default_tx_factory(client_id: str, now: float, rng, count: int) -> List[Tran
 class OpenLoopClient(SimProcess):
     """A BLOCKBENCH-style open-loop client: submits at a fixed rate regardless of completion."""
 
-    def __init__(self, node_id: int, sim: "Simulator | Runtime", network: Network,
+    def __init__(self, node_id: int, sim: Runtime, network: Network,
                  targets: Sequence[int], rate_tps: float, batch_size: int = 10,
                  tx_factory: Optional[Callable] = None, region: str = "local",
                  stop_at: Optional[float] = None) -> None:
@@ -170,7 +170,14 @@ class ClusterRunResult:
 
 
 class ConsensusCluster:
-    """One committee of ``n`` replicas running a chosen protocol, plus clients."""
+    """One committee of ``n`` replicas running a chosen protocol, plus clients.
+
+    ``runtime`` is the :class:`~repro.sim.simulator.Simulator` or the
+    wall-clock runtime everything schedules on; ``None`` builds a fresh
+    simulator seeded with ``seed``.  ``network`` defaults to a
+    :class:`~repro.sim.network.Network` on that runtime under
+    ``latency_model``.
+    """
 
     def __init__(self, protocol: str, n: int,
                  latency_model: Optional[LatencyModel] = None,
@@ -180,7 +187,6 @@ class ConsensusCluster:
                  byzantine: Optional[Any] = None,
                  seed: int = 0,
                  shard_id: int = 0,
-                 sim: Optional[Simulator] = None,
                  network: Optional[Network] = None,
                  max_series_samples: Optional[int] = None,
                  runtime: Optional[Runtime] = None) -> None:
@@ -193,13 +199,12 @@ class ConsensusCluster:
         replica_cls, config_factory = PROTOCOLS[protocol]
         self.protocol = protocol
         self.n = n
-        # The scheduling substrate: an explicit runtime (wall-clock service
-        # mode), or the given/fresh simulator wrapped in its SimRuntime.
-        # ``self.sim`` stays the underlying Simulator (None under a real
-        # clock) because harnesses and tests drive it directly.
-        self.runtime = as_runtime(runtime) if runtime is not None \
-            else as_runtime(sim or Simulator(seed=seed))
-        self.sim = self.runtime.simulator
+        # The scheduling substrate: the given runtime (a simulator, or a
+        # wall-clock runtime in service mode) or a fresh simulator.
+        # ``self.sim`` is the same simulator (None under a real clock)
+        # because harnesses and tests drive it directly.
+        self.runtime = runtime if runtime is not None else Simulator(seed=seed)
+        self.sim = self.runtime if self.runtime.is_simulated else None
         self.network = network or Network(self.runtime, latency_model or LanLatencyModel())
         # ``max_series_samples`` bounds every per-commit metric series
         # (streaming count/sum + reservoir percentiles) for long runs.

@@ -19,8 +19,8 @@ from repro.consensus.base import ConsensusConfig
 from repro.consensus.tendermint import RotatingLeaderReplica
 from repro.ledger.chaincode import ChaincodeRegistry
 from repro.sim.monitor import Monitor
+from repro.runtime.base import Runtime
 from repro.sim.network import Network
-from repro.sim.simulator import Simulator
 
 
 def ibft_config(**overrides) -> ConsensusConfig:
@@ -60,7 +60,7 @@ class IbftReplica(RotatingLeaderReplica):
 
     PROTOCOL_NAME = "IBFT"
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network,
+    def __init__(self, node_id: int, sim: Runtime, network: Network,
                  committee: Sequence[int], config: ConsensusConfig,
                  registry: Optional[ChaincodeRegistry] = None,
                  monitor: Optional[Monitor] = None,

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.sharding.reconfiguration import STRATEGIES as RECONFIGURATION_STRATEGIES
 from repro.sharding.sizing import minimum_committee_size
 
 
@@ -27,8 +26,6 @@ class ShardedSystemConfig:
     num_keys: int = 2_000
     zipf_coefficient: float = 0.0
     consensus_overrides: Dict[str, Any] = field(default_factory=dict)
-    regions: Optional[Sequence[str]] = None
-    latency_model: Any = None
     #: One-way delay charged when the client/coordinator relays a message
     #: between the reference committee and a transaction committee.  Every
     #: cross-partition hop pays it, so it is also the engine's lookahead and
@@ -68,21 +65,16 @@ class ShardedSystemConfig:
     #: per commit — pair with retain_tx_records=False and a "headers" ledger
     #: retention override for fully bounded 1M-transaction runs.
     max_series_samples: Optional[int] = None
-    #: Length of an epoch in simulated seconds (Section 5.1).  ``None`` — the
-    #: seed default — leaves the deployment in its initial epoch forever;
-    #: explicit reconfigurations via ``perform_reconfiguration`` still work.
+    #: Length of an epoch in simulated seconds (Section 5.1).  When set, the
+    #: system runs the full epoch lifecycle on its own: at every boundary it
+    #: derives fresh randomness from the beacon protocol, re-assigns
+    #: committees and executes the migration as the paper's ``swap-batch``
+    #: (B = log n members at a time).  The event flow of a run whose first
+    #: boundary lies beyond the horizon is identical to an epoch-less run's
+    #: (one pending-but-unfired timer aside).  ``None`` — the default —
+    #: leaves the deployment in its initial epoch; explicit reconfigurations
+    #: via ``perform_reconfiguration`` (either strategy) still work.
     epoch_duration: Optional[float] = None
-    #: When True the system runs the full epoch lifecycle on its own: at
-    #: every ``epoch_duration`` boundary it derives fresh randomness from the
-    #: beacon protocol, re-assigns committees and executes the migration with
-    #: ``reconfiguration_strategy``.  Requires ``epoch_duration``.  The event
-    #: flow of a run whose first boundary lies beyond the horizon is
-    #: identical to the seed's (one pending-but-unfired timer aside).
-    auto_reconfigure: bool = False
-    #: Migration strategy used by automatic epoch transitions: "swap-batch"
-    #: (the paper's B = log n batched swap) or "swap-all" (the naive
-    #: everyone-at-once baseline).
-    reconfiguration_strategy: str = "swap-batch"
     #: Bandwidth assumed for shard state transfer; together with the
     #: destination shard's actual ``StateStore.size_bytes()`` it determines
     #: how long a transitioning node is absent (``state_transfer_seconds``).
@@ -120,11 +112,6 @@ class ShardedSystemConfig:
             raise ConfigurationError("prepare_timeout must be positive when set")
         if self.epoch_duration is not None and self.epoch_duration <= 0:
             raise ConfigurationError("epoch_duration must be positive when set")
-        if self.auto_reconfigure and self.epoch_duration is None:
-            raise ConfigurationError("auto_reconfigure requires epoch_duration")
-        if self.reconfiguration_strategy not in RECONFIGURATION_STRATEGIES:
-            raise ConfigurationError(
-                f"reconfiguration_strategy must be one of {RECONFIGURATION_STRATEGIES}")
         if self.state_bandwidth_bps <= 0:
             raise ConfigurationError("state_bandwidth_bps must be positive")
         if self.swap_batch_interval < 0:

@@ -106,9 +106,7 @@ from repro.core.splitters import REFERENCE_SHARD_ID, build_committee
 from repro.errors import SimulationError
 from repro.ledger.transaction import Transaction, swap_tx_counter
 from repro.sharding.assignment import assign_committees
-from repro.runtime.base import as_runtime
 from repro.sharding.reconfiguration import state_transfer_seconds
-from repro.sim.latency import LanLatencyModel
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 from repro.txn.coordinator import (
@@ -136,9 +134,9 @@ class ShardPartition:
         self.is_reference = shard_id == REFERENCE_SHARD_ID
         self.sim = Simulator(seed=partition_stream_seed(config.seed, shard_id))
         #: What the in-partition protocol code (home coordinator, drivers)
-        #: schedules through; ``sim`` stays the harness handle that drains it.
-        self.runtime = as_runtime(self.sim)
-        self.network = Network(self.sim, config.latency_model or LanLatencyModel())
+        #: schedules through: the same simulator the harness drains as ``sim``.
+        self.runtime = self.sim
+        self.network = Network(self.sim)
         self.current_epoch = 0
         self._tx_counter = partition_tx_counter(shard_id)
         # The committee assignment and the adversary placement are pure

@@ -283,7 +283,8 @@ def build_committee(config: Any, shard_id: int, runtime: Any, network: Any,
     """Shard ``shard_id``'s committee on ``runtime``/``network``, state loaded.
 
     ``config`` is a :class:`~repro.core.config.ShardedSystemConfig`,
-    ``runtime`` a simulator or a :class:`~repro.runtime.base.Runtime`, and
+    ``runtime`` a :class:`~repro.runtime.base.Runtime` (the simulator or a
+    wall-clock runtime), and
     ``adversary`` an armed :class:`~repro.core.adversary.AdversaryState` (its
     per-shard strategy is snapshotted by every replica at construction).
     ``REFERENCE_SHARD_ID`` builds the reference committee.
@@ -298,7 +299,6 @@ def build_committee(config: Any, shard_id: int, runtime: Any, network: Any,
         n=config.committee_size,
         config_overrides=dict(config.consensus_overrides),
         registry_factory=partial(chaincode_registry, config, shard_id),
-        regions=config.regions,
         byzantine=byzantine,
         shard_id=shard_id,
         runtime=runtime,

@@ -60,9 +60,9 @@ Epochs and live reconfiguration
 -------------------------------
 The deployment works in epochs (Section 5).  Every system carries an
 :class:`~repro.sharding.epochs.EpochSchedule`; epoch 0 is the construction
-assignment.  At an epoch boundary — automatic every
-``ShardedSystemConfig.epoch_duration`` seconds when ``auto_reconfigure`` is
-set, or explicit via :meth:`ShardedBlockchain.perform_reconfiguration` — the
+assignment.  At an epoch boundary — automatic (``swap-batch``) every
+``ShardedSystemConfig.epoch_duration`` seconds when that is set, or explicit
+via :meth:`ShardedBlockchain.perform_reconfiguration` — the
 system (1) derives fresh randomness from the beacon protocol (an isolated
 sub-simulation, so the main event stream is untouched), (2) recomputes the
 committee assignment from that randomness, (3) builds a
@@ -123,7 +123,6 @@ from repro.sharding.reconfiguration import (
     plan_reconfiguration,
 )
 from repro.sim.monitor import TimeSeries
-from repro.runtime.base import as_runtime
 from repro.sim.simulator import Simulator
 from repro.txn.coordinator import (
     CoordinatorStats,
@@ -224,9 +223,10 @@ class ShardedBlockchain:
         self.config = config
         #: The parent's own simulation: epoch timers, completion reports of
         #: API-submitted transactions, and whatever clients schedule through
-        #: ``runtime``.  Its clock is the deployment's clock.
+        #: ``runtime`` (the same simulator).  Its clock is the deployment's
+        #: clock.
         self.sim = Simulator(seed=config.seed)
-        self.runtime = as_runtime(self.sim)
+        self.runtime = self.sim
         self.splitter = splitter_for(config.benchmark)
         self.assignment: CommitteeAssignment = assign_committees(
             list(range(config.total_nodes)), config.num_shards, seed=config.seed)
@@ -290,9 +290,9 @@ class ShardedBlockchain:
         self._active_transition: Optional[_ActiveTransition] = None
         self.reconfigurations_completed = 0
         self.epoch_boundaries_skipped = 0
-        if config.auto_reconfigure:
-            # The only scheduling the epoch machinery does by default-off
-            # config: request tracking plus one timer per boundary.
+        if config.epoch_duration is not None:
+            # The only scheduling automatic epochs add: request tracking
+            # plus one timer per boundary.
             self._broadcast("track")
             self.runtime.schedule(config.epoch_duration, self._epoch_tick)
 
@@ -670,12 +670,11 @@ class ShardedBlockchain:
                                      batch_interval)
 
     def _epoch_tick(self) -> None:
-        """The automatic epoch clock (scheduled only under ``auto_reconfigure``)."""
+        """The automatic epoch clock (scheduled only when ``epoch_duration`` is set)."""
         if self._active_transition is not None:
             self.epoch_boundaries_skipped += 1
         elif self.epochs.next_epoch_due(self.runtime.now):
-            self._start_epoch_transition(self.config.reconfiguration_strategy,
-                                         None, None,
+            self._start_epoch_transition("swap-batch", None, None,
                                          self.config.swap_batch_interval)
         self.runtime.schedule(self.config.epoch_duration, self._epoch_tick)
 

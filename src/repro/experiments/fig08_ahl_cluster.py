@@ -40,9 +40,7 @@ def committee_size_for(protocol: str, f: int) -> int:
 
 def run_adversarial_point(protocol: str, f: int, scale: ExperimentScale,
                           strategy: str = "equivocate", seed: int = 0,
-                          settle_seconds: float = 120.0,
-                          environment: str = "cluster",
-                          num_regions: int = 8) -> dict:
+                          settle_seconds: float = 120.0) -> dict:
     """One (protocol, f) measurement of the failure panel on the full system.
 
     Builds a one-shard deployment of the minimum committee tolerating ``f``
@@ -50,15 +48,11 @@ def run_adversarial_point(protocol: str, f: int, scale: ExperimentScale,
     a fixed open-loop Smallbank load for ``scale.duration`` seconds, then
     drains in-flight work and audits the run.
     """
-    from repro.experiments.common import cluster_latency_model, gcp_regions
-
     n = committee_size_for(protocol, f)
     config = ShardedSystemConfig(
         num_shards=1, committee_size=n, protocol=protocol,
         use_reference_committee=False, benchmark="smallbank", num_keys=1_000,
         prepare_timeout=scale.view_change_timeout,
-        latency_model=cluster_latency_model(environment, num_regions),
-        regions=gcp_regions(num_regions) if environment == "gcp" else None,
         consensus_overrides={
             "batch_size": scale.batch_size,
             "view_change_timeout": scale.view_change_timeout,
@@ -100,7 +94,6 @@ def run_adversarial_point(protocol: str, f: int, scale: ExperimentScale,
 def run(scale: Optional[ExperimentScale] = None,
         network_sizes: Optional[Sequence[int]] = None,
         failure_counts: Sequence[int] = (1, 3, 5),
-        environment: str = "cluster",
         high_load_rate: float = 600.0) -> ExperimentResult:
     """Reproduce Figure 8 (both panels) on the LAN model."""
     scale = scale or ExperimentScale.quick()
@@ -120,8 +113,7 @@ def run(scale: Optional[ExperimentScale] = None,
     )
     for protocol in PROTOCOLS:
         for n in network_sizes:
-            point = run_consensus_point(protocol, n, scale, environment=environment,
-                                        client_rate=high_load_rate)
+            point = run_consensus_point(protocol, n, scale, client_rate=high_load_rate)
             config = ConsensusConfig(use_attested_log=(protocol != "HL"))
             result.add_row(panel="no_failures", protocol=protocol, n=n,
                            f=config.fault_tolerance(n),
@@ -132,8 +124,7 @@ def run(scale: Optional[ExperimentScale] = None,
                            violations=None, equivocation_refusals=None)
     for protocol in PROTOCOLS:
         for f in failure_counts:
-            point = run_adversarial_point(protocol, f, scale,
-                                          environment=environment)
+            point = run_adversarial_point(protocol, f, scale)
             result.add_row(panel="with_failures", protocol=protocol,
                            n=committee_size_for(protocol, f), f=f,
                            throughput_tps=point["throughput_tps"],

@@ -1,32 +1,24 @@
 """Runtime seam: one protocol stack, two clocks.
 
-Every layer that used to reach into the :class:`~repro.sim.simulator.Simulator`
-directly (nodes, networks, consensus replicas, the 2PC driver in
-``core/system.py``) now talks to a :class:`Runtime`:
+Every layer that schedules work (nodes, networks, consensus replicas, the 2PC
+driver) talks to a :class:`Runtime`:
 
-* :class:`~repro.runtime.sim.SimRuntime` — a thin adapter over the existing
-  discrete-event ``Simulator``.  Every call delegates 1:1 to the same
-  simulator methods in the same order, so event sequence numbers, RNG fork
-  counters and therefore all committed fingerprints are byte-for-byte
-  identical to the pre-seam code.  Sim mode stays the differential oracle.
+* :class:`~repro.sim.simulator.Simulator` — the discrete-event simulator is
+  the simulated runtime itself; nothing wraps it.  Sim mode stays the
+  differential oracle.
 * :class:`~repro.runtime.wallclock.AsyncioRuntime` — the same scheduling
   surface mapped onto a wall-clock ``asyncio`` event loop, used by
   ``repro.service`` to run the *unchanged* consensus/txn/sharding code as a
   real networked service.
 
-``as_runtime()`` is the coercion helper the refactored constructors use: it
-accepts either a ``Simulator`` (wrapped in a cached ``SimRuntime``) or any
-``Runtime`` and keeps the old ``sim=`` keyword arguments working.
+Constructors that take a ``sim`` or ``runtime`` argument accept either.
 """
 
-from repro.runtime.base import Runtime, RuntimeHandle, as_runtime
-from repro.runtime.sim import SimRuntime
+from repro.runtime.base import Runtime, RuntimeHandle
 from repro.runtime.wallclock import AsyncioRuntime
 
 __all__ = [
     "Runtime",
     "RuntimeHandle",
-    "SimRuntime",
     "AsyncioRuntime",
-    "as_runtime",
 ]

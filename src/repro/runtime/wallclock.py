@@ -15,7 +15,7 @@ here as callbacks on a real ``asyncio`` event loop:
   so a service node seeded like its sim twin draws identical random streams.
 * ``is_last_scheduled`` is always ``False``: a real clock cannot promise
   that no other event fires between two scheduled callbacks, so the
-  simulator's cohort-merge fast path is simply disabled.  This is the one
+  network's cohort-merge fast path is simply disabled.  This is the one
   deliberate behavioural difference — it changes constants, not semantics.
 
 Determinism note: this module is wall-clock *on purpose* and is scoped out
@@ -38,14 +38,10 @@ class AsyncioRuntime:
 
     is_simulated = False
 
-    #: No simulator behind a real clock; harness-only code guards on this.
-    simulator = None
-
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None, seed: int = 0) -> None:
         self._loop = loop if loop is not None else asyncio.get_event_loop()
         self._epoch = self._loop.time()
         self.seed = seed
-        self.rng = random.Random(seed)
         self._fork_counts: Dict[str, int] = {}
 
     @property
@@ -75,9 +71,6 @@ class AsyncioRuntime:
 
     def spawn(self, callback: Callable[..., Any], *args: Any) -> asyncio.Handle:
         return self._loop.call_soon(callback, *args)
-
-    def cancel(self, handle: asyncio.Handle) -> None:
-        handle.cancel()
 
     def fork_rng(self, label: str = "") -> random.Random:
         count = self._fork_counts.get(label, 0)

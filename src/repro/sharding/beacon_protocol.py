@@ -83,7 +83,7 @@ class _BeaconNode(SimProcess):
         # randomness.
         self.enclave = RandomnessBeaconEnclave(
             enclave_id=f"beacon-{node_id}", q_bits=q_bits,
-            time_source=lambda: self.sim.now,
+            time_source=lambda: self.runtime.now,
             rng=sim.fork_rng(f"beacon-enclave-{node_id}"),
         )
         self.received: Dict[int, List[BeaconCertificate]] = {}

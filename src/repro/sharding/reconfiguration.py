@@ -11,7 +11,7 @@ throughout the transition.
 This module computes the migration plan (which nodes move in which batch) and
 the safety/liveness trade-off of the batch size.  The plan is not merely
 analytical: :meth:`repro.core.system.ShardedBlockchain.perform_reconfiguration`
-(and the automatic epoch loop behind ``auto_reconfigure``) *executes* it as
+(and the automatic epoch loop behind ``epoch_duration``) *executes* it as
 real membership changes — each :class:`MigrationStep`'s nodes leave their old
 committee, pay a state-transfer delay derived from the destination shard's
 actual state size via :func:`state_transfer_seconds`, and then join and serve

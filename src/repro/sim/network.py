@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from repro.errors import NetworkError
-from repro.runtime.base import Runtime, as_runtime
+from repro.runtime.base import Runtime
 from repro.sim.latency import LatencyModel, LanLatencyModel
-from repro.sim.simulator import Simulator
 
 #: Channel label for consensus-protocol messages.
 CONSENSUS_CHANNEL = "consensus"
@@ -103,19 +102,21 @@ class Network:
     Parameters
     ----------
     sim:
-        The owning scheduler — a :class:`Simulator` or any
-        :class:`~repro.runtime.base.Runtime`.  Under a wall-clock runtime the
-        modelled latencies become real ``call_later`` delays and the cohort
-        merge fast path disables itself (``is_last_scheduled`` is ``False``).
+        The owning :class:`~repro.runtime.base.Runtime` — the
+        :class:`~repro.sim.simulator.Simulator` or a wall-clock runtime.
+        Under a wall-clock runtime the modelled latencies become real
+        ``call_later`` delays and the cohort merge fast path disables itself
+        (``is_last_scheduled`` is ``False``).
     latency_model:
-        Converts (source region, destination region, size) into a delay.
+        Converts (source region, destination region, size) into a delay;
+        ``None`` is the :class:`~repro.sim.latency.LanLatencyModel`.
     drop_rate:
         Probability that any given message is silently lost.
     """
 
-    def __init__(self, sim: "Simulator | Runtime", latency_model: Optional[LatencyModel] = None,
+    def __init__(self, sim: Runtime, latency_model: Optional[LatencyModel] = None,
                  drop_rate: float = 0.0) -> None:
-        self.runtime = as_runtime(sim)
+        self.runtime = sim
         self.latency_model = latency_model or LanLatencyModel()
         self.drop_rate = drop_rate
         self.stats = NetworkStats()

@@ -15,11 +15,10 @@ throughput results:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
-from repro.runtime.base import Runtime, as_runtime
+from repro.runtime.base import Runtime
 from repro.sim.network import CONSENSUS_CHANNEL, Message, Network, REQUEST_CHANNEL
-from repro.sim.simulator import Simulator
 
 
 @dataclass
@@ -44,12 +43,10 @@ class SimProcess:
     node_id:
         Unique integer identifier.
     sim / network:
-        Scheduling substrate — a :class:`Simulator` or any
-        :class:`~repro.runtime.base.Runtime` — and the message transport.
-        The node registers itself with the network.  All timing goes through
-        ``self.runtime``; ``self.sim`` remains available (the underlying
-        simulator, or ``None`` under a wall-clock runtime) for sim-only
-        harness code.
+        Scheduling substrate — a :class:`~repro.runtime.base.Runtime`: the
+        :class:`~repro.sim.simulator.Simulator` or a wall-clock runtime —
+        and the message transport.  The node registers itself with the
+        network.  All timing goes through ``self.runtime``.
     region:
         Region label used by WAN latency models.
     queue_capacity:
@@ -60,11 +57,11 @@ class SimProcess:
         are queued separately so requests cannot crowd out consensus traffic.
     """
 
-    def __init__(self, node_id: int, sim: Union[Simulator, Runtime], network: Network,
+    def __init__(self, node_id: int, sim: Runtime, network: Network,
                  region: str = "local", queue_capacity: Optional[int] = None,
                  separate_queues: bool = False) -> None:
         self.node_id = node_id
-        self.runtime = as_runtime(sim)
+        self.runtime = sim
         self.network = network
         self.region = region
         self.queue_capacity = queue_capacity
@@ -85,15 +82,6 @@ class SimProcess:
         #: ids are >= 0, so the two ranges cannot collide.
         self._local_request_key = -2
         network.register(self, region=region)
-
-    @property
-    def sim(self) -> Optional[Simulator]:
-        """The underlying simulator (``None`` under a wall-clock runtime).
-
-        Protocol code must use ``self.runtime``; this exists for sim-only
-        harnesses and tests that drive the simulator directly.
-        """
-        return self.runtime.simulator
 
     # --------------------------------------------------------------- delivery
     def deliver(self, message: Message) -> None:

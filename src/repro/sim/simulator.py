@@ -18,13 +18,20 @@ firing callback has a larger ``seq`` than everything already queued and so
 fires after its cohort, and an event cancelled by an earlier member of its
 cohort is still on the heap, flagged, when its turn comes.
 
+The simulated runtime
+---------------------
+A :class:`Simulator` *is* the sim-mode :class:`~repro.runtime.base.Runtime`:
+protocol code schedules on it directly, and the wall-clock service hands the
+same code an :class:`~repro.runtime.wallclock.AsyncioRuntime` instead.
+Driving time (:meth:`run`, :meth:`step`, :meth:`advance_clock`) is the
+harness's side and stays off the protocol.
+
 Determinism guarantees
 ----------------------
 Runs are fully reproducible from the seed: every source of randomness must
-derive from :attr:`Simulator.rng` or from :meth:`Simulator.fork_rng` and
-events with equal timestamps fire in scheduling order, so *same seed ⇒ same
-event trace ⇒ same results* however the run is sliced into ``until`` /
-``max_events`` calls.
+derive from :meth:`Simulator.fork_rng` and events with equal timestamps fire
+in scheduling order, so *same seed ⇒ same event trace ⇒ same results*
+however the run is sliced into ``until`` / ``max_events`` calls.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from heapq import heappop
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
+from repro.runtime.base import derive_label_rng
 from repro.sim.events import Event, EventQueue
 
 #: Hooks invoked every time a new :class:`Simulator` is constructed.  Modules
@@ -53,23 +61,23 @@ def register_run_reset(hook: Callable[[], None]) -> None:
 
 
 class Simulator:
-    """Deterministic discrete-event simulator.
+    """Deterministic discrete-event simulator — the simulated ``Runtime``.
 
     Parameters
     ----------
     seed:
-        Seed for the simulator-owned random number generator.  Every source
-        of randomness in a simulation (network jitter, workload skew, beacon
-        draws) derives from this generator or from generators forked from it,
-        so a run is fully reproducible from its seed.
+        Seed of every generator :meth:`fork_rng` hands out.  Every source of
+        randomness in a simulation (network jitter, workload skew, beacon
+        draws) is such a fork, so a run is fully reproducible from its seed.
     """
+
+    is_simulated = True
 
     def __init__(self, seed: int = 0) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._events_processed = 0
         self.seed = seed
-        self.rng = random.Random(seed)
         self._fork_counts: Dict[str, int] = {}
         for hook in _RUN_RESET_HOOKS:
             hook()
@@ -105,6 +113,13 @@ class Simulator:
             )
         return self._queue.push(time, callback, args)
 
+    def spawn(self, callback: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` at the current instant.
+
+        It fires after every event already queued for this instant.
+        """
+        return self._queue.push(self._now, callback, args)
+
     def advance_clock(self, until: float) -> None:
         """Advance the clock to ``until`` without running events.
 
@@ -131,13 +146,13 @@ class Simulator:
         given label derives from ``(seed, label)`` alone (so existing labelled
         streams are stable), while repeated forks for the same label — or
         several callers relying on the default ``""`` label — mix in a
-        per-label counter, so no two forks can silently share a stream.
+        per-label counter, so no two forks can silently share a stream.  The
+        derivation is :func:`~repro.runtime.base.derive_label_rng`, shared
+        with the wall-clock runtime.
         """
         count = self._fork_counts.get(label, 0)
         self._fork_counts[label] = count + 1
-        if count == 0:
-            return random.Random(f"{self.seed}:{label}")
-        return random.Random(f"{self.seed}:{label}#{count}")
+        return derive_label_rng(self.seed, label, count)
 
     # --------------------------------------------------------------- running
     def next_event_time(self) -> Optional[float]:

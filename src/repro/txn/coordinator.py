@@ -41,8 +41,8 @@ anything and never reads a clock.  Every transition takes an explicit
 ``now=`` timestamp and deadlines are plain data (``prepare_deadline``).
 The driver sits *on* the seam: it is handed a
 :class:`~repro.runtime.base.Runtime` and reads ``now`` / arms its deadline
-timers through it — a :class:`~repro.runtime.sim.SimRuntime` in both
-simulated engines, an :class:`~repro.runtime.wallclock.AsyncioRuntime` in
+timers through it — the partition's :class:`~repro.sim.simulator.Simulator`
+in the simulated engine, an :class:`~repro.runtime.wallclock.AsyncioRuntime` in
 the gateway.  That is what lets the identical protocol code back the
 simulation and the live HTTP service.
 

@@ -211,7 +211,7 @@ class TestShardedBlockchain:
         assert batch_trough >= 0.6 * baseline_trough
         assert swap_batch >= 0.9 * baseline
 
-    def test_unknown_reconfiguration_strategy_rejected(self):
+    def test_unknown_migration_strategy_rejected(self):
         system = small_system()
         with pytest.raises(ConfigurationError):
             system.perform_reconfiguration("teleport", at_time=1.0)

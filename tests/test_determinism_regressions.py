@@ -118,8 +118,7 @@ def test_sharded_system_fingerprints_unchanged(seed):
     rebase_tx_counter(0)
     config = ShardedSystemConfig(
         num_shards=3, committee_size=4, seed=seed,
-        epoch_duration=1.2, auto_reconfigure=True,
-        reconfiguration_strategy="swap-batch", swap_batch_interval=0.2,
+        epoch_duration=1.2, swap_batch_interval=0.2,
     )
     system = build_system(config)
     try:
@@ -142,7 +141,7 @@ class _Recorder(SimProcess):
         self.handled = []
 
     def handle_message(self, message: Message) -> None:
-        self.handled.append((self.sim.now, message.sender, message.kind))
+        self.handled.append((self.runtime.now, message.sender, message.kind))
 
 
 def _run_broadcast(dst_ids) -> list:

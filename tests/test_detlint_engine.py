@@ -158,15 +158,16 @@ def test_strict_escalates_experiments_scope(tmp_path):
 def test_service_scope_carves_wallclock_out_of_the_strict_tree(tmp_path):
     """The runtime seam's scope split, pinned path by path.
 
-    The seam itself (Runtime protocol, SimRuntime) is deterministic
-    substrate — strict.  Its wall-clock half and the service package exist
-    to read the real clock, so DET001 is off there *even under --strict* —
-    but every other determinism rule still applies.
+    The seam itself (the Runtime protocol, and the Simulator that is its
+    simulated implementation) is deterministic substrate — strict.  Its
+    wall-clock half and the service package exist to read the real clock,
+    so DET001 is off there *even under --strict* — but every other
+    determinism rule still applies.
     """
     from repro.analysis.policy import scope_name
 
     assert scope_name("src/repro/runtime/base.py") == "strict"
-    assert scope_name("src/repro/runtime/sim.py") == "strict"
+    assert scope_name("src/repro/sim/simulator.py") == "strict"
     assert scope_name("src/repro/runtime/wallclock.py") == "service"
     assert scope_name("src/repro/service/gateway.py") == "service"
     assert scope_name("src/repro/service/socketnet.py") == "service"
@@ -177,7 +178,7 @@ def test_service_scope_carves_wallclock_out_of_the_strict_tree(tmp_path):
     assert not DEFAULT_POLICY.rule_enabled("DET001", service_file, strict=True)
     for still_on in ("DET002", "DET003", "DET004"):
         assert DEFAULT_POLICY.rule_enabled(still_on, service_file, strict=True)
-    assert DEFAULT_POLICY.rule_enabled("DET001", "src/repro/runtime/sim.py",
+    assert DEFAULT_POLICY.rule_enabled("DET001", "src/repro/sim/simulator.py",
                                        strict=False)
 
     # End to end: identical wall-clock code flags in the seam's sim half,

@@ -68,7 +68,7 @@ class TestSeedEquivalence:
         attach_clients(seed_system, count=3, outstanding=6)
         seed_system.run(12.0)
 
-        epoch_system = build_system(epoch_duration=1e9, auto_reconfigure=True)
+        epoch_system = build_system(epoch_duration=1e9)
         attach_clients(epoch_system, count=3, outstanding=6)
         epoch_system.run(12.0)
 
@@ -81,7 +81,7 @@ class TestSeedEquivalence:
         assert epoch_system.reconfigurations_completed == 0
 
     def test_epoch_bookkeeping_draws_nothing_at_construction(self):
-        system = build_system(epoch_duration=1e9, auto_reconfigure=True)
+        system = build_system(epoch_duration=1e9)
         assert system.epochs.current_epoch == 0
         assert not system.epochs.transition_in_progress
         # One armed boundary timer and the buffered per-shard "track"
@@ -213,9 +213,9 @@ class TestExecutedMigration:
 
 
 class TestAutomaticEpochs:
-    def test_auto_reconfigure_runs_epochs_and_driver_buckets_by_epoch(self):
+    def test_automatic_epochs_run_and_driver_buckets_by_epoch(self):
         system = build_system(seed=2, num_shards=2, committee_size=5,
-                              epoch_duration=10.0, auto_reconfigure=True)
+                              epoch_duration=10.0)
         driver = OpenLoopDriver(system, rate_tps=20.0).start()
         system.run(35.0)
         assert system.current_epoch >= 2
@@ -230,6 +230,21 @@ class TestAutomaticEpochs:
         assert sum(stats.epoch_aborted.values()) == stats.aborted
         assert set(stats.epoch_committed) <= set(range(system.current_epoch + 1))
         assert len(stats.epoch_committed) >= 2
+
+    def test_epoch_duration_alone_arms_swap_batch_transitions(self):
+        """Setting ``epoch_duration`` is the whole switch: no other epoch knob
+        is needed for the boundary timer to run swap-batch migrations."""
+        config = ShardedSystemConfig(
+            num_shards=2, committee_size=5, use_reference_committee=False,
+            num_keys=200, consensus_overrides=dict(FAST), seed=2,
+            epoch_duration=4.0, swap_batch_interval=0.5)
+        system = ShardedBlockchain(config)
+        assert system.sim.pending_events == 1  # the armed boundary timer
+        attach_clients(system, count=2, outstanding=4)
+        system.run(14.0)
+        assert system.reconfigurations_completed >= 1
+        for transition in system.epoch_transitions:
+            assert transition.strategy == transition.plan.strategy == "swap-batch"
 
     def test_beacon_randomness_is_deterministic_and_epoch_dependent(self):
         first = derive_epoch_randomness(12, epoch=1, seed=9)
@@ -264,11 +279,7 @@ class TestReconfigurationValidation:
 
     def test_config_knob_validation(self):
         with pytest.raises(ConfigurationError):
-            ShardedSystemConfig(auto_reconfigure=True)  # needs epoch_duration
-        with pytest.raises(ConfigurationError):
             ShardedSystemConfig(epoch_duration=-1.0)
-        with pytest.raises(ConfigurationError):
-            ShardedSystemConfig(reconfiguration_strategy="teleport")
         with pytest.raises(ConfigurationError):
             ShardedSystemConfig(state_bandwidth_bps=0.0)
 

@@ -1,4 +1,4 @@
-"""The runtime seam: SimRuntime delegates byte-for-byte, AsyncioRuntime
+"""The runtime seam: the Simulator is the simulated runtime, AsyncioRuntime
 honours the same contract on a real clock, and the unchanged consensus
 stack commits through either.
 """
@@ -12,46 +12,45 @@ import pytest
 
 from repro.consensus.cluster import ConsensusCluster, NoopChaincode
 from repro.errors import SimulationError
-from repro.runtime import AsyncioRuntime, SimRuntime, as_runtime
+from repro.runtime import AsyncioRuntime
 from repro.runtime.base import derive_label_rng
 from repro.sim.simulator import Simulator
 
 
-class TestSimRuntime:
-    def test_as_runtime_wraps_and_caches(self):
+class TestSimulatorRuntime:
+    def test_is_simulated(self):
+        assert Simulator(seed=1).is_simulated is True
+
+    def test_spawn_fires_now_after_events_already_queued_for_now(self):
         sim = Simulator(seed=1)
-        runtime = as_runtime(sim)
-        assert isinstance(runtime, SimRuntime)
-        assert as_runtime(sim) is runtime          # cached adapter
-        assert as_runtime(runtime) is runtime      # already a Runtime
-        assert runtime.simulator is sim
-        assert runtime.is_simulated is True
+        fired = []
+        sim.schedule(1.0, fired.append, "later")
+        sim.schedule(0.5, fired.append, "queued-first")
 
-    def test_delegation_is_byte_identical(self):
-        """The adapter and the raw simulator produce the same event stream."""
-        def drive(target, sim, spawn):
-            fired = []
-            handle = target.schedule(2.0, fired.append, "late")
-            target.schedule(1.0, fired.append, "early")
-            spawn(fired.append, "now")
-            target.cancel(handle) if hasattr(target, "cancel") else handle.cancel()
-            assert target.is_last_scheduled(handle) is False
-            sim.run(until=10.0)
-            return fired, target.fork_rng("label").random()
+        def at_half():
+            fired.append("at-half")
+            sim.spawn(lambda: fired.append(("spawned", sim.now)))
+            sim.schedule_at(0.5, fired.append, "queued-after-spawn")
 
-        sim_a = Simulator(seed=9)
-        runtime_a = as_runtime(sim_a)
-        sim_b = Simulator(seed=9)
-        via_runtime = drive(runtime_a, sim_a, runtime_a.spawn)
-        # spawn is "schedule at zero delay" by contract
-        direct = drive(sim_b, sim_b,
-                       lambda cb, *args: sim_b.schedule(0.0, cb, *args))
-        assert via_runtime == direct
-        assert sim_a.now == sim_b.now
+        sim.schedule(0.5, at_half)
+        sim.spawn(fired.append, "spawned-at-zero")
+        sim.run()
+        assert fired == ["spawned-at-zero", "queued-first", "at-half",
+                         ("spawned", 0.5), "queued-after-spawn", "later"]
+
+    def test_spawn_handle_cancels(self):
+        sim = Simulator(seed=1)
+        fired = []
+        handle = sim.spawn(fired.append, "cancelled")
+        assert sim.is_last_scheduled(handle) is True
+        handle.cancel()
+        assert sim.is_last_scheduled(handle) is False
+        sim.run()
+        assert fired == []
 
     def test_fork_rng_parity_across_runtimes(self):
         """Same seed + label sequence -> identical streams on both clocks."""
-        sim_runtime = as_runtime(Simulator(seed=5))
+        sim = Simulator(seed=5)
 
         async def forked():
             wall = AsyncioRuntime(seed=5)
@@ -60,19 +59,32 @@ class TestSimRuntime:
                     wall.fork_rng("network").random()]  # second fork: #1
 
         wall_draws = asyncio.run(forked())
-        sim_draws = [sim_runtime.fork_rng("network").random(),
-                     sim_runtime.fork_rng("client-3").random(),
-                     sim_runtime.fork_rng("network").random()]
+        sim_draws = [sim.fork_rng("network").random(),
+                     sim.fork_rng("client-3").random(),
+                     sim.fork_rng("network").random()]
         assert wall_draws == sim_draws
         assert derive_label_rng(5, "network", 0).random() == sim_draws[0]
+        assert derive_label_rng(5, "network", 1).random() == sim_draws[2]
         # Distinct labels and fork counts give distinct streams.
         assert len(set(sim_draws)) == 3
 
-    def test_fork_rng_matches_simulator_derivation(self):
+    def test_fork_rng_derivation(self):
         assert (derive_label_rng(7, "x", 0).random()
                 == random.Random("7:x").random())
         assert (derive_label_rng(7, "x", 2).random()
                 == random.Random("7:x#2").random())
+
+    def test_cluster_runs_on_a_given_simulator(self):
+        sim = Simulator(seed=4)
+        cluster = ConsensusCluster(protocol="AHL", n=4, runtime=sim,
+                                   config_overrides={"batch_size": 4})
+        assert cluster.sim is cluster.runtime is sim
+        assert cluster.network.runtime is sim
+        assert all(replica.runtime is sim for replica in cluster.replicas)
+        cluster.add_open_loop_clients(1, rate_tps=40.0, batch_size=4)
+        result = cluster.run(3.0)
+        assert result.committed_transactions > 0
+        assert sim.now == pytest.approx(3.0)
 
 
 class TestAsyncioRuntime:
@@ -80,14 +92,13 @@ class TestAsyncioRuntime:
         async def scenario():
             runtime = AsyncioRuntime(seed=0)
             assert runtime.is_simulated is False
-            assert runtime.simulator is None
             start = runtime.now
             assert start < 0.25  # epoch-rebased clock starts near zero
 
             fired = []
             handle = runtime.schedule(0.01, fired.append, "scheduled")
             cancelled = runtime.schedule(0.01, fired.append, "cancelled")
-            runtime.cancel(cancelled)
+            cancelled.cancel()
             runtime.spawn(fired.append, "spawned")
             runtime.schedule_at(runtime.now - 5.0, fired.append, "past-clamped")
             assert runtime.is_last_scheduled(handle) is False

@@ -64,8 +64,7 @@ SCENARIOS = {
         prepare_timeout=2.0), None),
     "epoch-swap-all": (lambda: _base_config(prepare_timeout=2.0), "swap-all"),
     "epoch-swap-batch": (lambda: _base_config(swap_batch_interval=0.5), "swap-batch"),
-    "epoch-auto": (lambda: _base_config(epoch_duration=0.4,
-                                        auto_reconfigure=True), None),
+    "epoch-auto": (lambda: _base_config(epoch_duration=0.4), None),
     "adversary-tee": (lambda: _base_config(
         adversary=AdversaryConfig(strategy="equivocate", corrupted_per_shard=1,
                                   follow_migrations=True,

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.config import ShardedSystemConfig
 from repro.core.splitters import benchmark_for, build_committee
-from repro.runtime import SimRuntime
 from repro.service.shardnode import (
     GATEWAY_NODE_ID, KIND_RECEIPTS, KIND_SHUTDOWN, KIND_SUBMIT, ShardAgent,
 )
@@ -52,11 +51,10 @@ class _Shard:
 
     def __init__(self) -> None:
         self.sim = Simulator(seed=7)
-        self.runtime = SimRuntime(self.sim)
-        network = Network(self.runtime)
+        network = Network(self.sim)
         config = ShardedSystemConfig(num_shards=1, committee_size=4, protocol="AHL",
                                      benchmark="smallbank", num_keys=100, seed=7)
-        self.cluster = build_committee(config, 0, self.runtime, network)
+        self.cluster = build_committee(config, 0, self.sim, network)
         self.gateway = _Gateway()
         network.register(self.gateway)
         self.stop = asyncio.Event()
@@ -68,7 +66,7 @@ class _Shard:
         """One ``svc-submit`` frame carrying one payment between fresh accounts."""
         tx = self.chaincode.new_transaction(
             "sendPayment", {"from": str(index), "to": str(index + 50), "amount": 1},
-            client_id="test", submitted_at=self.runtime.now)
+            client_id="test", submitted_at=self.sim.now)
         self.sent.append(tx.tx_id)
         self.frame(KIND_SUBMIT, (tx,))
 
@@ -90,10 +88,10 @@ class _Shard:
 def test_lone_transaction_is_handed_over_in_the_same_call():
     shard = _Shard()
     replica = shard.cluster.replicas[0]
-    before, now = replica.stats.messages_received, shard.runtime.now
+    before, now = replica.stats.messages_received, shard.sim.now
     shard.submit(0)
     assert replica.stats.messages_received == before + 1
-    assert shard.runtime.now == now
+    assert shard.sim.now == now
     assert shard.agent._buffer == [] and shard.agent.requests_handed == 1
     shard.sim.run(until=1.0)
     assert shard.height == 1

@@ -23,7 +23,7 @@ class Recorder(SimProcess):
         return self.cost
 
     def handle_message(self, message: Message) -> None:
-        self.handled.append((self.sim.now, message.kind, message.sender))
+        self.handled.append((self.runtime.now, message.kind, message.sender))
 
 
 def build(sim=None, latency=None, **node_kwargs):
@@ -219,7 +219,7 @@ class Inbox(SimProcess):
         self.arrived = []
 
     def handle_message(self, message: Message) -> None:
-        self.arrived.append((self.sim.now, message.msg_id, message.sender, message.recipient,
+        self.arrived.append((self.runtime.now, message.msg_id, message.sender, message.recipient,
                              message.sent_at, message.kind, message.payload,
                              message.size_bytes, message.channel))
 
