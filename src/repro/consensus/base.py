@@ -25,6 +25,10 @@ from repro.sim.node import SimProcess
 from repro.runtime.base import Runtime
 from repro.consensus import messages as m
 
+#: Wire size of one consensus message without transactions, and of one
+#: transaction carried in a request or a block proposal.
+CONSENSUS_MESSAGE_BYTES = TRANSACTION_BYTES = 512
+
 
 @dataclass
 class ConsensusConfig:
@@ -42,6 +46,11 @@ class ConsensusConfig:
     * ``leader_aggregation`` — optimisation 3 (AHLR): replicas send their
       prepare/commit to the leader, whose enclave verifies and aggregates
       them into a single certificate.
+
+    What is not a knob: message sizes are :data:`CONSENSUS_MESSAGE_BYTES`
+    and :data:`TRANSACTION_BYTES`, every client request pays one
+    ``ecdsa_verify``, and a leader proposes for as long as it has pending
+    transactions.
     """
 
     protocol: str = "pbft"
@@ -54,10 +63,6 @@ class ConsensusConfig:
     use_attested_log: bool = False
     leader_aggregation: bool = False
     costs: OperationCosts = field(default_factory=lambda: DEFAULT_COSTS)
-    consensus_message_bytes: int = 512
-    transaction_bytes: int = 512
-    verify_client_signatures: bool = True
-    max_blocks: Optional[int] = None
     #: Fixed leader-side cost per proposed block (block assembly, ledger write,
     #: gossip to the ordering service) — calibrated against Hyperledger v0.6.
     proposal_overhead: float = 0.025
@@ -457,7 +462,7 @@ class ConsensusReplica(SimProcess):
                         client_id=f"replica-{self.node_id}", request_id=0,
                         transactions=tuple(stalled), submitted_at=self.runtime.now,
                     ),
-                    size_bytes=self.config.transaction_bytes * len(stalled),
+                    size_bytes=TRANSACTION_BYTES * len(stalled),
                     channel=REQUEST_CHANNEL,
                 )
                 self.broadcast(self.peers(), fallback)
@@ -470,8 +475,7 @@ class ConsensusReplica(SimProcess):
         if kind in (m.KIND_REQUEST, m.KIND_FORWARD):
             payload: m.ClientRequest = message.payload
             per_tx = costs.sha256 * len(payload.transactions)
-            signature = costs.ecdsa_verify if self.config.verify_client_signatures else 0.0
-            return signature + per_tx
+            return costs.ecdsa_verify + per_tx
         if kind == m.KIND_PRE_PREPARE:
             # The attested-log proof doubles as the message signature, so AHL
             # and HL both verify a single ECDSA signature per message.
@@ -518,7 +522,7 @@ class ConsensusReplica(SimProcess):
             sender=self.node_id,
             kind=kind,
             payload=payload,
-            size_bytes=size or self.config.consensus_message_bytes,
+            size_bytes=size or CONSENSUS_MESSAGE_BYTES,
             channel=CONSENSUS_CHANNEL,
         )
 
@@ -580,7 +584,7 @@ class ConsensusReplica(SimProcess):
                     sender=self.node_id,
                     kind=m.KIND_FORWARD,
                     payload=request,
-                    size_bytes=self.config.transaction_bytes * max(1, len(transactions)),
+                    size_bytes=TRANSACTION_BYTES * max(1, len(transactions)),
                     channel=REQUEST_CHANNEL,
                 )
                 self.broadcast(self.peers(), forward)
@@ -593,7 +597,7 @@ class ConsensusReplica(SimProcess):
                 sender=self.node_id,
                 kind=m.KIND_FORWARD,
                 payload=request,
-                size_bytes=self.config.transaction_bytes * max(1, len(transactions)),
+                size_bytes=TRANSACTION_BYTES * max(1, len(transactions)),
                 channel=REQUEST_CHANNEL,
             )
             self.send(self.leader_id(), forward)
@@ -605,8 +609,6 @@ class ConsensusReplica(SimProcess):
         if self.byzantine is not None and not self.byzantine.leader_should_propose(self):
             return
         while self.pending_txs:
-            if self.config.max_blocks is not None and self.blocks_proposed >= self.config.max_blocks:
-                return
             if self._outstanding >= self.config.pipeline_depth:
                 return
             if self.config.min_block_interval > 0:
@@ -668,12 +670,11 @@ class ConsensusReplica(SimProcess):
             view=self.view, seq=seq, block=block, leader=self.node_id,
             attestation=attestation,
         )
-        size = self.config.consensus_message_bytes + self.config.transaction_bytes * len(batch)
+        size = CONSENSUS_MESSAGE_BYTES + TRANSACTION_BYTES * len(batch)
         sign_cost = (self._signing_cost() + self.config.costs.sha256 * len(batch)
                      + self.config.proposal_overhead)
         self._last_block_time = self.runtime.now
         self.cpu_execute(sign_cost, self._broadcast_consensus, m.KIND_PRE_PREPARE, payload, size)
-        self.monitor.counter(f"blocks_proposed.shard{self.shard_id}").increment()
 
     def _interval_retry(self) -> None:
         self._interval_retry_pending = False
@@ -970,11 +971,9 @@ class ConsensusReplica(SimProcess):
         self._last_block_time = now
         latency = now - instance.proposed_at if instance.proposed_at else 0.0
         self.monitor.series(f"commit_latency.replica{self.node_id}").record(now, latency)
-        self.monitor.series(f"consensus_cost.replica{self.node_id}").record(now, latency)
         self.monitor.series(f"execution_cost.replica{self.node_id}").record(
             now, self.config.costs.block_execution(len(block.transactions))
         )
-        self.monitor.throughput(f"replica{self.node_id}").record_commit(now, len(block.transactions))
         event = CommitEvent(replica_id=self.node_id, block=chained, receipts=receipts, committed_at=now)
         for callback in self._on_commit:
             callback(event)
@@ -1149,8 +1148,7 @@ class ConsensusReplica(SimProcess):
         payload = m.PrePrepare(view=self.view, seq=instance.seq,
                                block=instance.block, leader=self.node_id,
                                attestation=attestation)
-        size = (self.config.consensus_message_bytes
-                + self.config.transaction_bytes * len(instance.block.transactions))
+        size = CONSENSUS_MESSAGE_BYTES + TRANSACTION_BYTES * len(instance.block.transactions)
         sign_cost = self._signing_cost() + self.config.proposal_overhead
         self.cpu_execute(sign_cost, self._broadcast_consensus,
                          m.KIND_PRE_PREPARE, payload, size)
@@ -1177,6 +1175,3 @@ class ConsensusReplica(SimProcess):
         joiner whose own ledger starts at the join point.
         """
         return self._committed_before_join + self.blockchain.total_transactions()
-
-    def commit_latencies(self) -> List[float]:
-        return self.monitor.series(f"commit_latency.replica{self.node_id}").values()

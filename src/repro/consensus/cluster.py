@@ -43,7 +43,7 @@ from repro.ledger.chaincode import Chaincode, ChaincodeRegistry
 from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction
 from repro.sim.latency import LanLatencyModel, LatencyModel, assign_regions_round_robin
-from repro.sim.monitor import Monitor, mean_or_zero
+from repro.sim.monitor import Monitor
 from repro.runtime.base import Runtime
 from repro.sim.network import Message, Network, REQUEST_CHANNEL
 from repro.sim.node import SimProcess
@@ -165,7 +165,6 @@ class ClusterRunResult:
     messages_dropped: int
     queue_drops: int
     blocks_committed: int
-    consensus_cost_mean: float = 0.0
     execution_cost_mean: float = 0.0
 
 
@@ -594,13 +593,9 @@ class ConsensusCluster:
     def result(self, duration: float) -> ClusterRunResult:
         observer = self.honest_observer()
         committed = observer.committed_transactions()
-        latencies = observer.commit_latencies()
+        latency = self.monitor.series(f"commit_latency.replica{observer.node_id}")
         queue_drops = sum(r.stats.messages_dropped_queue_full for r in self.replicas)
-        consensus_costs = self.monitor.series(
-            f"consensus_cost.replica{observer.node_id}").values()
-        execution_costs = self.monitor.series(
-            f"execution_cost.replica{observer.node_id}").values()
-        sorted_latencies = sorted(latencies)
+        sorted_latencies = sorted(latency.values())
         p95 = sorted_latencies[int(0.95 * (len(sorted_latencies) - 1))] if sorted_latencies else 0.0
         return ClusterRunResult(
             protocol=self.protocol,
@@ -608,15 +603,15 @@ class ConsensusCluster:
             duration=duration,
             committed_transactions=committed,
             throughput_tps=committed / duration if duration > 0 else 0.0,
-            avg_latency=mean_or_zero(latencies),
+            avg_latency=latency.mean(),
             p95_latency=p95,
             view_changes=int(self.monitor.counter_value(f"view_changes.shard{self.shard_id}")),
             messages_sent=self.network.stats.messages_sent,
             messages_dropped=self.network.stats.messages_dropped,
             queue_drops=queue_drops,
             blocks_committed=len(observer.blockchain) - 1,
-            consensus_cost_mean=mean_or_zero(consensus_costs),
-            execution_cost_mean=mean_or_zero(execution_costs),
+            execution_cost_mean=self.monitor.series(
+                f"execution_cost.replica{observer.node_id}").mean(),
         )
 
 

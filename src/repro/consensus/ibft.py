@@ -79,7 +79,6 @@ class IbftReplica(RotatingLeaderReplica):
             # re-proposes them).
             for tx in batch:
                 self.pending_txs.append(tx)
-            self.monitor.counter(f"ibft_stalls.shard{self.shard_id}").increment()
             self.runtime.schedule(self.config.view_change_timeout, self._maybe_propose)
             return
         super()._propose_block(batch)

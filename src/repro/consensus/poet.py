@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.ledger.block import Block, build_block
 from repro.ledger.blockchain import ForkableChain
-from repro.sim.monitor import Monitor
 from repro.sim.network import Message, Network
 from repro.sim.node import SimProcess
 from repro.sim.simulator import Simulator
@@ -93,11 +92,9 @@ class PoetNode(SimProcess):
     """A PoET/PoET+ miner."""
 
     def __init__(self, node_id: int, sim: Simulator, network: Network,
-                 config: PoetNetworkConfig, monitor: Optional[Monitor] = None,
-                 region: str = "local") -> None:
+                 config: PoetNetworkConfig, region: str = "local") -> None:
         super().__init__(node_id, sim, network, region=region)
         self.config = config
-        self.monitor = monitor or Monitor()
         self.enclave = PoETEnclave(
             enclave_id=f"poet-{node_id}",
             mean_wait=config.wait_scale,
@@ -146,7 +143,6 @@ class PoetNode(SimProcess):
         )
         self.blocks_proposed += 1
         self.chain.add_block(block)
-        self.monitor.counter("blocks_proposed").increment()
         announcement = PoetBlockAnnouncement(
             block=block, wait_time=certificate.wait_time, q=certificate.q,
             proposer=self.node_id,
@@ -214,9 +210,8 @@ def run_poet_network(config: PoetNetworkConfig, duration: float, seed: int = 0,
 
     sim = Simulator(seed=seed)
     network = Network(sim, latency_model or LanLatencyModel())
-    monitor = Monitor()
     nodes = [
-        PoetNode(node_id=i, sim=sim, network=network, config=config, monitor=monitor)
+        PoetNode(node_id=i, sim=sim, network=network, config=config)
         for i in range(config.n)
     ]
     for node in nodes:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from typing import Dict, Set
 
 from repro.consensus import messages as m
-from repro.consensus.base import ConsensusConfig, ConsensusReplica
+from repro.consensus.base import (
+    CONSENSUS_MESSAGE_BYTES, TRANSACTION_BYTES, ConsensusConfig, ConsensusReplica,
+)
 from repro.sim.network import Message
 
 
@@ -72,7 +74,7 @@ class RaftReplica(ConsensusReplica):
         instance.proposed_at = self.runtime.now
         self._acks[seq] = {self.node_id}
         payload = m.AppendEntries(term=self.view, index=seq, block=block, leader=self.node_id)
-        size = self.config.consensus_message_bytes + self.config.transaction_bytes * len(batch)
+        size = CONSENSUS_MESSAGE_BYTES + TRANSACTION_BYTES * len(batch)
         message = Message(sender=self.node_id, kind=m.KIND_APPEND_ENTRIES,
                           payload=payload, size_bytes=size)
         self.cpu_execute(self.config.costs.ecdsa_sign, self.broadcast, self.peers(), message)
@@ -98,7 +100,7 @@ class RaftReplica(ConsensusReplica):
                                     follower=self.node_id, success=True)
         self.send(payload.leader, Message(sender=self.node_id, kind=m.KIND_APPEND_RESPONSE,
                                           payload=response,
-                                          size_bytes=self.config.consensus_message_bytes))
+                                          size_bytes=CONSENSUS_MESSAGE_BYTES))
 
     def _handle_append_response(self, payload: m.AppendResponse) -> None:
         if not self.is_leader:

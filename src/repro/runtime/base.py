@@ -23,10 +23,6 @@ behind it.  The contract each implementation upholds:
   runtimes use the *same* derivation (:func:`derive_label_rng`), so a
   wall-clock service seeded like the sim draws identical random streams —
   only event interleaving differs.
-* ``is_last_scheduled(handle)`` is a scheduling introspection hook used by
-  the network's batched cohort delivery.  Real clocks cannot answer it, so
-  ``AsyncioRuntime`` always says ``False`` — which simply disables the
-  cohort-merge fast path, never changes semantics.
 
 What deliberately does **not** cross the seam: ``run()`` (driving time forward
 is a harness concern — the asyncio loop runs itself) and fault injection
@@ -66,8 +62,6 @@ class Runtime(Protocol):
     def spawn(self, callback: Callable[..., None], *args: Any) -> RuntimeHandle: ...
 
     def fork_rng(self, label: str) -> random.Random: ...
-
-    def is_last_scheduled(self, handle: RuntimeHandle) -> bool: ...
 
 
 def derive_label_rng(seed: int, label: str, count: int) -> random.Random:

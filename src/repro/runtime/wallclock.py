@@ -13,10 +13,9 @@ here as callbacks on a real ``asyncio`` event loop:
 * ``fork_rng`` uses the *same* ``(seed, label, counter)`` derivation as
   ``Simulator.fork_rng`` (see :func:`repro.runtime.base.derive_label_rng`),
   so a service node seeded like its sim twin draws identical random streams.
-* ``is_last_scheduled`` is always ``False``: a real clock cannot promise
-  that no other event fires between two scheduled callbacks, so the
-  network's cohort-merge fast path is simply disabled.  This is the one
-  deliberate behavioural difference — it changes constants, not semantics.
+
+Every member of the seam means the same thing on both clocks; what differs
+is only how events interleave.
 
 Determinism note: this module is wall-clock *on purpose* and is scoped out
 of detlint's DET001 by the ``service`` policy scope; everything that calls
@@ -76,10 +75,6 @@ class AsyncioRuntime:
         count = self._fork_counts.get(label, 0)
         self._fork_counts[label] = count + 1
         return derive_label_rng(self.seed, label, count)
-
-    def is_last_scheduled(self, handle: Any) -> bool:
-        """Real clocks cannot answer this; disables the cohort-merge fast path."""
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AsyncioRuntime(seed={self.seed}, now={self.now:.6f})"

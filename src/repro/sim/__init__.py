@@ -7,8 +7,8 @@ provides the simulated equivalent: a deterministic discrete-event simulator
 configurable latency models built from the paper's Table 3
 (:class:`~repro.sim.network.Network`, :mod:`repro.sim.latency`), a node
 abstraction with a serial CPU cost model and bounded inbound queues
-(:class:`~repro.sim.node.SimProcess`), and metric collection utilities
-(:mod:`repro.sim.monitor`).
+(:class:`~repro.sim.node.SimProcess`), and metric collection — named counters and
+time series with an optional sample bound (:mod:`repro.sim.monitor`).
 """
 
 from repro.sim.events import Event, EventQueue
@@ -25,7 +25,7 @@ from repro.sim.latency import (
     assign_regions_round_robin,
 )
 from repro.sim.node import SimProcess
-from repro.sim.monitor import Counter, Monitor, TimeSeries, ThroughputTracker
+from repro.sim.monitor import Counter, Monitor, TimeSeries
 
 __all__ = [
     "Event",
@@ -46,5 +46,4 @@ __all__ = [
     "Monitor",
     "Counter",
     "TimeSeries",
-    "ThroughputTracker",
 ]

@@ -16,8 +16,8 @@ keys are unique and pop order is therefore a function of the key set alone.
 
 Ordering is exactly ``(time, seq)``: two events scheduled for the same
 instant fire in scheduling order, which keeps simulations deterministic.  An
-event scheduled for the current instant while its cohort fires gets a larger
-``seq`` and so fires after the cohort.
+event scheduled for the current instant while same-instant events fire gets
+a larger ``seq`` and so fires after all of them.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ class EventQueue:
     def is_pending(self, event: Event) -> bool:
         """True while ``event`` is still queued (not popped, not cancelled)."""
         return event._queue is self
-
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the most recently scheduled event (-1 if none)."""
-        return self._next_seq - 1
 
     def clear(self) -> None:
         """Drop every pending event."""

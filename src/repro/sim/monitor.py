@@ -1,25 +1,25 @@
 """Metric collection for simulation runs.
 
-The experiment harness measures throughput (committed transactions per
-second of simulated time), latency distributions, abort rates, view-change
-counts and stale-block rates.  :class:`Monitor` is a small container of named
-counters and time series shared by the components of one simulation.
+:class:`Monitor` is a small container of named counters and time series
+shared by the components of one simulation.  A consensus committee records
+two series per replica — ``commit_latency`` (proposal to commit) and
+``execution_cost`` (modelled execution time per block) — and counts view
+changes; everything else a report needs (throughput, abort rates,
+stale-block rates) is read from the ledgers and drivers themselves.
 
 Two storage modes are supported:
 
 * **unbounded** (the default) — every sample is retained, all statistics are
   exact; right for the paper-figure experiments, whose runs are short.
 * **bounded** (``max_samples=N``) — series keep running count/sum plus a
-  fixed-size reservoir for percentiles, and throughput trackers accumulate
-  into coarse time buckets.  Memory is O(N) per metric regardless of run
-  length (the 1M-transaction benchmark runs this way); means and totals stay
-  exact, percentiles and rates become reservoir/bucket approximations.
+  fixed-size reservoir for percentiles.  Memory is O(N) per series
+  regardless of run length (the 1M-transaction benchmark runs this way);
+  means and totals stay exact, percentiles become reservoir approximations.
 """
 
 from __future__ import annotations
 
 import random
-import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -137,78 +137,18 @@ class TimeSeries:
         return result
 
 
-class ThroughputTracker:
-    """Tracks committed transactions and computes throughput over a window.
-
-    Unbounded mode keeps every ``(time, tx_count)`` commit record.  Bounded
-    mode (``max_samples=N``) accumulates commits into fixed one-second
-    buckets (evicting the oldest beyond N), so memory no longer grows with
-    the number of committed blocks; ``total_committed`` stays exact.
-    """
-
-    #: Bucket width (simulated seconds) used by the bounded mode.
-    RESOLUTION = 1.0
-
-    def __init__(self, max_samples: Optional[int] = None) -> None:
-        self.commits: List[Tuple[float, int]] = []
-        self.total_committed = 0
-        self.max_samples = max_samples
-        self._buckets: Dict[int, int] = {}
-        self._last_time: Optional[float] = None
-
-    def record_commit(self, time: float, tx_count: int) -> None:
-        """Record that ``tx_count`` transactions committed at simulated ``time``."""
-        self.total_committed += tx_count
-        if self.max_samples is None:
-            self.commits.append((time, tx_count))
-            return
-        self._last_time = time if self._last_time is None else max(self._last_time, time)
-        index = int(time // self.RESOLUTION)
-        self._buckets[index] = self._buckets.get(index, 0) + tx_count
-        while len(self._buckets) > self.max_samples:
-            # Simulated time is monotonic per tracker, so insertion order is
-            # ascending bucket index: FIFO eviction drops the oldest in O(1).
-            del self._buckets[next(iter(self._buckets))]
-
-    def _bucket_records(self) -> List[Tuple[float, int]]:
-        return [(index * self.RESOLUTION, count)
-                for index, count in sorted(self._buckets.items())]
-
-    def throughput(self, start: float = 0.0, end: Optional[float] = None) -> float:
-        """Committed transactions per second over ``[start, end]``."""
-        records = self.commits if self.max_samples is None else self._bucket_records()
-        if not records:
-            return 0.0
-        if end is None:
-            end = (max(time for time, _ in self.commits)
-                   if self.max_samples is None else self._last_time)
-        duration = end - start
-        if duration <= 0:
-            return 0.0
-        total = sum(count for time, count in records if start <= time <= end)
-        return total / duration
-
-    def over_time(self, bucket_seconds: float, until: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Throughput time series in buckets of ``bucket_seconds``."""
-        records = self.commits if self.max_samples is None else self._bucket_records()
-        series = TimeSeries.from_samples(
-            "commits", [(time, float(count)) for time, count in records])
-        return series.bucketed_rate(bucket_seconds, until=until)
-
-
 class Monitor:
-    """A collection of named counters, time series and throughput trackers.
+    """A collection of named counters and time series.
 
-    ``max_samples`` switches every series and tracker created by this
-    monitor to bounded storage (see the module docstring); the default keeps
-    the seed's exact, keep-everything behaviour.
+    ``max_samples`` switches every series created by this monitor to
+    bounded storage (see the module docstring); the default keeps every
+    sample.
     """
 
     def __init__(self, max_samples: Optional[int] = None) -> None:
         self.max_samples = max_samples
         self._counters: Dict[str, Counter] = {}
         self._series: Dict[str, TimeSeries] = {}
-        self._throughput: Dict[str, ThroughputTracker] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
@@ -220,27 +160,5 @@ class Monitor:
             self._series[name] = TimeSeries(name, max_samples=self.max_samples)
         return self._series[name]
 
-    def throughput(self, name: str = "default") -> ThroughputTracker:
-        if name not in self._throughput:
-            self._throughput[name] = ThroughputTracker(max_samples=self.max_samples)
-        return self._throughput[name]
-
     def counter_value(self, name: str) -> float:
         return self._counters[name].value if name in self._counters else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """Flat dictionary of counter values and series means (for reports)."""
-        result: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            result[f"counter.{name}"] = counter.value
-        for name, series in self._series.items():
-            result[f"series.{name}.mean"] = series.mean()
-            result[f"series.{name}.count"] = float(series.count())
-        for name, tracker in self._throughput.items():
-            result[f"throughput.{name}.total"] = float(tracker.total_committed)
-        return result
-
-
-def mean_or_zero(values: Sequence[float]) -> float:
-    """Arithmetic mean, or 0.0 for an empty sequence."""
-    return statistics.fmean(values) if values else 0.0

@@ -22,17 +22,10 @@ share a delivery time.  What the code does instead:
   recipient in visit order.  It is observably one :meth:`Network.send` of a
   fresh copy per recipient (``tests/test_sim_network.py`` holds it to that
   under every fault shape).
-* :meth:`Network._deliver_batch`, the arrival event, checks the recipient
-  (crashed, departed) and hands the message to the node in place.
-
-Delivery *cohorts* remain as an order-preserving detail for jitter-free
-latency models: recipients of one broadcast whose delay is identical share
-one event, fired in recipient order — exactly the order their consecutive
-sequence numbers would have produced — and :meth:`Network.send` appends to
-the most recently scheduled cohort when it targets the same recipient at
-the same delivery time and nothing was scheduled in between, the one
-situation in which appending is indistinguishable from a fresh event.
-Neither changes a run's RNG trace, event order or results.
+* Every surviving message is one arrival event, :meth:`Network._deliver`,
+  which checks the recipient (crashed, departed) and hands the message to
+  the node in place.  Copies that share a delivery time fire in the order
+  they were sent, because equal-time events fire in scheduling order.
 """
 
 from __future__ import annotations
@@ -105,8 +98,7 @@ class Network:
         The owning :class:`~repro.runtime.base.Runtime` — the
         :class:`~repro.sim.simulator.Simulator` or a wall-clock runtime.
         Under a wall-clock runtime the modelled latencies become real
-        ``call_later`` delays and the cohort merge fast path disables itself
-        (``is_last_scheduled`` is ``False``).
+        ``call_later`` delays.
     latency_model:
         Converts (source region, destination region, size) into a delay;
         ``None`` is the :class:`~repro.sim.latency.LanLatencyModel`.
@@ -128,8 +120,6 @@ class Network:
         self._partition: Optional[Dict[int, int]] = None
         self._msg_counter = itertools.count()
         self._rng = self.runtime.fork_rng("network")
-        #: Most recent delivery cohort: (dst, delivery_time, event, messages).
-        self._last_cohort: Optional[Tuple[int, float, Any, list]] = None
 
     # ---------------------------------------------------------- registration
     def register(self, node: Any, region: str = "local") -> None:
@@ -230,34 +220,19 @@ class Network:
                 return
             raise NetworkError(f"cannot send to unknown node {dst}")
         delay = self._admit(src, dst, message)
-        if delay is None:
-            return
-        delivery_time = self.runtime.now + delay
-        cohort = self._last_cohort
-        if cohort is not None:
-            last_dst, last_time, event, messages = cohort
-            # Merge only when the cohort's event is the newest thing on the
-            # scheduler AND still pending: then appending is exactly
-            # equivalent to scheduling a fresh event right after it.
-            if (last_dst == dst and last_time == delivery_time
-                    and self.runtime.is_last_scheduled(event)):
-                messages.append(message)
-                return
-        messages = [message]
-        event = self.runtime.schedule(delay, self._deliver_batch, messages)
-        self._last_cohort = (dst, delivery_time, event, messages)
+        if delay is not None:
+            self.runtime.schedule(delay, self._deliver, message)
 
     def broadcast(self, src: int, dst_ids: Iterable[int], message: Message) -> None:
         """Send a copy of ``message`` to every node in ``dst_ids``.
 
         Equivalent to one :meth:`send` of a fresh copy per recipient, in
-        order — same ``msg_id``s, same statistics, same rng draws — except
-        that recipients whose modelled delay is identical share one scheduled
-        event (fired in recipient order) and a departed recipient's copy
-        travels and is dropped on arrival.  What is constant per broadcast
-        (clock, source region, whether any fault is installed, the latency
-        callable) is read once; drop and jitter randomness is drawn per
-        recipient.
+        order — same ``msg_id``s, same statistics, same rng draws, one
+        scheduled event per surviving copy — except that a departed
+        recipient's copy travels and is dropped on arrival.  What is
+        constant per broadcast (clock, source region, whether any fault is
+        installed, the latency callable) is read once; drop and jitter
+        randomness is drawn per recipient.
 
         Set-typed ``dst_ids`` are canonicalized to sorted order first: the
         per-recipient rng draws (drop, latency jitter) consume the stream in
@@ -274,7 +249,7 @@ class Network:
         fault_free = not (self._crashed or self._blocked_links) and self._partition is None
         drop_rate, rng, delay_of = self.drop_rate, self._rng, self.latency_model.delay
         next_id = self._msg_counter.__next__
-        cohorts: Dict[float, list] = {}
+        schedule, deliver = self.runtime.schedule, self._deliver
         sent = dropped = 0
         unknown: Optional[int] = None
         for dst in dst_ids:
@@ -289,33 +264,24 @@ class Network:
                     drop_rate > 0 and rng.random() < drop_rate):
                 dropped += 1
                 continue
-            delay = delay_of(src_region, regions.get(dst, "local"), size, rng)
-            cohorts.setdefault(delay, []).append(copy)
+            schedule(delay_of(src_region, regions.get(dst, "local"), size, rng), deliver, copy)
         if sent:
             stats = self.stats
             stats.messages_sent += sent
             stats.messages_dropped += dropped
             stats.bytes_sent += sent * size
             stats.per_kind_sent[kind] = stats.per_kind_sent.get(kind, 0) + sent
-        for delay, messages in cohorts.items():
-            event = self.runtime.schedule(delay, self._deliver_batch, messages)
-            self._last_cohort = (messages[-1].recipient, now + delay, event, messages)
         if unknown is not None:
             raise NetworkError(f"cannot send to unknown node {unknown}")
 
-    def _deliver_batch(self, messages: Iterable[Message]) -> None:
-        crashed, nodes, stats = self._crashed, self._nodes, self.stats
-        for message in messages:
-            recipient = message.recipient
-            node = None if recipient in crashed else nodes.get(recipient)
-            if node is None:
-                stats.messages_dropped += 1
-            else:
-                stats.messages_delivered += 1
-                node.deliver(message)
-
     def _deliver(self, message: Message) -> None:
-        self._deliver_batch((message,))
+        recipient = message.recipient
+        node = None if recipient in self._crashed else self._nodes.get(recipient)
+        if node is None:
+            self.stats.messages_dropped += 1
+        else:
+            self.stats.messages_delivered += 1
+            node.deliver(message)
 
     # ----------------------------------------------------------------- misc
     def delay_bound(self, size_bytes: int = 1024) -> float:

@@ -12,11 +12,11 @@ heap, discard it if it was cancelled, stop at the ``max_events`` budget or
 the ``until`` bound, otherwise pop it, move the clock and call
 :meth:`Event.fire` — one heap operation and one dispatch call per event,
 straight on the queue's heap.  :meth:`Simulator.step` is the loop with a
-budget of one.  Same-timestamp cohorts need no handling of their own:
+budget of one.  Same-instant events need no handling of their own:
 ``(time, seq)`` is unique, an event scheduled for the current instant by a
 firing callback has a larger ``seq`` than everything already queued and so
-fires after its cohort, and an event cancelled by an earlier member of its
-cohort is still on the heap, flagged, when its turn comes.
+fires after the other same-instant events, and an event cancelled by an
+earlier one of them is still on the heap, flagged, when its turn comes.
 
 The simulated runtime
 ---------------------
@@ -129,15 +129,6 @@ class Simulator:
         "now" at each barrier.
         """
         self._now = max(self._now, until)
-
-    def is_last_scheduled(self, event: Event) -> bool:
-        """True iff ``event`` is the most recently scheduled and still pending.
-
-        This is the invariant batched-delivery cohorts rely on: appending
-        work to such an event is indistinguishable from scheduling a fresh
-        event immediately after it.
-        """
-        return self._queue.last_seq == event.seq and self._queue.is_pending(event)
 
     def fork_rng(self, label: str = "") -> random.Random:
         """Return a new RNG deterministically derived from the simulator seed.

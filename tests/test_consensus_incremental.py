@@ -33,7 +33,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.errors import EnclaveError, InvalidBlockError
 from repro.ledger.block import build_block, merkle_root_of
 from repro.ledger.blockchain import Blockchain, ForkableChain
-from repro.sim.monitor import Monitor, ThroughputTracker, TimeSeries
+from repro.sim.monitor import Monitor, TimeSeries
 from repro.tee.attested_log import AttestedAppendOnlyLog
 
 
@@ -349,23 +349,41 @@ class TestBoundedMonitor:
         assert series.percentile(100) == 99.0
         assert series.count() == 100
 
-    def test_bounded_throughput_tracker_totals_and_rates(self):
-        tracker = ThroughputTracker(max_samples=16)
-        for i in range(1_000):
-            tracker.record_commit(float(i) / 10.0, 5)
-        assert tracker.total_committed == 5_000
-        assert tracker.throughput(start=0.0, end=100.0) > 0
-        assert len(tracker._buckets) <= 16
-        buckets = tracker.over_time(bucket_seconds=2.0)
-        assert buckets and all(rate >= 0 for _, rate in buckets)
-
     def test_monitor_propagates_bound(self):
         monitor = Monitor(max_samples=8)
         series = monitor.series("s")
         for i in range(100):
             series.record(float(i), 1.0)
         assert len(series.samples) == 8
-        assert monitor.summary()["series.s.count"] == 100.0
+        assert series.count() == 100
+
+
+def _ahl_plus_committee(duration, max_series_samples=None):
+    cluster = ConsensusCluster("AHL+", 4, seed=3, max_series_samples=max_series_samples)
+    cluster.add_open_loop_clients(2, rate_tps=200.0, batch_size=10)
+    return cluster, cluster.run(duration)
+
+
+class TestClusterMetrics:
+    def test_committee_records_only_latency_and_execution_cost(self):
+        cluster, result = _ahl_plus_committee(1.0)
+        assert result.committed_transactions > 0
+        assert set(cluster.monitor._series) == {
+            f"{metric}.replica{replica.node_id}"
+            for metric in ("commit_latency", "execution_cost")
+            for replica in cluster.replicas}
+        assert cluster.monitor._counters == {}
+
+    def test_cluster_means_are_exact_under_a_sample_bound(self):
+        # The bound thins only the samples behind the percentiles: the means
+        # a cluster reports come from the running sums.
+        bounded_cluster, bounded = _ahl_plus_committee(5.0, max_series_samples=4)
+        exact_cluster, exact = _ahl_plus_committee(5.0)
+        assert bounded_cluster.sim.events_processed == exact_cluster.sim.events_processed == 10_187
+        assert exact.avg_latency == pytest.approx(0.13176, abs=1e-5)
+        assert bounded.avg_latency == pytest.approx(exact.avg_latency, rel=1e-12)
+        assert bounded.execution_cost_mean == pytest.approx(exact.execution_cost_mean,
+                                                            rel=1e-12)
 
 
 # ------------------------------------------------------------------ dedup sets

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.consensus.base import ConsensusConfig
@@ -38,6 +40,14 @@ class TestConfig:
         assert config.fault_tolerance(7) == 3
         assert config.quorum_size(7) == 4
         assert ConsensusConfig.committee_size_for(3, use_attested_log=True) == 7
+
+    def test_config_fields_are_pinned(self):
+        assert [field.name for field in dataclasses.fields(ConsensusConfig)] == [
+            "protocol", "batch_size", "pipeline_depth", "view_change_timeout",
+            "queue_capacity", "separate_queues", "broadcast_requests", "use_attested_log",
+            "leader_aggregation", "costs", "proposal_overhead", "min_block_interval",
+            "checkpoint_interval", "ledger_retention", "ledger_retain_recent",
+        ]
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(Exception):

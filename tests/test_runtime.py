@@ -13,8 +13,19 @@ import pytest
 from repro.consensus.cluster import ConsensusCluster, NoopChaincode
 from repro.errors import SimulationError
 from repro.runtime import AsyncioRuntime
-from repro.runtime.base import derive_label_rng
+from repro.runtime.base import Runtime, derive_label_rng
 from repro.sim.simulator import Simulator
+
+
+class TestRuntimeSeam:
+    def test_protocol_declares_only_what_both_runtimes_honour(self):
+        members = ({name for name in vars(Runtime) if not name.startswith("_")}
+                   | set(Runtime.__annotations__))
+        assert members == {"is_simulated", "now", "schedule", "schedule_at", "spawn",
+                           "fork_rng"}
+        for runtime_cls in (Simulator, AsyncioRuntime):
+            assert all(hasattr(runtime_cls, name) for name in members)
+            assert not hasattr(runtime_cls, "is_last_scheduled")
 
 
 class TestSimulatorRuntime:
@@ -42,9 +53,7 @@ class TestSimulatorRuntime:
         sim = Simulator(seed=1)
         fired = []
         handle = sim.spawn(fired.append, "cancelled")
-        assert sim.is_last_scheduled(handle) is True
         handle.cancel()
-        assert sim.is_last_scheduled(handle) is False
         sim.run()
         assert fired == []
 
@@ -96,12 +105,11 @@ class TestAsyncioRuntime:
             assert start < 0.25  # epoch-rebased clock starts near zero
 
             fired = []
-            handle = runtime.schedule(0.01, fired.append, "scheduled")
+            runtime.schedule(0.01, fired.append, "scheduled")
             cancelled = runtime.schedule(0.01, fired.append, "cancelled")
             cancelled.cancel()
             runtime.spawn(fired.append, "spawned")
             runtime.schedule_at(runtime.now - 5.0, fired.append, "past-clamped")
-            assert runtime.is_last_scheduled(handle) is False
             with pytest.raises(SimulationError):
                 runtime.schedule(-0.1, fired.append, "negative")
             await asyncio.sleep(0.1)

@@ -14,7 +14,7 @@ from repro.sim.latency import (
     assign_regions_round_robin,
     gcp_latency_model,
 )
-from repro.sim.monitor import Monitor, ThroughputTracker, TimeSeries
+from repro.sim.monitor import Monitor, TimeSeries
 
 
 class TestLatencyModels:
@@ -97,21 +97,3 @@ class TestMonitor:
         buckets = series.bucketed_rate(1.0, until=2.0)
         assert buckets[0] == (0.0, 10.0)
         assert buckets[1] == (1.0, 20.0)
-
-    def test_throughput_tracker_rate(self):
-        tracker = ThroughputTracker()
-        tracker.record_commit(1.0, 100)
-        tracker.record_commit(2.0, 100)
-        assert tracker.total_committed == 200
-        assert tracker.throughput(0.0, 2.0) == pytest.approx(100.0)
-        assert ThroughputTracker().throughput() == 0.0
-
-    def test_summary_contains_all_metrics(self):
-        monitor = Monitor()
-        monitor.counter("a").increment()
-        monitor.series("b").record(0.0, 1.0)
-        monitor.throughput("c").record_commit(1.0, 5)
-        summary = monitor.summary()
-        assert summary["counter.a"] == 1
-        assert summary["series.b.count"] == 1
-        assert summary["throughput.c.total"] == 5

@@ -326,3 +326,18 @@ def test_broadcast_equals_per_recipient_sends(latency, drop_rate, fault, dst_ids
         assert broadcast["stats"].messages_delivered == broadcast["stats"].messages_sent
     if fault == "crashed-source":
         assert broadcast["stats"].messages_delivered == 0
+
+
+def test_every_surviving_message_is_its_own_event():
+    """Jitter-free copies of one broadcast share a delivery time but not an
+    event, and a same-instant send to the last recipient adds one more."""
+    sim = Simulator(seed=1)
+    network = Network(sim, UniformLatencyModel(0.01, jitter_fraction=0.0))
+    nodes = [Inbox(i, sim, network) for i in range(5)]
+    network.broadcast(0, [1, 2, 3, 4], Message(sender=0, kind="vote"))
+    assert sim.pending_events == 4
+    network.send(0, 4, Message(sender=0, kind="vote"))
+    assert sim.pending_events == 5
+    sim.run()
+    assert [len(node.arrived) for node in nodes] == [0, 1, 1, 1, 2]
+    assert [arrival[1] for arrival in nodes[4].arrived] == [3, 4]

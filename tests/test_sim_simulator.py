@@ -69,7 +69,6 @@ class TestEventQueue:
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         assert queue.is_pending(event)
-        assert queue.last_seq == event.seq
         event.cancel()
         assert not queue.is_pending(event)
         other = queue.push(2.0, lambda: None)

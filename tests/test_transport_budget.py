@@ -2,10 +2,10 @@
 
 A committee of N votes all-to-all, so a block costs O(N^2) messages and a
 message is two simulator events: its network arrival, then its CPU
-completion after the Table-2 charge.  A census of every ``push`` showed the
-events themselves are all but irreducible (no delivery cohort has a second
-member under the jittered LAN model, no ``OperationCosts`` charge is zero,
-the arrival's completion time is receiver state at arrival), so what the
+completion after the Table-2 charge.  The events themselves are all but
+irreducible (one arrival event per message holds by construction, no
+``OperationCosts`` charge is zero, the arrival's completion time is receiver
+state at arrival), so what the
 transport can save is the *scaffolding per event*: the Python frames entered
 in ``repro/sim/`` + ``repro/runtime/`` to schedule, pop, deliver and charge
 it.  Before the budget that was 16.4 frames per fired event on both configs
