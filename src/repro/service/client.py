@@ -1,8 +1,11 @@
 """A small blocking HTTP client for the gateway, plus the replay driver.
 
 Tests, the differential oracle and ``bench_service`` talk to the gateway
-through this module — stdlib ``http.client`` only, one connection per
-request (the gateway answers ``Connection: close``).
+through this module — stdlib ``http.client`` only.  A :class:`ServiceClient`
+keeps one persistent connection per calling thread, as any HTTP/1.1 client
+does, and opens a new one only when the gateway has closed the old.  It
+never re-sends a request: ``POST /tx`` is not idempotent, so a connection
+that dies after a request went out is the caller's error to see.
 
 :func:`replay_through_gateway` is the service half of the differential
 oracle: it takes a :class:`~repro.workloads.generator.WorkloadReplay`
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
+import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -31,7 +36,8 @@ class ServiceHTTPError(Exception):
 
 
 class ServiceClient:
-    """Blocking JSON client for one gateway endpoint."""
+    """Blocking JSON client for one gateway endpoint, safe to share between
+    threads (each thread gets its own keep-alive connection)."""
 
     def __init__(self, endpoint: str, timeout: float = 60.0) -> None:
         endpoint = endpoint.rstrip("/")
@@ -40,21 +46,39 @@ class ServiceClient:
         self.host, _, port = endpoint.partition(":")
         self.port = int(port or 80)
         self.timeout = timeout
+        self._local = threading.local()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, replaced if the gateway has closed it."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None and connection.sock is not None:
+            # An idle keep-alive socket with anything to read — EOF, most
+            # likely — is one the gateway has hung up; closing it makes
+            # http.client connect afresh on the next request.
+            poller = select.poll()
+            poller.register(connection.sock, select.POLLIN)
+            if poller.poll(0):
+                connection.close()
+        if connection is None:
+            connection = http.client.HTTPConnection(self.host, self.port,
+                                                    timeout=self.timeout)
+            self._local.connection = connection
+        return connection
 
     def request(self, method: str, path: str,
                 body: Optional[Dict[str, Any]] = None) -> Tuple[int, Dict[str, Any]]:
-        connection = http.client.HTTPConnection(self.host, self.port,
-                                                timeout=self.timeout)
+        connection = self._connection()
         try:
             payload = json.dumps(body).encode() if body is not None else None
             headers = {"Content-Type": "application/json"} if payload else {}
             connection.request(method, path, body=payload, headers=headers)
             response = connection.getresponse()
             raw = response.read()
-            decoded = json.loads(raw.decode()) if raw else {}
-            return response.status, decoded
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        decoded = json.loads(raw.decode()) if raw else {}
+        return response.status, decoded
 
     # ------------------------------------------------------------ endpoints
     def submit(self, function: str, args: Dict[str, Any],

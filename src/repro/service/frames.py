@@ -53,10 +53,15 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
         raise FrameError(f"frame body is not a valid pickle: {exc!r}") from exc
 
 
-async def write_frame(writer: asyncio.StreamWriter, payload: Any) -> None:
-    """Pickle ``payload`` and write it as one frame (waits for the drain)."""
+def encode_frame(payload: Any) -> bytes:
+    """Pickle ``payload`` into one frame: length prefix plus body."""
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap")
-    writer.write(_LEN.pack(len(body)) + body)
+    return _LEN.pack(len(body)) + body
+
+
+async def write_frame(writer: asyncio.StreamWriter, payload: Any) -> None:
+    """Write ``payload`` as one frame (waits for the drain)."""
+    writer.write(encode_frame(payload))
     await writer.drain()

@@ -355,7 +355,14 @@ def record_json(record: DistributedTxRecord) -> Dict[str, Any]:
 
 
 class GatewayHttp:
-    """A minimal HTTP/1.1 JSON server in front of a :class:`GatewayService`."""
+    """A minimal HTTP/1.1 JSON server in front of a :class:`GatewayService`.
+
+    Connections are persistent: one connection answers request after request
+    until the client closes it, sends ``Connection: close`` or speaks
+    HTTP/1.0.  Every 4xx/5xx answer closes it, and :meth:`close` hangs up the
+    connections that are waiting for their next request, so shutdown never
+    waits on an idle client.
+    """
 
     def __init__(self, service: GatewayService, host: str = "127.0.0.1",
                  port: int = 8080, wait_timeout: float = 30.0) -> None:
@@ -364,6 +371,9 @@ class GatewayHttp:
         self.port = port
         self.wait_timeout = wait_timeout
         self._server: Optional[asyncio.AbstractServer] = None
+        self._closing = False
+        #: Connections waiting for the next request line.
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     async def start(self) -> int:
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
@@ -371,34 +381,49 @@ class GatewayHttp:
         return self.port
 
     async def close(self) -> None:
+        self._closing = True
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
 
     # ------------------------------------------------------------- plumbing
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            try:
-                request = await self._read_request(reader)
-            except BadRequest as exc:
-                await self._respond(writer, exc.status, {"error": str(exc)})
-                return
-            if request is not None:
-                method, path, query, body = request
+            keep_alive = True
+            while keep_alive and not self._closing:
+                self._idle.add(writer)
+                try:
+                    line = await reader.readline()
+                finally:
+                    self._idle.discard(writer)
+                try:
+                    request = await self._read_request(line, reader)
+                except BadRequest as exc:
+                    await self._respond(writer, exc.status, {"error": str(exc)}, False)
+                    return
+                if request is None:
+                    return
+                method, path, query, body, keep_alive = request
                 status, payload, extra = await self._route(method, path, query, body)
-                await self._respond(writer, status, payload, extra)
+                keep_alive = keep_alive and status < 400 and not self._closing
+                await self._respond(writer, status, payload, keep_alive, extra)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
 
-    async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+    async def _read_request(self, line: bytes, reader: asyncio.StreamReader):
+        """Parse one request after its request ``line``; None on EOF or garbage.
+
+        Returns ``(method, path, query, body, keep_alive)``.
+        """
         if not line:
             return None
         try:
-            method, target, _version = line.decode("latin-1").split()
+            method, target, version = line.decode("latin-1").split()
         except ValueError:
             return None
         headers: Dict[str, str] = {}
@@ -422,10 +447,13 @@ class GatewayHttp:
             if pair:
                 key, _, value = pair.partition("=")
                 query[key] = value
-        return method.upper(), path, query, body
+        tokens = {token.strip().lower()
+                  for token in headers.get("connection", "").split(",")}
+        keep_alive = version.upper() == "HTTP/1.1" and "close" not in tokens
+        return method.upper(), path, query, body, keep_alive
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: Dict[str, Any],
+                       payload: Dict[str, Any], keep_alive: bool,
                        extra_headers: Optional[Dict[str, str]] = None) -> None:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
                    404: "Not Found", 429: "Too Many Requests",
@@ -434,8 +462,9 @@ class GatewayHttp:
         body = json.dumps(payload).encode()
         lines = [f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
                  "Content-Type: application/json",
-                 f"Content-Length: {len(body)}",
-                 "Connection: close"]
+                 f"Content-Length: {len(body)}"]
+        if not keep_alive:
+            lines.append("Connection: close")
         for name, value in (extra_headers or {}).items():
             lines.append(f"{name}: {value}")
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + body)

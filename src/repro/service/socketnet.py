@@ -10,14 +10,16 @@ destinations come in two flavours:
 * **remote** peers (added with :meth:`add_peer`, e.g. the gateway seen from
   a shard process) receive the ``Message`` as a length-prefixed pickle frame
   over a persistent TCP connection; the real network supplies the latency.
+  Frames queued for one peer in the same loop turn leave in one socket
+  write.
 
 Because the class *is* a ``Network``, the unchanged consensus stack uses it
 without knowing which flavour a destination is: ``send``/``broadcast``
 simply route per destination.  Peer liveness is surfaced through
 ``on_peer_down`` — the gateway uses it to fail over in-flight 2PC instead of
-hanging when a shard process dies (each outgoing link watches for EOF, so a
-peer's death is noticed as soon as its kernel sends FIN/RST, not at the next
-write).
+hanging when a shard process dies (each outgoing link has a task watching
+for EOF, so a peer's death is noticed as soon as its kernel sends FIN/RST,
+not at the next write).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import asyncio
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.runtime.wallclock import AsyncioRuntime
-from repro.service.frames import FrameError, read_frame, write_frame
+from repro.service.frames import FrameError, encode_frame, read_frame
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Message, Network
 
@@ -39,15 +41,26 @@ _CLOSE = object()
 
 
 class _PeerLink:
-    """One persistent outgoing connection: a send queue plus a writer task."""
+    """One persistent outgoing connection: a send queue, a writer task and
+    an EOF watcher.
+
+    The writer task awaits the queue.  Each time it wakes it takes everything
+    queued for the peer and sends it with one ``write`` and one ``drain``, so
+    the messages one loop turn addresses to a peer cost one socket write.
+    The peer never writes back on this connection, so any read result (EOF
+    included) means the peer went away: the watcher task then fails the link
+    — the fastest death signal TCP offers.
+    """
 
     def __init__(self, net: "SocketNetwork", addr: Tuple[str, int]) -> None:
         self.net = net
         self.addr = addr
         self.down = False
         self.queue: asyncio.Queue = asyncio.Queue()
-        self._task = net.runtime.loop.create_task(self._run())
+        #: Messages taken off the queue whose write has not completed yet.
+        self._in_hand: List[Message] = []
         self._writer: Optional[asyncio.StreamWriter] = None
+        self._task = net.runtime.loop.create_task(self._run())
 
     def enqueue(self, message: Message) -> None:
         if self.down:
@@ -68,41 +81,51 @@ class _PeerLink:
             self._fail(last_error)
             return
         self._writer = writer
-        # The peer never writes back on this connection, so any read result
-        # (EOF included) means the peer went away — the fastest death signal
-        # TCP offers.
-        eof_watch = asyncio.ensure_future(reader.read(1))
+        watcher = asyncio.ensure_future(self._watch_eof(reader))
         try:
-            while True:
-                get = asyncio.ensure_future(self.queue.get())
-                done, _ = await asyncio.wait(
-                    {get, eof_watch}, return_when=asyncio.FIRST_COMPLETED)
-                if eof_watch in done:
-                    get.cancel()
-                    raise ConnectionResetError(f"peer {self.addr} closed the connection")
-                message = get.result()
-                if message is _CLOSE:
-                    eof_watch.cancel()
-                    break
-                await write_frame(writer, message)
+            while await self._send_batch(writer):
+                pass
         except (ConnectionError, OSError, FrameError) as exc:
             self._fail(exc)
             return
         finally:
-            if not eof_watch.done():
-                eof_watch.cancel()
+            watcher.cancel()
         writer.close()
+
+    async def _send_batch(self, writer: asyncio.StreamWriter) -> bool:
+        """Send everything queued as one write; False once ``_CLOSE`` is reached."""
+        item = await self.queue.get()
+        while item is not _CLOSE:
+            self._in_hand.append(item)
+            if self.queue.empty():
+                break
+            item = self.queue.get_nowait()
+        if self._in_hand:
+            writer.write(b"".join(map(encode_frame, self._in_hand)))
+            await writer.drain()
+            self._in_hand.clear()
+        return item is not _CLOSE
+
+    async def _watch_eof(self, reader: asyncio.StreamReader) -> None:
+        try:
+            await reader.read(1)
+        except (ConnectionError, OSError):
+            pass
+        self._fail(ConnectionResetError(f"peer {self.addr} closed the connection"))
 
     def _fail(self, exc: Exception) -> None:
         if self.down:
             return
         self.down = True
-        dropped = self.queue.qsize()
+        dropped = len(self._in_hand) + self.queue.qsize()
+        self._in_hand.clear()
         while not self.queue.empty():
             self.queue.get_nowait()
         self.net.stats.messages_dropped += dropped
         if self._writer is not None:
             self._writer.close()
+        if self._task is not asyncio.current_task():
+            self._task.cancel()
         self.net._peer_link_down(self.addr, exc)
 
     async def close(self) -> None:

@@ -76,9 +76,6 @@ class OmniLedgerShard:
         for output in outputs:
             self.utxos.add(output)
 
-    def is_locked(self, utxo_id: str) -> bool:
-        return utxo_id in self.locked
-
 
 @dataclass
 class OmniLedgerClientProtocol:

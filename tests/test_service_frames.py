@@ -109,3 +109,113 @@ class TestSocketNetworkInbound:
         delivered, unhandled = asyncio.run(scenario())
         assert [message.payload for message in delivered] == ["still-alive"]
         assert unhandled == [], f"connection task died: {unhandled}"
+
+
+class _RecordingWriter:
+    """A stand-in ``StreamWriter`` that records every write."""
+
+    def __init__(self, fail_drain: bool = False) -> None:
+        self.peer = None  # the link's reader, made once a loop runs
+        self.fail_drain = fail_drain
+        self.writes = []
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+
+    async def drain(self) -> None:
+        if self.fail_drain:
+            self.peer.feed_eof()  # the peer's death is also seen as EOF
+            raise ConnectionResetError("peer died mid-batch")
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _link_to_fake_peer(monkeypatch, fail_drain: bool = False) -> _RecordingWriter:
+    """Make the next outgoing link connect to a recording writer."""
+    writer = _RecordingWriter(fail_drain)
+
+    async def open_connection(host, port):
+        writer.peer = asyncio.StreamReader()
+        return writer.peer, writer
+
+    monkeypatch.setattr(asyncio, "open_connection", open_connection)
+    return writer
+
+
+async def _decode(data: bytes):
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    reader.feed_eof()
+    decoded = []
+    while (message := await read_frame(reader)) is not None:
+        decoded.append(message)
+    return decoded
+
+
+PEER = 9
+
+
+def _send(network: SocketNetwork, count: int) -> None:
+    for index in range(count):
+        network.send(1, PEER, Message(sender=1, kind="batch", payload=index))
+
+
+class TestBatchedWrites:
+    def test_messages_queued_in_one_turn_leave_in_one_write(self, monkeypatch):
+        writer = _link_to_fake_peer(monkeypatch)
+
+        async def scenario():
+            network = SocketNetwork(AsyncioRuntime(seed=0))
+            network.add_peer(PEER, "127.0.0.1", 1)
+            _send(network, 5)
+            for _ in range(100):
+                if writer.writes:
+                    break
+                await asyncio.sleep(0.01)
+            await network.close()
+            return [await _decode(data) for data in writer.writes]
+
+        batches = asyncio.run(scenario())
+        assert len(batches) == 1
+        assert [message.payload for message in batches[0]] == [0, 1, 2, 3, 4]
+        assert {message.recipient for message in batches[0]} == {PEER}
+
+    def test_close_flushes_what_was_queued_before_it(self, monkeypatch):
+        writer = _link_to_fake_peer(monkeypatch)
+
+        async def scenario():
+            network = SocketNetwork(AsyncioRuntime(seed=0))
+            network.add_peer(PEER, "127.0.0.1", 1)
+            _send(network, 3)
+            await network.close()
+            return [await _decode(data) for data in writer.writes]
+
+        batches = asyncio.run(scenario())
+        assert [[message.payload for message in batch] for batch in batches] == [[0, 1, 2]]
+        assert writer.closed
+
+    def test_peer_dying_mid_batch_is_reported_once_and_counts_the_unsent(
+            self, monkeypatch):
+        writer = _link_to_fake_peer(monkeypatch, fail_drain=True)
+
+        async def scenario():
+            network = SocketNetwork(AsyncioRuntime(seed=0))
+            downs = []
+            network.on_peer_down = lambda node_ids, exc: downs.append(node_ids)
+            network.add_peer(PEER, "127.0.0.1", 1)
+            _send(network, 4)
+            for _ in range(100):
+                if downs:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)  # room for a second, wrong report
+            _send(network, 1)  # to a link already down
+            await network.close()
+            return downs, network.stats.messages_dropped
+
+        downs, dropped = asyncio.run(scenario())
+        assert downs == [[PEER]]
+        assert len(writer.writes) == 1
+        assert dropped == 5
