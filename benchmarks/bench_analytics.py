@@ -37,7 +37,7 @@ import sys
 import time
 
 from repro.audit.auditor import SafetyAuditor
-from repro.core import OpenLoopDriver, ShardedSystemConfig, build_system
+from repro.core import OpenLoopDriver, ShardedBlockchain, ShardedSystemConfig
 from repro.ledger.block import build_block, merkle_root_of
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.index import LedgerIndex
@@ -138,7 +138,7 @@ def run_scenario(name: str, overrides: dict, txns: int) -> dict:
     """One live run: audit must pass and the rebuild oracle must match."""
     rebase_tx_counter(0)
     config = ShardedSystemConfig(**dict(SCENARIO_BASE, **overrides))
-    system = build_system(config)
+    system = ShardedBlockchain(config)
     auditor = SafetyAuditor(system)
     start = time.perf_counter()
     if name == "epoch-swap-batch":

@@ -46,7 +46,7 @@ import sys
 import time
 
 from repro.audit.auditor import SafetyAuditor
-from repro.core import OpenLoopDriver, ShardedSystemConfig, build_system
+from repro.core import OpenLoopDriver, ShardedBlockchain, ShardedSystemConfig
 from repro.ledger.transaction import rebase_tx_counter
 
 MODES = {
@@ -71,7 +71,7 @@ def _make_system(workers: int, num_shards: int, num_keys: int, seed: int):
     config = ShardedSystemConfig(seed=seed, workers=workers,
                                  num_shards=num_shards, num_keys=num_keys,
                                  **WORKLOAD)
-    return build_system(config)
+    return ShardedBlockchain(config)
 
 
 def _make_driver(system, transactions: int, rate_tps: float):

@@ -20,7 +20,7 @@ Public API overview
 from repro.core.config import ShardedSystemConfig
 from repro.core.system import ShardedBlockchain, ShardedRunResult
 from repro.core.client_api import ShardedClient, attach_clients
-from repro.core.driver import OpenLoopDriver, attach_open_loop_drivers
+from repro.core.driver import OpenLoopDriver
 from repro.consensus.cluster import ConsensusCluster, build_cluster, PROTOCOLS
 from repro.sim.simulator import Simulator
 from repro.sim.network import Network
@@ -34,7 +34,6 @@ __all__ = [
     "ShardedClient",
     "attach_clients",
     "OpenLoopDriver",
-    "attach_open_loop_drivers",
     "ConsensusCluster",
     "build_cluster",
     "PROTOCOLS",

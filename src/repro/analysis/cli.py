@@ -1,8 +1,10 @@
 """Command-line entry point for detlint (``detlint`` / ``python -m
 repro.analysis``).
 
-Exit codes: 0 = clean (no unsuppressed, non-baselined findings),
-1 = active findings, 2 = usage / configuration error.
+Exit codes: 0 = clean (no unsuppressed findings), 1 = active findings,
+2 = usage error (e.g. a path that does not exist).  Run it from the repo
+root: DEAD001 reads ``src/``, ``benchmarks/`` and ``examples/`` under the
+current directory for uses.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import DEFAULT_BASELINE, Baseline
 from repro.analysis.engine import Engine
 from repro.analysis.report import list_rules_text, render_json, render_text
 
@@ -24,21 +25,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "gating the bit-identical scale-out contract"))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to analyze (default: src)")
-    parser.add_argument("--strict", action="store_true",
-                        help="enable relaxed rules (e.g. DET001 under "
-                             "experiments/) — the CI gate mode")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default: text)")
     parser.add_argument("-o", "--output", metavar="FILE",
                         help="write the report to FILE instead of stdout")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help=f"grandfather baseline (default: "
-                             f"{DEFAULT_BASELINE} if present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write the baseline grandfathering every "
-                             "active finding, then exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     return parser
@@ -52,34 +42,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(list_rules_text())
         return 0
 
-    if args.no_baseline and args.baseline:
-        parser.error("--no-baseline and --baseline are mutually exclusive")
-
-    baseline_path = Path(args.baseline) if args.baseline \
-        else Path(DEFAULT_BASELINE)
-    baseline: Optional[Baseline] = None
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load_or_empty(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"detlint: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         print(f"detlint: no such path(s): {', '.join(missing)}",
               file=sys.stderr)
         return 2
 
-    engine = Engine(strict=args.strict, baseline=baseline)
-    report = engine.analyze(args.paths)
-
-    if args.write_baseline:
-        target = (baseline or Baseline(path=baseline_path)).write(
-            report.active, baseline_path)
-        print(f"detlint: wrote {len(report.active)} finding(s) to {target}")
-        return 0
-
+    report = Engine().analyze(args.paths)
     rendered = render_json(report) if args.format == "json" \
         else render_text(report)
     if args.output:

@@ -1,10 +1,11 @@
-"""detlint engine: file walking, per-module context, suppressions, baseline.
+"""detlint engine: file walking, per-module context, suppressions.
 
 The engine parses each file once, builds a :class:`ModuleContext` (AST,
 import alias map, parent links, set-type index, suppression table, policy
 scope) and evaluates every enabled rule against it; project-wide rules (the
-PKL pickle pass) run once at the end against a :class:`ProjectContext`
-holding the cross-module class index.
+PKL pickle pass, the DEAD001 use pass) run once at the end against a
+:class:`ProjectContext` holding the analyzed modules and the cross-module
+class index.  There is one mode: what a scope enables is what runs.
 
 Inference limits
 ----------------
@@ -28,7 +29,10 @@ Suppressions
 (or on a standalone comment line directly above it) suppresses those rules
 for that line.  The justification text after ``--`` is **required**: a
 bare disable does not suppress — the finding stays active and its message
-says why, so policy can never be waived silently.  Suppressions that match
+says why, so policy can never be waived silently.  A rule may also fix
+what a justification must say (:attr:`Rule.waiver`; DEAD001 accepts a
+paper section/figure/appendix, a fault-injection seam or a test oracle):
+one that does not match is ignored the same way.  Suppressions that match
 no finding are reported as unused (stale disables rot fast).
 """
 
@@ -40,9 +44,8 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Pattern, Sequence, Tuple
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.inference import FunctionSetTypes, ModuleSetIndex
 from repro.analysis.policy import DEFAULT_POLICY, Policy
@@ -167,7 +170,8 @@ class ModuleContext:
         return ".".join(reversed(parts))
 
     # --------------------------------------------------------- suppressions
-    def apply_suppression(self, finding: Finding) -> Finding:
+    def apply_suppression(self, finding: Finding,
+                          waiver: Optional[Pattern[str]] = None) -> Finding:
         for suppression in self.suppressions.get(finding.line, []):
             if finding.rule_id not in suppression.rules:
                 continue
@@ -175,6 +179,12 @@ class ModuleContext:
                 finding.message += (
                     " [an inline disable on this line was IGNORED: detlint "
                     "suppressions require a justification after '--']")
+                continue
+            if waiver is not None and not waiver.match(suppression.justification):
+                finding.message += (
+                    " [an inline disable on this line was IGNORED: a "
+                    f"{finding.rule_id} justification must match "
+                    f"{waiver.pattern!r}]")
                 continue
             suppression.used = True
             finding.suppressed = True
@@ -187,7 +197,7 @@ class ModuleContext:
 
 
 class ProjectContext:
-    """Cross-module view for whole-tree rules (the pickle pass)."""
+    """Cross-module view for whole-tree rules (the pickle and use passes)."""
 
     def __init__(self, modules: Sequence[ModuleContext]) -> None:
         self.modules = list(modules)
@@ -324,15 +334,13 @@ def _relpath(path: Path, root: Path) -> str:
 
 @dataclass
 class Engine:
-    """Configured analysis run: policy + strictness + baseline."""
+    """Configured analysis run: a policy and the root relpaths start at."""
 
     policy: Policy = field(default_factory=lambda: DEFAULT_POLICY)
-    strict: bool = False
-    baseline: Optional[Baseline] = None
     root: Path = field(default_factory=Path.cwd)
 
     def analyze(self, paths: Sequence[str]) -> AnalysisReport:
-        report = AnalysisReport(strict=self.strict, paths=tuple(paths))
+        report = AnalysisReport(paths=tuple(paths))
         rules = all_rules()
         modules: List[ModuleContext] = []
         for path in iter_python_files(paths):
@@ -342,8 +350,7 @@ class Engine:
                 report.files_skipped += 1
                 continue
             enabled = tuple(rule.rule_id for rule in rules
-                            if self.policy.rule_enabled(rule.rule_id, relpath,
-                                                        self.strict))
+                            if self.policy.rule_enabled(rule.rule_id, relpath))
             try:
                 source = path.read_text()
                 module = ModuleContext(path, relpath, source, scope.name,
@@ -360,23 +367,18 @@ class Engine:
                 if rule.rule_id not in enabled:
                     continue
                 for finding in rule.check_module(module):
-                    report.findings.append(module.apply_suppression(finding))
+                    report.findings.append(
+                        module.apply_suppression(finding, rule.waiver))
         project = ProjectContext(modules)
         module_by_rel = {module.relpath: module for module in modules}
         for rule in rules:
             for finding in rule.check_project(project):
-                if not self.policy.rule_enabled(rule.rule_id, finding.path,
-                                                self.strict):
+                if not self.policy.rule_enabled(rule.rule_id, finding.path):
                     continue
                 module = module_by_rel.get(finding.path)
                 if module is not None:
-                    finding = module.apply_suppression(finding)
+                    finding = module.apply_suppression(finding, rule.waiver)
                 report.findings.append(finding)
-        if self.baseline is not None:
-            for finding in report.findings:
-                if not finding.suppressed and \
-                        self.baseline.contains(finding.fingerprint()):
-                    finding.baselined = True
         report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         for rule in rules:
             closure = getattr(rule, "last_closure", None)

@@ -4,15 +4,12 @@ A :class:`Finding` is one rule violation at one source location.  Every
 finding carries a *provenance chain* — the ordered ``source → flow → sink``
 steps that explain why the rule fired (in the why-provenance spirit: the
 expression that introduced the hazard, the step that propagated it, and the
-call where it becomes observable).  Findings are identified across commits
-by a :meth:`Finding.fingerprint` that hashes the rule, file, enclosing
-definition and normalized source text — not the line number — so a
-grandfathered baseline survives unrelated edits to the same file.
+call where it becomes observable).  A finding either counts toward the exit
+code or carries the justification of the inline disable that suppressed it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -45,29 +42,6 @@ class Finding:
     provenance: Tuple[ProvenanceStep, ...] = ()
     suppressed: bool = False
     justification: str = ""  #: the suppression's required justification text
-    baselined: bool = False
-
-    @property
-    def counts(self) -> bool:
-        """True when the finding should fail the run (not suppressed/baselined)."""
-        return not (self.suppressed or self.baselined)
-
-    def fingerprint(self) -> str:
-        """Stable identity used by the grandfather baseline.
-
-        Hashes the rule, file, enclosing definition and the *normalized*
-        source text of the offending line (taken from the provenance sink,
-        falling back to the first step) — deliberately not the line number,
-        so edits elsewhere in the file do not orphan baseline entries.
-        """
-        snippet = ""
-        for step in self.provenance:
-            snippet = step.text
-            if step.role == "sink":
-                break
-        payload = "|".join((self.rule_id, self.path, self.function,
-                            " ".join(snippet.split())))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -81,10 +55,8 @@ class Finding:
             "message": self.message,
             "function": self.function,
             "scope": self.scope,
-            "fingerprint": self.fingerprint(),
             "suppressed": self.suppressed,
             "justification": self.justification,
-            "baselined": self.baselined,
             "provenance": [step.to_dict() for step in self.provenance],
         }
 
@@ -96,7 +68,6 @@ class AnalysisReport:
     findings: List[Finding] = field(default_factory=list)
     files_analyzed: int = 0
     files_skipped: int = 0
-    strict: bool = False
     paths: Tuple[str, ...] = ()
     #: PKL barrier-class closure: sorted ``module:Class`` names the pickle
     #: pass statically covered (cross-checked against the runtime guard).
@@ -106,8 +77,8 @@ class AnalysisReport:
 
     @property
     def active(self) -> List[Finding]:
-        """Findings that count toward the exit code."""
-        return [finding for finding in self.findings if finding.counts]
+        """Findings that count toward the exit code (not suppressed)."""
+        return [finding for finding in self.findings if not finding.suppressed]
 
     @property
     def exit_code(self) -> int:

@@ -7,6 +7,8 @@ Different parts of the tree carry different determinism obligations:
   runtime seam (``src/repro/runtime/``) is strict too: the ``Runtime``
   protocol and the shared ``fork_rng`` derivation are part of the
   deterministic substrate, like the ``Simulator`` that implements them.
+  So are the reproduction scripts under ``src/repro/experiments``: their
+  few legitimate wall-clock reads carry justified inline suppressions.
 * **service** — the wall-clock side of the runtime seam:
   ``src/repro/service/`` (asyncio gateway, shard node processes, socket
   transport) and ``src/repro/runtime/wallclock.py``.  These modules exist to
@@ -15,28 +17,25 @@ Different parts of the tree carry different determinism obligations:
   ``hash()``/``id()``) still does: the service must stay seed-reproducible in
   everything but timing, or the sim-vs-service differential oracle loses its
   teeth.
-* **experiments** — reproduction scripts under ``src/repro/experiments``:
-  wall-clock timing (DET001) is a legitimate measurement tool there, so the
-  rule is off by default — but a ``--strict`` run re-enables it, and the
-  known-legitimate sites carry justified inline suppressions so the strict
-  tree stays clean.
 * **measurement** — ``benchmarks/`` and ``examples/``: wall-clock timing is
-  the whole point (speedup gates), so DET001 never applies.
+  the whole point (speedup gates), so DET001 never applies; their code
+  counts as uses for DEAD001 but their own definitions are not reported.
 * **ignore** — detlint's own rule fixtures and caches: never analyzed.
 * **default** — everything else: every rule except DET001 (which is scoped
   to protocol/sim modules by definition).
 
-The one strict-scope wall-clock carve-out — the barrier loop's
-``coordinator_work_share`` perf_counter split in ``core/system.py`` — is
-expressed as inline suppressions at the measurement sites rather than a
-path rule, so the justification lives next to the code it excuses.
+The strict-scope wall-clock carve-outs — the barrier loop's
+``coordinator_work_share`` perf_counter split in ``core/system.py`` and
+Table 2's enclave microbenchmark timings — are expressed as inline
+suppressions at the measurement sites rather than a path rule, so the
+justification lives next to the code it excuses.
 """
 
 from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 #: Rules that only make sense inside the deterministic protocol/sim tree.
 _WALL_CLOCK = frozenset({"DET001"})
@@ -62,10 +61,8 @@ class Scope:
 
     name: str
     patterns: Tuple[str, ...]
-    #: Rules off in this scope regardless of mode.
+    #: Rules off in this scope.
     disabled: frozenset = frozenset()
-    #: Rules off only outside ``--strict`` mode.
-    relaxed: frozenset = frozenset()
     #: True: files in this scope are never analyzed.
     skip: bool = False
 
@@ -87,17 +84,13 @@ class Policy:
                 return scope
         return _DEFAULT_SCOPE
 
-    def rule_enabled(self, rule_id: str, relpath: str, strict: bool) -> bool:
+    def rule_enabled(self, rule_id: str, relpath: str) -> bool:
         scope = self.scope_for(relpath)
-        if scope.skip or rule_id in scope.disabled:
-            return False
-        if not strict and rule_id in scope.relaxed:
-            return False
-        return True
+        return not (scope.skip or rule_id in scope.disabled)
 
 
 _STRICT_DIRS = ("sim", "consensus", "core", "txn", "sharding", "ledger", "tee",
-                "runtime")
+                "runtime", "experiments")
 
 _DEFAULT_SCOPE = Scope(name="default", patterns=("*",), disabled=_WALL_CLOCK)
 
@@ -112,15 +105,8 @@ DEFAULT_POLICY = Policy(scopes=(
           disabled=_WALL_CLOCK),
     Scope(name="strict",
           patterns=tuple(f"src/repro/{pkg}/*" for pkg in _STRICT_DIRS)),
-    Scope(name="experiments",
-          patterns=("src/repro/experiments/*",),
-          relaxed=_WALL_CLOCK),
     Scope(name="measurement",
           patterns=("benchmarks/*", "examples/*"),
           disabled=_WALL_CLOCK),
     _DEFAULT_SCOPE,
 ))
-
-
-def scope_name(relpath: str, policy: Optional[Policy] = None) -> str:
-    return (policy or DEFAULT_POLICY).scope_for(relpath).name

@@ -13,7 +13,7 @@ hook:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Type
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Pattern, Type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.analysis.engine import ModuleContext, ProjectContext
@@ -27,6 +27,9 @@ class Rule:
     rule_id: str = ""
     title: str = ""
     description: str = ""
+    #: When set, a disable of this rule holds only if its justification
+    #: matches; any other justification is ignored like a bare disable.
+    waiver: Optional[Pattern[str]] = None
 
     def check_module(self, module: "ModuleContext") -> Iterable[Finding]:
         """Per-module hook; yield findings for one file."""
@@ -55,8 +58,3 @@ def all_rules() -> List[Rule]:
     """Every registered rule, in stable (registration) order."""
     import repro.analysis.rules  # noqa: F401  (registers on import)
     return [RULES[rule_id] for rule_id in sorted(RULES)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    import repro.analysis.rules  # noqa: F401
-    return RULES[rule_id]

@@ -4,8 +4,8 @@ The text reporter prints one headline line per finding plus its indented
 provenance chain (source expression → flow step → sink call), so a reader
 can follow *why* the rule fired without opening the file.  The JSON
 reporter emits the full structured report — findings with provenance,
-suppressed/baselined partitions, the pickle pass's barrier-class closure,
-and unused suppressions — and is what CI uploads as an artifact.
+the suppressed partition, the pickle pass's barrier-class closure, and
+unused suppressions — and is what CI uploads as an artifact.
 """
 
 from __future__ import annotations
@@ -23,15 +23,12 @@ def render_text(report: AnalysisReport) -> str:
         status = ""
         if finding.suppressed:
             status = " [suppressed: " + finding.justification + "]"
-        elif finding.baselined:
-            status = " [baselined]"
         lines.append(f"{finding.location()}: {finding.rule_id} "
                      f"({finding.scope}) {finding.message}{status}")
         for step in finding.provenance:
             lines.append(f"    {step.role:>6}: line {step.line}: {step.text}")
     active = report.active
     suppressed = [f for f in report.findings if f.suppressed]
-    baselined = [f for f in report.findings if f.baselined]
     if report.unused_suppressions:
         lines.append("unused suppressions (stale disables — remove them):")
         for entry in report.unused_suppressions:
@@ -39,15 +36,13 @@ def render_text(report: AnalysisReport) -> str:
     lines.append(
         f"detlint: {report.files_analyzed} files analyzed "
         f"({report.files_skipped} skipped), {len(active)} finding(s), "
-        f"{len(suppressed)} suppressed, {len(baselined)} baselined"
-        + (" [strict]" if report.strict else ""))
+        f"{len(suppressed)} suppressed")
     return "\n".join(lines)
 
 
 def render_json(report: AnalysisReport) -> str:
     payload: Dict[str, object] = {
         "version": 1,
-        "strict": report.strict,
         "paths": list(report.paths),
         "files_analyzed": report.files_analyzed,
         "files_skipped": report.files_skipped,
@@ -55,13 +50,11 @@ def render_json(report: AnalysisReport) -> str:
                   for rule in all_rules()],
         "findings": [f.to_dict() for f in report.active],
         "suppressed": [f.to_dict() for f in report.findings if f.suppressed],
-        "baselined": [f.to_dict() for f in report.findings if f.baselined],
         "barrier_closure": list(report.barrier_closure),
         "unused_suppressions": list(report.unused_suppressions),
         "summary": {
             "active": len(report.active),
             "suppressed": sum(1 for f in report.findings if f.suppressed),
-            "baselined": sum(1 for f in report.findings if f.baselined),
         },
     }
     return json.dumps(payload, indent=2)

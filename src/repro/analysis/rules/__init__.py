@@ -6,6 +6,7 @@ Importing this package registers every rule with the registry (the
 """
 
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)
+    dead_code,
     det_hash,
     det_order,
     det_rng,

@@ -3,9 +3,9 @@
 Every timestamp the protocol stack consumes must come from ``Simulator.now``
 (simulated time): a wall-clock read makes the event stream depend on host
 speed, so the same seed stops producing the same fingerprints and the
-workers=1 ≡ workers=N differential gates turn flaky.  Benchmarks and
-experiment harnesses measure real time on purpose — policy scopes them out
-(or requires a justified inline suppression under ``--strict``).
+workers=1 ≡ workers=N differential gates turn flaky.  Benchmarks measure
+real time on purpose and policy scopes them out; an experiment that
+measures real time carries a justified inline suppression.
 """
 
 from __future__ import annotations

@@ -65,31 +65,3 @@ def randhound_running_time(network_size: int, round_trip: float,
                       + network_size * c * config.pvss_share_cost)
     network_time = config.rounds * round_trip
     return per_member_compute + leader_compute + network_time
-
-
-def simulate_randhound(network_size: int, round_trip: float,
-                       config: RandHoundConfig | None = None,
-                       failure_rate: float = 0.0, seed: int = 0) -> dict:
-    """A light protocol-round simulation returning timing and message counts.
-
-    ``failure_rate`` is the fraction of group leaders that time out in round
-    one and must be replaced (each replacement costs one extra round trip).
-    """
-    import random
-
-    config = config or RandHoundConfig()
-    rng = random.Random(seed)
-    c = config.group_size
-    num_groups = max(1, math.ceil(network_size / c))
-    retries = sum(1 for _ in range(num_groups) if rng.random() < failure_rate)
-    base_time = randhound_running_time(network_size, round_trip, config)
-    total_time = base_time + retries * round_trip
-    messages = num_groups * c * c + network_size * 2
-    return {
-        "network_size": network_size,
-        "group_size": c,
-        "num_groups": num_groups,
-        "running_time": total_time,
-        "messages": messages,
-        "leader_retries": retries,
-    }

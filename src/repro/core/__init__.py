@@ -19,7 +19,7 @@ from repro.core.system import (
     build_system,
 )
 from repro.core.client_api import ShardedClient
-from repro.core.driver import DriverStats, OpenLoopDriver, attach_open_loop_drivers
+from repro.core.driver import DriverStats, OpenLoopDriver
 from repro.core.splitters import SmallbankSplitter, KVStoreSplitter, TransactionSplitter
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ShardedClient",
     "OpenLoopDriver",
     "DriverStats",
-    "attach_open_loop_drivers",
     "TransactionSplitter",
     "SmallbankSplitter",
     "KVStoreSplitter",

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.sharding.sizing import minimum_committee_size
 
 
 @dataclass
@@ -129,20 +128,3 @@ class ShardedSystemConfig:
     def total_nodes(self) -> int:
         """Consensus nodes in the deployment (excluding the reference committee)."""
         return self.num_shards * self.committee_size
-
-    @staticmethod
-    def for_adversary(network_size: int, byzantine_fraction: float,
-                      protocol: str = "AHL+", **kwargs: Any) -> "ShardedSystemConfig":
-        """Derive shard count and committee size from the adversarial power.
-
-        This mirrors the Figure-14 configurations: the committee size is the
-        minimum that keeps the faulty-committee probability below 2^-20, and
-        the number of shards is however many such committees the network can
-        sustain.
-        """
-        resilience = 0.5 if protocol.upper().startswith("AHL") else 1.0 / 3.0
-        committee = minimum_committee_size(network_size, byzantine_fraction,
-                                           resilience=resilience)
-        num_shards = max(1, network_size // committee)
-        return ShardedSystemConfig(num_shards=num_shards, committee_size=committee,
-                                   protocol=protocol, **kwargs)

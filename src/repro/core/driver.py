@@ -24,7 +24,7 @@ transaction stream and identical commit/abort counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.config import ShardedSystemConfig
 from repro.errors import ConfigurationError
@@ -325,23 +325,3 @@ class OpenLoopDriver:
                 break
             system.advance(min(sim.now + 1.0, deadline))
         return self.stats
-
-
-def attach_open_loop_drivers(system: ShardedBlockchain, count: int, rate_tps: float,
-                             max_transactions: Optional[int] = None,
-                             batch_size: int = 1,
-                             max_in_flight: Optional[int] = None) -> List[OpenLoopDriver]:
-    """Create and start ``count`` drivers, splitting ``rate_tps`` evenly."""
-    if count < 1:
-        raise ConfigurationError("count must be at least 1")
-    drivers = []
-    for index in range(count):
-        per_driver = split_evenly(max_transactions, index, count)
-        driver = OpenLoopDriver(
-            system, rate_tps=rate_tps / count, max_transactions=per_driver,
-            batch_size=batch_size, max_in_flight=max_in_flight,
-            client_id=f"open-loop-{index}", stream_index=index,
-        )
-        driver.start()
-        drivers.append(driver)
-    return drivers

@@ -593,10 +593,6 @@ class ShardedBlockchain:
                                  origin_hash=chain.tip.block_hash)
             cluster.subscribe_commits(
                 self._make_index_observer(index, shard_id, cluster))
-        for stats in self.epoch_transitions:
-            if stats.completed_at is not None:
-                index.record_epoch_transition(stats.epoch, stats.strategy,
-                                              stats.min_active_margin)
         self.analytics = index
         return index
 
@@ -805,14 +801,9 @@ class ShardedBlockchain:
         transition.stats.completed_at = self.runtime.now
         self.reconfigurations_completed += 1
         self._active_transition = None
-        if self.analytics is not None:
-            # The single wiring point that materializes a finished
-            # transition's quorum margins.
-            self.analytics.record_epoch_transition(
-                transition.stats.epoch, transition.stats.strategy,
-                transition.stats.min_active_margin)
 
 
-#: Kept for its importers: there is one engine, so building "the engine the
-#: config asks for" is just constructing it.
+#: The old name of the one engine.  Its last importer is the end-to-end
+#: benchmark driver (``benchmarks/e2e/simload.py``); everything else
+#: constructs ``ShardedBlockchain`` directly.
 build_system = ShardedBlockchain

@@ -10,7 +10,7 @@ their *cost* is charged by the protocols through the cost model, and
 """
 
 from repro.crypto.costs import DEFAULT_COSTS, OperationCosts
-from repro.crypto.hashing import sha256_hex, digest_of, short_digest
+from repro.crypto.hashing import sha256_hex, digest_of
 from repro.crypto.signatures import KeyPair, Signature, verify_signature
 from repro.crypto.merkle import MerkleTree, MerkleProof
 
@@ -19,7 +19,6 @@ __all__ = [
     "DEFAULT_COSTS",
     "sha256_hex",
     "digest_of",
-    "short_digest",
     "KeyPair",
     "Signature",
     "verify_signature",

@@ -99,8 +99,3 @@ def digest_of(value: Any) -> str:
     if type(value) is str:  # a digest or Merkle root: its JSON is one literal
         return sha256_hex(json_string(value))
     return sha256_hex(canonical_json(value))
-
-
-def short_digest(value: Any, length: int = 12) -> str:
-    """Truncated digest, convenient for logging and identifiers."""
-    return digest_of(value)[:length]

@@ -165,10 +165,3 @@ class MerkleTree:
         if proof.leaf_hash != digest_of(item):
             return False
         return proof.compute_root() == self.root
-
-
-def verify_membership(root: str, proof: MerkleProof, item: Any) -> bool:
-    """Verify a proof against an externally known root."""
-    if proof.leaf_hash != digest_of(item):
-        return False
-    return proof.compute_root() == root

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.crypto.hashing import digest_of
-from repro.errors import CryptoError
 
 
 @dataclass(frozen=True)
@@ -27,10 +26,6 @@ class Signature:
     signer: str
     digest: str
     mac: str
-
-    def covers(self, message: Any) -> bool:
-        """True if this signature was computed over ``message``."""
-        return self.digest == digest_of(message)
 
 
 #: Cap on each key pair's digest->mac memo; cleared wholesale when exceeded.
@@ -136,10 +131,3 @@ def verify_signature(signature: Signature, message: Any = None,
     if keypair is not None:
         return keypair.verify_own(signature, message, digest=digest)
     return _GLOBAL_VERIFIER.verify(signature, message, digest=digest)
-
-
-def require_valid_signature(signature: Signature, message: Any,
-                            keypair: KeyPair | None = None) -> None:
-    """Raise :class:`CryptoError` unless the signature verifies."""
-    if not verify_signature(signature, message, keypair):
-        raise CryptoError(f"invalid signature from {signature.signer!r}")

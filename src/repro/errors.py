@@ -32,10 +32,6 @@ class EnclaveError(ReproError):
     """A TEE enclave rejected an operation (bad invocation, replay, rollback)."""
 
 
-class AttestationError(EnclaveError):
-    """Remote attestation of an enclave failed."""
-
-
 class LedgerError(ReproError):
     """The blockchain or state store rejected an operation."""
 

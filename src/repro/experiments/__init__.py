@@ -8,6 +8,6 @@ prints the resulting tables; ``repro.experiments.registry`` lists them all.
 """
 
 from repro.experiments.common import ExperimentResult, ExperimentScale
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_all
+from repro.experiments.registry import EXPERIMENTS
 
-__all__ = ["ExperimentResult", "ExperimentScale", "EXPERIMENTS", "get_experiment", "run_all"]
+__all__ = ["ExperimentResult", "ExperimentScale", "EXPERIMENTS"]

@@ -2,12 +2,6 @@
 
 Analytic table plus a Monte-Carlo cross-check using the actual key-to-shard
 hash mapping used by the sharded system.
-
-:func:`run_contention` extends the appendix with the lock-contention side of
-the same analysis: it drives an actually contended (Zipf-skewed) Smallbank
-workload through the full sharded system once per conflict policy and
-reports how the scheduling policy (abort / wait / wound-wait) converts key
-conflicts into aborts or queueing delay.
 """
 
 from __future__ import annotations
@@ -16,11 +10,7 @@ import random
 from typing import Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.sharding.cross_shard import (
-    contention_probability,
-    expected_shards_touched,
-    probability_cross_shard,
-)
+from repro.sharding.cross_shard import expected_shards_touched, probability_cross_shard
 from repro.workloads.generator import shard_of_key
 
 
@@ -57,49 +47,3 @@ def run(argument_counts: Sequence[int] = (2, 3, 5),
             )
     return result
 
-
-def run_contention(policies: Sequence[str] = ("abort", "wait", "wound-wait"),
-                   num_shards: int = 4, num_keys: int = 200,
-                   zipf_coefficient: float = 0.9, transactions: int = 300,
-                   rate_tps: float = 200.0, seed: int = 7) -> ExperimentResult:
-    """Conflict-policy comparison on a contended cross-shard workload.
-
-    All policies see the identical seeded arrival stream; only the lock
-    scheduling differs, so differences in abort rate are attributable to the
-    policy alone.
-    """
-    from repro.core import OpenLoopDriver, ShardedBlockchain, ShardedSystemConfig
-
-    result = ExperimentResult(
-        experiment_id="appendix_b_contention",
-        title="Lock-conflict policies under a contended Zipf workload",
-        columns=["policy", "committed", "aborted", "abort_rate",
-                 "mean_latency_s", "wait_timeouts", "wounded", "deadlocks",
-                 "analytic_contention_probability"],
-        paper_reference="Section 6.3 (2PC/2PL) under Appendix-B key skew",
-        notes="wait/wound-wait convert first-conflict aborts into queueing; "
-              "the analytic column is the uniform lower bound on contention.",
-    )
-    for policy in policies:
-        system = ShardedBlockchain(ShardedSystemConfig(
-            num_shards=num_shards, committee_size=4, num_keys=num_keys,
-            zipf_coefficient=zipf_coefficient, seed=seed,
-            conflict_policy=policy,
-        ))
-        driver = OpenLoopDriver(system, rate_tps=rate_tps,
-                                max_transactions=transactions, batch_size=4)
-        stats = driver.run_to_completion(drain_timeout=60.0)
-        admission = system.admission
-        result.add_row(
-            policy=policy,
-            committed=stats.committed,
-            aborted=stats.aborted,
-            abort_rate=stats.abort_rate,
-            mean_latency_s=stats.mean_latency,
-            wait_timeouts=admission.wait_timeouts if admission else 0,
-            wounded=admission.wounded_transactions if admission else 0,
-            deadlocks=admission.deadlocks_detected if admission else 0,
-            analytic_contention_probability=contention_probability(
-                num_keys, 2, max(2, int(rate_tps * 0.05))),
-        )
-    return result

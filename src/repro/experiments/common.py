@@ -30,13 +30,6 @@ class ExperimentScale:
     def quick() -> "ExperimentScale":
         return ExperimentScale()
 
-    @staticmethod
-    def paper() -> "ExperimentScale":
-        return ExperimentScale(
-            name="paper", duration=30.0, clients=10, client_rate_tps=600.0,
-            network_sizes=(7, 19, 31, 43, 55, 67, 79),
-        )
-
 
 @dataclass
 class ExperimentResult:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
-from repro.errors import ConfigurationError
 from repro.experiments import (
     appendix_b_cross_shard,
     fig02_bft_comparison,
@@ -52,23 +51,3 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig22": fig22_poet_stale_rate.run,
     "appendix_b": appendix_b_cross_shard.run,
 }
-
-
-def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
-    """Look up an experiment's run() function by id (e.g. ``"fig08"``)."""
-    try:
-        return EXPERIMENTS[experiment_id]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
-        ) from exc
-
-
-def run_all(only: List[str] | None = None, **kwargs) -> List[ExperimentResult]:
-    """Run every (or the selected) experiment with default parameters."""
-    results = []
-    for experiment_id, runner in EXPERIMENTS.items():
-        if only is not None and experiment_id not in only:
-            continue
-        results.append(runner(**kwargs) if kwargs else runner())
-    return results

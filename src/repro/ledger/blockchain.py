@@ -48,7 +48,6 @@ class Blockchain:
         self._headers: List[BlockHeader] = [genesis.header]
         #: height-keyed bodies; in "full" mode never evicted.
         self._bodies: "OrderedDict[int, Block]" = OrderedDict([(0, genesis)])
-        self._height_by_hash: Dict[str, int] = {genesis.block_hash: 0}
         self._tip: Block = genesis
         self._total_transactions = len(genesis)
 
@@ -70,38 +69,6 @@ class Blockchain:
         if not 0 <= height < len(self._headers):
             raise InvalidBlockError(f"no block at height {height}")
         return self._headers[height]
-
-    def block_at(self, height: int) -> Block:
-        if not 0 <= height < len(self._headers):
-            raise InvalidBlockError(f"no block at height {height}")
-        block = self._bodies.get(height)
-        if block is None:
-            raise InvalidBlockError(
-                f"block body at height {height} was pruned "
-                f"(header-only retention keeps the last {self.retain_recent}); "
-                f"use header_at() for pruned heights"
-            )
-        return block
-
-    def block_by_hash(self, block_hash: str) -> Optional[Block]:
-        """Body of the committed block with this hash, or None if never committed.
-
-        A hash that *was* committed but whose body was pruned under
-        header-only retention raises :class:`InvalidBlockError` (mirroring
-        :meth:`block_at`) instead of returning None — callers must be able
-        to tell a bogus hash from a GC'd one.
-        """
-        height = self._height_by_hash.get(block_hash)
-        if height is None:
-            return None
-        block = self._bodies.get(height)
-        if block is None:
-            raise InvalidBlockError(
-                f"block {block_hash[:12]}… at height {height} was committed but "
-                f"its body was pruned (header-only retention keeps the last "
-                f"{self.retain_recent}); use header_at({height}) instead"
-            )
-        return block
 
     def blocks(self) -> List[Block]:
         """A copy of the retained full blocks, lowest height first.
@@ -139,24 +106,19 @@ class Blockchain:
             raise InvalidBlockError("merkle root does not match the block's transactions")
         self._headers.append(block.header)
         self._bodies[block.height] = block
-        self._height_by_hash[block.block_hash] = block.height
         self._tip = block
         self._total_transactions += len(block)
         if self.retention == "headers":
             while len(self._bodies) > self.retain_recent:
                 self._bodies.popitem(last=False)
 
-    def verify_chain(self) -> bool:
-        """Re-validate every hash pointer (headers) and every retained body's root."""
-        return self.verify_suffix(0)
-
     def verify_suffix(self, from_height: int) -> bool:
         """Re-validate hash pointers from ``from_height`` to the tip only.
 
-        The incremental form of :meth:`verify_chain`: a caller that already
-        verified the chain up to ``from_height`` (and holds the hash it saw
-        there) only needs the new suffix checked — O(blocks since last
-        verify), not O(chain).  Checks every header link in
+        ``verify_suffix(0)`` re-validates the whole chain; a caller that
+        already verified the chain up to ``from_height`` (and holds the hash
+        it saw there) only needs the new suffix checked — O(blocks since
+        last verify), not O(chain).  Checks every header link in
         ``[from_height, tip]`` plus the Merkle root of every *retained* body
         in that range.  ``from_height`` at or past the tip verifies nothing
         and returns True.

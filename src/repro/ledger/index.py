@@ -77,10 +77,6 @@ class RangeStats:
     abort_decisions: int
 
     @property
-    def cross_shard_rate(self) -> float:
-        return self.cross_shard_blocks / self.blocks if self.blocks else 0.0
-
-    @property
     def abort_rate(self) -> float:
         """Aborted cross-shard decisions over all decisions executed in the range."""
         decisions = self.commit_decisions + self.abort_decisions
@@ -220,9 +216,6 @@ class LedgerIndex:
         self._shard_net_delta: Dict[int, int] = {}
         #: epoch -> [blocks, transactions, cross-shard blocks].
         self._epoch_totals: Dict[int, List[int]] = {}
-        #: epoch -> {shard -> min active-minus-quorum margin} (+ strategy).
-        self._epoch_margins: Dict[int, Dict[int, int]] = {}
-        self._epoch_strategy: Dict[int, str] = {}
         #: (enclave id, log name, position) -> first digest bound there.
         self._attested: Dict[Tuple[str, str, int], str] = {}
         #: shard -> {height -> [candidate payloads]}: blocks that cannot land
@@ -461,16 +454,6 @@ class LedgerIndex:
         if totals[0] == 0:
             del self._epoch_totals[epoch]
 
-    def record_epoch_transition(self, epoch: int, strategy: str,
-                                min_active_margin: Dict[int, int]) -> None:
-        """Materialize one executed epoch transition's per-shard quorum margins."""
-        margins = self._epoch_margins.setdefault(epoch, {})
-        for shard_id, margin in min_active_margin.items():
-            previous = margins.get(shard_id)
-            if previous is None or margin < previous:
-                margins[shard_id] = margin
-        self._epoch_strategy[epoch] = strategy
-
     def record_attestation(self, enclave_id: str, log_name: str, position: int,
                            digest: str) -> Optional[str]:
         """Record one attested append; returns the previously bound digest, if any.
@@ -499,12 +482,6 @@ class LedgerIndex:
         columns = self._shards.get(shard_id)
         return columns.tip_hash if columns is not None else None
 
-    def block_count(self, shard_id: Optional[int] = None) -> int:
-        if shard_id is not None:
-            columns = self._shards.get(shard_id)
-            return columns.rows() if columns is not None else 0
-        return sum(columns.rows() for columns in self._shards.values())
-
     def tx_count(self, shard_id: Optional[int] = None) -> int:
         if shard_id is not None:
             columns = self._shards.get(shard_id)
@@ -530,22 +507,11 @@ class LedgerIndex:
                 return False
         return True
 
-    def parked_heights(self, shard_id: int) -> List[int]:
-        """All parked heights: gaps above the tip plus abandoned-branch
-        siblings at or below it (see :meth:`pending_heights`)."""
-        return sorted(self._parked.get(shard_id, ()))
-
     def pending_heights(self, shard_id: int) -> List[int]:
         """Parked heights above the tip — rows the followed chain is missing."""
         tip = self.tip_height(shard_id)
         return sorted(height for height in self._parked.get(shard_id, ())
                       if height > tip)
-
-    def net_balance_delta(self, shard_id: Optional[int] = None) -> int:
-        """Running sum of every applied balance delta."""
-        if shard_id is not None:
-            return self._shard_net_delta.get(shard_id, 0)
-        return self._net_delta
 
     def minted(self) -> int:
         """Running sum of legitimately created money (deposits, createAccount)."""
@@ -559,10 +525,6 @@ class LedgerIndex:
         forged somewhere in the committed history.
         """
         return self._net_delta - self._minted
-
-    def account_balance(self, account: str, initial: int = 0) -> int:
-        """Initial balance plus every delta applied to ``account`` (O(1))."""
-        return initial + self._account_delta.get(account, 0)
 
     def account_delta(self, account: str) -> int:
         return self._account_delta.get(account, 0)
@@ -581,34 +543,11 @@ class LedgerIndex:
             return RangeStats(shard_id, start_height, end_height, 0, 0, 0, 0, 0)
         return columns.range_stats(start_height, end_height)
 
-    def window_rates(self, shard_id: int, window_blocks: int) -> List[RangeStats]:
-        """The shard's history cut into fixed-size height windows (each O(1))."""
-        if window_blocks < 1:
-            raise ConfigurationError("window_blocks must be at least 1")
-        columns = self._shards.get(shard_id)
-        if columns is None:
-            return []
-        windows = []
-        start = columns.origin + 1
-        while start <= columns.tip_height:
-            end = min(start + window_blocks, columns.tip_height + 1)
-            windows.append(columns.range_stats(start, end))
-            start = end
-        return windows
-
     def epoch_summary(self) -> Dict[int, Dict[str, int]]:
         """Per-epoch block/transaction/cross-shard totals (running aggregates)."""
         return {epoch: {"blocks": totals[0], "transactions": totals[1],
                         "cross_shard_blocks": totals[2]}
                 for epoch, totals in sorted(self._epoch_totals.items())}
-
-    def epoch_quorum_margins(self) -> Dict[int, Dict[int, int]]:
-        """Per-epoch minimum active-minus-quorum margins, as fed by the system."""
-        return {epoch: dict(margins)
-                for epoch, margins in sorted(self._epoch_margins.items())}
-
-    def epoch_strategy(self, epoch: int) -> Optional[str]:
-        return self._epoch_strategy.get(epoch)
 
     @property
     def attestations_recorded(self) -> int:
@@ -619,8 +558,8 @@ class LedgerIndex:
         """The complete chain-derived materialization, for differential compares.
 
         Covers everything :func:`rebuild_index` can recompute from the chains
-        alone; control-plane records (attested slots, epoch margins) are
-        exposed through their own accessors instead.
+        alone; the control-plane record of attested slots is exposed through
+        :attr:`attestations_recorded` instead.
         """
         return {
             "shards": {shard_id: columns.snapshot()

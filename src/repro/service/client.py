@@ -1,4 +1,4 @@
-"""A small blocking HTTP client for the gateway, plus the replay driver.
+"""A small blocking HTTP client for the gateway.
 
 Tests, the differential oracle and ``bench_service`` talk to the gateway
 through this module — stdlib ``http.client`` only.  A :class:`ServiceClient`
@@ -6,14 +6,6 @@ keeps one persistent connection per calling thread, as any HTTP/1.1 client
 does, and opens a new one only when the gateway has closed the old.  It
 never re-sends a request: ``POST /tx`` is not idempotent, so a connection
 that dies after a request went out is the caller's error to see.
-
-:func:`replay_through_gateway` is the service half of the differential
-oracle: it takes a :class:`~repro.workloads.generator.WorkloadReplay`
-(a recorded workload) and pushes every entry through ``POST /tx?wait=1``
-one at a time.  Serial submission makes the committed set and the final
-balances timing-independent — the same recorded invocations applied in the
-same order abort/commit on state alone — which is exactly what lets the
-wall-clock run be compared bit-for-bit against the simulated one.
 """
 
 from __future__ import annotations
@@ -23,7 +15,7 @@ import json
 import select
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 class ServiceHTTPError(Exception):
@@ -108,31 +100,3 @@ class ServiceClient:
             raise ServiceHTTPError(status, body)
         return body
 
-
-def replay_through_gateway(client: ServiceClient, replay: Any,
-                           wait: bool = True,
-                           retry_overload: bool = True) -> List[Dict[str, Any]]:
-    """Push a recorded workload through the gateway, one entry at a time.
-
-    Returns one result dict per entry (the gateway's JSON answer).  A 429
-    (window full — only possible with ``wait=False``) is retried after the
-    advertised backoff rather than dropped, so the replayed history stays
-    complete.
-    """
-    results: List[Dict[str, Any]] = []
-    for entry in replay.entries:
-        while True:
-            try:
-                result = client.submit(entry["function"], entry["args"],
-                                       client_id=entry.get("client_id", "replay"),
-                                       wait=wait)
-                break
-            except ServiceHTTPError as exc:
-                if retry_overload and exc.status == 429:
-                    time.sleep(float(exc.body.get("retry_after", 1)) if
-                               isinstance(exc.body, dict) and
-                               "retry_after" in exc.body else 0.5)
-                    continue
-                raise
-        results.append(result)
-    return results

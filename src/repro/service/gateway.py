@@ -494,6 +494,8 @@ class GatewayHttp:
         timeout = self._wait_timeout(query)
         try:
             request = json.loads(body.decode() or "{}")
+            if not isinstance(request, dict):
+                raise ValueError("body must be a JSON object")
             function = request["function"]
             args = request.get("args", {})
         except (ValueError, KeyError) as exc:

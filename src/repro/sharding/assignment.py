@@ -45,12 +45,3 @@ def assign_committees(node_ids: Sequence[int], num_shards: int, seed: int,
         committees.append(Committee(shard_id=shard_id, members=members))
         cursor += size
     return CommitteeAssignment(epoch=epoch, seed=seed, committees=committees)
-
-
-def assign_by_committee_size(node_ids: Sequence[int], committee_size: int, seed: int,
-                             epoch: int = 0) -> CommitteeAssignment:
-    """Form as many committees of (at least) ``committee_size`` nodes as possible."""
-    if committee_size < 1:
-        raise ShardingError("committee_size must be at least 1")
-    num_shards = max(1, len(node_ids) // committee_size)
-    return assign_committees(node_ids, num_shards, seed, epoch=epoch)

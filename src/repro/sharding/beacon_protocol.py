@@ -46,11 +46,6 @@ def repeat_probability(network_size: int, q_bits: int) -> float:
     return (1.0 - 2.0 ** -q_bits) ** network_size
 
 
-def expected_certificates(network_size: int, q_bits: int) -> float:
-    """Expected number of nodes that obtain (and broadcast) a certificate."""
-    return network_size * 2.0 ** -q_bits
-
-
 @dataclass
 class BeaconProtocolResult:
     """Outcome of one epoch's distributed randomness generation."""
@@ -205,6 +200,7 @@ class BeaconProtocol:
             delta=self.delta,
         )
 
+    # detlint: disable=DEAD001 -- §5.1: every node locks the same epoch randomness
     def agreement_reached(self, epoch: int) -> bool:
         """True if every node locked the same rnd for the epoch."""
         values = {node.locked.get(epoch) for node in self.nodes}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.errors import ShardingError
 
@@ -53,12 +53,6 @@ class CommitteeAssignment:
     def shard_of(self, node_id: int) -> int:
         return self.committee_of(node_id).shard_id
 
-    def all_nodes(self) -> List[int]:
-        nodes: List[int] = []
-        for committee in self.committees:
-            nodes.extend(committee.members)
-        return nodes
-
     def membership_map(self) -> Dict[int, int]:
         """node id -> shard id."""
         return {node: committee.shard_id
@@ -69,13 +63,3 @@ class CommitteeAssignment:
         old = previous.membership_map()
         new = self.membership_map()
         return sorted(node for node in new if node in old and old[node] != new[node])
-
-
-def committees_from_lists(epoch: int, seed: int,
-                          member_lists: Sequence[Sequence[int]]) -> CommitteeAssignment:
-    """Build an assignment from explicit member lists (mostly for tests)."""
-    committees = [
-        Committee(shard_id=index, members=tuple(members))
-        for index, members in enumerate(member_lists)
-    ]
-    return CommitteeAssignment(epoch=epoch, seed=seed, committees=committees)

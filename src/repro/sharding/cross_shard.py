@@ -4,20 +4,13 @@ A ``d``-argument transaction touches ``d`` state keys; keys are mapped to the
 ``k`` shards uniformly at random by a cryptographic hash.  The number of
 distinct shards touched then follows the classic occupancy distribution, and
 the transaction is cross-shard whenever it touches more than one shard.
-
-The module also provides the lock-**contention** analysis used to size the
-contended workloads of the conflict-policy experiments: the probability that
-two concurrent ``d``-key transactions collide on at least one key, and the
-expected number of conflicting peers among ``m`` in-flight transactions —
-which is what turns into 2PL aborts (or waits) under the cross-shard
-protocol.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigurationError
 
@@ -68,6 +61,7 @@ def expected_shards_touched(num_arguments: int, num_shards: int) -> float:
     return num_shards * (1.0 - (1.0 - 1.0 / num_shards) ** num_arguments)
 
 
+# detlint: disable=DEAD001 -- Appendix B, Equation 3: shards touched
 def distribution_over_shards(num_arguments: int, num_shards: int) -> Dict[int, float]:
     """Full distribution of the number of shards touched."""
     upper = min(num_arguments, num_shards)
@@ -76,43 +70,3 @@ def distribution_over_shards(num_arguments: int, num_shards: int) -> Dict[int, f
         for x in range(1, upper + 1)
     }
 
-
-def pairwise_conflict_probability(num_keys: int, keys_per_tx: int) -> float:
-    """Probability that two concurrent transactions share at least one key.
-
-    Both transactions draw ``keys_per_tx`` distinct keys uniformly from a
-    ``num_keys`` key space; the complement is a hypergeometric miss:
-    ``P[conflict] = 1 - C(K - d, d) / C(K, d)``.  (Zipf-skewed workloads
-    conflict strictly more often — this is the uniform lower bound.)
-    """
-    if num_keys < 1 or keys_per_tx < 0:
-        raise ConfigurationError("need num_keys >= 1 and keys_per_tx >= 0")
-    if keys_per_tx == 0:
-        return 0.0
-    if 2 * keys_per_tx > num_keys:
-        return 1.0
-    miss = math.comb(num_keys - keys_per_tx, keys_per_tx) / math.comb(num_keys, keys_per_tx)
-    return 1.0 - miss
-
-
-def expected_conflicting_peers(num_keys: int, keys_per_tx: int,
-                               in_flight: int) -> float:
-    """Expected number of the other ``in_flight - 1`` concurrent transactions
-    a given transaction conflicts with (uniform keys, independent draws)."""
-    if in_flight < 1:
-        raise ConfigurationError("in_flight must be at least 1")
-    return (in_flight - 1) * pairwise_conflict_probability(num_keys, keys_per_tx)
-
-
-def contention_probability(num_keys: int, keys_per_tx: int, in_flight: int) -> float:
-    """Probability that a transaction conflicts with *any* concurrent peer.
-
-    This is what an ``abort``-policy run turns into its abort rate floor: a
-    conflicting pair costs at least one of the pair a PrepareNotOK, while the
-    ``wait``/``wound-wait`` policies convert most of these conflicts into
-    queueing delay instead.
-    """
-    if in_flight < 1:
-        raise ConfigurationError("in_flight must be at least 1")
-    p = pairwise_conflict_probability(num_keys, keys_per_tx)
-    return 1.0 - (1.0 - p) ** (in_flight - 1)

@@ -47,12 +47,6 @@ class EpochSchedule:
             return -1
         return self.records[-1].epoch
 
-    @property
-    def current_assignment(self) -> CommitteeAssignment:
-        if not self.records:
-            raise ShardingError("no epoch has started yet")
-        return self.records[-1].assignment
-
     def start_epoch(self, assignment: CommitteeAssignment, now: float) -> EpochRecord:
         """Record the start of a new epoch with the given assignment."""
         if self.records and assignment.epoch <= self.records[-1].epoch:
@@ -68,11 +62,6 @@ class EpochSchedule:
         if not self.records:
             raise ShardingError("no epoch has started yet")
         self.records[-1].transition_completed_at = now
-
-    @property
-    def transition_in_progress(self) -> bool:
-        """True while the current epoch's migration is still executing."""
-        return bool(self.records) and self.records[-1].transition_completed_at is None
 
     def next_epoch_due(self, now: float) -> bool:
         """True if the epoch duration has elapsed since the current epoch started."""
@@ -92,9 +81,3 @@ class EpochSchedule:
             if timestamp >= record.started_at:
                 return record.epoch
         return 0
-
-    def assignment_for(self, epoch: int) -> CommitteeAssignment:
-        for record in self.records:
-            if record.epoch == epoch:
-                return record.assignment
-        raise ShardingError(f"no record for epoch {epoch}")

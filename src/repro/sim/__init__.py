@@ -19,7 +19,6 @@ from repro.sim.latency import (
     GCP_REGION_LATENCY_MS,
     LatencyModel,
     LanLatencyModel,
-    UniformLatencyModel,
     WanLatencyModel,
     gcp_latency_model,
     assign_regions_round_robin,
@@ -36,7 +35,6 @@ __all__ = [
     "NetworkStats",
     "LatencyModel",
     "LanLatencyModel",
-    "UniformLatencyModel",
     "WanLatencyModel",
     "GCP_REGIONS",
     "GCP_REGION_LATENCY_MS",

@@ -134,6 +134,7 @@ class EventQueue:
         event._queue = None
         return event
 
+    # detlint: disable=DEAD001 -- oracle: the queue-model test compares cancellation with it
     def is_pending(self, event: Event) -> bool:
         """True while ``event`` is still queued (not popped, not cancelled)."""
         return event._queue is self

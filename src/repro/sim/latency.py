@@ -126,26 +126,6 @@ class LanLatencyModel(LatencyModel):
         return self.base_latency * (1 + self.jitter_fraction) + (size_bytes * 8) / self.bandwidth_bps
 
 
-class UniformLatencyModel(LatencyModel):
-    """Fixed one-way latency for every pair of nodes (useful in tests)."""
-
-    def __init__(self, latency: float = 0.01, jitter_fraction: float = 0.0) -> None:
-        if latency < 0 or jitter_fraction < 0:
-            raise ConfigurationError("invalid uniform latency parameters")
-        self.latency = latency
-        self.jitter_fraction = jitter_fraction
-
-    def delay(self, src_region: str, dst_region: str, size_bytes: int,
-              rng: Optional[random.Random] = None) -> float:
-        jitter = 0.0
-        if rng is not None and self.jitter_fraction > 0:
-            jitter = rng.uniform(0, self.jitter_fraction) * self.latency
-        return self.latency + jitter
-
-    def delay_bound(self, size_bytes: int = 1024) -> float:
-        return self.latency * (1 + self.jitter_fraction)
-
-
 class WanLatencyModel(LatencyModel):
     """Wide-area model backed by a region-to-region latency matrix.
 

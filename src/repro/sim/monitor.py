@@ -107,12 +107,6 @@ class TimeSeries:
         index = min(len(values) - 1, int(round((pct / 100.0) * (len(values) - 1))))
         return values[index]
 
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
     def bucketed_rate(self, bucket_seconds: float, until: Optional[float] = None) -> List[Tuple[float, float]]:
         """Aggregate sample values into rate-per-second buckets of the given width.
 

@@ -165,13 +165,16 @@ class Network:
         """Recover a crashed node."""
         self._crashed.discard(node_id)
 
+    # detlint: disable=DEAD001 -- fault-injection seam: one dead link
     def block_link(self, src: int, dst: int) -> None:
         """Drop every message from ``src`` to ``dst``."""
         self._blocked_links.add((src, dst))
 
+    # detlint: disable=DEAD001 -- fault-injection seam: heals block_link
     def unblock_link(self, src: int, dst: int) -> None:
         self._blocked_links.discard((src, dst))
 
+    # detlint: disable=DEAD001 -- fault-injection seam: network partition
     def set_partition(self, groups: Iterable[Iterable[int]]) -> None:
         """Partition the network: only nodes in the same group can communicate."""
         mapping: Dict[int, int] = {}
@@ -180,6 +183,7 @@ class Network:
                 mapping[node_id] = index
         self._partition = mapping
 
+    # detlint: disable=DEAD001 -- fault-injection seam: heals set_partition
     def heal_partition(self) -> None:
         self._partition = None
 

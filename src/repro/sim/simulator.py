@@ -203,12 +203,3 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
         return self.run(max_events=1) == 1
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        """Run until the event queue drains, with an event budget as a guard."""
-        executed = self.run(max_events=max_events)
-        if self.pending_events:
-            raise SimulationError(
-                f"simulation did not become idle within {max_events} events"
-            )
-        return executed

@@ -13,22 +13,18 @@ trusted components:
 
 We model enclaves in software: integrity is an assumption (as in the paper's
 threat model), confidentiality is limited to key material, and every enclave
-carries a measurement that remote attestation checks
-(:mod:`repro.tee.attestation`).  Data sealing and the rollback-attack recovery
-procedure of Appendix A are modelled in :mod:`repro.tee.counters` and the
-attested log.
+carries a measurement that sealing binds to.  Data sealing and the
+rollback-attack recovery procedure of Appendix A are modelled in the enclave
+and the attested log.
 """
 
-from repro.tee.enclave import Enclave, EnclaveQuote, SealedBlob
+from repro.tee.enclave import Enclave, SealedBlob
 from repro.tee.attested_log import AttestedAppendOnlyLog, LogAttestation
 from repro.tee.randomness_beacon import BeaconCertificate, RandomnessBeaconEnclave
 from repro.tee.poet_enclave import PoETEnclave, WaitCertificate
-from repro.tee.counters import MonotonicCounter, SealedStateStore
-from repro.tee.attestation import AttestationService
 
 __all__ = [
     "Enclave",
-    "EnclaveQuote",
     "SealedBlob",
     "AttestedAppendOnlyLog",
     "LogAttestation",
@@ -36,7 +32,4 @@ __all__ = [
     "BeaconCertificate",
     "PoETEnclave",
     "WaitCertificate",
-    "MonotonicCounter",
-    "SealedStateStore",
-    "AttestationService",
 ]

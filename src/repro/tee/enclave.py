@@ -1,4 +1,4 @@
-"""Base enclave model: measurement, enclave-held keys, quotes and sealing."""
+"""Base enclave model: measurement, enclave-held keys and sealing."""
 
 from __future__ import annotations
 
@@ -9,16 +9,6 @@ from typing import Any, Callable, Optional
 from repro.crypto.hashing import digest_of, sha256_hex
 from repro.crypto.signatures import KeyPair, Signature, register_keypair
 from repro.errors import EnclaveError
-
-
-@dataclass(frozen=True)
-class EnclaveQuote:
-    """An attestation quote: the enclave measurement signed by the platform key."""
-
-    enclave_id: str
-    measurement: str
-    report_data: str
-    signature: Signature
 
 
 @dataclass(frozen=True)
@@ -85,17 +75,6 @@ class Enclave:
     def sign(self, message: Any = None, *, digest: Optional[str] = None) -> Signature:
         """Sign a message (or its digest) with the enclave-held key (never leaves the enclave)."""
         return self._key.sign(message, digest=digest)
-
-    def quote(self, report_data: Any = "") -> EnclaveQuote:
-        """Produce an attestation quote binding ``report_data`` to the measurement."""
-        data_digest = digest_of(report_data)
-        signature = self._key.sign({"measurement": self.measurement, "report_data": data_digest})
-        return EnclaveQuote(
-            enclave_id=self.enclave_id,
-            measurement=self.measurement,
-            report_data=data_digest,
-            signature=signature,
-        )
 
     # ---------------------------------------------------------------- sealing
     def seal(self, payload: Any) -> SealedBlob:

@@ -24,7 +24,6 @@
 
 from repro.txn.locks import LockAdmissionTable, LockManager
 from repro.txn.faults import (
-    ComposedScenario,
     CoordinatorCrashScenario,
     FaultScenario,
     ShardStallScenario,
@@ -43,7 +42,6 @@ from repro.txn.omniledger import OmniLedgerClientProtocol, OmniLedgerShard
 from repro.txn.rapidchain import RapidChainProtocol, RapidChainShard
 
 __all__ = [
-    "ComposedScenario",
     "CoordinatorCrashScenario",
     "FaultScenario",
     "LockAdmissionTable",

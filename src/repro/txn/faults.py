@@ -30,8 +30,6 @@ Available scenarios:
   phase of the ``at_tx``-th cross-shard transaction and recovers after
   ``recover_after`` seconds; decided-but-unacked transactions are re-driven
   from the (durable) reference-committee state.
-
-Scenarios can be combined with :class:`ComposedScenario`.
 """
 
 from __future__ import annotations
@@ -89,6 +87,7 @@ class FaultScenario:
         return 0.5
 
 
+# detlint: disable=DEAD001 -- fault-injection seam: slow shard in §6 2PC
 class ShardStallScenario(FaultScenario):
     """One shard is slow: its prepares and decisions are delayed.
 
@@ -124,6 +123,7 @@ class ShardStallScenario(FaultScenario):
         return self._stall(record, shard_id)
 
 
+# detlint: disable=DEAD001 -- fault-injection seam: lost votes in §6 2PC
 class VoteDropScenario(FaultScenario):
     """The first ``max_drops`` prepare votes never reach the coordinator.
 
@@ -146,6 +146,7 @@ class VoteDropScenario(FaultScenario):
         return True
 
 
+# detlint: disable=DEAD001 -- fault-injection seam: replayed votes in §6 2PC
 class VoteReplayScenario(FaultScenario):
     """Every vote and ack is re-delivered ``duplicates`` extra times, late.
 
@@ -179,6 +180,7 @@ class VoteReplayScenario(FaultScenario):
         return self.delay
 
 
+# detlint: disable=DEAD001 -- fault-injection seam: coordinator crash in §6 2PC
 class CoordinatorCrashScenario(FaultScenario):
     """The coordinator crashes at a chosen phase and later recovers.
 
@@ -212,38 +214,3 @@ class CoordinatorCrashScenario(FaultScenario):
     def recovery_delay(self) -> float:
         return self.recover_after
 
-
-class ComposedScenario(FaultScenario):
-    """Combine several scenarios; delays add up, drops/crashes OR together."""
-
-    def __init__(self, *scenarios: FaultScenario) -> None:
-        self.scenarios = scenarios
-
-    def prepare_delay(self, record, shard_id: int) -> float:
-        return sum(s.prepare_delay(record, shard_id) for s in self.scenarios)
-
-    def drop_prepare(self, record, shard_id: int) -> bool:
-        return any(s.drop_prepare(record, shard_id) for s in self.scenarios)
-
-    def drop_vote(self, record, shard_id: int, ok: bool) -> bool:
-        return any(s.drop_vote(record, shard_id, ok) for s in self.scenarios)
-
-    def duplicate_votes(self, record, shard_id: int, ok: bool) -> int:
-        return sum(s.duplicate_votes(record, shard_id, ok) for s in self.scenarios)
-
-    def decision_delay(self, record, shard_id: int) -> float:
-        return sum(s.decision_delay(record, shard_id) for s in self.scenarios)
-
-    def crash_coordinator(self, record, phase: str) -> bool:
-        return any(s.crash_coordinator(record, phase) for s in self.scenarios)
-
-    def recovery_delay(self) -> float:
-        delays = [s.recovery_delay() for s in self.scenarios]
-        return max(delays) if delays else 1.0
-
-    def duplicate_acks(self, record, shard_id: int) -> int:
-        return sum(s.duplicate_acks(record, shard_id) for s in self.scenarios)
-
-    def stale_delay(self) -> float:
-        delays = [s.stale_delay() for s in self.scenarios]
-        return max(delays) if delays else 0.5

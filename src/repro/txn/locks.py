@@ -67,6 +67,7 @@ class LockManager:
         """The transaction currently holding the lock on ``key`` (None if free)."""
         return self._holders.get(key)
 
+    # detlint: disable=DEAD001 -- oracle: lock tests check grant order against it
     def waiters(self, key: str) -> List[str]:
         """Transactions queued on ``key``, in grant order."""
         return list(self._queues.get(key, ()))

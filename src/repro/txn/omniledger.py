@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Sequence
 
-from repro.errors import CoordinatorFailureError, InvalidTransactionError
+from repro.errors import InvalidTransactionError
 from repro.txn.utxo import UTXO, UTXOSet, UTXOTransaction
 
 
@@ -145,11 +145,3 @@ class OmniLedgerClientProtocol:
                 if self.transactions.get(tx_id) == OmniLedgerTxState.BLOCKED:
                     blocked.append(utxo_id)
         return blocked
-
-    def assert_live(self) -> None:
-        """Raise if any funds are frozen by a blocked coordinator."""
-        blocked = self.blocked_inputs()
-        if blocked:
-            raise CoordinatorFailureError(
-                f"{len(blocked)} inputs are locked forever by a failed client coordinator"
-            )

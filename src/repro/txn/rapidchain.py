@@ -56,9 +56,6 @@ class RapidChainShard:
         self.utxos.add(utxo)
 
     # Account helpers --------------------------------------------------------
-    def set_balance(self, account: str, amount: int) -> None:
-        self.accounts.put(account, amount)
-
     def balance(self, account: str) -> int:
         return int(self.accounts.get(account, 0))
 
@@ -85,12 +82,14 @@ class SplitResult:
     def fully_applied(self) -> bool:
         return all(sub.status is SubTxStatus.APPLIED for sub in self.sub_transactions)
 
+    # detlint: disable=DEAD001 -- §6.1, Figure 4: the half-applied state
     @property
     def partially_applied(self) -> bool:
         applied = [sub for sub in self.sub_transactions if sub.status is SubTxStatus.APPLIED]
         return bool(applied) and not self.fully_applied
 
 
+# detlint: disable=DEAD001 -- §6.1, Figure 3a: RapidChain's transaction splitting
 class RapidChainProtocol:
     """The transaction-splitting executor."""
 
@@ -99,6 +98,7 @@ class RapidChainProtocol:
         self.results: Dict[str, SplitResult] = {}
 
     # --------------------------------------------------------------- UTXO path
+    # detlint: disable=DEAD001 -- §6.1, Figure 3a: UTXO split into transfers and a spend
     def execute_utxo(self, tx: UTXOTransaction, input_shards: Dict[str, int],
                      output_shard: int) -> SplitResult:
         """Split a UTXO transaction into per-input transfers plus a final spend."""
@@ -139,6 +139,7 @@ class RapidChainProtocol:
         return result
 
     # ------------------------------------------------------------ account path
+    # detlint: disable=DEAD001 -- §6.1, Figure 4: account split breaks atomicity
     def execute_account_transfer(self, tx_id: str,
                                  debits: Sequence[Tuple[int, str, int]],
                                  credits: Sequence[Tuple[int, str, int]]) -> SplitResult:
@@ -176,6 +177,7 @@ class RapidChainProtocol:
         self.results[tx_id] = result
         return result
 
+    # detlint: disable=DEAD001 -- oracle: Figure 4's test checks conservation with it
     def total_balance(self, accounts: Sequence[Tuple[int, str]]) -> int:
         """Sum of balances over (shard, account) pairs — conservation check."""
         return sum(self.shards[shard_id].balance(account) for shard_id, account in accounts)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.crypto.hashing import digest_of
 from repro.errors import InvalidTransactionError
@@ -69,9 +69,6 @@ class UTXOSet:
     def get(self, utxo_id: str) -> Optional[UTXO]:
         return self._unspent.get(utxo_id)
 
-    def is_unspent(self, utxo_id: str) -> bool:
-        return utxo_id in self._unspent
-
     def spend(self, utxo_id: str, tx_id: str) -> UTXO:
         """Mark a UTXO as spent by ``tx_id``; double spends raise."""
         utxo = self._unspent.pop(utxo_id, None)
@@ -92,9 +89,6 @@ class UTXOSet:
 
     def balance(self, owner: str) -> int:
         return sum(utxo.amount for utxo in self._unspent.values() if utxo.owner == owner)
-
-    def unspent_of(self, owner: str) -> List[UTXO]:
-        return [utxo for utxo in self._unspent.values() if utxo.owner == owner]
 
     def __len__(self) -> int:
         return len(self._unspent)

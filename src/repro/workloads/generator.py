@@ -316,9 +316,6 @@ class WorkloadReplay:
     def exhausted(self) -> bool:
         return self._cursor >= len(self.entries)
 
-    def rewind(self) -> None:
-        self._cursor = 0
-
     def next_transaction(self, client_id: Optional[str] = None,
                          now: float = 0.0) -> Transaction:
         """Materialise the next recorded entry (fresh tx id, identical effect)."""

@@ -1,6 +1,16 @@
-"""Helpers for tests that look inside an inline :class:`ShardedBlockchain`."""
+"""Helpers shared by the engine tests: a size-independent latency model,
+and a look inside an inline :class:`ShardedBlockchain`."""
 
 from __future__ import annotations
+
+from repro.sim.latency import LanLatencyModel
+
+
+def uniform_latency(latency: float, jitter_fraction: float = 0.0) -> LanLatencyModel:
+    """The same one-way ``latency`` for every message, whatever its size:
+    a LAN model over an infinitely fast link."""
+    return LanLatencyModel(base_latency=latency, bandwidth_bps=float("inf"),
+                           jitter_fraction=jitter_fraction)
 
 
 def tx_records(system):

@@ -104,8 +104,8 @@ class TestPerRecipientEquivocation:
         reference = max(honest, key=lambda r: r.blockchain.height)
         for replica in honest:
             for height in range(1, replica.blockchain.height + 1):
-                assert (replica.blockchain.block_at(height).header.merkle_root
-                        == reference.blockchain.block_at(height).header.merkle_root)
+                assert (replica.blockchain.header_at(height).merkle_root
+                        == reference.blockchain.header_at(height).merkle_root)
 
     def test_ahl_enclave_refuses_the_second_digest(self):
         attacker = RecordingEquivocator([4], also_silent_leader=False)
@@ -262,8 +262,8 @@ class TestLiveRollbackRecovery:
         reference = max(honest, key=lambda r: r.blockchain.height)
         for replica in honest:
             for height in range(1, replica.blockchain.height + 1):
-                assert (replica.blockchain.block_at(height).header.merkle_root
-                        == reference.blockchain.block_at(height).header.merkle_root)
+                assert (replica.blockchain.header_at(height).merkle_root
+                        == reference.blockchain.header_at(height).merkle_root)
         assert cluster.honest_observer().committed_transactions() == 300
 
     def test_system_level_rollback_attack_recovers_and_audits_clean(self):

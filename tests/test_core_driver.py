@@ -8,7 +8,7 @@ import pytest
 
 from engine_harness import tx_records
 from repro.core.config import ShardedSystemConfig
-from repro.core.driver import OpenLoopDriver, attach_open_loop_drivers
+from repro.core.driver import OpenLoopDriver, split_evenly
 from repro.core.system import ShardedBlockchain
 from repro.errors import ConfigurationError
 from repro.workloads.generator import WorkloadGenerator
@@ -74,26 +74,9 @@ class TestOpenLoopDriver:
         assert driver.stats.max_in_flight <= 20
         assert driver.dropped_arrivals > 0
 
-    def test_attach_open_loop_drivers_splits_rate(self):
-        config = ShardedSystemConfig(num_shards=2, committee_size=4, seed=4,
-                                     num_keys=4_000)
-        system = ShardedBlockchain(config)
-        drivers = attach_open_loop_drivers(system, count=3, rate_tps=300.0,
-                                           max_transactions=90)
-        assert len(drivers) == 3
-        assert all(driver.rate_tps == pytest.approx(100.0) for driver in drivers)
-        system.advance(5.0)
-        assert sum(driver.stats.submitted for driver in drivers) == 90
-
-    def test_attach_open_loop_drivers_distributes_remainder(self):
-        config = ShardedSystemConfig(num_shards=2, committee_size=4, seed=4,
-                                     num_keys=4_000)
-        system = ShardedBlockchain(config)
-        drivers = attach_open_loop_drivers(system, count=3, rate_tps=600.0,
-                                           max_transactions=100)
-        assert [driver.max_transactions for driver in drivers] == [34, 33, 33]
-        system.advance(5.0)
-        assert sum(driver.stats.submitted for driver in drivers) == 100
+    def test_split_evenly_distributes_remainder(self):
+        assert [split_evenly(100, index, 3) for index in range(3)] == [34, 33, 33]
+        assert split_evenly(None, 1, 3) is None
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_custom_workload_object_is_drawn_parent_side(self, workers):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.costs import DEFAULT_COSTS, OperationCosts, TABLE2_PAPER_VALUES_US, TABLE2_ROWS
-from repro.crypto.hashing import canonical_json, digest_of, json_string, sha256_hex, short_digest
-from repro.crypto.merkle import EMPTY_ROOT, MerkleTree, verify_membership
-from repro.crypto.signatures import KeyPair, verify_signature, require_valid_signature
+from repro.crypto.hashing import canonical_json, digest_of, json_string, sha256_hex
+from repro.crypto.merkle import EMPTY_ROOT, MerkleTree
+from repro.crypto.signatures import KeyPair, verify_signature
 from repro.errors import CryptoError
 
 from digest_oracle import json_args, loose, seed_canonical, seed_digest_of
@@ -35,10 +35,6 @@ class TestHashing:
 
     def test_digest_differs_for_different_values(self):
         assert digest_of({"a": 1}) != digest_of({"a": 2})
-
-    def test_short_digest_prefix(self):
-        value = {"x": [1, 2, 3]}
-        assert digest_of(value).startswith(short_digest(value))
 
     @given(json_values, json_values)
     def test_digest_collision_free_on_distinct_values(self, left, right):
@@ -81,12 +77,6 @@ class TestSignatures:
         signature = key.sign([1, 2, 3])
         assert verify_signature(signature, [1, 2, 3])
 
-    def test_require_valid_signature_raises(self):
-        key = KeyPair("node-2")
-        signature = key.sign("a")
-        with pytest.raises(CryptoError):
-            require_valid_signature(signature, "b", key)
-
     @given(json_args)
     def test_precomputed_digest_signs_and_verifies_like_the_message(self, message):
         """``digest=`` is the same signature, and no shortcut past the checks."""
@@ -100,12 +90,6 @@ class TestSignatures:
                                     digest=digest_of(message))
         forged = dataclasses.replace(signature, mac="0" * 64)
         assert not verify_signature(forged, keypair=key, digest=digest_of(message))
-
-    def test_signature_covers_helper(self):
-        key = KeyPair("node-3")
-        signature = key.sign({"v": 1})
-        assert signature.covers({"v": 1})
-        assert not signature.covers({"v": 2})
 
 
 class TestMerkle:
@@ -122,7 +106,6 @@ class TestMerkle:
         for index, item in enumerate(items):
             proof = tree.proof(index)
             assert tree.verify(proof, item)
-            assert verify_membership(tree.root, proof, item)
 
     def test_proof_fails_for_wrong_item(self):
         tree = MerkleTree(["a", "b", "c"])
@@ -142,7 +125,7 @@ class TestMerkle:
         tree = MerkleTree(items)
         index = data.draw(st.integers(min_value=0, max_value=len(items) - 1))
         proof = tree.proof(index)
-        assert verify_membership(tree.root, proof, items[index])
+        assert tree.verify(proof, items[index])
 
 
 class TestCostModel:

@@ -17,13 +17,14 @@ import pytest
 from repro.consensus.cluster import ConsensusCluster
 from repro.core.config import ShardedSystemConfig
 from repro.core.driver import OpenLoopDriver
-from repro.core.system import build_system
+from repro.core.system import ShardedBlockchain
 from repro.ledger.transaction import rebase_tx_counter
 from repro.sharding.beacon_protocol import BeaconProtocol
-from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, Network
 from repro.sim.node import SimProcess
 from repro.sim.simulator import Simulator
+
+from engine_harness import uniform_latency
 
 # Captured at the pre-change HEAD (commit 2998957):
 # [committed_txs, blocks, view_changes, msgs_sent, msgs_delivered,
@@ -120,7 +121,7 @@ def test_sharded_system_fingerprints_unchanged(seed):
         num_shards=3, committee_size=4, seed=seed,
         epoch_duration=1.2, swap_batch_interval=0.2,
     )
-    system = build_system(config)
+    system = ShardedBlockchain(config)
     try:
         driver = OpenLoopDriver(system, rate_tps=150.0, max_transactions=120)
         driver.run_to_completion()
@@ -148,7 +149,7 @@ def _run_broadcast(dst_ids) -> list:
     sim = Simulator(seed=7)
     # jitter makes the latency model consume one rng draw per recipient,
     # so visiting recipients in a different order changes every delay
-    network = Network(sim, UniformLatencyModel(0.01, jitter_fraction=0.5))
+    network = Network(sim, uniform_latency(0.01, jitter_fraction=0.5))
     nodes = [_Recorder(i, sim, network) for i in range(4)]
     network.broadcast(3, dst_ids, Message(sender=3, kind="hello"))
     sim.run()
@@ -167,7 +168,7 @@ def test_request_tracking_keys_are_deterministic():
     """_inbound_requests must be keyed by network msg ids (>= 0) or the
     node's negative local counter — never id(message) heap addresses."""
     sim = Simulator(seed=3)
-    network = Network(sim, UniformLatencyModel(0.01, jitter_fraction=0.0))
+    network = Network(sim, uniform_latency(0.01, jitter_fraction=0.0))
     node = _Recorder(0, sim, network)
     node.track_requests = True
     # a locally-injected request that never crossed the network

@@ -21,8 +21,8 @@ STRICT_ALL = Policy(scopes=(Scope(name="strict", patterns=("*",)),))
 RULE_IDS = [rule.rule_id for rule in all_rules()]
 
 
-def analyze(*names, strict=True):
-    engine = Engine(policy=STRICT_ALL, strict=strict, root=FIXTURES)
+def analyze(*names):
+    engine = Engine(policy=STRICT_ALL, root=FIXTURES)
     return engine.analyze([str(FIXTURES / name) for name in names])
 
 
@@ -141,3 +141,10 @@ def test_pkl_closure_exposed_in_report():
     assert any(name.endswith(":Command") for name in report.barrier_closure)
     assert any(name.endswith(":WindowBlock")
                for name in report.barrier_closure)
+
+
+def test_dead001_reports_every_unused_public_definition():
+    report = analyze("dead001_pos.py")
+    assert {f.function for f in findings_for(report, "DEAD001")} == {
+        "exported_only", "recursive_only", "Unused", "Unused.never_called",
+        "Used.also_never_called"}

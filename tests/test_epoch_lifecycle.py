@@ -83,7 +83,7 @@ class TestSeedEquivalence:
     def test_epoch_bookkeeping_draws_nothing_at_construction(self):
         system = build_system(epoch_duration=1e9)
         assert system.epochs.current_epoch == 0
-        assert not system.epochs.transition_in_progress
+        assert system.epochs.records[-1].transition_completed_at is not None
         # One armed boundary timer and the buffered per-shard "track"
         # commands are the only scheduled footprint.
         assert system.sim.pending_events == 1
@@ -109,7 +109,7 @@ class TestExecutedMigration:
 
         assert system.reconfigurations_completed == 1
         assert system.current_epoch == 1
-        assert not system.epochs.transition_in_progress
+        assert system.epochs.records[-1].transition_completed_at is not None
         [transition] = system.epoch_transitions
         assert transition.strategy == "swap-batch"
         assert transition.completed_at is not None
@@ -121,7 +121,7 @@ class TestExecutedMigration:
 
         # The live membership equals the new assignment, modulo the logical
         # -> physical replica binding maintained by the system.
-        assert system.assignment is system.epochs.current_assignment
+        assert system.assignment is system.epochs.records[-1].assignment
         for committee in system.assignment.committees:
             cluster = system.shards[committee.shard_id]
             expected = sorted(system._replica_of[node] for node in committee.members)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments import EXPERIMENTS, get_experiment
-from repro.experiments.common import ExperimentResult, ExperimentScale
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import ExperimentResult
 from repro.experiments import (
     appendix_b_cross_shard,
     fig11_shard_formation,
@@ -27,12 +26,6 @@ class TestRegistry:
         }
         assert expected == set(EXPERIMENTS)
 
-    def test_lookup_and_error(self):
-        assert callable(get_experiment("fig08"))
-        with pytest.raises(ConfigurationError):
-            get_experiment("fig99")
-
-
 class TestResultFormatting:
     def test_format_table_renders_all_rows(self):
         result = ExperimentResult("x", "demo", columns=["a", "b"])
@@ -41,13 +34,6 @@ class TestResultFormatting:
         table = result.format_table()
         assert "demo" in table and "text" in table and "2.50" in table
         assert result.column("a") == [1, "text"]
-
-    def test_scale_presets(self):
-        quick = ExperimentScale.quick()
-        paper = ExperimentScale.paper()
-        assert paper.duration > quick.duration
-        assert max(paper.network_sizes) >= 79
-
 
 class TestFastExperiments:
     def test_table1_is_static(self):

@@ -26,7 +26,7 @@ from repro.core.homecoord import (
     partition_tx_counter,
     partition_weights,
 )
-from repro.core.system import build_system
+from repro.core.system import ShardedBlockchain
 from repro.core.system import REFERENCE_SHARD_ID
 from repro.errors import SimulationError
 
@@ -159,7 +159,7 @@ class TestRpcFraming:
         one message and reads exactly one reply."""
         config = ShardedSystemConfig(num_shards=3, committee_size=4,
                                      num_keys=400, seed=13, workers=2)
-        system = build_system(config)
+        system = ShardedBlockchain(config)
         executor = system.executor
         sends = {id(handle): 0 for handle in executor._workers}
         for handle in executor._workers:
@@ -184,7 +184,7 @@ class TestWorkerLifecycle:
         error naming the lost partitions, and close() must still return."""
         config = ShardedSystemConfig(num_shards=3, committee_size=4,
                                      num_keys=400, seed=13, workers=2)
-        system = build_system(config)
+        system = ShardedBlockchain(config)
         system.advance(system.sim.now + 2 * system.config.relay_delay)
         victim = system.executor._workers[0]
         victim.process.kill()
@@ -200,7 +200,7 @@ class TestWorkerLifecycle:
     def test_close_terminates_workers(self):
         config = ShardedSystemConfig(num_shards=2, committee_size=4,
                                      num_keys=400, seed=7, workers=2)
-        system = build_system(config)
+        system = ShardedBlockchain(config)
         system.advance(system.sim.now + system.config.relay_delay)
         processes = [handle.process for handle in system.executor._workers]
         assert all(process.is_alive() for process in processes)

@@ -142,10 +142,9 @@ class TestBlockchain:
         block = build_block(1, chain.tip.block_hash, make_txs(2), proposer=0)
         chain.append(block)
         assert chain.height == 1
-        assert chain.block_at(1).block_hash == block.block_hash
-        assert chain.block_by_hash(block.block_hash) is block
+        assert chain.header_at(1).block_hash == block.block_hash
         assert chain.total_transactions() == 2
-        assert chain.verify_chain()
+        assert chain.verify_suffix(0)
 
     def test_append_with_wrong_height_rejected(self):
         chain = Blockchain()
@@ -160,9 +159,9 @@ class TestBlockchain:
         with pytest.raises(InvalidBlockError):
             chain.append(block)
 
-    def test_block_at_out_of_range(self):
+    def test_header_at_out_of_range(self):
         with pytest.raises(InvalidBlockError):
-            Blockchain().block_at(5)
+            Blockchain().header_at(5)
 
     @given(st.integers(min_value=1, max_value=20))
     def test_chain_of_any_length_verifies(self, length):
@@ -171,7 +170,7 @@ class TestBlockchain:
             chain.append(build_block(height, chain.tip.block_hash, make_txs(1, prefix=str(height)),
                                      proposer=height % 3))
         assert chain.height == length
-        assert chain.verify_chain()
+        assert chain.verify_suffix(0)
 
 
 class TestForkableChain:

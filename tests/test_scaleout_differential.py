@@ -80,7 +80,7 @@ def _run(workers, overrides, reconfigure, extra_horizon=10.0):
     # comparison generate identical transaction ids (ids feed state sizes).
     rebase_tx_counter(0)
     config = ShardedSystemConfig(workers=workers, **overrides)
-    system = build_system(config)
+    system = ShardedBlockchain(config)
     if reconfigure is not None:
         system.perform_reconfiguration(reconfigure, at_time=0.3)
     driver = OpenLoopDriver(system, rate_tps=RATE, max_transactions=TXS)
@@ -186,7 +186,7 @@ def test_build_system_is_the_one_engine(workers):
 def test_inline_scaleout_run_is_auditor_green():
     """The safety auditor attaches to inline partitions and passes."""
     rebase_tx_counter(0)
-    system = build_system(ShardedSystemConfig(**_base_config(), workers=1))
+    system = ShardedBlockchain(ShardedSystemConfig(**_base_config(), workers=1))
     auditor = SafetyAuditor(system)
     driver = OpenLoopDriver(system, rate_tps=RATE, max_transactions=TXS)
     driver.run_to_completion()
@@ -199,7 +199,7 @@ def test_inline_scaleout_run_is_auditor_green():
 
 def test_process_mode_refuses_audit():
     """workers>1 replicas live in other processes; the auditor must refuse."""
-    system = build_system(ShardedSystemConfig(**_base_config(), workers=2))
+    system = ShardedBlockchain(ShardedSystemConfig(**_base_config(), workers=2))
     with pytest.raises(ConfigurationError):
         system.audit_clusters()
     system.close()
@@ -211,7 +211,7 @@ def test_direct_shard_submit_is_a_protocol_bug():
     how to get them (workers=None)."""
     from repro.workloads.generator import WorkloadGenerator
 
-    system = build_system(ShardedSystemConfig(**_base_config(), workers=2))
+    system = ShardedBlockchain(ShardedSystemConfig(**_base_config(), workers=2))
     tx = WorkloadGenerator(benchmark="smallbank", num_shards=3,
                            num_keys=400, seed=1).next_transaction("c", 0.0)
     with pytest.raises(ConfigurationError, match="workers=None"):

@@ -3,7 +3,8 @@
 A non-numeric or negative ``Content-Length`` used to escape ``_handle`` as a
 ``ValueError`` and drop the connection without a response; so did a bad
 ``POST /tx?wait=1&timeout=...`` — and that one was parsed only after the
-transaction had been admitted.  The gateway here has no shard processes:
+transaction had been admitted — and a JSON body that is not an object,
+whose ``TypeError`` escaped the same way.  The gateway here has no shard processes:
 nothing in these requests may get far enough to need one.
 """
 
@@ -60,4 +61,13 @@ def test_bad_wait_timeout_is_a_400_before_admission(timeout):
         f"Content-Length: {len(PAYMENT)}", PAYMENT)
     assert status == 400
     assert "timeout" in payload["error"]
+    assert started == 0
+
+
+@pytest.mark.parametrize("body", ["[]", '"x"', "7", "null"])
+def test_non_object_json_body_is_a_400_before_admission(body):
+    status, payload, started = _exchange(
+        f"POST /tx HTTP/1.1\r\nContent-Length: {len(body)}", body)
+    assert status == 400
+    assert "JSON object" in payload["error"]
     assert started == 0

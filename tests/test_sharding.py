@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CommitteeSizeError, ShardingError
-from repro.sharding.assignment import assign_by_committee_size, assign_committees, permutation_from_seed
+from repro.sharding.assignment import assign_committees, permutation_from_seed
 from repro.sharding.beacon_protocol import (
     BeaconProtocol,
-    expected_certificates,
     recommended_q_bits,
     repeat_probability,
 )
-from repro.sharding.committee import committees_from_lists
 from repro.sharding.cross_shard import (
     cross_shard_probability,
     distribution_over_shards,
@@ -92,13 +90,10 @@ class TestAssignment:
     def test_assignment_partitions_all_nodes(self):
         nodes = list(range(23))
         assignment = assign_committees(nodes, num_shards=4, seed=1)
-        assert sorted(assignment.all_nodes()) == nodes
+        assert sorted(node for committee in assignment.committees
+                      for node in committee.members) == nodes
         sizes = [committee.size for committee in assignment.committees]
         assert max(sizes) - min(sizes) <= 1
-
-    def test_assignment_by_committee_size(self):
-        assignment = assign_by_committee_size(list(range(100)), committee_size=30, seed=2)
-        assert assignment.num_shards == 3
 
     def test_membership_and_transitioning_nodes(self):
         nodes = list(range(12))
@@ -121,7 +116,8 @@ class TestAssignment:
     def test_every_node_lands_in_exactly_one_committee(self, n_nodes, shards, seed):
         shards = min(shards, n_nodes)
         assignment = assign_committees(list(range(n_nodes)), shards, seed)
-        seen = assignment.all_nodes()
+        seen = [node for committee in assignment.committees
+                for node in committee.members]
         assert len(seen) == n_nodes
         assert len(set(seen)) == n_nodes
 
@@ -152,7 +148,6 @@ class TestBeaconProtocol:
         bits = recommended_q_bits(512)
         assert bits >= 1
         assert repeat_probability(512, bits) < 2 ** -8
-        assert expected_certificates(512, 0) == 512
 
     def test_elapsed_time_is_multiple_of_delta(self):
         protocol = BeaconProtocol(network_size=8, q_bits=0, delta=2.0, seed=6)
@@ -226,30 +221,6 @@ class TestCrossShardProbability:
         assert sum(distribution.values()) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestLockContentionAnalytics:
-    def test_pairwise_conflict_two_keys_small_space(self):
-        from repro.sharding.cross_shard import pairwise_conflict_probability
-
-        # K=4, d=2: P[miss] = C(2,2)/C(4,2) = 1/6.
-        assert pairwise_conflict_probability(4, 2) == pytest.approx(5.0 / 6.0)
-        assert pairwise_conflict_probability(1000, 0) == 0.0
-        assert pairwise_conflict_probability(3, 2) == 1.0  # overlap forced
-
-    def test_contention_grows_with_in_flight(self):
-        from repro.sharding.cross_shard import (
-            contention_probability,
-            expected_conflicting_peers,
-        )
-
-        values = [contention_probability(500, 2, m) for m in (1, 10, 100, 1000)]
-        assert values[0] == 0.0
-        assert values == sorted(values)
-        assert values[-1] > 0.9
-        assert expected_conflicting_peers(500, 2, 1) == 0.0
-        assert expected_conflicting_peers(500, 2, 101) == pytest.approx(
-            100 * contention_probability(500, 2, 2))
-
-
 class TestEpochSchedule:
     def test_epoch_progression(self):
         schedule = EpochSchedule(epoch_duration=100.0)
@@ -261,16 +232,11 @@ class TestEpochSchedule:
         assert schedule.next_epoch_due(100.0)
         second = assign_committees(list(range(8)), 2, seed=2, epoch=1)
         schedule.start_epoch(second, now=100.0)
-        assert schedule.current_assignment is second
-        assert schedule.assignment_for(0) is first
+        assert schedule.records[0].assignment is first
+        assert schedule.records[-1].assignment is second
 
     def test_non_monotonic_epoch_rejected(self):
         schedule = EpochSchedule()
         schedule.start_epoch(assign_committees(list(range(4)), 2, seed=1, epoch=3), now=0.0)
         with pytest.raises(ShardingError):
             schedule.start_epoch(assign_committees(list(range(4)), 2, seed=1, epoch=3), now=1.0)
-
-    def test_committees_from_lists_helper(self):
-        assignment = committees_from_lists(0, 7, [[1, 2], [3, 4]])
-        assert assignment.num_shards == 2
-        assert assignment.shard_of(3) == 1

@@ -9,12 +9,13 @@ from repro.sim.latency import (
     GCP_REGIONS,
     GCP_REGION_LATENCY_MS,
     LanLatencyModel,
-    UniformLatencyModel,
     WanLatencyModel,
     assign_regions_round_robin,
     gcp_latency_model,
 )
 from repro.sim.monitor import Monitor, TimeSeries
+
+from engine_harness import uniform_latency
 
 
 class TestLatencyModels:
@@ -49,9 +50,10 @@ class TestLatencyModels:
         large = model.delay("local", "local", 100_000)
         assert large > small
 
-    def test_uniform_model_constant(self):
-        model = UniformLatencyModel(0.05)
+    def test_infinite_bandwidth_lan_is_size_independent(self):
+        model = uniform_latency(0.05)
         assert model.delay("x", "y", 10) == 0.05
+        assert model.delay("x", "y", 100_000) == 0.05
         assert model.delay_bound() == 0.05
 
     def test_gcp_model_region_subset(self):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import NetworkError
-from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import CONSENSUS_CHANNEL, Message, Network, REQUEST_CHANNEL
 from repro.sim.node import SimProcess
 from repro.sim.simulator import Simulator
+
+from engine_harness import uniform_latency
 
 
 class Recorder(SimProcess):
@@ -28,7 +29,7 @@ class Recorder(SimProcess):
 
 def build(sim=None, latency=None, **node_kwargs):
     sim = sim or Simulator(seed=1)
-    network = Network(sim, latency or UniformLatencyModel(0.01, jitter_fraction=0.0))
+    network = Network(sim, latency or uniform_latency(0.01, jitter_fraction=0.0))
     nodes = [Recorder(i, sim, network, **node_kwargs) for i in range(3)]
     return sim, network, nodes
 
@@ -112,7 +113,7 @@ class TestNetworkDelivery:
 
     def test_drop_rate_one_drops_everything(self):
         sim = Simulator(seed=1)
-        network = Network(sim, UniformLatencyModel(0.01), drop_rate=1.0)
+        network = Network(sim, uniform_latency(0.01), drop_rate=1.0)
         nodes = [Recorder(i, sim, network) for i in range(2)]
         for _ in range(10):
             network.send(0, 1, Message(sender=0, kind="ping"))
@@ -142,7 +143,7 @@ class TestNodeCpuModel:
 
     def test_bounded_shared_queue_drops_overflow(self):
         sim = Simulator(seed=1)
-        network = Network(sim, UniformLatencyModel(0.001, jitter_fraction=0.0))
+        network = Network(sim, uniform_latency(0.001, jitter_fraction=0.0))
         node = Recorder(0, sim, network, cost=10.0, queue_capacity=2)
         sender = Recorder(1, sim, network)
         for _ in range(5):
@@ -152,7 +153,7 @@ class TestNodeCpuModel:
 
     def test_separate_queues_protect_consensus_channel(self):
         sim = Simulator(seed=1)
-        network = Network(sim, UniformLatencyModel(0.001, jitter_fraction=0.0))
+        network = Network(sim, uniform_latency(0.001, jitter_fraction=0.0))
         node = Recorder(0, sim, network, cost=10.0, queue_capacity=2, separate_queues=True)
         sender = Recorder(1, sim, network)
         for _ in range(5):
@@ -182,7 +183,7 @@ class TestNodeCpuModel:
 
     def test_nth_arrival_at_a_full_queue_is_dropped_per_channel(self):
         sim = Simulator(seed=1)
-        network = Network(sim, UniformLatencyModel(0.001, jitter_fraction=0.0))
+        network = Network(sim, uniform_latency(0.001, jitter_fraction=0.0))
         node = Recorder(0, sim, network, cost=1.0, queue_capacity=3, separate_queues=True)
         Recorder(1, sim, network)
         # Arrivals 1 ms apart; the CPU frees one slot per second, so the
@@ -302,8 +303,8 @@ def _fan_out(use_broadcast, fault, drop_rate, latency, dst_ids):
 
 
 @pytest.mark.parametrize("latency", [
-    pytest.param(lambda: UniformLatencyModel(0.01, jitter_fraction=0.0), id="equal-delays"),
-    pytest.param(lambda: UniformLatencyModel(0.01, jitter_fraction=0.2), id="jittered"),
+    pytest.param(lambda: uniform_latency(0.01, jitter_fraction=0.0), id="equal-delays"),
+    pytest.param(lambda: uniform_latency(0.01, jitter_fraction=0.2), id="jittered"),
 ])
 @pytest.mark.parametrize("drop_rate", [0.0, 0.4])
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -332,7 +333,7 @@ def test_every_surviving_message_is_its_own_event():
     """Jitter-free copies of one broadcast share a delivery time but not an
     event, and a same-instant send to the last recipient adds one more."""
     sim = Simulator(seed=1)
-    network = Network(sim, UniformLatencyModel(0.01, jitter_fraction=0.0))
+    network = Network(sim, uniform_latency(0.01, jitter_fraction=0.0))
     nodes = [Inbox(i, sim, network) for i in range(5)]
     network.broadcast(0, [1, 2, 3, 4], Message(sender=0, kind="vote"))
     assert sim.pending_events == 4

@@ -202,16 +202,6 @@ class TestSimulator:
         sim.run()
         assert fired == []
 
-    def test_run_until_idle_raises_on_budget_exhaustion(self):
-        sim = Simulator()
-
-        def reschedule():
-            sim.schedule(1.0, reschedule)
-
-        sim.schedule(1.0, reschedule)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_events=10)
-
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
     def test_events_always_fire_in_nondecreasing_time_order(self, delays):
         sim = Simulator()

@@ -1,4 +1,4 @@
-"""Tests for the TEE substrate: enclaves, attested logs, beacon, PoET timer, attestation."""
+"""Tests for the TEE substrate: enclaves, attested logs, beacon, PoET timer."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import AttestationError, EnclaveError
-from repro.tee.attestation import AttestationService
+from repro.errors import EnclaveError
 from repro.tee.attested_log import AttestedAppendOnlyLog, _body_digest
-from repro.tee.counters import MonotonicCounter, SealedStateStore
 from repro.tee.enclave import Enclave
 from repro.tee.poet_enclave import PoETEnclave
 from repro.tee.randomness_beacon import RandomnessBeaconEnclave
@@ -21,20 +19,6 @@ from digest_oracle import json_args, loose, numbers, seed_digest_of, texts
 class TestEnclaveBasics:
     def test_same_code_same_measurement(self):
         assert Enclave("a").measurement == Enclave("b").measurement
-
-    def test_quote_verifies_through_attestation_service(self):
-        enclave = Enclave("node-1")
-        service = AttestationService()
-        service.trust(Enclave.CODE_IDENTITY)
-        assert service.attest_enclave(enclave, report_data="hello")
-        assert service.is_verified("node-1")
-
-    def test_untrusted_measurement_rejected(self):
-        enclave = Enclave("node-1", code_identity="evil-code/v1")
-        service = AttestationService()
-        service.trust(Enclave.CODE_IDENTITY)
-        with pytest.raises(AttestationError):
-            service.verify_quote(enclave.quote())
 
     def test_seal_unseal_roundtrip(self):
         enclave = Enclave("node-1")
@@ -136,14 +120,12 @@ class TestAttestedLog:
 
     def test_rollback_attack_with_stale_seal_detected_by_recovery(self):
         log = AttestedAppendOnlyLog("a2m-1")
-        store = SealedStateStore()
         log.append("prepare", 1, "v1")
-        store.save("logs", log.seal_logs())
+        stale = log.seal_logs()  # the untrusted store keeps every version
         log.append("prepare", 2, "v2")
-        store.save("logs", log.seal_logs())
+        log.seal_logs()
         # Attacker restarts the enclave and feeds the stale (first) version.
         log.restart()
-        stale = store.load_version("logs", 0)
         log.restore_from_seal(stale)
         # The log state is stale, but the enclave still refuses appends until
         # recovery completes against a sufficiently recent stable checkpoint.
@@ -230,24 +212,3 @@ class TestPoETEnclave:
             if certificate is not None and certificate.valid_for_poet_plus:
                 valid += 1
         assert valid < 32  # roughly 64/8 expected
-
-
-class TestCountersAndSealedStore:
-    def test_monotonic_counter_only_increases(self):
-        counter = MonotonicCounter("c")
-        assert counter.increment() == 1
-        assert counter.increment() == 2
-        counter.assert_at_least(2)
-        with pytest.raises(EnclaveError):
-            counter.assert_at_least(3)
-
-    def test_sealed_store_keeps_every_version(self):
-        enclave = Enclave("e")
-        store = SealedStateStore()
-        store.save("state", enclave.seal({"v": 1}))
-        store.save("state", enclave.seal({"v": 2}))
-        assert store.versions("state") == 2
-        assert enclave.unseal(store.load_latest("state")) == {"v": 2}
-        assert enclave.unseal(store.load_version("state", 0)) == {"v": 1}
-        assert store.load_version("state", 10) is None
-        assert store.load_latest("missing") is None

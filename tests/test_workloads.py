@@ -283,9 +283,6 @@ class TestRecordReplay:
         assert (replay.benchmark, replay.num_shards, replay.num_keys,
                 replay.zipf_coefficient) == ("kvstore", 4, 300, 0.8)
         assert replay.chaincode.name == "kvstore"
-        replay.next_transaction()
-        replay.rewind()
-        assert not replay.exhausted
 
     def test_replay_of_missing_or_empty_recording_fails_loudly(self, tmp_path):
         with pytest.raises((WorkloadError, OSError)):
