@@ -1,10 +1,11 @@
-"""detlint: AST-based determinism & pickle-safety analysis.
+"""detlint: AST-based determinism and dead-code analysis.
 
 The package gates the repo's bit-identical scale-out contract statically:
 determinism rules DET001–DET005 (wall clock, unseeded RNG, set-order
-escapes, hash()/id(), order-dependent picks), the pickle pass
-PKL001–PKL003 over the barrier-crossing class closure, and DEAD001 over
-public definitions nothing outside the tests uses.  See
+escapes, hash()/id(), order-dependent picks) and DEAD001 over public
+definitions nothing outside the tests uses.  What crosses a process
+boundary is not linted: :mod:`repro.codec` refuses anything outside its
+closed set of wire classes at run time.  See
 :mod:`repro.analysis.engine` for the analysis model and its documented
 inference limits, and :mod:`repro.analysis.cli` for the ``detlint``
 command.

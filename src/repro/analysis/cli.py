@@ -21,7 +21,7 @@ from repro.analysis.report import list_rules_text, render_json, render_text
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detlint",
-        description=("AST-based determinism & pickle-safety analyzer "
+        description=("AST-based determinism and dead-code analyzer "
                      "gating the bit-identical scale-out contract"))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to analyze (default: src)")

@@ -3,9 +3,8 @@
 The engine parses each file once, builds a :class:`ModuleContext` (AST,
 import alias map, parent links, set-type index, suppression table, policy
 scope) and evaluates every enabled rule against it; project-wide rules (the
-PKL pickle pass, the DEAD001 use pass) run once at the end against a
-:class:`ProjectContext` holding the analyzed modules and the cross-module
-class index.  There is one mode: what a scope enables is what runs.
+DEAD001 use pass) run once at the end against a :class:`ProjectContext`
+holding the analyzed modules.  There is one mode: what a scope enables is what runs.
 
 Inference limits
 ----------------
@@ -18,10 +17,7 @@ the determinism contract actually uses, silent (not wrong) elsewhere:
   ``next(iter(self))`` idiom of ``BoundedIdSet`` is out of scope and is
   deterministic anyway), or cross-module aliases;
 * import resolution handles ``import m``, ``import m as a`` and
-  ``from m import n [as a]`` — not ``importlib`` or star imports;
-* the pickle pass resolves field annotations to classes *defined in the
-  analyzed file set*; fields typed ``Any`` (e.g. the reference committee's
-  ``receipt``) stay covered by the runtime reduce-coverage guard instead.
+  ``from m import n [as a]`` — not ``importlib`` or star imports.
 
 Suppressions
 ------------
@@ -68,23 +64,6 @@ class Suppression:
     @property
     def valid(self) -> bool:
         return bool(self.justification)
-
-
-@dataclass
-class ClassInfo:
-    """Cross-module class index entry for the pickle pass."""
-
-    name: str
-    qualname: str  #: ``relpath:Class``
-    module: "ModuleContext"
-    node: ast.ClassDef
-    bases: Tuple[str, ...]  #: base names resolved through the import map
-    is_dataclass: bool
-    #: Ordered dataclass fields: (name, annotation source text, default node).
-    fields: Tuple[Tuple[str, str, Optional[ast.AST]], ...]
-    has_reduce: bool
-    has_getstate: bool
-    nested: bool
 
 
 class ModuleContext:
@@ -197,16 +176,10 @@ class ModuleContext:
 
 
 class ProjectContext:
-    """Cross-module view for whole-tree rules (the pickle and use passes)."""
+    """Cross-module view for whole-tree rules (the DEAD001 use pass)."""
 
     def __init__(self, modules: Sequence[ModuleContext]) -> None:
         self.modules = list(modules)
-        #: class name -> every definition with that name (name-keyed on
-        #: purpose: barrier roots are matched by name across modules).
-        self.classes: Dict[str, List[ClassInfo]] = {}
-        for module in self.modules:
-            for info in _index_classes(module):
-                self.classes.setdefault(info.name, []).append(info)
 
 
 # --------------------------------------------------------------------------
@@ -268,38 +241,6 @@ def _parse_suppressions(source: str) -> Dict[int, List[Suppression]]:
                 table.setdefault(lineno, []).append(suppression)
             pending = []
     return table
-
-
-def _index_classes(module: ModuleContext) -> Iterable[ClassInfo]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        bases = tuple(filter(None, (module.resolve_call(base).split(".")[-1]
-                                    for base in node.bases)))
-        is_dataclass = any(
-            module.resolve_call(dec.func if isinstance(dec, ast.Call) else dec)
-            .split(".")[-1] == "dataclass"
-            for dec in node.decorator_list)
-        fields: List[Tuple[str, str, Optional[ast.AST]]] = []
-        has_reduce = has_getstate = False
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                if isinstance(stmt.annotation, ast.Name) and \
-                        stmt.annotation.id == "ClassVar":
-                    continue
-                fields.append((stmt.target.id, ast.unparse(stmt.annotation),
-                               stmt.value))
-            elif isinstance(stmt, ast.FunctionDef):
-                has_reduce = has_reduce or stmt.name == "__reduce__"
-                has_getstate = has_getstate or stmt.name == "__getstate__"
-        yield ClassInfo(
-            name=node.name,
-            qualname=f"{module.relpath}:{node.name}",
-            module=module, node=node, bases=bases,
-            is_dataclass=is_dataclass, fields=tuple(fields),
-            has_reduce=has_reduce, has_getstate=has_getstate,
-            nested=not isinstance(module.parent(node), ast.Module),
-        )
 
 
 # --------------------------------------------------------------------------
@@ -380,10 +321,6 @@ class Engine:
                     finding = module.apply_suppression(finding, rule.waiver)
                 report.findings.append(finding)
         report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-        for rule in rules:
-            closure = getattr(rule, "last_closure", None)
-            if closure:
-                report.barrier_closure = tuple(sorted(closure))
         report.unused_suppressions = tuple(
             f"{module.relpath}:{s.comment_line}: disable={','.join(s.rules)}"
             for module in modules for s in module.unused_suppressions())

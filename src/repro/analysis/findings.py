@@ -69,9 +69,6 @@ class AnalysisReport:
     files_analyzed: int = 0
     files_skipped: int = 0
     paths: Tuple[str, ...] = ()
-    #: PKL barrier-class closure: sorted ``module:Class`` names the pickle
-    #: pass statically covered (cross-checked against the runtime guard).
-    barrier_closure: Tuple[str, ...] = ()
     #: Suppression comments that matched no finding (stale disables).
     unused_suppressions: Tuple[str, ...] = ()
 

@@ -49,12 +49,6 @@ FANOUT_SINKS = frozenset({
     "call_soon", "send_vote", "route",
 })
 
-#: Class names rooting the pickle-safety pass: anything with one of these
-#: names (or subclassing one) is assumed to cross a barrier window.
-BARRIER_ROOTS = ("Command", "WindowBlock", "WindowResult", "TxDone",
-                 "AdmitReport", "MarginReport")
-
-
 @dataclass(frozen=True)
 class Scope:
     """One path-scoped policy entry (first match wins)."""

@@ -1,4 +1,4 @@
-"""Rule registry: one place every determinism/pickle-safety check registers.
+"""Rule registry: one place every determinism/dead-code check registers.
 
 Rules are singletons registered at import time via :func:`register`; the
 engine evaluates them rule-at-a-time over each module (and once over the
@@ -7,8 +7,8 @@ evaluation that motivated the incremental auditor.  A rule implements either
 hook:
 
 * :meth:`Rule.check_module` — per-file AST checks (the DET rules);
-* :meth:`Rule.check_project` — whole-tree checks that need the cross-module
-  class index (the PKL barrier-pickle pass).
+* :meth:`Rule.check_project` — whole-tree checks that need every analyzed
+  module at once (the DEAD001 use pass).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The text reporter prints one headline line per finding plus its indented
 provenance chain (source expression → flow step → sink call), so a reader
 can follow *why* the rule fired without opening the file.  The JSON
 reporter emits the full structured report — findings with provenance,
-the suppressed partition, the pickle pass's barrier-class closure, and
-unused suppressions — and is what CI uploads as an artifact.
+the suppressed partition and unused suppressions — and is what CI uploads
+as an artifact.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def render_json(report: AnalysisReport) -> str:
                   for rule in all_rules()],
         "findings": [f.to_dict() for f in report.active],
         "suppressed": [f.to_dict() for f in report.findings if f.suppressed],
-        "barrier_closure": list(report.barrier_closure),
         "unused_suppressions": list(report.unused_suppressions),
         "summary": {
             "active": len(report.active),

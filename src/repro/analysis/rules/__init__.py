@@ -12,5 +12,4 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     det_rng,
     det_setiter,
     det_time,
-    pkl_barrier,
 )

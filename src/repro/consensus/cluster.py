@@ -16,9 +16,9 @@ and the unproposed backlog is handed to the remaining members),
 at the boundary; the joiner counts against the quorum while it fetches
 state) and :meth:`ConsensusCluster.activate_member` (state transfer done:
 the member adopts the world state and in-flight log tail and starts
-serving).  ``has_quorum`` exposes the quorum-aware pause signal: a committee
-whose active members fall below the quorum cannot commit and stalls until
-activations restore it (``submit`` additionally parks requests while *no*
+serving).  ``quorum_margin`` exposes the quorum-aware pause signal: a
+committee whose active members fall below the quorum (a negative margin)
+cannot commit and stalls until activations restore it (``submit`` additionally parks requests while *no*
 member is active).  Until the first membership change every path is
 bit-identical to the fixed-membership seed cluster.
 """
@@ -395,21 +395,17 @@ class ConsensusCluster:
         """Members currently serving (joined-but-still-transferring are not)."""
         return [replica for replica in self.replicas if not replica.crashed]
 
-    # detlint: disable=DEAD001 -- oracle: epoch tests check Figure 12's swap keeps quorum
-    def has_quorum(self) -> bool:
-        """True when enough members are active to make progress.
+    def quorum_margin(self) -> int:
+        """Active members minus the quorum size (negative: no quorum).
 
         This is the quorum-aware pause signal of an epoch transition: while
-        a committee lacks it (too many members absent fetching state — the
-        swap-all regime) it cannot commit until activations restore the
-        quorum; ``swap-batch`` keeps this True throughout by bounding
-        concurrent absences to the fault tolerance.  The margins recorded in
-        ``EpochTransitionStats.min_active_margin`` are the quantitative form
-        of this signal.
+        the margin is negative (too many members absent fetching state — the
+        swap-all regime) the committee cannot commit until activations
+        restore the quorum; ``swap-batch`` keeps it non-negative throughout
+        by bounding concurrent absences to the fault tolerance.  The epoch
+        machinery samples it into ``EpochTransitionStats.min_active_margin``.
         """
-        if not self.replicas:
-            return False
-        return len(self.active_replicas()) >= self.config.quorum_size(len(self.replicas))
+        return len(self.active_replicas()) - self.config.quorum_size(len(self.replicas))
 
     def remove_member(self, node_id: int) -> ConsensusReplica:
         """A member leaves the committee for good (epoch transition).

@@ -25,8 +25,8 @@ committee all live inside the partitions
   grouping — and ``workers=None == workers=N`` holds by construction.
 * Votes, decisions, re-drives, receipts and client handoffs flow between
   partitions as ordinary barrier-window :class:`Command` records, batched
-  into one :class:`WindowBlock`/:class:`WindowResult` pickle per worker per
-  window.
+  into one :class:`WindowBlock`/:class:`WindowResult` exchange per worker
+  per window, encoded by :mod:`repro.codec`.
 
 Determinism rules
 -----------------
@@ -104,8 +104,9 @@ def partition_stream_seed(seed: int, shard_id: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Wire format.  Plain picklable dataclasses: process mode ships them over
-# pipes (one WindowBlock/WindowResult per worker per window), inline mode
+# Wire format.  Plain dataclasses of primitives, registered in
+# repro.codec: process mode ships them over pipes in the codec's primitive
+# form (one WindowBlock/WindowResult per worker per window), inline mode
 # passes the same objects in memory — same ordering rules, same outcomes.
 # --------------------------------------------------------------------------
 
@@ -155,19 +156,6 @@ class Command:
     reply_to: int = PARENT
     #: ref_receipt: the reference committee's TransactionReceipt.
     receipt: Any = None
-
-    def __reduce__(self):
-        # Positional-tuple pickling: commands dominate the barrier RPC
-        # payloads (each one crosses two pipes), and the default dict-based
-        # dataclass reduction is ~2x slower to load and ~35% larger on the
-        # wire.  Keep the tuple in field order — the framing unit test
-        # checks it stays in sync with the dataclass fields.
-        return (Command, (self.due, self.dest, self.op, self.src, self.seq,
-                          self.txs, self.tx_id, self.home, self.origin,
-                          self.ok, self.reason, self.attempt, self.priority,
-                          self.committed, self.latency, self.epoch,
-                          self.node_id, self.logical, self.transfer_override,
-                          self.marker, self.reply_to, self.receipt))
 
 
 @dataclass

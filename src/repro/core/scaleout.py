@@ -41,7 +41,9 @@ order), then their parent-facing outputs are injected into the parent
 sorted by ``(time, shard, seq)``, then the parent drains the same window.
 Commands between partitions are exchanged as one batched
 :class:`~repro.core.homecoord.WindowBlock` /
-:class:`~repro.core.homecoord.WindowResult` pickle per worker per window —
+:class:`~repro.core.homecoord.WindowResult` exchange per worker per window,
+in the primitive form of the :mod:`repro.codec` wire codec (no class is
+pickled on the pipe) —
 commands held by a worker for its own partitions never leave the process,
 but they are *also* only injected at the next window start, so grouping
 cannot change injection timing.
@@ -84,6 +86,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.codec import decode, encode
 from repro.core.adversary import AdversaryState
 from repro.core.config import ShardedSystemConfig
 from repro.core.homecoord import (
@@ -284,11 +287,10 @@ class ShardPartition:
             self._apply_admit(command)
         elif op == "margin":
             if self.cluster.replicas:
-                margin = (len(self.cluster.active_replicas())
-                          - self.cluster.config.quorum_size(len(self.cluster.replicas)))
                 self._outbox.append(MarginReport(
                     time=self.sim.now, shard=self.shard_id,
-                    seq=next(self._outseq), marker=command.marker, margin=margin))
+                    seq=next(self._outseq), marker=command.marker,
+                    margin=self.cluster.quorum_margin()))
         elif op == "prepare":
             self.cluster.prepare_for_membership_change()
         elif op == "track":
@@ -451,7 +453,8 @@ class _PartitionGroup:
 def _worker_main(conn: Any, config: ShardedSystemConfig,
                  shard_ids: List[int]) -> None:
     """Worker process loop: build the owned partition group, then answer
-    ``(method, args)`` requests with ``group.method(*args)`` until "stop"."""
+    ``(method, args)`` requests with ``group.method(*args)`` until "stop".
+    Arguments and replies cross the pipe in the codec's primitive form."""
     group = _PartitionGroup(config, shard_ids)
     try:
         while True:
@@ -459,7 +462,7 @@ def _worker_main(conn: Any, config: ShardedSystemConfig,
             if method == "stop":
                 conn.send(None)
                 return
-            conn.send(getattr(group, method)(*args))
+            conn.send(encode(getattr(group, method)(*decode(args))))
     except EOFError:  # parent went away; nothing useful left to do
         return
 
@@ -506,7 +509,7 @@ class _ProcessExecutor:
 
     def _send(self, handle: _WorkerHandle, method: str, *args: Any) -> None:
         try:
-            handle.conn.send((method, args))
+            handle.conn.send((method, encode(args)))
         except (OSError, ValueError) as exc:
             raise SimulationError(
                 f"scale-out worker owning partitions {handle.owned} is gone "
@@ -521,7 +524,7 @@ class _ProcessExecutor:
                         f"scale-out worker owning partitions {handle.owned} "
                         f"died mid-run (exit code {handle.process.exitcode}; "
                         "see its stderr)")
-            return handle.conn.recv()
+            return decode(handle.conn.recv())
         except EOFError as exc:
             raise SimulationError(
                 f"scale-out worker owning partitions {handle.owned} closed "

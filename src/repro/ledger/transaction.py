@@ -120,12 +120,6 @@ class Transaction:
             tx.__dict__["_digest"] = digest
         return tx
 
-    def __reduce__(self):
-        # Fields only: the cached digest stays behind, so a receiver hashes
-        # what it was sent instead of trusting the sender's cache.
-        return (Transaction, (self.tx_id, self.chaincode, self.function, self.args,
-                              self.client_id, self.keys, self.submitted_at))
-
     @property
     def digest(self) -> str:
         """Content digest of the transaction (computed once, then cached).

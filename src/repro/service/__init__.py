@@ -4,7 +4,9 @@ The packages below run the *same* consensus/txn/sharding code that the
 discrete-event simulator runs — through the runtime seam
 (:mod:`repro.runtime`) — as wall-clock asyncio processes on localhost:
 
-* :mod:`repro.service.frames` — length-prefixed pickle frames over TCP.
+* :mod:`repro.service.frames` — length-prefixed frames over TCP, encoded
+  by the wire codec (:mod:`repro.codec`) and decoded without resolving any
+  global.
 * :mod:`repro.service.socketnet` — :class:`SocketNetwork`, the wall-clock
   transport implementing the existing ``Network`` send/broadcast surface.
 * :mod:`repro.service.shardnode` — one process per shard: an

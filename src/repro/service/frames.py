@@ -1,22 +1,23 @@
-"""Length-prefixed pickle frames over asyncio streams.
+"""Length-prefixed wire-codec frames over asyncio streams.
 
-The wire format is a 4-byte big-endian length followed by a pickle of the
-payload — the same envelope the simulated engine uses for its barrier
-batches, here applied to live TCP connections between the gateway and the
-shard node processes.  Pickle (rather than JSON) because the payloads are
-the protocol's own dataclasses (``Message`` carrying ``Transaction`` /
-``TransactionReceipt`` objects), and the service trusts its peers: every
-endpoint of a frame connection is a process this deployment spawned on
-localhost.  The *external* client surface (the HTTP gateway) speaks JSON
-only.
+The wire format is a 4-byte big-endian length followed by the
+:mod:`repro.codec` encoding of the payload — the codec the scale-out barrier
+pipe uses too — here applied to live TCP connections between the gateway and
+the shard node processes.  The payloads are the protocol's own dataclasses
+(``Message`` carrying ``Transaction`` / ``TransactionReceipt`` objects),
+sent as tagged tuples of primitives; a body is loaded by an unpickler that
+refuses every global, so whoever connects can at worst send a frame that
+ends as :class:`FrameError`.  The *external* client surface (the HTTP
+gateway) speaks JSON only.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
 import struct
 from typing import Any, Optional
+
+from repro import codec
 
 #: Refuse frames above this size — a corrupted length prefix must not make
 #: the receiver try to allocate gigabytes.
@@ -30,7 +31,7 @@ class FrameError(Exception):
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
-    """Read one frame; returns the unpickled payload, or None on clean EOF."""
+    """Read one frame; returns the decoded payload, or None on clean EOF."""
     try:
         header = await reader.readexactly(_LEN.size)
     except asyncio.IncompleteReadError as exc:
@@ -45,17 +46,17 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
     try:
-        return pickle.loads(body)
+        return codec.loads(body)
     except Exception as exc:
-        # Unpickling garbage raises whatever the byte stream happens to spell
-        # (UnpicklingError, EOFError, AttributeError, ValueError, ...): to the
+        # Garbage raises whatever the byte stream happens to spell
+        # (CodecError, UnpicklingError, EOFError, ValueError, ...): to the
         # reader they are all one thing — a frame that is not a payload.
-        raise FrameError(f"frame body is not a valid pickle: {exc!r}") from exc
+        raise FrameError(f"frame body is not a wire payload: {exc!r}") from exc
 
 
 def encode_frame(payload: Any) -> bytes:
-    """Pickle ``payload`` into one frame: length prefix plus body."""
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    """Encode ``payload`` into one frame: length prefix plus body."""
+    body = codec.dumps(payload)
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap")
     return _LEN.pack(len(body)) + body

@@ -44,6 +44,7 @@ from repro.core.splitters import benchmark_for, shards_for, splitter_for
 from repro.errors import WorkloadError
 from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.runtime.wallclock import AsyncioRuntime
+from repro.service.frames import MAX_FRAME_BYTES
 from repro.service.shardnode import (
     GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_PONG,
     KIND_RECEIPTS, KIND_SUBMIT, shard_agent_id,
@@ -91,6 +92,12 @@ class BadRequest(GatewayError):
     not describe a valid chaincode invocation."""
 
     status = 400
+
+
+class PayloadTooLarge(BadRequest):
+    """The announced body is larger than a frame may be."""
+
+    status = 413
 
 
 class _GatewayAgent:
@@ -343,6 +350,14 @@ class GatewayService:
 
 
 # --------------------------------------------------------------------- HTTP
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One HTTP line; a line longer than the reader's limit is a BadRequest."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # readline's form of asyncio.LimitOverrunError
+        raise BadRequest("request line or header too long") from exc
+
+
 def record_json(record: DistributedTxRecord) -> Dict[str, Any]:
     return {
         "tx_id": record.tx_id,
@@ -394,12 +409,12 @@ class GatewayHttp:
         try:
             keep_alive = True
             while keep_alive and not self._closing:
-                self._idle.add(writer)
                 try:
-                    line = await reader.readline()
-                finally:
-                    self._idle.discard(writer)
-                try:
+                    self._idle.add(writer)
+                    try:
+                        line = await _read_line(reader)
+                    finally:
+                        self._idle.discard(writer)
                     request = await self._read_request(line, reader)
                 except BadRequest as exc:
                     await self._respond(writer, exc.status, {"error": str(exc)}, False)
@@ -410,7 +425,7 @@ class GatewayHttp:
                 status, payload, extra = await self._route(method, path, query, body)
                 keep_alive = keep_alive and status < 400 and not self._closing
                 await self._respond(writer, status, payload, keep_alive, extra)
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         finally:
             writer.close()
@@ -418,7 +433,10 @@ class GatewayHttp:
     async def _read_request(self, line: bytes, reader: asyncio.StreamReader):
         """Parse one request after its request ``line``; None on EOF or garbage.
 
-        Returns ``(method, path, query, body, keep_alive)``.
+        Returns ``(method, path, query, body, keep_alive)``.  Raises
+        :class:`BadRequest` for an over-long header or a bad
+        ``Content-Length``, and :class:`PayloadTooLarge` before reading a
+        body larger than a frame may be.
         """
         if not line:
             return None
@@ -428,7 +446,7 @@ class GatewayHttp:
             return None
         headers: Dict[str, str] = {}
         while True:
-            header = await reader.readline()
+            header = await _read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
@@ -440,7 +458,13 @@ class GatewayHttp:
             length = -1
         if length < 0:
             raise BadRequest(f"invalid Content-Length {raw_length!r}")
-        body = await reader.readexactly(length) if length else b""
+        if length > MAX_FRAME_BYTES:
+            raise PayloadTooLarge(
+                f"Content-Length {length} exceeds the {MAX_FRAME_BYTES}-byte cap")
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return None  # the client hung up mid-body
         path, _, query_string = target.partition("?")
         query: Dict[str, str] = {}
         for pair in query_string.split("&"):
@@ -456,7 +480,8 @@ class GatewayHttp:
                        payload: Dict[str, Any], keep_alive: bool,
                        extra_headers: Optional[Dict[str, str]] = None) -> None:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 429: "Too Many Requests",
+                   404: "Not Found", 413: "Payload Too Large",
+                   429: "Too Many Requests",
                    500: "Internal Server Error", 503: "Service Unavailable",
                    504: "Gateway Timeout"}
         body = json.dumps(payload).encode()

@@ -8,8 +8,9 @@ destinations come in two flavours:
   modelled latency, loss and partition injection included, scheduled on the
   wall-clock runtime;
 * **remote** peers (added with :meth:`add_peer`, e.g. the gateway seen from
-  a shard process) receive the ``Message`` as a length-prefixed pickle frame
-  over a persistent TCP connection; the real network supplies the latency.
+  a shard process) receive the ``Message`` as a length-prefixed frame
+  (:mod:`repro.service.frames`, encoded by :mod:`repro.codec`) over a
+  persistent TCP connection; the real network supplies the latency.
   Frames queued for one peer in the same loop turn leave in one socket
   write.
 

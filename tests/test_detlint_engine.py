@@ -1,6 +1,5 @@
 """Engine-level detlint tests: suppressions, policy scoping, the DEAD001
-use pass, the CLI contract, and the static-vs-runtime barrier-closure
-cross-check.
+use pass and the CLI contract.
 """
 
 import json
@@ -267,30 +266,6 @@ def test_dead001_reports_a_decorated_def_at_its_first_decorator(tmp_path):
     assert finding.line == 5 and finding.suppressed
 
 
-# ------------------------------------------------- closure vs runtime guard
-def test_static_barrier_closure_covers_runtime_command_reach():
-    """The PKL pass must statically reach every class the runtime barrier
-    actually ships: Command and all its subclasses, the window framing
-    classes, and the report payloads (cross-check of the PR-7 runtime
-    reduce-coverage guard)."""
-    from repro.core import homecoord
-
-    repo_root = Path(__file__).resolve().parents[1]
-    engine = Engine(policy=DEFAULT_POLICY, root=repo_root)
-    report = engine.analyze([str(repo_root / "src" / "repro")])
-    static_names = {entry.split(":")[-1] for entry in report.barrier_closure}
-
-    runtime_names = {cls.__name__ for cls in
-                     (homecoord.Command, homecoord.WindowBlock,
-                      homecoord.WindowResult, homecoord.TxDone,
-                      homecoord.AdmitReport, homecoord.MarginReport)}
-    for cls in list(homecoord.Command.__subclasses__()):
-        runtime_names.add(cls.__name__)
-    assert runtime_names <= static_names
-    # annotation closure reaches the payload type carried in Command.txs
-    assert "Transaction" in static_names
-
-
 @pytest.mark.parametrize("run_from", ["repo", "elsewhere"])
 def test_repo_tree_is_detlint_clean(tmp_path, run_from):
     """The acceptance gate, as a test: analysis of src/ has zero
@@ -310,7 +285,7 @@ def test_repo_tree_is_detlint_clean(tmp_path, run_from):
 def test_cli_list_rules(capsys):
     assert cli_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET005", "PKL003", "DEAD001"):
+    for rule_id in ("DET001", "DET005", "DEAD001"):
         assert rule_id in out
 
 

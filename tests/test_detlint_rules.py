@@ -112,37 +112,6 @@ def test_det005_three_shapes():
         {"pick_leader", "steal_one", "drain_one"}
 
 
-def test_pkl001_reports_missing_and_reordered_fields():
-    report = analyze("pkl001_pos.py")
-    found = findings_for(report, "PKL001")
-    by_class = {f.function: f.message for f in found}
-    assert "missing fields ['op']" in by_class["Command"]
-    assert "field order" in by_class["WindowBlock"]
-
-
-def test_pkl002_unpicklable_member_lambda_and_nested():
-    report = analyze("pkl002_pos.py")
-    messages = [f.message for f in findings_for(report, "PKL002")]
-    assert any("Callable" in m for m in messages)
-    assert any("lambda" in m for m in messages)
-    assert any("nested class" in m for m in messages)
-    assert any("Lock" in m for m in messages)
-
-
-def test_pkl003_set_field_without_protocol():
-    report = analyze("pkl003_pos.py")
-    found = findings_for(report, "PKL003")
-    assert len(found) == 1
-    assert "WindowResult.seen" in found[0].message
-
-
-def test_pkl_closure_exposed_in_report():
-    report = analyze("pkl001_neg.py")
-    assert any(name.endswith(":Command") for name in report.barrier_closure)
-    assert any(name.endswith(":WindowBlock")
-               for name in report.barrier_closure)
-
-
 def test_dead001_reports_every_unused_public_definition():
     report = analyze("dead001_pos.py")
     assert {f.function for f in findings_for(report, "DEAD001")} == {

@@ -9,15 +9,11 @@ hanging the parent on a pipe read.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.core.config import ShardedSystemConfig
 from repro.core.homecoord import (
     Command,
-    WindowBlock,
-    WindowResult,
     assign_partitions,
     group_by_dest,
     home_shard,
@@ -122,37 +118,6 @@ class TestRpcFraming:
         grouped = group_by_dest(commands)
         assert [c.seq for c in grouped[0]] == [0, 2, 4]
         assert [c.seq for c in grouped[1]] == [1, 3, 5]
-
-    def test_window_block_pickle_roundtrip(self):
-        """Process mode ships exactly one WindowBlock/WindowResult pickle
-        per worker per window; the frames must survive the trip intact,
-        order included."""
-        block = WindowBlock(until=0.25, epoch=3, commands=tuple(
-            Command(due=0.2 + i / 1000, dest=i, op="prepare2pc", src=0, seq=i,
-                    tx_id=f"tx-{i}", priority=(0.1, i, 0))
-            for i in range(4)))
-        clone = pickle.loads(pickle.dumps(block))
-        assert clone.until == block.until and clone.epoch == 3
-        assert [c.tx_id for c in clone.commands] == [c.tx_id for c in block.commands]
-        assert clone.commands[2].priority == (0.1, 2, 0)
-        result = WindowResult(routed=block.commands)
-        assert pickle.loads(pickle.dumps(result)).routed[1].seq == 1
-
-    def test_command_reduce_covers_every_field(self):
-        """Command pickles as a positional tuple (__reduce__) for speed; a
-        field added to the dataclass but not to the tuple would silently
-        vanish in transit.  Set every field to a non-default value and
-        roundtrip: dataclass equality compares all fields."""
-        import dataclasses
-
-        command = Command(due=0.5, dest=4, op="decision", src=2, seq=11,
-                          txs=(), tx_id="tx-9", home=1, origin=2, ok=False,
-                          reason="wounded", attempt=2, priority=(0.1, 3, 1),
-                          committed=True, latency=0.25, epoch=5, node_id=8,
-                          logical=3, transfer_override=1.5, marker=6,
-                          reply_to=0, receipt="r")
-        assert len(command.__reduce__()[1]) == len(dataclasses.fields(Command))
-        assert pickle.loads(pickle.dumps(command)) == command
 
     def test_one_block_per_worker_per_window(self):
         """The barrier RPC is batched: each window sends each worker exactly

@@ -5,7 +5,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import pickle
 import random
 
 import pytest
@@ -124,16 +123,6 @@ class TestTransactionDigests:
         assert "_digest" not in tx.__dict__
         assert tx.digest == seed_digest_of({
             "tx_id": "tx-1-abc", "chaincode": "cc", "function": "f", "args": {"k": [1, 2.5]}})
-
-    def test_pickling_carries_fields_only(self):
-        """The digest cache does not cross a pipe or a socket: the receiver
-        re-derives it from the fields it was actually sent."""
-        tx = Transaction.create("cc", "f", {"k": "v"}, client_id="c", keys=("k",),
-                                submitted_at=1.5)
-        assert "_digest" in tx.__dict__
-        received = pickle.loads(pickle.dumps(tx))
-        assert received == tx and "_digest" not in received.__dict__
-        assert received.digest == tx.digest
 
 
 class TestBlockchain:

@@ -71,3 +71,15 @@ def test_non_object_json_body_is_a_400_before_admission(body):
     assert status == 400
     assert "JSON object" in payload["error"]
     assert started == 0
+
+
+@pytest.mark.parametrize("head, status", [
+    (f"GET /health HTTP/1.1\r\nX-Padding: {'a' * 70_000}", 400),
+    (f"GET /{'a' * 70_000} HTTP/1.1", 400),
+    ("POST /tx HTTP/1.1\r\nContent-Length: 70000000", 413),
+], ids=["long-header", "long-request-line", "body-over-frame-cap"])
+def test_oversized_request_is_answered_not_dropped(head, status):
+    status_code, payload, started = _exchange(head)
+    assert status_code == status
+    assert payload["error"]
+    assert started == 0
