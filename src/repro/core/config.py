@@ -28,7 +28,9 @@ class ShardedSystemConfig:
     #: One-way delay charged when the client/coordinator relays a message
     #: between the reference committee and a transaction committee.  Every
     #: cross-partition hop pays it, so it is also the engine's lookahead and
-    #: barrier window length (:mod:`repro.core.scaleout`).
+    #: barrier window length (:mod:`repro.core.scaleout`) — which is why the
+    #: engine needs it positive.  Live shard processes run with ``0.0``:
+    #: there the socket is the hop.
     relay_delay: float = 0.002
     #: When False, completed transactions' coordinator records are discarded
     #: immediately, bounding memory on long (100k+ transaction) runs.
@@ -105,6 +107,8 @@ class ShardedSystemConfig:
         if self.conflict_policy not in ("abort", "wait", "wound-wait"):
             raise ConfigurationError(
                 "conflict_policy must be 'abort', 'wait' or 'wound-wait'")
+        if self.relay_delay < 0:
+            raise ConfigurationError("relay_delay must be non-negative")
         if self.wait_timeout <= 0:
             raise ConfigurationError("wait_timeout must be positive")
         if self.prepare_timeout is not None and self.prepare_timeout <= 0:

@@ -8,8 +8,9 @@ committee all live inside the partitions
 * Every transaction gets a deterministic **home partition**
   (:func:`home_shard` — its first participating shard) whose
   :class:`HomeCoordinator` hosts the
-  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` (the same driver the
-  live gateway hosts) inside the partition's own sub-simulation.
+  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` inside the
+  partition's own sub-simulation — or, in a live shard process, on the
+  wall clock.
 * Lock admission is **participant-side**: each partition hosts a
   :class:`~repro.txn.locks.LockAdmissionTable` for the prepares that arrive
   at its shard, and votes PrepareNotOK on deadlocks/timeouts itself.
@@ -26,7 +27,10 @@ committee all live inside the partitions
 * Votes, decisions, re-drives, receipts and client handoffs flow between
   partitions as ordinary barrier-window :class:`Command` records, batched
   into one :class:`WindowBlock`/:class:`WindowResult` exchange per worker
-  per window, encoded by :mod:`repro.codec`.
+  per window, encoded by :mod:`repro.codec`; between live shard processes
+  one frame each.  The submitter of a transaction — the engine's parent or
+  the live gateway — keeps its :class:`ClientRecords`, filled from the
+  home's :class:`TxDone`.
 
 Determinism rules
 -----------------
@@ -39,7 +43,9 @@ seq)``, a total order that depends only on what each partition did.  Each
 partition also owns a disjoint transaction-id stream
 (:func:`partition_tx_counter`), swapped into the process-global counter
 around every window, so ids never depend on which OS process drains which
-partition.
+partition.  A live shard process has no windows: it runs with
+``relay_delay`` 0, applies each command as it arrives and keeps its id
+stream installed for its whole life (:mod:`repro.service.shardnode`).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import ShardedSystemConfig
 from repro.core.driver import ArrivalLoop, config_workload, split_evenly
@@ -64,6 +70,7 @@ from repro.runtime.base import Runtime
 from repro.txn.coordinator import (
     Cohort,
     DistributedTxOutcome,
+    DistributedTxPhase,
     DistributedTxRecord,
     TwoPhaseCommitCoordinator,
     TwoPhaseCommitDriver,
@@ -71,8 +78,13 @@ from repro.txn.coordinator import (
 from repro.txn.locks import DEADLOCK_REASON, LockAdmissionTable
 from repro.workloads.generator import shard_of_key
 
-#: ``src``/``origin``/``dest`` value naming the parent barrier orchestrator.
+#: ``src``/``origin``/``dest`` value naming the parent barrier orchestrator
+#: (in a live shard process: the gateway).
 PARENT = -1
+
+#: On the wall clock, re-drives of a lost prepare or decision before the home
+#: gives up (aborts the prepare, forces the ack); the simulator has no budget.
+MAX_REDRIVES = 3
 
 
 def home_shard(shards) -> int:
@@ -213,6 +225,49 @@ class WindowResult:
 
     outputs: Tuple[Any, ...] = ()
     routed: Tuple[Command, ...] = ()
+
+
+class ClientRecords:
+    """The submitter's shadow records of transactions handed to their homes
+    (the engine's parent and the live gateway keep one each), filled from
+    the home's :class:`TxDone`."""
+
+    def __init__(self, splitter: Any, shard_of: Callable[[str], int]) -> None:
+        self.splitter = splitter
+        self.shard_of = shard_of
+        #: tx_id -> (record, completion callback or None), until the outcome.
+        self.pending: Dict[str, Tuple[DistributedTxRecord, Optional[Callable]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.pending)
+
+    def begin(self, tx: Transaction, shards: List[int], now: float,
+              on_complete: Optional[Callable[[DistributedTxRecord], None]] = None
+              ) -> DistributedTxRecord:
+        """Open ``tx``'s record.  An unsplittable cross-shard transaction
+        raises :class:`~repro.errors.WorkloadError` here, in the submitter's
+        reach, rather than at its home."""
+        if len(shards) > 1:
+            self.splitter.validate(tx, self.shard_of)
+        record = DistributedTxRecord(tx_id=tx.tx_id, transaction=tx,
+                                     shards=sorted(shards), started_at=now)
+        self.pending[tx.tx_id] = (record, on_complete)
+        return record
+
+    def finish(self, tx_id: str, committed: bool, abort_reason: Optional[str],
+               decided_at: Optional[float], completed_at: Optional[float]) -> None:
+        """Fill ``tx_id``'s pending record with its outcome; run its completion."""
+        record, on_complete = self.pending.pop(tx_id, (None, None))
+        if record is None:
+            return
+        record.phase = DistributedTxPhase.DONE
+        record.outcome = (DistributedTxOutcome.COMMITTED if committed
+                          else DistributedTxOutcome.ABORTED)
+        record.abort_reason = abort_reason
+        record.decided_at = decided_at
+        record.completed_at = completed_at
+        if on_complete is not None:
+            on_complete(record)
 
 
 def inbound_sort_key(command: Command) -> Tuple[float, int, int]:
@@ -362,9 +417,9 @@ class HomeCoordinator:
     transaction's home.
 
     The ``partition`` object supplies the rest of the surface: ``runtime``,
-    ``config``, ``shard_id``, ``cluster``, ``adversary``, ``current_epoch``,
-    ``route(command)``, ``watch(tx_id, callback)`` and
-    ``emit_tx_done(record)``.
+    ``config``, ``shard_id``, ``adversary``, ``current_epoch``,
+    ``route(command)``, ``watch(tx_id, callback)``,
+    ``hand_to_committee(transactions, attempt)`` and ``emit_tx_done(record)``.
     """
 
     def __init__(self, partition: Any) -> None:
@@ -377,8 +432,10 @@ class HomeCoordinator:
         #: advance with this partition's own transaction history only.
         self.fault = copy.deepcopy(self.config.fault_scenario)
         #: Admission is participant-side here, so prepares always leave the
-        #: home immediately; under an armed adversary a decision's
-        #: first-contact member may swallow it, so decisions get deadlines.
+        #: home immediately.  An armed adversary may swallow a decision and a
+        #: live peer process may die, so there decisions get deadlines; the
+        #: wall clock gives up after a budget and answers for a silent peer.
+        live = not self.runtime.is_simulated
         self.driver = TwoPhaseCommitDriver(
             self, self.runtime,
             TwoPhaseCommitCoordinator(
@@ -386,7 +443,9 @@ class HomeCoordinator:
                 prepare_timeout=self.config.prepare_timeout),
             self.splitter, self.shard_of,
             use_reference_committee=self.config.use_reference_committee,
-            fault=self.fault, redrive_decisions=partition.adversary is not None)
+            fault=self.fault,
+            redrive_decisions=live or partition.adversary is not None,
+            max_redrives=MAX_REDRIVES if live else None)
         #: This shard's lock-admission table (queueing policies only).
         self.admission: Optional[LockAdmissionTable] = (
             LockAdmissionTable(self.runtime, self.config.conflict_policy,
@@ -396,24 +455,15 @@ class HomeCoordinator:
                                on_wound=self._wound)
             if self.config.conflict_policy != "abort" else None)
         self._tx_home: Dict[str, int] = {}
+        #: Peer shards whose process is gone (live partitions only: simulated
+        #: shards stall or lose messages, never vanish).
+        self._lost: Set[int] = set()
 
     @property
     def coordinator(self) -> TwoPhaseCommitCoordinator:
         """The driver's bookkeeping: records and statistics of the
         transactions homed here."""
         return self.driver.coordinator
-
-    @property
-    def wounded_transactions(self) -> int:
-        return self.admission.wounded_transactions if self.admission else 0
-
-    @property
-    def deadlocks_detected(self) -> int:
-        return self.admission.deadlocks_detected if self.admission else 0
-
-    @property
-    def wait_timeouts(self) -> int:
-        return self.admission.wait_timeouts if self.admission else 0
 
     # ----------------------------------------------------------------- routing
     def shard_of(self, key: str) -> int:
@@ -435,7 +485,7 @@ class HomeCoordinator:
         partition (``PARENT`` for parent-submitted transactions).
         """
         shards = self.shards_for_transaction(tx)
-        if home_shard(shards) != self.shard_id:  # pragma: no cover - protocol bug guard
+        if home_shard(shards) != self.shard_id:  # a misrouted submit frame, or a bug
             raise SimulationError(
                 f"transaction {tx.tx_id!r} homed at {home_shard(shards)} "
                 f"submitted to partition {self.shard_id}")
@@ -457,6 +507,11 @@ class HomeCoordinator:
     def handle_ref_receipt(self, command: Command) -> None:
         self.driver.reference_receipt(command.receipt)
 
+    def shard_lost(self, shard_id: int) -> None:
+        """Peer ``shard_id``'s process is gone: the driver answers for it."""
+        self._lost.add(shard_id)
+        self.driver.shard_lost(shard_id)
+
     # ------------------------------------------- home: the driver's host surface
     def relay(self, kind: str, record: DistributedTxRecord, cohort: Cohort,
               extra_delay: float, attempt: int) -> None:
@@ -469,9 +524,8 @@ class HomeCoordinator:
             (_, tx), = cohort
             self.partition.watch(tx.tx_id, partial(
                 self.driver.receipt, kind, record, self.shard_id))
-            self.runtime.schedule(
-                self.config.relay_delay,
-                lambda: self.partition.cluster.submit([tx], attempt=attempt))
+            self.runtime.schedule(self.config.relay_delay,
+                                  self.partition.hand_to_committee, [tx], attempt)
             return
         due = self.runtime.now + self.config.relay_delay + extra_delay
         if kind == "prepare":
@@ -490,7 +544,7 @@ class HomeCoordinator:
                     reply_to=self.shard_id, attempt=attempt)
 
     def shard_unreachable(self, shard_id: int) -> bool:
-        return False  # simulated shards stall or lose messages, never vanish
+        return shard_id in self._lost
 
     def finished(self, record: DistributedTxRecord, target: Any) -> None:
         if target is None:
@@ -534,7 +588,7 @@ class HomeCoordinator:
 
         prepare_tx = command.txs[0]
         self.partition.watch(prepare_tx.tx_id, on_receipt)
-        self.partition.cluster.submit([prepare_tx], attempt=command.attempt)
+        self.partition.hand_to_committee([prepare_tx], command.attempt)
 
     def _on_admitted(self, tx_id: str) -> None:
         # The grant notification pays the relay hop; the request stays parked
@@ -584,4 +638,4 @@ class HomeCoordinator:
                         op="ack", tx_id=tx_id, origin=self.shard_id)
 
         self.partition.watch(decision_tx.tx_id, on_receipt)
-        self.partition.cluster.submit([decision_tx], attempt=command.attempt)
+        self.partition.hand_to_committee([decision_tx], command.attempt)

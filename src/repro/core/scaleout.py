@@ -63,6 +63,10 @@ additionally owns a disjoint transaction-id stream swapped into the
 process-global counter around its windows, so even transaction *ids* are
 grouping-invariant.
 
+A third drain needs no windows: a live shard process
+(:class:`repro.service.shardnode.LivePartition`) runs one partition on the
+wall clock, with ``relay_delay`` 0 and each command one socket frame.
+
 Epoch transitions and the adversary cross partition boundaries, so they are
 decomposed into partition-local control operations: membership removal runs
 on the source partition, admission (including the budget-checked corruption
@@ -108,6 +112,7 @@ from repro.core.homecoord import (
 from repro.core.splitters import REFERENCE_SHARD_ID, build_committee
 from repro.errors import SimulationError
 from repro.ledger.transaction import Transaction, swap_tx_counter
+from repro.runtime.base import Runtime
 from repro.sharding.assignment import assign_committees
 from repro.sharding.reconfiguration import state_transfer_seconds
 from repro.sim.network import Network
@@ -129,17 +134,32 @@ class ShardPartition:
     open-loop driver.  The ``REFERENCE_SHARD_ID`` partition instead runs the
     reference committee's cluster and serves ``ref_submit`` commands from
     the homes.
+
+    By default the partition builds its own :class:`Simulator`, ``sim``,
+    and :class:`Network` and is drained window by window: :meth:`inject`,
+    :meth:`run_window` and :meth:`summary` belong to that windowed drain and
+    read ``sim``; everything else schedules through ``runtime``.  A live
+    shard process (:class:`repro.service.shardnode.LivePartition`) passes
+    its wall clock and socket network instead, never calls the window
+    methods, and overrides the three transport points: :meth:`_send`
+    (commands to other partitions), :meth:`_output` (reports to the parent)
+    and :meth:`hand_to_committee`.
     """
 
-    def __init__(self, config: ShardedSystemConfig, shard_id: int) -> None:
+    def __init__(self, config: ShardedSystemConfig, shard_id: int,
+                 runtime: Optional[Runtime] = None,
+                 network: Optional[Network] = None) -> None:
         self.config = config
         self.shard_id = shard_id
         self.is_reference = shard_id == REFERENCE_SHARD_ID
-        self.sim = Simulator(seed=partition_stream_seed(config.seed, shard_id))
+        if runtime is None:
+            #: The simulator the harness drains window by window.
+            self.sim = Simulator(seed=partition_stream_seed(config.seed, shard_id))
+            runtime, network = self.sim, Network(self.sim)
         #: What the in-partition protocol code (home coordinator, drivers)
-        #: schedules through: the same simulator the harness drains as ``sim``.
-        self.runtime = self.sim
-        self.network = Network(self.sim)
+        #: schedules through.
+        self.runtime = runtime
+        self.network = network
         self.current_epoch = 0
         self._tx_counter = partition_tx_counter(shard_id)
         # The committee assignment and the adversary placement are pure
@@ -156,17 +176,17 @@ class ShardPartition:
         self._routed: List[Command] = []
         self._outseq = itertools.count()
         self._watchers: Dict[str, Callable[[Any], None]] = {}
+        self.drivers: Dict[int, PartitionDriver] = {}
         self.cluster.subscribe_commits(self._on_commit)
         if self.is_reference:
             self.home: Optional[HomeCoordinator] = None
             self._reply_to: Dict[str, int] = {}
         else:
             self.home = HomeCoordinator(self)
-            self.drivers: Dict[int, PartitionDriver] = {}
             self._remote_inflight: Dict[str, PartitionDriver] = {}
             if (self.adversary is not None
                     and self.adversary.config.tee_rollback_shard == shard_id):
-                self.adversary.arm_cluster(self.sim, self.cluster)
+                self.adversary.arm_cluster(self.runtime, self.cluster)
 
     def add_driver(self, index: int, spec: Dict[str, Any]) -> None:
         """Attach (and start) this partition's split of driver ``index``."""
@@ -178,11 +198,23 @@ class ShardPartition:
     def route(self, command: Command) -> None:
         """Send a coordination command; self-targets never leave the partition."""
         if command.dest == self.shard_id:
-            self.sim.schedule_at(command.due, self._apply, command)
+            self.runtime.schedule_at(command.due, self.apply, command)
             return
         command.src = self.shard_id
         command.seq = next(self._outseq)
+        self._send(command)
+
+    def _send(self, command: Command) -> None:
+        """A command for another partition: held for the next window."""
         self._routed.append(command)
+
+    def _output(self, report: Any) -> None:
+        """A report for the parent: returned with this window's outputs."""
+        self._outbox.append(report)
+
+    def hand_to_committee(self, transactions: List[Transaction], attempt: int) -> None:
+        """Submit ``transactions`` to this partition's committee as one request."""
+        self.cluster.submit(transactions, attempt=attempt)
 
     def watch(self, tx_id: str, callback: Callable[[Any], None]) -> None:
         """Invoke ``callback`` with the receipt when ``tx_id`` commits locally."""
@@ -190,8 +222,8 @@ class ShardPartition:
 
     def emit_tx_done(self, record: DistributedTxRecord) -> None:
         """Report a parent-submitted transaction's completion upward."""
-        self._outbox.append(TxDone(
-            time=self.sim.now, shard=self.shard_id, seq=next(self._outseq),
+        self._output(TxDone(
+            time=self.runtime.now, shard=self.shard_id, seq=next(self._outseq),
             tx_id=record.tx_id,
             committed=record.outcome is DistributedTxOutcome.COMMITTED,
             abort_reason=record.abort_reason, started_at=record.started_at,
@@ -205,7 +237,7 @@ class ShardPartition:
             self.home.submit_transaction(tx, on_complete=driver.on_local_complete)
             return
         self._remote_inflight[tx.tx_id] = driver
-        self.route(Command(due=self.sim.now + self.config.relay_delay,
+        self.route(Command(due=self.runtime.now + self.config.relay_delay,
                            dest=home, op="client", txs=(tx,),
                            tx_id=tx.tx_id, origin=self.shard_id))
 
@@ -216,7 +248,7 @@ class ShardPartition:
                 reply_to = self._reply_to.pop(receipt.tx_id, None)
                 if reply_to is not None:
                     self.route(Command(
-                        due=self.sim.now + self.config.relay_delay,
+                        due=self.runtime.now + self.config.relay_delay,
                         dest=reply_to, op="ref_receipt", tx_id=receipt.tx_id,
                         receipt=receipt))
                 continue
@@ -233,7 +265,7 @@ class ShardPartition:
         is worker-count-invariant.
         """
         for command in commands:
-            self.sim.schedule_at(command.due, self._apply, command)
+            self.sim.schedule_at(command.due, self.apply, command)
 
     def run_window(self, until: float, epoch: int) -> Tuple[List[Any], List[Command]]:
         """Drain events up to ``until``; return (parent outputs, routed commands).
@@ -258,7 +290,8 @@ class ShardPartition:
         routed, self._routed = self._routed, []
         return out, routed
 
-    def _apply(self, command: Command) -> None:
+    def apply(self, command: Command) -> None:
+        """Carry out one command addressed to this partition."""
         op = command.op
         if op == "prepare2pc":
             self.home.handle_prepare(command)
@@ -276,7 +309,7 @@ class ShardPartition:
         elif op == "ref_submit":
             tx = command.txs[0]
             self._reply_to[tx.tx_id] = command.reply_to
-            self.cluster.submit([tx], attempt=command.attempt)
+            self.hand_to_committee([tx], command.attempt)
         elif op == "ref_receipt":
             self.home.handle_ref_receipt(command)
         elif op == "remove":
@@ -287,8 +320,8 @@ class ShardPartition:
             self._apply_admit(command)
         elif op == "margin":
             if self.cluster.replicas:
-                self._outbox.append(MarginReport(
-                    time=self.sim.now, shard=self.shard_id,
+                self._output(MarginReport(
+                    time=self.runtime.now, shard=self.shard_id,
                     seq=next(self._outseq), marker=command.marker,
                     margin=self.cluster.quorum_margin()))
         elif op == "prepare":
@@ -319,9 +352,9 @@ class ShardPartition:
             state_bytes = source.state.size_bytes() if source is not None else 0
             transfer = state_transfer_seconds(
                 state_bytes, bandwidth_bps=self.config.state_bandwidth_bps)
-        self.sim.schedule(transfer, self.cluster.activate_member, node_id)
-        self._outbox.append(AdmitReport(
-            time=self.sim.now, shard=self.shard_id, seq=next(self._outseq),
+        self.runtime.schedule(transfer, self.cluster.activate_member, node_id)
+        self._output(AdmitReport(
+            time=self.runtime.now, shard=self.shard_id, seq=next(self._outseq),
             marker=command.marker, node_id=node_id, transfer=transfer))
 
     # --------------------------------------------------------------- summary
@@ -335,9 +368,10 @@ class ShardPartition:
             "degraded_observer_reads": self.cluster.degraded_observer_reads,
         }
         if self.home is not None:
-            counters["wounded"] = self.home.wounded_transactions
-            counters["deadlocks"] = self.home.deadlocks_detected
-            counters["wait_timeouts"] = self.home.wait_timeouts
+            table = self.home.admission  # None under the "abort" policy
+            counters["wounded"] = table.wounded_transactions if table else 0
+            counters["deadlocks"] = table.deadlocks_detected if table else 0
+            counters["wait_timeouts"] = table.wait_timeouts if table else 0
         if self.adversary is not None:
             counters["migrated_corruptions"] = self.adversary.migrated_corruptions
             counters["suppressed_corruptions"] = self.adversary.suppressed_corruptions
@@ -350,8 +384,6 @@ class ShardPartition:
         return self.home.coordinator.stats if self.home is not None else None
 
     def driver_stats(self) -> Dict[int, Any]:
-        if self.home is None:
-            return {}
         return {index: driver.stats for index, driver in self.drivers.items()}
 
     def commit_times(self) -> List[float]:
@@ -422,24 +454,9 @@ class _PartitionGroup:
                     routed_out.append(command)
         return WindowResult(outputs=tuple(outputs), routed=tuple(routed_out))
 
-    def summaries(self) -> Dict[int, Dict[str, int]]:
-        return {shard_id: self.partitions[shard_id].summary()
-                for shard_id in self.shard_ids}
-
-    def coordination_stats(self) -> Dict[int, CoordinatorStats]:
-        stats = {}
-        for shard_id in self.shard_ids:
-            partition_stats = self.partitions[shard_id].coordination_stats()
-            if partition_stats is not None:
-                stats[shard_id] = partition_stats
-        return stats
-
-    def driver_stats(self) -> Dict[int, Dict[int, Any]]:
-        return {shard_id: self.partitions[shard_id].driver_stats()
-                for shard_id in self.shard_ids}
-
-    def commit_times(self) -> Dict[int, List[float]]:
-        return {shard_id: self.partitions[shard_id].commit_times()
+    def gather(self, method: str) -> Dict[int, Any]:
+        """Every partition's ``method()`` answer, by shard id."""
+        return {shard_id: getattr(self.partitions[shard_id], method)()
                 for shard_id in self.shard_ids}
 
     def pending_events(self) -> int:

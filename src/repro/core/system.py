@@ -101,6 +101,7 @@ from repro.core.driver import DriverStats
 from repro.core.homecoord import (
     PARENT,
     AdmitReport,
+    ClientRecords,
     Command,
     MarginReport,
     TxDone,
@@ -126,8 +127,6 @@ from repro.sim.monitor import TimeSeries
 from repro.sim.simulator import Simulator
 from repro.txn.coordinator import (
     CoordinatorStats,
-    DistributedTxOutcome,
-    DistributedTxPhase,
     DistributedTxRecord,
 )
 from repro.workloads.generator import shard_of_key
@@ -220,6 +219,10 @@ class ShardedBlockchain:
     """A sharded permissioned blockchain deployment (see the module docstring)."""
 
     def __init__(self, config: ShardedSystemConfig) -> None:
+        if config.relay_delay <= 0:
+            raise ConfigurationError(
+                "relay_delay is the engine's barrier window and must be "
+                f"positive, got {config.relay_delay!r}")
         self.config = config
         #: The parent's own simulation: epoch timers, completion reports of
         #: API-submitted transactions, and whatever clients schedule through
@@ -243,7 +246,9 @@ class ShardedBlockchain:
         self._marker_counter = itertools.count()
         self._pending_admits: Dict[int, _BatchState] = {}
         self._margin_sinks: Dict[int, EpochTransitionStats] = {}
-        self._remote_txs: Dict[str, Tuple[DistributedTxRecord, Optional[Callable]]] = {}
+        #: Shadow records of the transactions submitted here, until their home's
+        #: completion report arrives.
+        self._remote_txs = ClientRecords(self.splitter, self.shard_of_key)
         self._drivers_registered = 0
         #: Wall-clock split of the barrier loop: time inside executor windows
         #: (partition work) vs. time draining the parent's own simulation.
@@ -348,31 +353,15 @@ class ShardedBlockchain:
         cross-shard transaction that cannot be split.
         """
         shards = self.shards_for_transaction(tx)
-        if len(shards) > 1:
-            # Refuse here what the home's driver would refuse inside a worker.
-            self.splitter.validate(tx, self.shard_of_key)
-        record = DistributedTxRecord(tx_id=tx.tx_id, transaction=tx,
-                                     shards=sorted(shards),
-                                     started_at=self.sim.now)
-        self._remote_txs[tx.tx_id] = (record, on_complete)
+        record = self._remote_txs.begin(tx, shards, self.sim.now, on_complete)
         self._emit(Command(due=self.sim.now + self.config.relay_delay,
                            dest=home_shard(shards), op="client", txs=(tx,),
                            tx_id=tx.tx_id, origin=PARENT))
         return record
 
     def _on_tx_done(self, done: TxDone) -> None:
-        entry = self._remote_txs.pop(done.tx_id, None)
-        if entry is None:
-            return
-        record, on_complete = entry
-        record.phase = DistributedTxPhase.DONE
-        record.outcome = (DistributedTxOutcome.COMMITTED if done.committed
-                          else DistributedTxOutcome.ABORTED)
-        record.abort_reason = done.abort_reason
-        record.decided_at = done.decided_at
-        record.completed_at = done.completed_at
-        if on_complete is not None:
-            on_complete(record)
+        self._remote_txs.finish(done.tx_id, done.committed, done.abort_reason,
+                                done.decided_at, done.completed_at)
 
     # --------------------------------------------------------------- drivers
     def register_partition_driver(self, spec: Dict[str, Any]) -> int:
@@ -468,7 +457,7 @@ class ShardedBlockchain:
         """``method``'s per-partition answers from every group, in shard
         order (so whatever is folded over them is grouping-invariant)."""
         merged: Dict[int, Any] = {}
-        for reply in self.executor.call(method):
+        for reply in self.executor.call("gather", method):
             merged.update(reply)
         return dict(sorted(merged.items()))
 
@@ -480,6 +469,8 @@ class ShardedBlockchain:
         """
         merged = CoordinatorStats()
         for stats in self._gather("coordination_stats").values():
+            if stats is None:
+                continue  # the reference committee coordinates nothing
             for field_ in dataclasses.fields(CoordinatorStats):  # counters, sums, lists
                 setattr(merged, field_.name, getattr(merged, field_.name)
                         + getattr(stats, field_.name))
@@ -487,7 +478,7 @@ class ShardedBlockchain:
 
     def result(self, duration: float) -> ShardedRunResult:
         stats = self.coordination_stats()
-        summaries = self._gather("summaries")
+        summaries = self._gather("summary")
         reference = summaries.pop(REFERENCE_SHARD_ID, None)
         return ShardedRunResult(
             duration=duration,
@@ -508,7 +499,7 @@ class ShardedBlockchain:
     def shard_summaries(self) -> Dict[int, Dict[str, int]]:
         """Per-shard observable outcomes and counters (see
         :meth:`~repro.core.scaleout.ShardPartition.summary`)."""
-        summaries = self._gather("summaries")
+        summaries = self._gather("summary")
         summaries.pop(REFERENCE_SHARD_ID, None)
         return summaries
 
@@ -516,7 +507,7 @@ class ShardedBlockchain:
     def events_processed(self) -> int:
         """Simulator events fired so far, over the parent and every partition."""
         return self.sim.events_processed + sum(
-            summary["events"] for summary in self._gather("summaries").values())
+            summary["events"] for summary in self._gather("summary").values())
 
     @property
     def admission(self) -> Optional[AdmissionCounts]:

@@ -8,12 +8,12 @@ discrete-event simulator runs — through the runtime seam
   by the wire codec (:mod:`repro.codec`) and decoded without resolving any
   global.
 * :mod:`repro.service.socketnet` — :class:`SocketNetwork`, the wall-clock
-  transport implementing the existing ``Network`` send/broadcast surface.
-* :mod:`repro.service.shardnode` — one process per shard: an
-  :class:`~repro.runtime.wallclock.AsyncioRuntime` driving an unchanged
-  :class:`~repro.consensus.cluster.ConsensusCluster`.
+  transport implementing the existing ``Network`` send surface.
+* :mod:`repro.service.shardnode` — one process per shard: the engine's own
+  shard partition, with its 2PC home coordinator, on an
+  :class:`~repro.runtime.wallclock.AsyncioRuntime`.
 * :mod:`repro.service.gateway` — the HTTP/JSON gateway (submit, status,
-  balance, health) and the 2PC coordination it drives across shards.
+  balance, health): admission and routing to each transaction's home shard.
 * :mod:`repro.service.serve` — the ``repro-serve`` console script booting an
   N-shard cluster.
 * :mod:`repro.service.client` — a small blocking HTTP client and workload

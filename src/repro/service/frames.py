@@ -3,8 +3,8 @@
 The wire format is a 4-byte big-endian length followed by the
 :mod:`repro.codec` encoding of the payload — the codec the scale-out barrier
 pipe uses too — here applied to live TCP connections between the gateway and
-the shard node processes.  The payloads are the protocol's own dataclasses
-(``Message`` carrying ``Transaction`` / ``TransactionReceipt`` objects),
+the shard processes, and among the shards.  The payloads are the protocol's
+own dataclasses (``Message`` carrying ``Transaction``, ``Command``, ``TxDone``),
 sent as tagged tuples of primitives; a body is loaded by an unpickler that
 refuses every global, so whoever connects can at worst send a frame that
 ends as :class:`FrameError`.  The *external* client surface (the HTTP

@@ -1,34 +1,31 @@
-"""The HTTP/JSON gateway: trusted 2PC over live shard processes.
+"""The HTTP/JSON gateway: admission and routing in front of live shard processes.
 
 Two halves:
 
-* :class:`GatewayService` — the coordination plane.  It hosts the *same*
-  :class:`~repro.txn.coordinator.TwoPhaseCommitDriver` that the home
-  coordinators host in sim mode, built with ``use_reference_committee=False``
-  (the trusted coordinator of Figure 13): begin → per-shard prepares →
-  votes → commit/abort decisions → acks.  The service itself is only the
-  transport — a relayed cohort becomes ``svc-submit`` frames, the
-  ``svc-receipts`` frames coming back from the shard processes become
-  ``vote`` / ``ack`` inputs, a lost frame link becomes ``shard_lost`` — and
-  the clock is the :class:`~repro.runtime.wallclock.AsyncioRuntime`.  Unlike
-  the simulator it gives the driver a re-drive budget (:data:`MAX_REDRIVES`),
-  after which a silent shard is answered for instead of waited on.
+* :class:`GatewayService` — the routing plane, with no 2PC state.  Each
+  admitted transaction is framed (``svc-submit``) to its home shard
+  (:func:`~repro.core.homecoord.home_shard`), whose partition coordinates
+  it as a simulated partition does; the home's ``svc-done`` answer fills
+  the gateway's :class:`~repro.core.homecoord.ClientRecords` — the engine's
+  parent keeps the same — stamped with the gateway's own clock.
 
 * :class:`GatewayHttp` — a deliberately small HTTP/1.1 front end (stdlib
   only; the container has no aiohttp) exposing::
 
       POST /tx            submit {"function", "args", "client_id"?}; ?wait=1 blocks
-      GET  /tx/{id}       coordinator record for a transaction
+      GET  /tx/{id}       the gateway's record of a transaction
       GET  /balance/{key} world-state read from the key's home shard
       GET  /health        shard liveness, in-flight window, totals, block filling
 
   Admission control is a bounded in-flight window: past ``max_inflight``
   the gateway answers ``429`` with ``Retry-After`` instead of queueing
   unboundedly.  A malformed request — a bad ``Content-Length``, body or
-  ``timeout`` — is a ``400`` before anything is admitted.  A dead shard (EOF
-  on its frame link) turns requests that touch it into ``503`` — and aborts
-  the undecided in-flight transactions that were waiting on it, so nothing
-  hangs.
+  ``timeout``, a cross-shard transaction the splitter cannot split, one its
+  home shard would refuse as a malformed frame — is a ``400`` before
+  anything is admitted.  A dead shard (EOF on its frame
+  link) turns requests that touch it into ``503``; the gateway answers the
+  in-flight transactions homed there, and the surviving homes answer for
+  it as a participant, so nothing hangs.
 """
 
 from __future__ import annotations
@@ -38,27 +35,33 @@ import itertools
 import json
 import math
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from http import HTTPStatus
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core.homecoord import ClientRecords, TxDone, home_shard
 from repro.core.splitters import benchmark_for, shards_for, splitter_for
 from repro.errors import WorkloadError
-from repro.ledger.transaction import Transaction, TransactionReceipt
+from repro.ledger.transaction import Transaction
 from repro.runtime.wallclock import AsyncioRuntime
-from repro.service.frames import MAX_FRAME_BYTES
+from repro.service.frames import MAX_FRAME_BYTES, FrameError
 from repro.service.shardnode import (
-    GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_PONG,
-    KIND_RECEIPTS, KIND_SUBMIT, shard_agent_id,
+    GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_BLOCK,
+    KIND_DONE, KIND_PEERS, KIND_PONG, KIND_SUBMIT, agent_shard, dict_payload_ok,
+    is_wire_tx, shard_agent_id,
 )
 from repro.service.socketnet import SocketNetwork
 from repro.sim.network import Message, REQUEST_CHANNEL
-from repro.txn.coordinator import (
-    Cohort, DistributedTxRecord, TwoPhaseCommitCoordinator, TwoPhaseCommitDriver,
-)
+from repro.txn.coordinator import DistributedTxOutcome, DistributedTxRecord
 from repro.workloads.generator import shard_of_key
 
-#: How many times a lost prepare or decision is re-driven before the
-#: gateway gives up (aborts the prepare, force-acks the decision).
-MAX_REDRIVES = 3
+
+def _payload_ok(kind: str, payload: Any, num_shards: int) -> bool:
+    """Whether ``payload`` has the shape of a ``kind`` frame from a shard."""
+    if kind == KIND_DONE:
+        return (type(payload) is TxDone and type(payload.tx_id) is str
+                and type(payload.committed) is bool
+                and type(payload.abort_reason) in (str, type(None)))
+    return dict_payload_ok(kind, payload) and 0 <= payload.get("shard_id", 0) < num_shards
 
 
 class GatewayError(Exception):
@@ -100,64 +103,54 @@ class PayloadTooLarge(BadRequest):
     status = 413
 
 
-class _GatewayAgent:
-    """The gateway's node in the SocketNetwork (receives shard frames)."""
-
-    def __init__(self, service: "GatewayService") -> None:
-        self.node_id = GATEWAY_NODE_ID
-        self.service = service
-
-    def deliver(self, message: Message) -> None:
-        if message.kind == KIND_RECEIPTS:
-            self.service._on_receipts(message.payload)
-        elif message.kind == KIND_BALANCE_REPLY:
-            self.service._on_balance_reply(message.payload)
-        elif message.kind == KIND_PONG:
-            self.service._on_pong(message.payload)
-
-
 class GatewayService:
-    """Trusted 2PC coordination over live shards, behind the runtime seam."""
+    """Admission, routing and transaction records over live shards; also
+    the gateway's node in its SocketNetwork, receiving the shards' frames."""
+
+    node_id = GATEWAY_NODE_ID
 
     def __init__(self, runtime: AsyncioRuntime, num_shards: int,
                  benchmark: str = "smallbank", max_inflight: int = 256,
-                 prepare_timeout: float = 5.0,
                  listen_host: str = "127.0.0.1") -> None:
         self.runtime = runtime
         self.num_shards = num_shards
-        self.benchmark = benchmark
         self.max_inflight = max_inflight
-        self.prepare_timeout = prepare_timeout
         self.network = SocketNetwork(runtime, listen_host=listen_host)
         self.network.on_peer_down = self._on_peer_down
         self.splitter = splitter_for(benchmark)
         self.chaincode = benchmark_for(benchmark).chaincode()
-        self._agent = _GatewayAgent(self)
-        self.network.register(self._agent)
-        #: The one 2PC driver; this class is its host.  Completion is the
-        #: submitter's future (None for fire-and-forget), and the driver's
-        #: unfinished set is the in-flight window.
-        self.driver = TwoPhaseCommitDriver(
-            self, runtime, TwoPhaseCommitCoordinator(prepare_timeout=prepare_timeout),
-            self.splitter, self.shard_of, use_reference_committee=False,
-            redrive_decisions=True, max_redrives=MAX_REDRIVES)
+        self.network.register(self)
+        #: The records of transactions awaiting their home's answer; their
+        #: number is the in-flight window.
+        self._clients = ClientRecords(self.splitter, self.shard_of)
+        #: Every admitted transaction's record, for ``GET /tx/{id}``.
+        self.records: Dict[str, DistributedTxRecord] = {}
+        self.submitted = self.committed = self.aborted = 0
         self.draining = False
-        #: receipt watchers, keyed by the *wire* transaction's id (prepare /
-        #: decision / single-shard tx), plus the parent tx owning each watch
-        #: so a finished record's stale watchers can be reclaimed.
-        self._watchers: Dict[str, Callable[[TransactionReceipt], None]] = {}
-        self._watch_owner: Dict[str, str] = {}
-        self._record_watches: Dict[str, Set[str]] = {}
         self._down: Dict[int, str] = {}
-        self._pongs: Dict[int, Dict[str, Any]] = {}
+        self._pongs: Dict[int, Tuple[str, int]] = {}
         self._ready = asyncio.Event()
-        #: Per shard: height of the newest block whose receipts arrived and
-        #: receipts received — ``/health`` answers "are blocks filling?".
+        #: Per shard: height of the newest block reported and transactions
+        #: in the blocks reported — ``/health`` answers "are blocks filling?".
         self.blocks = [0] * num_shards
-        self.receipts = [0] * num_shards
+        self.block_txs = [0] * num_shards
         self._balance_waiters: Dict[int, asyncio.Future] = {}
         self._query_counter = itertools.count()
         self._drained = asyncio.Event()
+        self._handlers = {KIND_DONE: self._on_done, KIND_BLOCK: self._on_block,
+                          KIND_BALANCE_REPLY: self._on_balance_reply,
+                          KIND_PONG: self._on_pong}
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._clients)
+
+    def deliver(self, message: Message) -> None:
+        """A shard's frame; one of the wrong shape closes its connection."""
+        kind, payload = message.kind, message.payload
+        if kind not in self._handlers or not _payload_ok(kind, payload, self.num_shards):
+            raise FrameError(f"malformed {kind!r} payload for the gateway")
+        self._handlers[kind](payload)
 
     # ----------------------------------------------------------- lifecycle
     async def start(self, port: int = 0) -> int:
@@ -178,17 +171,16 @@ class GatewayService:
     async def drain(self, timeout: float = 10.0) -> Dict[str, Any]:
         """Stop admitting, wait for in-flight work, report what happened."""
         self.draining = True
-        if self.driver.in_flight:
+        if self.in_flight:
             try:
                 await asyncio.wait_for(self._drained.wait(), timeout)
             except asyncio.TimeoutError:
                 pass
-        stats = self.driver.coordinator.stats
         return {
-            "submitted": stats.started,
-            "committed": stats.committed,
-            "aborted": stats.aborted,
-            "abandoned_in_flight": self.driver.in_flight,
+            "submitted": self.submitted,
+            "committed": self.committed,
+            "aborted": self.aborted,
+            "abandoned_in_flight": self.in_flight,
         }
 
     async def close(self) -> None:
@@ -196,11 +188,16 @@ class GatewayService:
 
     # ------------------------------------------------------------- health
     def _on_pong(self, payload: Dict[str, Any]) -> None:
-        """A shard's boot announcement: it bound a port of its own."""
-        shard_id = payload["shard_id"]
-        self.add_shard(shard_id, payload["host"], payload["port"])
-        self._pongs[shard_id] = payload
-        if len(self._pongs) >= self.num_shards:
+        """A shard's boot announcement of the port it bound.  The last one
+        sends every shard the address table — before readiness, so before
+        any submit."""
+        shard_id, addr = payload["shard_id"], (payload["host"], payload["port"])
+        self.add_shard(shard_id, *addr)
+        self._pongs[shard_id] = addr
+        if len(self._pongs) >= self.num_shards and not self._ready.is_set():
+            peers = dict(sorted(self._pongs.items()))
+            for shard in peers:
+                self._send_frame(shard, KIND_PEERS, peers)
             self._ready.set()
 
     def shard_state(self, shard_id: int) -> str:
@@ -216,20 +213,25 @@ class GatewayService:
             status = "degraded"
         else:
             status = "ok"
-        stats = self.driver.coordinator.stats
         return {
             "status": status,
             "shards": shards,
-            "in_flight": self.driver.in_flight,
+            "in_flight": self.in_flight,
             "max_inflight": self.max_inflight,
-            "submitted": stats.started,
-            "committed": stats.committed,
-            "aborted": stats.aborted,
+            "submitted": self.submitted,
+            "committed": self.committed,
+            "aborted": self.aborted,
             "blocks": {str(s): blocks for s, blocks in enumerate(self.blocks)},
             "txs_per_block": {
-                str(s): round(self.receipts[s] / blocks, 2) if blocks else 0.0
+                str(s): round(self.block_txs[s] / blocks, 2) if blocks else 0.0
                 for s, blocks in enumerate(self.blocks)},
         }
+
+    def _on_block(self, payload: Dict[str, Any]) -> None:
+        """One committed block's height and transaction count from a shard."""
+        shard_id = payload["shard_id"]
+        self.blocks[shard_id] = max(self.blocks[shard_id], payload["height"])
+        self.block_txs[shard_id] += payload["txs"]
 
     # ---------------------------------------------------------- submission
     def shard_of(self, key: str) -> int:
@@ -244,91 +246,71 @@ class GatewayService:
         except Exception as exc:
             raise BadRequest(f"invalid invocation: {exc}") from exc
 
-    def shards_for(self, tx: Transaction) -> List[int]:
-        return shards_for(self.splitter, tx, self.shard_of)
-
     def submit_transaction(self, tx: Transaction,
                            wait: bool = False) -> Tuple[DistributedTxRecord,
                                                         Optional[asyncio.Future]]:
-        """Admit and coordinate one transaction; mirrors sim trusted mode."""
+        """Admit one transaction and route it to its home shard."""
+        if not is_wire_tx(tx):
+            # Its home would refuse the frame and close the link, which this
+            # side cannot tell from the shard dying: refuse it here instead.
+            raise BadRequest("function, client_id and keys must be strings")
         if self.draining:
             raise Draining("gateway is draining")
-        if self.driver.in_flight >= self.max_inflight:
-            raise Overloaded(f"{self.driver.in_flight} transactions in flight")
-        shards = self.shards_for(tx)
+        if self.in_flight >= self.max_inflight:
+            raise Overloaded(f"{self.in_flight} transactions in flight")
+        shards = shards_for(self.splitter, tx, self.shard_of)
         dead = [shard for shard in shards if shard in self._down]
         if dead:
             raise ShardDown(f"shard {dead[0]} is down: {self._down[dead[0]]}")
         future = self.runtime.loop.create_future() if wait else None
         try:
-            record = self.driver.submit(tx, shards, completion=future)
+            record = self._clients.begin(tx, shards, self.runtime.now,
+                                         partial(self._finished, future))
         except WorkloadError as exc:
             raise BadRequest(str(exc)) from exc
+        self.records[tx.tx_id] = record
+        self.submitted += 1
+        self._send_frame(home_shard(shards), KIND_SUBMIT, (tx,))
         return record, future
 
-    # ------------------------------------------- the driver's host surface
-    def relay(self, kind: str, record: DistributedTxRecord, cohort: Cohort,
-              extra_delay: float, attempt: int) -> None:
-        """Watch for each receipt, then frame the transaction to its shard."""
-        for shard_id, tx in cohort:
-            self._watchers[tx.tx_id] = partial(
-                self.driver.receipt, kind, record, shard_id)
-            self._watch_owner[tx.tx_id] = record.tx_id
-            self._record_watches.setdefault(record.tx_id, set()).add(tx.tx_id)
-            self._send_frame(shard_id, KIND_SUBMIT, (tx,), size_bytes=512)
+    def _on_done(self, done: TxDone) -> None:
+        """The home's answer, stamped with this clock (its times are the home's)."""
+        now = self.runtime.now
+        self._clients.finish(done.tx_id, done.committed, done.abort_reason, now, now)
 
-    def shard_unreachable(self, shard_id: int) -> bool:
-        return shard_id in self._down
-
-    def finished(self, record: DistributedTxRecord,
-                 future: Optional[asyncio.Future]) -> None:
-        for wire_tx_id in self._record_watches.pop(record.tx_id, ()):
-            self._watchers.pop(wire_tx_id, None)
-            self._watch_owner.pop(wire_tx_id, None)
+    def _finished(self, future: Optional[asyncio.Future],
+                  record: DistributedTxRecord) -> None:
+        if record.outcome is DistributedTxOutcome.COMMITTED:
+            self.committed += 1
+        else:
+            self.aborted += 1
         if future is not None and not future.done():
             future.set_result(record)
-        if self.draining and not self.driver.in_flight:
+        if self.draining and not self.in_flight:
             self._drained.set()
 
-    def _on_receipts(self, payload: Dict[str, Any]) -> None:
-        """One block's receipts from one shard."""
-        shard_id, receipts = payload["shard_id"], payload["receipts"]
-        self.blocks[shard_id] = max(self.blocks[shard_id], payload["height"])
-        self.receipts[shard_id] += len(receipts)
-        for receipt in receipts:
-            self._on_receipt(receipt)
-
-    def _on_receipt(self, receipt: TransactionReceipt) -> None:
-        watcher = self._watchers.pop(receipt.tx_id, None)
-        if watcher is None:
-            return
-        parent = self._watch_owner.pop(receipt.tx_id, None)
-        if parent is not None:
-            watches = self._record_watches.get(parent)
-            if watches is not None:
-                watches.discard(receipt.tx_id)
-        watcher(receipt)
-
     # ------------------------------------------------------------ transport
-    def _send_frame(self, shard_id: int, kind: str, payload: Any,
-                    size_bytes: int = 512) -> None:
+    def _send_frame(self, shard_id: int, kind: str, payload: Any) -> None:
         message = Message(sender=GATEWAY_NODE_ID, kind=kind, payload=payload,
-                          size_bytes=size_bytes, channel=REQUEST_CHANNEL)
+                          size_bytes=512, channel=REQUEST_CHANNEL)
         self.network.send(GATEWAY_NODE_ID, shard_agent_id(shard_id), message)
 
     # ------------------------------------------------------------ peer death
     def _on_peer_down(self, node_ids: List[int], exc: Exception) -> None:
-        shards = sorted(node_id - shard_agent_id(0) for node_id in node_ids
-                        if shard_agent_id(0) <= node_id < GATEWAY_NODE_ID)
+        """Answer every in-flight transaction homed at a dead shard; the
+        surviving homes answer for it as a participant themselves."""
+        shards = sorted(shard for shard in map(agent_shard, node_ids)
+                        if shard is not None)
         for shard in shards:
             self._down.setdefault(shard, str(exc) or type(exc).__name__)
-        for shard in shards:
-            self.driver.shard_lost(shard)
+        now = self.runtime.now
+        for record, _ in list(self._clients.pending.values()):
+            home = home_shard(record.shards)
+            if home in shards:
+                self._clients.finish(record.tx_id, False, f"shard {home} down",
+                                     now, now)
 
     # -------------------------------------------------------------- queries
-    def status(self, tx_id: str) -> Optional[DistributedTxRecord]:
-        return self.driver.coordinator.records.get(tx_id)
-
     async def balance(self, key: str, timeout: float = 5.0) -> Any:
         shard = self.shard_of(key)
         if shard in self._down:
@@ -346,7 +328,7 @@ class GatewayService:
     def _on_balance_reply(self, payload: Dict[str, Any]) -> None:
         future = self._balance_waiters.get(payload["query_id"])
         if future is not None and not future.done():
-            future.set_result(payload["value"])
+            future.set_result(payload.get("value"))
 
 
 # --------------------------------------------------------------------- HTTP
@@ -479,13 +461,8 @@ class GatewayHttp:
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Dict[str, Any], keep_alive: bool,
                        extra_headers: Optional[Dict[str, str]] = None) -> None:
-        reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 413: "Payload Too Large",
-                   429: "Too Many Requests",
-                   500: "Internal Server Error", 503: "Service Unavailable",
-                   504: "Gateway Timeout"}
         body = json.dumps(payload).encode()
-        lines = [f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
+        lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
                  "Content-Type: application/json",
                  f"Content-Length: {len(body)}"]
         if not keep_alive:
@@ -551,7 +528,7 @@ class GatewayHttp:
         return timeout
 
     def _get_tx(self, tx_id: str):
-        record = self.service.status(tx_id)
+        record = self.service.records.get(tx_id)
         if record is None:
             return 404, {"error": f"unknown transaction {tx_id}"}, None
         return 200, record_json(record), None

@@ -41,16 +41,26 @@ class ServiceCluster:
                  max_inflight: int = 256, prepare_timeout: float = 5.0,
                  consensus_overrides: Optional[Dict[str, Any]] = None) -> None:
         self.num_shards = num_shards
-        self.committee_size = committee_size
-        self.protocol = protocol
-        self.seed = seed
-        self.benchmark = benchmark
-        self.num_keys = num_keys
         self.http_host = http_host
         self.http_port = http_port
         self.max_inflight = max_inflight
-        self.prepare_timeout = prepare_timeout
-        self.consensus_overrides = dict(consensus_overrides or {})
+        #: The fields of the ShardedSystemConfig each shard partition is
+        #: built from.  No reference committee: the trusted coordinator, until
+        #: R runs as a process.  No relay delay: the socket is the hop.  No
+        #: retained 2PC records: the gateway keeps the one ``/tx/{id}`` reads.
+        self.config: Dict[str, Any] = {
+            "num_shards": num_shards,
+            "committee_size": committee_size,
+            "protocol": protocol,
+            "seed": seed,
+            "benchmark": benchmark,
+            "num_keys": num_keys,
+            "consensus_overrides": dict(consensus_overrides or {}),
+            "use_reference_committee": False,
+            "prepare_timeout": prepare_timeout,
+            "relay_delay": 0.0,
+            "retain_tx_records": False,
+        }
         self.runtime: Optional[AsyncioRuntime] = None
         self.service: Optional[GatewayService] = None
         self.http: Optional[GatewayHttp] = None
@@ -59,28 +69,18 @@ class ServiceCluster:
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
-        self.runtime = AsyncioRuntime(loop=loop, seed=self.seed)
+        self.runtime = AsyncioRuntime(loop=loop, seed=self.config["seed"])
         self.service = GatewayService(
-            self.runtime, self.num_shards, benchmark=self.benchmark,
-            max_inflight=self.max_inflight,
-            prepare_timeout=self.prepare_timeout)
+            self.runtime, self.num_shards, benchmark=self.config["benchmark"],
+            max_inflight=self.max_inflight)
         gateway_port = await self.service.start(0)
         ctx = multiprocessing.get_context("spawn")
-        config = {
-            "num_shards": self.num_shards,
-            "committee_size": self.committee_size,
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "benchmark": self.benchmark,
-            "num_keys": self.num_keys,
-            "consensus_overrides": self.consensus_overrides,
-        }
         # Each shard binds a port of its own and announces it with its first
         # pong; the gateway registers the peer then (GatewayService._on_pong).
         for shard_id in range(self.num_shards):
             spec = {
                 "shard_id": shard_id,
-                "config": config,
+                "config": self.config,
                 "gateway_host": "127.0.0.1",
                 "gateway_port": gateway_port,
             }

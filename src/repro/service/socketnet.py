@@ -15,18 +15,19 @@ destinations come in two flavours:
   write.
 
 Because the class *is* a ``Network``, the unchanged consensus stack uses it
-without knowing which flavour a destination is: ``send``/``broadcast``
-simply route per destination.  Peer liveness is surfaced through
-``on_peer_down`` — the gateway uses it to fail over in-flight 2PC instead of
-hanging when a shard process dies (each outgoing link has a task watching
-for EOF, so a peer's death is noticed as soon as its kernel sends FIN/RST,
-not at the next write).
+without knowing which flavour a destination is: ``send`` routes per
+destination (a ``broadcast`` is a committee's, so it stays local).  Peer
+liveness is surfaced through ``on_peer_down`` — a shard's home coordinator
+uses it to answer for a dead participant, the gateway for the transactions
+homed at a dead shard, instead of hanging (each outgoing link has a task
+watching for EOF, so a peer's death is noticed as soon as its kernel sends
+FIN/RST, not at the next write).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.frames import FrameError, encode_frame, read_frame
@@ -176,6 +177,11 @@ class SocketNetwork(Network):
         """Route ``node_id`` over TCP to ``host:port`` (one link per address)."""
         self._peers[node_id] = (host, port)
 
+    def connect(self, node_id: int) -> None:
+        """Open the link to ``node_id`` now instead of at the first send, so
+        the peer's death is noticed even before anything is addressed to it."""
+        self._link_for(node_id)
+
     def is_remote(self, node_id: int) -> bool:
         return node_id in self._peers and node_id not in self._nodes
 
@@ -203,19 +209,6 @@ class SocketNetwork(Network):
             self._link_for(dst).enqueue(message)
             return
         super().send(src, dst, message)
-
-    def broadcast(self, src: int, dst_ids: Iterable[int], message: Message) -> None:
-        if isinstance(dst_ids, (set, frozenset)):
-            dst_ids = sorted(dst_ids)
-        dst_ids = list(dst_ids)
-        local = [dst for dst in dst_ids if not self.is_remote(dst)]
-        if local:
-            super().broadcast(src, local, message)
-        for dst in dst_ids:
-            if self.is_remote(dst):
-                copy = Message(sender=src, kind=message.kind, payload=message.payload,
-                               size_bytes=message.size_bytes, channel=message.channel)
-                self.send(src, dst, copy)
 
     # ------------------------------------------------------------ inbound
     async def _handle_inbound(self, reader: asyncio.StreamReader,

@@ -16,10 +16,9 @@ A distributed transaction proceeds through three steps:
 :class:`TwoPhaseCommitDriver` owns one and drives the message flow around
 it.  The driver is sans-IO — it is fed votes, acks, reference-committee
 receipts and timer fires, and asks its :class:`DriverHost` to relay
-cohorts — so the one implementation has two hosts:
-:class:`repro.core.homecoord.HomeCoordinator` (one per partition of the
-simulated engine) and :class:`repro.service.gateway.GatewayService` (live
-shard processes).
+cohorts.  Its one host is :class:`repro.core.homecoord.HomeCoordinator`,
+one per shard partition, whether the partition is drained by the simulated
+engine or runs in a live shard process.
 
 Who decides
 -----------
@@ -42,9 +41,9 @@ anything and never reads a clock.  Every transition takes an explicit
 The driver sits *on* the seam: it is handed a
 :class:`~repro.runtime.base.Runtime` and reads ``now`` / arms its deadline
 timers through it — the partition's :class:`~repro.sim.simulator.Simulator`
-in the simulated engine, an :class:`~repro.runtime.wallclock.AsyncioRuntime` in
-the gateway.  That is what lets the identical protocol code back the
-simulation and the live HTTP service.
+in the simulated engine, an :class:`~repro.runtime.wallclock.AsyncioRuntime`
+in a live shard process.  That is what lets the identical protocol code back
+the simulation and the live HTTP service.
 
 Fault behaviour
 ---------------
@@ -433,6 +432,10 @@ _R_DECISIONS = {
 }
 
 
+def _lost_reason(shard_id: int) -> str:
+    return f"shard {shard_id} down"
+
+
 class DriverHost(Protocol):
     """What a :class:`TwoPhaseCommitDriver` needs from whoever hosts it.
 
@@ -644,8 +647,13 @@ class TwoPhaseCommitDriver:
                                                       self.shard_of)
         fault = self.fault
         cohorts: Dict[float, List[Tuple[int, Transaction]]] = {}
+        lost: List[int] = []
         for shard_id, prepare_tx in prepares.items():
             if only_shards is not None and shard_id not in only_shards:
+                continue
+            if self.host.shard_unreachable(shard_id):
+                if shard_id not in record.prepare_votes:
+                    lost.append(shard_id)  # lost before this prepare went out
                 continue
             extra_delay = 0.0
             if fault is not None:
@@ -657,6 +665,8 @@ class TwoPhaseCommitDriver:
             self.host.relay("prepare", record, cohorts[extra_delay],
                             extra_delay, record.redrives)
         self._arm(self._check_prepare_deadline, record.tx_id)
+        for shard_id in lost:
+            self.prepare_outcome(record, shard_id, False, _lost_reason(shard_id))
 
     # ----------------------------------------------------------------- votes
     def vote(self, tx_id: str, shard_id: int, ok: bool,
@@ -903,7 +913,7 @@ class TwoPhaseCommitDriver:
         """``shard_id`` became unreachable: answer for it on every unfinished
         transaction it takes part in — a NotOK vote where it has not voted,
         a forced ack where the decision is already out."""
-        reason = f"shard {shard_id} down"
+        reason = _lost_reason(shard_id)
         for record, _ in list(self._unfinished.values()):
             if shard_id not in record.shards:
                 continue

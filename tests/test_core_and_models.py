@@ -35,6 +35,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ShardedSystemConfig(benchmark="tpcc")
 
+    def test_negative_relay_delay_rejected(self):
+        with pytest.raises(ConfigurationError, match="relay_delay"):
+            ShardedSystemConfig(relay_delay=-0.001)
+        # Zero is a valid config: live shard processes run with it.
+        assert ShardedSystemConfig(relay_delay=0.0).relay_delay == 0.0
+
+    def test_engine_refuses_a_zero_barrier_window(self):
+        """The engine's barrier window is relay_delay: at zero, advance()
+        would never move the clock, so run() would never return."""
+        with pytest.raises(ConfigurationError, match="relay_delay"):
+            ShardedBlockchain(ShardedSystemConfig(num_shards=2, committee_size=3,
+                                                  num_keys=50, relay_delay=0.0))
+
 class TestSplitters:
     def test_smallbank_splitter_partitions_accounts(self):
         splitter = SmallbankSplitter()

@@ -11,9 +11,12 @@ import random
 import pytest
 
 from repro.consensus.cluster import ConsensusCluster, NoopChaincode
+from repro.core.config import ShardedSystemConfig
+from repro.core.scaleout import ShardPartition
 from repro.errors import SimulationError
 from repro.runtime import AsyncioRuntime
 from repro.runtime.base import Runtime, derive_label_rng
+from repro.service.shardnode import LivePartition
 from repro.sim.simulator import Simulator
 
 
@@ -148,6 +151,21 @@ class TestAsyncioRuntime:
         assert all(receipt.ok for receipt in event.receipts)
         observer = cluster.honest_observer()
         assert observer.state.get("k2") == 2
+
+    def test_live_partition_forks_the_same_streams_as_its_sim_twin(self):
+        """A live shard partition is seeded by the partition's rule
+        (``partition_stream_seed``), like the partition the simulated
+        engine drains — not by ``seed + shard_id``."""
+        config = ShardedSystemConfig(num_shards=2, committee_size=4, protocol="AHL",
+                                     use_reference_committee=False, num_keys=50,
+                                     seed=9)
+
+        async def live_draws():
+            rng = LivePartition(config, 1, asyncio.Event()).runtime.fork_rng("probe")
+            return [rng.random() for _ in range(3)]
+
+        sim_rng = ShardPartition(config, 1).runtime.fork_rng("probe")
+        assert asyncio.run(live_draws()) == [sim_rng.random() for _ in range(3)]
 
     def test_run_requires_the_simulated_runtime(self):
         async def scenario():

@@ -1,10 +1,10 @@
 """Load-driven block filling: the shard agent is a batching client.
 
 ``ShardAgent`` hands its committee one request per leader-CPU cycle, not one
-per ``svc-submit`` frame.  Part (a) pins the hand-over rule on the simulated
-clock, where it is deterministic, with a real 4-replica AHL committee; part
-(b) drives a live 2-shard cluster and checks that a burst still commits
-exactly once, conserves money, and fills blocks.
+per transaction its partition hands it.  Part (a) pins the hand-over rule on
+the simulated clock, where it is deterministic, with a real 4-replica AHL
+committee; part (b) drives a live 2-shard cluster and checks that a burst
+still commits exactly once, conserves money, and fills blocks.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import pytest
 
 from repro.core.config import ShardedSystemConfig
 from repro.core.splitters import benchmark_for, build_committee
-from repro.service.shardnode import (
-    GATEWAY_NODE_ID, KIND_RECEIPTS, KIND_SHUTDOWN, KIND_SUBMIT, ShardAgent,
-)
+from repro.service.shardnode import GATEWAY_NODE_ID, KIND_SHUTDOWN, ShardAgent
 from repro.sim.network import Message, Network, REQUEST_CHANNEL
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import shard_of_key
@@ -29,7 +27,7 @@ from service_harness import ServeProcess
 
 # ------------------------------------------------------- (a) simulated clock
 class _Gateway:
-    """Stands in for the gateway's node: keeps the receipt frames."""
+    """Stands in for the gateway's node; keeps each committed block's receipts."""
 
     node_id = GATEWAY_NODE_ID
 
@@ -37,8 +35,12 @@ class _Gateway:
         self.frames = []
 
     def deliver(self, message: Message) -> None:
-        if message.kind == KIND_RECEIPTS:
-            self.frames.append(message.payload)
+        pass
+
+    def on_commit(self, event) -> None:
+        if event.receipts:
+            self.frames.append({"height": event.block.header.height,
+                                "receipts": list(event.receipts)})
 
     @property
     def committed_ids(self):
@@ -59,16 +61,27 @@ class _Shard:
         network.register(self.gateway)
         self.stop = asyncio.Event()
         self.agent = ShardAgent(0, self.cluster, network, self.stop)
+        self.cluster.subscribe_commits(self.gateway.on_commit)
+        # Count the requests the agent hands its committee.
+        self.requests_handed = 0
+        submit = self.cluster.submit
+
+        def counting_submit(transactions, *args, **kwargs):
+            self.requests_handed += 1
+            return submit(transactions, *args, **kwargs)
+
+        self.cluster.submit = counting_submit
         self.chaincode = benchmark_for("smallbank").chaincode()
         self.sent = []
 
     def submit(self, index: int) -> None:
-        """One ``svc-submit`` frame carrying one payment between fresh accounts."""
+        """One payment between fresh accounts, handed to the agent as its
+        partition hands it a single-shard transaction."""
         tx = self.chaincode.new_transaction(
             "sendPayment", {"from": str(index), "to": str(index + 50), "amount": 1},
             client_id="test", submitted_at=self.sim.now)
         self.sent.append(tx.tx_id)
-        self.frame(KIND_SUBMIT, (tx,))
+        self.agent.hand([tx])
 
     def frame(self, kind: str, payload) -> None:
         self.agent.deliver(Message(sender=GATEWAY_NODE_ID, kind=kind, payload=payload,
@@ -92,7 +105,7 @@ def test_lone_transaction_is_handed_over_in_the_same_call():
     shard.submit(0)
     assert replica.stats.messages_received == before + 1
     assert shard.sim.now == now
-    assert shard.agent._buffer == [] and shard.agent.requests_handed == 1
+    assert shard.agent._buffer == [] and shard.requests_handed == 1
     shard.sim.run(until=1.0)
     assert shard.height == 1
     shard.assert_drained()
@@ -104,7 +117,7 @@ def test_burst_fills_blocks_instead_of_cutting_one_per_frame():
         shard.sim.schedule(0.001 * index, shard.submit, index)
     shard.sim.run(until=2.0)
     # One block per frame until the pipeline fills gave 9 blocks here.
-    assert shard.agent.requests_handed <= 4
+    assert shard.requests_handed <= 4
     assert shard.height <= 4
     assert [frame["height"] for frame in shard.gateway.frames] == \
         list(range(1, shard.height + 1))
@@ -119,10 +132,10 @@ def test_request_behind_a_proposal_waits_for_the_whole_cpu_cycle():
     for index in range(1, 6):
         shard.sim.schedule(0.004 * index, shard.submit, index)
     shard.sim.run(until=0.022)           # inside the 25 ms proposal charge
-    assert shard.agent.requests_handed == 1
+    assert shard.requests_handed == 1
     assert len(shard.agent._buffer) == 5 and shard.agent._request_waiting
     shard.sim.run(until=1.0)
-    assert shard.agent.requests_handed == 2
+    assert shard.requests_handed == 2
     assert [len(frame["receipts"]) for frame in shard.gateway.frames] == [1, 5]
     shard.assert_drained()
 
@@ -162,7 +175,7 @@ def test_shutdown_hands_over_what_is_still_buffered():
     assert len(shard.agent._buffer) == 2 and shard.agent._request_waiting
     shard.frame(KIND_SHUTDOWN, None)
     assert shard.stop.is_set()
-    assert shard.agent._buffer == [] and shard.agent.requests_handed == 2
+    assert shard.agent._buffer == [] and shard.requests_handed == 2
     shard.sim.run(until=1.0)
     assert shard.gateway.committed_ids == shard.sent
 

@@ -37,7 +37,7 @@ def _exchange(head: str, body: str = ""):
         finally:
             await http.close()
             await service.close()
-        return response, service.driver.coordinator.stats.started
+        return response, service.submitted
 
     response, started = asyncio.run(scenario())
     assert response, "connection dropped without a response"
@@ -82,4 +82,18 @@ def test_oversized_request_is_answered_not_dropped(head, status):
     status_code, payload, started = _exchange(head)
     assert status_code == status
     assert payload["error"]
+    assert started == 0
+
+
+@pytest.mark.parametrize("function", [7, None, ["sendPayment"]])
+def test_a_transaction_its_home_would_refuse_is_a_400_before_admission(function):
+    """A non-string ``function`` makes a transaction the home shard refuses
+    as a malformed frame, closing the gateway's link to it — which the
+    gateway cannot tell from the shard dying.  So it never leaves the gateway."""
+    body = json.dumps({"function": function,
+                       "args": {"from": "0", "to": "1", "amount": 1}})
+    status, payload, started = _exchange(
+        f"POST /tx HTTP/1.1\r\nContent-Length: {len(body)}", body)
+    assert status == 400
+    assert "must be strings" in payload["error"]
     assert started == 0

@@ -12,6 +12,8 @@ Two contracts from the issue:
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
@@ -81,6 +83,53 @@ def test_dead_shard_yields_503_not_hang():
         assert excinfo.value.status == 503
 
 
+def test_dead_home_shard_leaves_nothing_hanging():
+    """Shard 1 dies with transactions in flight of both kinds: homed at
+    shard 1 (the gateway answers for them) and homed at shard 0 with shard 1
+    as a participant (shard 0's home coordinator answers for it).  Every one
+    ends aborted, naming shard 1; shard 0 keeps committing its own."""
+    on0, on1 = _accounts_on_shard(0), _accounts_on_shard(1)
+    with ServeProcess(shards=2, committee=4, protocol="AHL", seed=7,
+                      num_keys=NUM_KEYS) as serve:
+        client = serve.client
+        warm = client.submit("sendPayment", {"from": on0[0], "to": on1[0], "amount": 1},
+                             wait=True, timeout=30)
+        assert warm["outcome"] == "committed"
+
+        # Frozen first, so nothing shard 1 is asked to do can finish; its
+        # sockets close only when it is killed.
+        os.kill(serve.shard_pids[1], signal.SIGSTOP)
+        homed_at_1 = [client.submit("sendPayment",
+                                    {"from": on1[i], "to": on1[i + 1], "amount": 1})
+                      for i in (1, 3)]
+        homed_at_0 = [client.submit("sendPayment",
+                                    {"from": on0[i], "to": on1[i + 4], "amount": 1})
+                      for i in (1, 2)]
+        assert {len(accepted["shards"]) for accepted in homed_at_1} == {1}
+        assert {len(accepted["shards"]) for accepted in homed_at_0} == {2}
+        serve.kill_shard(1)
+
+        deadline = time.monotonic() + 15
+        records = {}
+        for accepted in homed_at_1 + homed_at_0:
+            while time.monotonic() < deadline:
+                status, record = client.tx_status(accepted["tx_id"])
+                assert status == 200
+                if record["outcome"] != "pending":
+                    records[accepted["tx_id"]] = record
+                    break
+                time.sleep(0.05)
+        assert len(records) == 4, "some transaction was never answered"
+        for record in records.values():
+            assert record["outcome"] == "aborted", record
+            assert "shard 1" in record["abort_reason"], record
+        assert client.health()["in_flight"] == 0
+
+        result = client.submit("sendPayment", {"from": on0[3], "to": on0[4], "amount": 1},
+                               wait=True, timeout=30)
+        assert result["outcome"] == "committed"
+
+
 def test_malformed_cross_shard_request_is_a_400_and_holds_no_slot():
     """A cross-shard payment that cannot be split (no / non-numeric amount)
     is rejected before the 2PC driver registers anything: the client gets a
@@ -109,6 +158,29 @@ def test_malformed_cross_shard_request_is_a_400_and_holds_no_slot():
         assert drained["submitted"] == 1
         assert drained["abandoned_in_flight"] == 0
         assert code == 0, err[-2000:]
+
+
+def test_a_transaction_its_home_would_refuse_leaves_every_shard_up():
+    """A transaction whose ``function`` is not a string would be refused by
+    its home shard as a malformed frame, closing the gateway's link — which
+    reads as the shard dying.  The gateway answers 400 instead, and the home
+    keeps committing."""
+    on0 = _accounts_on_shard(0)
+    payment = {"from": on0[0], "to": on0[1], "amount": 1}
+    with ServeProcess(shards=2, committee=4, protocol="AHL", seed=8,
+                      num_keys=NUM_KEYS) as serve:
+        client = serve.client
+        for function in (7, None):
+            status, body = client.request("POST", "/tx",
+                                          {"function": function, "args": payment})
+            assert status == 400, body
+        time.sleep(0.5)  # room for a link the shard closed to be noticed
+        health = client.health()
+        assert health["shards"] == {"0": "up", "1": "up"}
+        assert health["submitted"] == 0
+        result = client.submit("sendPayment", payment, wait=True, timeout=30)
+        assert result["outcome"] == "committed"
+        assert client.health()["shards"] == {"0": "up", "1": "up"}
 
 
 def test_sigterm_drains_and_exits_cleanly():

@@ -320,6 +320,21 @@ def test_lost_shard_aborts_its_single_shard_transactions():
     assert host.take("single") == [1]
 
 
+def test_a_participant_lost_before_its_prepare_is_answered_for():
+    """A home can hear of a dead peer before the gateway does and still be
+    handed a transaction touching it: no prepare goes to the dead shard,
+    which votes NotOK at once instead of re-arming the deadline forever."""
+    clock, host, driver = build(redrive_decisions=True)
+    host.down.add(1)
+    record = driver.submit(payment(0, 1), [0, 1])
+    assert host.take("prepare") == [0]
+    assert record.outcome is DistributedTxOutcome.ABORTED
+    assert record.abort_reason == "shard 1 down"
+    assert host.take("decision") == [0]
+    driver.ack(record.tx_id, 0)
+    assert [done[0] for done in host.done] == [record]
+
+
 # --------------------------------------------------------- crash / recovery
 def test_crash_at_prepare_recovery_sends_the_withheld_prepares():
     fault = CoordinatorCrashScenario(phase="prepare", at_tx=1, recover_after=1.0)
