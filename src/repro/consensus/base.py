@@ -954,17 +954,34 @@ class ConsensusReplica(SimProcess):
         # still-in-flight proposal) is filtered out of the local chained
         # block instead of being applied twice, and the filtered block's root
         # is built afresh; the common case appends the agreed block verbatim.
+        #
+        # Every member holds the same agreed object (from the pre-prepare)
+        # and honest members re-chain it onto the same tip, so a verbatim
+        # re-chain reuses the block an earlier member built, through a
+        # one-entry cache on the agreed object: one header, one hash and one
+        # ``Block`` per committee instead of per replica.  It is reused only
+        # when ``prev_hash``, ``height`` and ``shard_id`` — the fields the
+        # re-chain does not copy from the agreed header — are exactly this
+        # replica's (a str and two ints, so no ``0.0 == -0.0`` trap); a
+        # lagging or rolled-back replica builds its own.
         verbatim = len(fresh) == len(block.transactions)
-        chained = build_block(
-            height=self.blockchain.height + 1,
-            prev_hash=self.blockchain.tip.block_hash,
-            transactions=block.transactions if verbatim else tuple(fresh),
-            proposer=block.header.proposer,
-            view=block.header.view,
-            timestamp=block.header.timestamp,
-            shard_id=self.shard_id,
-            merkle_root=block.header.merkle_root if verbatim else None,
-        )
+        height = self.blockchain.height + 1
+        prev_hash = self.blockchain.tip.block_hash
+        chained = block.__dict__.get("_rechained") if verbatim else None
+        if (chained is None or chained.header.prev_hash != prev_hash
+                or chained.height != height or chained.header.shard_id != self.shard_id):
+            chained = build_block(
+                height=height,
+                prev_hash=prev_hash,
+                transactions=block.transactions if verbatim else tuple(fresh),
+                proposer=block.header.proposer,
+                view=block.header.view,
+                timestamp=block.header.timestamp,
+                shard_id=self.shard_id,
+                merkle_root=block.header.merkle_root if verbatim else None,
+            )
+            if verbatim:
+                block.__dict__["_rechained"] = chained
         self.blockchain.append(chained, verify_merkle=False)
         receipts = self.engine.execute_block(chained, now=self.runtime.now)
         now = self.runtime.now

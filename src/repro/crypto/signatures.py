@@ -28,10 +28,6 @@ class Signature:
     mac: str
 
 
-#: Cap on each key pair's digest->mac memo; cleared wholesale when exceeded.
-_MAC_CACHE_MAX = 65536
-
-
 class KeyPair:
     """A simulated signing key pair identified by ``owner``.
 
@@ -40,25 +36,19 @@ class KeyPair:
     simulation, only the holder of the :class:`KeyPair` object can produce
     valid signatures for that owner.
 
-    MAC computation is memoized per digest: when a committee of N replicas
-    verifies the same signature (through the shared registry), the HMAC is
-    computed once at signing time and the N verifications are cache hits.
+    A signature costs one HMAC to make and one per check; nothing is
+    memoized here.  A signature that a whole committee checks is carried by
+    an object that caches its own verdict (see
+    :meth:`repro.tee.attested_log.LogAttestation.verify`), so the verdict
+    lives exactly as long as the message that needs it.
     """
 
     def __init__(self, owner: str, seed: str = "") -> None:
         self.owner = owner
         self._secret = hashlib.sha256(f"key:{owner}:{seed}".encode("utf-8")).digest()
-        self._mac_cache: dict[str, str] = {}
 
     def _mac_for(self, digest: str) -> str:
-        cache = self._mac_cache
-        mac = cache.get(digest)
-        if mac is None:
-            mac = hmac.new(self._secret, digest.encode("utf-8"), hashlib.sha256).hexdigest()
-            if len(cache) >= _MAC_CACHE_MAX:
-                cache.clear()
-            cache[digest] = mac
-        return mac
+        return hmac.new(self._secret, digest.encode("utf-8"), hashlib.sha256).hexdigest()
 
     def sign(self, message: Any = None, *, digest: Optional[str] = None) -> Signature:
         """Sign an arbitrary JSON-like message, or its precomputed ``digest_of``."""
@@ -102,9 +92,9 @@ class SignatureVerifier:
 #: A process-wide registry used when protocols verify each other's signatures.
 _GLOBAL_VERIFIER = SignatureVerifier()
 
-#: Bumped on every (re-)registration; caches of verification *results* key on
-#: this so a verdict computed against an older registry state is never reused
-#: after key material changes (see repro.tee.attested_log).
+#: Bumped on every (re-)registration; a cached verification *result* is tagged
+#: with this so a verdict computed against an older registry state is never
+#: reused after key material changes (see repro.tee.attested_log).
 _REGISTRY_GENERATION = 0
 
 

@@ -62,6 +62,7 @@ class _PeerLink:
         #: Messages taken off the queue whose write has not completed yet.
         self._in_hand: List[Message] = []
         self._writer: Optional[asyncio.StreamWriter] = None
+        self._closing = asyncio.Event()
         self._task = net.runtime.loop.create_task(self._run())
 
     def enqueue(self, message: Message) -> None:
@@ -78,7 +79,14 @@ class _PeerLink:
                 break
             except OSError as exc:
                 last_error = exc
-                await asyncio.sleep(CONNECT_RETRY_DELAY)
+                # The retry pause ends early on close(): a peer that already
+                # exited would otherwise keep this task from ever reading
+                # ``_CLOSE``, and close() would wait out its timeout.
+                try:
+                    await asyncio.wait_for(self._closing.wait(), CONNECT_RETRY_DELAY)
+                    return  # closed before the peer ever answered: nothing was sent
+                except asyncio.TimeoutError:
+                    pass
         else:
             self._fail(last_error)
             return
@@ -131,6 +139,7 @@ class _PeerLink:
         self.net._peer_link_down(self.addr, exc)
 
     async def close(self) -> None:
+        self._closing.set()
         self.queue.put_nowait(_CLOSE)
         try:
             await asyncio.wait_for(self._task, timeout=2.0)

@@ -31,33 +31,21 @@ Determinism guarantees
 Runs are fully reproducible from the seed: every source of randomness must
 derive from :meth:`Simulator.fork_rng` and events with equal timestamps fire
 in scheduling order, so *same seed ⇒ same event trace ⇒ same results*
-however the run is sliced into ``until`` / ``max_events`` calls.
+however the run is sliced into ``until`` / ``max_events`` calls.  A result
+that depends on a run's state is never cached process-wide, so constructing
+a simulator resets nothing outside it: such a result lives on the object it
+describes (an attestation's verdict, a block's hash) and dies with it.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.runtime.base import derive_label_rng
 from repro.sim.events import Event, EventQueue
-
-#: Hooks invoked every time a new :class:`Simulator` is constructed.  Modules
-#: holding process-global caches whose entries must never leak *between* runs
-#: (e.g. the attested-log verification memo) register a clearing function
-#: here; they pay one cleared cache per simulation instead of taking a
-#: dependency edge from the cache module to every run entry point.  Hooks
-#: must be idempotent and draw no randomness — sub-simulations (the beacon
-#: protocol's isolated runs) also construct simulators mid-run, which simply
-#: re-clears the caches.
-_RUN_RESET_HOOKS: List[Callable[[], None]] = []
-
-
-def register_run_reset(hook: Callable[[], None]) -> None:
-    """Register ``hook`` to run at every :class:`Simulator` construction."""
-    _RUN_RESET_HOOKS.append(hook)
 
 
 class Simulator:
@@ -79,8 +67,6 @@ class Simulator:
         self._events_processed = 0
         self.seed = seed
         self._fork_counts: Dict[str, int] = {}
-        for hook in _RUN_RESET_HOOKS:
-            hook()
 
     # ------------------------------------------------------------------ time
     @property

@@ -24,28 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.crypto.hashing import digest_of, json_string, sha256_hex
 from repro.crypto.signatures import Signature, registry_generation, verify_signature
 from repro.errors import EnclaveError
-from repro.sim.simulator import register_run_reset
 from repro.tee.enclave import Enclave, SealedBlob
-
-
-#: Memo of attestation -> verification outcome.  One attestation object is
-#: broadcast to a whole committee, so the enclave signature is checked once
-#: and the remaining N-1 verifications are dictionary hits.  Keys include the
-#: signature MAC, so attestations from different key material never collide.
-#:
-#: Scoping: the memo is valid only for one (run, key-registry generation)
-#: pair.  It is cleared wholesale whenever the global key registry changes —
-#: a verdict depends on the registered keys, not just the attestation — and
-#: at every :class:`~repro.sim.simulator.Simulator` construction, so a
-#: re-seeded back-to-back simulation in the same process can never hit a
-#: previous run's verdicts (the seed kept one process-global memo alive
-#: forever, and only invalidated generation-stale entries lazily, entry by
-#: entry, when they happened to be re-looked-up).
-_VERIFY_MEMO: Dict["LogAttestation", bool] = {}
-_VERIFY_MEMO_MAX = 65536
-_VERIFY_MEMO_GENERATION = -1
-
-register_run_reset(_VERIFY_MEMO.clear)
 
 
 def _body_digest(log_name: str, position: int, digest: str) -> str:
@@ -66,32 +45,27 @@ class LogAttestation:
     digest: str
     signature: Signature
 
-    def __hash__(self) -> int:
-        # The verification memo hashes its key on every lookup — N-1 per
-        # broadcast attestation — and the generated hash walks five fields
-        # and the nested signature each time.  The MAC is a function of the
-        # signer and the signed body, so equal attestations have equal MACs,
-        # and a str caches its own hash: hashed once per object, at no extra
-        # memory (an int cached on each instance cost +1 % peak RSS over the
-        # attestations the memo retains).  Equality is untouched.
-        return hash(self.signature.mac)
-
     def verify(self) -> bool:
-        """Check the enclave signature over (log, position, digest)."""
-        global _VERIFY_MEMO_GENERATION
+        """Check the enclave signature over (log, position, digest).
+
+        One attestation object is broadcast to a whole committee, so the
+        verdict is cached on the object: the first of the N-1 receivers pays
+        the HMAC and the rest read an attribute.  A verdict depends on the
+        registered keys, not just on the attestation, so it is tagged with
+        the key registry's generation and recomputed after any
+        (re-)registration — a fresh run registers its enclaves' keys, so it
+        is never served a verdict computed against other key material.  The
+        verdict dies with the attestation: nothing outlives the message.
+        Writing straight to ``__dict__`` sidesteps the frozen-dataclass
+        ``__setattr__`` guard, as :attr:`BlockHeader.block_hash` does.
+        """
         generation = registry_generation()
-        if generation != _VERIFY_MEMO_GENERATION:
-            # Key material changed: every cached verdict is suspect.
-            _VERIFY_MEMO.clear()
-            _VERIFY_MEMO_GENERATION = generation
-        cached = _VERIFY_MEMO.get(self)
-        if cached is not None:
-            return cached
+        cached = self.__dict__.get("_verdict")
+        if cached is not None and cached[0] == generation:
+            return cached[1]
         result = verify_signature(self.signature, digest=_body_digest(
             self.log_name, self.position, self.digest))
-        if len(_VERIFY_MEMO) >= _VERIFY_MEMO_MAX:
-            _VERIFY_MEMO.clear()
-        _VERIFY_MEMO[self] = result
+        self.__dict__["_verdict"] = (generation, result)
         return result
 
 

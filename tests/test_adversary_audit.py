@@ -30,7 +30,8 @@ from repro.core import (
 from repro.errors import ConfigurationError, EnclaveError
 from repro.ledger.state import StateStore
 from repro.sim.simulator import Simulator
-from repro.tee.attested_log import _VERIFY_MEMO, AttestedAppendOnlyLog
+from repro.crypto.signatures import registry_generation
+from repro.tee.attested_log import AttestedAppendOnlyLog
 from repro.workloads.smallbank import SmallbankChaincode, account_key
 
 FAST = {"batch_size": 20, "view_change_timeout": 3.0, "pipeline_depth": 4,
@@ -207,16 +208,21 @@ class TestHonestObserverFallback:
         assert cluster.degraded_observer_reads == 2
 
 
-class TestVerifyMemoScoping:
-    """Satellite 3: the attestation memo never leaks across runs."""
+class TestVerdictScoping:
+    """Satellite 3: a cached attestation verdict never outlives its key material."""
 
-    def test_new_simulator_clears_the_memo(self):
-        log = AttestedAppendOnlyLog("memo-scope")
+    def test_new_run_with_other_key_material_rechecks_the_verdict(self):
+        Simulator(seed=122)
+        log = AttestedAppendOnlyLog("verdict-scope")
         attestation = log.append("prepare", 1, "v")
         assert attestation.verify()
-        assert attestation in _VERIFY_MEMO
-        Simulator(seed=123)  # a fresh run starts
-        assert attestation not in _VERIFY_MEMO
+        # A fresh run builds an enclave of the same id from another code
+        # identity: the same owner under other key material.  The verdict
+        # cached by the first run must not be served; the signature no
+        # longer checks against the registered key.
+        Simulator(seed=123)
+        AttestedAppendOnlyLog("verdict-scope", code_identity="other-build/v2")
+        assert attestation.verify() is False
 
     def test_registry_generation_change_discards_stale_verdicts(self):
         log = AttestedAppendOnlyLog("memo-gen")
@@ -224,7 +230,7 @@ class TestVerifyMemoScoping:
         assert attestation.verify()
         # Poison the cached verdict, then register fresh key material: the
         # generation bump must force recomputation instead of serving the lie.
-        _VERIFY_MEMO[attestation] = False
+        attestation.__dict__["_verdict"] = (registry_generation(), False)
         assert attestation.verify() is False
         AttestedAppendOnlyLog("memo-gen-2")  # registers a new keypair
         assert attestation.verify() is True

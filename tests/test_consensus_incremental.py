@@ -226,6 +226,68 @@ class TestApplyBlock:
         assert replica.state.get("k0") is not None
         assert replica.state.get("k1") is None
 
+    def test_replicas_on_one_tip_share_one_rechained_block(self):
+        replicas = ConsensusCluster("HL", 4, seed=1).replicas
+        block = self._agreed_block(replicas[0], 3)
+        tips = [self._apply(replica, block) for replica in replicas]
+        assert all(tip is tips[0] for tip in tips)
+        assert tips[0] is not block and tips[0].height == 1
+        assert all(replica.blockchain.verify_suffix(0) for replica in replicas)
+
+    def test_filtering_replica_builds_its_own_block_and_the_rest_still_share(self):
+        replicas = ConsensusCluster("HL", 4, seed=1).replicas
+        block = self._agreed_block(replicas[0], 3)
+        first, executed, last = block.transactions
+        replicas[1].committed_tx_ids[executed.tx_id] = None
+        tips = [self._apply(replica, block) for replica in replicas]
+        assert tips[1].transactions == (first, last)
+        assert tips[1].header.merkle_root == merkle_root_of((first, last))
+        assert tips[0] is tips[2] is tips[3] and tips[1] is not tips[0]
+        assert tips[0].transactions == block.transactions
+        assert tips[0].header.merkle_root == block.header.merkle_root
+        # From here on the filtering replica's chain has another tip hash at
+        # the same height: it never adopts a block chained on the others' tip.
+        follow = self._agreed_block(replicas[0], 2)
+        tips = [self._apply(replica, follow) for replica in replicas]
+        assert tips[1] is not tips[0] and tips[1] is not tips[3]
+        assert all(tip.height == 2 for tip in tips)
+        assert all(replica.blockchain.verify_suffix(0) for replica in replicas)
+
+    def test_replica_on_another_tip_never_adopts_the_shared_block(self):
+        replicas = ConsensusCluster("HL", 4, seed=1).replicas
+        earlier = self._agreed_block(replicas[0], 1)
+        block = self._agreed_block(replicas[0], 2)
+        # Replica 2 lags: the others chained ``earlier`` first.
+        lagging = replicas[2]
+        ahead = [replica for replica in replicas if replica is not lagging]
+        for replica in ahead:
+            self._apply(replica, earlier)
+        shared = [self._apply(replica, block) for replica in ahead]
+        own = self._apply(lagging, block)
+        assert shared[0] is shared[1] is shared[2]
+        assert own is not shared[0]
+        assert own.height == 1 and own.prev_hash == lagging.blockchain.header_at(0).block_hash
+        assert lagging.blockchain.verify_suffix(0)
+        # A replica on another tip that applies *first* does not stop the
+        # rest from sharing: the next replica on the common tip rebuilds.
+        later = self._agreed_block(replicas[0], 1)
+        own = self._apply(lagging, later)
+        shared = [self._apply(replica, later) for replica in ahead]
+        assert own is not shared[0] and shared[0] is shared[1] is shared[2]
+        assert all(replica.blockchain.verify_suffix(0) for replica in replicas)
+
+    def test_honest_replicas_at_one_height_hold_one_block(self):
+        cluster = ConsensusCluster("AHL", 4, seed=1, config_overrides={"batch_size": 5})
+        chaincode = NoopChaincode()
+        cluster.submit([chaincode.new_transaction("write", {"keys": (f"k{i}",), "value": i})
+                        for i in range(60)])
+        cluster.run(5.0)
+        chains = [replica.blockchain.blocks() for replica in cluster.replicas]
+        height = min(len(chain) for chain in chains) - 1
+        assert height >= 10
+        for h in range(1, height + 1):
+            assert all(chain[h] is chains[0][h] for chain in chains), h
+
 
 # ----------------------------------------------------------- ledger fast paths
 class TestLedgerFastPaths:

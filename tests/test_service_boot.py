@@ -57,3 +57,29 @@ def test_a_shard_that_never_announces_is_a_timeout_not_a_hang():
             await service.close()
 
     asyncio.run(scenario())
+
+
+STOPS = 20
+SLOWEST_STOP_S = 0.5
+
+
+async def _boot_then_time_stop() -> float:
+    cluster = ServiceCluster(num_shards=2, committee_size=4, protocol="AHL",
+                             seed=3, num_keys=50)
+    await cluster.start()
+    try:
+        await cluster.wait_ready(timeout=30.0)
+    finally:
+        started = time.perf_counter()
+        await cluster.stop()
+        elapsed = time.perf_counter() - started
+    assert not any(process.is_alive() for process in cluster.processes)
+    return elapsed
+
+
+def test_twenty_back_to_back_stops_never_wait_out_a_link_timeout():
+    # A shard-to-shard link whose peer exited before it connected sleeps
+    # between connect retries; stop() used to wait 2 s for it to read the
+    # close marker it would never read.
+    stops = [asyncio.run(_boot_then_time_stop()) for _ in range(STOPS)]
+    assert max(stops) < SLOWEST_STOP_S, sorted(stops)[-5:]

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import socket
 import struct
+import time
 
 import pytest
 
@@ -233,6 +235,24 @@ class TestBatchedWrites:
         assert downs == [[PEER]]
         assert len(writer.writes) == 1
         assert dropped == 5
+
+
+class TestLinkClose:
+    def test_link_to_a_closed_port_closes_at_once(self):
+        async def scenario():
+            probe = socket.socket()
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+            probe.close()  # nothing listens there any more
+            network = SocketNetwork(AsyncioRuntime(seed=0))
+            network.add_peer(PEER, "127.0.0.1", port)
+            network.connect(PEER)
+            await asyncio.sleep(0.05)  # refused once, now between retries
+            started = time.perf_counter()
+            await network.close()
+            return time.perf_counter() - started
+
+        assert asyncio.run(scenario()) < 0.1
 
 
 # ------------------------------------------------- shard payload shapes
