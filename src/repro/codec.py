@@ -13,8 +13,10 @@ TCP frames (:mod:`repro.service.frames`) and the scale-out barrier pipe
   iteration order is not part of its value, or an unregistered type — is a
   :class:`CodecError`.
 * :func:`decode` rebuilds the value by calling the class named by each tag.
-  An unknown tag or a wrong field count is a :class:`CodecError`; decoding
-  never resolves a global, so it never runs code the sender chose.
+  An unknown tag, a wrong field count or a field that fails its annotation
+  (:func:`checker`; each object is checked once, as it is built) is a
+  :class:`CodecError`; decoding never resolves a global, so it never runs
+  code the sender chose.
 
 Field order and coverage hold by construction: both directions read the
 dataclass's own field list.  A decoded :class:`~repro.ledger.transaction.Transaction`
@@ -34,7 +36,8 @@ import dataclasses
 import io
 import operator
 import pickle
-from typing import Any, Dict, Optional, Tuple
+import typing
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.core.driver import DriverStats
 from repro.core.homecoord import (
@@ -73,6 +76,61 @@ _TUPLE = ""
 
 class CodecError(ReproError):
     """A value the codec refuses to encode, or wire data it refuses to decode."""
+
+
+def _exact_types(hint: Any) -> Optional[FrozenSet[type]]:
+    """The types a class or a union of classes admits (None: ``hint`` is neither)."""
+    members = typing.get_args(hint) if typing.get_origin(hint) is Union else (hint,)
+    if hint is Any or not all(isinstance(member, type) for member in members):
+        return None
+    return frozenset(members) | ({int} if float in members else frozenset())
+
+
+def checker(hint: Any) -> Callable[[Any], bool]:
+    """A predicate for "matches the annotation ``hint``": a class or an
+    ``Optional``/union of classes by exact type (``float`` admits ``int``),
+    ``Tuple``/``List``/``Dict`` items in turn, ``Any`` anything, and a plain
+    dict of hints a dict of exactly its keys."""
+    types = _exact_types(type(None) if hint is None else hint)
+    if types is not None:
+        return lambda value: type(value) in types
+    if hint is Any:
+        return lambda _value: True
+    if type(hint) is dict:
+        fields = {name: checker(of) for name, of in hint.items()}
+        return lambda value: (type(value) is dict and value.keys() == fields.keys()
+                              and all(valid(value[name]) for name, valid in fields.items()))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    checks = [checker(arg) for arg in args if arg is not Ellipsis]
+    if origin is list and checks or origin is tuple and args[1:] == (Ellipsis,):
+        return lambda value: type(value) is origin and all(map(checks[0], value))
+    if origin is tuple and checks:
+        return lambda value: (type(value) is tuple and len(value) == len(checks)
+                              and all(valid(item) for valid, item in zip(checks, value)))
+    if origin is dict and checks:
+        return lambda value: (type(value) is dict and all(map(checks[0], value))
+                              and all(map(checks[1], value.values())))
+    raise CodecError(f"no checker for the annotation {hint!r}")
+
+
+_HINTS = {cls: typing.get_type_hints(cls) for cls in WIRE_CLASSES}
+#: Per wire class: (position, name, predicate) of each field not annotated ``Any``.
+_CHECKS = {cls: tuple((index, name, checker(_HINTS[cls][name]))
+                      for index, name in enumerate(_FIELDS[cls])
+                      if _HINTS[cls][name] is not Any)
+           for cls in WIRE_CLASSES}
+
+
+def _check_fields(cls: type, items: Any) -> None:
+    for index, name, valid in _CHECKS.get(cls, ()):  # an enum: its constructor checks
+        if not valid(items[index]):
+            raise CodecError(f"{cls.__name__}.{name} cannot be a {type(items[index]).__name__}")
+
+
+def check(value: Any) -> None:
+    """Raise :class:`CodecError` unless every field of the wire object
+    ``value`` matches its annotation, as :func:`decode` requires."""
+    _check_fields(type(value), _GETTERS[type(value)](value))
 
 
 def encode(value: Any) -> Any:
@@ -130,6 +188,7 @@ def decode(form: Any, budget: Optional[int] = None) -> Any:
             raise CodecError(f"unknown wire tag {tag!r}")
         if len(items) != _ARITY[cls]:
             raise CodecError(f"{tag} carries {len(items)} fields, not {_ARITY[cls]}")
+        _check_fields(cls, items)
         return cls(*items)
 
     return form if type(form) in _SCALARS else decode_one(form)

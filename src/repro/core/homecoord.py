@@ -156,7 +156,7 @@ class Command:
     attempt: int = 0
     #: Wound-wait age priority ``(started_at, begin_seq, home_shard)`` — a
     #: total order across homes (begin_seq alone is only per-home unique).
-    priority: Tuple = ()
+    priority: Tuple[float, ...] = ()
     committed: bool = False
     latency: Optional[float] = None
     epoch: int = 0
@@ -530,7 +530,7 @@ class HomeCoordinator:
         due = self.runtime.now + self.config.relay_delay + extra_delay
         if kind == "prepare":
             op = "prepare2pc"
-            priority: Tuple = (record.started_at, record.begin_seq, self.shard_id)
+            priority: Tuple[float, ...] = (record.started_at, record.begin_seq, self.shard_id)
         else:
             op, priority = "decision", ()
         for shard_id, tx in cohort:
@@ -574,7 +574,7 @@ class HomeCoordinator:
             # (its vote went missing) re-acquires re-entrantly, so it is
             # re-executed through a rotated member and re-votes.
             status = self.admission.admit(
-                tx_id, command.txs[0].keys, tuple(command.priority), command)
+                tx_id, command.txs[0].keys, command.priority, command)
         if status == "granted":
             self._launch_prepare(command)
         elif status == "deadlock":

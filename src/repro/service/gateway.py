@@ -20,12 +20,13 @@ Two halves:
   Admission control is a bounded in-flight window: past ``max_inflight``
   the gateway answers ``429`` with ``Retry-After`` instead of queueing
   unboundedly.  A malformed request — a bad ``Content-Length``, body or
-  ``timeout``, a cross-shard transaction the splitter cannot split, one its
-  home shard would refuse as a malformed frame — is a ``400`` before
-  anything is admitted.  A dead shard (EOF on its frame
-  link) turns requests that touch it into ``503``; the gateway answers the
-  in-flight transactions homed there, and the surviving homes answer for
-  it as a participant, so nothing hangs.
+  ``timeout``, a cross-shard transaction the splitter cannot split, one
+  whose fields the codec (so its home shard) would refuse — is a ``400``,
+  and a body or ``svc-submit`` frame over the frame cap a ``413``, before
+  anything is admitted.  A dead shard (EOF on its frame link) turns
+  requests that touch it into ``503``; the gateway answers the in-flight
+  transactions homed there, and the surviving homes answer for it as a
+  participant, so nothing hangs.
 """
 
 from __future__ import annotations
@@ -38,30 +39,22 @@ from functools import partial
 from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro import codec
 from repro.core.homecoord import ClientRecords, TxDone, home_shard
 from repro.core.splitters import benchmark_for, shards_for, splitter_for
 from repro.errors import WorkloadError
 from repro.ledger.transaction import Transaction
 from repro.runtime.wallclock import AsyncioRuntime
-from repro.service.frames import MAX_FRAME_BYTES, FrameError
+from repro.service.frames import MAX_FRAME_BYTES, FrameError, encode_frame
 from repro.service.shardnode import (
     GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_BLOCK,
-    KIND_DONE, KIND_PEERS, KIND_PONG, KIND_SUBMIT, agent_shard, dict_payload_ok,
-    is_wire_tx, shard_agent_id,
+    KIND_DONE, KIND_PEERS, KIND_PONG, KIND_SUBMIT, PAYLOADS, agent_shard,
+    shard_agent_id,
 )
 from repro.service.socketnet import SocketNetwork
 from repro.sim.network import Message, REQUEST_CHANNEL
 from repro.txn.coordinator import DistributedTxOutcome, DistributedTxRecord
 from repro.workloads.generator import shard_of_key
-
-
-def _payload_ok(kind: str, payload: Any, num_shards: int) -> bool:
-    """Whether ``payload`` has the shape of a ``kind`` frame from a shard."""
-    if kind == KIND_DONE:
-        return (type(payload) is TxDone and type(payload.tx_id) is str
-                and type(payload.committed) is bool
-                and type(payload.abort_reason) in (str, type(None)))
-    return dict_payload_ok(kind, payload) and 0 <= payload.get("shard_id", 0) < num_shards
 
 
 class GatewayError(Exception):
@@ -98,7 +91,7 @@ class BadRequest(GatewayError):
 
 
 class PayloadTooLarge(BadRequest):
-    """The announced body is larger than a frame may be."""
+    """The body, or the frame it would travel in, is larger than a frame may be."""
 
     status = 413
 
@@ -146,9 +139,10 @@ class GatewayService:
         return len(self._clients)
 
     def deliver(self, message: Message) -> None:
-        """A shard's frame; one of the wrong shape closes its connection."""
+        """A shard's frame; a wrong shape or shard id closes its connection."""
         kind, payload = message.kind, message.payload
-        if kind not in self._handlers or not _payload_ok(kind, payload, self.num_shards):
+        if (kind not in self._handlers or not PAYLOADS[kind](payload)
+                or kind != KIND_DONE and not 0 <= payload["shard_id"] < self.num_shards):
             raise FrameError(f"malformed {kind!r} payload for the gateway")
         self._handlers[kind](payload)
 
@@ -250,10 +244,17 @@ class GatewayService:
                            wait: bool = False) -> Tuple[DistributedTxRecord,
                                                         Optional[asyncio.Future]]:
         """Admit one transaction and route it to its home shard."""
-        if not is_wire_tx(tx):
-            # Its home would refuse the frame and close the link, which this
-            # side cannot tell from the shard dying: refuse it here instead.
-            raise BadRequest("function, client_id and keys must be strings")
+        # A mistyped transaction (its home closes the link) or an oversized
+        # frame (this side's write fails the link) would read as the shard dying.
+        submit = Message(sender=GATEWAY_NODE_ID, kind=KIND_SUBMIT, payload=(tx,),
+                         size_bytes=512, channel=REQUEST_CHANNEL)
+        try:
+            codec.check(tx)
+            encode_frame(submit)  # the network's stamps do not lengthen it
+        except codec.CodecError as exc:
+            raise BadRequest(f"function, client_id and keys must be strings: {exc}") from exc
+        except FrameError as exc:
+            raise PayloadTooLarge(str(exc)) from exc
         if self.draining:
             raise Draining("gateway is draining")
         if self.in_flight >= self.max_inflight:
@@ -270,7 +271,7 @@ class GatewayService:
             raise BadRequest(str(exc)) from exc
         self.records[tx.tx_id] = record
         self.submitted += 1
-        self._send_frame(home_shard(shards), KIND_SUBMIT, (tx,))
+        self.network.send(GATEWAY_NODE_ID, shard_agent_id(home_shard(shards)), submit)
         return record, future
 
     def _on_done(self, done: TxDone) -> None:
@@ -328,7 +329,7 @@ class GatewayService:
     def _on_balance_reply(self, payload: Dict[str, Any]) -> None:
         future = self._balance_waiters.get(payload["query_id"])
         if future is not None and not future.done():
-            future.set_result(payload.get("value"))
+            future.set_result(payload["value"])
 
 
 # --------------------------------------------------------------------- HTTP

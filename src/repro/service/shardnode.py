@@ -18,10 +18,12 @@ one node, the :class:`ShardAgent`:
 * ``svc-block``: each committed block's height and size, for ``/health``;
 * ``svc-balance-query``/``-reply``, the boot ``svc-pong``, ``svc-shutdown``.
 
-A payload of the wrong shape for its kind is a ``FrameError``: it closes
-its connection before anything reaches the committee or the coordinator.
-A closed link reads as a dead peer, so the gateway answers ``400`` for any
-transaction a shard would refuse (:func:`is_wire_tx`) instead of framing it.
+The codec refuses a wire object whose fields do not match their
+annotations, :data:`PAYLOADS` a payload of the wrong shape for its kind, and
+the agent a command that is no peer op for this shard; each refusal is a
+``FrameError`` that closes its connection before anything reaches the
+committee or the coordinator.  A closed link reads as a dead peer, so the
+gateway refuses (``400``/``413``) what a shard or the frame cap would.
 The agent is the partition's only way into its committee, and a hand-over
 is *not* a request: the agent is a batching client clocked by the
 committee's own CPU.  While none of its requests waits at the receiving
@@ -36,13 +38,14 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.codec import checker
 from repro.consensus.base import CommitEvent, ConsensusReplica
 from repro.consensus.cluster import ConsensusCluster
 from repro.core.config import ShardedSystemConfig
 from repro.core.homecoord import (
-    PARENT, Command, partition_stream_seed, partition_tx_counter,
+    PARENT, Command, TxDone, partition_stream_seed, partition_tx_counter,
 )
 from repro.core.scaleout import ShardPartition
 from repro.core.splitters import release_routed_table
@@ -80,53 +83,22 @@ def agent_shard(node_id: int) -> Optional[int]:
     return node_id - SHARD_AGENT_BASE if SHARD_AGENT_BASE <= node_id < GATEWAY_NODE_ID else None
 
 
-def is_wire_tx(value: Any) -> bool:
-    """Whether ``value`` is a transaction of the shape a shard accepts."""
-    return (type(value) is Transaction and type(value.args) is dict
-            and type(value.keys) is tuple and all(type(text) is str for text in (
-                value.tx_id, value.chaincode, value.function, value.client_id, *value.keys)))
-
-
-#: The service's dict payloads, either way: each kind's fields and their types.
-_DICT_FIELDS = {
-    KIND_BALANCE_QUERY: {"query_id": int, "key": str},
-    KIND_BALANCE_REPLY: {"query_id": int, "key": str, "shard_id": int},
-    KIND_BLOCK: {"shard_id": int, "height": int, "txs": int},
-    KIND_PONG: {"shard_id": int, "host": str, "port": int},
+#: What a frame of each kind carries, either way (a decoded wire object is well-typed).
+PAYLOADS: Dict[str, Callable[[Any], bool]] = {
+    KIND_SUBMIT: checker(Tuple[Transaction]),
+    KIND_COMMAND: checker(Command),
+    KIND_DONE: checker(TxDone),
+    KIND_PEERS: checker(Dict[int, Tuple[str, int]]),
+    KIND_BLOCK: checker({"shard_id": int, "height": int, "txs": int}),
+    KIND_PONG: checker({"shard_id": int, "host": str, "port": int}),
+    KIND_BALANCE_QUERY: checker({"query_id": int, "key": str}),
+    KIND_BALANCE_REPLY: checker({"query_id": int, "key": str, "value": Any, "shard_id": int}),
+    KIND_SHUTDOWN: checker(None),
 }
-
-
-def dict_payload_ok(kind: str, payload: Any) -> bool:
-    """Whether ``payload`` is a dict with the fields a ``kind`` frame carries."""
-    fields = _DICT_FIELDS.get(kind)
-    return fields is not None and type(payload) is dict and all(
-        type(payload.get(name)) is of_type for name, of_type in fields.items())
-
-
-def _is_command(value: Any, shard_id: int) -> bool:
-    if (type(value) is not Command or value.dest != shard_id
-            or type(value.tx_id) is not str or type(value.attempt) is not int):
-        return False
-    if value.op in ("prepare2pc", "decision"):
-        return (type(value.home) is int and type(value.priority) is tuple
-                and type(value.txs) is tuple and len(value.txs) == 1 and is_wire_tx(value.txs[0]))
-    return (value.op in ("vote", "ack") and type(value.origin) is int
-            and type(value.ok) is bool and type(value.reason) in (str, type(None)))
-
-
-def _payload_ok(kind: str, payload: Any, shard_id: int) -> bool:
-    """Whether ``payload`` has the shape of a ``kind`` frame to ``shard_id``."""
-    if kind == KIND_SUBMIT:
-        return type(payload) is tuple and len(payload) == 1 and is_wire_tx(payload[0])
-    if kind == KIND_COMMAND:
-        return _is_command(payload, shard_id)
-    if kind == KIND_PEERS:
-        return type(payload) is dict and all(
-            type(shard) is int and type(addr) is tuple and len(addr) == 2
-            and type(addr[0]) is str and type(addr[1]) is int for shard, addr in payload.items())
-    if kind == KIND_BALANCE_QUERY:
-        return dict_payload_ok(kind, payload)
-    return kind == KIND_SHUTDOWN
+#: The kinds a shard accepts.
+_SHARD_KINDS = frozenset({KIND_SUBMIT, KIND_COMMAND, KIND_PEERS, KIND_BALANCE_QUERY, KIND_SHUTDOWN})
+#: The 2PC ops one shard sends another, and how many transactions each carries.
+_PEER_OPS = {"prepare2pc": 1, "decision": 1, "vote": 0, "ack": 0}
 
 
 class ShardAgent:
@@ -153,11 +125,13 @@ class ShardAgent:
 
     def deliver(self, message: Message) -> None:
         kind, payload = message.kind, message.payload
-        if not _payload_ok(kind, payload, self.shard_id):
+        if kind not in _SHARD_KINDS or not PAYLOADS[kind](payload):
             raise FrameError(f"malformed {kind!r} payload for shard {self.shard_id}")
         if kind == KIND_SUBMIT:
             self.partition.submit_from_gateway(payload[0])
         elif kind == KIND_COMMAND:
+            if payload.dest != self.shard_id or _PEER_OPS.get(payload.op) != len(payload.txs):
+                raise FrameError(f"no {payload.op!r} command for shard {self.shard_id}")
             self.partition.apply(payload)  # now: its due is on the sender's clock
         elif kind == KIND_PEERS:
             for shard_id, (host, port) in sorted(payload.items()):

@@ -3,19 +3,23 @@ scale-out pipe.
 
 Every registered class round-trips with every field set; a decoded
 ``Transaction`` re-derives its digest; sets and unregistered types are
-refused at encode; unknown tags, wrong arities and globals are refused at
-decode — and a frame whose body would run code ends as ``FrameError``
-without running it.
+refused at encode; unknown tags, wrong arities, globals and fields that do
+not match their annotations are refused at decode — and a frame whose body
+would run code ends as ``FrameError`` without running it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import copy
 import dataclasses
 import pickle
 import struct
+import typing
+from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import codec
 from repro.codec import CodecError, WIRE_CLASSES, WIRE_ENUMS, decode, encode
@@ -192,3 +196,46 @@ class TestCodeExecution:
         with pytest.raises(FrameError):
             _read(_frame(body))
         assert not hasattr(repro, "PWNED")
+
+
+#: Per field annotation of a wire class: primitive-form values of another type.
+WRONG_TYPED = {
+    int: ["7", 7.5, None, True],
+    float: ["0.5", None, False, [0.5]],
+    str: [7, None, b"x", ["k"]],
+    bool: [1, "yes", None],
+    Optional[str]: [7, b"x", False],
+    Optional[int]: ["3", 2.5, True],
+    Optional[float]: ["0.5", [0.5], True],
+    TxStatus: ["committed", 1],
+    Dict[str, Any]: [["k"], {1: "v"}, ("k",)],
+    Dict[str, int]: [{"k": "v"}, {1: 1}, [("k", 1)]],
+    Dict[int, int]: [{"0": 1}, {0: 1.5}, []],
+    List[float]: [(0.5,), [0.5, "1"], None],
+    Tuple[str, ...]: [("a", 1), ["a"], "a"],
+    Tuple[float, ...]: [(0.5, "x"), [0.5], (None,)],
+    Tuple[Any, ...]: [[TX_DONE], "x"],
+    Tuple[Transaction, ...]: [(1,), [TX], (TX, "tx")],
+    Tuple[Command, ...]: [(TX,), [COMMAND], (COMMAND, None)],
+}
+#: (class, field, annotation) of every field of every wire class not annotated Any.
+TYPED_FIELDS = [(cls, field.name, typing.get_type_hints(cls)[field.name])
+                for cls in WIRE_CLASSES for field in dataclasses.fields(cls)
+                if typing.get_type_hints(cls)[field.name] is not Any]
+
+
+class TestTypedDecode:
+    def test_every_field_annotation_has_wrong_typed_values(self):
+        assert {hint for _, _, hint in TYPED_FIELDS} <= set(WRONG_TYPED)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(TYPED_FIELDS).flatmap(lambda case: st.tuples(
+        st.just(case), st.sampled_from(WRONG_TYPED[case[2]]))))
+    def test_a_field_of_the_wrong_type_is_refused(self, case):
+        (cls, name, _), value = case
+        bad = copy.copy(SAMPLES[cls])
+        object.__setattr__(bad, name, value)
+        with pytest.raises(CodecError):
+            decode(encode(bad))
+        with pytest.raises(FrameError):
+            _read(encode_frame(bad))

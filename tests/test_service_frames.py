@@ -291,6 +291,9 @@ BAD_PAYLOADS = {
         due=0.0, dest=0, op="vote", tx_id=7, origin=1)),
     "prepare-without-its-transaction": (KIND_COMMAND, Command(
         due=0.0, dest=0, op="prepare2pc", tx_id="tx-1", home=1)),
+    "prepare-with-a-string-priority": (KIND_COMMAND, Command(
+        due=0.0, dest=0, op="prepare2pc", tx_id="tx-1", home=1,
+        txs=(_payment(*_accounts_on(0)[:2]),), priority=("x",))),
     "peer-table-of-strings": (KIND_PEERS, {1: "nowhere"}),
     "unknown-kind": ("svc-teleport", None),
 }
@@ -369,6 +372,7 @@ BAD_GATEWAY_PAYLOADS = {
     "balance-reply-of-a-string-shard": (KIND_BALANCE_REPLY, lambda _: {
         "query_id": 0, "key": "k", "value": 1, "shard_id": "0"}),
     "unknown-kind": ("svc-teleport", lambda _: None),
+    "kind-that-is-a-list": (["svc-block"], lambda _: _block()),
 }
 
 

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.runtime.wallclock import AsyncioRuntime
+from repro.service import frames, gateway
 from repro.service.gateway import GatewayHttp, GatewayService
 
 PAYMENT = json.dumps({"function": "sendPayment",
@@ -96,4 +97,22 @@ def test_a_transaction_its_home_would_refuse_is_a_400_before_admission(function)
         f"POST /tx HTTP/1.1\r\nContent-Length: {len(body)}", body)
     assert status == 400
     assert "must be strings" in payload["error"]
+    assert started == 0
+
+
+def test_a_body_whose_frame_would_exceed_the_cap_is_a_413_before_admission(monkeypatch):
+    """A body under the frame cap can still encode to a ``svc-submit`` frame
+    over it (a compact ``0.5`` is 4 bytes of JSON and 9 encoded).  The
+    gateway's own write would then fail its link to the home shard, which it
+    cannot tell from the shard dying — so the frame is sized at admission."""
+    monkeypatch.setattr(frames, "MAX_FRAME_BYTES", 4096)
+    monkeypatch.setattr(gateway, "MAX_FRAME_BYTES", 4096)
+    body = json.dumps({"function": "sendPayment",
+                       "args": {"from": "0", "to": "1", "amount": 1, "pad": [0.5] * 700}},
+                      separators=(",", ":"))
+    assert len(body) < 4096
+    status, payload, started = _exchange(
+        f"POST /tx HTTP/1.1\r\nContent-Length: {len(body)}", body)
+    assert status == 413
+    assert "cap" in payload["error"]
     assert started == 0
