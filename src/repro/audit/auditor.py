@@ -18,7 +18,10 @@ plus end-state inspection into a list of violations:
   another (and vice versa).
 * **money-conservation** — at quiescence the Smallbank balances across all
   shards sum to the initial endowment (checked only when the run is
-  quiescent; use :meth:`settle` to drain in-flight work first).
+  quiescent; use :meth:`settle` to drain in-flight work first).  The check
+  scans the honest observers' state, so it assumes nothing audited commits
+  ``deposit`` or ``createAccount`` (the generators draw only
+  ``sendPayment``).
 * **attested-slot-uniqueness** — across each enclave's whole lifetime,
   including restarts, no (log, position) is ever bound to two digests.  The
   enclave enforces this internally *while it is honest and its state
@@ -39,22 +42,12 @@ an audited run commits the same blocks as an unaudited one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.consensus.base import CommitEvent, ConsensusReplica
-from repro.core.splitters import (
-    REFERENCE_SHARD_ID,
-    chaincode_registry,
-    initial_state,
-)
+from repro.core.splitters import REFERENCE_SHARD_ID
 from repro.core.system import ShardedBlockchain
-from repro.ledger.index import (
-    ABORT_FUNCTIONS as _ABORT_FUNCTIONS,
-    COMMIT_FUNCTIONS as _COMMIT_FUNCTIONS,
-    rebuild_index,
-    snapshot_diff,
-)
+from repro.workloads.smallbank import initial_balances
 
 
 @dataclass
@@ -117,14 +110,14 @@ class SafetyAuditor:
 
     def __init__(self, system: ShardedBlockchain) -> None:
         self.system = system
-        #: The commit-time ledger index every O(delta) check reads from.
-        self.index = system.enable_analytics()
         #: shard -> global position -> first-recorded transaction id.
         self._prefix: Dict[int, Dict[int, str]] = {}
         #: (shard, replica id) -> next global position of that replica's stream.
         self._positions: Dict[Tuple[int, int], int] = {}
         #: origin tx id -> set of (shard, "commit"/"abort") decision executions.
         self._decisions: Dict[str, Set[Tuple[int, str]]] = {}
+        #: (enclave, log, position) -> first digest attested there.
+        self._attested: Dict[Tuple[str, str, int], str] = {}
         #: Violations detected while recording (fork / re-binding seen live).
         self._live_violations: List[AuditViolation] = []
         #: shard -> (observer node id, hash-verified height, hash there).
@@ -192,12 +185,16 @@ class SafetyAuditor:
             position += 1
         self._positions[key] = position
 
+    #: The 2PC decision functions of each cross-shard chaincode (§6.3).
+    COMMIT_FUNCTIONS = ("commitPayment", "commit_multi_put")
+    ABORT_FUNCTIONS = ("abortPayment", "abort_multi_put")
+
     def _record_decisions(self, shard_id: int, event: CommitEvent) -> None:
         receipts = {receipt.tx_id: receipt for receipt in event.receipts}
         for tx in event.block.transactions:
-            if tx.function in _COMMIT_FUNCTIONS:
+            if tx.function in self.COMMIT_FUNCTIONS:
                 kind = "commit"
-            elif tx.function in _ABORT_FUNCTIONS:
+            elif tx.function in self.ABORT_FUNCTIONS:
                 kind = "abort"
             else:
                 continue
@@ -218,11 +215,11 @@ class SafetyAuditor:
                        digest: str) -> None:
         """Record one attested append (called by the enclave's listener).
 
-        Slot storage lives in the ledger index (first-binding semantics);
-        the auditor turns a conflicting re-binding into a violation.
+        A slot binds to the first digest seen there; a conflicting later
+        digest is a violation and does not overwrite the binding.
         """
-        bound = self.index.record_attestation(enclave_id, log_name, position, digest)
-        if bound is not None and bound != digest:
+        bound = self._attested.setdefault((enclave_id, log_name, position), digest)
+        if bound != digest:
             self._live_violations.append(AuditViolation(
                 "attested-slot-uniqueness", None,
                 f"enclave {enclave_id} bound log {log_name!r} position "
@@ -271,16 +268,11 @@ class SafetyAuditor:
     def check(self, full_reverify: bool = False) -> AuditReport:
         """Evaluate every invariant and return the report.
 
-        The default is **incremental**: each invariant consumes only what
-        arrived since the previous ``check()`` — the chain check hash-verifies
-        the new suffix past its per-shard marker, the money check reads the
-        index's running balance drift, and the margin check folds in only
-        newly-completed transitions — so a periodic auditor costs O(blocks
-        since last check) per call instead of O(chain).
-        ``full_reverify=True`` forces the original full-history forms (from
-        genesis, full balance scan): the belt-and-suspenders mode for final
-        reports, and the only mode that can catch out-of-band state tampering
-        the committed receipts never saw.
+        The chain check is **incremental**: it hash-verifies only the suffix
+        past its per-shard marker, and the margin check folds in only
+        newly-completed transitions.  The money check scans every balance,
+        so it also catches state tampered with behind consensus.
+        ``full_reverify=True`` re-verifies every chain from genesis.
         """
         violations = list(self._live_violations)
         skipped: Dict[str, str] = {}
@@ -289,7 +281,7 @@ class SafetyAuditor:
         violations.extend(self._check_chains(full=full_reverify))
         if self.system.config.benchmark == "smallbank":
             if quiescent:
-                violations.extend(self._check_money(full=full_reverify))
+                violations.extend(self._check_money())
             else:
                 skipped["money-conservation"] = (
                     "run is not quiescent (call settle() first); a mid-commit "
@@ -312,62 +304,12 @@ class SafetyAuditor:
             checks_run=list(self.CHECKS),
             blocks_audited=self.blocks_audited,
             transactions_audited=self.transactions_audited,
-            attestations_recorded=self.index.attestations_recorded,
+            attestations_recorded=len(self._attested),
             equivocation_refusals=refusals,
             degraded_observer_reads=degraded,
             quiescent=quiescent,
             skipped=skipped,
         )
-
-    def verify_index_rebuild(self) -> Tuple[bool, str]:
-        """The differential oracle: rebuild the index from the chains and diff.
-
-        Replays every observer chain from genesis through fresh execution
-        engines (:func:`repro.ledger.index.rebuild_index`) and compares the
-        result against the incrementally maintained index, bit for bit.
-        Returns ``(identical, description)`` — the description names the
-        first divergence if there is one.  Requires full block retention
-        (raises :class:`repro.errors.ConfigurationError` on header-only chains, where
-        receipts cannot be re-derived).
-        """
-        system = self.system
-        observers = {shard_id: cluster.honest_observer()
-                     for shard_id, cluster in self._clusters.items()}
-        chains = {shard_id: observer.blockchain
-                  for shard_id, observer in observers.items()}
-        for shard_id, chain in sorted(chains.items()):
-            pending = self.index.pending_heights(shard_id)
-            if (pending or self.index.tip_height(shard_id) != chain.height
-                    or self.index.tip_hash(shard_id) != chain.tip.block_hash):
-                return False, (
-                    f"shard {shard_id} commit stream is incomplete or follows "
-                    f"a different replica's chain (index tip "
-                    f"{self.index.tip_height(shard_id)} vs observer height "
-                    f"{chain.height}, pending heights {pending}): the "
-                    "incremental index cannot equal a rebuild of this chain")
-
-        def populate(shard_id: int, state) -> None:
-            observer = observers[shard_id]
-            if observer._join_state_snapshot is not None:
-                # The observer joined mid-run: its chain is rooted in the
-                # state snapshot it installed, not in the genesis state, so
-                # a faithful replay must start from that snapshot.
-                state.restore(observer._join_state_snapshot)
-            else:
-                # The same slice every replica got at construction, so
-                # re-derived receipts match the live execution exactly.
-                for key, value in initial_state(system.config, shard_id):
-                    state.put(key, value)
-
-        rebuilt = rebuild_index(chains, partial(chaincode_registry, system.config),
-                                populate=populate,
-                                epoch_of=system.epochs.epoch_of,
-                                account_history=self.index.history_enabled)
-        diff = snapshot_diff(self.index.snapshot(), rebuilt.snapshot())
-        if diff is None:
-            return True, (f"incremental index == full rebuild across "
-                          f"{self.index.blocks_indexed} blocks")
-        return False, diff
 
     def _check_chains(self, full: bool = False) -> List[AuditViolation]:
         """Hash-verify each shard's observer chain (prefix check backstop).
@@ -403,29 +345,13 @@ class SafetyAuditor:
                                         chain.tip.block_hash)
         return violations
 
-    def _check_money(self, full: bool = False) -> List[AuditViolation]:
-        """Money conservation: O(1) off the index, or the full balance scan.
+    def _check_money(self) -> List[AuditViolation]:
+        """Money conservation: the balances sum to the initial endowment.
 
-        The incremental form reads the index's running balance drift (every
-        committed delta minus every legitimate mint — exact, maintained at
-        commit time).  The full scan re-reads all ``num_keys`` balances from
-        the observers' state stores; it is the only form that can catch
-        tampering applied *behind* consensus (state mutated with no
-        committed receipt), and the automatic fallback when the index did
-        not see the whole history (mid-run attach, gaps, or an index that
-        trails the observer chains).
+        Scans all ``num_keys`` balances in the honest observers' state.  It
+        assumes nothing audited commits ``deposit`` or ``createAccount``,
+        which mint money by design.
         """
-        if not full and self.index.balances_exact() and self._index_synced():
-            drift = self.index.balance_drift()
-            if drift != 0:
-                return [AuditViolation(
-                    "money-conservation", None,
-                    f"committed balance deltas net to {drift:+d} after mints "
-                    f"across {self.index.blocks_indexed} indexed blocks — "
-                    "money was created or destroyed on-chain")]
-            return []
-        from repro.workloads.smallbank import initial_balances
-
         system = self.system
         balances = initial_balances(system.config.num_keys)
         expected = sum(balances.values())
@@ -439,29 +365,6 @@ class SafetyAuditor:
                 f"balances sum to {total}, expected {expected} "
                 f"(drift {total - expected:+d}) at quiescence")]
         return []
-
-    def _index_synced(self) -> bool:
-        """Whether the index covers every benchmark shard's full history.
-
-        Requires, per shard, an observer whose chain is rooted in the
-        genesis state (a joiner's chain starts from a mid-run state
-        snapshot, so its deltas only cover a suffix of history and cannot
-        prove conservation) and an index tip that matches that observer's —
-        a prefix-only index (commit reports stopped, or the observer
-        switched to a chain the index was not following) has exact
-        *per-block* materializations but an incomplete total.  Either way
-        the quiescent whole-system sum falls back to the full scan.
-        """
-        for shard_id, cluster in self._clusters.items():
-            if shard_id == REFERENCE_SHARD_ID:
-                continue  # the reference committee holds no benchmark state
-            observer = cluster.honest_observer()
-            chain = observer.blockchain
-            if (observer._committed_before_join > 0
-                    or self.index.tip_height(shard_id) != chain.height
-                    or self.index.tip_hash(shard_id) != chain.tip.block_hash):
-                return False
-        return True
 
     def _margin_violations_for(self,
                                transition) -> List[AuditViolation]:

@@ -262,11 +262,8 @@ class ConsensusReplica(SimProcess):
         self._last_block_time = 0.0
         self._interval_retry_pending = False
         #: Transactions already reflected in the state snapshot this member
-        #: installed when it joined mid-run (0 for founding members), and the
-        #: snapshot itself (None for founding members, whose chains are
-        #: rooted in the genesis state).
+        #: installed when it joined mid-run (0 for founding members).
         self._committed_before_join = 0
-        self._join_state_snapshot = None
         self._on_commit: List[Callable[[CommitEvent], None]] = []
 
     # ------------------------------------------------------------ membership
@@ -365,13 +362,7 @@ class ConsensusReplica(SimProcess):
         a node that fetched a state snapshot rather than the full history
         holds.
         """
-        snapshot = source.state.snapshot()
-        self.state.restore(snapshot)
-        # Retain the installed snapshot: this member's chain is rooted in it
-        # rather than in the genesis state, and the audit's rebuild oracle
-        # must replay the chain from the same starting point.  Entries are
-        # immutable (replaced per write), so the shallow copy stays faithful.
-        self._join_state_snapshot = snapshot
+        self.state.restore(source.state.snapshot())
         self.view = source.view
         self.last_executed = source.last_executed
         # The ledger restarts at the join point; carry the source's committed

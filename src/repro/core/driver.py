@@ -10,10 +10,8 @@ regardless of completion, and forgotten as soon as they complete — so memory
 is bounded by the number of in-flight transactions, not the run length.
 The arrival tick and the completion accounting are :class:`ArrivalLoop`.
 The engine's partitions each run their per-shard split of it
-(:class:`repro.core.homecoord.PartitionDriver`), so the arrival process of a
-default :class:`OpenLoopDriver` never touches the parent; a driver given a
-custom ``workload`` object (which cannot be re-derived inside a worker) runs
-the one loop parent-side and submits through ``system.submit_transaction``.
+(:class:`repro.core.homecoord.PartitionDriver`), so the arrival process of an
+:class:`OpenLoopDriver` never touches the parent.
 
 Determinism: the driver's entire arrival process is derived from the
 simulator clock and the workload generator's seeded RNG, so a given
@@ -30,7 +28,6 @@ from repro.core.config import ShardedSystemConfig
 from repro.errors import ConfigurationError
 from repro.ledger.transaction import Transaction
 from repro.runtime.base import Runtime
-from repro.txn.coordinator import DistributedTxOutcome, DistributedTxRecord
 from repro.workloads.generator import WorkloadGenerator
 
 if TYPE_CHECKING:  # system.py imports this module
@@ -130,8 +127,7 @@ class ArrivalLoop:
     outstanding.  Whoever learns a transaction's outcome reports it through
     :meth:`complete`.  Every partition runs its split of an
     :class:`OpenLoopDriver`'s loop
-    (:class:`repro.core.homecoord.PartitionDriver`); a driver with a custom
-    workload object runs the one loop itself.
+    (:class:`repro.core.homecoord.PartitionDriver`).
     """
 
     def __init__(self, runtime: Runtime, rate_tps: float, batch_size: int,
@@ -221,22 +217,16 @@ class OpenLoopDriver:
         outstanding, new arrivals are *dropped on the floor* rather than
         queued (the open-loop driver never slows down, matching BLOCKBENCH's
         behaviour under overload), keeping memory strictly bounded.
-    workload:
-        A custom transaction source.  By default (``None``) every partition
-        generates its split of the system's configured benchmark in place,
-        seeded from the system seed and ``stream_index``; a generator object
-        is instead drawn parent-side and each transaction forwarded to its
-        home partition (a different, equally deterministic stream).
     stream_index:
-        Distinguishes the default workload streams of several drivers on one
-        system (each index draws an independent deterministic stream).
+        Every partition generates its split of the system's configured
+        benchmark in place, seeded from the system seed and this index, so
+        several drivers on one system draw independent deterministic streams.
     """
 
     def __init__(self, system: ShardedBlockchain, rate_tps: float,
                  max_transactions: Optional[int] = None,
                  batch_size: int = 1,
                  max_in_flight: Optional[int] = None,
-                 workload: Optional[WorkloadGenerator] = None,
                  client_id: str = "open-loop",
                  stream_index: int = 0,
                  vectorized: bool = False,
@@ -254,30 +244,17 @@ class OpenLoopDriver:
         self.max_in_flight = max_in_flight
         self.client_id = client_id
         self._index: Optional[int] = None
-        self._loop: Optional[ArrivalLoop] = None
-        self._started = False
-        if workload is None:
-            # The plain picklable spec the partitions build their splits from.
-            self._spec = dict(
-                rate_tps=rate_tps, max_transactions=max_transactions,
-                batch_size=batch_size, max_in_flight=max_in_flight,
-                client_id=client_id,
-                workload_seed=system.config.seed * 7919 + 1 + stream_index,
-                vectorized=vectorized, vector_batch=vector_batch)
-        else:
-            self._loop = ArrivalLoop(
-                system.runtime, rate_tps, batch_size, max_transactions,
-                max_in_flight,
-                draw=lambda now: workload.next_transaction(
-                    client_id=self.client_id, now=now),
-                submit=lambda tx: system.submit_transaction(
-                    tx, on_complete=self._on_complete))
+        # The plain picklable spec the partitions build their splits from.
+        self._spec = dict(
+            rate_tps=rate_tps, max_transactions=max_transactions,
+            batch_size=batch_size, max_in_flight=max_in_flight,
+            client_id=client_id,
+            workload_seed=system.config.seed * 7919 + 1 + stream_index,
+            vectorized=vectorized, vector_batch=vector_batch)
 
     @property
     def stats(self) -> DriverStats:
         """This driver's aggregate statistics (merged across partitions)."""
-        if self._loop is not None:
-            return self._loop.stats
         if self._index is not None:
             return self.system.driver_stats(self._index)
         return DriverStats()
@@ -289,18 +266,9 @@ class OpenLoopDriver:
     # ---------------------------------------------------------------- driving
     def start(self) -> "OpenLoopDriver":
         """Begin the arrival process at the current simulated time."""
-        if not self._started:
-            self._started = True
-            if self._loop is None:
-                self._index = self.system.register_partition_driver(self._spec)
-            else:
-                self.system.runtime.spawn(self._loop.tick)
+        if self._index is None:
+            self._index = self.system.register_partition_driver(self._spec)
         return self
-
-    def _on_complete(self, record: DistributedTxRecord) -> None:
-        self._loop.complete(record.outcome is DistributedTxOutcome.COMMITTED,
-                            record.abort_reason, record.latency,
-                            self.system.current_epoch)
 
     # ------------------------------------------------------------------- runs
     def run_to_completion(self, drain_timeout: float = 120.0) -> DriverStats:

@@ -241,14 +241,17 @@ class ClientRecords:
     def __len__(self) -> int:
         return len(self.pending)
 
+    def validate(self, tx: Transaction, shards: List[int]) -> None:
+        """Raise :class:`~repro.errors.WorkloadError` for an unsplittable
+        cross-shard transaction here, in the submitter's reach, rather than
+        at its home."""
+        if len(shards) > 1:
+            self.splitter.validate(tx, self.shard_of)
+
     def begin(self, tx: Transaction, shards: List[int], now: float,
               on_complete: Optional[Callable[[DistributedTxRecord], None]] = None
               ) -> DistributedTxRecord:
-        """Open ``tx``'s record.  An unsplittable cross-shard transaction
-        raises :class:`~repro.errors.WorkloadError` here, in the submitter's
-        reach, rather than at its home."""
-        if len(shards) > 1:
-            self.splitter.validate(tx, self.shard_of)
+        """Open ``tx``'s record (after :meth:`validate`)."""
         record = DistributedTxRecord(tx_id=tx.tx_id, transaction=tx,
                                      shards=sorted(shards), started_at=now)
         self.pending[tx.tx_id] = (record, on_complete)

@@ -93,7 +93,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.consensus.base import CommitEvent
 from repro.consensus.cluster import ConsensusCluster, member_node_id
 from repro.core.adversary import AdversaryState
 from repro.core.config import ShardedSystemConfig
@@ -112,7 +111,6 @@ from repro.core.homecoord import (
 from repro.core.scaleout import ShardPartition, _PartitionGroup, _ProcessExecutor
 from repro.core.splitters import REFERENCE_SHARD_ID, shards_for, splitter_for
 from repro.errors import ConfigurationError, SimulationError
-from repro.ledger.index import LedgerIndex
 from repro.ledger.transaction import Transaction
 from repro.sharding.assignment import assign_committees
 from repro.sharding.beacon_protocol import derive_epoch_randomness
@@ -290,8 +288,6 @@ class ShardedBlockchain:
                            for shard_id in range(config.num_shards)}
         #: History of executed epoch transitions (stats + their plans).
         self.epoch_transitions: List[EpochTransitionStats] = []
-        #: The commit-time analytics index (None until ``enable_analytics``).
-        self.analytics: Optional[LedgerIndex] = None
         self._active_transition: Optional[_ActiveTransition] = None
         self.reconfigurations_completed = 0
         self.epoch_boundaries_skipped = 0
@@ -353,6 +349,7 @@ class ShardedBlockchain:
         cross-shard transaction that cannot be split.
         """
         shards = self.shards_for_transaction(tx)
+        self._remote_txs.validate(tx, shards)
         record = self._remote_txs.begin(tx, shards, self.sim.now, on_complete)
         self._emit(Command(due=self.sim.now + self.config.relay_delay,
                            dest=home_shard(shards), op="client", txs=(tx,),
@@ -540,7 +537,7 @@ class ShardedBlockchain:
         }
 
     def audit_clusters(self) -> Dict[int, ConsensusCluster]:
-        """The live shard clusters, for observers (auditor, analytics).
+        """The live shard clusters, for observers (the safety auditor).
 
         Process mode refuses: its replicas live in other address spaces.
         """
@@ -558,52 +555,6 @@ class ShardedBlockchain:
             self._gather("commit_times").values()))
         series = TimeSeries.from_samples("commits", [(at, 1.0) for at in times])
         return series.bucketed_rate(bucket_seconds, until=self.sim.now)
-
-    # --------------------------------------------------------------- analytics
-    def enable_analytics(self, account_history: bool = True) -> LedgerIndex:
-        """Attach a commit-time :class:`LedgerIndex` to this deployment.
-
-        Idempotent — the first call builds the index and subscribes it to
-        every committee's commits (inline mode only, like the auditor);
-        later calls return the same index.  Each shard is registered at its
-        chain height at attach time, so an index enabled before the run
-        (the normal case) sees every block from height 1.
-
-        The index is a pure observer: enabling it never schedules events,
-        so an indexed run commits exactly the same blocks as a bare one.
-        """
-        if self.analytics is not None:
-            return self.analytics
-        index = LedgerIndex(account_history=account_history)
-        clusters = self.audit_clusters()
-        if self.reference is not None:
-            clusters[REFERENCE_SHARD_ID] = self.reference
-        for shard_id, cluster in clusters.items():
-            chain = cluster.honest_observer().blockchain
-            index.register_shard(shard_id, origin_height=chain.height,
-                                 origin_hash=chain.tip.block_hash)
-            cluster.subscribe_commits(
-                self._make_index_observer(index, shard_id, cluster))
-        self.analytics = index
-        return index
-
-    def _make_index_observer(self, index: LedgerIndex, shard_id: int,
-                             cluster: ConsensusCluster) -> Callable[[CommitEvent], None]:
-        def on_commit(event: CommitEvent) -> None:
-            # After membership changes the committee fans commits out from
-            # *every* member, including Byzantine ones (whose local chains
-            # are allowed to be garbage) and reports the same height many
-            # times; ingest only honest reports and let the index's
-            # first-writer-per-height dedup absorb the duplicates.
-            try:
-                replica = cluster.replica_by_id(event.replica_id)
-            except ConfigurationError:
-                return  # a departed member's late report
-            if replica.byzantine is not None:
-                return
-            epoch = self.epochs.epoch_of(event.block.header.timestamp)
-            index.ingest_block(shard_id, event.block, event.receipts, epoch=epoch)
-        return on_commit
 
     # ------------------------------------------------- epochs/reconfiguration
     @property

@@ -48,9 +48,6 @@ class ExperimentResult:
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)
 
-    def column(self, name: str) -> List[Any]:
-        return [row.get(name) for row in self.rows]
-
     def format_table(self, float_digits: int = 2) -> str:
         """Human-readable fixed-width table (what the benchmark harness prints)."""
         def fmt(value: Any) -> str:

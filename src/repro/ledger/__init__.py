@@ -13,7 +13,6 @@ from repro.ledger.block import Block, BlockHeader, GENESIS_PREV_HASH, make_genes
 from repro.ledger.blockchain import Blockchain, ForkableChain
 from repro.ledger.state import StateStore, VersionedValue
 from repro.ledger.chaincode import Chaincode, ChaincodeRegistry, ExecutionEngine
-from repro.ledger.index import LedgerIndex, RangeStats, rebuild_index, snapshot_diff
 
 __all__ = [
     "Transaction",
@@ -30,8 +29,4 @@ __all__ = [
     "Chaincode",
     "ChaincodeRegistry",
     "ExecutionEngine",
-    "LedgerIndex",
-    "RangeStats",
-    "rebuild_index",
-    "snapshot_diff",
 ]

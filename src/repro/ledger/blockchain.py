@@ -78,10 +78,6 @@ class Blockchain:
         """
         return list(self._bodies.values())
 
-    def headers(self) -> List[BlockHeader]:
-        """A copy of every header, genesis first (both retention modes)."""
-        return list(self._headers)
-
     def total_transactions(self) -> int:
         """Transactions committed on the chain (running counter, O(1))."""
         return self._total_transactions

@@ -17,16 +17,18 @@ Two halves:
       GET  /balance/{key} world-state read from the key's home shard
       GET  /health        shard liveness, in-flight window, totals, block filling
 
-  Admission control is a bounded in-flight window: past ``max_inflight``
-  the gateway answers ``429`` with ``Retry-After`` instead of queueing
-  unboundedly.  A malformed request — a bad ``Content-Length``, body or
-  ``timeout``, a cross-shard transaction the splitter cannot split, one
-  whose fields the codec (so its home shard) would refuse — is a ``400``,
-  and a body or ``svc-submit`` frame over the frame cap a ``413``, before
-  anything is admitted.  A dead shard (EOF on its frame link) turns
-  requests that touch it into ``503``; the gateway answers the in-flight
-  transactions homed there, and the surviving homes answer for it as a
-  participant, so nothing hangs.
+  Until every shard has announced itself (the boot barrier), ``POST /tx``
+  and ``GET /balance`` answer ``503`` with ``Retry-After``.  Admission
+  control is a bounded in-flight window: past ``max_inflight`` the gateway
+  answers ``429`` with ``Retry-After`` instead of queueing unboundedly.
+  A malformed request — a bad ``Content-Length``, body or ``timeout``, a
+  cross-shard transaction the splitter cannot split, one whose fields the
+  codec (so its home shard) would refuse — is a ``400``, and a body or
+  ``svc-submit`` frame over the frame cap a ``413``, before anything is
+  admitted; the frame is encoded once, and the link writes those bytes.
+  A dead shard (EOF on its frame link) turns requests that touch it into
+  ``503``; the gateway answers the in-flight transactions homed there, and
+  the surviving homes answer for it as a participant, so nothing hangs.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.core.splitters import benchmark_for, shards_for, splitter_for
 from repro.errors import WorkloadError
 from repro.ledger.transaction import Transaction
 from repro.runtime.wallclock import AsyncioRuntime
-from repro.service.frames import MAX_FRAME_BYTES, FrameError, encode_frame
+from repro.service.frames import MAX_FRAME_BYTES, FrameError
 from repro.service.shardnode import (
     GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_BLOCK,
     KIND_DONE, KIND_PEERS, KIND_PONG, KIND_SUBMIT, PAYLOADS, agent_shard,
@@ -68,6 +70,13 @@ class Overloaded(GatewayError):
     """The bounded in-flight window is full."""
 
     status = 429
+    retry_after = 1
+
+
+class NotReady(GatewayError):
+    """Not every shard has announced itself yet."""
+
+    status = 503
     retry_after = 1
 
 
@@ -243,18 +252,18 @@ class GatewayService:
     def submit_transaction(self, tx: Transaction,
                            wait: bool = False) -> Tuple[DistributedTxRecord,
                                                         Optional[asyncio.Future]]:
-        """Admit one transaction and route it to its home shard."""
-        # A mistyped transaction (its home closes the link) or an oversized
-        # frame (this side's write fails the link) would read as the shard dying.
-        submit = Message(sender=GATEWAY_NODE_ID, kind=KIND_SUBMIT, payload=(tx,),
-                         size_bytes=512, channel=REQUEST_CHANNEL)
+        """Admit one transaction and route it to its home shard.
+
+        Everything that can refuse it runs before its record is registered.
+        A mistyped transaction (its home closes the link) or an oversized
+        frame (a failed write fails the link) would read as the shard dying,
+        so both are refused here.
+        """
         try:
             codec.check(tx)
-            encode_frame(submit)  # the network's stamps do not lengthen it
         except codec.CodecError as exc:
             raise BadRequest(f"function, client_id and keys must be strings: {exc}") from exc
-        except FrameError as exc:
-            raise PayloadTooLarge(str(exc)) from exc
+        self._check_ready()
         if self.draining:
             raise Draining("gateway is draining")
         if self.in_flight >= self.max_inflight:
@@ -263,16 +272,28 @@ class GatewayService:
         dead = [shard for shard in shards if shard in self._down]
         if dead:
             raise ShardDown(f"shard {dead[0]} is down: {self._down[dead[0]]}")
-        future = self.runtime.loop.create_future() if wait else None
         try:
-            record = self._clients.begin(tx, shards, self.runtime.now,
-                                         partial(self._finished, future))
+            self._clients.validate(tx, shards)
         except WorkloadError as exc:
             raise BadRequest(str(exc)) from exc
+        submit = Message(sender=GATEWAY_NODE_ID, kind=KIND_SUBMIT, payload=(tx,),
+                         size_bytes=512, channel=REQUEST_CHANNEL)
+        try:
+            self.network.send_frame(GATEWAY_NODE_ID,
+                                    shard_agent_id(home_shard(shards)), submit)
+        except FrameError as exc:
+            raise PayloadTooLarge(str(exc)) from exc
+        future = self.runtime.loop.create_future() if wait else None
+        record = self._clients.begin(tx, shards, self.runtime.now,
+                                     partial(self._finished, future))
         self.records[tx.tx_id] = record
         self.submitted += 1
-        self.network.send(GATEWAY_NODE_ID, shard_agent_id(home_shard(shards)), submit)
         return record, future
+
+    def _check_ready(self) -> None:
+        if not self._ready.is_set():
+            missing = [s for s in range(self.num_shards) if s not in self._pongs]
+            raise NotReady(f"shards {missing} have not announced themselves yet")
 
     def _on_done(self, done: TxDone) -> None:
         """The home's answer, stamped with this clock (its times are the home's)."""
@@ -313,6 +334,7 @@ class GatewayService:
 
     # -------------------------------------------------------------- queries
     async def balance(self, key: str, timeout: float = 5.0) -> Any:
+        self._check_ready()
         shard = self.shard_of(key)
         if shard in self._down:
             raise ShardDown(f"shard {shard} is down: {self._down[shard]}")

@@ -11,8 +11,8 @@ destinations come in two flavours:
   a shard process) receive the ``Message`` as a length-prefixed frame
   (:mod:`repro.service.frames`, encoded by :mod:`repro.codec`) over a
   persistent TCP connection; the real network supplies the latency.
-  Frames queued for one peer in the same loop turn leave in one socket
-  write.
+  A message is encoded once, when it is sent, and frames queued for one
+  peer in the same loop turn leave in one socket write.
 
 Because the class *is* a ``Network``, the unchanged consensus stack uses it
 without knowing which flavour a destination is: ``send`` routes per
@@ -43,12 +43,12 @@ _CLOSE = object()
 
 
 class _PeerLink:
-    """One persistent outgoing connection: a send queue, a writer task and
-    an EOF watcher.
+    """One persistent outgoing connection: a queue of encoded frames, a
+    writer task and an EOF watcher.
 
     The writer task awaits the queue.  Each time it wakes it takes everything
     queued for the peer and sends it with one ``write`` and one ``drain``, so
-    the messages one loop turn addresses to a peer cost one socket write.
+    the frames one loop turn addresses to a peer cost one socket write.
     The peer never writes back on this connection, so any read result (EOF
     included) means the peer went away: the watcher task then fails the link
     — the fastest death signal TCP offers.
@@ -59,17 +59,17 @@ class _PeerLink:
         self.addr = addr
         self.down = False
         self.queue: asyncio.Queue = asyncio.Queue()
-        #: Messages taken off the queue whose write has not completed yet.
-        self._in_hand: List[Message] = []
+        #: Frames taken off the queue whose write has not completed yet.
+        self._in_hand: List[bytes] = []
         self._writer: Optional[asyncio.StreamWriter] = None
         self._closing = asyncio.Event()
         self._task = net.runtime.loop.create_task(self._run())
 
-    def enqueue(self, message: Message) -> None:
+    def enqueue(self, frame: bytes) -> None:
         if self.down:
             self.net.stats.messages_dropped += 1
             return
-        self.queue.put_nowait(message)
+        self.queue.put_nowait(frame)
 
     async def _run(self) -> None:
         last_error: Exception = ConnectionError("connect never attempted")
@@ -95,7 +95,7 @@ class _PeerLink:
         try:
             while await self._send_batch(writer):
                 pass
-        except (ConnectionError, OSError, FrameError) as exc:
+        except (ConnectionError, OSError) as exc:
             self._fail(exc)
             return
         finally:
@@ -111,7 +111,7 @@ class _PeerLink:
                 break
             item = self.queue.get_nowait()
         if self._in_hand:
-            writer.write(b"".join(map(encode_frame, self._in_hand)))
+            writer.write(b"".join(self._in_hand))
             await writer.drain()
             self._in_hand.clear()
         return item is not _CLOSE
@@ -209,15 +209,27 @@ class SocketNetwork(Network):
 
     # ------------------------------------------------------------- sending
     def send(self, src: int, dst: int, message: Message) -> None:
-        if self.is_remote(dst):
-            message.sender = src
-            message.recipient = dst
-            message.sent_at = self.runtime.now
-            message.msg_id = next(self._msg_counter)
-            self.stats.record_send(message)
-            self._link_for(dst).enqueue(message)
+        """Deliver locally, or queue the frame for a remote peer; a frame
+        over the cap is dropped and fails that peer's link."""
+        try:
+            self.send_frame(src, dst, message)
+        except FrameError as exc:
+            self.stats.messages_dropped += 1
+            self._link_for(dst)._fail(exc)
+
+    def send_frame(self, src: int, dst: int, message: Message) -> None:
+        """:meth:`send`, except that a frame over the cap raises
+        :class:`FrameError` and queues nothing."""
+        if not self.is_remote(dst):
+            super().send(src, dst, message)
             return
-        super().send(src, dst, message)
+        message.sender = src
+        message.recipient = dst
+        message.sent_at = self.runtime.now
+        message.msg_id = next(self._msg_counter)
+        frame = encode_frame(message)
+        self.stats.record_send(message)
+        self._link_for(dst).enqueue(frame)
 
     # ------------------------------------------------------------ inbound
     async def _handle_inbound(self, reader: asyncio.StreamReader,

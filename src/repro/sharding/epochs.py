@@ -68,16 +68,3 @@ class EpochSchedule:
         if not self.records:
             return True
         return now >= self.records[-1].started_at + self.epoch_duration
-
-    def epoch_of(self, timestamp: float) -> int:
-        """The epoch in force at simulated time ``timestamp``.
-
-        Timestamps before the first record (or with no records at all) map to
-        epoch 0.  Commit-time callers pass monotonically non-decreasing block
-        timestamps, so the reverse scan almost always stops at the newest
-        record — O(1) amortized, O(epochs) worst case.
-        """
-        for record in reversed(self.records):
-            if timestamp >= record.started_at:
-                return record.epoch
-        return 0

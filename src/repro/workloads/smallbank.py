@@ -36,72 +36,6 @@ def initial_balances(num_accounts: int, balance: int = DEFAULT_BALANCE) -> Dict[
     return {account_key(str(index)): balance for index in range(num_accounts)}
 
 
-def receipt_deltas(tx: Transaction, receipt: Any) -> List[Tuple[str, int]]:
-    """The exact per-account balance deltas one committed execution applied.
-
-    This is the ledger index's materialization rule for Smallbank: given a
-    transaction and its execution receipt, return the ``(state key, delta)``
-    pairs :class:`SmallbankChaincode` applied — and *only* those.  The
-    mirroring must be exact, delta for delta:
-
-    * ``sendPayment`` debits ``from`` and credits ``to`` iff the receipt
-      committed;
-    * ``commitPayment`` applies a delta only while the account's prepare
-      lock was still held — the receipt's ``committed`` list records exactly
-      which accounts that was true for (and only an account's first delta in
-      the list can have applied, since applying releases the lock);
-    * ``deposit`` and ``createAccount`` mint money by design — their deltas
-      are included here and reported separately by :func:`receipt_minted`,
-      so conservation is ``sum(deltas) == sum(minted)``.  (``createAccount``
-      over an existing account is treated as minting the full balance; the
-      receipt does not carry the overwritten value.)
-
-    Failed receipts applied nothing (the engine rolls back), so they
-    contribute no deltas.
-    """
-    if receipt is None or not receipt.ok:
-        return []
-    args = tx.args
-    if tx.function == "sendPayment":
-        amount = int(args["amount"])
-        return [(account_key(str(args["from"])), -amount),
-                (account_key(str(args["to"])), amount)]
-    if tx.function == "commitPayment":
-        applied = {str(account) for account in (receipt.result or {}).get("committed", ())}
-        deltas: List[Tuple[str, int]] = []
-        seen: set = set()
-        for account, delta in args.get("deltas", []):
-            account = str(account)
-            if account in applied and account not in seen:
-                deltas.append((account_key(account), int(delta)))
-            seen.add(account)
-        return deltas
-    if tx.function == "deposit":
-        return [(account_key(str(args["account"])), int(args["amount"]))]
-    if tx.function == "createAccount":
-        return [(account_key(str(args["account"])),
-                 int(args.get("balance", DEFAULT_BALANCE)))]
-    return []
-
-
-def receipt_minted(tx: Transaction, receipt: Any) -> int:
-    """Money legitimately created by one committed execution.
-
-    ``deposit`` and ``createAccount`` add balance out of thin air; every
-    other Smallbank function conserves it.  The auditor's incremental money
-    check subtracts this from the running delta sum, so a workload that uses
-    deposits still audits clean while a lost or duplicated transfer still
-    trips the invariant.
-    """
-    if receipt is None or not receipt.ok:
-        return 0
-    if tx.function == "deposit":
-        return int(tx.args["amount"])
-    if tx.function == "createAccount":
-        return int(tx.args.get("balance", DEFAULT_BALANCE))
-    return 0
-
-
 class SmallbankChaincode(Chaincode):
     """The Smallbank chaincode, including the sharded (prepare/commit/abort) functions."""
 

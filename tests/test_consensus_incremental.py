@@ -149,7 +149,8 @@ class TestOptimizedPathEquivalence:
         assert len(observer.committed_tx_ids) == 5_000
         # Bodies are pruned to the window, headers cover the whole chain.
         assert len(observer.blockchain.blocks()) <= 8
-        assert len(observer.blockchain.headers()) == observer.blockchain.height + 1
+        assert len(observer.blockchain) == observer.blockchain.height + 1
+        assert observer.blockchain.verify_suffix(0)
 
     def test_state_stays_bounded_by_inflight_window(self):
         cluster = ConsensusCluster("HL", 4, seed=5)

@@ -78,23 +78,6 @@ class TestOpenLoopDriver:
         assert [split_evenly(100, index, 3) for index in range(3)] == [34, 33, 33]
         assert split_evenly(None, 1, 3) is None
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_custom_workload_object_is_drawn_parent_side(self, workers):
-        """A generator object cannot be re-derived inside a partition, so the
-        driver draws it itself and forwards every transaction to its home —
-        same outcomes wherever the partitions run."""
-        config = ShardedSystemConfig(num_shards=3, committee_size=4, seed=3,
-                                     num_keys=400, workers=workers)
-        system = ShardedBlockchain(config)
-        workload = WorkloadGenerator(benchmark="smallbank", num_shards=3,
-                                     num_keys=400, seed=5)
-        driver = OpenLoopDriver(system, rate_tps=100.0, max_transactions=60,
-                                workload=workload)
-        stats = driver.run_to_completion(drain_timeout=60.0)
-        system.close()
-        assert workload.mix.total == stats.submitted == 60
-        assert (stats.committed, stats.aborted) == (58, 2)
-
     def test_invalid_parameters_rejected(self):
         config = ShardedSystemConfig(num_shards=1, committee_size=1, seed=0)
         system = ShardedBlockchain(config)

@@ -33,7 +33,6 @@ class TestResultFormatting:
         result.add_row(a="text", b=None)
         table = result.format_table()
         assert "demo" in table and "text" in table and "2.50" in table
-        assert result.column("a") == [1, "text"]
 
 class TestFastExperiments:
     def test_table1_is_static(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
 import itertools
 import random
 
@@ -17,6 +18,13 @@ from repro.ledger.blockchain import Blockchain, ForkableChain
 from repro.ledger.chaincode import Chaincode, ChaincodeRegistry, ExecutionEngine
 from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction, TxStatus, swap_tx_counter
+
+from repro.workloads.smallbank import (
+    DEFAULT_BALANCE,
+    SmallbankChaincode,
+    account_key,
+    initial_balances,
+)
 
 from digest_oracle import count_calls, json_args, loose, numbers, seed_digest_of, texts
 
@@ -309,3 +317,140 @@ class TestExecutionEngine:
             registry.get("nope")
         registry.register(CounterChaincode())
         assert "counter" in registry
+
+
+def smallbank_run(num_accounts=8, blocks=15, txs_per_block=3, seed=0):
+    """A committed smallbank chain, its per-height blocks and receipts, and
+    the executed state.
+
+    The mix covers every balance rule: transfers, deposits (which mint) and
+    overdrafts (which must fail and write nothing).
+    """
+    rng = random.Random(seed)
+    chain = Blockchain()
+    state = StateStore()
+    for key, balance in initial_balances(num_accounts).items():
+        state.put(key, balance)
+    engine = ExecutionEngine(smallbank_registry(), state)
+    blocks_by_height, receipts_by_height = {}, {}
+    for height in range(1, blocks + 1):
+        txs = []
+        for _ in range(txs_per_block):
+            roll = rng.random()
+            source, destination = rng.sample(range(num_accounts), 2)
+            if roll < 0.6:
+                txs.append(Transaction.create("smallbank", "sendPayment", {
+                    "from": str(source), "to": str(destination),
+                    "amount": rng.randint(1, 50)}))
+            elif roll < 0.8:
+                txs.append(Transaction.create("smallbank", "deposit", {
+                    "account": str(source), "amount": rng.randint(1, 20)}))
+            else:
+                txs.append(Transaction.create("smallbank", "sendPayment", {
+                    "from": str(source), "to": str(destination),
+                    "amount": 10**9}))
+        block = build_block(height, chain.tip.block_hash, tuple(txs),
+                            proposer=0, timestamp=float(height))
+        receipts_by_height[height] = engine.execute_block(
+            block, now=block.header.timestamp)
+        chain.append(block)
+        blocks_by_height[height] = block
+    return chain, blocks_by_height, receipts_by_height, state
+
+
+def smallbank_registry() -> ChaincodeRegistry:
+    registry = ChaincodeRegistry()
+    registry.register(SmallbankChaincode())
+    return registry
+
+
+def committed(blocks, receipts):
+    """Every (transaction, receipt) pair of the run, in commit order."""
+    for height in sorted(blocks):
+        yield from zip(blocks[height].transactions, receipts[height])
+
+
+class TestSmallbankChain:
+    """A smallbank chain end to end: chain totals, balances, re-execution."""
+
+    def test_chain_counts_and_tip(self):
+        chain, blocks, _, _ = smallbank_run()
+        assert chain.height == len(blocks) == 15
+        assert chain.tip.block_hash == blocks[15].block_hash
+        assert chain.total_transactions() == sum(
+            len(block.transactions) for block in blocks.values())
+        assert all(chain.header_at(height).block_hash == block.block_hash
+                   for height, block in blocks.items())
+
+    def test_balances_match_a_replay_of_the_successful_receipts(self):
+        _, blocks, receipts, state = smallbank_run(num_accounts=6, seed=3)
+        expected = collections.Counter(initial_balances(6))
+        for tx, receipt in committed(blocks, receipts):
+            if not receipt.ok:
+                continue
+            if tx.function == "sendPayment":
+                expected[account_key(tx.args["from"])] -= tx.args["amount"]
+                expected[account_key(tx.args["to"])] += tx.args["amount"]
+            else:
+                expected[account_key(tx.args["account"])] += tx.args["amount"]
+        assert {key: state.get(key) for key in expected} == dict(expected)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_money_is_conserved_up_to_deposits(self, seed):
+        _, blocks, receipts, state = smallbank_run(blocks=8, seed=seed)
+        minted = sum(tx.args["amount"] for tx, receipt in committed(blocks, receipts)
+                     if receipt.ok and tx.function == "deposit")
+        total = sum(state.get(key) for key in initial_balances(8))
+        assert total == 8 * DEFAULT_BALANCE + minted
+
+    def test_an_overdraft_fails_and_writes_nothing(self):
+        _, blocks, receipts, _ = smallbank_run(seed=5)
+        overdrafts = [receipt for tx, receipt in committed(blocks, receipts)
+                      if tx.args.get("amount") == 10**9]
+        assert overdrafts and not any(receipt.ok for receipt in overdrafts)
+        state = StateStore()
+        for key, balance in initial_balances(2).items():
+            state.put(key, balance)
+        before = state.snapshot()
+        receipt = ExecutionEngine(smallbank_registry(), state).execute_transaction(
+            Transaction.create("smallbank", "sendPayment",
+                               {"from": "0", "to": "1", "amount": 10**9}))
+        assert receipt.status is TxStatus.FAILED
+        assert state.snapshot() == before
+
+    def test_re_execution_from_the_initial_state_is_bit_identical(self):
+        chain, _, receipts, state = smallbank_run(seed=9)
+        replayed = StateStore()
+        for key, balance in initial_balances(8).items():
+            replayed.put(key, balance)
+        engine = ExecutionEngine(smallbank_registry(), replayed)
+        for block in chain.blocks()[1:]:
+            again = engine.execute_block(block, now=block.header.timestamp)
+            assert [(r.tx_id, r.status) for r in again] == [
+                (r.tx_id, r.status) for r in receipts[block.height]]
+        assert replayed.snapshot() == state.snapshot()
+
+    def test_pruned_chain_keeps_every_header_and_verifies(self):
+        full, blocks, _, _ = smallbank_run(seed=4)
+        pruned = Blockchain(retention="headers", retain_recent=4)
+        for height in sorted(blocks):
+            pruned.append(blocks[height])
+        assert [block.height for block in pruned.blocks()] == [12, 13, 14, 15]
+        assert len(pruned) == len(full) == 16
+        assert all(pruned.header_at(height) == full.header_at(height)
+                   for height in range(len(full)))
+        assert pruned.total_transactions() == full.total_transactions()
+        assert pruned.verify_suffix(0)
+
+    @pytest.mark.parametrize("broken", [1, 8, 15])
+    def test_verify_suffix_sees_a_broken_link_only_from_below_it(self, broken):
+        chain, _, _, _ = smallbank_run(seed=6)
+        chain._headers[broken] = dataclasses.replace(
+            chain.header_at(broken), prev_hash="0" * 64)
+        # A changed header breaks the link into it and, below the tip, the
+        # link out of it (its hash changed too); a start past both is clean,
+        # and a start at the tip verifies nothing.
+        clean_from = min(broken + 1, chain.height)
+        assert [chain.verify_suffix(start) for start in range(chain.height + 1)] == [
+            start >= clean_from for start in range(chain.height + 1)]

@@ -25,6 +25,7 @@ from repro.core.config import ShardedSystemConfig
 from repro.core.homecoord import Command, TxDone
 from repro.core.splitters import benchmark_for
 from repro.runtime import AsyncioRuntime
+from repro.service import frames
 from repro.service.frames import FrameError, read_frame, write_frame
 from repro.service.gateway import GatewayService
 from repro.service.shardnode import (
@@ -236,6 +237,55 @@ class TestBatchedWrites:
         assert len(writer.writes) == 1
         assert dropped == 5
 
+    def test_a_message_is_encoded_when_it_is_sent(self, monkeypatch):
+        """The link writes the bytes encoded by ``send``: a payload changed
+        afterwards, still in the same loop turn, does not reach the peer."""
+        writer = _link_to_fake_peer(monkeypatch)
+
+        async def scenario():
+            network = SocketNetwork(AsyncioRuntime(seed=0))
+            network.add_peer(PEER, "127.0.0.1", 1)
+            payload = {"value": "as sent"}
+            network.send(1, PEER, Message(sender=1, kind="batch", payload=payload))
+            payload["value"] = "changed later"
+            await network.close()
+            return [await _decode(data) for data in writer.writes]
+
+        batches = asyncio.run(scenario())
+        assert [[message.payload for message in batch] for batch in batches] == [
+            [{"value": "as sent"}]]
+
+    @pytest.mark.parametrize("method", ["send", "send_frame"])
+    def test_an_oversize_frame(self, monkeypatch, method):
+        """``send`` fails the peer's link on a frame over the cap, as a
+        failed write would; ``send_frame`` raises and the link lives on."""
+        writer = _link_to_fake_peer(monkeypatch)
+        monkeypatch.setattr(frames, "MAX_FRAME_BYTES", 256)
+
+        async def scenario():
+            network = SocketNetwork(AsyncioRuntime(seed=0))
+            downs = []
+            network.on_peer_down = lambda node_ids, exc: downs.append(node_ids)
+            network.add_peer(PEER, "127.0.0.1", 1)
+            big = Message(sender=1, kind="batch", payload="x" * 512)
+            raised = False
+            try:
+                getattr(network, method)(1, PEER, big)
+            except FrameError:
+                raised = True
+            _send(network, 1)
+            await network.close()
+            return (raised, downs, network.stats.messages_dropped,
+                    [await _decode(data) for data in writer.writes])
+
+        raised, downs, dropped, batches = asyncio.run(scenario())
+        if method == "send":
+            assert (raised, downs, dropped, batches) == (False, [[PEER]], 2, [])
+        else:
+            assert (raised, downs, dropped) == (True, [], 0)
+            assert [[message.payload for message in batch]
+                    for batch in batches] == [[0]]
+
 
 class TestLinkClose:
     def test_link_to_a_closed_port_closes_at_once(self):
@@ -394,6 +444,7 @@ class TestGatewayPayloadShapes:
             unhandled = []
             loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
             service = GatewayService(AsyncioRuntime(loop=loop), num_shards=2)
+            service._ready.set()  # the boot barrier is not under test here
             port = await service.start(0)
             home = _Sink()  # the home shard's agent, swallowing the submit
             home.node_id = shard_agent_id(0)

@@ -19,6 +19,8 @@ import pytest
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.client import ServiceClient
 from repro.service.gateway import GatewayHttp, GatewayService
+from repro.service.shardnode import KIND_PONG, shard_agent_id
+from repro.sim.network import Message
 
 HEALTH = b"GET /health HTTP/1.1\r\nHost: gateway\r\n\r\n"
 
@@ -214,8 +216,10 @@ def test_a_post_whose_connection_dies_is_raised_not_resent():
 
             server = await asyncio.start_server(swallow, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            for shard in range(2):
-                gateway.service.add_shard(shard, "127.0.0.1", port)
+            for shard in range(2):  # each announces itself, as a booted shard does
+                gateway.service.deliver(Message(
+                    sender=shard_agent_id(shard), kind=KIND_PONG,
+                    payload={"shard_id": shard, "host": "127.0.0.1", "port": port}))
             return server
 
         sink = gateway.call(sink_shards())
