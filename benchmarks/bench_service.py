@@ -45,10 +45,10 @@ from repro.audit.auditor import SafetyAuditor
 from repro.core.config import ShardedSystemConfig
 from repro.core.system import ShardedBlockchain
 from repro.service.client import ServiceHTTPError
-from repro.workloads.generator import WorkloadGenerator, shard_of_key
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.smallbank import DEFAULT_BALANCE, account_key
 
-from service_harness import ServeProcess
+from service_harness import ServeProcess, replay_in_sim
 
 #: mode -> (serial transactions, concurrent transactions)
 MODES = {
@@ -75,28 +75,13 @@ def record_workload(path: str, count: int) -> None:
 
 def run_sim_twin(path: str):
     """Serial replay through the simulator; returns (outcomes, balances, audit)."""
-    replay = WorkloadGenerator.replay(path)
     system = ShardedBlockchain(ShardedSystemConfig(
         num_shards=NUM_SHARDS, committee_size=COMMITTEE, protocol=PROTOCOL,
         use_reference_committee=False, benchmark="smallbank",
         num_keys=NUM_KEYS, seed=SEED))
     auditor = SafetyAuditor(system)
-    outcomes = []
-    while not replay.exhausted:
-        tx = replay.next_transaction(now=system.runtime.now)
-        done = []
-        system.submit_transaction(tx, on_complete=done.append)
-        system.run(60.0)
-        if not done:
-            raise RuntimeError(f"sim twin never completed {tx.tx_id}")
-        outcomes.append(done[0].outcome.value)
-    balances = {}
-    for index in range(NUM_KEYS):
-        key = account_key(str(index))
-        shard = shard_of_key(key, NUM_SHARDS)
-        balances[key] = system.shards[shard].honest_observer().state.get(key)
-    report = auditor.check()
-    return outcomes, balances, report
+    outcomes, balances = replay_in_sim(system, path)
+    return outcomes, balances, auditor.check()
 
 
 def run_service_serial(serve: ServeProcess, path: str):

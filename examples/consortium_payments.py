@@ -58,7 +58,7 @@ def main() -> None:
     # coordination state — votes, acks — lives with the transaction's home
     # partition, its first participating shard.
     home = system.partitions[min(completed[0].shards)].home
-    record = home.coordinator.records[payment.tx_id]
+    record = home.driver.records[payment.tx_id]
     print("\n=== cross-shard payment through the reference committee ===")
     print(f"transaction    : {record.tx_id}")
     print(f"involved shards: {record.shards}")

@@ -72,7 +72,6 @@ from repro.txn.coordinator import (
     DistributedTxOutcome,
     DistributedTxPhase,
     DistributedTxRecord,
-    TwoPhaseCommitCoordinator,
     TwoPhaseCommitDriver,
 )
 from repro.txn.locks import DEADLOCK_REASON, LockAdmissionTable
@@ -440,15 +439,13 @@ class HomeCoordinator:
         #: wall clock gives up after a budget and answers for a silent peer.
         live = not self.runtime.is_simulated
         self.driver = TwoPhaseCommitDriver(
-            self, self.runtime,
-            TwoPhaseCommitCoordinator(
-                retain_records=self.config.retain_tx_records,
-                prepare_timeout=self.config.prepare_timeout),
-            self.splitter, self.shard_of,
+            self, self.runtime, self.splitter, self.shard_of,
             use_reference_committee=self.config.use_reference_committee,
             fault=self.fault,
             redrive_decisions=live or partition.adversary is not None,
-            max_redrives=MAX_REDRIVES if live else None)
+            max_redrives=MAX_REDRIVES if live else None,
+            retain_records=self.config.retain_tx_records,
+            prepare_timeout=self.config.prepare_timeout)
         #: This shard's lock-admission table (queueing policies only).
         self.admission: Optional[LockAdmissionTable] = (
             LockAdmissionTable(self.runtime, self.config.conflict_policy,
@@ -461,12 +458,6 @@ class HomeCoordinator:
         #: Peer shards whose process is gone (live partitions only: simulated
         #: shards stall or lose messages, never vanish).
         self._lost: Set[int] = set()
-
-    @property
-    def coordinator(self) -> TwoPhaseCommitCoordinator:
-        """The driver's bookkeeping: records and statistics of the
-        transactions homed here."""
-        return self.driver.coordinator
 
     # ----------------------------------------------------------------- routing
     def shard_of(self, key: str) -> int:

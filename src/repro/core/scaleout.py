@@ -381,7 +381,7 @@ class ShardPartition:
         return counters
 
     def coordination_stats(self) -> Optional[CoordinatorStats]:
-        return self.home.coordinator.stats if self.home is not None else None
+        return self.home.driver.stats if self.home is not None else None
 
     def driver_stats(self) -> Dict[int, Any]:
         return {index: driver.stats for index, driver in self.drivers.items()}
@@ -392,7 +392,7 @@ class ShardPartition:
         if self.home is None:
             return []
         return [record.completed_at
-                for record in self.home.coordinator.records.values()
+                for record in self.home.driver.records.values()
                 if record.outcome is DistributedTxOutcome.COMMITTED
                 and record.completed_at is not None]
 

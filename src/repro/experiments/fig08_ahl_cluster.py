@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from repro.audit import SafetyAuditor
 from repro.consensus.base import ConsensusConfig
+from repro.consensus.cluster import PROTOCOLS as CONSENSUS_PRESETS
 from repro.core.adversary import AdversaryConfig
 from repro.core.config import ShardedSystemConfig
 from repro.core.driver import OpenLoopDriver
@@ -31,11 +32,6 @@ from repro.core.system import ShardedBlockchain
 from repro.experiments.common import ExperimentResult, ExperimentScale, run_consensus_point
 
 PROTOCOLS = ("HL", "AHL", "AHL+", "AHLR")
-
-
-def committee_size_for(protocol: str, f: int) -> int:
-    """The smallest committee tolerating ``f`` faults under the protocol's model."""
-    return 3 * f + 1 if protocol == "HL" else 2 * f + 1
 
 
 def run_adversarial_point(protocol: str, f: int, scale: ExperimentScale,
@@ -48,7 +44,8 @@ def run_adversarial_point(protocol: str, f: int, scale: ExperimentScale,
     a fixed open-loop Smallbank load for ``scale.duration`` seconds, then
     drains in-flight work and audits the run.
     """
-    n = committee_size_for(protocol, f)
+    preset = CONSENSUS_PRESETS[protocol][1]()
+    n = ConsensusConfig.committee_size_for(f, preset.use_attested_log)
     config = ShardedSystemConfig(
         num_shards=1, committee_size=n, protocol=protocol,
         use_reference_committee=False, benchmark="smallbank", num_keys=1_000,
@@ -77,6 +74,7 @@ def run_adversarial_point(protocol: str, f: int, scale: ExperimentScale,
     report = auditor.check()
     observer = system.shards[0].honest_observer()
     return {
+        "n": n,
         "committed": committed_in_window,
         "committed_after_drain": driver.stats.committed,
         "aborted": driver.stats.aborted,
@@ -114,9 +112,9 @@ def run(scale: Optional[ExperimentScale] = None,
     for protocol in PROTOCOLS:
         for n in network_sizes:
             point = run_consensus_point(protocol, n, scale, client_rate=high_load_rate)
-            config = ConsensusConfig(use_attested_log=(protocol != "HL"))
+            preset = CONSENSUS_PRESETS[protocol][1]()
             result.add_row(panel="no_failures", protocol=protocol, n=n,
-                           f=config.fault_tolerance(n),
+                           f=preset.fault_tolerance(n),
                            throughput_tps=point.throughput_tps,
                            avg_latency_s=point.avg_latency,
                            view_changes=point.view_changes,
@@ -126,7 +124,7 @@ def run(scale: Optional[ExperimentScale] = None,
         for f in failure_counts:
             point = run_adversarial_point(protocol, f, scale)
             result.add_row(panel="with_failures", protocol=protocol,
-                           n=committee_size_for(protocol, f), f=f,
+                           n=point["n"], f=f,
                            throughput_tps=point["throughput_tps"],
                            avg_latency_s=point["avg_latency_s"],
                            view_changes=point["view_changes"],

@@ -10,10 +10,10 @@
 * :mod:`repro.txn.reference_committee` — the 2PC state machine (Figure 6) as
   the chaincode the BFT reference committee executes on its chain.
 * :mod:`repro.txn.coordinator` — the lifecycle of one distributed transaction
-  under our protocol (Figure 5): the coordinator's vote tally and the 2PC
-  driver, run either through the reference committee (the tally checked
-  against R's chain) or as the trusted coordinator of the "without reference
-  committee" experiments (the tally alone decides).
+  under our protocol (Figure 5): the 2PC driver, which holds the records and
+  tallies the votes, run either through the reference committee (the tally
+  checked against R's chain) or as the trusted coordinator of the "without
+  reference committee" experiments (the tally alone decides).
 * :mod:`repro.txn.omniledger` — OmniLedger's client-driven lock/unlock
   protocol, including the malicious-client blocking behaviour (Figure 3b).
 * :mod:`repro.txn.rapidchain` — RapidChain's UTXO transaction splitting,
@@ -35,7 +35,7 @@ from repro.txn.coordinator import (
     DistributedTxOutcome,
     DistributedTxPhase,
     DistributedTxRecord,
-    TwoPhaseCommitCoordinator,
+    TwoPhaseCommitDriver,
 )
 from repro.txn.utxo import UTXO, UTXOSet, UTXOTransaction
 from repro.txn.omniledger import OmniLedgerClientProtocol, OmniLedgerShard
@@ -54,7 +54,7 @@ __all__ = [
     "DistributedTxOutcome",
     "DistributedTxPhase",
     "DistributedTxRecord",
-    "TwoPhaseCommitCoordinator",
+    "TwoPhaseCommitDriver",
     "UTXO",
     "UTXOSet",
     "UTXOTransaction",

@@ -10,15 +10,14 @@ A distributed transaction proceeds through three steps:
 2)  **Commit** — once the reference committee reaches Committed (or Aborted),
     CommitTx (or AbortTx) requests are executed at the involved committees.
 
-:class:`DistributedTxRecord` tracks one transaction through those steps,
-:class:`TwoPhaseCommitCoordinator` is the bookkeeping over a set of records
-(the vote tally, idempotent votes, crash buffering) and
-:class:`TwoPhaseCommitDriver` owns one and drives the message flow around
-it.  The driver is sans-IO — it is fed votes, acks, reference-committee
-receipts and timer fires, and asks its :class:`DriverHost` to relay
-cohorts.  Its one host is :class:`repro.core.homecoord.HomeCoordinator`,
-one per shard partition, whether the partition is drained by the simulated
-engine or runs in a live shard process.
+:class:`DistributedTxRecord` tracks one transaction through those steps
+and :class:`TwoPhaseCommitDriver` is the coordinator: it holds the records,
+tallies the votes and drives the message flow around them.  The driver is
+sans-IO — it is fed votes, acks, reference-committee receipts and timer
+fires, and asks its :class:`DriverHost` to relay cohorts.  Its one host is
+:class:`repro.core.homecoord.HomeCoordinator`, one per shard partition,
+whether the partition is drained by the simulated engine or runs in a live
+shard process.
 
 Who decides
 -----------
@@ -35,15 +34,12 @@ decides.
 
 Runtime neutrality
 ------------------
-The coordinator sits *below* the runtime seam on purpose: it never schedules
-anything and never reads a clock.  Every transition takes an explicit
-``now=`` timestamp and deadlines are plain data (``prepare_deadline``).
-The driver sits *on* the seam: it is handed a
-:class:`~repro.runtime.base.Runtime` and reads ``now`` / arms its deadline
-timers through it — the partition's :class:`~repro.sim.simulator.Simulator`
-in the simulated engine, an :class:`~repro.runtime.wallclock.AsyncioRuntime`
-in a live shard process.  That is what lets the identical protocol code back
-the simulation and the live HTTP service.
+The driver is handed a :class:`~repro.runtime.base.Runtime` and reads
+``now`` / arms its deadline timers through it — the partition's
+:class:`~repro.sim.simulator.Simulator` in the simulated engine, an
+:class:`~repro.runtime.wallclock.AsyncioRuntime` in a live shard process —
+and its host is a :class:`DriverHost` protocol.  That is what lets the
+identical protocol code back the simulation and the live HTTP service.
 
 Fault behaviour
 ---------------
@@ -54,11 +50,12 @@ aborts an undecided transaction — exactly what R's chaincode does with the
 same votes, so the tally and R's chain never diverge.  The recorded first
 vote is never overwritten.
 
-The coordinator also models **crash/recovery** (Section 6.3's observation
-that the coordinator state lives on the blockchain): while crashed, incoming
-votes and acks are buffered (they are durable in the shards' ledgers, so a
-recovering coordinator re-reads them); :meth:`recover` replays the buffer and
-reports which decided-but-unacknowledged transactions must be re-driven.
+The driver also models coordinator **crash/recovery** (Section 6.3's
+observation that the coordinator state lives on the blockchain): while
+crashed, incoming votes and acks are buffered (they are durable in the
+shards' ledgers, so a recovering coordinator re-reads them); recovery
+replays the buffer, restarts undecided transactions and re-sends decisions
+that never went out.
 """
 
 from __future__ import annotations
@@ -108,7 +105,7 @@ class DistributedTxRecord:
     decided_at: Optional[float] = None
     completed_at: Optional[float] = None
     abort_reason: Optional[str] = None
-    #: Arrival sequence number assigned by the coordinator at begin() — the
+    #: Arrival sequence number assigned by the driver at submit() — the
     #: tie-break on ``started_at`` for age-based (wound-wait) scheduling.
     begin_seq: int = 0
     #: Absolute deadline by which every prepare vote should have arrived
@@ -139,7 +136,7 @@ class DistributedTxRecord:
 
 @dataclass
 class CoordinatorStats:
-    """Aggregate statistics over all distributed transactions seen by a coordinator.
+    """Aggregate statistics over all distributed transactions seen by a driver.
 
     The mean latency is maintained as a running sum so it stays O(1) in
     memory; the per-transaction ``latencies`` list is only populated when the
@@ -173,246 +170,6 @@ class CoordinatorStats:
     @property
     def mean_latency(self) -> float:
         return self.latency_sum / self.latency_count if self.latency_count else 0.0
-
-
-@dataclass
-class RecoveryReport:
-    """What :meth:`TwoPhaseCommitCoordinator.recover` found to do.
-
-    ``completed`` lists transactions that finished while the coordinator was
-    down (their buffered acks completed them during replay); ``redrive``
-    lists decided transactions whose decision must be re-sent to shards with
-    missing acks; ``restart`` lists still-undecided transactions whose
-    prepares must be (re-)sent.
-    """
-
-    replayed: int = 0
-    completed: List[DistributedTxRecord] = field(default_factory=list)
-    redrive: List[DistributedTxRecord] = field(default_factory=list)
-    restart: List[DistributedTxRecord] = field(default_factory=list)
-
-
-class TwoPhaseCommitCoordinator:
-    """Tracks distributed transactions through the Figure-5 protocol.
-
-    Every decision is the vote tally's (:meth:`record_prepare_vote`): commit
-    once every participant voted OK, abort on the first NotOK.  It does not
-    know whether a reference committee exists — under R the driver feeds it
-    only votes R has executed and checks R's state against it.
-
-    Parameters
-    ----------
-    retain_records:
-        When False, a transaction's record is discarded the moment it
-        completes; aggregate statistics are unaffected.  Long open-loop runs
-        use this to keep the coordinator's memory bounded by the in-flight
-        window instead of the run length.
-    prepare_timeout:
-        When set, :meth:`mark_begin_executed` stamps each record with a
-        prepare deadline (``now + prepare_timeout``); the
-        :class:`TwoPhaseCommitDriver` arms a timer for it and re-drives the
-        shards whose votes went missing.  ``None`` (the default) disables
-        deadlines entirely — the seed behaviour.
-    """
-
-    def __init__(self, retain_records: bool = True,
-                 prepare_timeout: Optional[float] = None) -> None:
-        self.retain_records = retain_records
-        self.prepare_timeout = prepare_timeout
-        self.records: Dict[str, DistributedTxRecord] = {}
-        self.stats = CoordinatorStats()
-        self.crashed = False
-        self._crash_buffer: List[tuple] = []
-        self._counter = itertools.count()
-
-    # ----------------------------------------------------------------- begin
-    def begin(self, transaction: Transaction, shards: Sequence[int],
-              now: float = 0.0) -> DistributedTxRecord:
-        """Step 0: register the transaction and (logically) submit BeginTx to R."""
-        shards = sorted(set(shards))
-        if not shards:
-            raise TransactionAbortedError("a transaction must involve at least one shard")
-        record = DistributedTxRecord(
-            tx_id=transaction.tx_id, transaction=transaction,
-            shards=list(shards), started_at=now,
-            begin_seq=next(self._counter),
-        )
-        self.records[transaction.tx_id] = record
-        self.stats.started += 1
-        if record.is_cross_shard:
-            self.stats.cross_shard += 1
-        return record
-
-    def mark_begin_executed(self, tx_id: str, now: float = 0.0) -> DistributedTxRecord:
-        """R has executed BeginTx: PrepareTx requests may now be sent (step 1a)."""
-        record = self._record(tx_id)
-        record.phase = DistributedTxPhase.PREPARING
-        if self.prepare_timeout is not None:
-            record.prepare_deadline = now + self.prepare_timeout
-        return record
-
-    # ----------------------------------------------------------------- voting
-    def record_prepare_vote(self, tx_id: str, shard_id: int, ok: bool,
-                            now: float = 0.0, reason: Optional[str] = None) -> Optional[DistributedTxRecord]:
-        """A tx-committee reached consensus on its PrepareTx and voted (step 1b).
-
-        With ``retain_records=False`` a vote may arrive for a transaction
-        that already decided, completed and was pruned (e.g. a slow shard's
-        PrepareOK after another shard's PrepareNotOK aborted the
-        transaction); such stale votes are ignored and ``None`` is returned.
-
-        Revotes from a shard that already voted are idempotent-or-rejected:
-        an identical revote is a counted no-op, an OK after a NotOK is
-        rejected (it can never resurrect the transaction), and a NotOK after
-        an OK — an equivocating shard — aborts an undecided transaction,
-        exactly as R's chaincode does.  The first recorded vote is never
-        overwritten.
-        """
-        if self.crashed:
-            self._crash_buffer.append(("vote", tx_id, shard_id, ok, now, reason))
-            return None
-        if not self.retain_records and tx_id not in self.records:
-            self.stats.stale_messages += 1
-            return None
-        record = self._record(tx_id)
-        if shard_id not in record.shards:
-            raise TransactionAbortedError(
-                f"shard {shard_id} is not a participant of {tx_id!r}"
-            )
-        previous = record.prepare_votes.get(shard_id)
-        if previous is not None:
-            if previous == ok:
-                self.stats.duplicate_votes += 1
-                return record
-            if ok:
-                # An OK revote after a NotOK can never resurrect the
-                # transaction: it is a stale late arrival, not equivocation.
-                self.stats.stale_messages += 1
-                return record
-            self.stats.equivocations += 1
-            if record.outcome is not DistributedTxOutcome.PENDING:
-                return record
-            # NotOK after OK while undecided falls through as an abort vote
-            # (R's chaincode treats it the same way); the recorded first vote
-            # is preserved.
-        else:
-            record.prepare_votes[shard_id] = ok
-        if not ok and reason and record.abort_reason is None:
-            record.abort_reason = reason
-        # A late vote on an already-decided transaction is recorded but
-        # decides nothing and leaves the lifecycle phase alone.
-        if record.outcome is DistributedTxOutcome.PENDING:
-            record.phase = DistributedTxPhase.VOTING
-            if not ok or (record.all_votes_in and all(record.prepare_votes.values())):
-                record.outcome = (DistributedTxOutcome.COMMITTED if ok
-                                  else DistributedTxOutcome.ABORTED)
-                record.decided_at = now
-                record.phase = DistributedTxPhase.COMMITTING
-        return record
-
-    # ----------------------------------------------------------------- commit
-    def record_commit_ack(self, tx_id: str, shard_id: int, now: float = 0.0) -> Optional[DistributedTxRecord]:
-        """A tx-committee executed its CommitTx/AbortTx (step 2).
-
-        Stale acks for pruned transactions are ignored (see
-        :meth:`record_prepare_vote`); duplicate acks are counted no-ops and
-        acks from non-participant shards are rejected.
-        """
-        if self.crashed:
-            self._crash_buffer.append(("ack", tx_id, shard_id, now))
-            return None
-        if not self.retain_records and tx_id not in self.records:
-            self.stats.stale_messages += 1
-            return None
-        record = self._record(tx_id)
-        if shard_id not in record.shards:
-            raise TransactionAbortedError(
-                f"shard {shard_id} is not a participant of {tx_id!r}"
-            )
-        if shard_id in record.commit_acks:
-            self.stats.duplicate_acks += 1
-            return record
-        record.commit_acks[shard_id] = True
-        if record.all_acks_in and record.phase is not DistributedTxPhase.DONE:
-            self._finish(record, now)
-        return record
-
-    def _finish(self, record: DistributedTxRecord, now: float) -> None:
-        record.phase = DistributedTxPhase.DONE
-        record.completed_at = now
-        if record.outcome is DistributedTxOutcome.COMMITTED:
-            self.stats.committed += 1
-        else:
-            self.stats.aborted += 1
-        if record.latency is not None:
-            self.stats.latency_sum += record.latency
-            self.stats.latency_count += 1
-            if self.retain_records:
-                self.stats.latencies.append(record.latency)
-        if not self.retain_records:
-            self.records.pop(record.tx_id, None)
-
-    # -------------------------------------------------------- crash / recovery
-    def crash(self) -> None:
-        """The coordinator fails: incoming votes/acks are buffered, not applied.
-
-        The buffered messages model durability — shard votes and acks are
-        transactions in the shards' (and R's) ledgers, so a recovering
-        coordinator re-reads them rather than losing them.
-        """
-        if self.crashed:
-            return
-        self.crashed = True
-        self.stats.coordinator_crashes += 1
-
-    def recover(self, now: float = 0.0) -> RecoveryReport:
-        """Come back up: replay buffered messages and report what to re-drive.
-
-        Raises :class:`~repro.errors.CoordinatorFailureError` if the
-        coordinator is not crashed.
-        """
-        if not self.crashed:
-            raise CoordinatorFailureError("recover() called on a live coordinator")
-        self.crashed = False
-        report = RecoveryReport()
-        buffered, self._crash_buffer = self._crash_buffer, []
-        completed_ids = set()
-        for op in buffered:
-            if op[0] == "vote":
-                _, tx_id, shard_id, ok, at, reason = op
-                record = self.record_prepare_vote(tx_id, shard_id, ok, now=at,
-                                                  reason=reason)
-            else:
-                _, tx_id, shard_id, at = op
-                record = self.record_commit_ack(tx_id, shard_id, now=at)
-            report.replayed += 1
-            if (record is not None and record.phase is DistributedTxPhase.DONE
-                    and record.tx_id not in completed_ids):
-                completed_ids.add(record.tx_id)
-                report.completed.append(record)
-        for record in self.records.values():
-            if record.phase is DistributedTxPhase.DONE:
-                continue
-            if record.outcome is DistributedTxOutcome.PENDING:
-                report.restart.append(record)
-            else:
-                report.redrive.append(record)
-        # The scheduler acting on the report calls mark_redriven() for the
-        # transactions it actually re-drives; merely being listed (e.g. a
-        # decision already sent, acks still in flight) is not a re-drive.
-        return report
-
-    def mark_redriven(self, record: DistributedTxRecord) -> None:
-        """The scheduler re-sent this transaction's prepares or decision."""
-        record.redrives += 1
-        self.stats.redriven_transactions += 1
-
-    # ------------------------------------------------------------------ misc
-    def _record(self, tx_id: str) -> DistributedTxRecord:
-        record = self.records.get(tx_id)
-        if record is None:
-            raise TransactionAbortedError(f"unknown distributed transaction {tx_id!r}")
-        return record
 
 
 # --------------------------------------------------------------------------
@@ -470,29 +227,30 @@ class DriverHost(Protocol):
 
 
 class TwoPhaseCommitDriver:
-    """Drives the Figure-5 message flow around a :class:`TwoPhaseCommitCoordinator`.
+    """The coordinator of Figure 5: its records, its vote tally and the
+    message flow around them.
 
     Sans-IO: inputs are method calls (:meth:`submit`, :meth:`receipt`,
     :meth:`vote`, :meth:`ack`, :meth:`reference_receipt`, :meth:`shard_lost`
     and the timers it arms on ``runtime``), outputs go through the
     :class:`DriverHost`.  Between the two it owns the whole protocol: begin
-    with or without the reference committee, the fault-scenario hooks,
-    duplicate vote/ack replays, prepare/decision deadlines and re-drives,
-    coordinator crash/recovery and completion.
+    with or without the reference committee, the vote tally
+    (:meth:`_tally_vote` decides: commit once every participant voted OK,
+    abort on the first NotOK), the fault-scenario hooks, duplicate vote/ack
+    replays, prepare/decision deadlines and re-drives, coordinator
+    crash/recovery and completion.  Hosts read ``records`` (tx_id ->
+    :class:`DistributedTxRecord`) and ``stats`` (:class:`CoordinatorStats`).
 
     Parameters
     ----------
-    coordinator:
-        The bookkeeping this driver owns and drives (its hosts read records
-        and statistics through ``driver.coordinator``).
     splitter / shard_of:
         The benchmark's :class:`~repro.core.splitters.TransactionSplitter`
         and the key → shard routing function it is applied with.
     use_reference_committee:
         Run BeginTx and every vote through the reference committee R (paper
-        §6), checking R's reported state against the coordinator's tally;
-        when False the tally alone decides — the trusted coordinator of the
-        "w/o R" configuration of Figure 13.
+        §6), checking R's reported state against the tally; when False the
+        tally alone decides — the trusted coordinator of the "w/o R"
+        configuration of Figure 13.
     fault:
         Optional bound :class:`~repro.txn.faults.FaultScenario`.
     redrive_decisions:
@@ -500,23 +258,41 @@ class TwoPhaseCommitDriver:
     max_redrives:
         Give-up budget: past it a missing vote becomes a "prepare timeout"
         NotOK and missing acks are forced.  ``None`` re-drives forever.
+    retain_records:
+        When False, a transaction's record is discarded the moment it
+        completes; aggregate statistics are unaffected.  Long open-loop runs
+        use this to keep the driver's memory bounded by the in-flight window
+        instead of the run length.
+    prepare_timeout:
+        When set, a record whose prepares may go out gets a prepare deadline
+        (``now + prepare_timeout``), a timer is armed for it and the shards
+        whose votes went missing are re-driven.  ``None`` (the default)
+        disables deadlines entirely — the seed behaviour.
     """
 
-    def __init__(self, host: DriverHost, runtime: Runtime,
-                 coordinator: TwoPhaseCommitCoordinator, splitter: Any,
+    def __init__(self, host: DriverHost, runtime: Runtime, splitter: Any,
                  shard_of: Callable[[str], int], *,
                  use_reference_committee: bool, fault: Any = None,
                  redrive_decisions: bool = False,
-                 max_redrives: Optional[int] = None) -> None:
+                 max_redrives: Optional[int] = None,
+                 retain_records: bool = True,
+                 prepare_timeout: Optional[float] = None) -> None:
         self.host = host
         self.runtime = runtime
-        self.coordinator = coordinator
         self.splitter = splitter
         self.shard_of = shard_of
         self.use_reference_committee = use_reference_committee
         self.fault = fault
         self.redrive_decisions = redrive_decisions
         self.max_redrives = max_redrives
+        self.retain_records = retain_records
+        self.prepare_timeout = prepare_timeout
+        self.records: Dict[str, DistributedTxRecord] = {}
+        self.stats = CoordinatorStats()
+        self.crashed = False
+        #: Votes and acks that arrived while crashed: (tally method, args).
+        self._crash_buffer: List[Tuple[Callable[..., Any], tuple]] = []
+        self._begin_seq = itertools.count()
         self._reference_chaincode = ReferenceCommitteeChaincode()
         #: tx_id -> (record, completion) of every transaction not yet DONE.
         self._unfinished: Dict[str, Tuple[DistributedTxRecord, Any]] = {}
@@ -532,37 +308,52 @@ class TwoPhaseCommitDriver:
     # ------------------------------------------------------------ submission
     def submit(self, tx: Transaction, shards: Sequence[int],
                completion: Any = None) -> DistributedTxRecord:
-        """Begin coordinating ``tx`` over ``shards``.
+        """Begin coordinating ``tx`` over ``shards`` (step 0: register it and
+        submit BeginTx to R).
 
         A cross-shard transaction the splitter cannot split raises
         :class:`~repro.errors.WorkloadError` here, before anything is
         registered anywhere.
         """
-        if len(set(shards)) > 1:
+        shards = sorted(set(shards))
+        if len(shards) > 1:
             self.splitter.validate(tx, self.shard_of)
-        coordinator = self.coordinator
-        record = coordinator.begin(tx, shards, now=self.runtime.now)
+        if not shards:
+            raise TransactionAbortedError("a transaction must involve at least one shard")
+        record = DistributedTxRecord(
+            tx_id=tx.tx_id, transaction=tx, shards=shards,
+            started_at=self.runtime.now, begin_seq=next(self._begin_seq),
+        )
+        self.records[tx.tx_id] = record
+        self.stats.started += 1
+        if record.is_cross_shard:
+            self.stats.cross_shard += 1
         self._unfinished[tx.tx_id] = (record, completion)
         if not record.is_cross_shard:
-            coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
+            self._begin_executed(record)
             self.host.relay("single", record,
                             [(record.shards[0], tx)], 0.0, 0)
             self._arm(self._check_single_shard_deadline, tx.tx_id)
             return record
-        if (self.fault is not None and not coordinator.crashed
+        if (self.fault is not None and not self.crashed
                 and self.fault.crash_coordinator(record, "prepare")):
             self._crash_coordinator()
         if self.use_reference_committee:
             self._submit_begin_tx(record)
         else:
-            coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
+            self._begin_executed(record)
             self._send_prepares(record)
         return record
 
+    def _begin_executed(self, record: DistributedTxRecord) -> None:
+        """R has executed BeginTx: PrepareTx requests may now be sent (step 1a)."""
+        record.phase = DistributedTxPhase.PREPARING
+        if self.prepare_timeout is not None:
+            record.prepare_deadline = self.runtime.now + self.prepare_timeout
+
     def _arm(self, check: Callable[[str], None], tx_id: str) -> None:
-        timeout = self.coordinator.prepare_timeout
-        if timeout is not None:
-            self.runtime.schedule(timeout, check, tx_id)
+        if self.prepare_timeout is not None:
+            self.runtime.schedule(self.prepare_timeout, check, tx_id)
 
     def receipt(self, kind: str, record: DistributedTxRecord, shard_id: int,
                 receipt: TransactionReceipt) -> None:
@@ -579,14 +370,123 @@ class TwoPhaseCommitDriver:
         else:
             self.ack(record.tx_id, shard_id, record=record)
 
+    # ------------------------------------------------------------- the tally
+    def _tally_vote(self, tx_id: str, shard_id: int, ok: bool, now: float,
+                    reason: Optional[str]) -> Optional[DistributedTxRecord]:
+        """A tx-committee reached consensus on its PrepareTx and voted (step 1b).
+
+        With ``retain_records=False`` a vote may arrive for a transaction
+        that already decided, completed and was pruned (e.g. a slow shard's
+        PrepareOK after another shard's PrepareNotOK aborted the
+        transaction); such stale votes are ignored and ``None`` is returned.
+
+        Revotes from a shard that already voted are idempotent-or-rejected:
+        an identical revote is a counted no-op, an OK after a NotOK is
+        rejected (it can never resurrect the transaction), and a NotOK after
+        an OK — an equivocating shard — aborts an undecided transaction,
+        exactly as R's chaincode does.  The first recorded vote is never
+        overwritten.
+        """
+        if self.crashed:
+            self._crash_buffer.append((self._tally_vote,
+                                       (tx_id, shard_id, ok, now, reason)))
+            return None
+        if not self.retain_records and tx_id not in self.records:
+            self.stats.stale_messages += 1
+            return None
+        record = self._record(tx_id)
+        if shard_id not in record.shards:
+            raise TransactionAbortedError(
+                f"shard {shard_id} is not a participant of {tx_id!r}"
+            )
+        previous = record.prepare_votes.get(shard_id)
+        if previous is not None:
+            if previous == ok:
+                self.stats.duplicate_votes += 1
+                return record
+            if ok:
+                # An OK revote after a NotOK can never resurrect the
+                # transaction: it is a stale late arrival, not equivocation.
+                self.stats.stale_messages += 1
+                return record
+            self.stats.equivocations += 1
+            if record.outcome is not DistributedTxOutcome.PENDING:
+                return record
+            # NotOK after OK while undecided falls through as an abort vote
+            # (R's chaincode treats it the same way); the recorded first vote
+            # is preserved.
+        else:
+            record.prepare_votes[shard_id] = ok
+        if not ok and reason and record.abort_reason is None:
+            record.abort_reason = reason
+        # A late vote on an already-decided transaction is recorded but
+        # decides nothing and leaves the lifecycle phase alone.
+        if record.outcome is DistributedTxOutcome.PENDING:
+            record.phase = DistributedTxPhase.VOTING
+            if not ok or (record.all_votes_in and all(record.prepare_votes.values())):
+                record.outcome = (DistributedTxOutcome.COMMITTED if ok
+                                  else DistributedTxOutcome.ABORTED)
+                record.decided_at = now
+                record.phase = DistributedTxPhase.COMMITTING
+        return record
+
+    def _tally_ack(self, tx_id: str, shard_id: int,
+                   now: float) -> Optional[DistributedTxRecord]:
+        """A tx-committee executed its CommitTx/AbortTx (step 2).
+
+        Stale acks for pruned transactions are ignored (see
+        :meth:`_tally_vote`); duplicate acks are counted no-ops and
+        acks from non-participant shards are rejected.
+        """
+        if self.crashed:
+            self._crash_buffer.append((self._tally_ack,
+                                       (tx_id, shard_id, now)))
+            return None
+        if not self.retain_records and tx_id not in self.records:
+            self.stats.stale_messages += 1
+            return None
+        record = self._record(tx_id)
+        if shard_id not in record.shards:
+            raise TransactionAbortedError(
+                f"shard {shard_id} is not a participant of {tx_id!r}"
+            )
+        if shard_id in record.commit_acks:
+            self.stats.duplicate_acks += 1
+            return record
+        record.commit_acks[shard_id] = True
+        if record.all_acks_in and record.phase is not DistributedTxPhase.DONE:
+            self._complete(record, now)
+        return record
+
+    def _complete(self, record: DistributedTxRecord, now: float) -> None:
+        """Every ack is in: mark the record DONE and count it (:meth:`_finish` tells the host)."""
+        record.phase = DistributedTxPhase.DONE
+        record.completed_at = now
+        if record.outcome is DistributedTxOutcome.COMMITTED:
+            self.stats.committed += 1
+        else:
+            self.stats.aborted += 1
+        if record.latency is not None:
+            self.stats.latency_sum += record.latency
+            self.stats.latency_count += 1
+            if self.retain_records:
+                self.stats.latencies.append(record.latency)
+        if not self.retain_records:
+            self.records.pop(record.tx_id, None)
+
+    def _record(self, tx_id: str) -> DistributedTxRecord:
+        record = self.records.get(tx_id)
+        if record is None:
+            raise TransactionAbortedError(f"unknown distributed transaction {tx_id!r}")
+        return record
+
     # ------------------------------------------------------- single shard tx
     def _complete_single_shard(self, record: DistributedTxRecord, ok: bool,
                                reason: Optional[str]) -> None:
-        coordinator, now = self.coordinator, self.runtime.now
+        now = self.runtime.now
         shard_id = record.shards[0]
-        coordinator.record_prepare_vote(record.tx_id, shard_id, ok, now=now,
-                                        reason=reason)
-        coordinator.record_commit_ack(record.tx_id, shard_id, now=now)
+        self._tally_vote(record.tx_id, shard_id, ok, now, reason)
+        self._tally_ack(record.tx_id, shard_id, now)
         if record.phase is DistributedTxPhase.DONE:
             self._finish(record)
 
@@ -599,7 +499,7 @@ class TwoPhaseCommitDriver:
         dedup re-submissions on their seen/committed id sets, so a retry that
         races the original is a no-op.
         """
-        record = self.coordinator.records.get(tx_id)
+        record = self.records.get(tx_id)
         if (record is None or record.outcome is not DistributedTxOutcome.PENDING
                 or record.phase is DistributedTxPhase.DONE or record.prepare_votes):
             return
@@ -618,7 +518,7 @@ class TwoPhaseCommitDriver:
 
     # -------------------------------------------------------- cross shard tx
     def _submit_begin_tx(self, record: DistributedTxRecord) -> None:
-        if self.coordinator.crashed:
+        if self.crashed:
             return  # recovery restarts records still in BEGINNING
         begin = self._reference_chaincode.new_transaction(
             "beginTx", {"tx_id": record.tx_id, "num_committees": len(record.shards)},
@@ -626,7 +526,7 @@ class TwoPhaseCommitDriver:
         )
 
         def on_receipt(receipt: TransactionReceipt) -> None:
-            self.coordinator.mark_begin_executed(record.tx_id, now=self.runtime.now)
+            self._begin_executed(record)
             self._send_prepares(record)
 
         self._reference_waiters[begin.tx_id] = on_receipt
@@ -641,7 +541,7 @@ class TwoPhaseCommitDriver:
     def _send_prepares(self, record: DistributedTxRecord,
                        only_shards: Optional[List[int]] = None) -> None:
         """Relay the per-shard PrepareTx cohorts (fault-aware)."""
-        if self.coordinator.crashed:
+        if self.crashed:
             return  # recovery re-drives undecided transactions
         prepares = self.splitter.prepare_transactions(record.transaction,
                                                       self.shard_of)
@@ -679,14 +579,11 @@ class TwoPhaseCommitDriver:
         id, a vote for a pruned record is bookkeeping (the fault hooks and
         the reference submission need a live record).
         """
-        coordinator = self.coordinator
         if record is None:
-            record = coordinator.records.get(tx_id)
+            record = self.records.get(tx_id)
             if record is None:
-                if not coordinator.retain_records or coordinator.crashed:
-                    coordinator.record_prepare_vote(tx_id, shard_id, ok,
-                                                    now=self.runtime.now,
-                                                    reason=reason)
+                if not self.retain_records or self.crashed:
+                    self._tally_vote(tx_id, shard_id, ok, self.runtime.now, reason)
                 return
         if self.fault is not None and self.fault.drop_vote(record, shard_id, ok):
             return  # vote lost; the prepare-deadline re-drive recovers
@@ -708,8 +605,7 @@ class TwoPhaseCommitDriver:
 
     def _record_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
                      reason: Optional[str]) -> None:
-        self.coordinator.record_prepare_vote(record.tx_id, shard_id, ok,
-                                             now=self.runtime.now, reason=reason)
+        self._tally_vote(record.tx_id, shard_id, ok, self.runtime.now, reason)
         if self.fault is not None:
             duplicates = self.fault.duplicate_votes(record, shard_id, ok)
             for index in range(duplicates):
@@ -720,11 +616,9 @@ class TwoPhaseCommitDriver:
     def _replay_vote(self, tx_id: str, shard_id: int, ok: bool,
                      reason: Optional[str]) -> None:
         """A stale duplicate vote arrives (idempotent-or-rejected)."""
-        coordinator = self.coordinator
-        if coordinator.retain_records and tx_id not in coordinator.records:
+        if self.retain_records and tx_id not in self.records:
             return
-        coordinator.record_prepare_vote(tx_id, shard_id, ok,
-                                        now=self.runtime.now, reason=reason)
+        self._tally_vote(tx_id, shard_id, ok, self.runtime.now, reason)
 
     def _submit_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
                      reason: Optional[str]) -> None:
@@ -737,8 +631,7 @@ class TwoPhaseCommitDriver:
         def on_receipt(receipt: TransactionReceipt) -> None:
             before = record.outcome
             self._record_vote(record, shard_id, ok, reason)
-            if (before is not DistributedTxOutcome.PENDING
-                    or self.coordinator.crashed):
+            if before is not DistributedTxOutcome.PENDING or self.crashed:
                 return  # decided earlier, or buffered until recovery
             self._check_reference_state(record, receipt)
             if record.outcome is not DistributedTxOutcome.PENDING:
@@ -762,8 +655,8 @@ class TwoPhaseCommitDriver:
     # -------------------------------------------------------------- decision
     def _send_decision(self, record: DistributedTxRecord,
                        only_shards: Optional[List[int]] = None) -> None:
-        coordinator, fault = self.coordinator, self.fault
-        if coordinator.crashed:
+        fault = self.fault
+        if self.crashed:
             return  # recovery re-drives decided-but-unsent decisions
         if fault is not None and fault.crash_coordinator(record, "decide"):
             self._crash_coordinator()
@@ -782,8 +675,7 @@ class TwoPhaseCommitDriver:
             if self.host.shard_unreachable(shard_id):
                 # Nothing can arrive there: count the ack as forced, exactly
                 # what shard_lost() does for decisions already in flight.
-                coordinator.record_commit_ack(record.tx_id, shard_id,
-                                              now=self.runtime.now)
+                self._tally_ack(record.tx_id, shard_id, self.runtime.now)
                 continue
             sent.add(shard_id)
             extra_delay = (fault.decision_delay(record, shard_id)
@@ -802,12 +694,11 @@ class TwoPhaseCommitDriver:
         """A participant executed its CommitTx/AbortTx and acked (step 2).
 
         ``record`` as for :meth:`vote`: given only the id, an ack for a
-        pruned record is counted by the coordinator and otherwise ignored.
+        pruned record is counted by the tally and otherwise ignored.
         """
-        coordinator = self.coordinator
         if record is None:
-            record = coordinator.records.get(tx_id)
-        coordinator.record_commit_ack(tx_id, shard_id, now=self.runtime.now)
+            record = self.records.get(tx_id)
+        self._tally_ack(tx_id, shard_id, self.runtime.now)
         if record is None:
             return
         if self.fault is not None:
@@ -820,10 +711,9 @@ class TwoPhaseCommitDriver:
 
     def _replay_ack(self, tx_id: str, shard_id: int) -> None:
         """A stale duplicate commit ack arrives (a counted no-op)."""
-        coordinator = self.coordinator
-        if coordinator.retain_records and tx_id not in coordinator.records:
+        if self.retain_records and tx_id not in self.records:
             return
-        coordinator.record_commit_ack(tx_id, shard_id, now=self.runtime.now)
+        self._tally_ack(tx_id, shard_id, self.runtime.now)
 
     # ------------------------------------------------ re-drives and recovery
     def _deadline_not_reached(self, record: DistributedTxRecord,
@@ -833,19 +723,22 @@ class TwoPhaseCommitDriver:
         deadline = record.prepare_deadline
         if deadline is not None and deadline <= now:
             return False
-        delay = (deadline - now if deadline is not None
-                 else self.coordinator.prepare_timeout)
+        delay = deadline - now if deadline is not None else self.prepare_timeout
         self.runtime.schedule(max(delay, _MIN_RECHECK), check, record.tx_id)
         return True
 
     def _budget_exhausted(self, record: DistributedTxRecord) -> bool:
         return self.max_redrives is not None and record.redrives >= self.max_redrives
 
+    def _count_redrive(self, record: DistributedTxRecord) -> None:
+        """This transaction's prepares or decision are being re-sent."""
+        record.redrives += 1
+        self.stats.redriven_transactions += 1
+
     def _mark_redriven(self, record: DistributedTxRecord) -> None:
         """Count a prepare re-drive and push the record's deadline out."""
-        coordinator = self.coordinator
-        coordinator.mark_redriven(record)
-        record.prepare_deadline = self.runtime.now + coordinator.prepare_timeout
+        self._count_redrive(record)
+        record.prepare_deadline = self.runtime.now + self.prepare_timeout
 
     def _check_prepare_deadline(self, tx_id: str) -> None:
         """The prepare deadline passed: re-drive the shards with missing votes.
@@ -853,12 +746,11 @@ class TwoPhaseCommitDriver:
         Unreachable shards are not re-driven (:meth:`shard_lost` owns their
         votes).
         """
-        coordinator = self.coordinator
-        record = coordinator.records.get(tx_id)
+        record = self.records.get(tx_id)
         if (record is None or record.outcome is not DistributedTxOutcome.PENDING
                 or record.phase is DistributedTxPhase.DONE):
             return
-        if coordinator.crashed:
+        if self.crashed:
             # Recovery will re-drive; check again afterwards.
             self._arm(self._check_prepare_deadline, tx_id)
             return
@@ -868,7 +760,7 @@ class TwoPhaseCommitDriver:
                       if shard not in record.prepare_votes
                       and not self.host.shard_unreachable(shard)]
         if not to_redrive:
-            record.prepare_deadline = self.runtime.now + coordinator.prepare_timeout
+            record.prepare_deadline = self.runtime.now + self.prepare_timeout
             self._arm(self._check_prepare_deadline, tx_id)
         elif self._budget_exhausted(record):
             for shard in to_redrive:
@@ -887,12 +779,11 @@ class TwoPhaseCommitDriver:
         with only unreachable shards missing, the acks are forced so the
         client gets an answer rather than a hang.
         """
-        coordinator = self.coordinator
-        record = coordinator.records.get(tx_id)
+        record = self.records.get(tx_id)
         if (record is None or record.phase is DistributedTxPhase.DONE
                 or record.outcome is DistributedTxOutcome.PENDING):
             return
-        if coordinator.crashed:
+        if self.crashed:
             # Recovery re-drives unsent decisions; check again afterwards.
             self._arm(self._check_decision_deadline, tx_id)
             return
@@ -902,11 +793,11 @@ class TwoPhaseCommitDriver:
                 if not self.host.shard_unreachable(shard)]
         if missing and (not live or self._budget_exhausted(record)):
             for shard in missing:
-                coordinator.record_commit_ack(tx_id, shard, now=self.runtime.now)
+                self._tally_ack(tx_id, shard, self.runtime.now)
             if record.phase is DistributedTxPhase.DONE:
                 self._finish(record)
         elif live:
-            coordinator.mark_redriven(record)
+            self._count_redrive(record)
             self._send_decision(record, only_shards=live)
 
     def shard_lost(self, shard_id: int) -> None:
@@ -923,30 +814,48 @@ class TwoPhaseCommitDriver:
                 if shard_id not in record.prepare_votes:
                     self.prepare_outcome(record, shard_id, False, reason)
             elif shard_id not in record.commit_acks:
-                self.coordinator.record_commit_ack(record.tx_id, shard_id,
-                                                   now=self.runtime.now)
+                self._tally_ack(record.tx_id, shard_id, self.runtime.now)
                 if record.phase is DistributedTxPhase.DONE:
                     self._finish(record)
 
     def _crash_coordinator(self) -> None:
-        """The coordinator fails; recovery is scheduled per the fault scenario."""
-        coordinator = self.coordinator
-        if coordinator.crashed:
+        """The coordinator fails: incoming votes and acks are buffered, not
+        applied, until the recovery the fault scenario schedules.
+
+        The buffered messages model durability — shard votes and acks are
+        transactions in the shards' (and R's) ledgers, so a recovering
+        coordinator re-reads them rather than losing them.
+        """
+        if self.crashed:
             return  # one recovery is already scheduled
-        coordinator.crash()
+        self.crashed = True
+        self.stats.coordinator_crashes += 1
         delay = self.fault.recovery_delay() if self.fault is not None else 1.0
         self.runtime.schedule(delay, self._recover_coordinator)
 
     def _recover_coordinator(self) -> None:
-        """Replay buffered votes/acks, then re-drive unfinished transactions."""
-        coordinator = self.coordinator
-        if not coordinator.crashed:
-            return
-        report = coordinator.recover(now=self.runtime.now)
-        for record in report.completed:
+        """Come back up: replay the buffered votes/acks (each at the time it
+        was buffered), finish what they completed, then restart undecided
+        transactions and re-send decisions that never went out."""
+        self.crashed = False
+        buffered, self._crash_buffer = self._crash_buffer, []
+        #: tx_id -> record, in first-completion order.
+        completed: Dict[str, DistributedTxRecord] = {}
+        for tally, args in buffered:
+            record = tally(*args)
+            if (record is not None and record.phase is DistributedTxPhase.DONE
+                    and record.tx_id not in completed):
+                completed[record.tx_id] = record
+        unfinished = [record for record in self.records.values()
+                      if record.phase is not DistributedTxPhase.DONE]
+        restart = [record for record in unfinished
+                   if record.outcome is DistributedTxOutcome.PENDING]
+        redrive = [record for record in unfinished
+                   if record.outcome is not DistributedTxOutcome.PENDING]
+        for record in completed.values():
             self._finish(record)
-        for record in report.restart:
-            coordinator.mark_redriven(record)
+        for record in restart:
+            self._count_redrive(record)
             if (record.phase is DistributedTxPhase.BEGINNING
                     and self.use_reference_committee):
                 self._submit_begin_tx(record)
@@ -954,12 +863,14 @@ class TwoPhaseCommitDriver:
             missing = [shard for shard in record.shards
                        if shard not in record.prepare_votes]
             self._send_prepares(record, only_shards=missing or list(record.shards))
-        for record in report.redrive:
+        # Being listed is not a re-drive: a decision already sent with acks
+        # still in flight is left alone.
+        for record in redrive:
             sent = self._decisions_sent.get(record.tx_id, set())
             unsent = [shard for shard in record.shards
                       if shard not in record.commit_acks and shard not in sent]
             if unsent:
-                coordinator.mark_redriven(record)
+                self._count_redrive(record)
                 self._send_decision(record, only_shards=unsent)
 
     # ------------------------------------------------------------ completion

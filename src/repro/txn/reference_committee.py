@@ -12,10 +12,9 @@ machine for each distributed transaction:
 :class:`ReferenceCommitteeChaincode` is that state machine as a chaincode,
 deployed on R's :class:`~repro.consensus.cluster.ConsensusCluster` exactly as
 Section 6.3 describes: the per-transaction state lives on R's chain.  The
-coordinator's vote tally
-(:meth:`~repro.txn.coordinator.TwoPhaseCommitCoordinator.record_prepare_vote`)
-is the only other copy of the rule; the 2PC driver checks R's receipts
-against it.
+vote tally of the 2PC driver
+(:class:`~repro.txn.coordinator.TwoPhaseCommitDriver`) is the only other
+copy of the rule; the driver checks R's receipts against it.
 """
 
 from __future__ import annotations

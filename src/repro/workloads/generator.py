@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO
+from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO
 
 from repro.errors import WorkloadError
 from repro.ledger.transaction import Transaction, burn_tx_id
@@ -257,12 +257,6 @@ class WorkloadGenerator:
         while count is None or produced < count:
             yield self.next_transaction(client_id, now)
             produced += 1
-
-    def tx_factory(self) -> Callable:
-        """Adapter matching the client-driver ``tx_factory`` signature."""
-        def factory(client_id: str, now: float, rng, count: int) -> List[Transaction]:
-            return self.batch(count, client_id=client_id, now=now)
-        return factory
 
 
 class WorkloadReplay:

@@ -22,4 +22,4 @@ def tx_records(system):
     """
     return [record for _, partition in sorted(system.partitions.items())
             if partition.home is not None
-            for record in partition.home.coordinator.records.values()]
+            for record in partition.home.driver.records.values()]

@@ -1,7 +1,8 @@
-"""Subprocess harness for service-mode tests: boot ``repro-serve``, talk HTTP.
+"""Harness for service-mode tests: boot ``repro-serve``, talk HTTP, and
+replay the same recorded workload through the simulated twin.
 
-Not a test module — shared by ``test_service_differential.py`` and
-``test_service_shutdown.py`` (and mirrored by ``benchmarks/bench_service.py``).
+Not a test module — shared by the ``test_service_*.py`` modules and
+imported by ``benchmarks/bench_service.py``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,51 @@ import signal
 import subprocess
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service.client import ServiceClient
+from repro.workloads.generator import WorkloadGenerator, shard_of_key
+from repro.workloads.smallbank import account_key
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: Simulated seconds one replayed transaction may take to complete, and the
+#: step the replay advances by while it waits.
+REPLAY_BUDGET = 60.0
+REPLAY_STEP = 0.5
+
+
+def replay_in_sim(system: Any, path: str) -> Tuple[List[str], Dict[str, Any]]:
+    """Replay a recorded smallbank workload serially through a simulated
+    ``system``; returns (per-transaction outcomes, final balances).
+
+    Each transaction is submitted once its predecessor completed: the system
+    is stepped ``REPLAY_STEP`` at a time until the completion callback
+    fires, within ``REPLAY_BUDGET``, so no step walks long idle stretches.
+    One last ``REPLAY_BUDGET`` lets lagging replicas apply the final blocks
+    before the balances are read from each shard's honest observer.
+    """
+    replay = WorkloadGenerator.replay(path)
+    outcomes: List[str] = []
+    while not replay.exhausted:
+        tx = replay.next_transaction(now=system.runtime.now)
+        done: List[Any] = []
+        system.submit_transaction(tx, on_complete=done.append)
+        for _ in range(int(REPLAY_BUDGET / REPLAY_STEP)):
+            system.run(REPLAY_STEP)
+            if done:
+                break
+        else:
+            raise RuntimeError(f"the simulated system never completed {tx.tx_id}")
+        outcomes.append(done[0].outcome.value)
+    system.run(REPLAY_BUDGET)
+    num_shards = system.config.num_shards
+    balances = {}
+    for index in range(system.config.num_keys):
+        key = account_key(str(index))
+        observer = system.shards[shard_of_key(key, num_shards)].honest_observer()
+        balances[key] = observer.state.get(key)
+    return outcomes, balances
 
 
 class ServeProcess:

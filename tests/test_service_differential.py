@@ -17,10 +17,10 @@ import pytest
 
 from repro.core.config import ShardedSystemConfig
 from repro.core.system import ShardedBlockchain
-from repro.workloads.generator import WorkloadGenerator, shard_of_key
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.smallbank import DEFAULT_BALANCE, account_key
 
-from service_harness import ServeProcess
+from service_harness import ServeProcess, replay_in_sim
 
 NUM_SHARDS = 2
 NUM_KEYS = 24
@@ -52,32 +52,12 @@ def recording(tmp_path_factory):
     return str(path)
 
 
-def run_sim_replay(path: str):
-    """Serial replay through the simulated system; (outcomes, balances)."""
-    replay = WorkloadGenerator.replay(path)
-    system = ShardedBlockchain(ShardedSystemConfig(
+def test_sim_vs_service_differential(recording):
+    sim = ShardedBlockchain(ShardedSystemConfig(
         num_shards=NUM_SHARDS, committee_size=4, protocol="AHL",
         use_reference_committee=False, benchmark="smallbank",
         num_keys=NUM_KEYS, seed=SEED))
-    outcomes = []
-    while not replay.exhausted:
-        tx = replay.next_transaction(now=system.runtime.now)
-        done = []
-        system.submit_transaction(tx, on_complete=done.append)
-        system.run(60.0)
-        assert done, f"transaction {tx.tx_id} never completed in sim"
-        outcomes.append(done[0].outcome.value)
-    balances = {}
-    for index in range(NUM_KEYS):
-        key = account_key(str(index))
-        shard = shard_of_key(key, NUM_SHARDS)
-        observer = system.shards[shard].honest_observer()
-        balances[key] = observer.state.get(key)
-    return outcomes, balances
-
-
-def test_sim_vs_service_differential(recording):
-    sim_outcomes, sim_balances = run_sim_replay(recording)
+    sim_outcomes, sim_balances = replay_in_sim(sim, recording)
     assert "aborted" in sim_outcomes  # the overdrafts must exercise aborts
     assert "committed" in sim_outcomes
 

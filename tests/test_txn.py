@@ -5,24 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TransactionAbortedError
 from repro.ledger.state import StateStore
-from repro.ledger.transaction import Transaction
-from repro.txn.coordinator import (
-    DistributedTxOutcome,
-    DistributedTxPhase,
-    TwoPhaseCommitCoordinator,
-)
 from repro.txn.omniledger import OmniLedgerClientProtocol, OmniLedgerShard, OmniLedgerTxState
 from repro.txn.rapidchain import RapidChainProtocol, RapidChainShard
 from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeChaincode
 from repro.txn.utxo import UTXO, UTXOSet, UTXOTransaction
-from repro.errors import InvalidTransactionError, CoordinatorFailureError
-
-
-def make_tx(keys=("a", "b")):
-    return Transaction.create("smallbank", "sendPayment",
-                              {"from": "a", "to": "b", "amount": 1}, keys=keys)
+from repro.errors import InvalidTransactionError
 
 
 def r_begin(committees):
@@ -91,206 +79,6 @@ class TestReferenceCommitteeChaincode:
                 ok_shards.add(shard)
         if final == CoordinatorState.COMMITTED.value:
             assert ok_shards == set(range(committees))
-
-
-class TestTwoPhaseCommitCoordinator:
-    def test_cross_shard_commit_lifecycle(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = coordinator.begin(make_tx(), shards=[0, 1], now=0.0)
-        assert record.is_cross_shard
-        coordinator.mark_begin_executed(record.tx_id)
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=1.0)
-        coordinator.record_prepare_vote(record.tx_id, 1, True, now=2.0)
-        assert record.outcome is DistributedTxOutcome.COMMITTED
-        coordinator.record_commit_ack(record.tx_id, 0, now=3.0)
-        coordinator.record_commit_ack(record.tx_id, 1, now=4.0)
-        assert record.phase is DistributedTxPhase.DONE
-        assert record.latency == pytest.approx(4.0)
-        assert coordinator.stats.committed == 1
-
-    def test_abort_on_any_negative_vote(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = coordinator.begin(make_tx(), shards=[0, 1], now=0.0)
-        coordinator.mark_begin_executed(record.tx_id)
-        coordinator.record_prepare_vote(record.tx_id, 0, False, now=1.0, reason="locked")
-        assert record.outcome is DistributedTxOutcome.ABORTED
-        coordinator.record_commit_ack(record.tx_id, 0, now=2.0)
-        coordinator.record_commit_ack(record.tx_id, 1, now=2.0)
-        assert coordinator.stats.aborted == 1
-        assert coordinator.stats.abort_rate == 1.0
-        assert record.abort_reason == "locked"
-
-    def test_commits_once_every_participant_voted_ok(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = coordinator.begin(make_tx(), shards=[0, 1])
-        coordinator.mark_begin_executed(record.tx_id)
-        coordinator.record_prepare_vote(record.tx_id, 0, True)
-        assert record.outcome is DistributedTxOutcome.PENDING
-        coordinator.record_prepare_vote(record.tx_id, 1, True)
-        assert record.outcome is DistributedTxOutcome.COMMITTED
-
-    def test_vote_from_non_participant_rejected(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = coordinator.begin(make_tx(), shards=[0, 1])
-        with pytest.raises(TransactionAbortedError):
-            coordinator.record_prepare_vote(record.tx_id, 5, True)
-
-    def test_unknown_transaction_rejected(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        with pytest.raises(TransactionAbortedError):
-            coordinator.record_commit_ack("ghost", 0)
-
-
-class TestCoordinatorRevotes:
-    """Regression tests for the revote fix: the seed silently overwrote
-    ``prepare_votes[shard_id]`` on a revote, so an ``ok=True`` after an
-    ``ok=False`` rewrote history.  Revotes are now idempotent-or-rejected."""
-
-    def _begin(self, coordinator, shards=(0, 1)):
-        record = coordinator.begin(make_tx(), shards=list(shards), now=0.0)
-        coordinator.mark_begin_executed(record.tx_id)
-        return record
-
-    def test_duplicate_identical_vote_is_counted_noop(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._begin(coordinator)
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=1.0)
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=2.0)
-        assert coordinator.stats.duplicate_votes == 1
-        assert record.outcome is DistributedTxOutcome.PENDING  # still one vote short
-        coordinator.record_prepare_vote(record.tx_id, 1, True, now=3.0)
-        assert record.outcome is DistributedTxOutcome.COMMITTED
-
-    def test_ok_after_not_ok_cannot_resurrect(self):
-        """The exact seed bug: an ok=True revote overwrote the recorded
-        ok=False.  It must be rejected and the first vote preserved."""
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._begin(coordinator)
-        coordinator.record_prepare_vote(record.tx_id, 0, False, now=1.0, reason="locked")
-        assert record.outcome is DistributedTxOutcome.ABORTED
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=2.0)
-        assert record.prepare_votes[0] is False           # first vote preserved
-        assert record.outcome is DistributedTxOutcome.ABORTED
-        assert coordinator.stats.stale_messages == 1      # late OK = stale
-        assert coordinator.stats.equivocations == 0
-
-    def test_equivocating_not_ok_after_ok_aborts_like_the_chaincode(self):
-        """A NotOK revote from a shard that voted OK aborts an undecided
-        transaction — matching what R's chaincode does with the same votes —
-        so the tally and R's chain cannot diverge."""
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._begin(coordinator, shards=(0, 1, 2))
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=1.0)
-        coordinator.record_prepare_vote(record.tx_id, 0, False, now=2.0, reason="equivocated")
-        assert record.outcome is DistributedTxOutcome.ABORTED
-        assert record.prepare_votes[0] is True            # first vote preserved
-        assert coordinator.stats.equivocations == 1
-        chaincode, state = r_begin(3)
-        r_vote(chaincode, state, 0, True)
-        assert r_vote(chaincode, state, 0, False) == CoordinatorState.ABORTED.value
-
-    def test_equivocation_after_commit_is_rejected(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._begin(coordinator)
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=1.0)
-        coordinator.record_prepare_vote(record.tx_id, 1, True, now=2.0)
-        assert record.outcome is DistributedTxOutcome.COMMITTED
-        coordinator.record_prepare_vote(record.tx_id, 0, False, now=3.0)
-        assert record.outcome is DistributedTxOutcome.COMMITTED  # 2PC safety
-        assert coordinator.stats.equivocations == 1
-
-    def test_ok_after_not_ok_rejected_once_every_shard_voted(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._begin(coordinator)
-        coordinator.record_prepare_vote(record.tx_id, 0, False, now=1.0)
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=2.0)
-        coordinator.record_prepare_vote(record.tx_id, 1, True, now=3.0)
-        assert record.outcome is DistributedTxOutcome.ABORTED
-        assert record.prepare_votes[0] is False
-
-    def test_late_vote_does_not_regress_phase(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._begin(coordinator)
-        coordinator.record_prepare_vote(record.tx_id, 0, False, now=1.0)
-        coordinator.record_commit_ack(record.tx_id, 0, now=2.0)
-        coordinator.record_commit_ack(record.tx_id, 1, now=2.0)
-        assert record.phase is DistributedTxPhase.DONE
-        coordinator.record_prepare_vote(record.tx_id, 1, True, now=3.0)  # stale
-        assert record.phase is DistributedTxPhase.DONE
-
-    def test_duplicate_ack_is_counted_noop(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._begin(coordinator)
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=1.0)
-        coordinator.record_prepare_vote(record.tx_id, 1, True, now=1.0)
-        coordinator.record_commit_ack(record.tx_id, 0, now=2.0)
-        coordinator.record_commit_ack(record.tx_id, 0, now=3.0)
-        assert coordinator.stats.duplicate_acks == 1
-        assert record.phase is not DistributedTxPhase.DONE  # still missing shard 1
-
-    def test_ack_from_non_participant_rejected(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._begin(coordinator)
-        with pytest.raises(TransactionAbortedError):
-            coordinator.record_commit_ack(record.tx_id, 7)
-
-
-class TestCoordinatorCrashRecovery:
-    def _committed_tx(self, coordinator):
-        record = coordinator.begin(make_tx(), shards=[0, 1], now=0.0)
-        coordinator.mark_begin_executed(record.tx_id)
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=1.0)
-        coordinator.record_prepare_vote(record.tx_id, 1, True, now=1.0)
-        return record
-
-    def test_crash_buffers_messages_and_recovery_replays_them(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._committed_tx(coordinator)
-        coordinator.crash()
-        assert coordinator.record_commit_ack(record.tx_id, 0, now=2.0) is None
-        assert coordinator.record_commit_ack(record.tx_id, 1, now=2.5) is None
-        assert record.commit_acks == {}          # nothing applied while down
-        report = coordinator.recover(now=3.0)
-        assert report.replayed == 2
-        assert [r.tx_id for r in report.completed] == [record.tx_id]
-        assert record.phase is DistributedTxPhase.DONE
-        assert coordinator.stats.committed == 1
-        assert coordinator.stats.coordinator_crashes == 1
-
-    def test_recovery_reports_decided_but_unacked_for_redrive(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = self._committed_tx(coordinator)   # decided, no acks yet
-        coordinator.crash()
-        report = coordinator.recover(now=2.0)
-        assert [r.tx_id for r in report.redrive] == [record.tx_id]
-        # Merely being listed is not a re-drive; the scheduler counts the
-        # transactions it actually re-sends.
-        assert record.redrives == 0
-        assert coordinator.stats.redriven_transactions == 0
-        coordinator.mark_redriven(record)
-        assert record.redrives == 1
-        assert coordinator.stats.redriven_transactions == 1
-
-    def test_recovery_reports_undecided_for_restart(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        record = coordinator.begin(make_tx(), shards=[0, 1], now=0.0)
-        coordinator.mark_begin_executed(record.tx_id)
-        coordinator.record_prepare_vote(record.tx_id, 0, True, now=1.0)
-        coordinator.crash()
-        report = coordinator.recover(now=2.0)
-        assert [r.tx_id for r in report.restart] == [record.tx_id]
-        assert record.outcome is DistributedTxOutcome.PENDING
-
-    def test_recover_without_crash_raises(self):
-        coordinator = TwoPhaseCommitCoordinator()
-        with pytest.raises(CoordinatorFailureError):
-            coordinator.recover()
-
-    def test_prepare_deadline_stamped_and_expired(self):
-        coordinator = TwoPhaseCommitCoordinator(prepare_timeout=2.0)
-        record = coordinator.begin(make_tx(), shards=[0, 1], now=0.0)
-        coordinator.mark_begin_executed(record.tx_id, now=1.0)
-        assert record.prepare_deadline == 3.0
 
 
 class TestUTXO:

@@ -1,11 +1,10 @@
-"""Differential tests of Figure 6: the coordinator's vote tally against R's chaincode.
+"""Differential tests of Figure 6: the 2PC driver's vote tally against R's chaincode.
 
 Paper §6 has the reference committee R run Figure 6's 2PC state machine on
 its own chain (:class:`ReferenceCommitteeChaincode`).  The only other copy
-of that rule is the vote tally in
-:meth:`TwoPhaseCommitCoordinator.record_prepare_vote`: it decides in the
-trusted-coordinator mode, and in R mode the driver checks every decision
-against the state R's receipt reports.  This module pins the two copies
+of that rule is the vote tally of :class:`TwoPhaseCommitDriver`: it decides
+in the trusted-coordinator mode, and in R mode the driver checks every
+decision against the state R's receipt reports.  This module pins the two copies
 together two ways:
 
 1. A property test: for random vote sequences — duplicates, OK after NotOK,
@@ -23,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import OpenLoopDriver, ShardedBlockchain, ShardedSystemConfig
 from repro.ledger.state import StateStore
-from repro.ledger.transaction import Transaction, rebase_tx_counter
-from repro.txn.coordinator import DistributedTxOutcome, TwoPhaseCommitCoordinator
+from repro.ledger.transaction import rebase_tx_counter
+from repro.txn.coordinator import DistributedTxOutcome
 from repro.txn.reference_committee import ReferenceCommitteeChaincode
+from test_txn_driver import build, payment
 
 #: What R's per-transaction state says about the decision.
 R_DECISION = {
@@ -57,15 +57,13 @@ def vote_sequences(draw):
 @settings(max_examples=400, deadline=None)
 def test_tally_decides_like_the_reference_chaincode(case):
     shards, votes = case
-    coordinator = TwoPhaseCommitCoordinator()
-    tx = Transaction.create("smallbank", "sendPayment",
-                            {"from": "a", "to": "b", "amount": 1})
-    record = coordinator.begin(tx, range(shards))
-    coordinator.mark_begin_executed(tx.tx_id)
+    clock, host, driver = build()
+    tx = payment(0, 1)
+    record = driver.submit(tx, range(shards))
     chaincode, state = ReferenceCommitteeChaincode(), StateStore()
     chaincode.invoke(state, "beginTx", {"tx_id": tx.tx_id, "num_committees": shards})
     for step, (shard, ok) in enumerate(votes):
-        coordinator.record_prepare_vote(tx.tx_id, shard, ok, now=float(step))
+        driver.vote(tx.tx_id, shard, ok)
         on_chain = chaincode.invoke(state, "prepareOK" if ok else "prepareNotOK",
                                     {"tx_id": tx.tx_id, "shard_id": shard})
         assert record.outcome is R_DECISION[on_chain["state"]], (votes[:step + 1],

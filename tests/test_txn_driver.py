@@ -15,14 +15,13 @@ from typing import Any, List, Tuple
 import pytest
 
 from repro.core.splitters import splitter_for
-from repro.errors import CoordinatorFailureError, WorkloadError
+from repro.errors import CoordinatorFailureError, TransactionAbortedError, WorkloadError
 from repro.ledger.chaincode import ChaincodeRegistry, ExecutionEngine
 from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
 from repro.txn.coordinator import (
     DistributedTxOutcome,
     DistributedTxPhase,
-    TwoPhaseCommitCoordinator,
     TwoPhaseCommitDriver,
 )
 from repro.txn.faults import CoordinatorCrashScenario, VoteReplayScenario
@@ -100,10 +99,10 @@ def build(use_reference: bool = False, retain: bool = True, fault: Any = None,
           max_redrives: Any = None, redrive_decisions: bool = False):
     clock, host = ManualClock(), FakeHost()
     driver = TwoPhaseCommitDriver(
-        host, clock,
-        TwoPhaseCommitCoordinator(retain_records=retain, prepare_timeout=TIMEOUT),
-        splitter_for("smallbank"), shard_of, use_reference_committee=use_reference,
-        fault=fault, redrive_decisions=redrive_decisions, max_redrives=max_redrives)
+        host, clock, splitter_for("smallbank"), shard_of,
+        use_reference_committee=use_reference, fault=fault,
+        redrive_decisions=redrive_decisions, max_redrives=max_redrives,
+        retain_records=retain, prepare_timeout=TIMEOUT)
     return clock, host, driver
 
 
@@ -121,24 +120,35 @@ def execute_reference(host: FakeHost, driver: TwoPhaseCommitDriver,
 
 
 # ------------------------------------------------------------------ begin
-def test_trusted_begin_commits_through_votes_and_acks():
+@pytest.mark.parametrize("first_ok", [True, False])
+def test_trusted_tally_commits_on_every_ok_and_aborts_on_the_first_not_ok(first_ok):
     clock, host, driver = build()
     tx = payment(0, 1)
     record = driver.submit(tx, [0, 1], completion="ticket")
+    assert record.is_cross_shard
     assert host.take("prepare") == [0, 1]
     assert not host.reference
 
-    driver.vote(tx.tx_id, 0, True)
-    assert record.outcome is DistributedTxOutcome.PENDING
+    clock.advance(0.5)
+    driver.vote(tx.tx_id, 0, first_ok, reason=None if first_ok else "locked")
+    assert record.outcome is (DistributedTxOutcome.PENDING if first_ok
+                              else DistributedTxOutcome.ABORTED)
     driver.vote(tx.tx_id, 1, True)
-    assert record.outcome is DistributedTxOutcome.COMMITTED
+    assert record.outcome is (DistributedTxOutcome.COMMITTED if first_ok
+                              else DistributedTxOutcome.ABORTED)
+    assert record.abort_reason == (None if first_ok else "locked")
     assert host.take("decision") == [0, 1]
 
     driver.ack(tx.tx_id, 0)
     assert not host.done
+    clock.advance(0.5)
     driver.ack(tx.tx_id, 1)
     assert host.done == [(record, "ticket")]
     assert record.phase is DistributedTxPhase.DONE
+    assert record.latency == 1.0
+    assert (driver.stats.committed, driver.stats.aborted) == (
+        (1, 0) if first_ok else (0, 1))
+    assert driver.stats.abort_rate == (0.0 if first_ok else 1.0)
     assert driver.in_flight == 0
 
 
@@ -204,8 +214,8 @@ def test_unsplittable_transaction_is_rejected_before_anything_registers(bad):
     clock, host, driver = build()
     with pytest.raises(WorkloadError, match="cannot split"):
         driver.submit(payment(0, 1, **bad), [0, 1])
-    assert driver.coordinator.stats.started == 0
-    assert not driver.coordinator.records
+    assert driver.stats.started == 0
+    assert not driver.records
     assert driver.in_flight == 0
     assert not host.relayed
     # Validation drew no transaction ids: the next prepare is numbered as if
@@ -219,15 +229,18 @@ def test_unsplittable_transaction_is_rejected_before_anything_registers(bad):
 # ------------------------------------------------------- deadlines, budget
 def test_lost_prepare_is_redriven_to_the_silent_shard_only():
     clock, host, driver = build()
+    clock.advance(1.0)
     tx = payment(0, 1)
     record = driver.submit(tx, [0, 1])
+    assert record.prepare_deadline == 1.0 + TIMEOUT
     host.take("prepare")
     driver.vote(tx.tx_id, 0, True)
 
     clock.advance(TIMEOUT)
     assert [(e[1], e[4]) for e in host.relayed if e[0] == "prepare"] == [(1, 1)]
     assert record.redrives == 1
-    assert driver.coordinator.stats.redriven_transactions == 1
+    assert record.prepare_deadline == 1.0 + 2 * TIMEOUT
+    assert driver.stats.redriven_transactions == 1
 
 
 def test_exhausted_budget_aborts_with_prepare_timeout_then_forces_acks():
@@ -302,7 +315,7 @@ def test_lost_shard_walks_unfinished_transactions_only():
     for shard in (0, 1):
         driver.ack(finished.tx_id, shard)
     assert driver.in_flight == 0
-    driver.coordinator.records[finished.tx_id] = None   # touching it would raise
+    driver.records[finished.tx_id] = None   # touching it would raise
     host.down.add(1)
     driver.shard_lost(1)
 
@@ -341,11 +354,11 @@ def test_crash_at_prepare_recovery_sends_the_withheld_prepares():
     clock, host, driver = build(fault=fault)
     tx = payment(0, 1)
     record = driver.submit(tx, [0, 1])
-    assert driver.coordinator.crashed
+    assert driver.crashed
     assert host.take("prepare") == []
 
     clock.advance(1.0)
-    assert not driver.coordinator.crashed
+    assert not driver.crashed
     assert host.take("prepare") == [0, 1]
     assert record.redrives == 1
 
@@ -361,7 +374,7 @@ def test_crash_at_decide_recovery_redrives_only_unsent_decisions():
     assert host.take("decision") == [0, 1]     # first decision went out
     for shard in (2, 3):
         driver.vote(unsent.tx_id, shard, True)
-    assert driver.coordinator.crashed            # second one crashed the coordinator
+    assert driver.crashed            # second one crashed the coordinator
     assert host.take("decision") == []
     driver.ack(sent.tx_id, 0)                  # buffered while down
 
@@ -372,7 +385,99 @@ def test_crash_at_decide_recovery_redrives_only_unsent_decisions():
     assert unsent_record.redrives == 1
 
 
+def test_recovery_replays_finishes_restarts_and_redrives_in_that_order():
+    """Votes and acks that arrive while the coordinator is down are applied
+    at recovery, at the time each arrived; then the transactions they
+    completed finish, undecided ones get prepares for their missing votes
+    and decided ones their never-sent decisions."""
+    fault = CoordinatorCrashScenario(phase="decide", at_tx=2, recover_after=1.0)
+    clock, host, driver = build(fault=fault)
+    acked, crashing, late, undecided = (payment(0, 1), payment(2, 3),
+                                        payment(1, 2), payment(0, 3))
+    records = [driver.submit(tx, [int(tx.args["from"]), int(tx.args["to"])],
+                             completion=index)
+               for index, tx in enumerate((acked, crashing, late, undecided))]
+    for shard in (0, 1):
+        driver.vote(acked.tx_id, shard, True)
+    driver.vote(late.tx_id, 1, True)
+    driver.vote(undecided.tx_id, 0, True)
+    for shard in (2, 3):
+        driver.vote(crashing.tx_id, shard, True)   # its decision crashes
+    assert driver.crashed
+    assert host.take("decision") == [0, 1]
+    host.take("prepare")
+
+    clock.advance(0.25)
+    driver.ack(acked.tx_id, 0)
+    driver.vote(late.tx_id, 2, True)
+    clock.advance(0.25)
+    driver.ack(acked.tx_id, 1)
+    assert records[0].commit_acks == {}        # nothing applied while down
+    assert records[2].outcome is DistributedTxOutcome.PENDING
+    assert not host.done
+
+    clock.advance(0.5)                         # recovery
+    assert not driver.crashed
+    assert host.done == [(records[0], 0)]
+    assert records[0].completed_at == 0.5
+    assert records[2].decided_at == 0.25
+    assert host.take("prepare") == [3]         # only the missing vote
+    assert host.take("decision") == [2, 3, 1, 2]
+    assert [record.redrives for record in records] == [0, 1, 1, 1]
+    assert driver.stats.redriven_transactions == 3
+    assert driver.stats.coordinator_crashes == 1
+    assert driver.stats.committed == 1
+
+
 # ------------------------------------------------------------ stale inputs
+@pytest.mark.parametrize("shards,votes,outcome,first_vote,counts", [
+    # an identical revote is a counted no-op: still one vote short
+    ([0, 1], [(0, True), (0, True)], DistributedTxOutcome.PENDING, True, (1, 0, 0)),
+    # an OK after a NotOK is a stale late arrival: it cannot resurrect
+    ([0, 1], [(0, False), (0, True), (1, True)], DistributedTxOutcome.ABORTED,
+     False, (0, 1, 0)),
+    # a NotOK after an OK (equivocation) aborts an undecided transaction ...
+    ([0, 1, 2], [(0, True), (0, False)], DistributedTxOutcome.ABORTED, True,
+     (0, 0, 1)),
+    # ... and is rejected once it committed
+    ([0, 1], [(0, True), (1, True), (0, False)], DistributedTxOutcome.COMMITTED,
+     True, (0, 0, 1)),
+], ids=["duplicate", "ok-after-not-ok", "equivocation", "equivocation-after-commit"])
+def test_revotes_are_idempotent_or_rejected(shards, votes, outcome, first_vote,
+                                            counts):
+    """The first recorded vote is never overwritten, and a late vote on a
+    finished transaction leaves its phase alone."""
+    clock, host, driver = build()
+    tx = payment(0, 1)
+    record = driver.submit(tx, shards)
+    for shard, ok in votes:
+        driver.vote(tx.tx_id, shard, ok)
+    assert record.outcome is outcome
+    assert record.prepare_votes[0] is first_vote
+    stats = driver.stats
+    assert (stats.duplicate_votes, stats.stale_messages, stats.equivocations) == counts
+    if outcome is DistributedTxOutcome.PENDING:
+        return
+    for shard in shards:
+        driver.ack(tx.tx_id, shard)
+    assert record.phase is DistributedTxPhase.DONE
+    driver.vote(tx.tx_id, shards[-1], True)
+    assert (record.phase, record.outcome) == (DistributedTxPhase.DONE, outcome)
+
+
+@pytest.mark.parametrize("stray", [
+    lambda driver, tx_id: driver.vote(tx_id, 5, True),
+    lambda driver, tx_id: driver.ack(tx_id, 7),
+    lambda driver, tx_id: driver.ack("ghost", 0),
+], ids=["vote-from-non-participant", "ack-from-non-participant", "unknown-tx"])
+def test_inputs_from_outside_the_transaction_raise(stray):
+    clock, host, driver = build()
+    tx = payment(0, 1)
+    driver.submit(tx, [0, 1])
+    with pytest.raises(TransactionAbortedError):
+        stray(driver, tx.tx_id)
+
+
 def test_duplicate_vote_and_ack_replays_are_counted_noops():
     fault = VoteReplayScenario(duplicates=1, delay=0.25)
     clock, host, driver = build(fault=fault)
@@ -384,7 +489,7 @@ def test_duplicate_vote_and_ack_replays_are_counted_noops():
         driver.ack(tx.tx_id, shard)
     assert len(host.done) == 1
     clock.advance(0.5)
-    stats = driver.coordinator.stats
+    stats = driver.stats
     assert (stats.duplicate_votes, stats.duplicate_acks) == (2, 2)
     assert record.outcome is DistributedTxOutcome.COMMITTED
     assert len(host.done) == 1
@@ -399,11 +504,11 @@ def test_stale_vote_and_ack_for_a_pruned_record_are_bookkeeping_only():
     execute_reference(host, driver)
     for shard in (0, 1):
         driver.ack(tx.tx_id, shard)
-    assert tx.tx_id not in driver.coordinator.records
+    assert tx.tx_id not in driver.records
     assert len(host.done) == 1
 
     driver.vote(tx.tx_id, 1, True)             # the slow shard's late PrepareOK
     driver.ack(tx.tx_id, 1)
-    assert driver.coordinator.stats.stale_messages == 2
+    assert driver.stats.stale_messages == 2
     assert not host.reference                  # never forwarded to R
     assert len(host.done) == 1

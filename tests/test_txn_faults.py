@@ -91,7 +91,7 @@ class DecisionLog:
 def _assert_one_crash_per_home(system: ShardedBlockchain) -> None:
     """``times=1`` holds per coordinator: every home consults its own copy
     of the scenario, so each crashes at most once — and some home must."""
-    crashes = [partition.home.coordinator.stats.coordinator_crashes
+    crashes = [partition.home.driver.stats.coordinator_crashes
                for partition in system.partitions.values()
                if partition.home is not None]
     assert set(crashes) <= {0, 1} and sum(crashes) >= 1, crashes
