@@ -152,6 +152,26 @@ def test_trusted_tally_commits_on_every_ok_and_aborts_on_the_first_not_ok(first_
     assert driver.in_flight == 0
 
 
+@pytest.mark.parametrize("not_ok_at", [0, 1, 2])
+def test_any_not_ok_vote_aborts_and_decides_at_once(not_ok_at):
+    """Whichever shard votes NotOK, and however many OKs came before it,
+    the tally aborts at that vote and the decision goes out once."""
+    clock, host, driver = build()
+    tx = payment(0, 1)
+    record = driver.submit(tx, [0, 1, 2])
+    for shard in (0, 1, 2):
+        clock.advance(1.0)
+        ok = shard != not_ok_at
+        driver.vote(tx.tx_id, shard, ok, reason=None if ok else "locked")
+        decided = shard >= not_ok_at
+        assert record.outcome is (DistributedTxOutcome.ABORTED if decided
+                                  else DistributedTxOutcome.PENDING)
+        assert bool(host.take("decision")) is (shard == not_ok_at)
+    assert record.decided_at == 1.0 + not_ok_at
+    assert record.abort_reason == "locked"
+    assert driver.stats.equivocations == 0
+
+
 def test_reference_committee_begin_orders_every_step_through_it():
     clock, host, driver = build(use_reference=True)
     tx = payment(0, 1)
@@ -209,6 +229,20 @@ def test_single_shard_transaction_bypasses_two_phase_commit():
     assert not host.reference
 
 
+def test_single_shard_failure_aborts_with_the_receipt_error():
+    clock, host, driver = build()
+    tx = payment(2, 2)
+    record = driver.submit(tx, [2])
+    driver.receipt("single", record, 2,
+                   TransactionReceipt(tx_id=tx.tx_id, status=TxStatus.ABORTED,
+                                      error="insufficient funds"))
+    assert record.outcome is DistributedTxOutcome.ABORTED
+    assert record.abort_reason == "insufficient funds"
+    assert record.phase is DistributedTxPhase.DONE
+    assert [done[0] for done in host.done] == [record]
+    assert driver.stats.aborted == 1
+
+
 @pytest.mark.parametrize("bad", [{"amount": "x"}, {"amount": None}])
 def test_unsplittable_transaction_is_rejected_before_anything_registers(bad):
     clock, host, driver = build()
@@ -241,6 +275,24 @@ def test_lost_prepare_is_redriven_to_the_silent_shard_only():
     assert record.redrives == 1
     assert record.prepare_deadline == 1.0 + 2 * TIMEOUT
     assert driver.stats.redriven_transactions == 1
+
+
+def test_prepare_deadline_stamped_and_expired():
+    """With R, the deadline runs from the moment BeginTx executes, not from
+    submission; once it passes, every silent shard is re-driven."""
+    clock, host, driver = build(use_reference=True)
+    tx = payment(0, 1)
+    record = driver.submit(tx, [0, 1])
+    assert record.prepare_deadline is None
+    clock.advance(1.0)
+    execute_reference(host, driver)
+    assert record.prepare_deadline == 1.0 + TIMEOUT
+    assert host.take("prepare") == [0, 1]
+
+    clock.advance(TIMEOUT)
+    assert host.take("prepare") == [0, 1]
+    assert record.redrives == 1
+    assert record.prepare_deadline == 1.0 + 2 * TIMEOUT
 
 
 def test_exhausted_budget_aborts_with_prepare_timeout_then_forces_acks():
@@ -363,6 +415,25 @@ def test_crash_at_prepare_recovery_sends_the_withheld_prepares():
     assert record.redrives == 1
 
 
+def test_crash_at_prepare_with_reference_committee_resubmits_begin_tx():
+    """A record still in BEGINNING is restarted from BeginTx: R never saw it."""
+    fault = CoordinatorCrashScenario(phase="prepare", at_tx=1, recover_after=1.0)
+    clock, host, driver = build(use_reference=True, fault=fault)
+    tx = payment(0, 1)
+    record = driver.submit(tx, [0, 1])
+    assert driver.crashed
+    assert not host.reference
+    assert record.phase is DistributedTxPhase.BEGINNING
+
+    clock.advance(1.0)
+    assert [(sent.function, attempt)
+            for sent, attempt in host.reference] == [("beginTx", 1)]
+    execute_reference(host, driver)
+    assert [(e[1], e[4]) for e in host.relayed if e[0] == "prepare"] == [(0, 1), (1, 1)]
+    assert record.prepare_deadline == 1.0 + TIMEOUT
+    assert driver.stats.redriven_transactions == 1
+
+
 def test_crash_at_decide_recovery_redrives_only_unsent_decisions():
     fault = CoordinatorCrashScenario(phase="decide", at_tx=2, recover_after=1.0)
     clock, host, driver = build(fault=fault)
@@ -442,7 +513,19 @@ def test_recovery_replays_finishes_restarts_and_redrives_in_that_order():
     # ... and is rejected once it committed
     ([0, 1], [(0, True), (1, True), (0, False)], DistributedTxOutcome.COMMITTED,
      True, (0, 0, 1)),
-], ids=["duplicate", "ok-after-not-ok", "equivocation", "equivocation-after-commit"])
+    # an identical NotOK revote is a counted no-op too
+    ([0, 1], [(0, False), (0, False)], DistributedTxOutcome.ABORTED, False,
+     (1, 0, 0)),
+    # the late OK is stale before the other shard has voted as well
+    ([0, 1], [(0, False), (0, True)], DistributedTxOutcome.ABORTED, False,
+     (0, 1, 0)),
+    # a late OK on an aborted transaction is recorded; its NotOK revote is
+    # equivocation that changes nothing
+    ([0, 1], [(1, False), (0, True), (0, False)], DistributedTxOutcome.ABORTED,
+     True, (0, 0, 1)),
+], ids=["duplicate", "ok-after-not-ok", "equivocation", "equivocation-after-commit",
+        "duplicate-not-ok", "ok-after-not-ok-before-every-vote",
+        "equivocation-after-abort"])
 def test_revotes_are_idempotent_or_rejected(shards, votes, outcome, first_vote,
                                             counts):
     """The first recorded vote is never overwritten, and a late vote on a
@@ -493,6 +576,24 @@ def test_duplicate_vote_and_ack_replays_are_counted_noops():
     assert (stats.duplicate_votes, stats.duplicate_acks) == (2, 2)
     assert record.outcome is DistributedTxOutcome.COMMITTED
     assert len(host.done) == 1
+
+
+def test_duplicate_ack_is_a_counted_noop():
+    clock, host, driver = build()
+    tx = payment(0, 1)
+    record = driver.submit(tx, [0, 1], completion="ticket")
+    for shard in (0, 1):
+        driver.vote(tx.tx_id, shard, True)
+    driver.ack(tx.tx_id, 0)
+    driver.ack(tx.tx_id, 0)
+    assert driver.stats.duplicate_acks == 1
+    assert record.phase is DistributedTxPhase.COMMITTING   # still missing shard 1
+    assert not host.done
+    driver.ack(tx.tx_id, 1)
+    driver.ack(tx.tx_id, 1)
+    assert driver.stats.duplicate_acks == 2
+    assert host.done == [(record, "ticket")]
+    assert driver.stats.committed == 1
 
 
 def test_stale_vote_and_ack_for_a_pruned_record_are_bookkeeping_only():
