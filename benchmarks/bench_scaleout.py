@@ -2,8 +2,10 @@
 
 This is the harness behind the CI ``bench-scaleout`` job.  It drives the
 same seeded Smallbank workload through the engine's partitions
-(:mod:`repro.core.scaleout`) once inline (``workers=1``) and once across
-worker processes (``workers=4``), and gates on the engine's whole contract:
+(:mod:`repro.core.scaleout`) once inline (``workers=1``) and once as four
+groups drained in parallel (``workers=4``: the parent drains one group
+itself beside three forked worker processes), and gates on the engine's
+whole contract:
 
 1. **Determinism** — the ``workers=4`` run must produce a **bit-identical**
    commit/abort/view-change fingerprint to the ``workers=1`` run of the same
@@ -30,6 +32,11 @@ worker processes (``workers=4``), and gates on the engine's whole contract:
    measured speedup is reported relative to the baseline's
    (``speedup_vs_baseline``).
 
+The parallel run also reports, ungated, its process count (``processes``:
+the parent plus its workers) and their summed peak resident set
+(``peak_rss_mb``: ``VmHWM`` of each, read from ``/proc`` before the workers
+stop; ``None`` where there is no ``/proc``).
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scaleout.py --mode quick -o BENCH_scaleout.json
@@ -40,11 +47,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import sys
 import time
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e"))
+
+from procstat import total_peak_rss_mb
 from repro.audit.auditor import SafetyAuditor
 from repro.core import OpenLoopDriver, ShardedBlockchain, ShardedSystemConfig
 from repro.ledger.transaction import rebase_tx_counter
@@ -107,6 +118,15 @@ def run_workers(workers: int, num_shards: int, num_keys: int, transactions: int,
         "wall_seconds": round(wall, 2),
         "coordinator_work_share": round(system.coordinator_work_share, 4),
     }
+    if workers > 1:
+        # Read while the workers are still alive: close() reaps them.
+        pids = [os.getpid()] + [child.pid for child in
+                                multiprocessing.active_children()]
+        result["processes"] = len(pids)
+        try:
+            result["peak_rss_mb"] = round(total_peak_rss_mb(pids), 1)
+        except OSError:  # no /proc on this platform
+            result["peak_rss_mb"] = None
     if auditor is not None:
         settled = auditor.settle()
         report = auditor.check()
@@ -150,7 +170,9 @@ def main(argv=None) -> int:
                            rate, args.seed)
     print(f"[bench] workers={args.workers}: {parallel['committed']} committed / "
           f"{parallel['aborted']} aborted, {parallel['wall_seconds']}s wall, "
-          f"{parallel['committed_tps_wall']} committed/s wall")
+          f"{parallel['committed_tps_wall']} committed/s wall, "
+          f"{parallel.get('processes', 1)} processes, summed peak RSS "
+          f"{parallel.get('peak_rss_mb')} MB")
     inline = run_workers(1, num_shards, num_keys, transactions, rate, args.seed)
     print(f"[bench] workers=1: {inline['committed']} committed / "
           f"{inline['aborted']} aborted, {inline['wall_seconds']}s wall, "

@@ -88,7 +88,8 @@ class ShardedSystemConfig:
     #: :mod:`repro.core.scaleout`) are drained.  ``None`` — the default —
     #: and ``1`` drain them inline in the caller's process, which keeps
     #: the replicas reachable (``system.shards``, the safety auditor); an
-    #: integer ``N > 1`` spreads them over N worker processes.  Outcomes —
+    #: integer ``N > 1`` spreads them over N groups drained in parallel, one
+    #: by the caller's process and N - 1 by forked workers.  Outcomes —
     #: commit/abort/view-change fingerprints — are bit-identical for every
     #: value of the same seed+config.
     workers: Optional[int] = None

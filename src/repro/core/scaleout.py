@@ -4,7 +4,7 @@ The paper's own structure makes the cut: committees only interact through
 the coordination layer, never directly.  So the one engine
 (:class:`~repro.core.system.ShardedBlockchain`) is a set of partitions plus
 a thin parent, and this module is the partitions and what drains them —
-inline in the caller's process, or spread over worker processes, with
+inline in the caller's process, or spread over it and worker processes, with
 bit-identical outcomes either way.
 
 Two-tier architecture
@@ -43,8 +43,8 @@ Commands between partitions are exchanged as one batched
 :class:`~repro.core.homecoord.WindowBlock` /
 :class:`~repro.core.homecoord.WindowResult` exchange per worker per window,
 in the primitive form of the :mod:`repro.codec` wire codec (no class is
-pickled on the pipe) —
-commands held by a worker for its own partitions never leave the process,
+pickled on the pipe); the parent's own group gets its block as objects —
+commands held by a group for its own partitions never leave the process,
 but they are *also* only injected at the next window start, so grouping
 cannot change injection timing.
 
@@ -54,11 +54,13 @@ Executors
 order.  Inline (``workers`` ``None`` or ``1``) one group holds every
 partition in the caller's process — the mode in which the replicas are
 reachable (``system.shards``, the :class:`~repro.audit.auditor.SafetyAuditor`).
-:class:`_ProcessExecutor` (``workers=N``) forks N persistent worker
-processes, each serving one group chosen by
+:class:`_ProcessExecutor` (``workers=N``) drains the N groups chosen by
 :func:`~repro.core.homecoord.assign_partitions` (deterministic load-aware
-LPT).  Because partitions are self-contained and all cross-partition effects
-are window-batched, the grouping cannot affect outcomes.  Each partition
+LPT) in parallel with N processes: it forks N - 1 persistent worker
+processes, one per group but the first, then builds the first group in the
+parent and drains it there while the workers drain theirs.  Because
+partitions are self-contained and all cross-partition effects are
+window-batched, the grouping cannot affect outcomes.  Each partition
 additionally owns a disjoint transaction-id stream swapped into the
 process-global counter around its windows, so even transaction *ids* are
 grouping-invariant.
@@ -404,7 +406,8 @@ class ShardPartition:
 class _PartitionGroup:
     """A fixed set of partitions drained together, serially in shard order:
     all of them in this process (inline mode, where the group is the
-    executor itself) or one group per worker process.
+    executor itself) or one of a process-mode executor's groups, drained by
+    the parent or by a worker process.
 
     Commands routed between two partitions of the same group are *held*
     locally instead of travelling through the parent — but they are still
@@ -492,14 +495,17 @@ class _WorkerHandle:
 
 
 class _ProcessExecutor:
-    """Partitions spread over persistent worker processes.
+    """Partition groups drained in parallel: one by this process, each other
+    one by a persistent worker process.
 
     Grouping comes from :func:`~repro.core.homecoord.assign_partitions`
-    (load-aware LPT by default).  Every request is the same RPC — send
-    ``(method, args)`` to each worker, read one reply from each — and a
-    worker that dies is detected by polling its liveness while waiting for
-    the reply, so a crash raises a clear error naming the lost partitions
-    instead of hanging on a pipe.
+    (load-aware LPT by default); the first non-empty group stays in the
+    parent, so ``workers=N`` runs N processes in all.  Every request is the
+    same exchange — send ``(method, args)`` to each worker, serve the local
+    group meanwhile, read one reply from each worker — and a worker that
+    dies is detected by polling its liveness while waiting for the reply,
+    so a crash raises a clear error naming the lost partitions instead of
+    hanging on a pipe.
     """
 
     def __init__(self, config: ShardedSystemConfig, shard_ids: List[int],
@@ -511,10 +517,11 @@ class _ProcessExecutor:
         # Workers inherit numpy from the fork instead of each importing it
         # on its first block draw, inside a timed window.
         vectorized.numpy_available()
+        local, *remote = [owned for owned in
+                          assign_partitions(shard_ids, workers, config) if owned]
         self._workers: List[_WorkerHandle] = []
-        for owned in assign_partitions(shard_ids, workers, config):
-            if not owned:
-                continue
+        self._closed = False
+        for owned in remote:
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(target=_worker_main,
                                   args=(child_conn, config, owned),
@@ -522,7 +529,12 @@ class _ProcessExecutor:
             process.start()
             child_conn.close()
             self._workers.append(_WorkerHandle(process, parent_conn, owned))
-        self._closed = False
+        # Built after the forks, so no worker inherits a copy of it.
+        try:
+            self._local = _PartitionGroup(config, local)
+        except BaseException:
+            self.close()
+            raise
 
     def _send(self, handle: _WorkerHandle, method: str, *args: Any) -> None:
         try:
@@ -547,28 +559,62 @@ class _ProcessExecutor:
                 f"scale-out worker owning partitions {handle.owned} closed "
                 "its pipe mid-run (see its stderr)") from exc
 
+    def _exchange(self, method: str, worker_args: List[Tuple[Any, ...]],
+                  local: Callable[[], Any]) -> List[Any]:
+        """Send ``(method, worker_args[i])`` to worker ``i``, run ``local()``
+        while the workers drain, then read one reply from each worker:
+        ``[local reply, *worker replies]``.
+
+        Every request that went out has its reply read, even when
+        ``local()``, a send or another worker fails — a reply left on a
+        pipe would be taken for the answer to the next request — and the
+        first error is raised after.
+        """
+        sent: List[_WorkerHandle] = []
+        replies: List[Any] = []
+        error: Optional[Exception] = None
+        try:
+            for handle, args in zip(self._workers, worker_args):
+                self._send(handle, method, *args)
+                sent.append(handle)
+            replies.append(local())
+        except Exception as exc:
+            error = exc
+        for handle in sent:
+            try:
+                replies.append(self._recv(handle))
+            except SimulationError as exc:
+                error = error or exc
+        if error is not None:
+            raise error
+        return replies
+
     def call(self, method: str, *args: Any) -> List[Any]:
-        """``group.method(*args)`` on every worker; one reply per worker."""
-        for handle in self._workers:
-            self._send(handle, method, *args)
-        return [self._recv(handle) for handle in self._workers]
+        """``group.method(*args)`` on every group; one reply per group, the
+        parent's own first."""
+        return self._exchange(method, [args] * len(self._workers),
+                              lambda: getattr(self._local, method)(*args))
 
     def run_window(self, block: WindowBlock) -> WindowResult:
         by_dest = group_by_dest(block.commands)
-        for handle in self._workers:
+
+        def block_for(owned: List[int]) -> WindowBlock:
             commands: List[Command] = []
-            for shard_id in handle.owned:
+            for shard_id in owned:
                 commands.extend(by_dest.pop(shard_id, ()))
-            self._send(handle, "run_window", WindowBlock(
-                until=block.until, epoch=block.epoch,
-                commands=tuple(commands)))
+            return WindowBlock(until=block.until, epoch=block.epoch,
+                               commands=tuple(commands))
+
+        local_block = block_for(self._local.shard_ids)
+        worker_args = [(block_for(handle.owned),) for handle in self._workers]
         if by_dest:  # pragma: no cover - protocol bug guard
             raise SimulationError(
                 f"commands for unowned partitions {sorted(by_dest)}")
         outputs: List[Any] = []
         routed: List[Command] = []
-        for handle in self._workers:
-            result = self._recv(handle)
+        for result in self._exchange(
+                "run_window", worker_args,
+                lambda: self._local.run_window(local_block)):
             outputs.extend(result.outputs)
             routed.extend(result.routed)
         return WindowResult(outputs=tuple(outputs), routed=tuple(routed))

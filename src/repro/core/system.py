@@ -29,7 +29,8 @@ drained: ``None`` (or ``1``) drains them inline in this process — then
 :class:`~repro.consensus.cluster.ConsensusCluster` objects and
 ``system.partitions`` the partitions themselves, which is what the
 :class:`~repro.audit.auditor.SafetyAuditor` attaches to — while an integer
-``N > 1`` spreads them over ``N`` worker processes.  Commit/abort/
+``N > 1`` spreads them over ``N`` groups drained in parallel, one by this
+process itself and ``N - 1`` by forked worker processes.  Commit/abort/
 view-change fingerprints are bit-identical for every ``workers`` value of
 the same seed+config.
 
@@ -201,15 +202,16 @@ class AdmissionCounts(NamedTuple):
 
 
 class _RemoteShard:
-    """``system.shards[s]`` in process mode: the committee lives in a worker."""
+    """``system.shards[s]`` in process mode: the committee is out of reach."""
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
 
     def __getattr__(self, name: str) -> Any:
         raise ConfigurationError(
-            f"shard {self.shard_id}'s {name!r} is out of reach: its replicas "
-            "live in a worker process.  Build the system with workers=None "
+            f"shard {self.shard_id}'s {name!r} is out of reach: in process "
+            "mode the replicas are spread over the executor's partition "
+            "groups.  Build the system with workers=None "
             "(bit-identical outcomes) to touch the clusters")
 
 
@@ -302,7 +304,8 @@ class ShardedBlockchain:
         """The live partitions by shard id (``REFERENCE_SHARD_ID`` included)."""
         if not self._inline:
             raise ConfigurationError(
-                "the partitions live in worker processes: build the system "
+                "the partitions are spread over process-mode partition "
+                "groups: build the system "
                 "with workers=None (bit-identical to workers=N by the "
                 "engine's determinism guarantee) to reach them")
         return self.executor.partitions
@@ -422,7 +425,9 @@ class ShardedBlockchain:
         With coordination, admission, the reference committee and the
         drivers all in-partition, the parent's share of each window should
         be small (< 20% under the benchmark gate) — it only merges outputs
-        and runs epoch control.
+        and runs epoch control.  Window time is the executor's whole
+        exchange, so in process mode it includes the parent draining its
+        own partition group, which is partition work, not parent-tier work.
         """
         total = self._window_seconds + self._parent_seconds
         return self._parent_seconds / total if total > 0 else 0.0

@@ -4,10 +4,15 @@ Covers the pure functions the engine's determinism argument rests
 on — home-partition assignment, load-aware worker grouping, batched-RPC
 framing — plus the worker-lifecycle regression: a worker process dying
 mid-window must raise a clear error naming its partitions instead of
-hanging the parent on a pipe read.
+hanging the parent on a pipe read — and the process topology: the parent
+drains one partition group itself, so ``workers=N`` forks ``N - 1`` workers.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import time
+from unittest import mock
 
 import pytest
 
@@ -172,3 +177,53 @@ class TestWorkerLifecycle:
         system.close()
         assert all(not process.is_alive() for process in processes)
         system.close()  # idempotent
+
+
+class TestProcessTopology:
+    @pytest.mark.parametrize("workers, reference, children",
+                             [(2, True, 1), (3, True, 2), (3, False, 2)])
+    def test_parent_drains_one_group_beside_n_minus_1_workers(
+            self, workers, reference, children):
+        before = set(multiprocessing.active_children())
+        config = ShardedSystemConfig(num_shards=3, committee_size=4,
+                                     num_keys=400, seed=13, workers=workers,
+                                     use_reference_committee=reference)
+        system = ShardedBlockchain(config)
+        try:
+            forked = set(multiprocessing.active_children()) - before
+            assert len(forked) == children
+            executor = system.executor
+            owned = list(executor._local.shard_ids)
+            for handle in executor._workers:
+                owned.extend(handle.owned)
+            expected = [0, 1, 2] + ([REFERENCE_SHARD_ID] if reference else [])
+            assert sorted(owned) == sorted(expected)
+            assert executor._local.shard_ids
+            assert all(handle.owned for handle in executor._workers)
+        finally:
+            system.close()
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_failing_local_window_leaves_no_reply_unread(self):
+        """The parent's own group raising mid-window must still read every
+        worker's reply: the next request gets fresh answers, close() returns
+        within its timeout, and no worker outlives it."""
+        config = ShardedSystemConfig(num_shards=3, committee_size=4,
+                                     num_keys=400, seed=13, workers=3)
+        system = ShardedBlockchain(config)
+        executor = system.executor
+        system.advance(system.sim.now + 2 * system.config.relay_delay)
+        with mock.patch.object(executor._local, "run_window",
+                               side_effect=RuntimeError("local group failed")):
+            with pytest.raises(RuntimeError, match="local group failed"):
+                system.advance(system.sim.now + system.config.relay_delay)
+        summaries = executor.call("gather", "summary")
+        assert [sorted(reply) for reply in summaries] == (
+            [executor._local.shard_ids]
+            + [handle.owned for handle in executor._workers])
+        processes = [handle.process for handle in executor._workers]
+        started = time.monotonic()
+        system.close()
+        assert time.monotonic() - started < 5.0
+        assert all(not process.is_alive() for process in processes)
+        assert all(process.exitcode == 0 for process in processes)

@@ -103,15 +103,21 @@ def _run(workers, overrides, reconfigure, extra_horizon=10.0):
     return fingerprint
 
 
+#: The scenario also run at workers=3, where the parent drains one of the
+#: four partitions' groups beside two workers while the adversary and a
+#: swap-batch reconfiguration cross group boundaries.
+THREE_WORKER_SCENARIO = "adversary-tee"
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_workers_do_not_change_outcomes(name):
-    """workers=None, 1 and 2 produce bit-identical fingerprints."""
+    """workers=None, 1 and 2 (and 3 on one scenario) produce bit-identical
+    fingerprints."""
     factory, reconfigure = SCENARIOS[name]
-    default = _run(None, factory(), reconfigure)
-    inline = _run(1, factory(), reconfigure)
-    processes = _run(2, factory(), reconfigure)
-    assert default == inline == processes, (
-        f"scenario {name} diverged across worker counts")
+    counts = (None, 1, 2, 3) if name == THREE_WORKER_SCENARIO else (None, 1, 2)
+    fingerprints = [_run(workers, factory(), reconfigure) for workers in counts]
+    assert all(fp == fingerprints[0] for fp in fingerprints), (
+        f"scenario {name} diverged across worker counts {counts}")
 
 
 def _golden(committed, aborted, per_shard, abort_reasons, locks):
