@@ -11,7 +11,9 @@ What it does (the CI ``service-smoke`` job runs ``--mode quick``):
    same recording through the HTTP gateway with ``wait=1``, measuring
    per-transaction wall latency (p50/p99).
 4. Pushes a concurrent fire-and-forget phase through the gateway and
-   measures sustained throughput.
+   measures sustained throughput, then reads each shard's ``txs_per_block``
+   from ``/health``: how full the leader's own cut made the blocks over the
+   whole run.
 
 Gates (exit 1 on failure):
 
@@ -20,7 +22,8 @@ Gates (exit 1 on failure):
 * the sim twin's auditor reports zero violations;
 * every concurrent-phase submission is answered (committed+aborted adds up).
 
-Latency/throughput numbers are reported, not gated — CI machines vary.
+Latency, throughput and block-filling numbers are reported, not gated — CI
+machines vary.
 
 Usage::
 
@@ -128,7 +131,8 @@ def run_service_concurrent(serve: ServeProcess, count: int) -> dict:
     elapsed = time.perf_counter() - started
     return {"transactions": submitted, "elapsed_s": round(elapsed, 3),
             "tps": round(submitted / elapsed, 2),
-            "final_in_flight": health["in_flight"]}
+            "final_in_flight": health["in_flight"],
+            "txs_per_block": health["txs_per_block"]}
 
 
 def main(argv=None) -> int:
@@ -203,7 +207,9 @@ def main(argv=None) -> int:
         print("FAILED:", "; ".join(failures), file=sys.stderr)
         return 1
     print(f"ok: {len(service_outcomes)} serial + {concurrent['transactions']} "
-          f"concurrent transactions, sim-equivalent, auditor clean")
+          f"concurrent transactions, sim-equivalent, auditor clean; serial p50 "
+          f"{report['serial']['latency_p50_ms']} ms, txs_per_block "
+          f"{concurrent['txs_per_block']}")
     return 0
 
 

@@ -143,9 +143,9 @@ class ShardPartition:
     read ``sim``; everything else schedules through ``runtime``.  A live
     shard process (:class:`repro.service.shardnode.LivePartition`) passes
     its wall clock and socket network instead, never calls the window
-    methods, and overrides the three transport points: :meth:`_send`
-    (commands to other partitions), :meth:`_output` (reports to the parent)
-    and :meth:`hand_to_committee`.
+    methods, and overrides the two transport points: :meth:`_send`
+    (commands to other partitions) and :meth:`_output` (reports to the
+    parent).
     """
 
     def __init__(self, config: ShardedSystemConfig, shard_id: int,

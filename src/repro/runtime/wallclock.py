@@ -15,7 +15,10 @@ here as callbacks on a real ``asyncio`` event loop:
   so a service node seeded like its sim twin draws identical random streams.
 
 Every member of the seam means the same thing on both clocks; what differs
-is only how events interleave.
+is only how events interleave.  A delay the protocol stack asks for is
+waited out for real, so a live shard asks for none that is modelled: its
+committee charges no operation costs and its in-memory network no latency
+(:mod:`repro.service.shardnode`); only protocol timers remain.
 
 Determinism note: this module is wall-clock *on purpose* and is scoped out
 of detlint's DET001 by the ``service`` policy scope; everything that calls

@@ -48,6 +48,8 @@ class ServiceCluster:
         #: built from.  No reference committee: the trusted coordinator, until
         #: R runs as a process.  No relay delay: the socket is the hop.  No
         #: retained 2PC records: the gateway keeps the one ``/tx/{id}`` reads.
+        #: Bounded metric series and header-only ledgers, so a long-running
+        #: shard does not grow with every block it commits.
         self.config: Dict[str, Any] = {
             "num_shards": num_shards,
             "committee_size": committee_size,
@@ -55,11 +57,13 @@ class ServiceCluster:
             "seed": seed,
             "benchmark": benchmark,
             "num_keys": num_keys,
-            "consensus_overrides": dict(consensus_overrides or {}),
+            "consensus_overrides": {"ledger_retention": "headers",
+                                    **(consensus_overrides or {})},
             "use_reference_committee": False,
             "prepare_timeout": prepare_timeout,
             "relay_delay": 0.0,
             "retain_tx_records": False,
+            "max_series_samples": 512,
         }
         self.runtime: Optional[AsyncioRuntime] = None
         self.service: Optional[GatewayService] = None

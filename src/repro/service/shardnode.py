@@ -24,36 +24,38 @@ the agent a command that is no peer op for this shard; each refusal is a
 ``FrameError`` that closes its connection before anything reaches the
 committee or the coordinator.  A closed link reads as a dead peer, so the
 gateway refuses (``400``/``413``) what a shard or the frame cap would.
-The agent is the partition's only way into its committee, and a hand-over
-is *not* a request: the agent is a batching client clocked by the
-committee's own CPU.  While none of its requests waits at the receiving
-replica, transactions are handed over in the same call; otherwise they wait
-in the agent until that replica's serial CPU has handled the previous
-request and finished what it started (the leader's proposal), and then
-leave as one request — so under load a block carries what arrived during
-one leader-CPU cycle, and there is no batch size or timeout to tune.
+A live shard charges nothing modelled (:data:`LIVE_CONSENSUS`): no Table-2
+operation costs, no ``proposal_overhead`` and no delay on the network's
+in-memory half, so the real hashing, MACs, codec and sockets set its
+latency.  The sim twin keeps the model.  Transactions reach the committee
+as the sim partition's do, one request each; the leader keeps one block in
+flight and proposes the next no sooner than :data:`BLOCK_INTERVAL` after
+its last block, so each block carries whatever arrived meanwhile and the
+protocol's clock, not the CPU the host happens to spare, sets the pace.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import signal
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.codec import checker
-from repro.consensus.base import CommitEvent, ConsensusReplica
-from repro.consensus.cluster import ConsensusCluster
+from repro.consensus.base import CommitEvent
 from repro.core.config import ShardedSystemConfig
 from repro.core.homecoord import (
     PARENT, Command, TxDone, partition_stream_seed, partition_tx_counter,
 )
 from repro.core.scaleout import ShardPartition
 from repro.core.splitters import release_routed_table
+from repro.crypto.costs import OperationCosts
 from repro.errors import SimulationError, WorkloadError
 from repro.ledger.transaction import Transaction, swap_tx_counter
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.frames import FrameError
 from repro.service.socketnet import SocketNetwork
+from repro.sim.latency import LanLatencyModel
 from repro.sim.network import Message, REQUEST_CHANNEL
 
 #: Node id of the gateway's control-plane agent in every SocketNetwork.
@@ -71,6 +73,27 @@ KIND_BALANCE_QUERY = "svc-balance-query"
 KIND_BALANCE_REPLY = "svc-balance-reply"
 KIND_PONG = "svc-pong"
 KIND_SHUTDOWN = "svc-shutdown"
+
+#: Seconds a live leader waits after its last block before proposing the
+#: next: a commit timeout, as in Tendermint (Fabric's batch timeout plays
+#: the same part).  It is several times what a round of real work costs, so
+#: the protocol sets a shard's pace; without it the pace followed the CPU a
+#: shared host happened to spare, and closed-loop throughput varied by a
+#: third between identical runs.
+BLOCK_INTERVAL = 0.03
+#: The consensus overrides every live committee runs with, on top of the
+#: deployment's: nothing modelled is charged, and the leader keeps one block
+#: in flight, cutting the next from what arrived meanwhile.
+LIVE_CONSENSUS: Dict[str, Any] = {
+    "costs": OperationCosts(**{field.name: 0.0
+                               for field in dataclasses.fields(OperationCosts)}),
+    "proposal_overhead": 0.0,
+    "pipeline_depth": 1,
+    "min_block_interval": BLOCK_INTERVAL,
+}
+#: The in-memory half's latency on a live shard: none, the hop is a call.
+NO_DELAY = LanLatencyModel(base_latency=0.0, bandwidth_bps=float("inf"),
+                           jitter_fraction=0.0)
 
 
 def shard_agent_id(shard_id: int) -> int:
@@ -102,26 +125,17 @@ _PEER_OPS = {"prepare2pc": 1, "decision": 1, "vote": 0, "ack": 0}
 
 
 class ShardAgent:
-    """The shard process's network node and its committee's batching client:
-    2PC frames go on to ``partition`` (None: a bare batching client), and
+    """The shard process's network node: frames go on to ``partition``, and
     every committed block is reported to the gateway."""
 
-    def __init__(self, shard_id: int, cluster: ConsensusCluster,
-                 network: SocketNetwork, stop: asyncio.Event,
-                 partition: Optional["LivePartition"] = None) -> None:
-        self.shard_id = shard_id
-        self.node_id = shard_agent_id(shard_id)
-        self.cluster = cluster
-        self.network = network
+    def __init__(self, partition: "LivePartition", stop: asyncio.Event) -> None:
+        self.shard_id = partition.shard_id
+        self.node_id = shard_agent_id(self.shard_id)
+        self.network = partition.network
         self.partition = partition
         self._stop = stop
-        self.submits_received = 0
-        #: Transactions not yet handed to the committee, in arrival order,
-        #: and whether a request of ours still occupies its replica's CPU.
-        self._buffer: List[Transaction] = []
-        self._request_waiting = False
-        network.register(self)
-        cluster.subscribe_commits(self._report_block)
+        self.network.register(self)
+        partition.cluster.subscribe_commits(self._report_block)
 
     def deliver(self, message: Message) -> None:
         kind, payload = message.kind, message.payload
@@ -141,46 +155,10 @@ class ShardAgent:
         elif kind == KIND_BALANCE_QUERY:
             self.send(GATEWAY_NODE_ID, KIND_BALANCE_REPLY, {
                 "query_id": payload["query_id"], "key": payload["key"],
-                "value": self.cluster.honest_observer().state.get(payload["key"]),
+                "value": self.partition.cluster.honest_observer().state.get(payload["key"]),
                 "shard_id": self.shard_id})
         else:  # KIND_SHUTDOWN
-            if self._buffer:
-                self._hand_over()
             self._stop.set()
-
-    def hand(self, transactions: List[Transaction]) -> None:
-        """Queue ``transactions`` for the committee, in arrival order."""
-        self.submits_received += len(transactions)
-        self._buffer.extend(transactions)
-        if not self._request_waiting:
-            self._hand_over()
-
-    def _hand_over(self) -> None:
-        """Everything buffered becomes one client request to the committee."""
-        transactions, self._buffer = self._buffer, []
-        replica = self.cluster.submit(transactions)
-        # Parked (None): the cluster replays it itself, nobody to clock on.
-        self._request_waiting = replica is not None
-        if replica is not None:
-            stats = replica.stats
-            self._await_handled(replica, stats.messages_received
-                                - stats.messages_dropped_queue_full)
-
-    def _await_handled(self, replica: ConsensusReplica, admitted: int) -> None:
-        """Zero-cost markers on the replica's serial CPU: release once it has
-        handled our request (the ``admitted``-th message it took in) and
-        finished what that started — the leader's proposal."""
-        if replica.stats.messages_processed < admitted:
-            # Also re-queues when a real clock fires the marker before the
-            # request it was queued behind (same-instant timers are unordered).
-            replica.cpu_execute(0.0, self._await_handled, replica, admitted)
-        else:
-            replica.cpu_execute(0.0, self._cpu_released)
-
-    def _cpu_released(self) -> None:
-        self._request_waiting = False
-        if self._buffer:
-            self._hand_over()
 
     def _report_block(self, event: CommitEvent) -> None:
         if event.receipts:
@@ -199,17 +177,18 @@ class LivePartition(ShardPartition):
 
     Seeded by the partition's rule, so it forks its simulated twin's rng
     streams.  Commands for other partitions leave as ``svc-command``, reports
-    for the parent (the gateway) as ``svc-done``; the committee is reached
-    through the agent's batching, so a re-drive's ``attempt`` (one request
-    carries many transactions) does not rotate the first contact.
+    for the parent (the gateway) as ``svc-done``.  Its committee runs with
+    :data:`LIVE_CONSENSUS` and its replicas talk with :data:`NO_DELAY`.
     """
 
     def __init__(self, config: ShardedSystemConfig, shard_id: int,
                  stop: asyncio.Event, listen_host: str = "127.0.0.1") -> None:
         runtime = AsyncioRuntime(seed=partition_stream_seed(config.seed, shard_id))
+        config = dataclasses.replace(config, consensus_overrides={
+            **config.consensus_overrides, **LIVE_CONSENSUS})
         super().__init__(config, shard_id, runtime,
-                         SocketNetwork(runtime, listen_host=listen_host))
-        self.agent = ShardAgent(shard_id, self.cluster, self.network, stop, self)
+                         SocketNetwork(runtime, NO_DELAY, listen_host=listen_host))
+        self.agent = ShardAgent(self, stop)
         self.network.on_peer_down = self._on_peers_down
 
     def _send(self, command: Command) -> None:
@@ -217,9 +196,6 @@ class LivePartition(ShardPartition):
 
     def _output(self, report: Any) -> None:
         self.agent.send(GATEWAY_NODE_ID, KIND_DONE, report)
-
-    def hand_to_committee(self, transactions: List[Transaction], attempt: int) -> None:
-        self.agent.hand(transactions)
 
     def submit_from_gateway(self, tx: Transaction) -> None:
         """A transaction the gateway routed here, refused unless homed here."""

@@ -5,8 +5,9 @@ destinations come in two flavours:
 
 * **local** nodes (registered in this process, e.g. a shard's whole
   committee) are delivered exactly as the in-memory network delivers them —
-  modelled latency, loss and partition injection included, scheduled on the
-  wall-clock runtime;
+  its latency model, loss and partition injection included, scheduled on
+  the wall-clock runtime.  A live shard gives it a zero-delay model
+  (:data:`repro.service.shardnode.NO_DELAY`): a local hop is a call;
 * **remote** peers (added with :meth:`add_peer`, e.g. the gateway seen from
   a shard process) receive the ``Message`` as a length-prefixed frame
   (:mod:`repro.service.frames`, encoded by :mod:`repro.codec`) over a

@@ -97,8 +97,8 @@ class Network:
     sim:
         The owning :class:`~repro.runtime.base.Runtime` — the
         :class:`~repro.sim.simulator.Simulator` or a wall-clock runtime.
-        Under a wall-clock runtime the modelled latencies become real
-        ``call_later`` delays.
+        Under a wall-clock runtime each delay is waited out for real
+        (``call_later``), which is why live shards pass a zero-delay model.
     latency_model:
         Converts (source region, destination region, size) into a delay;
         ``None`` is the :class:`~repro.sim.latency.LanLatencyModel`.

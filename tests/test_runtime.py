@@ -6,17 +6,24 @@ stack commits through either.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import random
 
 import pytest
 
+from repro.consensus.base import ConsensusConfig
 from repro.consensus.cluster import ConsensusCluster, NoopChaincode
 from repro.core.config import ShardedSystemConfig
 from repro.core.scaleout import ShardPartition
+from repro.core.splitters import benchmark_for
+from repro.crypto.costs import DEFAULT_COSTS
 from repro.errors import SimulationError
 from repro.runtime import AsyncioRuntime
 from repro.runtime.base import Runtime, derive_label_rng
-from repro.service.shardnode import LivePartition
+from repro.service.serve import ServiceCluster
+from repro.service.shardnode import (
+    BLOCK_INTERVAL, GATEWAY_NODE_ID, KIND_BLOCK, LivePartition,
+)
 from repro.sim.simulator import Simulator
 
 
@@ -166,6 +173,73 @@ class TestAsyncioRuntime:
 
         sim_rng = ShardPartition(config, 1).runtime.fork_rng("probe")
         assert asyncio.run(live_draws()) == [sim_rng.random() for _ in range(3)]
+
+    def test_live_partition_charges_nothing_modelled_and_its_sim_twin_keeps_the_model(self):
+        config = ShardedSystemConfig(num_shards=2, committee_size=4, protocol="AHL",
+                                     use_reference_committee=False, num_keys=50,
+                                     seed=9, consensus_overrides={"batch_size": 50})
+
+        async def live_partition():
+            return LivePartition(config, 0, asyncio.Event())
+
+        live = asyncio.run(live_partition())
+        for replica in live.cluster.replicas:
+            costs = replica.config.costs
+            assert all(getattr(costs, field.name) == 0.0
+                       for field in dataclasses.fields(costs))
+            assert replica.config.proposal_overhead == 0.0
+            assert replica.config.pipeline_depth == 1
+            assert replica.config.min_block_interval == BLOCK_INTERVAL > 0.0
+            assert replica.config.batch_size == 50  # the deployment's own overrides stay
+        rng = random.Random(0)
+        assert live.network.latency_model.delay("local", "local", 1 << 20, rng) == 0.0
+        assert live.network.delay_bound(1 << 20) == 0.0
+        # The config is the deployment's, untouched: the sim twin keeps the model.
+        assert config.consensus_overrides == {"batch_size": 50}
+        sim = ShardPartition(config, 0)
+        for replica in sim.cluster.replicas:
+            assert replica.config.costs is DEFAULT_COSTS
+            assert replica.config.proposal_overhead == ConsensusConfig.proposal_overhead > 0
+            assert replica.config.pipeline_depth == ConsensusConfig.pipeline_depth
+            assert replica.config.min_block_interval == ConsensusConfig.min_block_interval
+        assert sim.network.latency_model.delay("local", "local", 512, rng) > 0.0
+
+    def test_live_shard_retains_a_bounded_ledger(self):
+        """``repro-serve``'s shard config keeps headers only: after more blocks
+        than ``ledger_retain_recent`` every replica holds at most that many bodies."""
+        config = ShardedSystemConfig(**ServiceCluster(num_shards=1, num_keys=100).config)
+        retain = ConsensusConfig.ledger_retain_recent
+        chaincode = benchmark_for("smallbank").chaincode()
+
+        class Gateway:
+            node_id = GATEWAY_NODE_ID
+            blocks = 0
+
+            def deliver(self, message):
+                self.blocks += message.kind == KIND_BLOCK
+
+        gateway = Gateway()
+
+        async def scenario():
+            partition = LivePartition(config, 0, asyncio.Event())
+            partition.network.register(gateway)
+            for index in range(retain + 6):
+                committed = asyncio.get_running_loop().create_future()
+                tx = chaincode.new_transaction(
+                    "deposit", {"account": str(index % 100), "amount": 1},
+                    client_id="test")
+                partition.watch(tx.tx_id, committed.set_result)
+                partition.hand_to_committee([tx], 0)
+                await asyncio.wait_for(committed, timeout=10.0)
+            await asyncio.sleep(0.05)  # followers apply the last block
+            return partition
+
+        partition = asyncio.run(scenario())
+        assert gateway.blocks == retain + 6  # one block per transaction, reported
+        for replica in partition.cluster.replicas:
+            assert replica.blockchain.height == retain + 6
+            assert len(replica.blockchain.blocks()) <= retain
+        assert partition.cluster.monitor.max_samples == 512
 
     def test_run_requires_the_simulated_runtime(self):
         async def scenario():

@@ -1,23 +1,28 @@
-"""Load-driven block filling: the shard agent is a batching client.
+"""Blocks fill with the load: the leader's own cut at ``pipeline_depth=1``.
 
-``ShardAgent`` hands its committee one request per leader-CPU cycle, not one
-per transaction its partition hands it.  Part (a) pins the hand-over rule on
-the simulated clock, where it is deterministic, with a real 4-replica AHL
-committee; part (b) drives a live 2-shard cluster and checks that a burst
-still commits exactly once, conserves money, and fills blocks.
+A live shard hands each transaction to its committee as its own request, as
+the simulated partition does; the leader keeps one block in flight and
+waits :data:`~repro.service.shardnode.BLOCK_INTERVAL` after its last block,
+so the next block carries whatever arrived meanwhile.  Part (a) pins that
+cut on the simulated clock, where it is deterministic, with the live
+committee's own configuration (:data:`~repro.service.shardnode.LIVE_CONSENSUS`,
+no network delay) and a real 4-replica AHL committee; part (b) drives a live
+2-shard cluster and checks that a burst still commits exactly once,
+conserves money, and fills blocks.
 """
 
 from __future__ import annotations
 
-import asyncio
+import dataclasses
 import time
 
 import pytest
 
 from repro.core.config import ShardedSystemConfig
-from repro.core.splitters import benchmark_for, build_committee
-from repro.service.shardnode import GATEWAY_NODE_ID, KIND_SHUTDOWN, ShardAgent
-from repro.sim.network import Message, Network, REQUEST_CHANNEL
+from repro.core.scaleout import ShardPartition
+from repro.core.splitters import benchmark_for
+from repro.service.shardnode import BLOCK_INTERVAL, LIVE_CONSENSUS, NO_DELAY
+from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import shard_of_key
 from repro.workloads.smallbank import DEFAULT_BALANCE, account_key
@@ -26,158 +31,78 @@ from service_harness import ServeProcess
 
 
 # ------------------------------------------------------- (a) simulated clock
-class _Gateway:
-    """Stands in for the gateway's node; keeps each committed block's receipts."""
-
-    node_id = GATEWAY_NODE_ID
-
-    def __init__(self) -> None:
-        self.frames = []
-
-    def deliver(self, message: Message) -> None:
-        pass
-
-    def on_commit(self, event) -> None:
-        if event.receipts:
-            self.frames.append({"height": event.block.header.height,
-                                "receipts": list(event.receipts)})
-
-    @property
-    def committed_ids(self):
-        return [receipt.tx_id for frame in self.frames
-                for receipt in frame["receipts"]]
-
-
 class _Shard:
-    """One AHL committee of four plus its agent, on the simulated clock."""
+    """One AHL committee of four as a live shard configures it, on the
+    simulated clock; keeps each committed block's transaction ids."""
 
     def __init__(self) -> None:
         self.sim = Simulator(seed=7)
-        network = Network(self.sim)
-        config = ShardedSystemConfig(num_shards=1, committee_size=4, protocol="AHL",
-                                     benchmark="smallbank", num_keys=100, seed=7)
-        self.cluster = build_committee(config, 0, self.sim, network)
-        self.gateway = _Gateway()
-        network.register(self.gateway)
-        self.stop = asyncio.Event()
-        self.agent = ShardAgent(0, self.cluster, network, self.stop)
-        self.cluster.subscribe_commits(self.gateway.on_commit)
-        # Count the requests the agent hands its committee.
-        self.requests_handed = 0
-        submit = self.cluster.submit
-
-        def counting_submit(transactions, *args, **kwargs):
-            self.requests_handed += 1
-            return submit(transactions, *args, **kwargs)
-
-        self.cluster.submit = counting_submit
+        config = ShardedSystemConfig(
+            num_shards=1, committee_size=4, protocol="AHL", benchmark="smallbank",
+            num_keys=100, seed=7, use_reference_committee=False)
+        config = dataclasses.replace(config, consensus_overrides=dict(LIVE_CONSENSUS))
+        self.partition = ShardPartition(config, 0, self.sim, Network(self.sim, NO_DELAY))
+        self.cluster = self.partition.cluster
+        self.blocks = []
+        self.committed_at = []
+        self.cluster.subscribe_commits(self._on_commit)
         self.chaincode = benchmark_for("smallbank").chaincode()
         self.sent = []
 
+    def _on_commit(self, event) -> None:
+        if event.receipts:
+            self.blocks.append([receipt.tx_id for receipt in event.receipts])
+            self.committed_at.append(event.committed_at)
+
     def submit(self, index: int) -> None:
-        """One payment between fresh accounts, handed to the agent as its
+        """One payment between fresh accounts, handed to the committee as the
         partition hands it a single-shard transaction."""
         tx = self.chaincode.new_transaction(
             "sendPayment", {"from": str(index), "to": str(index + 50), "amount": 1},
             client_id="test", submitted_at=self.sim.now)
         self.sent.append(tx.tx_id)
-        self.agent.hand([tx])
-
-    def frame(self, kind: str, payload) -> None:
-        self.agent.deliver(Message(sender=GATEWAY_NODE_ID, kind=kind, payload=payload,
-                                   size_bytes=512, channel=REQUEST_CHANNEL))
-
-    @property
-    def height(self) -> int:
-        return self.cluster.honest_observer().blockchain.height
+        self.partition.hand_to_committee([tx], 0)
 
     def assert_drained(self) -> None:
-        assert self.gateway.committed_ids == self.sent  # arrival order, exactly once
-        assert self.agent._buffer == []
-        assert self.agent._request_waiting is False
-        assert self.agent.submits_received == len(self.sent)
+        # Arrival order, each transaction exactly once.
+        assert [tx_id for block in self.blocks for tx_id in block] == self.sent
+        assert self.cluster.honest_observer().blockchain.height == len(self.blocks)
 
 
-def test_lone_transaction_is_handed_over_in_the_same_call():
+def test_lone_transaction_reaches_the_committee_in_the_same_call():
     shard = _Shard()
-    replica = shard.cluster.replicas[0]
-    before, now = replica.stats.messages_received, shard.sim.now
+    leader = shard.cluster.replicas[0]
+    before, now = leader.stats.messages_received, shard.sim.now
     shard.submit(0)
-    assert replica.stats.messages_received == before + 1
+    assert leader.stats.messages_received == before + 1
     assert shard.sim.now == now
-    assert shard.agent._buffer == [] and shard.requests_handed == 1
     shard.sim.run(until=1.0)
-    assert shard.height == 1
+    assert shard.blocks == [shard.sent]
     shard.assert_drained()
 
 
-def test_burst_fills_blocks_instead_of_cutting_one_per_frame():
+def test_burst_is_cut_by_the_leader_into_few_blocks():
     shard = _Shard()
     for index in range(20):
-        shard.sim.schedule(0.001 * index, shard.submit, index)
-    shard.sim.run(until=2.0)
-    # One block per frame until the pipeline fills gave 9 blocks here.
-    assert shard.requests_handed <= 4
-    assert shard.height <= 4
-    assert [frame["height"] for frame in shard.gateway.frames] == \
-        list(range(1, shard.height + 1))
+        shard.sim.schedule(0.0, shard.submit, index)
+    shard.sim.run(until=1.0)
+    assert len(shard.blocks) <= 4
     shard.assert_drained()
 
 
-def test_request_behind_a_proposal_waits_for_the_whole_cpu_cycle():
-    """Frames arriving while the leader signs a proposal leave as one request
-    when that proposal is off the CPU — not one by one behind it."""
+def test_arrivals_spread_over_time_are_cut_once_per_block_interval():
+    """50 arrivals 2 ms apart: the leader proposes no sooner than
+    ``BLOCK_INTERVAL`` after its last block, so the 98 ms of arrivals leave
+    in a handful of blocks spaced at least that far apart."""
     shard = _Shard()
-    shard.submit(0)                      # handed over at once; proposal follows
-    for index in range(1, 6):
-        shard.sim.schedule(0.004 * index, shard.submit, index)
-    shard.sim.run(until=0.022)           # inside the 25 ms proposal charge
-    assert shard.requests_handed == 1
-    assert len(shard.agent._buffer) == 5 and shard.agent._request_waiting
+    for index in range(50):
+        shard.sim.schedule(0.002 * index, shard.submit, index)
     shard.sim.run(until=1.0)
-    assert shard.requests_handed == 2
-    assert [len(frame["receipts"]) for frame in shard.gateway.frames] == [1, 5]
+    gaps = [later - earlier for earlier, later
+            in zip(shard.committed_at, shard.committed_at[1:])]
+    assert 2 <= len(shard.blocks) <= 0.1 / BLOCK_INTERVAL + 1
+    assert all(gap >= BLOCK_INTERVAL for gap in gaps)
     shard.assert_drained()
-
-
-def test_parked_request_does_not_stall_later_submissions():
-    """Whole committee mid-transfer: ``submit`` parks the request and returns
-    nobody to clock on; the agent must not wait for a callback from nobody."""
-    shard = _Shard()
-    cluster = shard.cluster
-    shard.submit(0)
-    shard.sim.run(until=1.0)
-    joiners = [cluster.admit_member() for _ in range(4)]
-    for node_id in list(cluster.committee[:4]):
-        cluster.remove_member(node_id)
-    shard.submit(1)                      # nobody active: parked by the cluster
-    assert shard.agent._request_waiting is False and shard.agent._buffer == []
-    assert len(cluster._parked_requests) == 1
-    shard.submit(2)                      # not buffered behind the parked one
-    assert len(cluster._parked_requests) == 2
-    for node_id in joiners:
-        cluster.activate_member(node_id)
-    shard.submit(3)                      # clocks on an active joiner now
-    assert shard.agent._request_waiting is True
-    shard.sim.run(until=5.0)
-    # Commit fan-out after a membership change reports each block once per
-    # member; every transaction still commits exactly once on the chain.
-    assert sorted(set(shard.gateway.committed_ids)) == sorted(shard.sent)
-    observer = cluster.honest_observer()
-    assert all(tx_id in observer.committed_tx_ids for tx_id in shard.sent)
-    assert shard.agent._buffer == [] and shard.agent._request_waiting is False
-
-
-def test_shutdown_hands_over_what_is_still_buffered():
-    shard = _Shard()
-    for index in range(3):
-        shard.submit(index)
-    assert len(shard.agent._buffer) == 2 and shard.agent._request_waiting
-    shard.frame(KIND_SHUTDOWN, None)
-    assert shard.stop.is_set()
-    assert shard.agent._buffer == [] and shard.requests_handed == 2
-    shard.sim.run(until=1.0)
-    assert shard.gateway.committed_ids == shard.sent
 
 
 # ------------------------------------------------------------ (b) wall clock
