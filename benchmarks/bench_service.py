@@ -23,7 +23,9 @@ Gates (exit 1 on failure):
 * every concurrent-phase submission is answered (committed+aborted adds up).
 
 Latency, throughput and block-filling numbers are reported, not gated — CI
-machines vary.
+machines vary.  So is the commit timeout that produced them
+(``config.block_interval_ms``, :data:`repro.service.shardnode.BLOCK_INTERVAL`):
+serial p50 is about two of them per cross-shard transaction.
 
 Usage::
 
@@ -48,6 +50,7 @@ from repro.audit.auditor import SafetyAuditor
 from repro.core.config import ShardedSystemConfig
 from repro.core.system import ShardedBlockchain
 from repro.service.client import ServiceHTTPError
+from repro.service.shardnode import BLOCK_INTERVAL
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.smallbank import DEFAULT_BALANCE, account_key
 
@@ -178,7 +181,8 @@ def main(argv=None) -> int:
     report = {
         "mode": args.mode,
         "config": {"shards": NUM_SHARDS, "committee": COMMITTEE,
-                   "protocol": PROTOCOL, "seed": SEED, "num_keys": NUM_KEYS},
+                   "protocol": PROTOCOL, "seed": SEED, "num_keys": NUM_KEYS,
+                   "block_interval_ms": round(BLOCK_INTERVAL * 1e3, 3)},
         "serial": {
             "transactions": len(service_outcomes),
             "committed": service_outcomes.count("committed"),
@@ -208,7 +212,8 @@ def main(argv=None) -> int:
         return 1
     print(f"ok: {len(service_outcomes)} serial + {concurrent['transactions']} "
           f"concurrent transactions, sim-equivalent, auditor clean; serial p50 "
-          f"{report['serial']['latency_p50_ms']} ms, txs_per_block "
+          f"{report['serial']['latency_p50_ms']} ms at a "
+          f"{report['config']['block_interval_ms']} ms commit timeout, txs_per_block "
           f"{concurrent['txs_per_block']}")
     return 0
 

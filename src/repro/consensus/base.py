@@ -8,6 +8,7 @@ batching, pipelining, view changes, execution — is common and lives in
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
@@ -603,7 +604,7 @@ class ConsensusReplica(SimProcess):
             if self._outstanding >= self.config.pipeline_depth:
                 return
             if self.config.min_block_interval > 0:
-                earliest = self._last_block_time + self.config.min_block_interval
+                earliest = self._earliest_proposal()
                 if self.runtime.now < earliest:
                     if not self._interval_retry_pending:
                         self._interval_retry_pending = True
@@ -666,6 +667,16 @@ class ConsensusReplica(SimProcess):
                      + self.config.proposal_overhead)
         self._last_block_time = self.runtime.now
         self.cpu_execute(sign_cost, self._broadcast_consensus, m.KIND_PRE_PREPARE, payload, size)
+
+    def _earliest_proposal(self) -> float:
+        """The first time whose gap from the last block, as a float
+        difference, is at least ``min_block_interval``: ``last + interval``
+        can round one step short of it (``0.03 - 0.02 < 0.01``)."""
+        interval = self.config.min_block_interval
+        earliest = self._last_block_time + interval
+        while earliest - self._last_block_time < interval:
+            earliest = math.nextafter(earliest, math.inf)
+        return earliest
 
     def _interval_retry(self) -> None:
         self._interval_retry_pending = False

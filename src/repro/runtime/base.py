@@ -37,7 +37,7 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 @runtime_checkable
 class RuntimeHandle(Protocol):
-    """A cancellable scheduled callback (sim ``Event`` or asyncio ``TimerHandle``)."""
+    """A cancellable scheduled callback (sim ``Event``, asyncio ``Handle`` or ``TimerHandle``)."""
 
     def cancel(self) -> Any: ...
 

@@ -6,9 +6,14 @@ here as callbacks on a real ``asyncio`` event loop:
 * ``now`` is ``loop.time()`` rebased to 0 at runtime construction, so
   timestamps look like sim timestamps (small floats starting near zero) and
   deadline arithmetic written against sim time keeps working.
-* ``schedule``/``schedule_at`` map to ``loop.call_later`` and return the
-  loop's ``TimerHandle`` — which already has the ``cancel()`` method the
-  protocol code calls on view-change and prepare timers.
+* ``schedule``/``schedule_at`` with a positive delay map to
+  ``loop.call_later`` and return the loop's ``TimerHandle`` — which already
+  has the ``cancel()`` method the protocol code calls on view-change and
+  prepare timers.  A zero delay, or a time at or before ``now``, maps to
+  ``loop.call_soon`` instead: its ``Handle`` cancels the same way, and the
+  callback skips the timer heap.  On a live shard every network hop and
+  every charge is such a zero delay (``NO_DELAY``, zero costs), so this is
+  most of what the loop schedules.
 * ``spawn`` maps to ``loop.call_soon``.
 * ``fork_rng`` uses the *same* ``(seed, label, counter)`` derivation as
   ``Simulator.fork_rng`` (see :func:`repro.runtime.base.derive_label_rng`),
@@ -57,19 +62,21 @@ class AsyncioRuntime:
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> asyncio.TimerHandle:
+    ) -> asyncio.Handle:
+        if delay > 0:
+            return self._loop.call_later(delay, callback, *args)
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._loop.call_later(delay, callback, *args)
+        return self._loop.call_soon(callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> asyncio.TimerHandle:
+    ) -> asyncio.Handle:
         # Sim raises on scheduling in the past; on a real clock "the past"
-        # can be an artifact of callback latency, so clamp to run immediately
+        # can be an artifact of callback latency, so run it immediately
         # instead — the deadline semantics protocol code wants are "no
         # earlier than `time`", which a late callback still satisfies.
-        return self._loop.call_later(max(0.0, time - self.now), callback, *args)
+        return self.schedule(max(0.0, time - self.now), callback, *args)
 
     def spawn(self, callback: Callable[..., Any], *args: Any) -> asyncio.Handle:
         return self._loop.call_soon(callback, *args)

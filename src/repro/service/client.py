@@ -3,7 +3,8 @@
 Tests, the differential oracle and ``bench_service`` talk to the gateway
 through this module — stdlib ``http.client`` only.  A :class:`ServiceClient`
 keeps one persistent connection per calling thread, as any HTTP/1.1 client
-does, and opens a new one only when the gateway has closed the old.  It
+does, and opens a new one only when the gateway has closed the old (or
+:meth:`ServiceClient.close` has).  It
 never re-sends a request: ``POST /tx`` is not idempotent, so a connection
 that dies after a request went out is the caller's error to see.
 """
@@ -56,6 +57,12 @@ class ServiceClient:
                                                     timeout=self.timeout)
             self._local.connection = connection
         return connection
+
+    def close(self) -> None:
+        """Close the calling thread's connection; its next request opens a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
 
     def request(self, method: str, path: str,
                 body: Optional[Dict[str, Any]] = None) -> Tuple[int, Dict[str, Any]]:

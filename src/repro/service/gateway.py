@@ -13,7 +13,8 @@ Two halves:
   only; the container has no aiohttp) exposing::
 
       POST /tx            submit {"function", "args", "client_id"?}; ?wait=1 blocks
-      GET  /tx/{id}       the gateway's record of a transaction
+      GET  /tx/{id}       the gateway's record of a transaction (in flight,
+                          or among the last RECORD_WINDOW completed)
       GET  /balance/{key} world-state read from the key's home shard
       GET  /health        shard liveness, in-flight window, totals, block filling
 
@@ -37,6 +38,7 @@ import asyncio
 import itertools
 import json
 import math
+from collections import OrderedDict
 from functools import partial
 from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -57,6 +59,11 @@ from repro.service.socketnet import SocketNetwork
 from repro.sim.network import Message, REQUEST_CHANNEL
 from repro.txn.coordinator import DistributedTxOutcome, DistributedTxRecord
 from repro.workloads.generator import shard_of_key
+
+
+#: Completed transactions whose records ``GET /tx/{id}`` still answers;
+#: older ones are dropped first.  In-flight records are never dropped.
+RECORD_WINDOW = 65_536
 
 
 class GatewayError(Exception):
@@ -125,8 +132,8 @@ class GatewayService:
         #: The records of transactions awaiting their home's answer; their
         #: number is the in-flight window.
         self._clients = ClientRecords(self.splitter, self.shard_of)
-        #: Every admitted transaction's record, for ``GET /tx/{id}``.
-        self.records: Dict[str, DistributedTxRecord] = {}
+        #: The last :data:`RECORD_WINDOW` completed records, oldest first.
+        self.completed: "OrderedDict[str, DistributedTxRecord]" = OrderedDict()
         self.submitted = self.committed = self.aborted = 0
         self.draining = False
         self._down: Dict[int, str] = {}
@@ -286,9 +293,13 @@ class GatewayService:
         future = self.runtime.loop.create_future() if wait else None
         record = self._clients.begin(tx, shards, self.runtime.now,
                                      partial(self._finished, future))
-        self.records[tx.tx_id] = record
         self.submitted += 1
         return record, future
+
+    def record(self, tx_id: str) -> Optional[DistributedTxRecord]:
+        """``tx_id``'s record, in flight or recently completed (else None)."""
+        pending = self._clients.pending.get(tx_id)
+        return pending[0] if pending is not None else self.completed.get(tx_id)
 
     def _check_ready(self) -> None:
         if not self._ready.is_set():
@@ -306,6 +317,9 @@ class GatewayService:
             self.committed += 1
         else:
             self.aborted += 1
+        self.completed[record.tx_id] = record
+        if len(self.completed) > RECORD_WINDOW:
+            self.completed.popitem(last=False)
         if future is not None and not future.done():
             future.set_result(record)
         if self.draining and not self.in_flight:
@@ -551,7 +565,7 @@ class GatewayHttp:
         return timeout
 
     def _get_tx(self, tx_id: str):
-        record = self.service.records.get(tx_id)
+        record = self.service.record(tx_id)
         if record is None:
             return 404, {"error": f"unknown transaction {tx_id}"}, None
         return 200, record_json(record), None

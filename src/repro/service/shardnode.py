@@ -29,9 +29,12 @@ operation costs, no ``proposal_overhead`` and no delay on the network's
 in-memory half, so the real hashing, MACs, codec and sockets set its
 latency.  The sim twin keeps the model.  Transactions reach the committee
 as the sim partition's do, one request each; the leader keeps one block in
-flight and proposes the next no sooner than :data:`BLOCK_INTERVAL` after
-its last block, so each block carries whatever arrived meanwhile and the
-protocol's clock, not the CPU the host happens to spare, sets the pace.
+flight and proposes the next no sooner than :data:`BLOCK_INTERVAL` (20 ms)
+after its last block, so each block carries whatever arrived meanwhile and
+the protocol's clock, not the CPU the host happens to spare, sets the pace.
+Every in-memory hop and zero charge is then a zero delay, which the runtime
+runs with ``call_soon``; only protocol timers such as this one wait on
+asyncio's timer heap.
 """
 
 from __future__ import annotations
@@ -76,11 +79,18 @@ KIND_SHUTDOWN = "svc-shutdown"
 
 #: Seconds a live leader waits after its last block before proposing the
 #: next: a commit timeout, as in Tendermint (Fabric's batch timeout plays
-#: the same part).  It is several times what a round of real work costs, so
-#: the protocol sets a shard's pace; without it the pace followed the CPU a
+#: the same part).  A cross-shard transaction waits out about one per 2PC
+#: phase, so it sets closed-loop latency (≈ 2 × 20 ms + ≈ 3 ms of real
+#: work).  It is still a few times what a round of real work costs, so the
+#: protocol sets a shard's pace; without it the pace followed the CPU a
 #: shared host happened to spare, and closed-loop throughput varied by a
-#: third between identical runs.
-BLOCK_INTERVAL = 0.03
+#: third between identical runs.  A flood with 48 transactions in flight
+#: runs into the same limit at short intervals: it asks more of a 2-vCPU
+#: host than the host can serve, and its throughput follows the host's
+#: speed.  Of 10, 15 and 20 ms, 20 is the shortest whose flood throughput
+#: moved less than a quarter of the 30 ms median as the host's speed
+#: drifted (10 ms: 934–1 337 tx/s over ten runs, against 785–842 at 30 ms).
+BLOCK_INTERVAL = 0.02
 #: The consensus overrides every live committee runs with, on top of the
 #: deployment's: nothing modelled is charged, and the leader keeps one block
 #: in flight, cutting the next from what arrived meanwhile.

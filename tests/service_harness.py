@@ -128,6 +128,7 @@ class ServeProcess:
         return self
 
     def __exit__(self, *exc_info) -> None:
+        self.client.close()
         if self.proc.poll() is None:
             self.proc.kill()
         # A SIGKILLed parent cannot reap its daemon shard processes, and

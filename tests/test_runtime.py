@@ -131,6 +131,43 @@ class TestAsyncioRuntime:
         assert "past-clamped" in fired
         assert "cancelled" not in fired
 
+    def test_zero_delays_skip_the_timer_heap_in_call_order(self):
+        """A zero delay, or a time at or before ``now``, is a ``call_soon``:
+        it fires in call order with ``spawn`` and still cancels."""
+        async def scenario():
+            runtime = AsyncioRuntime(seed=0)
+            fired = []
+            handles = [runtime.schedule(0, fired.append, "zero"),
+                       runtime.spawn(fired.append, "spawned"),
+                       runtime.schedule_at(runtime.now - 1, fired.append, "past"),
+                       runtime.spawn(fired.append, "spawned-again"),
+                       runtime.schedule(0.0, fired.append, "zero-again")]
+            cancelled = [runtime.schedule(0, fired.append, "cancelled"),
+                         runtime.schedule_at(runtime.now - 1, fired.append, "cancelled")]
+            for handle in cancelled:
+                handle.cancel()
+            await asyncio.sleep(0)
+            return handles + cancelled, fired
+
+        handles, fired = asyncio.run(scenario())
+        assert not any(isinstance(handle, asyncio.TimerHandle) for handle in handles)
+        assert fired == ["zero", "spawned", "past", "spawned-again", "zero-again"]
+
+    def test_a_positive_delay_stays_a_cancellable_timer(self):
+        async def scenario():
+            runtime = AsyncioRuntime(seed=0)
+            fired = []
+            kept = runtime.schedule(0.001, fired.append, "kept")
+            cancelled = runtime.schedule(0.001, fired.append, "cancelled")
+            future = runtime.schedule_at(runtime.now + 0.001, fired.append, "future")
+            cancelled.cancel()
+            await asyncio.sleep(0.05)
+            return (kept, cancelled, future), fired
+
+        handles, fired = asyncio.run(scenario())
+        assert all(isinstance(handle, asyncio.TimerHandle) for handle in handles)
+        assert sorted(fired) == ["future", "kept"]
+
     def test_consensus_commits_on_the_wall_clock(self):
         """The unchanged cluster + Network reach commit on AsyncioRuntime."""
         async def scenario():

@@ -6,7 +6,8 @@ waits :data:`~repro.service.shardnode.BLOCK_INTERVAL` after its last block,
 so the next block carries whatever arrived meanwhile.  Part (a) pins that
 cut on the simulated clock, where it is deterministic, with the live
 committee's own configuration (:data:`~repro.service.shardnode.LIVE_CONSENSUS`,
-no network delay) and a real 4-replica AHL committee; part (b) drives a live
+no network delay) and a real 4-replica AHL committee, and what the commit
+timeout costs a lone payment on two such shards; part (b) drives a live
 2-shard cluster and checks that a burst still commits exactly once,
 conserves money, and fills blocks.
 """
@@ -18,6 +19,7 @@ import time
 
 import pytest
 
+from repro.core import ShardedBlockchain
 from repro.core.config import ShardedSystemConfig
 from repro.core.scaleout import ShardPartition
 from repro.core.splitters import benchmark_for
@@ -103,6 +105,43 @@ def test_arrivals_spread_over_time_are_cut_once_per_block_interval():
     assert 2 <= len(shard.blocks) <= 0.1 / BLOCK_INTERVAL + 1
     assert all(gap >= BLOCK_INTERVAL for gap in gaps)
     shard.assert_drained()
+
+
+def _lone_payment_latency(cross_shard: bool) -> float:
+    """Simulated seconds one payment takes on two idle live-configured
+    shards, from its submission to its home's completion."""
+    config = ShardedSystemConfig(
+        num_shards=2, committee_size=4, protocol="AHL", benchmark="smallbank",
+        num_keys=100, seed=7, use_reference_committee=False,
+        consensus_overrides=dict(LIVE_CONSENSUS))
+    system = ShardedBlockchain(config)
+    src, dst = next((str(a), str(b)) for a in range(100) for b in range(a + 1, 100)
+                    if (shard_of_key(account_key(str(a)), 2)
+                        != shard_of_key(account_key(str(b)), 2)) == cross_shard)
+    system.run(1.0)                       # both leaders' last block is long past
+    tx = benchmark_for("smallbank").chaincode().new_transaction(
+        "sendPayment", {"from": src, "to": dst, "amount": 1},
+        client_id="test", submitted_at=system.runtime.now)
+    done = []
+    system.submit_transaction(tx, on_complete=done.append)
+    system.run(1.0)
+    assert [record.outcome.value for record in done] == ["committed"]
+    assert done[0].shards == ([0, 1] if cross_shard else [shard_of_key(account_key(src), 2)])
+    return done[0].latency
+
+
+def test_a_lone_cross_shard_payment_waits_one_commit_timeout_per_phase():
+    """Paper section 6: a prepare round, then a decision round on each
+    participant.  On idle shards the prepare block is cut at once and the
+    decision block waits out one commit timeout after it, so the payment
+    takes one ``BLOCK_INTERVAL`` and never more than two, plus the relay
+    hops (client, prepare, vote, decision, ack).  A lone single-shard
+    payment waits out none."""
+    relay_hops = 5 * ShardedSystemConfig.relay_delay
+    single = _lone_payment_latency(cross_shard=False)
+    cross = _lone_payment_latency(cross_shard=True)
+    assert single < BLOCK_INTERVAL
+    assert BLOCK_INTERVAL <= cross <= 2 * BLOCK_INTERVAL + relay_hops
 
 
 # ------------------------------------------------------------ (b) wall clock

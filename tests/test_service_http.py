@@ -7,7 +7,8 @@ transaction had been admitted — and a JSON body that is not an object,
 whose ``TypeError`` escaped the same way.  The gateway here has no shard processes:
 nothing in these requests may get far enough to need one.  Where a request
 must pass the boot barrier, a listening socket announces itself as every
-shard and records the kinds of the frames it receives.
+shard and records the kinds of the frames it receives.  The last test pins
+how many completed records ``GET /tx/{id}`` still answers for.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import json
 import pytest
 
 from repro import codec
+from repro.core.homecoord import TxDone
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service import frames, gateway
 from repro.service.gateway import GatewayHttp, GatewayService
-from repro.service.shardnode import KIND_PONG, KIND_SUBMIT, shard_agent_id
+from repro.service.shardnode import KIND_DONE, KIND_PONG, KIND_SUBMIT, shard_agent_id
 from repro.sim.network import Message
 
 PAYMENT = json.dumps({"function": "sendPayment",
@@ -208,3 +210,56 @@ def test_a_submit_is_encoded_once(monkeypatch):
     kinds = asyncio.run(scenario())
     assert kinds.count(KIND_SUBMIT) == 1
     assert encodes.count(KIND_SUBMIT) == 1
+
+
+def test_completed_records_beyond_the_window_are_dropped_oldest_first(monkeypatch):
+    """``GET /tx/{id}`` answers for every in-flight transaction and the last
+    ``RECORD_WINDOW`` completed ones; an older completed one is a ``404``,
+    and ``/health`` still counts every transaction."""
+    monkeypatch.setattr(gateway, "RECORD_WINDOW", 3)
+
+    async def scenario():
+        runtime = AsyncioRuntime(loop=asyncio.get_running_loop())
+        service = GatewayService(runtime, num_shards=2)
+        server, _ = await _announce_sink_shards(service, 2)
+        http = GatewayHttp(service, port=0)
+        port = await http.start()
+
+        async def get(path):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(f"GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n".encode())
+            response = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            status_line, _, rest = response.partition(b"\r\n")
+            return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+        try:
+            tx_ids = []
+            for index in range(8):
+                tx = service.build_transaction(
+                    "sendPayment", {"from": str(2 * index), "to": str(2 * index + 1),
+                                    "amount": 1})
+                service.submit_transaction(tx)
+                tx_ids.append(tx.tx_id)
+            for seq, tx_id in enumerate(tx_ids[:6]):   # the last two stay in flight
+                service.deliver(Message(
+                    sender=shard_agent_id(0), kind=KIND_DONE,
+                    payload=TxDone(time=0.0, shard=0, seq=seq, tx_id=tx_id,
+                                   committed=True, abort_reason=None, started_at=0.0,
+                                   decided_at=0.0, completed_at=0.0)))
+            answers = [await get(f"/tx/{tx_id}") for tx_id in tx_ids]
+            health = (await get("/health"))[1]
+        finally:
+            await http.close()
+            await service.close()
+            server.close()
+            await server.wait_closed()
+        return tx_ids, answers, health, service
+
+    tx_ids, answers, health, service = asyncio.run(scenario())
+    statuses = [status for status, _ in answers]
+    assert statuses == [404] * 3 + [200] * 5
+    assert [body["outcome"] for _, body in answers[3:]] == ["committed"] * 3 + ["pending"] * 2
+    assert [body["tx_id"] for _, body in answers[3:]] == tx_ids[3:]
+    assert list(service.completed) == tx_ids[3:6]
+    assert (health["submitted"], health["committed"], health["in_flight"]) == (8, 6, 2)

@@ -156,6 +156,7 @@ class _ThreadedGateway:
         return self
 
     def __exit__(self, *exc_info) -> None:
+        self.client.close()
         self.call(self.http.close())
         self.call(self.service.close())
         self.loop.call_soon_threadsafe(self.loop.stop)
@@ -170,8 +171,13 @@ def test_client_uses_one_connection_per_thread():
         assert gateway.http.accepts == 1
 
         shared = ServiceClient(f"127.0.0.1:{gateway.http.port}")
-        threads = [threading.Thread(target=lambda: [shared.health() for _ in range(10)])
-                   for _ in range(2)]
+
+        def ten_requests():
+            for _ in range(10):
+                shared.health()
+            shared.close()
+
+        threads = [threading.Thread(target=ten_requests) for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -192,6 +198,16 @@ def test_client_replaces_a_connection_the_gateway_dropped():
         gateway.http = gateway.start_http(port)
         assert gateway.client.health()["status"] == "degraded"
         assert gateway.http.accepts == 1
+
+
+def test_client_close_closes_this_threads_connection():
+    with _ThreadedGateway() as gateway:
+        gateway.client.health()
+        socket = gateway.client._local.connection.sock
+        gateway.client.close()
+        assert socket.fileno() == -1
+        assert gateway.client.health()["status"] == "degraded"
+        assert gateway.http.accepts == 2
 
 
 class _DropAfterAdmission(_CountingHttp):

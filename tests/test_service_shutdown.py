@@ -183,6 +183,15 @@ def test_a_transaction_its_home_would_refuse_leaves_every_shard_up():
         assert client.health()["shards"] == {"0": "up", "1": "up"}
 
 
+def test_leaving_the_harness_closes_its_client_connection():
+    with ServeProcess(shards=2, committee=4, protocol="AHL", seed=5,
+                      num_keys=NUM_KEYS) as serve:
+        serve.client.health()
+        socket = serve.client._local.connection.sock
+        assert socket.fileno() != -1
+    assert socket.fileno() == -1
+
+
 def test_sigterm_drains_and_exits_cleanly():
     with ServeProcess(shards=2, committee=4, protocol="AHL", seed=5,
                       num_keys=NUM_KEYS) as serve:
